@@ -50,6 +50,7 @@ from .operators import (
     pair,
     rel_det,
     rel_eigen_range,
+    rel_eigvals,
     rel_trace,
     spd_solve,
 )
@@ -62,6 +63,7 @@ from .potentials import (
     progress_lb_psi,
     progress_lb_v,
     scalar_gap,
+    spectral_barriers,
 )
 from .problems import (
     IntegralHessian,

@@ -77,13 +77,25 @@ def _direction(a: SpdOperator, g: SpdOperator, u: PrimalVector):
     return u.coords
 
 
-def _scalars(a_mat, g_mat, h_mat, u):
-    """Shared update scalars: Au, Gu, G^{-1}Au and the three pairings."""
+def _nonzero_direction(a: SpdOperator, g: SpdOperator, u: PrimalVector,
+                       what: str) -> np.ndarray:
+    uc = _direction(a, g, u)
+    if float(np.linalg.norm(uc)) <= ZERO_DIRECTION_NORM:
+        raise ZeroDirectionError(f"{what} needs a nonzero direction")
+    return uc
+
+
+def _scalars(a_mat, g_mat, u, solve_g):
+    """Shared update scalars: Au, Gu, G^{-1}Au and the three pairings.
+
+    ``solve_g`` applies G^{-1} to a vector: the maintained inverse on the
+    raw-array path, the cached factorization on the typed one.
+    """
     au = a_mat @ u
     gu = g_mat @ u
     au_u = float(au @ u)
     gu_u = float(gu @ u)
-    z = h_mat @ au
+    z = solve_g(au)
     aha = float(au @ z)
     if au_u <= 0.0 or gu_u <= 0.0 or aha <= 0.0:
         raise ArithmeticError(
@@ -91,6 +103,11 @@ def _scalars(a_mat, g_mat, h_mat, u):
             f"got <Au,u>={au_u}, <Gu,u>={gu_u}, <AG^-1Au,u>={aha}"
         )
     return au, gu, au_u, gu_u, z, aha
+
+
+def _typed_scalars(a: SpdOperator, g: SpdOperator, u: PrimalVector, what: str):
+    uc = _nonzero_direction(a, g, u, what)
+    return _scalars(a.entries, g.entries, uc, g.solve_vec)
 
 
 def _phi_det(tau, au_u, gu_u, aha):
@@ -101,35 +118,54 @@ def _phi_det(tau, au_u, gu_u, aha):
     return phi, denom
 
 
+def _rank_two(m, x, y, core):
+    """Symmetrized m + [x, y] core [x, y]^T for a symmetric 2x2 core: O(n^2)."""
+    basis = np.stack((x, y), axis=1)
+    out = (basis @ core) @ basis.T
+    out += m
+    sym = out + out.T
+    sym *= 0.5
+    return sym
+
+
+def _primal_core(phi, au_u, gu_u):
+    """2x2 core of G_plus - G in the basis [Au, Gu].
+
+    phi * DFP + (1 - phi) * BFGS, where DFP contributes
+    -(Au Gu^T + Gu Au^T)/<Au,u> + (<Gu,u>/<Au,u> + 1) Au Au^T/<Au,u> and BFGS
+    contributes Au Au^T/<Au,u> - Gu Gu^T/<Gu,u>.
+    """
+    cross = -phi / au_u
+    return np.array([[(1.0 + phi * gu_u / au_u) / au_u, cross],
+                     [cross, -(1.0 - phi) / gu_u]])
+
+
+def _inverse_core(tau, au_u, aha):
+    """2x2 core of H_plus - H in the basis [G^{-1}Au, u], with z = G^{-1}Au.
+
+    tau * DFP + (1 - tau) * BFGS, where DFP contributes
+    u u^T/<Au,u> - z z^T/<Au,z> and BFGS contributes
+    -(z u^T + u z^T)/<Au,u> + (<Au,z>/<Au,u> + 1) u u^T/<Au,u>.
+    """
+    cross = -(1.0 - tau) / au_u
+    return np.array([[-tau / aha, cross],
+                     [cross, (1.0 + (1.0 - tau) * aha / au_u) / au_u]])
+
+
 def update_arrays(a_mat, g_mat, h_mat, u, tau):
     """Raw-array fast path for one update.
 
     Takes the target, the current approximation and its inverse, and returns
     ``(g_plus, h_plus, phi, det_ratio)`` as plain arrays/floats.  The caller
-    owns validation; this is what the solver drives once per iteration at
-    O(n^2) cost, with the inverse maintained by the rank-two inverse formula
+    owns validation; this is what the solver drives once per iteration.  Both
+    operators change by a rank-two correction with a 2x2 core, so the update
+    costs O(n^2), with the inverse maintained by the rank-two inverse formula
     instead of refactorizing.
     """
-    au, gu, au_u, gu_u, z, aha = _scalars(a_mat, g_mat, h_mat, u)
+    au, gu, au_u, gu_u, z, aha = _scalars(a_mat, g_mat, u, h_mat.__matmul__)
     phi, det_ratio = _phi_det(tau, au_u, gu_u, aha)
-
-    dfp = (g_mat
-           - (np.outer(au, gu) + np.outer(gu, au)) / au_u
-           + (gu_u / au_u + 1.0) * np.outer(au, au) / au_u)
-    bfgs = (g_mat
-            - np.outer(gu, gu) / gu_u
-            + np.outer(au, au) / au_u)
-    g_plus = phi * dfp + (1.0 - phi) * bfgs
-    g_plus = 0.5 * (g_plus + g_plus.T)
-
-    inv_dfp = (h_mat
-               - np.outer(z, z) / aha
-               + np.outer(u, u) / au_u)
-    inv_bfgs = (h_mat
-                - (np.outer(z, u) + np.outer(u, z)) / au_u
-                + (aha / au_u + 1.0) * np.outer(u, u) / au_u)
-    h_plus = tau * inv_dfp + (1.0 - tau) * inv_bfgs
-    h_plus = 0.5 * (h_plus + h_plus.T)
+    g_plus = _rank_two(g_mat, au, gu, _primal_core(phi, au_u, gu_u))
+    h_plus = _rank_two(h_mat, z, u, _inverse_core(tau, au_u, aha))
     return g_plus, h_plus, phi, det_ratio
 
 
@@ -139,13 +175,7 @@ def phi_tau(a: SpdOperator, g: SpdOperator, u: PrimalVector, tau: float) -> floa
     Always in [0, 1] for tau in [0, 1]; equals tau when G = A.
     """
     tau = check_tau(tau)
-    uc = _direction(a, g, u)
-    if float(np.linalg.norm(uc)) <= ZERO_DIRECTION_NORM:
-        raise ZeroDirectionError("phi is undefined for the zero direction")
-    au = a.matvec(uc)
-    au_u = float(au @ uc)
-    gu_u = g.quad_form(uc)
-    aha = float(au @ g.solve_vec(au))
+    _, _, au_u, gu_u, _, aha = _typed_scalars(a, g, u, "phi")
     phi, _ = _phi_det(tau, au_u, gu_u, aha)
     return phi
 
@@ -176,20 +206,10 @@ def broyd_inverse(a: SpdOperator, g: SpdOperator, u: PrimalVector,
                   tau: float) -> SpdOperator:
     """Inverse of the updated operator, straight from the rank-two formula."""
     tau = check_tau(tau)
-    uc = _direction(a, g, u)
-    if float(np.linalg.norm(uc)) <= ZERO_DIRECTION_NORM:
-        raise ZeroDirectionError("inverse update needs a nonzero direction")
+    uc = _nonzero_direction(a, g, u, "inverse update")
     h_mat = g.inverse().entries
-    au = a.matvec(uc)
-    au_u = float(au @ uc)
-    z = h_mat @ au
-    aha = float(au @ z)
-    inv_dfp = h_mat - np.outer(z, z) / aha + np.outer(uc, uc) / au_u
-    inv_bfgs = (h_mat
-                - (np.outer(z, uc) + np.outer(uc, z)) / au_u
-                + (aha / au_u + 1.0) * np.outer(uc, uc) / au_u)
-    h_plus = tau * inv_dfp + (1.0 - tau) * inv_bfgs
-    h_plus = 0.5 * (h_plus + h_plus.T)
+    _, _, au_u, _, z, aha = _scalars(a.entries, g.entries, uc, h_mat.__matmul__)
+    h_plus = _rank_two(h_mat, z, uc, _inverse_core(tau, au_u, aha))
     return SpdOperator(h_plus, Role.DUAL_TO_PRIMAL)
 
 
@@ -197,13 +217,7 @@ def broyd_det_ratio(a: SpdOperator, g: SpdOperator, u: PrimalVector,
                     tau: float) -> float:
     """Closed-form Det(G_plus^{-1} G) of the update."""
     tau = check_tau(tau)
-    uc = _direction(a, g, u)
-    if float(np.linalg.norm(uc)) <= ZERO_DIRECTION_NORM:
-        raise ZeroDirectionError("determinant ratio needs a nonzero direction")
-    au = a.matvec(uc)
-    au_u = float(au @ uc)
-    gu_u = g.quad_form(uc)
-    aha = float(au @ g.solve_vec(au))
+    _, _, au_u, gu_u, _, aha = _typed_scalars(a, g, u, "determinant ratio")
     _, det_ratio = _phi_det(tau, au_u, gu_u, aha)
     return det_ratio
 
@@ -211,20 +225,16 @@ def broyd_det_ratio(a: SpdOperator, g: SpdOperator, u: PrimalVector,
 def nu(a: SpdOperator, g: SpdOperator, u: PrimalVector) -> float:
     """Closeness of G to A along u: ||(G - A)u||*_G / ||u||_A.
 
-    Evaluates both equivalent forms (the explicit quadratic form
-    <(G-A)G^{-1}(G-A)u, u> / <Au, u> and the norm ratio) and returns the
-    quadratic-form value after checking they agree.
+    Evaluates both equivalent forms of the numerator for w = (G - A)u (the
+    quadratic form <(G-A)G^{-1}(G-A)u, u> as <w, G^{-1}w> through a full
+    factorized solve, and the squared norm of the triangular solve L^{-1}w)
+    and returns the quadratic-form value after checking they agree.  Both
+    cost O(n^2) with the cached factor of G.
     """
-    uc = _direction(a, g, u)
-    if float(np.linalg.norm(uc)) <= ZERO_DIRECTION_NORM:
-        raise ZeroDirectionError("closeness measure needs a nonzero direction")
-    diff = g.entries - a.entries
-    mid = diff @ g.solve_mat(diff)
-    num_sq = float(uc @ (mid @ uc))
+    uc = _nonzero_direction(a, g, u, "closeness measure")
+    w = (g.entries - a.entries) @ uc
     au_u = a.quad_form(uc)
-    val_quad = math.sqrt(max(num_sq, 0.0) / au_u)
-
-    w = diff @ uc
+    val_quad = math.sqrt(max(float(w @ g.solve_vec(w)), 0.0) / au_u)
     val_norm = math.sqrt(max(g.inv_quad_form(w), 0.0) / au_u)
     if abs(val_quad - val_norm) > _NU_GUARD * (1.0 + max(val_quad, val_norm)):
         raise ArithmeticError(

@@ -98,6 +98,15 @@ def _normalize_experiment(raw: dict, idx: int, out_override: str | None) -> dict
         raise ConfigError(f"experiment #{idx} must be a JSON object")
     exp = dict(raw)
     exp.setdefault("name", f"exp{idx:03d}")
+    name = exp["name"]
+    # The name becomes a directory under the output root: one plain path
+    # component, so no experiment can write outside it.
+    if (not isinstance(name, str) or name in ("", ".", "..")
+            or Path(name).name != name or "\\" in name or "\0" in name):
+        raise ConfigError(
+            f"experiment #{idx}: name must be a single plain path component, "
+            f"got {name!r}"
+        )
     exp.setdefault("seed", 0)
     exp.setdefault("scheme", "auto")
     exp.setdefault("solver", {})
@@ -113,19 +122,20 @@ def _normalize_experiment(raw: dict, idx: int, out_override: str | None) -> dict
     try:
         problem = instance_from_dict(exp["instance"])
         TauSchedule.from_dict(exp["method"])
-        SolverConfig(**exp["solver"])
+        config = SolverConfig(**exp["solver"])
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"{exp['name']}: {exc}") from exc
 
     x0 = exp["x0"]
     if isinstance(x0, dict) and "coords" in x0:
-        coords = np.asarray(x0["coords"], dtype=float)
+        coords = _numeric(exp, "x0 coords",
+                          lambda: np.asarray(x0["coords"], dtype=float))
         if coords.shape != (problem.n,):
             raise ConfigError(
                 f"{exp['name']}: x0 has {coords.size} coords, expected {problem.n}"
             )
     elif isinstance(x0, dict) and "random_ball" in x0:
-        if not float(x0["random_ball"]) > 0.0:
+        if not _numeric(exp, "random_ball", lambda: float(x0["random_ball"])) > 0.0:
             raise ConfigError(f"{exp['name']}: random_ball radius must be positive")
     else:
         raise ConfigError(
@@ -136,12 +146,21 @@ def _normalize_experiment(raw: dict, idx: int, out_override: str | None) -> dict
                    if problem.kind is Kind.QUADRATIC and exp["scheme"] == "auto"
                    else ["general_linear", "general_superlinear"])
     exp.setdefault("envelopes", default_env)
-    for name in exp["envelopes"]:
-        if name not in ENVELOPE_NAMES:
-            raise ConfigError(f"{exp['name']}: unknown envelope {name!r}")
-        if name in _QUAD_ONLY and problem.kind is not Kind.QUADRATIC:
+    if not isinstance(exp["envelopes"], list):
+        raise ConfigError(f"{exp['name']}: envelopes must be a list of names")
+    if exp["envelopes"] and not config.instrument:
+        # Without instrumentation the residual lambda_k is never measured,
+        # so no envelope can be checked against it.
+        raise ConfigError(
+            f"{exp['name']}: envelopes need an instrumented run; with "
+            "\"instrument\": false set \"envelopes\": []"
+        )
+    for env in exp["envelopes"]:
+        if env not in ENVELOPE_NAMES:
+            raise ConfigError(f"{exp['name']}: unknown envelope {env!r}")
+        if env in _QUAD_ONLY and problem.kind is not Kind.QUADRATIC:
             raise ConfigError(
-                f"{exp['name']}: envelope {name!r} needs a quadratic instance"
+                f"{exp['name']}: envelope {env!r} needs a quadratic instance"
             )
     overrides = exp.get("envelope_overrides")
     if overrides is not None:
@@ -153,12 +172,21 @@ def _normalize_experiment(raw: dict, idx: int, out_override: str | None) -> dict
                 "mu/ell/sc_const"
             )
         for key, val in overrides.items():
-            if not float(val) > 0.0:
+            if not _numeric(exp, f"envelope override {key}",
+                            lambda: float(val)) > 0.0:
                 raise ConfigError(
                     f"{exp['name']}: envelope override {key} must be positive"
                 )
     exp["output_dir"] = out_override or exp.get("output_dir", "out")
     return exp
+
+
+def _numeric(exp: dict, what: str, parse):
+    """Run a numeric conversion, turning a malformed value into a ConfigError."""
+    try:
+        return parse()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{exp['name']}: {what} must be numeric ({exc})") from exc
 
 
 def _make_x0(spec, n: int, seed: int, problem: ProblemInstance) -> PrimalVector:
@@ -272,6 +300,14 @@ def cmd_run(config_path: str, jobs: int = 1, out: str | None = None) -> int:
         experiments = [
             _normalize_experiment(r, i, out) for i, r in enumerate(raw_list)
         ]
+        seen = set()
+        for exp in experiments:
+            if exp["name"] in seen:
+                raise ConfigError(
+                    f"duplicate experiment name {exp['name']!r}: each "
+                    "experiment writes to its own directory"
+                )
+            seen.add(exp["name"])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

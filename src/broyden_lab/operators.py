@@ -32,11 +32,14 @@ __all__ = [
     "rel_det",
     "norm_primal",
     "norm_dual",
+    "rel_eigvals",
     "rel_eigen_range",
     "loewner_leq",
     "loewner_slack",
     "spd_solve",
 ]
+
+_sygst = scipy.linalg.get_lapack_funcs("sygst", dtype=np.float64)
 
 # Relative symmetry tolerance and pivot floor for accepting a matrix as SPD.
 SYMMETRY_RTOL = 1e-12
@@ -133,6 +136,11 @@ class EigenRange:
             raise ValueError(
                 f"invalid eigen range ({self.min_rel}, {self.max_rel})"
             )
+
+    @classmethod
+    def of_spectrum(cls, vals: np.ndarray) -> "EigenRange":
+        """Range of an ascending spectrum (rejected if not positive)."""
+        return cls(float(vals[0]), float(vals[-1]))
 
     def contains(self, other: "EigenRange", tol: float = 0.0) -> bool:
         return (other.min_rel >= self.min_rel - tol
@@ -291,16 +299,31 @@ def norm_dual(a: SpdOperator, s: DualVector) -> float:
     return float(np.sqrt(max(a.inv_quad_form(s.coords), 0.0)))
 
 
-def rel_eigen_range(g: SpdOperator, a: SpdOperator) -> EigenRange:
-    """Extreme eigenvalues of G relative to A (symmetric-definite reduction)."""
+def rel_eigvals(g: SpdOperator, a: SpdOperator) -> np.ndarray:
+    """All eigenvalues of G relative to A, ascending.
+
+    Reduces the pencil to the standard problem L^{-1} G L^{-T} with A's cached
+    Cholesky factor L (one LAPACK ``sygst`` call, so A is never refactorized)
+    and takes its eigenvalues: one eigendecomposition per (G, A) pair, from
+    which the range, the log-determinant ratio and Tr(G^{-1}A) all follow.
+    """
     _require_role(g, Role.PRIMAL_TO_DUAL, "g")
     _require_role(a, Role.PRIMAL_TO_DUAL, "a")
     _check_same_dim(g, a)
+    # Both operands are passed transposed so they arrive Fortran-ordered:
+    # G^T = G, and A = U^T U with U = L^T upper triangular.
+    reduced, info = _sygst(g.entries.T, a._chol.T, itype=1, lower=0)
+    if info != 0:
+        raise NotSpdError(f"generalized eigenvalue reduction failed (info={info})")
     try:
-        vals = scipy.linalg.eigh(g.entries, a.entries, eigvals_only=True)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+        return np.linalg.eigvalsh(reduced, UPLO="U")
+    except np.linalg.LinAlgError as exc:
         raise NotSpdError("generalized eigenvalue reduction failed") from exc
-    return EigenRange(float(vals[0]), float(vals[-1]))
+
+
+def rel_eigen_range(g: SpdOperator, a: SpdOperator) -> EigenRange:
+    """Extreme eigenvalues of G relative to A (symmetric-definite reduction)."""
+    return EigenRange.of_spectrum(rel_eigvals(g, a))
 
 
 def loewner_slack(a1: SpdOperator, a2: SpdOperator) -> float:

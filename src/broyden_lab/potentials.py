@@ -27,6 +27,7 @@ __all__ = [
     "SCALAR_GAP_CONST",
     "logdet_barrier",
     "augmented_barrier",
+    "spectral_barriers",
     "potential_snapshot",
     "progress_lb_v",
     "progress_lb_psi",
@@ -75,6 +76,19 @@ def augmented_barrier(g: SpdOperator, a: SpdOperator) -> float:
     # <G^{-1}, G - A> = n - Tr(G^{-1} A), with the trace via a factorized solve.
     trace_inv_a = float(np.trace(g.solve_mat(a.entries)))
     return logdet_barrier(a, g) - (g.dim - trace_inv_a)
+
+
+def spectral_barriers(rel_eigs) -> tuple[float, float]:
+    """Both potentials from the eigenvalues of G relative to A.
+
+    With lambda_i those eigenvalues, ln Det(A^{-1}G) = sum ln lambda_i and
+    Tr(G^{-1}A) = sum 1/lambda_i, so the pair (logdet_barrier(a, g),
+    augmented_barrier(g, a)) is (sum ln lambda_i,
+    sum (ln lambda_i - 1 + 1/lambda_i)) at O(n) cost once the spectrum is known.
+    """
+    lams = np.asarray(rel_eigs, dtype=float)
+    logs = np.log(lams)
+    return float(np.sum(logs)), float(np.sum(logs - 1.0 + 1.0 / lams))
 
 
 def potential_snapshot(a: SpdOperator, g: SpdOperator,

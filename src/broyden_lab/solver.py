@@ -3,11 +3,19 @@
 Two entry points share one loop: :func:`run_quadratic` updates toward the
 fixed quadratic operator, :func:`run_general` toward the mean Hessian of each
 step segment.  Both start from ell * B, step with the analytically maintained
-inverse (never refactorizing the approximation), and record every quantity
-the convergence analysis tracks: the local gradient norm lambda, the
-approximation-metric gradient norm g, step length r in the local metric, the
-accumulated distortion xi, the directional closeness nu, both potentials, and
-the eigenvalue range of the approximation relative to the current Hessian.
+inverse, and record every quantity the convergence analysis tracks: the local
+gradient norm lambda, the approximation-metric gradient norm g, step length r
+in the local metric, the accumulated distortion xi, the directional closeness
+nu, both potentials, and the eigenvalue range of the approximation relative
+to the current Hessian.
+
+Per iteration the loop costs one validated Cholesky factorization of the
+approximation (its definiteness check, made even without instrumentation),
+one eigendecomposition of the approximation relative to each distinct target
+(one on the quadratic path, where the Hessian is the update target; two on
+the general path), and O(n^2) for the rest: the rank-two update of the
+approximation and its inverse, the closeness nu, and both potentials, which
+follow from the same eigenvalues.
 
 A single run is single-threaded and deterministic; independent runs share no
 mutable state.
@@ -30,9 +38,15 @@ from .operators import (
     Role,
     SpdOperator,
     norm_dual,
-    rel_eigen_range,
+    rel_eigvals,
 )
-from .potentials import augmented_barrier, logdet_barrier
+from .potentials import spectral_barriers
+
+# The loop draws range and potentials from one spectrum per pencil instead of
+# calling these; they stay importable here because perfbench/tracer.py wraps
+# the instrumentation layer under this module's names.
+from .operators import rel_eigen_range  # noqa: F401
+from .potentials import augmented_barrier, logdet_barrier  # noqa: F401
 from .problems import (
     Kind,
     ProblemInstance,
@@ -320,7 +334,8 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
     b_ref = problem.b_ref
 
     g_mat = ell * b_ref.entries
-    h_mat = b_ref.inverse().entries / ell
+    h_mat = b_ref.solve_mat(np.eye(n))
+    h_mat = 0.5 * (h_mat + h_mat.T) / ell
     a_op = problem.payload.a_op if problem.kind is Kind.QUADRATIC else None
 
     xs: list[PrimalVector] = []
@@ -338,18 +353,24 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
     stop_reason = "max_iter"
 
     def record_step_instrumentation(g_op, target_op):
-        """Step-dependent potentials and eigen range against the update target."""
+        """Step-dependent potentials and eigen range against the update target.
+
+        The spectrum of G relative to the Hessian is reused when the target
+        is that same operator, so each distinct pencil is decomposed once.
+        """
         if not config.instrument or target_op is None:
             vs.append(math.nan)
             psis.append(math.nan)
             j_eig_mins.append(math.nan)
             j_eig_maxs.append(math.nan)
             return
-        rng_j = rel_eigen_range(g_op, target_op)
+        lams = lams_g if target_op is hess_k else rel_eigvals(g_op, target_op)
+        rng_j = EigenRange.of_spectrum(lams)
         j_eig_mins.append(rng_j.min_rel)
         j_eig_maxs.append(rng_j.max_rel)
-        vs.append(logdet_barrier(target_op, g_op))
-        psis.append(augmented_barrier(g_op, target_op))
+        v, psi = spectral_barriers(lams)
+        vs.append(v)
+        psis.append(psi)
 
     for k in range(config.max_iter + 1):
         grad = problem.grad(x)
@@ -359,9 +380,10 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
         if config.instrument:
             hess_k = a_op if a_op is not None else problem.hess(x)
             lambda_k = norm_dual(hess_k, grad)
-            rng_g = rel_eigen_range(g_op, hess_k)
+            lams_g = rel_eigvals(g_op, hess_k)
+            rng_g = EigenRange.of_spectrum(lams_g)
         else:
-            hess_k = None
+            hess_k = lams_g = None
             lambda_k = math.nan
             rng_g = None
         g_k = math.sqrt(max(float(grad.coords @ (h_mat @ grad.coords)), 0.0))
@@ -410,9 +432,8 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
             rs.append(0.0)
             nus.append(math.nan)
             est_errors.append(0.0)
-            target_op = a_op
-            if general:
-                target_op = problem.hess(x) if config.instrument else None
+            # hess_k is the Hessian at this same iterate when instrumented.
+            target_op = hess_k if general else a_op
             record_step_instrumentation(g_op, target_op)
             if j_ops is not None:
                 j_ops.append(None)

@@ -230,3 +230,69 @@ class TestMain:
         assert main(["run", cfg, "--out", str(tmp_path / "forced")]) == 0
         assert (tmp_path / "forced" / "exp-quad" / "trace.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+class TestConfigContract:
+    """Malformed or unsafe configs exit 2 before anything is written."""
+
+    def assert_rejected(self, tmp_path, capsys, payload, needle=None):
+        cfg = write_config(tmp_path, payload)
+        assert cmd_run(cfg) == 2
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert "config error" in err
+        if needle is not None:
+            assert needle in err
+
+    def test_uninstrumented_run_rejects_envelopes(self, tmp_path, capsys):
+        # lambda_k is never measured without instrumentation, so no envelope
+        # can be checked; this used to report a quad_linear violation at k=0.
+        exp = quad_experiment(tmp_path / "out",
+                              solver={"max_iter": 300, "grad_tol": 1e-12,
+                                      "instrument": False})
+        self.assert_rejected(tmp_path, capsys, exp, "instrumented run")
+        exp["envelopes"] = ["quad_linear"]
+        self.assert_rejected(tmp_path, capsys, exp, "instrumented run")
+
+    def test_uninstrumented_run_without_envelopes_passes(self, tmp_path):
+        exp = quad_experiment(tmp_path / "out", envelopes=[],
+                              solver={"max_iter": 300, "grad_tol": 1e-12,
+                                      "instrument": False})
+        assert cmd_run(write_config(tmp_path, exp)) == 0
+        summary = json.loads(
+            (tmp_path / "out" / "exp-quad" / "summary.json").read_text()
+        )
+        assert summary["pass"] is True and summary["first_violation"] is None
+
+    @pytest.mark.parametrize("name", ["../../escape", "a/b", "/abs", "..", ".",
+                                      "", "dir\\file", 7])
+    def test_unsafe_name_rejected(self, tmp_path, capsys, name):
+        nested = tmp_path / "deep" / "er"
+        nested.mkdir(parents=True)
+        exp = quad_experiment(nested / "out", name=name)
+        cfg = write_config(nested, exp)
+        assert cmd_run(cfg) == 2
+        assert "single plain path component" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == \
+            ["config.json", "deep", "er"]
+
+    def test_duplicate_names_rejected(self, tmp_path, capsys):
+        exps = [quad_experiment(tmp_path / "out", name="same", seed=s)
+                for s in (1, 2)]
+        self.assert_rejected(tmp_path, capsys, exps, "duplicate")
+
+    @pytest.mark.parametrize("x0", [{"random_ball": "abc"},
+                                    {"random_ball": None},
+                                    {"coords": [1.0, "x", 0, 0, 0, 0]}])
+    def test_non_numeric_x0_rejected(self, tmp_path, capsys, x0):
+        exp = quad_experiment(tmp_path / "out", x0=x0)
+        self.assert_rejected(tmp_path, capsys, exp, "numeric")
+
+    def test_non_numeric_override_rejected(self, tmp_path, capsys):
+        exp = quad_experiment(tmp_path / "out",
+                              envelope_overrides={"mu": "big"})
+        self.assert_rejected(tmp_path, capsys, exp, "numeric")
+
+    def test_envelopes_must_be_a_list(self, tmp_path, capsys):
+        exp = quad_experiment(tmp_path / "out", envelopes="quad_linear")
+        self.assert_rejected(tmp_path, capsys, exp, "must be a list")

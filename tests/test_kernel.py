@@ -1,0 +1,188 @@
+"""The 2x2-core rank-two kernel and the one-spectrum instrumentation.
+
+Checks the update kernel against the textbook outer-product formulas, the
+typed update entry points against each other, the spectrum-derived range and
+potentials and the O(n^2) closeness against their direct definitions, and
+pins the per-iteration decomposition count of an instrumented run.
+"""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+import broyden_lab.operators as operators_mod
+from broyden_lab import (
+    PrimalVector,
+    SolverConfig,
+    TauSchedule,
+    augmented_barrier,
+    broyd,
+    broyd_det_ratio,
+    broyd_inverse,
+    logdet_barrier,
+    nu,
+    phi_tau,
+    quad_make,
+    rel_eigen_range,
+    rel_eigvals,
+    run_quadratic,
+    spectral_barriers,
+)
+from broyden_lab.broyden import update_arrays
+from broyden_lab.verify import random_spd
+
+KERNEL_TAUS = (0.0, 0.3, 1.0)
+TOL = 1e-12
+
+
+def rel_err(x, ref) -> float:
+    return float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
+
+
+def close(x, ref, tol=TOL) -> bool:
+    """Combined absolute/relative agreement."""
+    return abs(x - ref) <= tol * (1.0 + abs(ref))
+
+
+def textbook_update(a, g, u, tau, phi):
+    """Outer-product DFP/BFGS formulas, primal and inverse, with y = Au."""
+    h = np.linalg.inv(g)
+    eye = np.eye(g.shape[0])
+    y = a @ u
+    rho = float(y @ u)
+    gu = g @ u
+    hy = h @ y
+    bfgs = g - np.outer(gu, gu) / float(gu @ u) + np.outer(y, y) / rho
+    dfp = ((eye - np.outer(y, u) / rho) @ g @ (eye - np.outer(u, y) / rho)
+           + np.outer(y, y) / rho)
+    inv_bfgs = ((eye - np.outer(u, y) / rho) @ h @ (eye - np.outer(y, u) / rho)
+                + np.outer(u, u) / rho)
+    inv_dfp = h - np.outer(hy, hy) / float(y @ hy) + np.outer(u, u) / rho
+    return (phi * dfp + (1.0 - phi) * bfgs,
+            tau * inv_dfp + (1.0 - tau) * inv_bfgs)
+
+
+class TestRankTwoKernel:
+    @pytest.mark.parametrize("tau", KERNEL_TAUS)
+    def test_matches_textbook_formulas(self, rng, tau):
+        for _ in range(20):
+            n = int(rng.integers(2, 9))
+            a = random_spd(rng, n, log_cond_max=2.0)
+            g = random_spd(rng, n, log_cond_max=2.0)
+            u = rng.standard_normal(n)
+            g_plus, h_plus, phi, _ = update_arrays(
+                a.entries, g.entries, np.linalg.inv(g.entries), u, tau
+            )
+            ref_g, ref_h = textbook_update(a.entries, g.entries, u, tau, phi)
+            assert rel_err(g_plus, ref_g) <= TOL
+            assert rel_err(h_plus, ref_h) <= TOL
+            # The inverse formula weights DFP by tau, the primal one by phi:
+            # they describe the same operator only with the right phi.
+            assert rel_err(g_plus @ h_plus, np.eye(n)) <= 1e-10
+            if tau in (0.0, 1.0):
+                assert phi == tau
+
+    def test_outputs_exactly_symmetric(self, rng):
+        a, g = random_spd(rng, 7), random_spd(rng, 7)
+        g_plus, h_plus, _, _ = update_arrays(
+            a.entries, g.entries, np.linalg.inv(g.entries),
+            rng.standard_normal(7), 0.4,
+        )
+        assert np.array_equal(g_plus, g_plus.T)
+        assert np.array_equal(h_plus, h_plus.T)
+
+    def test_typed_entry_points_agree_with_broyd(self, rng):
+        for _ in range(25):
+            n = int(rng.integers(1, 8))
+            a, g = random_spd(rng, n), random_spd(rng, n)
+            u = PrimalVector(rng.standard_normal(n))
+            for tau in KERNEL_TAUS:
+                res = broyd(a, g, u, tau)
+                inv = broyd_inverse(a, g, u, tau)
+                assert rel_err(inv.entries, res.g_plus_inv.entries) <= TOL
+                assert close(broyd_det_ratio(a, g, u, tau), res.det_ratio)
+                assert close(phi_tau(a, g, u, tau), res.phi)
+
+
+def old_nu(a, g, u) -> float:
+    """The closeness measure as first written: an explicit n x n quadratic form."""
+    diff = g.entries - a.entries
+    mid = diff @ scipy.linalg.cho_solve((np.linalg.cholesky(g.entries), True), diff)
+    return math.sqrt(max(float(u @ (mid @ u)), 0.0) / float(u @ (a.entries @ u)))
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    quad = quad_make(np.geomspace(1.0, 30.0, 8), seed=31)
+    x0 = PrimalVector(np.random.default_rng(32).standard_normal(8))
+    trace = run_quadratic(quad, x0, TauSchedule.of_constant(0.3),
+                          SolverConfig(max_iter=500, grad_tol=1e-12,
+                                       record_operators=True))
+    return quad, trace
+
+
+class TestOneSpectrum:
+    def test_range_matches_generalized_eigh(self, recorded):
+        quad, trace = recorded
+        for k, g in enumerate(trace.g_ops):
+            ref = scipy.linalg.eigh(g.entries, quad.a_op.entries,
+                                    eigvals_only=True)
+            lams = rel_eigvals(g, quad.a_op)
+            assert all(close(x, y) for x, y in zip(lams, ref))
+            rng_ref = rel_eigen_range(g, quad.a_op)
+            assert close(trace.eig_mins[k], ref[0])
+            assert close(trace.eig_maxs[k], ref[-1])
+            assert trace.j_eig_mins[k] == rng_ref.min_rel
+            assert trace.j_eig_maxs[k] == rng_ref.max_rel
+
+    def test_potentials_match_factorized_forms(self, recorded):
+        quad, trace = recorded
+        for k, g in enumerate(trace.g_ops):
+            v, psi = spectral_barriers(rel_eigvals(g, quad.a_op))
+            v_ref = logdet_barrier(quad.a_op, g)
+            psi_ref = augmented_barrier(g, quad.a_op)
+            assert close(v, v_ref) and close(trace.vs[k], v_ref)
+            assert close(psi, psi_ref) and close(trace.psis[k], psi_ref)
+
+    def test_linear_cost_nu_matches_old_definition(self, recorded):
+        quad, trace = recorded
+        for k, u in enumerate(trace.us):
+            if u is None:
+                continue
+            ref = old_nu(quad.a_op, trace.g_ops[k], u.coords)
+            assert close(nu(quad.a_op, trace.g_ops[k], u), ref)
+            assert close(trace.nus[k], ref)
+
+
+class TestDecompositionCount:
+    def test_one_eigendecomposition_and_one_cholesky_per_iteration(
+            self, monkeypatch):
+        quad = quad_make(np.geomspace(1.0, 100.0, 12), seed=5)
+        x0 = PrimalVector(np.random.default_rng(6).standard_normal(12))
+        counts = {"eig": 0, "cholesky": 0, "reduction": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for mod, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"),
+                          (np.linalg, "eig"), (np.linalg, "eigvals"),
+                          (scipy.linalg, "eigh"), (scipy.linalg, "eigvalsh")):
+            monkeypatch.setattr(mod, name, counting("eig", getattr(mod, name)))
+        for mod, name in ((np.linalg, "cholesky"), (scipy.linalg, "cholesky"),
+                          (scipy.linalg, "cho_factor")):
+            monkeypatch.setattr(mod, name,
+                                counting("cholesky", getattr(mod, name)))
+        monkeypatch.setattr(operators_mod, "_sygst",
+                            counting("reduction", operators_mod._sygst))
+
+        trace = run_quadratic(quad, x0, TauSchedule.bfgs(),
+                              SolverConfig(max_iter=500, grad_tol=1e-12))
+        visited = len(trace)
+        assert trace.converged and visited > 10
+        assert counts == {"eig": visited, "cholesky": visited,
+                          "reduction": visited}
