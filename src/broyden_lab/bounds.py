@@ -8,7 +8,10 @@ bound-versus-measured reports with explicit slacks.
 All envelope evaluation happens in log space so that values stay finite for
 iteration counts up to 1e6 and condition numbers up to 1e12; returned values
 are clamped at the largest representable double, which only ever loosens a
-bound.
+bound.  Every superlinear envelope goes through one vectorised kernel
+(:func:`_sup_log`) fed with prefix sums of ln p_i, so an envelope over a
+K-step trace costs O(K); the scalar ``env_*`` functions are views that return
+one entry of the same arrays.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .operators import rel_eigvals
 from .problems import QuadraticProblem
 from .solver import IterationTrace, TauSchedule
 
@@ -57,28 +61,58 @@ _EXP_CLAMP = 709.5  # just under ln(float64 max)
 _PSI_EXPONENT = 13.0 / 6.0
 
 
-def _ln_expm1(t: float) -> float:
-    """ln(e^t - 1) without overflow; t must be positive."""
-    if t <= 0.0:
-        raise ValueError(f"need a positive exponent, got {t}")
-    if t > 36.8:
-        return t + math.log1p(-math.exp(-t))
-    return math.log(math.expm1(t))
+def _ln_expm1(t):
+    """ln(e^t - 1) elementwise without overflow; -inf where t = 0."""
+    t = np.asarray(t, dtype=float)
+    big = t > 36.8
+    with np.errstate(divide="ignore"):
+        return np.where(big, t + np.log1p(-np.exp(-t)),
+                        np.log(np.expm1(np.where(big, 0.0, t))))
 
 
-def _exp_clamped(t: float) -> float:
-    if t == -math.inf:
-        return 0.0
-    return math.exp(min(t, _EXP_CLAMP))
+def _exp_clamped(t):
+    return np.exp(np.minimum(t, _EXP_CLAMP))
 
 
-def _tau_seq(taus, k: int) -> list[float]:
+def _ln_pos(x):
+    """ln x elementwise, -inf where x is not positive."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x > 0.0, np.log(x), -np.inf)
+
+
+def _ln_p(taus, ratio):
+    """ln p_i with p_i = tau_i * ratio + 1 - tau_i (-inf where p_i <= 0)."""
+    return _ln_pos(taus * ratio + 1.0 - taus)
+
+
+def _tau_array(taus, k: int) -> np.ndarray:
+    """tau_0 .. tau_{k-1} from a schedule or an explicit sequence."""
     if isinstance(taus, TauSchedule):
-        return [taus.tau_at(i) for i in range(k)]
-    seq = [float(t) for t in taus]
+        if taus.constant is not None:
+            return np.full(k, taus.constant)
+        # A sequence shorter than the run repeats its last entry.
+        seq = np.asarray(taus.sequence)
+        return seq[np.minimum(np.arange(k), seq.size - 1)]
+    seq = np.array([float(t) for t in taus])
     if len(seq) < k:
         raise ValueError(f"need {k} tau values, got {len(seq)}")
     return seq[:k]
+
+
+def _sup_log(ks, ln_c, cum_ln_p, t, offset, lambda0: float):
+    """ln of [c / prod_{i<k} p_i^{1/k} * (e^{t/k} - 1)]^{k/2} e^offset lambda0.
+
+    The one superlinear envelope kernel.  Every argument but ``lambda0``
+    broadcasts against the iteration indices ``ks``; ``cum_ln_p`` holds the
+    prefix sums sum_{i<k} ln p_i.  A zero bound comes out as -inf: t = 0
+    through ln(e^0 - 1), and a zero initial residual even where the bracket
+    is +inf.
+    """
+    ks = np.asarray(ks, dtype=float)
+    if lambda0 <= 0.0:
+        return np.full(ks.shape, -np.inf)
+    return (0.5 * ks * (ln_c - cum_ln_p / ks + _ln_expm1(t / ks)) + offset
+            + math.log(lambda0))
 
 
 @dataclass
@@ -127,10 +161,13 @@ class EnvelopeReport:
         return bool(self.satisfied.all())
 
 
-def env_quad_linear(mu: float, ell: float, k: int, lambda0: float) -> float:
-    """Plain linear-rate envelope (1 - mu/ell)^k * lambda0."""
+def env_quad_linear(mu: float, ell: float, k, lambda0: float):
+    """Plain linear-rate envelope (1 - mu/ell)^k * lambda0.
+
+    ``k`` may be an array of iteration indices.
+    """
     _check_constants(mu, ell)
-    if k < 0:
+    if np.any(np.asarray(k) < 0):
         raise ValueError("k must be nonnegative")
     return (1.0 - mu / ell) ** k * lambda0
 
@@ -140,25 +177,21 @@ def _check_constants(mu: float, ell: float) -> None:
         raise ValueError(f"need 0 < mu <= ell, got ({mu}, {ell})")
 
 
-def _env_quad_sup_log(n: int, mu: float, ell: float, taus, k: int,
-                      lambda0: float, exponent_scale: float,
-                      log_factor: float | None) -> float:
+def _quad_sup_logs(n: int, mu: float, ell: float, taus, kk: int,
+                   lambda0: float, psi_variant: bool,
+                   log_factor: float | None) -> np.ndarray:
+    """ln of the quadratic superlinear envelope at k = 1 .. kk."""
     _check_constants(mu, ell)
-    if k < 1:
-        raise ValueError("superlinear envelopes start at k = 1")
-    if lambda0 <= 0.0:
-        return -math.inf
     kappa_log = math.log(ell / mu)
     factor = n * kappa_log if log_factor is None else float(log_factor)
     if factor < 0.0:
         raise ValueError(f"log factor must be nonnegative, got {factor}")
-    t = exponent_scale * factor / k
-    if t == 0.0:
-        return -math.inf
-    seq = _tau_seq(taus, k)
-    mean_log_p = sum(math.log(ti * mu / ell + 1.0 - ti) for ti in seq) / k
-    ln_bracket = math.log(2.0) - mean_log_p + _ln_expm1(t)
-    return 0.5 * k * ln_bracket + 0.5 * kappa_log + math.log(lambda0)
+    scale = _PSI_EXPONENT if psi_variant else 1.0
+    return _sup_log(
+        np.arange(1, kk + 1), math.log(2.0),
+        np.cumsum(_ln_p(_tau_array(taus, kk), mu / ell)),
+        scale * factor, 0.5 * kappa_log, lambda0,
+    )
 
 
 def env_quad_superlinear(n: int, mu: float, ell: float, taus, k: int,
@@ -171,9 +204,8 @@ def env_quad_superlinear(n: int, mu: float, ell: float, taus, k: int,
     for n*ln(ell/mu) in the exponent (see
     :func:`env_quad_sharpened_factor`).
     """
-    return _exp_clamped(
-        _env_quad_sup_log(n, mu, ell, taus, k, lambda0, 1.0, log_factor)
-    )
+    return float(_exp_clamped(env_quad_superlinear_log(
+        n, mu, ell, taus, k, lambda0, log_factor=log_factor)))
 
 
 def env_quad_superlinear_psi(n: int, mu: float, ell: float, taus, k: int,
@@ -184,17 +216,18 @@ def env_quad_superlinear_psi(n: int, mu: float, ell: float, taus, k: int,
     Same shape as :func:`env_quad_superlinear` with the exponent scaled by
     13/6; always at least as large.
     """
-    return _exp_clamped(
-        _env_quad_sup_log(n, mu, ell, taus, k, lambda0, _PSI_EXPONENT, log_factor)
-    )
+    return float(_exp_clamped(env_quad_superlinear_log(
+        n, mu, ell, taus, k, lambda0, True, log_factor)))
 
 
 def env_quad_superlinear_log(n: int, mu: float, ell: float, taus, k: int,
                              lambda0: float, psi_variant: bool = False,
                              log_factor: float | None = None) -> float:
     """Natural log of the superlinear envelope (-inf for a zero bound)."""
-    scale = _PSI_EXPONENT if psi_variant else 1.0
-    return _env_quad_sup_log(n, mu, ell, taus, k, lambda0, scale, log_factor)
+    if k < 1:
+        raise ValueError("superlinear envelopes start at k = 1")
+    return float(_quad_sup_logs(n, mu, ell, taus, k, lambda0, psi_variant,
+                                log_factor)[-1])
 
 
 def env_quad_sharpened_factor(p: QuadraticProblem) -> float:
@@ -204,10 +237,7 @@ def env_quad_sharpened_factor(p: QuadraticProblem) -> float:
     the reference operator; the sum can be much smaller than n*ln(ell/mu)
     when most of the spectrum sits far above mu.
     """
-    vals = np.linalg.eigvalsh(
-        np.linalg.solve(p.b_ref.entries, p.a_op.entries)
-    )
-    return float(np.sum(np.log(p.ell / vals)))
+    return float(np.sum(np.log(p.ell / rel_eigvals(p.a_op, p.b_ref))))
 
 
 def k0(n: int, mu: float, ell: float, sup_tau: float) -> int:
@@ -232,6 +262,11 @@ def k0(n: int, mu: float, ell: float, sup_tau: float) -> int:
     return max(1, math.ceil(val))
 
 
+def _region_cap(mu: float, ell: float, n: int, sup_tau: float) -> float:
+    return REGION_CONST * max(mu / (2.0 * ell),
+                              1.0 / (k0(n, mu, ell, sup_tau) + 9))
+
+
 def region_radius(mu: float, ell: float, n: int, sup_tau: float,
                   big_m: float) -> float:
     """Largest admissible initial residual for local convergence.
@@ -244,15 +279,13 @@ def region_radius(mu: float, ell: float, n: int, sup_tau: float,
         raise ValueError("self-concordance constant must be nonnegative")
     if big_m == 0.0:
         return math.inf
-    cap = REGION_CONST * max(mu / (2.0 * ell), 1.0 / (k0(n, mu, ell, sup_tau) + 9))
-    return cap / big_m
+    return _region_cap(mu, ell, n, sup_tau) / big_m
 
 
 def region_condition_holds(mu: float, ell: float, n: int, sup_tau: float,
                            big_m: float, lambda0: float) -> bool:
     """Whether the starting residual satisfies the local-convergence bound."""
-    cap = REGION_CONST * max(mu / (2.0 * ell), 1.0 / (k0(n, mu, ell, sup_tau) + 9))
-    return big_m * lambda0 <= cap
+    return big_m * lambda0 <= _region_cap(mu, ell, n, sup_tau)
 
 
 def _trace_params(trace: IterationTrace, overrides: dict | None = None):
@@ -274,11 +307,10 @@ def report_quad_linear(trace: IterationTrace,
     injection: a deliberately wrong constant must surface as a violation.
     """
     n, mu, ell, _ = _trace_params(trace, overrides)
-    lam0 = trace.lambda0
     ks = np.arange(len(trace))
-    bound = np.array([env_quad_linear(mu, ell, int(k), lam0) for k in ks])
     return EnvelopeReport(
-        name="quad_linear", ks=ks, measured=trace.lambdas, bound=bound,
+        name="quad_linear", ks=ks, measured=trace.lambdas,
+        bound=env_quad_linear(mu, ell, ks, trace.lambda0),
         k0=k0(n, mu, ell, trace.schedule.sup_tau),
         region_radius=math.inf,
     )
@@ -289,27 +321,24 @@ def report_quad_superlinear(trace: IterationTrace, psi_variant: bool = False,
                             overrides: dict | None = None) -> EnvelopeReport:
     """Superlinear envelope along a quadratic-scheme trace (from k = 1)."""
     n, mu, ell, _ = _trace_params(trace, overrides)
-    lam0 = trace.lambda0
     log_factor = None
     if sharpened:
         log_factor = env_quad_sharpened_factor(trace.problem.payload)
-    env = env_quad_superlinear_psi if psi_variant else env_quad_superlinear
-    ks = np.arange(1, len(trace))
-    bound = np.array([
-        env(n, mu, ell, trace.schedule, int(k), lam0, log_factor=log_factor)
-        for k in ks
-    ])
+    ln_bound = _quad_sup_logs(n, mu, ell, trace.schedule, len(trace) - 1,
+                              trace.lambda0, psi_variant, log_factor)
     name = "quad_superlinear_psi" if psi_variant else "quad_superlinear"
     if sharpened:
         name += "_sharpened"
     return EnvelopeReport(
-        name=name, ks=ks, measured=trace.lambdas[1:], bound=bound,
+        name=name, ks=np.arange(1, len(trace)), measured=trace.lambdas[1:],
+        bound=_exp_clamped(ln_bound),
         k0=k0(n, mu, ell, trace.schedule.sup_tau),
         region_radius=math.inf,
     )
 
 
-def env_general_linear(trace: IterationTrace) -> tuple[EnvelopeReport, EnvelopeReport]:
+def env_general_linear(trace: IterationTrace, overrides: dict | None = None
+                       ) -> tuple[EnvelopeReport, EnvelopeReport]:
     """Both linear envelopes for the general scheme.
 
     The first uses the measured distortion sequence
@@ -317,120 +346,87 @@ def env_general_linear(trace: IterationTrace) -> tuple[EnvelopeReport, EnvelopeR
     q_i = max(1 - mu/(xi_{i+1} ell), xi_{i+1} - 1)); the second is the
     fixed-rate (1 - mu/(2 ell))^k * sqrt(3/2) * lambda0 form, asserted only
     when the starting residual was inside the local-convergence region.
+    ``overrides`` substitutes envelope constants as in
+    :func:`report_quad_linear`.
     """
-    n, mu, ell, big_m = _trace_params(trace)
+    consts = _trace_params(trace, overrides)
+    _, mu, ell, _ = consts
     lam0 = trace.lambda0
-    sup_tau = trace.schedule.sup_tau
     xis = trace.xis
-    kk = len(trace)
-    ks = np.arange(kk)
+    ks = np.arange(len(trace))
 
-    bound_xi = np.empty(kk)
-    bound_xi[0] = math.sqrt(xis[0]) * lam0
-    log_prod = 0.0
-    for i in range(kk - 1):
-        # q_i needs the one-step-ahead distortion, available for every
-        # completed step.  Accumulate in log space; the factors can be huge
-        # when the trajectory leaves the local region.
-        q_i = max(1.0 - mu / (xis[i + 1] * ell), xis[i + 1] - 1.0)
-        log_prod = log_prod + math.log(q_i) if q_i > 0.0 else -math.inf
-        if lam0 == 0.0 or log_prod == -math.inf:
-            bound_xi[i + 1] = 0.0
-        else:
-            bound_xi[i + 1] = _exp_clamped(
-                0.5 * math.log(xis[i + 1]) + math.log(lam0) + log_prod
-            )
-
-    k0_val = k0(n, mu, ell, sup_tau)
-    radius = region_radius(mu, ell, n, sup_tau, big_m)
-    in_region = region_condition_holds(mu, ell, n, sup_tau, big_m, lam0)
-
-    rate = 1.0 - mu / (2.0 * ell)
-    bound_fixed = math.sqrt(1.5) * lam0 * rate ** ks
-
-    tracked = EnvelopeReport(
-        name="general_linear_xi", ks=ks, measured=trace.lambdas,
-        bound=bound_xi, k0=k0_val, region_radius=radius,
-    )
-    uniform = EnvelopeReport(
-        name="general_linear", ks=ks, measured=trace.lambdas,
-        bound=bound_fixed, k0=k0_val, region_radius=radius,
-        asserted=in_region,
-    )
-    return tracked, uniform
+    # q_i needs the one-step-ahead distortion, available for every completed
+    # step.  The product is a prefix sum in log space: the factors can be
+    # huge when the trajectory leaves the local region.
+    q = np.maximum(1.0 - mu / (xis[1:] * ell), xis[1:] - 1.0)
+    ln_prod = np.concatenate(([0.0], np.cumsum(_ln_pos(q))))
+    if lam0 > 0.0:
+        bound_xi = _exp_clamped(0.5 * np.log(xis) + math.log(lam0) + ln_prod)
+    else:
+        bound_xi = np.zeros(len(xis))
+    bound_fixed = math.sqrt(1.5) * lam0 * (1.0 - mu / (2.0 * ell)) ** ks
+    return _general_pair(trace, consts, "linear", ks, bound_xi, bound_fixed)
 
 
-def env_general_superlinear(trace: IterationTrace) -> tuple[EnvelopeReport, EnvelopeReport]:
+def env_general_superlinear(trace: IterationTrace,
+                            overrides: dict | None = None
+                            ) -> tuple[EnvelopeReport, EnvelopeReport]:
     """Both superlinear envelopes for the general scheme (from k = 1).
 
     The first tracks the measured distortion sequence; its final entry
     reuses the last available distortion and is flagged provisional.  The
     second is the uniform in-region form, asserted only when the starting
-    residual was inside the local-convergence region.
+    residual was inside the local-convergence region.  ``overrides``
+    substitutes envelope constants as in :func:`report_quad_linear`.
     """
-    n, mu, ell, big_m = _trace_params(trace)
+    consts = _trace_params(trace, overrides)
+    n, mu, ell, _ = consts
     lam0 = trace.lambda0
-    sup_tau = trace.schedule.sup_tau
-    xis = trace.xis
     kk = len(trace)
     kappa_log = math.log(ell / mu)
-    k0_val = k0(n, mu, ell, sup_tau)
-    radius = region_radius(mu, ell, n, sup_tau, big_m)
-    in_region = region_condition_holds(mu, ell, n, sup_tau, big_m, lam0)
-
     ks = np.arange(1, kk)
-    bound_xi = np.empty(kk - 1)
-    bound_fixed = np.empty(kk - 1)
-    sum_log_p = 0.0
-    sum_log_p_fixed = 0.0
-    for k in range(1, kk):
-        tau_prev = trace.schedule.tau_at(k - 1)
-        xi_next = xis[k]  # xi_{i+1} for i = k-1
-        # Saturated distortion drives the DFP weight to zero; the bound then
-        # degenerates to +inf, which the log-space clamp handles.
-        p_term = tau_prev * mu / (xi_next ** 2 * ell) + 1.0 - tau_prev
-        sum_log_p += math.log(p_term) if p_term > 0.0 else -math.inf
-        sum_log_p_fixed += math.log(
-            tau_prev * 4.0 * mu / (9.0 * ell) + 1.0 - tau_prev
-        )
+    taus = _tau_array(trace.schedule, kk - 1)  # tau_{k-1}
+    xi = trace.xis[1:]  # xi_k, the xi_{i+1} of the last factor p_{k-1}
+    xi_ahead = np.append(trace.xis[2:], trace.xis[-1])[:kk - 1]
 
-        xi_ahead = xis[k + 1] if k + 1 < kk else xis[kk - 1]
-        t = _PSI_EXPONENT * n / k * (
-            xi_ahead * math.log(xi_ahead) + kappa_log
-        )
-        if t == 0.0 or lam0 == 0.0:
-            bound_xi[k - 1] = 0.0
-        else:
-            ln_bracket = (math.log1p(xis[k]) - sum_log_p / k + _ln_expm1(t))
-            bound_xi[k - 1] = _exp_clamped(
-                0.5 * k * ln_bracket
-                + 0.5 * (math.log(xis[k]) + kappa_log)
-                + math.log(lam0)
-            )
-
-        t_fixed = _PSI_EXPONENT * n / k * math.log(2.0 * ell / mu)
-        if lam0 == 0.0:
-            bound_fixed[k - 1] = 0.0
-        else:
-            ln_bracket = (math.log(2.5) - sum_log_p_fixed / k
-                          + _ln_expm1(t_fixed))
-            bound_fixed[k - 1] = _exp_clamped(
-                0.5 * k * ln_bracket
-                + 0.5 * math.log(1.5 * ell / mu)
-                + math.log(lam0)
-            )
-
-    tracked = EnvelopeReport(
-        name="general_superlinear_xi", ks=ks, measured=trace.lambdas[1:],
-        bound=bound_xi, k0=k0_val, region_radius=radius,
-        provisional_last=True,
+    # Saturated distortion drives the DFP weight to zero; the bound then
+    # degenerates to +inf, which the log-space clamp handles.
+    ln_xi = _sup_log(
+        ks, np.log1p(xi), np.cumsum(_ln_p(taus, mu / (xi ** 2 * ell))),
+        _PSI_EXPONENT * n * (xi_ahead * np.log(xi_ahead) + kappa_log),
+        0.5 * (np.log(xi) + kappa_log), lam0,
     )
-    uniform = EnvelopeReport(
-        name="general_superlinear", ks=ks, measured=trace.lambdas[1:],
-        bound=bound_fixed, k0=k0_val, region_radius=radius,
-        asserted=in_region,
+    ln_fixed = _sup_log(
+        ks, math.log(2.5), np.cumsum(_ln_p(taus, 4.0 * mu / (9.0 * ell))),
+        _PSI_EXPONENT * n * math.log(2.0 * ell / mu),
+        0.5 * math.log(1.5 * ell / mu), lam0,
     )
-    return tracked, uniform
+    return _general_pair(trace, consts, "superlinear", ks,
+                         _exp_clamped(ln_xi), _exp_clamped(ln_fixed))
+
+
+def _general_pair(trace: IterationTrace, consts, kind: str, ks, bound_xi,
+                  bound_fixed) -> tuple[EnvelopeReport, EnvelopeReport]:
+    """The distortion-tracking and the uniform report of one envelope kind.
+
+    Both share K0 and the region radius.  The uniform report is asserted
+    only when the starting residual was inside the local-convergence region;
+    the tracked superlinear one reuses the last distortion at its final
+    entry, so that entry is provisional.
+    """
+    n, mu, ell, big_m = consts
+    sup_tau = trace.schedule.sup_tau
+    common = dict(ks=ks, measured=trace.lambdas[ks],
+                  k0=k0(n, mu, ell, sup_tau),
+                  region_radius=region_radius(mu, ell, n, sup_tau, big_m))
+    in_region = region_condition_holds(mu, ell, n, sup_tau, big_m,
+                                       trace.lambda0)
+    return (
+        EnvelopeReport(name=f"general_{kind}_xi", bound=bound_xi,
+                       provisional_last=kind == "superlinear", **common),
+        EnvelopeReport(name=f"general_{kind}", bound=bound_fixed,
+                       asserted=in_region, **common),
+    )
 
 
 @dataclass(frozen=True)
@@ -462,21 +458,21 @@ def env_section6(n: int, mu: float, ell: float, k: int, lambda0: float,
     if method == "bfgs":
         start_prev = n * kappa
         start_new = 4.0 * n * kappa_log
-        ln_prev_base = math.log(n * kappa / k)
-        new_base = 4.0 * n * kappa_log / k
     elif method == "dfp":
         start_prev = n * kappa ** 2
         start_new = 4.0 * n * kappa * kappa_log
-        ln_prev_base = math.log(n * kappa ** 2 / k)
-        new_base = 4.0 * n * kappa * kappa_log / k
     else:
         raise ValueError(f"method must be 'bfgs' or 'dfp', got {method!r}")
+    # Each envelope is (start / k)^{k/2} * lambda0 for its starting moment.
+    new_base = start_new / k
     if lambda0 <= 0.0:
         prev = new = 0.0
     else:
-        prev = _exp_clamped(0.5 * k * ln_prev_base + math.log(lambda0))
+        prev = float(_exp_clamped(0.5 * k * math.log(start_prev / k)
+                                  + math.log(lambda0)))
         if k >= start_new and new_base > 0.0:
-            new = _exp_clamped(0.5 * k * math.log(new_base) + math.log(lambda0))
+            new = float(_exp_clamped(0.5 * k * math.log(new_base)
+                                      + math.log(lambda0)))
         else:
             new = math.nan
     return Section6Envelopes(prev=prev, new=new,
@@ -493,15 +489,14 @@ def first_superlinear_crossover(n: int, mu: float, ell: float, sup_tau: float,
     _check_constants(mu, ell)
     if mu == ell:
         return 1
-    log_p = math.log(sup_tau * mu / ell + 1.0 - sup_tau)
+    ln_p = float(_ln_p(sup_tau, mu / ell))
     log_rate = math.log(1.0 - mu / ell)
     kappa_log = math.log(ell / mu)
 
     def gap(k: int) -> float:
-        t = n * kappa_log / k
-        ln_sup = (0.5 * k * (math.log(2.0) - log_p + _ln_expm1(t))
-                  + 0.5 * kappa_log)
-        return ln_sup - k * log_rate
+        ln_sup = _sup_log(k, math.log(2.0), k * ln_p, n * kappa_log,
+                          0.5 * kappa_log, 1.0)
+        return float(ln_sup) - k * log_rate
 
     hi = 1
     while gap(hi) >= 0.0:
@@ -522,8 +517,8 @@ def trace_reports(trace: IterationTrace, names,
                   overrides: dict | None = None) -> list[EnvelopeReport]:
     """Build the named envelope reports for a trace (CLI registry).
 
-    ``overrides`` replaces the certified constants inside the quadratic
-    envelope formulas only; the measured trace is untouched.
+    ``overrides`` replaces the certified constants inside every envelope
+    formula, quadratic and general; the measured trace is untouched.
     """
     out: list[EnvelopeReport] = []
     for name in names:
@@ -535,9 +530,9 @@ def trace_reports(trace: IterationTrace, names,
             out.append(report_quad_superlinear(trace, psi_variant=True,
                                                overrides=overrides))
         elif name == "general_linear":
-            out.extend(env_general_linear(trace))
+            out.extend(env_general_linear(trace, overrides))
         elif name == "general_superlinear":
-            out.extend(env_general_superlinear(trace))
+            out.extend(env_general_superlinear(trace, overrides))
         else:
             raise ValueError(f"unknown envelope name: {name!r}")
     return out

@@ -38,6 +38,7 @@ from . import verify as verify_mod
 from .bounds import (
     ENVELOPE_NAMES,
     EnvelopeReport,
+    env_section6,
     first_superlinear_crossover,
     k0,
     region_radius,
@@ -177,6 +178,13 @@ def _normalize_experiment(raw: dict, idx: int, out_override: str | None) -> dict
                 raise ConfigError(
                     f"{exp['name']}: envelope override {key} must be positive"
                 )
+        mu = float(overrides.get("mu", problem.mu))
+        ell = float(overrides.get("ell", problem.ell))
+        if not mu <= ell:
+            raise ConfigError(
+                f"{exp['name']}: envelope_overrides give mu = {mu} above "
+                f"ell = {ell}; the envelopes need 0 < mu <= ell"
+            )
     exp["output_dir"] = out_override or exp.get("output_dir", "out")
     return exp
 
@@ -385,14 +393,7 @@ def _sweep_cell(n: int, kappa: float, method: str, seed: int,
         trace, ["quad_linear", "quad_superlinear", "quad_superlinear_psi"]
     )
     envelopes_ok = all(r.all_satisfied for r in reports)
-    kappa_meas = quad.ell / quad.mu
-    kappa_log = math.log(kappa_meas)
-    if method == "bfgs":
-        k0_prev = n * kappa_meas
-        k0_new = 4.0 * n * kappa_log
-    else:
-        k0_prev = n * kappa_meas ** 2
-        k0_new = 4.0 * n * kappa_meas * kappa_log
+    moments = env_section6(n, quad.mu, quad.ell, 1, 1.0, method)
     cross = first_superlinear_crossover(
         n, quad.mu, quad.ell, schedule.sup_tau
     )
@@ -402,8 +403,8 @@ def _sweep_cell(n: int, kappa: float, method: str, seed: int,
         "method": method,
         "iters_to_target": trace.k_final if trace.converged else None,
         "converged": trace.converged,
-        "K0_new": k0_new,
-        "K0_prev": k0_prev,
+        "K0_new": moments.start_new,
+        "K0_prev": moments.start_prev,
         "first_k_superlinear_env_below_linear_env": cross,
         "envelopes_ok": envelopes_ok,
     }

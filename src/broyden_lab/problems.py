@@ -14,6 +14,7 @@ provided for reproducible experiment definitions.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
 import math
@@ -317,10 +318,19 @@ def _hess_entries(p: ProblemInstance, xc: np.ndarray) -> np.ndarray:
     return _lse_raw(p.payload, xc)[2]
 
 
-def _gauss_legendre_mean(p: ProblemInstance, xc, uc, order: int) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the ``order``-point rule on [0, 1]."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
     t = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
+def _gauss_legendre_mean(p: ProblemInstance, xc, uc, order: int) -> np.ndarray:
+    t, w = _gauss_legendre_rule(order)
     acc = np.zeros((p.n, p.n))
     for ti, wi in zip(t, w):
         acc += wi * _hess_entries(p, xc + ti * uc)

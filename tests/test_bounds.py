@@ -1,14 +1,20 @@
 """Rate envelopes: closed forms, thresholds, trace reports, finiteness."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from broyden_lab import (
+    DualVector,
     PrimalVector,
     ProblemInstance,
+    QuadraticProblem,
+    Role,
     SolverConfig,
+    SpdOperator,
     TauSchedule,
     env_general_linear,
     env_general_superlinear,
@@ -28,7 +34,12 @@ from broyden_lab import (
     run_general,
     run_quadratic,
 )
-from broyden_lab.bounds import EnvelopeReport, env_quad_superlinear_log
+from broyden_lab.bounds import (
+    SATISFIED_ATOL,
+    SATISFIED_RTOL,
+    EnvelopeReport,
+    env_quad_superlinear_log,
+)
 
 
 class TestLinearEnvelope:
@@ -135,6 +146,26 @@ class TestSharpenedFactor:
         spec = np.geomspace(1.0, 100.0, 6)
         q = quad_make(spec, seed=3)
         expected = float(np.sum(np.log(spec.max() / spec)))
+        assert env_quad_sharpened_factor(q) == pytest.approx(expected,
+                                                             rel=1e-10)
+
+    def test_non_identity_reference_operator(self):
+        # The factor is a sum over the eigenvalues of the pencil (A, B); with
+        # B != I, B^{-1} A is not symmetric, so a symmetric eigensolver on
+        # it is meaningless.
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((6, 6))
+        b_ref = m @ m.T + 6.0 * np.eye(6)
+        m = rng.standard_normal((6, 6))
+        a = m @ m.T + np.eye(6)
+        a, b_ref = 0.5 * (a + a.T), 0.5 * (b_ref + b_ref.T)
+        vals = scipy.linalg.eigh(a, b_ref, eigvals_only=True)
+        q = QuadraticProblem(
+            a_op=SpdOperator(a, Role.PRIMAL_TO_DUAL), b=DualVector(np.ones(6)),
+            b_ref=SpdOperator(b_ref, Role.PRIMAL_TO_DUAL),
+            mu=float(vals.min()), ell=float(vals.max()),
+        )
+        expected = float(np.sum(np.log(vals.max() / vals)))
         assert env_quad_sharpened_factor(q) == pytest.approx(expected,
                                                              rel=1e-10)
 
@@ -384,3 +415,244 @@ def _scale_to_lambda(p, center, direction, lam_target):
         else:
             hi = mid
     return PrimalVector(center.coords + hi * direction)
+
+
+# ---------------------------------------------------------------------------
+# Reference implementation: the per-k loop formulas that the vectorised
+# log-space kernel replaced, kept here as an independent oracle.
+
+
+def _ref_ln_expm1(t):
+    if t > 36.8:
+        return t + math.log1p(-math.exp(-t))
+    return math.log(math.expm1(t))
+
+
+def _ref_exp(t):
+    return 0.0 if t == -math.inf else math.exp(min(t, 709.5))
+
+
+def _ref_quad_linear(trace, mu, ell):
+    return np.array([(1.0 - mu / ell) ** k * trace.lambda0
+                     for k in range(len(trace))])
+
+
+def _ref_quad_superlinear(trace, mu, ell, scale, log_factor=None):
+    n, lam0 = trace.problem.n, trace.lambda0
+    kappa_log = math.log(ell / mu)
+    factor = n * kappa_log if log_factor is None else log_factor
+    out = []
+    for k in range(1, len(trace)):
+        t = scale * factor / k
+        if lam0 <= 0.0 or t == 0.0:
+            out.append(0.0)
+            continue
+        taus = [trace.schedule.tau_at(i) for i in range(k)]
+        mean_log_p = sum(math.log(ti * mu / ell + 1.0 - ti) for ti in taus) / k
+        ln_bracket = math.log(2.0) - mean_log_p + _ref_ln_expm1(t)
+        out.append(_ref_exp(0.5 * k * ln_bracket + 0.5 * kappa_log
+                            + math.log(lam0)))
+    return np.array(out)
+
+
+def _ref_general_linear_xi(trace, mu, ell):
+    lam0, xis = trace.lambda0, trace.xis
+    out = [math.sqrt(xis[0]) * lam0]
+    log_prod = 0.0
+    for i in range(len(trace) - 1):
+        q_i = max(1.0 - mu / (xis[i + 1] * ell), xis[i + 1] - 1.0)
+        log_prod = log_prod + math.log(q_i) if q_i > 0.0 else -math.inf
+        if lam0 == 0.0 or log_prod == -math.inf:
+            out.append(0.0)
+        else:
+            out.append(_ref_exp(0.5 * math.log(xis[i + 1]) + math.log(lam0)
+                                + log_prod))
+    return np.array(out)
+
+
+def _ref_general_superlinear(trace, mu, ell):
+    n, lam0, xis, kk = trace.problem.n, trace.lambda0, trace.xis, len(trace)
+    kappa_log = math.log(ell / mu)
+    psi = 13.0 / 6.0
+    bound_xi, bound_fixed = [], []
+    sum_log_p = sum_log_p_fixed = 0.0
+    for k in range(1, kk):
+        tau = trace.schedule.tau_at(k - 1)
+        p_term = tau * mu / (xis[k] ** 2 * ell) + 1.0 - tau
+        sum_log_p += math.log(p_term) if p_term > 0.0 else -math.inf
+        sum_log_p_fixed += math.log(tau * 4.0 * mu / (9.0 * ell) + 1.0 - tau)
+        xi_ahead = xis[k + 1] if k + 1 < kk else xis[kk - 1]
+        t = psi * n / k * (xi_ahead * math.log(xi_ahead) + kappa_log)
+        if t == 0.0 or lam0 == 0.0:
+            bound_xi.append(0.0)
+        else:
+            ln_bracket = math.log1p(xis[k]) - sum_log_p / k + _ref_ln_expm1(t)
+            bound_xi.append(_ref_exp(0.5 * k * ln_bracket
+                                     + 0.5 * (math.log(xis[k]) + kappa_log)
+                                     + math.log(lam0)))
+        t_fixed = psi * n / k * math.log(2.0 * ell / mu)
+        if lam0 == 0.0:
+            bound_fixed.append(0.0)
+        else:
+            ln_bracket = (math.log(2.5) - sum_log_p_fixed / k
+                          + _ref_ln_expm1(t_fixed))
+            bound_fixed.append(_ref_exp(0.5 * k * ln_bracket
+                                        + 0.5 * math.log(1.5 * ell / mu)
+                                        + math.log(lam0)))
+    return np.array(bound_xi), np.array(bound_fixed)
+
+
+def _ref_crossover(n, mu, ell, sup_tau):
+    if mu == ell:
+        return 1
+    log_p = math.log(sup_tau * mu / ell + 1.0 - sup_tau)
+    log_rate = math.log(1.0 - mu / ell)
+    kappa_log = math.log(ell / mu)
+
+    def gap(k):
+        t = n * kappa_log / k
+        ln_sup = (0.5 * k * (math.log(2.0) - log_p + _ref_ln_expm1(t))
+                  + 0.5 * kappa_log)
+        return ln_sup - k * log_rate
+
+    hi = 1
+    while gap(hi) >= 0.0:
+        hi *= 2
+        if hi > 1 << 40:
+            return None
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if gap(mid) < 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _assert_matches(report, ref_bound):
+    np.testing.assert_allclose(report.bound, ref_bound, rtol=1e-12, atol=0.0)
+    ref_ok = (report.measured
+              <= ref_bound * (1.0 + SATISFIED_RTOL) + SATISFIED_ATOL)
+    assert np.array_equal(report.satisfied, ref_ok)
+
+
+_SCHEDULES = {
+    "bfgs": TauSchedule.bfgs(),
+    "dfp": TauSchedule.dfp(),
+    "tau0.5": TauSchedule.of_constant(0.5),
+    "sequence": TauSchedule.of_sequence([0.0, 1.0, 0.5, 0.25]),
+}
+
+
+@pytest.fixture(scope="module")
+def quad_traces():
+    q = quad_make(np.geomspace(1.0, 100.0, 8), seed=70)
+    x0 = PrimalVector(np.random.default_rng(71).standard_normal(8))
+    return {name: run_quadratic(q, x0, sched,
+                                SolverConfig(max_iter=400, grad_tol=1e-12))
+            for name, sched in _SCHEDULES.items()}
+
+
+@pytest.fixture(scope="module")
+def lse_traces():
+    p = ProblemInstance.log_sum_exp(lse_make(5, 12, mu=0.1, seed=3,
+                                             gamma=1.0))
+    x0 = PrimalVector(0.5 * np.random.default_rng(72).standard_normal(5))
+    return {name: run_general(p, x0, sched,
+                              SolverConfig(max_iter=300, grad_tol=1e-11))
+            for name, sched in _SCHEDULES.items()}
+
+
+def _check_quad(trace, overrides=None):
+    mu = (overrides or {}).get("mu", trace.problem.mu)
+    ell = (overrides or {}).get("ell", trace.problem.ell)
+    _assert_matches(report_quad_linear(trace, overrides),
+                    _ref_quad_linear(trace, mu, ell))
+    _assert_matches(report_quad_superlinear(trace, overrides=overrides),
+                    _ref_quad_superlinear(trace, mu, ell, 1.0))
+    _assert_matches(report_quad_superlinear(trace, psi_variant=True,
+                                            overrides=overrides),
+                    _ref_quad_superlinear(trace, mu, ell, 13.0 / 6.0))
+
+
+def _check_general(trace, overrides=None):
+    mu = (overrides or {}).get("mu", trace.problem.mu)
+    ell = (overrides or {}).get("ell", trace.problem.ell)
+    tracked_lin, _ = env_general_linear(trace, overrides)
+    tracked_sup, uniform_sup = env_general_superlinear(trace, overrides)
+    _assert_matches(tracked_lin, _ref_general_linear_xi(trace, mu, ell))
+    ref_xi, ref_fixed = _ref_general_superlinear(trace, mu, ell)
+    _assert_matches(tracked_sup, ref_xi)
+    _assert_matches(uniform_sup, ref_fixed)
+
+
+class TestKernelMatchesReference:
+    """Kernel-backed reports against the per-k loop formulas."""
+
+    @pytest.mark.parametrize("schedule", sorted(_SCHEDULES))
+    def test_quadratic_reports(self, quad_traces, schedule):
+        trace = quad_traces[schedule]
+        _check_quad(trace)
+        factor = env_quad_sharpened_factor(trace.problem.payload)
+        _assert_matches(report_quad_superlinear(trace, sharpened=True),
+                        _ref_quad_superlinear(trace, trace.problem.mu,
+                                              trace.problem.ell, 1.0, factor))
+
+    @pytest.mark.parametrize("schedule", sorted(_SCHEDULES))
+    def test_general_reports(self, lse_traces, schedule):
+        _check_general(lse_traces[schedule])
+
+    def test_zero_initial_residual(self, quad_traces, lse_traces):
+        for trace in (quad_traces["dfp"], lse_traces["tau0.5"]):
+            zero = dataclasses.replace(
+                trace, lambdas=np.r_[0.0, trace.lambdas[1:]])
+            if zero.general:
+                _check_general(zero)
+                assert not env_general_superlinear(zero)[1].bound.any()
+            else:
+                _check_quad(zero)
+                assert not report_quad_superlinear(zero).bound.any()
+
+    def test_perfect_conditioning_is_zero_bound(self, quad_traces,
+                                                lse_traces):
+        trace = quad_traces["sequence"]
+        flat = {"mu": trace.problem.ell}
+        _check_quad(trace, flat)
+        assert not report_quad_superlinear(trace, overrides=flat).bound.any()
+        lse = lse_traces["bfgs"]
+        _check_general(lse, {"mu": lse.problem.ell})
+
+    def test_saturated_distortion_clamps(self, lse_traces):
+        # With xi = +inf the DFP weight tau * mu / (xi^2 ell) vanishes, so
+        # the p-term 0 + 1 - 1 is not positive and the tracked bound clamps
+        # to the largest representable value instead of overflowing.
+        trace = lse_traces["dfp"]
+        xis = trace.xis.copy()
+        xis[len(xis) // 2:] = np.inf
+        saturated = dataclasses.replace(trace, xis=xis)
+        _check_general(saturated)
+        tracked_sup, _ = env_general_superlinear(saturated)
+        late = tracked_sup.bound[len(xis) // 2:]
+        assert np.all(late == math.exp(709.5))
+        # A zero initial residual still zeroes the saturated bound.
+        zero = dataclasses.replace(
+            saturated, lambdas=np.r_[0.0, trace.lambdas[1:]])
+        _check_general(zero)
+        assert not env_general_superlinear(zero)[0].bound.any()
+
+    def test_synthetic_distortion(self, lse_traces):
+        # A steadily growing distortion makes every xi_k, xi_{k+1} and
+        # tau_{k-1} entry visible in the tracked bounds.
+        trace = lse_traces["sequence"]
+        rng = np.random.default_rng(73)
+        growth = 1.0 + 0.05 * rng.uniform(size=len(trace) - 1)
+        xis = np.cumprod(np.r_[1.0, growth])
+        _check_general(dataclasses.replace(trace, xis=xis))
+
+    def test_crossover_grid(self):
+        for n in (1, 5, 30, 200):
+            for kappa in (1.0, 1.5, 100.0, 1e4, 1e12):
+                for tau in (0.0, 0.25, 0.5, 1.0):
+                    assert first_superlinear_crossover(n, 1.0, kappa, tau) \
+                        == _ref_crossover(n, 1.0, kappa, tau)

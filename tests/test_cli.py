@@ -296,3 +296,50 @@ class TestConfigContract:
     def test_envelopes_must_be_a_list(self, tmp_path, capsys):
         exp = quad_experiment(tmp_path / "out", envelopes="quad_linear")
         self.assert_rejected(tmp_path, capsys, exp, "must be a list")
+
+    @pytest.mark.parametrize("overrides", [{"mu": 60.0},
+                                           {"ell": 0.5},
+                                           {"mu": 8.0, "ell": 4.0}])
+    def test_override_above_ell_rejected(self, tmp_path, capsys, overrides):
+        # The quadratic's spectrum runs from 1 to 50; an override that puts
+        # mu above ell used to crash inside the envelope code after the
+        # output directory had been created.
+        exp = quad_experiment(tmp_path / "out", envelope_overrides=overrides)
+        self.assert_rejected(tmp_path, capsys, exp, "mu <= ell")
+
+
+class TestGeneralOverrides:
+    """envelope_overrides reach the general-scheme envelopes too."""
+
+    def lse_experiment(self, out_dir, **extra):
+        exp = {
+            "name": "lse-ovr",
+            "scheme": "general",
+            "instance": {"kind": "log_sum_exp", "n": 5, "m": 12,
+                         "mu": 0.1, "gamma": 1.0, "seed": 3},
+            "method": {"kind": "bfgs"},
+            "x0": {"random_ball": 0.5},
+            "output_dir": str(out_dir),
+        }
+        exp.update(extra)
+        return exp
+
+    def test_honest_constants_pass(self, tmp_path):
+        exp = self.lse_experiment(tmp_path / "out")
+        assert cmd_run(write_config(tmp_path, exp)) == 0
+
+    def test_inflated_mu_fails_general_linear(self, tmp_path, capsys):
+        # mu = 1 claims a linear rate the run cannot deliver, and the tiny
+        # self-concordance constant puts the start inside the local region,
+        # so the uniform linear envelope is asserted and violated at k = 1.
+        exp = self.lse_experiment(
+            tmp_path / "out",
+            envelope_overrides={"mu": 1.0, "sc_const": 1e-6},
+        )
+        assert cmd_run(write_config(tmp_path, exp)) == 1
+        summary = json.loads(
+            (tmp_path / "out" / "lse-ovr" / "summary.json").read_text()
+        )
+        assert summary["pass"] is False
+        assert summary["first_violation"] == {"general_linear": 1}
+        assert "FAIL" in capsys.readouterr().out

@@ -24,7 +24,7 @@ from broyden_lab import (
     rel_eigen_range,
     sandwich_check,
 )
-from broyden_lab.problems import lse_softmax
+from broyden_lab.problems import _gauss_legendre_rule, lse_softmax
 
 
 def grad_fd(f, x, h=1e-6):
@@ -220,6 +220,25 @@ class TestIntegralHessian:
         x = PrimalVector(np.zeros(3))
         with pytest.raises(ValueError):
             integral_hessian(inst, x, x, order=1)
+
+    def test_rule_computed_once_per_order(self, rng, monkeypatch):
+        # The nodes never change, so repeated segments reuse one rule per
+        # order instead of re-solving the Jacobi eigenproblem each call.
+        p = ProblemInstance.log_sum_exp(lse_make(3, 5, mu=0.1, seed=13))
+        x = PrimalVector(rng.standard_normal(3))
+        u = PrimalVector(rng.standard_normal(3))
+        first = integral_hessian(p, x, u, order=7).j_op.entries
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(
+            np.polynomial.legendre, "leggauss",
+            lambda order: calls.append(order) or leggauss(order))
+        again = integral_hessian(p, x, u, order=7).j_op.entries
+        assert calls == []
+        np.testing.assert_array_equal(again, first)
+        nodes, weights = _gauss_legendre_rule(7)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        assert weights.sum() == pytest.approx(1.0, rel=1e-14)
 
     def test_matches_trapezoid_refinement_oracle(self, rng):
         # Independent oracle: very fine trapezoid rule along the segment.
