@@ -17,6 +17,14 @@ the general path), and O(n^2) for the rest: the rank-two update of the
 approximation and its inverse, the closeness nu, and both potentials, which
 follow from the same eigenvalues.
 
+An instrumented general-path iteration on log-sum-exp makes three validated
+Cholesky factorizations: the approximation, the one pointwise Hessian (the
+gradient is an O(m n) oracle that forms none) and the segment-mean Hessian.
+The mean comes from two structured Gauss-Legendre rules, of orders q and 2q,
+at O(m n^2 + q m n) each; the quadrature check adds two symmetric eigenvalue
+solves, one for the gap between the rules and one for the largest
+eigenvalue of the mean.
+
 A single run is single-threaded and deterministic; independent runs share no
 mutable state.
 """

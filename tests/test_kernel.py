@@ -13,8 +13,11 @@ import pytest
 import scipy.linalg
 
 import broyden_lab.operators as operators_mod
+import broyden_lab.problems as problems_mod
+import broyden_lab.solver as solver_mod
 from broyden_lab import (
     PrimalVector,
+    ProblemInstance,
     SolverConfig,
     TauSchedule,
     augmented_barrier,
@@ -22,11 +25,13 @@ from broyden_lab import (
     broyd_det_ratio,
     broyd_inverse,
     logdet_barrier,
+    lse_make,
     nu,
     phi_tau,
     quad_make,
     rel_eigen_range,
     rel_eigvals,
+    run_general,
     run_quadratic,
     spectral_barriers,
 )
@@ -156,33 +161,90 @@ class TestOneSpectrum:
             assert close(trace.nus[k], ref)
 
 
+def counting(counts, key, fn):
+    def wrapped(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+def count_decompositions(monkeypatch, counts):
+    """Count eigenvalue solves, Cholesky factorizations and SVDs from here on.
+
+    ``np.linalg.norm(., 2)`` reaches its SVD through the private module, so
+    that name is patched too.
+    """
+    for mod, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"),
+                      (np.linalg, "eig"), (np.linalg, "eigvals"),
+                      (scipy.linalg, "eigh"), (scipy.linalg, "eigvalsh")):
+        monkeypatch.setattr(mod, name, counting(counts, "eig", getattr(mod, name)))
+    for mod, name in ((np.linalg, "cholesky"), (scipy.linalg, "cholesky"),
+                      (scipy.linalg, "cho_factor")):
+        monkeypatch.setattr(mod, name,
+                            counting(counts, "cholesky", getattr(mod, name)))
+    for mod, name in ((np.linalg, "svd"), (np.linalg._linalg, "svd"),
+                      (scipy.linalg, "svd"), (scipy.linalg, "svdvals")):
+        monkeypatch.setattr(mod, name, counting(counts, "svd", getattr(mod, name)))
+    monkeypatch.setattr(operators_mod, "_sygst",
+                        counting(counts, "reduction", operators_mod._sygst))
+
+
 class TestDecompositionCount:
     def test_one_eigendecomposition_and_one_cholesky_per_iteration(
             self, monkeypatch):
         quad = quad_make(np.geomspace(1.0, 100.0, 12), seed=5)
         x0 = PrimalVector(np.random.default_rng(6).standard_normal(12))
-        counts = {"eig": 0, "cholesky": 0, "reduction": 0}
-
-        def counting(key, fn):
-            def wrapped(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-            return wrapped
-
-        for mod, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"),
-                          (np.linalg, "eig"), (np.linalg, "eigvals"),
-                          (scipy.linalg, "eigh"), (scipy.linalg, "eigvalsh")):
-            monkeypatch.setattr(mod, name, counting("eig", getattr(mod, name)))
-        for mod, name in ((np.linalg, "cholesky"), (scipy.linalg, "cholesky"),
-                          (scipy.linalg, "cho_factor")):
-            monkeypatch.setattr(mod, name,
-                                counting("cholesky", getattr(mod, name)))
-        monkeypatch.setattr(operators_mod, "_sygst",
-                            counting("reduction", operators_mod._sygst))
+        counts = {"eig": 0, "cholesky": 0, "reduction": 0, "svd": 0}
+        count_decompositions(monkeypatch, counts)
 
         trace = run_quadratic(quad, x0, TauSchedule.bfgs(),
                               SolverConfig(max_iter=500, grad_tol=1e-12))
         visited = len(trace)
         assert trace.converged and visited > 10
         assert counts == {"eig": visited, "cholesky": visited,
-                          "reduction": visited}
+                          "reduction": visited, "svd": 0}
+
+    def test_general_path_three_factorizations_per_iteration(self, monkeypatch):
+        # Per iterate with a step: Cholesky of G, of the one pointwise
+        # Hessian and of the segment mean J (the gradient factorizes
+        # nothing); two pencil spectra plus two symmetric eigenvalue solves
+        # for the quadrature check; no SVD.  The terminal iterate has no
+        # step, so it drops J, its pencil and the check.
+        problem = ProblemInstance.log_sum_exp(
+            lse_make(8, 20, mu=0.1, seed=424242, gamma=1.0))
+        # The cached Gauss-Legendre nodes come from an eigenvalue solve once
+        # per process; build them before counting.
+        for order in (16, 32):
+            problems_mod._gauss_legendre_rule(order)
+        counts = {"eig": 0, "cholesky": 0, "reduction": 0, "svd": 0,
+                  "pointwise": 0, "pointwise_in_quadrature": 0}
+        count_decompositions(monkeypatch, counts)
+        in_quadrature = []
+
+        def pointwise_hessian(*args):
+            counts["pointwise_in_quadrature" if in_quadrature
+                   else "pointwise"] += 1
+            return pointwise_hessian_orig(*args)
+
+        def integral_hessian(*args):
+            in_quadrature.append(True)
+            try:
+                return integral_hessian_orig(*args)
+            finally:
+                in_quadrature.pop()
+
+        pointwise_hessian_orig = problems_mod.lse_value_grad_hess
+        integral_hessian_orig = solver_mod.integral_hessian
+        monkeypatch.setattr(problems_mod, "lse_value_grad_hess",
+                            pointwise_hessian)
+        monkeypatch.setattr(solver_mod, "integral_hessian", integral_hessian)
+
+        trace = run_general(problem, PrimalVector(np.zeros(8)),
+                            TauSchedule.bfgs(),
+                            SolverConfig(max_iter=400, grad_tol=1e-13))
+        visited = len(trace)
+        steps = sum(u is not None for u in trace.us)
+        assert trace.converged and visited > 10 and steps == visited - 1
+        assert counts == {"eig": 4 * steps + 1, "cholesky": 3 * steps + 2,
+                          "reduction": 2 * steps + 1, "svd": 0,
+                          "pointwise": visited, "pointwise_in_quadrature": 0}

@@ -20,11 +20,13 @@ from broyden_lab import (
     loewner_slack,
     lse_make,
     lse_value_grad_hess,
+    norm_dual,
     quad_make,
     rel_eigen_range,
     sandwich_check,
 )
 from broyden_lab.problems import _gauss_legendre_rule, lse_softmax
+from broyden_lab.verify import random_spd
 
 
 def grad_fd(f, x, h=1e-6):
@@ -36,6 +38,28 @@ def grad_fd(f, x, h=1e-6):
         e[i] = h
         out[i] = (f(x + e) - f(x - e)) / (2.0 * h)
     return out
+
+
+def rel_err(x, ref) -> float:
+    return float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
+
+
+def lse_with_reference(rng, n, m, mu) -> LogSumExpProblem:
+    """Log-sum-exp instance with a random non-identity SPD reference operator."""
+    b_ref = random_spd(rng, n, log_cond_max=2.0)
+    a = rng.standard_normal((m, n))
+    gamma = max(norm_dual(b_ref, DualVector(row)) for row in a)
+    return LogSumExpProblem(a_mat=a, b_shift=rng.standard_normal(m), mu=mu,
+                            b_ref=b_ref, gamma=gamma)
+
+
+def loop_segment_mean(inst, x, u, order) -> np.ndarray:
+    """Reference rule: one full pointwise Hessian per Gauss-Legendre node."""
+    nodes, weights = _gauss_legendre_rule(order)
+    acc = np.zeros((inst.n, inst.n))
+    for t, w in zip(nodes, weights):
+        acc += w * inst.hess(PrimalVector(x.coords + t * u.coords)).entries
+    return acc
 
 
 class TestQuadMake:
@@ -126,6 +150,29 @@ class TestLogSumExpOracles:
             g = inst.grad(x)
             fd = grad_fd(lambda z: inst.value(PrimalVector(z)), x.coords)
             np.testing.assert_allclose(g.coords, fd, rtol=1e-6, atol=1e-7)
+
+    def test_value_and_gradient_oracle_forms_no_hessian(self, rng, monkeypatch):
+        # value and grad share the max-shifted softmax of the full oracle but
+        # stop before the Hessian, so they never factorize anything.
+        cases = [(lse_make(7, 18, mu=0.1, seed=16, gamma=1.0),
+                  [rng.standard_normal(7) for _ in range(5)]
+                  + [np.full(7, 300.0)]),
+                 (lse_with_reference(rng, 5, 11, 0.3),
+                  [rng.standard_normal(5) for _ in range(5)])]
+        full = [[lse_value_grad_hess(p, PrimalVector(x)) for x in xs]
+                for p, xs in cases]
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a, *args, **kw: calls.append(a.shape)
+                            or cholesky(a, *args, **kw))
+        for (p, xs), refs in zip(cases, full):
+            inst = ProblemInstance.log_sum_exp(p)
+            for x, (f, g, _) in zip(xs, refs):
+                x = PrimalVector(x)
+                assert rel_err(inst.grad(x).coords, g.coords) <= 1e-15
+                assert abs(inst.value(x) - f) <= 1e-15 * abs(f)
+        assert calls == []
 
     def test_hessian_matches_gradient_differences(self, rng):
         p = lse_make(4, 10, mu=0.1, seed=4, gamma=1.0)
@@ -239,6 +286,30 @@ class TestIntegralHessian:
         nodes, weights = _gauss_legendre_rule(7)
         assert not nodes.flags.writeable and not weights.flags.writeable
         assert weights.sum() == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("case", ["identity", "reference", "far", "m1"])
+    def test_structured_rule_matches_pointwise_loop(self, rng, case):
+        # The structured mean sums the same node Hessians in another order:
+        # agreement to a few ulps of ||J||, and the error estimate is still
+        # the spectral-norm gap to the doubled-order rule.
+        if case == "identity":
+            p, x = lse_make(6, 15, mu=0.1, seed=17, gamma=1.0), None
+        elif case == "reference":
+            p, x = lse_with_reference(rng, 6, 15, 0.2), None
+        elif case == "far":
+            p, x = lse_make(3, 8, mu=0.1, seed=6, gamma=1.0), np.full(3, 500.0)
+        else:
+            p, x = lse_make(4, 1, mu=0.3, seed=18, gamma=1.0), None
+        inst = ProblemInstance.log_sum_exp(p)
+        x = PrimalVector(rng.standard_normal(p.n) if x is None else x)
+        u = PrimalVector(rng.standard_normal(p.n))
+        for order in (2, 7, 16, 32):
+            ih = integral_hessian(inst, x, u, order=order)
+            ref = loop_segment_mean(inst, x, u, order)
+            assert rel_err(ih.j_op.entries, ref) <= 1e-13
+            fine = integral_hessian(inst, x, u, order=2 * order).j_op.entries
+            gap = np.linalg.norm(ih.j_op.entries - fine, 2)
+            assert ih.est_error == pytest.approx(gap, rel=1e-12, abs=0.0)
 
     def test_matches_trapezoid_refinement_oracle(self, rng):
         # Independent oracle: very fine trapezoid rule along the segment.
