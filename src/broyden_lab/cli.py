@@ -116,6 +116,7 @@ def _normalize_experiment(raw: dict, idx: int, out_override: str | None) -> dict
     env_seed = _env_seed()
     if env_seed is not None:
         exp["seed"] = env_seed
+    _bounded(exp["seed"], f"{exp['name']}: seed", 0, integer=True)
     if "instance" not in exp or "method" not in exp or "x0" not in exp:
         raise ConfigError(
             f"{exp['name']}: needs 'instance', 'method' and 'x0' entries"
@@ -187,6 +188,20 @@ def _normalize_experiment(raw: dict, idx: int, out_override: str | None) -> dict
             )
     exp["output_dir"] = out_override or exp.get("output_dir", "out")
     return exp
+
+
+def _bounded(value, what: str, minimum: float, integer: bool = False) -> None:
+    """Reject anything but a finite JSON number (an integer if asked) of at
+    least ``minimum``."""
+    ok = (isinstance(value, int if integer else (int, float))
+          and not isinstance(value, bool))
+    try:
+        ok = ok and math.isfinite(float(value)) and value >= minimum
+    except OverflowError:
+        ok = False
+    if not ok:
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{what} must be {kind} >= {minimum}, got {value!r}")
 
 
 def _numeric(exp: dict, what: str, parse):
@@ -359,12 +374,6 @@ def _normalize_grid(raw: dict) -> dict:
         vals = grid.get(key)
         if not isinstance(vals, list) or not vals:
             raise ConfigError(f"grid needs a nonempty list {key!r}")
-    for n in grid["n"]:
-        if int(n) < 2:
-            raise ConfigError("grid n values must be at least 2")
-    for kappa in grid["L_over_mu"]:
-        if float(kappa) < 1.0:
-            raise ConfigError("grid L_over_mu values must be at least 1")
     for m in grid["method"]:
         if m not in ("bfgs", "dfp"):
             raise ConfigError(f"grid method must be 'bfgs' or 'dfp', got {m!r}")
@@ -375,6 +384,15 @@ def _normalize_grid(raw: dict) -> dict:
     env_seed = _env_seed()
     if env_seed is not None:
         grid["seed"] = env_seed
+    for n in grid["n"]:
+        _bounded(n, "grid n", 2, integer=True)
+    for kappa in grid["L_over_mu"]:
+        _bounded(kappa, "grid L_over_mu", 1)
+    _bounded(grid["seed"], "grid seed", 0, integer=True)
+    _bounded(grid["max_iter"], "grid max_iter", 1, integer=True)
+    _bounded(grid["target"], "grid target", 0)
+    if not isinstance(grid["output_dir"], str):
+        raise ConfigError("grid output_dir must be a string")
     return grid
 
 
@@ -424,9 +442,8 @@ def cmd_sweep(grid_path: str, out: str | None = None) -> int:
     for n in grid["n"]:
         for kappa in grid["L_over_mu"]:
             for method in grid["method"]:
-                cell = _sweep_cell(int(n), float(kappa), method,
-                                   int(grid["seed"]), int(grid["max_iter"]),
-                                   float(grid["target"]))
+                cell = _sweep_cell(n, float(kappa), method, grid["seed"],
+                                   grid["max_iter"], float(grid["target"]))
                 rows.append(cell)
                 if not (cell["envelopes_ok"] and cell["converged"]):
                     ok = False

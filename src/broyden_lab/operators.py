@@ -142,10 +142,6 @@ class EigenRange:
         """Range of an ascending spectrum (rejected if not positive)."""
         return cls(float(vals[0]), float(vals[-1]))
 
-    def contains(self, other: "EigenRange", tol: float = 0.0) -> bool:
-        return (other.min_rel >= self.min_rel - tol
-                and other.max_rel <= self.max_rel + tol)
-
 
 @dataclass(frozen=True)
 class SpdOperator:

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .operators import (
     DualVector,
@@ -147,10 +148,6 @@ class LogSumExpProblem:
     @property
     def m(self) -> int:
         return self.a_mat.shape[0]
-
-    @property
-    def a_rows(self) -> tuple[DualVector, ...]:
-        return tuple(DualVector(row) for row in self.a_mat)
 
     @property
     def ell(self) -> float:
@@ -436,8 +433,11 @@ def instance_to_dict(p: ProblemInstance) -> dict:
     """Canonical JSON-ready description (explicit data, no seeds)."""
     if p.kind is Kind.QUADRATIC:
         q = p.payload
+        # Eigenvalues of A relative to B are those of L^-1 A L^-T, with L the
+        # cached Cholesky factor of B; with B = I both solves return A as is.
+        y = scipy.linalg.solve_triangular(q.b_ref._chol, q.a_op.entries, lower=True)
         spectrum = np.linalg.eigvalsh(
-            np.linalg.solve(q.b_ref.entries, q.a_op.entries)
+            scipy.linalg.solve_triangular(q.b_ref._chol, y.T, lower=True)
         )
         return {
             "kind": "quadratic",

@@ -17,13 +17,23 @@ the general path), and O(n^2) for the rest: the rank-two update of the
 approximation and its inverse, the closeness nu, and both potentials, which
 follow from the same eigenvalues.
 
+Every visited iterate takes the same path and leaves one row.  The row starts
+with each column NaN and is filled in once: g and xi always; lambda and the
+eigenvalue range against the Hessian when instrumented; for an outgoing step
+tau, r, nu and the quadrature error, and the potentials and eigenvalue range
+against the step target.  A zero step (direction norm at most
+ZERO_DIRECTION_NORM) records r = 0, targets the Hessian at the same iterate
+and skips the update.  The terminal row has no step; only the quadratic
+path, whose target is fixed, still measures its potentials.
+
 An instrumented general-path iteration on log-sum-exp makes three validated
 Cholesky factorizations: the approximation, the one pointwise Hessian (the
 gradient is an O(m n) oracle that forms none) and the segment-mean Hessian.
 The mean comes from two structured Gauss-Legendre rules, of orders q and 2q,
 at O(m n^2 + q m n) each; the quadrature check adds two symmetric eigenvalue
 solves, one for the gap between the rules and one for the largest
-eigenvalue of the mean.
+eigenvalue of the mean (made only when the gap is nonzero, so never for a
+quadratic, whose mean is its operator).
 
 A single run is single-threaded and deterministic; independent runs share no
 mutable state.
@@ -33,7 +43,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,6 +180,16 @@ class TauSchedule:
         raise ValueError(f"unknown schedule kind: {kind!r}")
 
 
+_CONFIG_TYPES = (
+    ("max_iter", numbers.Integral, "an integer"),
+    ("grad_tol", numbers.Real, "a number"),
+    ("quad_order", numbers.Integral, "an integer"),
+    ("record_operators", bool, "true or false"),
+    ("quad_error_rtol", numbers.Real, "a number"),
+    ("instrument", bool, "true or false"),
+)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Run parameters.
@@ -189,12 +210,20 @@ class SolverConfig:
     instrument: bool = True
 
     def __post_init__(self):
+        for name, kind, what in _CONFIG_TYPES:
+            value = getattr(self, name)
+            # bool is an Integral too, so a flag never passes as a count.
+            if not isinstance(value, kind) or (
+                    kind is not bool and isinstance(value, bool)):
+                raise TypeError(f"{name} must be {what}, got {value!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.grad_tol < 0.0:
+        if not self.grad_tol >= 0.0:
             raise ValueError("grad_tol must be nonnegative")
         if self.quad_order < 2:
             raise ValueError("quad_order must be at least 2")
+        if not self.quad_error_rtol >= 0.0:
+            raise ValueError("quad_error_rtol must be nonnegative")
 
     def to_dict(self) -> dict:
         return {
@@ -207,8 +236,16 @@ class SolverConfig:
         }
 
 
-_CSV_COLUMNS = ("k", "lambda", "g", "r", "xi", "nu", "v", "psi",
-                "eig_min", "eig_max", "tau")
+# One row per visited iterate.  Each column is stored in the IterationTrace
+# array named after it plus "s" (lambda -> lambdas); the JSON export writes
+# the first eleven columns, trace.csv k and the first ten.
+_ROW_COLUMNS = ("lambda", "g", "r", "xi", "nu", "v", "psi", "eig_min",
+                "eig_max", "tau", "est_error", "j_eig_min", "j_eig_max")
+_JSON_COLUMNS = _ROW_COLUMNS[:11]
+_CSV_COLUMNS = ("k",) + _ROW_COLUMNS[:10]
+# A stored row also carries the iterate's objects (None where absent; the
+# operator snapshots only with record_operators).
+_ROW_FIELDS = _ROW_COLUMNS + ("x", "grad", "u", "g_op", "h_op", "j_op")
 
 
 def _fmt(x: float) -> str:
@@ -220,8 +257,8 @@ class IterationTrace:
     """Per-iteration record of a run.
 
     Arrays all have one entry per visited iterate.  Step-dependent fields
-    (r, nu, v/psi on the general path, tau) are NaN on the terminal row,
-    which has no outgoing step.
+    (r, nu, tau, est_error, and v/psi and the j_eig range on the general
+    path) are NaN on the terminal row, which has no outgoing step.
     """
 
     problem: ProblemInstance
@@ -274,28 +311,18 @@ class IterationTrace:
                 out.append(k + 1)
         return out
 
-    def eig_range(self, k: int) -> EigenRange:
-        return EigenRange(float(self.eig_mins[k]), float(self.eig_maxs[k]))
+    def _column(self, name: str) -> np.ndarray:
+        return getattr(self, name + "s")
 
     def to_csv(self, path) -> None:
-        rows = []
-        for k in range(len(self)):
-            rows.append(",".join([str(k)] + [_fmt(v) for v in (
-                self.lambdas[k], self.gs[k], self.rs[k], self.xis[k],
-                self.nus[k], self.vs[k], self.psis[k],
-                self.eig_mins[k], self.eig_maxs[k], self.taus[k],
-            )]))
+        cols = [self._column(name) for name in _CSV_COLUMNS[1:]]
+        rows = [",".join([str(k)] + [_fmt(col[k]) for col in cols])
+                for k in range(len(self))]
         with open(path, "w", newline="\n") as f:
             f.write(",".join(_CSV_COLUMNS) + "\n")
             f.write("\n".join(rows) + "\n")
 
     def to_json_dict(self) -> dict:
-        cols = {
-            "lambda": self.lambdas, "g": self.gs, "r": self.rs,
-            "xi": self.xis, "nu": self.nus, "v": self.vs, "psi": self.psis,
-            "eig_min": self.eig_mins, "eig_max": self.eig_maxs,
-            "tau": self.taus, "est_error": self.est_errors,
-        }
         return {
             "instance_hash": instance_hash(self.problem),
             "schedule": self.schedule.to_dict(),
@@ -304,8 +331,8 @@ class IterationTrace:
             "converged": self.converged,
             "stop_reason": self.stop_reason,
             "iterations": self.k_final,
-            "columns": {name: [_json_num(v) for v in arr]
-                        for name, arr in cols.items()},
+            "columns": {name: [_json_num(v) for v in self._column(name)]
+                        for name in _JSON_COLUMNS},
         }
 
     def to_json(self, path) -> None:
@@ -332,173 +359,114 @@ def _wrap_spd(k: int, entries: np.ndarray, role: Role) -> SpdOperator:
         raise DivergenceError(k, f"approximation lost definiteness ({exc})") from exc
 
 
+def _extremes(lams: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest entry of an ascending, positive spectrum."""
+    rng = EigenRange.of_spectrum(lams)
+    return rng.min_rel, rng.max_rel
+
+
 def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
            config: SolverConfig, general: bool) -> IterationTrace:
     n = problem.n
     if x0.dim != n:
         raise ValueError(f"x0 has dimension {x0.dim}, expected {n}")
-    ell = problem.ell
-    big_m = problem.sc_const if general else 0.0
-    b_ref = problem.b_ref
+    g_mat = problem.ell * problem.b_ref.entries
+    h_mat = problem.b_ref.solve_mat(np.eye(n))
+    h_mat = 0.5 * (h_mat + h_mat.T) / problem.ell
 
-    g_mat = ell * b_ref.entries
-    h_mat = b_ref.solve_mat(np.eye(n))
-    h_mat = 0.5 * (h_mat + h_mat.T) / ell
-    a_op = problem.payload.a_op if problem.kind is Kind.QUADRATIC else None
-
-    xs: list[PrimalVector] = []
-    grads: list[DualVector] = []
-    us: list[PrimalVector | None] = []
-    lam, gs, rs, xis, nus, vs, psis, taus = ([] for _ in range(8))
-    eig_mins, eig_maxs, j_eig_mins, j_eig_maxs, est_errors = ([] for _ in range(5))
-    g_ops = [] if config.record_operators else None
-    h_ops = [] if config.record_operators else None
-    j_ops = [] if config.record_operators else None
-
+    rows = []
     x = x0
     xi = 1.0
-    converged = False
-    stop_reason = "max_iter"
-
-    def record_step_instrumentation(g_op, target_op):
-        """Step-dependent potentials and eigen range against the update target.
-
-        The spectrum of G relative to the Hessian is reused when the target
-        is that same operator, so each distinct pencil is decomposed once.
-        """
-        if not config.instrument or target_op is None:
-            vs.append(math.nan)
-            psis.append(math.nan)
-            j_eig_mins.append(math.nan)
-            j_eig_maxs.append(math.nan)
-            return
-        lams = lams_g if target_op is hess_k else rel_eigvals(g_op, target_op)
-        rng_j = EigenRange.of_spectrum(lams)
-        j_eig_mins.append(rng_j.min_rel)
-        j_eig_maxs.append(rng_j.max_rel)
-        v, psi = spectral_barriers(lams)
-        vs.append(v)
-        psis.append(psi)
-
     for k in range(config.max_iter + 1):
+        row = dict.fromkeys(_ROW_COLUMNS, math.nan)
         grad = problem.grad(x)
         _check_finite(k, x.coords, grad.coords)
         g_op = _wrap_spd(k, g_mat, Role.PRIMAL_TO_DUAL)
-
-        if config.instrument:
-            hess_k = a_op if a_op is not None else problem.hess(x)
-            lambda_k = norm_dual(hess_k, grad)
+        row.update(x=x, grad=grad, xi=xi,
+                   g=math.sqrt(max(float(grad.coords @ (h_mat @ grad.coords)), 0.0)))
+        # A quadratic's Hessian is its operator object, the same one
+        # integral_hessian returns, so "target is hess_k" below reuses the
+        # spectrum on every quadratic iterate.
+        hess_k = problem.hess(x) if config.instrument else None
+        if hess_k is not None:
+            row["lambda"] = norm_dual(hess_k, grad)
             lams_g = rel_eigvals(g_op, hess_k)
-            rng_g = EigenRange.of_spectrum(lams_g)
+            row["eig_min"], row["eig_max"] = _extremes(lams_g)
+            measure = row["lambda"]
         else:
-            hess_k = lams_g = None
-            lambda_k = math.nan
-            rng_g = None
-        g_k = math.sqrt(max(float(grad.coords @ (h_mat @ grad.coords)), 0.0))
+            measure = float(np.linalg.norm(grad.coords))
+        # Snapshots are O(n^2) each, so a row holds them only when asked.
+        if config.record_operators:
+            row.update(g_op=g_op, h_op=_wrap_spd(k, h_mat, Role.DUAL_TO_PRIMAL))
 
-        xs.append(x)
-        grads.append(grad)
-        lam.append(lambda_k)
-        gs.append(g_k)
-        xis.append(xi)
-        eig_mins.append(rng_g.min_rel if rng_g else math.nan)
-        eig_maxs.append(rng_g.max_rel if rng_g else math.nan)
-        if g_ops is not None:
-            g_ops.append(g_op)
-            h_ops.append(_wrap_spd(k, h_mat, Role.DUAL_TO_PRIMAL))
-
-        measure = lambda_k if config.instrument else float(
-            np.linalg.norm(grad.coords)
-        )
-        if measure <= config.grad_tol:
-            converged = True
-            stop_reason = "grad_tol"
-        if converged or k == config.max_iter:
-            us.append(None)
-            rs.append(math.nan)
-            nus.append(math.nan)
-            taus.append(math.nan)
-            est_errors.append(math.nan)
-            # The terminal iterate has no outgoing step; on the quadratic
-            # path the target is still the fixed operator, so the potentials
-            # remain defined.
-            record_step_instrumentation(g_op, a_op if not general else None)
-            if j_ops is not None:
-                j_ops.append(None)
+        converged = measure <= config.grad_tol
+        last = converged or k == config.max_iter
+        # The terminal iterate has no outgoing step; on the quadratic path
+        # the target is still the fixed operator, so the potentials remain
+        # defined.
+        target = None if general else hess_k
+        if not last:
+            u_coords = -(h_mat @ grad.coords)
+            _check_finite(k, u_coords)
+            row["tau"] = schedule.tau_at(k)
+            if float(np.linalg.norm(u_coords)) <= ZERO_DIRECTION_NORM:
+                # Zero step: the update is skipped and the iterate does not
+                # move; its target is the Hessian at this same iterate.
+                row.update(r=0.0, est_error=0.0)
+                target = hess_k
+            else:
+                u = row["u"] = PrimalVector(u_coords)
+                ih = integral_hessian(problem, x, u, config.quad_order)
+                target = ih.j_op
+                if config.record_operators:
+                    row["j_op"] = target
+                row["est_error"] = ih.est_error
+                # ||J|| is only needed when the two rules disagree at all.
+                if ih.est_error > 0.0:
+                    j_scale = float(np.linalg.eigvalsh(target.entries)[-1])
+                    if ih.est_error > config.quad_error_rtol * j_scale:
+                        raise QuadratureError(
+                            k,
+                            f"quadrature error {ih.est_error:.3e} above "
+                            f"{config.quad_error_rtol:.1e} * ||J||",
+                        )
+                if hess_k is not None:
+                    row["r"] = math.sqrt(
+                        max(float(u_coords @ (hess_k.entries @ u_coords)), 0.0))
+                    row["nu"] = nu(target, g_op, u)
+        if hess_k is not None and target is not None:
+            lams = lams_g if target is hess_k else rel_eigvals(g_op, target)
+            row["j_eig_min"], row["j_eig_max"] = _extremes(lams)
+            row["v"], row["psi"] = spectral_barriers(lams)
+        rows.append(tuple(map(row.get, _ROW_FIELDS)))
+        if last:
             break
+        if "u" in row:
+            g_mat, h_mat, _, _ = update_arrays(
+                target.entries, g_mat, h_mat, u_coords, row["tau"]
+            )
+            x = PrimalVector(x.coords + u_coords)
+            # Distortion accumulates as exp(M * r) per step; a zero
+            # self-concordance constant (every quadratic) pins it to exactly
+            # 1, no drift allowed.  Far outside the local region the product
+            # saturates at +inf.
+            if problem.sc_const > 0.0:
+                xi = (xi * math.exp(min(problem.sc_const * row["r"], 709.0))
+                      if config.instrument else math.nan)
 
-        u_coords = -(h_mat @ grad.coords)
-        _check_finite(k, u_coords)
-        degenerate = float(np.linalg.norm(u_coords)) <= ZERO_DIRECTION_NORM
-        tau_k = schedule.tau_at(k)
-        taus.append(tau_k)
+    def column(name):
+        i = _ROW_FIELDS.index(name)
+        return [row[i] for row in rows]
 
-        if degenerate:
-            # Zero step: by convention the update is skipped and the iterate
-            # does not move; bookkeeping records a zero step length.
-            us.append(None)
-            rs.append(0.0)
-            nus.append(math.nan)
-            est_errors.append(0.0)
-            # hess_k is the Hessian at this same iterate when instrumented.
-            target_op = hess_k if general else a_op
-            record_step_instrumentation(g_op, target_op)
-            if j_ops is not None:
-                j_ops.append(None)
-            continue
-
-        u = PrimalVector(u_coords)
-        us.append(u)
-        if general:
-            ih = integral_hessian(problem, x, u, config.quad_order)
-            target_op = ih.j_op
-            est_errors.append(ih.est_error)
-            if problem.kind is not Kind.QUADRATIC:
-                j_scale = float(np.linalg.eigvalsh(target_op.entries)[-1])
-                if ih.est_error > config.quad_error_rtol * j_scale:
-                    raise QuadratureError(
-                        k,
-                        f"quadrature error {ih.est_error:.3e} above "
-                        f"{config.quad_error_rtol:.1e} * ||J||",
-                    )
-        else:
-            target_op = a_op
-            est_errors.append(0.0)
-
-        if config.instrument:
-            r_k = math.sqrt(max(float(u_coords @ (hess_k.entries @ u_coords)), 0.0))
-            nus.append(nu(target_op, g_op, u))
-        else:
-            r_k = math.nan
-            nus.append(math.nan)
-        rs.append(r_k)
-        record_step_instrumentation(g_op, target_op)
-        if j_ops is not None:
-            j_ops.append(target_op)
-
-        g_mat, h_mat, _, _ = update_arrays(
-            target_op.entries, g_mat, h_mat, u_coords, tau_k
-        )
-        x = PrimalVector(x.coords + u_coords)
-
-        # Distortion accumulates as exp(M * r) per step; a zero
-        # self-concordance constant pins it to exactly 1, no drift allowed.
-        # Far outside the local region the product saturates at +inf.
-        if big_m > 0.0:
-            xi = (xi * math.exp(min(big_m * r_k, 709.0))
-                  if config.instrument else math.nan)
-
-    arr = np.asarray
+    snapshots = config.record_operators
     return IterationTrace(
         problem=problem, schedule=schedule, config=config, general=general,
-        xs=xs, grads=grads, us=us,
-        lambdas=arr(lam), gs=arr(gs), rs=arr(rs), xis=arr(xis),
-        nus=arr(nus), vs=arr(vs), psis=arr(psis), taus=arr(taus),
-        eig_mins=arr(eig_mins), eig_maxs=arr(eig_maxs),
-        j_eig_mins=arr(j_eig_mins), j_eig_maxs=arr(j_eig_maxs),
-        est_errors=arr(est_errors),
-        converged=converged, stop_reason=stop_reason,
-        g_ops=g_ops, h_ops=h_ops, j_ops=j_ops,
+        xs=column("x"), grads=column("grad"), us=column("u"),
+        **{name + "s": np.asarray(column(name)) for name in _ROW_COLUMNS},
+        converged=converged, stop_reason="grad_tol" if converged else "max_iter",
+        g_ops=column("g_op") if snapshots else None,
+        h_ops=column("h_op") if snapshots else None,
+        j_ops=column("j_op") if snapshots else None,
     )
 
 

@@ -307,6 +307,59 @@ class TestConfigContract:
         exp = quad_experiment(tmp_path / "out", envelope_overrides=overrides)
         self.assert_rejected(tmp_path, capsys, exp, "mu <= ell")
 
+    @pytest.mark.parametrize("seed", ["abc", -1, 1.5, True, None])
+    def test_bad_seed_rejected(self, tmp_path, capsys, seed):
+        exp = quad_experiment(tmp_path / "out", seed=seed)
+        self.assert_rejected(tmp_path, capsys, exp, "seed")
+
+    def test_negative_env_seed_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "-1")
+        self.assert_rejected(tmp_path, capsys,
+                             quad_experiment(tmp_path / "out"), "seed")
+
+    @pytest.mark.parametrize("solver", [{"max_iter": 1.5},
+                                        {"max_iter": True},
+                                        {"max_iter": "300"},
+                                        {"quad_order": 16.0},
+                                        {"grad_tol": "tiny"},
+                                        {"quad_error_rtol": -1.0},
+                                        {"instrument": "no"},
+                                        {"instrument": 0},
+                                        {"record_operators": "yes"}])
+    def test_mistyped_solver_field_rejected(self, tmp_path, capsys, solver):
+        # max_iter 1.5 used to create out/<name> and then crash in range().
+        exp = quad_experiment(tmp_path / "out", envelopes=[],
+                              solver={"grad_tol": 1e-12, **solver})
+        self.assert_rejected(tmp_path, capsys, exp, next(iter(solver)))
+
+
+class TestGridContract:
+    """Malformed sweep grids exit 2 before the output directory exists."""
+
+    @pytest.mark.parametrize("override", [
+        {"n": ["four"]}, {"n": [4.5]}, {"n": [True]},
+        {"L_over_mu": ["ten"]}, {"L_over_mu": [None]},
+        {"seed": "abc"}, {"seed": -1}, {"seed": 1.5},
+        {"max_iter": 0}, {"max_iter": 2.5},
+        {"target": -1}, {"target": "small"},
+        {"output_dir": 7},
+    ])
+    def test_bad_value_rejected(self, tmp_path, capsys, override):
+        grid = {"n": [4], "L_over_mu": [10.0], "method": ["bfgs"],
+                "output_dir": str(tmp_path / "sweep"), **override}
+        assert cmd_sweep(write_config(tmp_path, grid, "grid.json")) == 2
+        assert not (tmp_path / "sweep").exists()
+        assert "config error" in capsys.readouterr().err
+
+    def test_overflowing_condition_number_rejected(self, tmp_path, capsys):
+        # JSON 1e400 reads as inf; the cell used to crash in quad_make.
+        path = tmp_path / "grid.json"
+        path.write_text('{"n": [4], "L_over_mu": [1e400], "method": ["bfgs"],'
+                        f' "output_dir": {json.dumps(str(tmp_path / "sweep"))}}}')
+        assert cmd_sweep(str(path)) == 2
+        assert not (tmp_path / "sweep").exists()
+        assert "L_over_mu" in capsys.readouterr().err
+
 
 class TestGeneralOverrides:
     """envelope_overrides reach the general-scheme envelopes too."""

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from broyden_lab import (
     DualVector,
@@ -365,6 +366,33 @@ class TestSerialization:
         assert instance_hash(rebuilt) == instance_hash(inst)
         np.testing.assert_array_equal(rebuilt.payload.a_op.entries,
                                       inst.payload.a_op.entries)
+
+    def test_spectrum_is_relative_to_reference_operator(self):
+        # The same pencil as the bounds test with B != I: B^{-1} A is not
+        # symmetric, so the spectrum has to come from L^{-1} A L^{-T}.
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((6, 6))
+        b_ref = m @ m.T + 6.0 * np.eye(6)
+        m = rng.standard_normal((6, 6))
+        a = m @ m.T + np.eye(6)
+        a, b_ref = 0.5 * (a + a.T), 0.5 * (b_ref + b_ref.T)
+        vals = scipy.linalg.eigh(a, b_ref, eigvals_only=True)
+        inst = ProblemInstance.quadratic(QuadraticProblem(
+            a_op=SpdOperator(a), b=DualVector(np.ones(6)),
+            b_ref=SpdOperator(b_ref), mu=float(vals.min()),
+            ell=float(vals.max()),
+        ))
+        spectrum = instance_to_dict(inst)["spectrum"]
+        np.testing.assert_allclose(spectrum, vals, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3, 12, 40])
+    def test_identity_reference_spectrum_is_plain_eigvalsh(self, n):
+        # With B = I the triangular solves return A itself, so the spectrum
+        # and with it every B = I instance_hash is that of eigvalsh(A).
+        q = quad_make(np.geomspace(1.0, 1e3, n), seed=n)
+        spectrum = instance_to_dict(ProblemInstance.quadratic(q))["spectrum"]
+        np.testing.assert_array_equal(spectrum,
+                                      np.linalg.eigvalsh(q.a_op.entries))
 
     def test_lse_roundtrip(self):
         inst = ProblemInstance.log_sum_exp(lse_make(3, 5, mu=0.2, seed=22,

@@ -78,6 +78,27 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(quad_order=1)
 
+    def test_tolerances_nonnegative(self):
+        with pytest.raises(ValueError, match="grad_tol"):
+            SolverConfig(grad_tol=math.nan)
+        with pytest.raises(ValueError, match="quad_error_rtol"):
+            SolverConfig(quad_error_rtol=-1e-9)
+
+    @pytest.mark.parametrize("field", [{"max_iter": 1.5}, {"max_iter": True},
+                                       {"quad_order": 16.0},
+                                       {"grad_tol": "0"}, {"grad_tol": False},
+                                       {"quad_error_rtol": None},
+                                       {"instrument": "no"},
+                                       {"record_operators": 1}])
+    def test_field_types(self, field):
+        with pytest.raises(TypeError, match=next(iter(field))):
+            SolverConfig(**field)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SolverConfig(max_iter=np.int64(5), quad_order=np.int32(8),
+                           grad_tol=np.float64(1e-9))
+        assert cfg.max_iter == 5 and cfg.quad_order == 8
+
 
 class TestQuadraticPath:
     def test_exact_initial_approximation_converges_in_one_step(self, rng):
@@ -356,3 +377,105 @@ class TestExports:
         assert tr.converged
         assert np.all(np.isnan(tr.lambdas))
         assert np.all(np.isnan(tr.vs))
+
+
+def _zero_step_quadratic():
+    # The first gradient is 1e-80, so the step H_0 g = g / ell is about
+    # 1e-194 and its coordinates underflow below the zero-direction norm:
+    # every iterate of this run takes a zero step.
+    from broyden_lab import QuadraticProblem
+    return QuadraticProblem(
+        a_op=SpdOperator(1e100 * np.diag([1.0, 1e14])),
+        b=DualVector(np.zeros(2)), b_ref=SpdOperator(np.eye(2)),
+        mu=1e100, ell=1e114,
+    )
+
+
+class TestRowPattern:
+    """Which columns each kind of row measures, on both paths."""
+
+    @staticmethod
+    def run(path, instrument, problem, x0, **cfg):
+        cfg = SolverConfig(instrument=instrument, record_operators=True, **cfg)
+        if path == "general":
+            return run_general(ProblemInstance.quadratic(problem)
+                               if not isinstance(problem, ProblemInstance)
+                               else problem, x0, TauSchedule.bfgs(), cfg)
+        return run_quadratic(problem, x0, TauSchedule.bfgs(), cfg)
+
+    @staticmethod
+    def measured(tr, k, instrument, *names):
+        for name in names:
+            vals = getattr(tr, name)
+            assert np.isfinite(vals[k]) == instrument, (name, k)
+
+    @staticmethod
+    def unmeasured(tr, k, *names):
+        for name in names:
+            assert math.isnan(getattr(tr, name)[k]), (name, k)
+
+    @pytest.mark.parametrize("instrument", [True, False])
+    @pytest.mark.parametrize("path", ["quadratic", "general"])
+    def test_zero_step_rows(self, path, instrument):
+        tr = self.run(path, instrument, _zero_step_quadratic(),
+                      PrimalVector([1e-180, 0.0]), max_iter=2, grad_tol=0.0)
+        assert tr.stop_reason == "max_iter" and len(tr) == 3
+        for k in (0, 1):
+            assert tr.rs[k] == 0.0 and tr.est_errors[k] == 0.0
+            assert tr.taus[k] == 0.0
+            self.unmeasured(tr, k, "nus")
+            assert tr.us[k] is None and tr.j_ops[k] is None
+            # The step target is the Hessian at this same iterate.
+            self.measured(tr, k, instrument, "lambdas", "vs", "psis",
+                          "eig_mins", "eig_maxs", "j_eig_mins", "j_eig_maxs")
+            np.testing.assert_array_equal(tr.xs[k + 1].coords, tr.xs[0].coords)
+        np.testing.assert_array_equal(tr.xis, 1.0)
+        assert tr.us[2] is None and tr.j_ops[2] is None
+        self.unmeasured(tr, 2, "rs", "nus", "taus", "est_errors")
+
+    @pytest.mark.parametrize("instrument", [True, False])
+    @pytest.mark.parametrize("path", ["quadratic", "general"])
+    def test_step_and_terminal_rows_on_a_quadratic(self, path, instrument, rng):
+        q = quad_make(np.geomspace(1.0, 30.0, 5), seed=60)
+        tr = self.run(path, instrument, q,
+                      PrimalVector(rng.standard_normal(5)), max_iter=200)
+        assert tr.converged
+        for k in range(tr.k_final):
+            assert tr.us[k] is not None
+            assert tr.j_ops[k] is q.a_op
+            assert tr.est_errors[k] == 0.0 and tr.xis[k] == 1.0
+            self.measured(tr, k, instrument, "lambdas", "rs", "nus", "vs",
+                          "psis", "eig_mins", "eig_maxs", "j_eig_mins",
+                          "j_eig_maxs")
+            if instrument:
+                # One spectrum serves both ranges when the target is A.
+                assert tr.j_eig_mins[k] == tr.eig_mins[k]
+                assert tr.j_eig_maxs[k] == tr.eig_maxs[k]
+        last = tr.k_final
+        assert tr.us[last] is None and tr.j_ops[last] is None
+        self.unmeasured(tr, last, "rs", "nus", "taus", "est_errors")
+        self.measured(tr, last, instrument, "lambdas", "eig_mins", "eig_maxs")
+        # Toward the fixed operator the potentials stay defined at the end;
+        # the general path has no step target there.
+        self.measured(tr, last, instrument and path == "quadratic",
+                      "vs", "psis", "j_eig_mins", "j_eig_maxs")
+
+    @pytest.mark.parametrize("instrument", [True, False])
+    def test_general_rows_on_log_sum_exp(self, lse_instance, instrument):
+        x0 = PrimalVector(0.01 * np.random.default_rng(5).standard_normal(6))
+        tr = self.run("general", instrument, lse_instance, x0, max_iter=300)
+        for k in range(tr.k_final):
+            assert tr.us[k] is not None and tr.j_ops[k] is not None
+            assert 0.0 <= tr.est_errors[k] <= 1e-9
+            self.measured(tr, k, instrument, "lambdas", "rs", "nus", "vs",
+                          "psis", "eig_mins", "eig_maxs", "j_eig_mins",
+                          "j_eig_maxs")
+        # The distortion starts at 1 and accumulates measured step lengths.
+        assert tr.xis[0] == 1.0
+        for k in range(1, len(tr)):
+            self.measured(tr, k, instrument, "xis")
+        last = tr.k_final
+        assert tr.us[last] is None and tr.j_ops[last] is None
+        self.unmeasured(tr, last, "rs", "nus", "taus", "est_errors", "vs",
+                        "psis", "j_eig_mins", "j_eig_maxs")
+        self.measured(tr, last, instrument, "lambdas", "eig_mins", "eig_maxs")
