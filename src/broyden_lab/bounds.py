@@ -46,6 +46,8 @@ __all__ = [
     "first_superlinear_crossover",
     "trace_reports",
     "ENVELOPE_NAMES",
+    "QUADRATIC_ENVELOPES",
+    "GENERAL_ENVELOPES",
 ]
 
 # A measured value satisfies a bound up to this combined slack; the bounds
@@ -88,11 +90,7 @@ def _ln_p(taus, ratio):
 def _tau_array(taus, k: int) -> np.ndarray:
     """tau_0 .. tau_{k-1} from a schedule or an explicit sequence."""
     if isinstance(taus, TauSchedule):
-        if taus.constant is not None:
-            return np.full(k, taus.constant)
-        # A sequence shorter than the run repeats its last entry.
-        seq = np.asarray(taus.sequence)
-        return seq[np.minimum(np.arange(k), seq.size - 1)]
+        return taus.values(k)
     seq = np.array([float(t) for t in taus])
     if len(seq) < k:
         raise ValueError(f"need {k} tau values, got {len(seq)}")
@@ -389,10 +387,13 @@ def env_general_superlinear(trace: IterationTrace,
     xi = trace.xis[1:]  # xi_k, the xi_{i+1} of the last factor p_{k-1}
     xi_ahead = np.append(trace.xis[2:], trace.xis[-1])[:kk - 1]
 
-    # Saturated distortion drives the DFP weight to zero; the bound then
-    # degenerates to +inf, which the log-space clamp handles.
+    # Saturated distortion drives the DFP weight to zero (xi^2 may overflow
+    # to +inf on the way, as intended); the bound then degenerates to +inf,
+    # which the log-space clamp handles.
+    with np.errstate(over="ignore"):
+        weight = mu / (xi ** 2 * ell)
     ln_xi = _sup_log(
-        ks, np.log1p(xi), np.cumsum(_ln_p(taus, mu / (xi ** 2 * ell))),
+        ks, np.log1p(xi), np.cumsum(_ln_p(taus, weight)),
         _PSI_EXPONENT * n * (xi_ahead * np.log(xi_ahead) + kappa_log),
         0.5 * (np.log(xi) + kappa_log), lam0,
     )
@@ -513,35 +514,41 @@ def first_superlinear_crossover(n: int, mu: float, ell: float, sup_tau: float,
     return hi
 
 
+def _single(build, **kwargs):
+    """A one-report builder in the table's (trace, overrides) form."""
+    return lambda trace, overrides: [build(trace, overrides=overrides, **kwargs)]
+
+
+# Every envelope by name: (builder of its reports from a trace and optional
+# constant overrides, whether it needs a quadratic instance).  The general
+# kinds each give a distortion-tracking and a uniform report.
+_ENVELOPES = {
+    "quad_linear": (_single(report_quad_linear), True),
+    "quad_superlinear": (_single(report_quad_superlinear), True),
+    "quad_superlinear_psi": (_single(report_quad_superlinear,
+                                     psi_variant=True), True),
+    "general_linear": (env_general_linear, False),
+    "general_superlinear": (env_general_superlinear, False),
+}
+ENVELOPE_NAMES = tuple(_ENVELOPES)
+# The default sets: the quadratic-only envelopes for a quadratic on its
+# fixed-target path, the general ones for every other run.
+QUADRATIC_ENVELOPES = tuple(k for k, (_, quad) in _ENVELOPES.items() if quad)
+GENERAL_ENVELOPES = tuple(k for k, (_, quad) in _ENVELOPES.items() if not quad)
+
+
 def trace_reports(trace: IterationTrace, names,
                   overrides: dict | None = None) -> list[EnvelopeReport]:
-    """Build the named envelope reports for a trace (CLI registry).
+    """Build the named envelope reports for a trace, in the order named.
 
-    ``overrides`` replaces the certified constants inside every envelope
-    formula, quadratic and general; the measured trace is untouched.
+    Names come from :data:`ENVELOPE_NAMES`; a ``general_*`` name yields two
+    reports (distortion-tracking, then uniform).  ``overrides`` replaces the
+    certified constants inside every envelope formula, quadratic and
+    general; the measured trace is untouched.
     """
     out: list[EnvelopeReport] = []
     for name in names:
-        if name == "quad_linear":
-            out.append(report_quad_linear(trace, overrides=overrides))
-        elif name == "quad_superlinear":
-            out.append(report_quad_superlinear(trace, overrides=overrides))
-        elif name == "quad_superlinear_psi":
-            out.append(report_quad_superlinear(trace, psi_variant=True,
-                                               overrides=overrides))
-        elif name == "general_linear":
-            out.extend(env_general_linear(trace, overrides))
-        elif name == "general_superlinear":
-            out.extend(env_general_superlinear(trace, overrides))
-        else:
+        if name not in _ENVELOPES:
             raise ValueError(f"unknown envelope name: {name!r}")
+        out.extend(_ENVELOPES[name][0](trace, overrides))
     return out
-
-
-ENVELOPE_NAMES = (
-    "quad_linear",
-    "quad_superlinear",
-    "quad_superlinear_psi",
-    "general_linear",
-    "general_superlinear",
-)

@@ -190,7 +190,7 @@ def broyd(a: SpdOperator, g: SpdOperator, u: PrimalVector, tau: float) -> Update
     uc = _direction(a, g, u)
     if float(np.linalg.norm(uc)) <= ZERO_DIRECTION_NORM:
         return UpdateResult(g_plus=g, g_plus_inv=g.inverse(), phi=tau, det_ratio=1.0)
-    h_mat = g.inverse().entries
+    h_mat = g.inverse_matrix()
     g_plus, h_plus, phi, det_ratio = update_arrays(
         a.entries, g.entries, h_mat, uc, tau
     )
@@ -207,7 +207,7 @@ def broyd_inverse(a: SpdOperator, g: SpdOperator, u: PrimalVector,
     """Inverse of the updated operator, straight from the rank-two formula."""
     tau = check_tau(tau)
     uc = _nonzero_direction(a, g, u, "inverse update")
-    h_mat = g.inverse().entries
+    h_mat = g.inverse_matrix()
     _, _, au_u, _, z, aha = _scalars(a.entries, g.entries, uc, h_mat.__matmul__)
     h_plus = _rank_two(h_mat, z, uc, _inverse_core(tau, au_u, aha))
     return SpdOperator(h_plus, Role.DUAL_TO_PRIMAL)

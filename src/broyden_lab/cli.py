@@ -37,6 +37,8 @@ import numpy as np
 from . import verify as verify_mod
 from .bounds import (
     ENVELOPE_NAMES,
+    GENERAL_ENVELOPES,
+    QUADRATIC_ENVELOPES,
     EnvelopeReport,
     env_section6,
     first_superlinear_crossover,
@@ -59,19 +61,14 @@ from .solver import (
     TauSchedule,
     run_general,
     run_quadratic,
+    write_csv,
 )
 
 SEED_ENV_VAR = "BROYDEN_LAB_SEED"
 
-_QUAD_ONLY = {"quad_linear", "quad_superlinear", "quad_superlinear_psi"}
-
 
 class ConfigError(ValueError):
     """Malformed configuration input."""
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _load_json(path: str):
@@ -144,10 +141,10 @@ def _normalize_experiment(raw: dict, idx: int, out_override: str | None) -> dict
             f"{exp['name']}: x0 must carry 'coords' or 'random_ball'"
         )
 
-    default_env = (["quad_linear", "quad_superlinear", "quad_superlinear_psi"]
-                   if problem.kind is Kind.QUADRATIC and exp["scheme"] == "auto"
-                   else ["general_linear", "general_superlinear"])
-    exp.setdefault("envelopes", default_env)
+    quadratic = problem.kind is Kind.QUADRATIC
+    exp.setdefault("envelopes", list(
+        QUADRATIC_ENVELOPES if quadratic and exp["scheme"] == "auto"
+        else GENERAL_ENVELOPES))
     if not isinstance(exp["envelopes"], list):
         raise ConfigError(f"{exp['name']}: envelopes must be a list of names")
     if exp["envelopes"] and not config.instrument:
@@ -160,7 +157,7 @@ def _normalize_experiment(raw: dict, idx: int, out_override: str | None) -> dict
     for env in exp["envelopes"]:
         if env not in ENVELOPE_NAMES:
             raise ConfigError(f"{exp['name']}: unknown envelope {env!r}")
-        if env in _QUAD_ONLY and problem.kind is not Kind.QUADRATIC:
+        if env in QUADRATIC_ENVELOPES and not quadratic:
             raise ConfigError(
                 f"{exp['name']}: envelope {env!r} needs a quadratic instance"
             )
@@ -223,26 +220,17 @@ def _make_x0(spec, n: int, seed: int, problem: ProblemInstance) -> PrimalVector:
 
 
 def _report_rows(reports: list[EnvelopeReport], measured):
-    n_rows = len(measured)
+    """Header and rows of envelopes.csv: k, the measured residual, then a
+    bound and a verdict column per report, empty where it has no entry."""
     header = ["k", "measured"]
-    per_k = {}
+    columns = [range(len(measured)), measured]
     for rep in reports:
         header += [f"bound_{rep.name}", f"ok_{rep.name}"]
-        for j, k in enumerate(rep.ks):
-            per_k.setdefault(int(k), {})[rep.name] = (
-                rep.bound[j], bool(rep.satisfied[j])
-            )
-    rows = []
-    for k in range(n_rows):
-        cells = [str(k), _fmt(measured[k])]
-        for rep in reports:
-            if k in per_k and rep.name in per_k[k]:
-                bound, ok = per_k[k][rep.name]
-                cells += [_fmt(bound), "1" if ok else "0"]
-            else:
-                cells += ["", ""]
-        rows.append(",".join(cells))
-    return ",".join(header), rows
+        for values in (rep.bound, rep.satisfied):
+            column = np.full(len(measured), None, dtype=object)
+            column[rep.ks] = values.tolist()
+            columns.append(column)
+    return header, zip(*columns)
 
 
 def _execute_experiment(exp: dict) -> dict:
@@ -304,10 +292,8 @@ def _execute_experiment(exp: dict) -> dict:
             "lambda_increases": trace.lambda_increase_indices or None,
         })
         trace.to_csv(out_dir / "trace.csv")
-        header, rows = _report_rows(reports, trace.lambdas)
-        with open(out_dir / "envelopes.csv", "w", newline="\n") as f:
-            f.write(header + "\n")
-            f.write("\n".join(rows) + "\n")
+        write_csv(out_dir / "envelopes.csv",
+                  *_report_rows(reports, trace.lambdas))
     with open(out_dir / "summary.json", "w", newline="\n") as f:
         json.dump(summary, f, indent=1)
         f.write("\n")
@@ -396,6 +382,13 @@ def _normalize_grid(raw: dict) -> dict:
     return grid
 
 
+# sweep.csv columns, each an entry of a sweep cell.  The iteration count is
+# empty for a cell that did not reach its target.
+_SWEEP_COLUMNS = ("n", "L_over_mu", "method", "iters_to_1e-10", "K0_new",
+                  "K0_prev", "first_k_superlinear_env_below_linear_env",
+                  "envelopes_ok")
+
+
 def _sweep_cell(n: int, kappa: float, method: str, seed: int,
                 max_iter: int, target: float) -> dict:
     quad = quad_make(np.geomspace(1.0, kappa, n), seed=seed)
@@ -407,9 +400,7 @@ def _sweep_cell(n: int, kappa: float, method: str, seed: int,
     config = SolverConfig(max_iter=max_iter, grad_tol=target * lam0)
     trace = run_quadratic(quad, x0, schedule, config)
 
-    reports = trace_reports(
-        trace, ["quad_linear", "quad_superlinear", "quad_superlinear_psi"]
-    )
+    reports = trace_reports(trace, QUADRATIC_ENVELOPES)
     envelopes_ok = all(r.all_satisfied for r in reports)
     moments = env_section6(n, quad.mu, quad.ell, 1, 1.0, method)
     cross = first_superlinear_crossover(
@@ -419,8 +410,7 @@ def _sweep_cell(n: int, kappa: float, method: str, seed: int,
         "n": n,
         "L_over_mu": kappa,
         "method": method,
-        "iters_to_target": trace.k_final if trace.converged else None,
-        "converged": trace.converged,
+        "iters_to_1e-10": trace.k_final if trace.converged else None,
         "K0_new": moments.start_new,
         "K0_prev": moments.start_prev,
         "first_k_superlinear_env_below_linear_env": cross,
@@ -445,26 +435,16 @@ def cmd_sweep(grid_path: str, out: str | None = None) -> int:
                 cell = _sweep_cell(n, float(kappa), method, grid["seed"],
                                    grid["max_iter"], float(grid["target"]))
                 rows.append(cell)
-                if not (cell["envelopes_ok"] and cell["converged"]):
+                iters = cell["iters_to_1e-10"]
+                if not (cell["envelopes_ok"] and iters is not None):
                     ok = False
                 print(f"n={cell['n']} L/mu={cell['L_over_mu']} "
-                      f"{cell['method']}: iters={cell['iters_to_target']} "
+                      f"{cell['method']}: iters={iters} "
                       f"K0_new={cell['K0_new']:.1f} K0_prev={cell['K0_prev']:.1f} "
                       f"{'ok' if cell['envelopes_ok'] else 'VIOLATION'}")
 
-    header = ("n,L_over_mu,method,iters_to_1e-10,K0_new,K0_prev,"
-              "first_k_superlinear_env_below_linear_env,envelopes_ok")
-    with open(out_dir / "sweep.csv", "w", newline="\n") as f:
-        f.write(header + "\n")
-        for c in rows:
-            f.write(",".join([
-                str(c["n"]), _fmt(c["L_over_mu"]), c["method"],
-                "" if c["iters_to_target"] is None else str(c["iters_to_target"]),
-                _fmt(c["K0_new"]), _fmt(c["K0_prev"]),
-                "" if c["first_k_superlinear_env_below_linear_env"] is None
-                else str(c["first_k_superlinear_env_below_linear_env"]),
-                "1" if c["envelopes_ok"] else "0",
-            ]) + "\n")
+    write_csv(out_dir / "sweep.csv", _SWEEP_COLUMNS,
+              ([c[key] for key in _SWEEP_COLUMNS] for c in rows))
     return 0 if ok else 1
 
 

@@ -230,17 +230,23 @@ class SpdOperator:
             raise ValueError("scale factor must be positive")
         return SpdOperator(self.entries * float(c), self.role)
 
-    def inverse(self) -> "SpdOperator":
-        """Explicit inverse with the opposite role tag.
+    def inverse_matrix(self) -> np.ndarray:
+        """Explicit inverse as a plain, exactly symmetric array.
 
-        This is the only place an explicit inverse matrix is formed; every
-        other inverse application goes through the cached factorization.
+        The one place an explicit inverse matrix is formed (an n-by-n solve
+        with the cached factor); every other inverse application goes
+        through the factorization.  Raw-array callers take this instead of
+        :meth:`inverse`, which would validate and factorize the result.
         """
         inv = self.solve_mat(np.eye(self.dim))
-        inv = 0.5 * (inv + inv.T)
+        return 0.5 * (inv + inv.T)
+
+    def inverse(self) -> "SpdOperator":
+        """:meth:`inverse_matrix` as a validated operator with the opposite
+        role tag; its entries equal that matrix bitwise."""
         flipped = (Role.DUAL_TO_PRIMAL if self.role is Role.PRIMAL_TO_DUAL
                    else Role.PRIMAL_TO_DUAL)
-        return SpdOperator(inv, flipped)
+        return SpdOperator(self.inverse_matrix(), flipped)
 
     @staticmethod
     def identity(dim: int, role: Role = Role.PRIMAL_TO_DUAL) -> "SpdOperator":

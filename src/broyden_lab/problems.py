@@ -18,6 +18,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -462,6 +463,15 @@ def instance_to_dict(p: ProblemInstance) -> dict:
     }
 
 
+def _spec_int(d: dict, key: str, default: int | None = None) -> int:
+    """An integer generator field; a float or a bool is refused rather than
+    truncated into a different instance."""
+    value = d[key] if default is None else d.get(key, default)
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def instance_from_dict(d: dict) -> ProblemInstance:
     """Build an instance from either explicit data or a seeded generator spec.
 
@@ -486,7 +496,7 @@ def instance_from_dict(d: dict) -> ProblemInstance:
             raise ValueError("quadratic spec needs either 'a' or 'spectrum'")
         b = (DualVector(np.asarray(d["b"], dtype=float)) if "b" in d else None)
         return ProblemInstance.quadratic(
-            quad_make(d["spectrum"], b=b, seed=int(d.get("seed", 0)))
+            quad_make(d["spectrum"], b=b, seed=_spec_int(d, "seed", 0))
         )
     if kind == "log_sum_exp":
         if "a_rows" in d:
@@ -505,10 +515,10 @@ def instance_from_dict(d: dict) -> ProblemInstance:
                 gamma=gamma,
             ))
         return ProblemInstance.log_sum_exp(lse_make(
-            n=int(d["n"]),
-            m=int(d["m"]),
+            n=_spec_int(d, "n"),
+            m=_spec_int(d, "m"),
             mu=float(d["mu"]),
-            seed=int(d.get("seed", 0)),
+            seed=_spec_int(d, "seed", 0),
             gamma=(float(d["gamma"]) if "gamma" in d else None),
             b_shift=(np.asarray(d["b"], dtype=float) if "b" in d else None),
         ))

@@ -44,7 +44,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -145,6 +145,13 @@ class TauSchedule:
             return self.constant
         return self.sequence[min(k, len(self.sequence) - 1)]
 
+    def values(self, k: int) -> np.ndarray:
+        """tau_0 .. tau_{k-1}: the first k values of :meth:`tau_at`."""
+        if self.constant is not None:
+            return np.full(k, self.constant)
+        seq = np.asarray(self.sequence)
+        return seq[np.minimum(np.arange(k), seq.size - 1)]
+
     @property
     def sup_tau(self) -> float:
         if self.constant is not None:
@@ -226,14 +233,7 @@ class SolverConfig:
             raise ValueError("quad_error_rtol must be nonnegative")
 
     def to_dict(self) -> dict:
-        return {
-            "max_iter": self.max_iter,
-            "grad_tol": self.grad_tol,
-            "quad_order": self.quad_order,
-            "record_operators": self.record_operators,
-            "quad_error_rtol": self.quad_error_rtol,
-            "instrument": self.instrument,
-        }
+        return asdict(self)
 
 
 # One row per visited iterate.  Each column is stored in the IterationTrace
@@ -248,8 +248,24 @@ _CSV_COLUMNS = ("k",) + _ROW_COLUMNS[:10]
 _ROW_FIELDS = _ROW_COLUMNS + ("x", "grad", "u", "g_op", "h_op", "j_op")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _fmt(value) -> str:
+    """One CSV cell: empty for a missing value, 1/0 for a flag, an integer or
+    a string as it is, any other number as the shortest repr that reads back
+    to the same double."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, str)):
+        return str(value)
+    return repr(float(value))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows of cell values (see :func:`_fmt`), LF-ended."""
+    with open(path, "w", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 @dataclass
@@ -316,11 +332,7 @@ class IterationTrace:
 
     def to_csv(self, path) -> None:
         cols = [self._column(name) for name in _CSV_COLUMNS[1:]]
-        rows = [",".join([str(k)] + [_fmt(col[k]) for col in cols])
-                for k in range(len(self))]
-        with open(path, "w", newline="\n") as f:
-            f.write(",".join(_CSV_COLUMNS) + "\n")
-            f.write("\n".join(rows) + "\n")
+        write_csv(path, _CSV_COLUMNS, zip(range(len(self)), *cols))
 
     def to_json_dict(self) -> dict:
         return {
@@ -367,12 +379,10 @@ def _extremes(lams: np.ndarray) -> tuple[float, float]:
 
 def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
            config: SolverConfig, general: bool) -> IterationTrace:
-    n = problem.n
-    if x0.dim != n:
-        raise ValueError(f"x0 has dimension {x0.dim}, expected {n}")
+    if x0.dim != problem.n:
+        raise ValueError(f"x0 has dimension {x0.dim}, expected {problem.n}")
     g_mat = problem.ell * problem.b_ref.entries
-    h_mat = problem.b_ref.solve_mat(np.eye(n))
-    h_mat = 0.5 * (h_mat + h_mat.T) / problem.ell
+    h_mat = problem.b_ref.inverse_matrix() / problem.ell
 
     rows = []
     x = x0

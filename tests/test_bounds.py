@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from broyden_lab.bounds import (
     SATISFIED_RTOL,
     EnvelopeReport,
     env_quad_superlinear_log,
+    trace_reports,
 )
 
 
@@ -640,6 +642,24 @@ class TestKernelMatchesReference:
             saturated, lambdas=np.r_[0.0, trace.lambdas[1:]])
         _check_general(zero)
         assert not env_general_superlinear(zero)[0].bound.any()
+
+    def test_overflowing_distortion_square_is_silent(self):
+        # From a start of radius 5 the distortion reaches 9e170 at k = 2, so
+        # xi^2 overflows on the way to the intended zero DFP weight; that
+        # used to print a RuntimeWarning on a passing run.
+        p = ProblemInstance.log_sum_exp(lse_make(4, 1, mu=0.5, seed=2))
+        rng = np.random.default_rng(0)
+        d = rng.standard_normal(4)
+        x0 = PrimalVector(d * (5.0 * rng.uniform() ** 0.25 / np.linalg.norm(d)))
+        trace = run_general(p, x0, TauSchedule.bfgs(), SolverConfig())
+        assert trace.xis[-1] > 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = trace_reports(trace, ["general_linear",
+                                            "general_superlinear"])
+        assert all(rep.all_satisfied for rep in reports)
+        with np.errstate(over="ignore"):  # the reference squares xi too
+            _check_general(trace)
 
     def test_synthetic_distortion(self, lse_traces):
         # A steadily growing distortion makes every xi_k, xi_{k+1} and

@@ -32,6 +32,14 @@ def write_config(tmp_path, payload, fname="config.json"):
     return str(path)
 
 
+# envelopes.csv header of the default general envelope set.
+GENERAL_HEADER = ("k,measured"
+                  ",bound_general_linear_xi,ok_general_linear_xi"
+                  ",bound_general_linear,ok_general_linear"
+                  ",bound_general_superlinear_xi,ok_general_superlinear_xi"
+                  ",bound_general_superlinear,ok_general_superlinear")
+
+
 class TestRun:
     def test_single_quadratic_writes_three_files(self, tmp_path, capsys):
         cfg = write_config(tmp_path, quad_experiment(tmp_path / "out"))
@@ -60,6 +68,23 @@ class TestRun:
         assert header.startswith("k,measured,")
         assert "bound_quad_linear" in header
         assert "ok_quad_superlinear" in header
+
+    @pytest.mark.parametrize("scheme,instance,header", [
+        ("auto", None, "k,measured"
+         ",bound_quad_linear,ok_quad_linear"
+         ",bound_quad_superlinear,ok_quad_superlinear"
+         ",bound_quad_superlinear_psi,ok_quad_superlinear_psi"),
+        ("general", None, GENERAL_HEADER),
+        ("auto", {"kind": "log_sum_exp", "n": 4, "m": 1, "mu": 0.5,
+                  "seed": 2}, GENERAL_HEADER),
+    ])
+    def test_default_envelope_set(self, tmp_path, scheme, instance, header):
+        exp = quad_experiment(tmp_path / "out", scheme=scheme)
+        if instance is not None:
+            exp["instance"] = instance
+        assert cmd_run(write_config(tmp_path, exp)) == 0
+        csv_text = (tmp_path / "out" / "exp-quad" / "envelopes.csv").read_text()
+        assert csv_text.splitlines()[0] == header
 
     def test_invalid_mu_rejected_without_files(self, tmp_path, capsys):
         exp = quad_experiment(tmp_path / "out")
@@ -311,6 +336,21 @@ class TestConfigContract:
     def test_bad_seed_rejected(self, tmp_path, capsys, seed):
         exp = quad_experiment(tmp_path / "out", seed=seed)
         self.assert_rejected(tmp_path, capsys, exp, "seed")
+
+    @pytest.mark.parametrize("instance", [
+        {"kind": "log_sum_exp", "n": 4.9, "m": True, "mu": 0.5, "seed": 2.7},
+        {"kind": "log_sum_exp", "n": 4.0, "m": 1, "mu": 0.5},
+        {"kind": "log_sum_exp", "n": 4, "m": True, "mu": 0.5},
+        {"kind": "log_sum_exp", "n": 4, "m": 1, "mu": 0.5, "seed": 2.7},
+        {"kind": "quadratic", "spectrum": [1.0, 2.0, 5.0], "seed": 1.5},
+        {"kind": "quadratic", "spectrum": [1.0, 2.0, 5.0], "seed": False},
+    ])
+    def test_non_integer_generator_field_rejected(self, tmp_path, capsys,
+                                                  instance):
+        # int() used to truncate these, so a PASS was printed for a
+        # different instance than the one written.
+        exp = quad_experiment(tmp_path / "out", instance=instance)
+        self.assert_rejected(tmp_path, capsys, exp, "must be an integer")
 
     def test_negative_env_seed_rejected(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "-1")

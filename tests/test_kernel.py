@@ -16,9 +16,12 @@ import broyden_lab.operators as operators_mod
 import broyden_lab.problems as problems_mod
 import broyden_lab.solver as solver_mod
 from broyden_lab import (
+    DualVector,
     PrimalVector,
     ProblemInstance,
+    QuadraticProblem,
     SolverConfig,
+    SpdOperator,
     TauSchedule,
     augmented_barrier,
     broyd,
@@ -248,3 +251,36 @@ class TestDecompositionCount:
         assert counts == {"eig": 4 * steps + 1, "cholesky": 3 * steps + 2,
                           "reduction": 2 * steps + 1, "svd": 0,
                           "pointwise": visited, "pointwise_in_quadrature": 0}
+
+
+class TestExplicitInverse:
+    """The typed update and the solver take their explicit inverse from
+    operators, without a throwaway validated operator."""
+
+    def test_broyd_factorizes_only_its_results(self, rng, monkeypatch):
+        a, g = random_spd(rng, 6), random_spd(rng, 6)
+        u = PrimalVector(rng.standard_normal(6))
+        counts = {"eig": 0, "cholesky": 0, "reduction": 0, "svd": 0}
+        count_decompositions(monkeypatch, counts)
+        for tau in KERNEL_TAUS:
+            broyd(a, g, u, tau)  # validates G_plus and H_plus
+        assert counts == {"eig": 0, "cholesky": 2 * len(KERNEL_TAUS),
+                          "reduction": 0, "svd": 0}
+        for tau in KERNEL_TAUS:
+            broyd_inverse(a, g, u, tau)  # validates H_plus
+        assert counts["cholesky"] == 3 * len(KERNEL_TAUS)
+
+    def test_starting_inverse_is_the_reference_inverse(self):
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((6, 6))
+        b_ref = SpdOperator(m @ m.T + 6.0 * np.eye(6))
+        m = rng.standard_normal((6, 6))
+        a = SpdOperator(m @ m.T + np.eye(6))
+        vals = scipy.linalg.eigh(a.entries, b_ref.entries, eigvals_only=True)
+        quad = QuadraticProblem(a_op=a, b=DualVector(np.ones(6)), b_ref=b_ref,
+                                mu=float(vals.min()), ell=float(vals.max()))
+        trace = run_quadratic(quad, PrimalVector(np.ones(6)), TauSchedule.bfgs(),
+                              SolverConfig(max_iter=3, record_operators=True))
+        assert np.array_equal(trace.h_ops[0].entries,
+                              b_ref.inverse().entries / quad.ell)
+        assert np.array_equal(trace.g_ops[0].entries, quad.ell * b_ref.entries)
