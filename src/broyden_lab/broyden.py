@@ -9,6 +9,7 @@ from its closed form, so both can be cross-checked against factorizations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,19 +86,27 @@ def _nonzero_direction(a: SpdOperator, g: SpdOperator, u: PrimalVector,
     return uc
 
 
-def _scalars(a_mat, g_mat, u, solve_g):
+def _positive_pairings(au_u, gu_u, aha):
+    """Where the three update pairings are positive, as SPD inputs make them."""
+    return (au_u > 0.0) & (gu_u > 0.0) & (aha > 0.0)
+
+
+def _scalars(a_mat, g_mat, u, solve_g, check=True):
     """Shared update scalars: Au, Gu, G^{-1}Au and the three pairings.
 
-    ``solve_g`` applies G^{-1} to a vector: the maintained inverse on the
-    raw-array path, the cached factorization on the typed one.
+    Every argument may carry leading batch axes.  ``solve_g`` applies G^{-1}
+    to (a stack of) vectors: the maintained inverse on the raw-array path,
+    the cached factorization on the typed one.  With ``check`` a
+    non-positive pairing raises; without it the caller masks the updates
+    :func:`_positive_pairings` rejects.
     """
-    au = a_mat @ u
-    gu = g_mat @ u
-    au_u = float(au @ u)
-    gu_u = float(gu @ u)
+    au = np.matvec(a_mat, u)
+    gu = np.matvec(g_mat, u)
+    au_u = np.vecdot(au, u)
+    gu_u = np.vecdot(gu, u)
     z = solve_g(au)
-    aha = float(au @ z)
-    if au_u <= 0.0 or gu_u <= 0.0 or aha <= 0.0:
+    aha = np.vecdot(au, z)
+    if check and not _positive_pairings(au_u, gu_u, aha).all():
         raise ArithmeticError(
             "update pairings must be positive for SPD inputs; "
             f"got <Au,u>={au_u}, <Gu,u>={gu_u}, <AG^-1Au,u>={aha}"
@@ -118,12 +127,21 @@ def _phi_det(tau, au_u, gu_u, aha):
     return phi, denom
 
 
+def _core(d0, cross, d1):
+    """Symmetric 2x2 core [[d0, cross], [cross, d1]] over leading batch axes."""
+    core = np.array([[d0, cross], [cross, d1]])
+    return core.transpose(*range(2, core.ndim), 0, 1)
+
+
 def _rank_two(m, x, y, core):
-    """Symmetrized m + [x, y] core [x, y]^T for a symmetric 2x2 core: O(n^2)."""
-    basis = np.stack((x, y), axis=1)
-    out = (basis @ core) @ basis.T
+    """Symmetrized m + [x, y] core [x, y]^T for a symmetric 2x2 core: O(n^2).
+
+    Leading batch axes of every argument broadcast.
+    """
+    basis = np.stack((x, y), axis=-1)
+    out = (basis @ core) @ basis.mT
     out += m
-    sym = out + out.T
+    sym = out + out.mT
     sym *= 0.5
     return sym
 
@@ -135,9 +153,8 @@ def _primal_core(phi, au_u, gu_u):
     -(Au Gu^T + Gu Au^T)/<Au,u> + (<Gu,u>/<Au,u> + 1) Au Au^T/<Au,u> and BFGS
     contributes Au Au^T/<Au,u> - Gu Gu^T/<Gu,u>.
     """
-    cross = -phi / au_u
-    return np.array([[(1.0 + phi * gu_u / au_u) / au_u, cross],
-                     [cross, -(1.0 - phi) / gu_u]])
+    return _core((1.0 + phi * gu_u / au_u) / au_u, -phi / au_u,
+                 -(1.0 - phi) / gu_u)
 
 
 def _inverse_core(tau, au_u, aha):
@@ -147,9 +164,20 @@ def _inverse_core(tau, au_u, aha):
     u u^T/<Au,u> - z z^T/<Au,z> and BFGS contributes
     -(z u^T + u z^T)/<Au,u> + (<Au,z>/<Au,u> + 1) u u^T/<Au,u>.
     """
-    cross = -(1.0 - tau) / au_u
-    return np.array([[-tau / aha, cross],
-                     [cross, (1.0 + (1.0 - tau) * aha / au_u) / au_u]])
+    return _core(-tau / aha, -(1.0 - tau) / au_u,
+                 (1.0 + (1.0 - tau) * aha / au_u) / au_u)
+
+
+def _apply_update(g_mat, h_mat, u, scalars, tau):
+    """``(g_plus, h_plus, phi, det_ratio)`` from the shared update scalars.
+
+    Batch axes broadcast, so one set of scalars serves every tau of a grid.
+    """
+    au, gu, au_u, gu_u, z, aha = scalars
+    phi, det_ratio = _phi_det(tau, au_u, gu_u, aha)
+    g_plus = _rank_two(g_mat, au, gu, _primal_core(phi, au_u, gu_u))
+    h_plus = _rank_two(h_mat, z, u, _inverse_core(tau, au_u, aha))
+    return g_plus, h_plus, phi, det_ratio
 
 
 def update_arrays(a_mat, g_mat, h_mat, u, tau):
@@ -162,11 +190,8 @@ def update_arrays(a_mat, g_mat, h_mat, u, tau):
     costs O(n^2), with the inverse maintained by the rank-two inverse formula
     instead of refactorizing.
     """
-    au, gu, au_u, gu_u, z, aha = _scalars(a_mat, g_mat, u, h_mat.__matmul__)
-    phi, det_ratio = _phi_det(tau, au_u, gu_u, aha)
-    g_plus = _rank_two(g_mat, au, gu, _primal_core(phi, au_u, gu_u))
-    h_plus = _rank_two(h_mat, z, u, _inverse_core(tau, au_u, aha))
-    return g_plus, h_plus, phi, det_ratio
+    scalars = _scalars(a_mat, g_mat, u, functools.partial(np.matvec, h_mat))
+    return _apply_update(g_mat, h_mat, u, scalars, tau)
 
 
 def phi_tau(a: SpdOperator, g: SpdOperator, u: PrimalVector, tau: float) -> float:
@@ -177,7 +202,7 @@ def phi_tau(a: SpdOperator, g: SpdOperator, u: PrimalVector, tau: float) -> floa
     tau = check_tau(tau)
     _, _, au_u, gu_u, _, aha = _typed_scalars(a, g, u, "phi")
     phi, _ = _phi_det(tau, au_u, gu_u, aha)
-    return phi
+    return float(phi)
 
 
 def broyd(a: SpdOperator, g: SpdOperator, u: PrimalVector, tau: float) -> UpdateResult:
@@ -197,8 +222,8 @@ def broyd(a: SpdOperator, g: SpdOperator, u: PrimalVector, tau: float) -> Update
     return UpdateResult(
         g_plus=SpdOperator(g_plus, Role.PRIMAL_TO_DUAL),
         g_plus_inv=SpdOperator(h_plus, Role.DUAL_TO_PRIMAL),
-        phi=phi,
-        det_ratio=det_ratio,
+        phi=float(phi),
+        det_ratio=float(det_ratio),
     )
 
 
@@ -208,7 +233,8 @@ def broyd_inverse(a: SpdOperator, g: SpdOperator, u: PrimalVector,
     tau = check_tau(tau)
     uc = _nonzero_direction(a, g, u, "inverse update")
     h_mat = g.inverse_matrix()
-    _, _, au_u, _, z, aha = _scalars(a.entries, g.entries, uc, h_mat.__matmul__)
+    _, _, au_u, _, z, aha = _scalars(a.entries, g.entries, uc,
+                                      functools.partial(np.matvec, h_mat))
     h_plus = _rank_two(h_mat, z, uc, _inverse_core(tau, au_u, aha))
     return SpdOperator(h_plus, Role.DUAL_TO_PRIMAL)
 
@@ -219,7 +245,27 @@ def broyd_det_ratio(a: SpdOperator, g: SpdOperator, u: PrimalVector,
     tau = check_tau(tau)
     _, _, au_u, gu_u, _, aha = _typed_scalars(a, g, u, "determinant ratio")
     _, det_ratio = _phi_det(tau, au_u, gu_u, aha)
-    return det_ratio
+    return float(det_ratio)
+
+
+def _closeness(a_mat, g_mat, u, solve_g, inv_quad_g):
+    """Both forms of nu over leading batch axes: ``(val_quad, val_norm)``.
+
+    With w = (G - A)u, ``val_quad`` takes <w, G^{-1}w> from ``solve_g`` (a
+    full solve or the maintained inverse) and ``val_norm`` from
+    ``inv_quad_g`` (the squared norm of a triangular solve L^{-1}w).
+    """
+    w = np.matvec(g_mat - a_mat, u)
+    au_u = np.vecdot(u, np.matvec(a_mat, u))
+    val_quad = np.sqrt(np.maximum(np.vecdot(w, solve_g(w)), 0.0) / au_u)
+    val_norm = np.sqrt(np.maximum(inv_quad_g(w), 0.0) / au_u)
+    return val_quad, val_norm
+
+
+def _nu_disagree(val_quad, val_norm):
+    """Where the two closeness forms differ by more than ``_NU_GUARD``."""
+    return (np.abs(val_quad - val_norm)
+            > _NU_GUARD * (1.0 + np.maximum(val_quad, val_norm)))
 
 
 def nu(a: SpdOperator, g: SpdOperator, u: PrimalVector) -> float:
@@ -232,12 +278,10 @@ def nu(a: SpdOperator, g: SpdOperator, u: PrimalVector) -> float:
     cost O(n^2) with the cached factor of G.
     """
     uc = _nonzero_direction(a, g, u, "closeness measure")
-    w = (g.entries - a.entries) @ uc
-    au_u = a.quad_form(uc)
-    val_quad = math.sqrt(max(float(w @ g.solve_vec(w)), 0.0) / au_u)
-    val_norm = math.sqrt(max(g.inv_quad_form(w), 0.0) / au_u)
-    if abs(val_quad - val_norm) > _NU_GUARD * (1.0 + max(val_quad, val_norm)):
+    val_quad, val_norm = _closeness(a.entries, g.entries, uc, g.solve_vec,
+                                    g.inv_quad_form)
+    if _nu_disagree(val_quad, val_norm):
         raise ArithmeticError(
             f"closeness formulas disagree: {val_quad} vs {val_norm}"
         )
-    return val_quad
+    return float(val_quad)

@@ -9,7 +9,9 @@ Three subcommands:
 
 ``verify``
     Run the randomized identity/inequality suites and print the most adverse
-    slack per check.
+    slack per check, each followed by a ``replay:`` line whose command
+    (``verify --suite NAME --trial T``) re-evaluates the witness of that
+    value through the typed API and prints every intermediate value.
 
 ``sweep <grid.json>``
     Run a quadratic grid over (n, condition number, method) and write one
@@ -339,16 +341,51 @@ def cmd_run(config_path: str, jobs: int = 1, out: str | None = None) -> int:
     return 0 if ok else 1
 
 
-def cmd_verify(n_max: int = 8, trials: int = 1000, seed: int = 0) -> int:
-    if n_max < 1:
-        print("verify error: --n-max must be at least 1", file=sys.stderr)
+def _replay_line(res, n_max: int, trials: int, seed: int) -> str:
+    """The command that replays a result's witness, with the witness in a
+    trailing shell comment."""
+    if res.name == "scalar_gap":
+        return (f"replay: broyden-lab verify --suite scalar_gap "
+                f"--trial {res.trial}")
+    return (f"replay: broyden-lab verify --suite {res.name} --seed {seed} "
+            f"--trial {res.trial} --n-max {n_max} --trials {trials}  "
+            f"# seed={res.seed} n={res.n} tau={res.tau}")
+
+
+def cmd_verify(n_max: int = 8, trials: int = 1000, seed: int = 0,
+               suite: str | None = None, trial: int | None = None) -> int:
+    """Run the suites (or one), printing each result and its replay command;
+    with ``trial``, replay that one trial of ``suite`` instead."""
+    try:
+        _bounded(n_max, "--n-max", 1, integer=True)
+        _bounded(trials, "--trials", 1, integer=True)
+        _bounded(seed, "--seed", 0, integer=True)
+        if suite is not None and suite not in verify_mod.SUITES:
+            raise ConfigError(f"--suite must be one of "
+                              f"{', '.join(verify_mod.SUITES)}; got {suite!r}")
+        if trial is not None:
+            if suite is None:
+                raise ConfigError("--trial needs --suite")
+            _bounded(trial, "--trial", 0, integer=True)
+            size = verify_mod.suite_size(suite, trials)
+            if trial >= size:
+                raise ConfigError(f"--trial must be below {size}, got {trial}")
+    except ConfigError as exc:
+        print(f"verify error: {exc}", file=sys.stderr)
         return 2
-    if trials < 1:
-        print("verify error: --trials must be at least 1", file=sys.stderr)
-        return 2
-    results = verify_mod.run_all(n_max=n_max, trials=trials, seed=seed)
+    if trial is not None:
+        try:
+            res = verify_mod.replay(suite, trial, n_max=n_max, seed=seed)
+        except (ArithmeticError, ValueError) as exc:
+            print(f"{suite}: typed API rejects the triple: {exc}")
+            return 1
+        print(res.line())
+        return 0 if res.passed else 1
+    names = verify_mod.SUITES if suite is None else (suite,)
+    results = [verify_mod.run_suite(name, n_max, trials, seed) for name in names]
     for res in results:
         print(res.line())
+        print(_replay_line(res, n_max, trials, seed))
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -466,7 +503,13 @@ def main(argv=None) -> int:
     p_verify = sub.add_parser("verify", help="run the randomized check suites")
     p_verify.add_argument("--n-max", type=int, default=8)
     p_verify.add_argument("--trials", type=int, default=1000)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="base seed; suite i draws from seed + i")
+    p_verify.add_argument("--suite", default=None,
+                          help="run only this suite")
+    p_verify.add_argument("--trial", type=int, default=None,
+                          help="replay this trial of --suite through the "
+                               "typed API")
 
     p_sweep = sub.add_parser("sweep", help="run a quadratic comparison grid")
     p_sweep.add_argument("grid", help="grid JSON spec")
@@ -477,7 +520,8 @@ def main(argv=None) -> int:
     if args.command == "run":
         return cmd_run(args.config, jobs=args.jobs, out=args.out)
     if args.command == "verify":
-        return cmd_verify(n_max=args.n_max, trials=args.trials, seed=args.seed)
+        return cmd_verify(n_max=args.n_max, trials=args.trials, seed=args.seed,
+                          suite=args.suite, trial=args.trial)
     return cmd_sweep(args.grid, out=args.out)
 
 

@@ -37,6 +37,8 @@ __all__ = [
     "loewner_leq",
     "loewner_slack",
     "spd_solve",
+    "spd_factor",
+    "chol_logdet",
 ]
 
 _sygst = scipy.linalg.get_lapack_funcs("sygst", dtype=np.float64)
@@ -63,6 +65,61 @@ class Role(enum.Enum):
 
     PRIMAL_TO_DUAL = "primal_to_dual"
     DUAL_TO_PRIMAL = "dual_to_primal"
+
+
+# Why spd_factor rejects a matrix, by fault code; code 0 means accepted.
+SPD_FAULTS = (
+    "",
+    "entries must be finite",
+    "zero matrix is not positive definite",
+    "matrix is not symmetric",
+    "matrix is not positive definite",
+    "matrix is numerically singular",
+)
+
+
+def spd_factor(m: np.ndarray):
+    """The SPD acceptance rule, applied to each matrix of a (..., n, n) stack.
+
+    A matrix is accepted when it is finite and nonzero, symmetric to
+    ``SYMMETRY_RTOL`` times its largest entry, and its symmetrized part has
+    a Cholesky factor whose squared pivots all exceed ``PIVOT_RTOL`` times
+    that entry.  Returns ``(sym, chol, fault)``: the symmetrized matrices,
+    their lower Cholesky factors and one fault code per matrix (an index
+    into ``SPD_FAULTS``).  A rejected matrix gets the identity as its
+    factor, so a stack keeps computing and the caller masks its results.
+    """
+    with np.errstate(invalid="ignore"):
+        scale = np.abs(m).max(axis=(-2, -1))
+        asym = np.abs(m - m.mT).max(axis=(-2, -1))
+        sym = 0.5 * (m + m.mT)
+    # A NaN or infinite entry leaves the scale non-finite.
+    fault = np.zeros(scale.shape, dtype=int)
+    work = sym
+    sane = np.isfinite(scale) & (scale > 0.0) & (asym <= SYMMETRY_RTOL * scale)
+    if not sane.all():
+        fault = np.where(~np.isfinite(scale), 1,
+                         np.where(scale == 0.0, 2, np.where(sane, 0, 3)))
+        work = np.where(sane[..., None, None], sym, np.eye(m.shape[-1]))
+    try:
+        chol = np.linalg.cholesky(work)
+    except np.linalg.LinAlgError:
+        chol = np.empty_like(work)
+        for i in np.ndindex(fault.shape):
+            try:
+                chol[i] = np.linalg.cholesky(work[i])
+            except np.linalg.LinAlgError:
+                chol[i], fault[i] = np.eye(m.shape[-1]), 4
+    pivots = np.diagonal(chol, axis1=-2, axis2=-1).min(axis=-1) ** 2
+    singular = pivots <= PIVOT_RTOL * scale
+    if singular.any():
+        fault = np.where((fault == 0) & singular, 5, fault)
+    return sym, chol, fault
+
+
+def chol_logdet(chol: np.ndarray):
+    """log Det of (a stack of) matrices from their Cholesky factors."""
+    return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -163,23 +220,9 @@ class SpdOperator:
             raise ValueError("entries must be a square matrix")
         if m.shape[0] == 0:
             raise ValueError("zero-dimensional operators are not supported")
-        if not np.all(np.isfinite(m)):
-            raise NotSpdError("entries must be finite")
-        scale = float(np.max(np.abs(m)))
-        if scale == 0.0:
-            raise NotSpdError("zero matrix is not positive definite")
-        asym = float(np.max(np.abs(m - m.T)))
-        if asym > SYMMETRY_RTOL * scale:
-            raise NotSpdError(
-                f"matrix is not symmetric (asymmetry {asym:.3e} vs scale {scale:.3e})"
-            )
-        sym = 0.5 * (m + m.T)
-        try:
-            chol = np.linalg.cholesky(sym)
-        except np.linalg.LinAlgError as exc:
-            raise NotSpdError("matrix is not positive definite") from exc
-        if float(np.min(np.diagonal(chol)) ** 2) <= PIVOT_RTOL * scale:
-            raise NotSpdError("matrix is numerically singular")
+        sym, chol, fault = spd_factor(m)
+        if fault:
+            raise NotSpdError(SPD_FAULTS[fault])
         object.__setattr__(self, "entries", _as_readonly(sym))
         object.__setattr__(self, "_chol", _as_readonly(chol))
 
@@ -189,7 +232,7 @@ class SpdOperator:
 
     @property
     def logdet(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diagonal(self._chol))))
+        return float(chol_logdet(self._chol))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.entries @ np.asarray(x, dtype=float)

@@ -33,6 +33,7 @@ __all__ = [
     "progress_lb_psi",
     "scalar_gap",
     "metric_change_lb",
+    "metric_change_rhs",
 ]
 
 # Constants of the scalar gap inequality: the sharp sqrt(3)/(2 + sqrt(3))
@@ -85,10 +86,13 @@ def spectral_barriers(rel_eigs) -> tuple[float, float]:
     Tr(G^{-1}A) = sum 1/lambda_i, so the pair (logdet_barrier(a, g),
     augmented_barrier(g, a)) is (sum ln lambda_i,
     sum (ln lambda_i - 1 + 1/lambda_i)) at O(n) cost once the spectrum is known.
+    Over a stack of spectra (eigenvalues on the last axis) it returns one
+    pair of arrays.
     """
     lams = np.asarray(rel_eigs, dtype=float)
     logs = np.log(lams)
-    return float(np.sum(logs)), float(np.sum(logs - 1.0 + 1.0 / lams))
+    return (np.sum(logs, axis=-1)[()],
+            np.sum(logs - 1.0 + 1.0 / lams, axis=-1)[()])
 
 
 def potential_snapshot(a: SpdOperator, g: SpdOperator,
@@ -105,26 +109,28 @@ def progress_lb_v(eta: float, tau: float, nu_val: float) -> float:
     """Guaranteed decrease of the log-det barrier after one update.
 
     Valid when A <= G <= eta*A: the barrier drops by at least
-    ln(1 + (tau/eta + 1 - tau) * nu^2).
+    ln(1 + (tau/eta + 1 - tau) * nu^2).  ``eta`` and ``nu_val`` may be
+    arrays of matching shape.
     """
     tau = check_tau(tau)
-    if eta < 1.0:
+    if np.any(np.less(eta, 1.0)):
         raise ValueError(f"eta must be >= 1, got {eta}")
-    return math.log1p((tau / eta + 1.0 - tau) * nu_val * nu_val)
+    return np.log1p((tau / eta + 1.0 - tau) * nu_val * nu_val)[()]
 
 
 def progress_lb_psi(xi: float, eta: float, tau: float, nu_val: float) -> float:
     """Guaranteed decrease of the augmented barrier after one update.
 
     Valid when (1/xi)*A <= G <= eta*A with xi, eta >= 1: the barrier drops by
-    at least (6/13) * ln(1 + (tau/(xi*eta) + 1 - tau) * nu^2).
+    at least (6/13) * ln(1 + (tau/(xi*eta) + 1 - tau) * nu^2).  ``xi``,
+    ``eta`` and ``nu_val`` may be arrays of matching shape.
     """
     tau = check_tau(tau)
-    if xi < 1.0 or eta < 1.0:
+    if np.any(np.less(xi, 1.0) | np.less(eta, 1.0)):
         raise ValueError(f"xi and eta must be >= 1, got ({xi}, {eta})")
-    return SCALAR_GAP_CONST * math.log1p(
+    return SCALAR_GAP_CONST * np.log1p(
         (tau / (xi * eta) + 1.0 - tau) * nu_val * nu_val
-    )
+    )[()]
 
 
 def scalar_gap(alpha: float, beta: float) -> tuple[float, float]:
@@ -157,8 +163,16 @@ def metric_change_lb(a: SpdOperator, g: SpdOperator, u: PrimalVector,
     nu_val = nu(a, g, u)
     xi = 1.0 / rel_eigen_range(g, a).min_rel
     h_plus = broyd(a, g, u, tau).g_plus_inv
-    diff = g.entries - a.entries
-    w = diff @ u.coords
-    num = float(w @ (h_plus.entries @ w))
-    rhs = num / ((1.0 + xi) * g.quad_form(u.coords))
-    return nu_val * nu_val, rhs
+    rhs = metric_change_rhs(a.entries, g.entries, u.coords, h_plus.entries, xi)
+    return nu_val * nu_val, float(rhs)
+
+
+def metric_change_rhs(a_mat, g_mat, u, h_plus, xi):
+    """Raw-array bound of :func:`metric_change_lb` over leading batch axes.
+
+    ``h_plus`` is the inverse of the updated operator and 1/xi the smallest
+    eigenvalue of G relative to A.
+    """
+    w = np.matvec(g_mat - a_mat, u)
+    gu_u = np.vecdot(u, np.matvec(g_mat, u))
+    return np.vecdot(w, np.matvec(h_plus, w)) / ((1.0 + xi) * gu_u)

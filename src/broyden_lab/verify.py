@@ -1,35 +1,61 @@
 """Randomized identity and inequality suites over the update family.
 
-Each suite draws seeded random (target, approximation, direction) triples,
-evaluates one algebraic identity or inequality of the update calculus on
-them, and reports the most adverse value seen together with its pass
-threshold.  The CLI ``verify`` command drives these and exits nonzero on any
+Each random suite draws seeded (target, approximation, direction) triples:
+n uniform in [1, n_max], A with a log-uniform spectrum, G independent of A or
+dominating it, and a standard normal u.  It evaluates one identity or
+inequality of the update calculus at every tau of ``TAU_GRID`` and reports
+the most adverse value against its pass threshold, together with its
+witness: the suite's seed, the trial index, n and tau of that value.
+
+The draws run one trial at a time in a fixed RNG order; the evaluation does
+not.  Drawn triples are grouped by n into (T, n, n) stacks that hold at most
+``_STACK_ELEMENTS`` matrix entries between them, and each stack goes through
+stacked LAPACK calls and the solver's own update kernel
+(``broyden._scalars`` and ``broyden._apply_update``).  The stack gets every
+check the typed API makes on one triple: A, G and each G_plus, H_plus pass
+the ``SpdOperator`` acceptance rule, the three update pairings are positive,
+the two closeness formulas agree and relative spectra are positive.  A
+triple that fails one of them, or yields a non-finite value, is the suite's
+witness with worst value +-inf (a FAIL) rather than an exception.
+
+:func:`replay` re-draws one triple and evaluates it through the typed API
+(``broyd``, ``rel_eigen_range``, ``nu``, the barriers and bounds), printing
+every intermediate value; ``broyden-lab verify --suite NAME --trial T`` runs
+it.  The CLI ``verify`` command drives the suites and exits nonzero on any
 failure.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from . import broyden as kernel
 from .broyden import broyd, broyd_det_ratio, nu
 from .operators import (
     PrimalVector,
     Role,
     SpdOperator,
+    chol_logdet,
     rel_det,
     rel_eigen_range,
+    spd_factor,
 )
 from .potentials import (
     SCALAR_GAP_MIDDLE_CONST,
     augmented_barrier,
     logdet_barrier,
     metric_change_lb,
+    metric_change_rhs,
     progress_lb_psi,
     progress_lb_v,
     scalar_gap,
+    spectral_barriers,
 )
 from .problems import random_orthogonal
 
@@ -37,7 +63,10 @@ __all__ = [
     "CheckResult",
     "random_spd",
     "random_spd_dominating",
+    "random_spd_matrix",
+    "random_dominating_matrix",
     "TAU_GRID",
+    "SUITES",
     "inverse_identity_suite",
     "det_ratio_suite",
     "eigen_containment_suite",
@@ -45,21 +74,54 @@ __all__ = [
     "augmented_progress_suite",
     "metric_change_suite",
     "scalar_gap_suite",
+    "run_suite",
     "run_all",
+    "suite_size",
+    "replay",
 ]
 
 TAU_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
+# Suite name -> (threshold, higher_is_worse), in run order; a suite's seed
+# is the base seed plus its position here.
+_CHECKS = {
+    "inverse_identity": (1e-10, True),
+    "det_ratio": (1e-9, True),
+    "eigen_containment": (-1e-9, False),
+    "logdet_progress": (-1e-8, False),
+    "augmented_progress": (-1e-8, False),
+    "metric_change": (-1e-8, False),
+    "scalar_gap": (-1e-12, False),
+}
+SUITES = tuple(_CHECKS)
+# Suites whose G dominates A in the semidefinite order.
+_DOMINATING = ("logdet_progress",)
+
+# Matrix entries the drawn triples waiting for evaluation may hold before
+# they are stacked and evaluated, so memory stays flat in trials and n_max.
+_STACK_ELEMENTS = 1 << 16
+
+SCALAR_GAP_GRID = 100
+
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One suite outcome: the most adverse value against its threshold."""
+    """One suite outcome: the most adverse value against its threshold.
+
+    ``trials`` counts evaluations (trials times the tau grid for a random
+    suite).  The witness locates the worst value: the suite's own seed, the
+    trial index (a grid index for the scalar gap), n and tau.
+    """
 
     name: str
     worst: float
     threshold: float
     higher_is_worse: bool
     trials: int
+    seed: int | None = None
+    trial: int | None = None
+    n: int | None = None
+    tau: float | None = None
 
     @property
     def passed(self) -> bool:
@@ -74,24 +136,39 @@ class CheckResult:
                 f"({rel} {self.threshold: .1e})  trials={self.trials}  {status}")
 
 
-def random_spd(rng: np.random.Generator, n: int,
-               log_cond_max: float = 3.0) -> SpdOperator:
-    """Random SPD operator with log-uniform spectrum, condition <= 10^log_cond_max."""
+def random_spd_matrix(rng: np.random.Generator, n: int,
+                      log_cond_max: float = 3.0) -> np.ndarray:
+    """Random exactly symmetric SPD matrix with log-uniform spectrum,
+    condition <= 10^log_cond_max."""
     span = rng.uniform(0.0, log_cond_max)
     eigs = 10.0 ** rng.uniform(-span / 2.0, span / 2.0, size=n)
     q = random_orthogonal(n, rng)
     m = (q * eigs) @ q.T
-    return SpdOperator(0.5 * (m + m.T), Role.PRIMAL_TO_DUAL)
+    return 0.5 * (m + m.T)
+
+
+def random_dominating_matrix(rng: np.random.Generator,
+                             a_mat: np.ndarray) -> np.ndarray:
+    """Random exactly symmetric G with A below G in the semidefinite order."""
+    n = a_mat.shape[0]
+    w = rng.standard_normal((n, n)) / np.sqrt(n)
+    bump = w @ w.T * 10.0 ** rng.uniform(-2.0, 1.0)
+    m = a_mat + 0.5 * (bump + bump.T)
+    return 0.5 * (m + m.T)
+
+
+def random_spd(rng: np.random.Generator, n: int,
+               log_cond_max: float = 3.0) -> SpdOperator:
+    """:func:`random_spd_matrix` as a validated operator."""
+    return SpdOperator(random_spd_matrix(rng, n, log_cond_max),
+                       Role.PRIMAL_TO_DUAL)
 
 
 def random_spd_dominating(rng: np.random.Generator,
                           a: SpdOperator) -> SpdOperator:
-    """Random SPD operator G with A below G in the semidefinite order."""
-    n = a.dim
-    w = rng.standard_normal((n, n)) / np.sqrt(n)
-    bump = w @ w.T * 10.0 ** rng.uniform(-2.0, 1.0)
-    m = a.entries + 0.5 * (bump + bump.T)
-    return SpdOperator(0.5 * (m + m.T), Role.PRIMAL_TO_DUAL)
+    """:func:`random_dominating_matrix` as a validated operator."""
+    return SpdOperator(random_dominating_matrix(rng, a.entries),
+                       Role.PRIMAL_TO_DUAL)
 
 
 def straddle_normalize(g: SpdOperator, a: SpdOperator) -> SpdOperator:
@@ -106,47 +183,166 @@ def straddle_normalize(g: SpdOperator, a: SpdOperator) -> SpdOperator:
     return g.scaled(1.0 / math.sqrt(rng_ga.min_rel * rng_ga.max_rel))
 
 
-def _triples(rng: np.random.Generator, trials: int, n_max: int,
-             dominating: bool):
-    for _ in range(trials):
-        n = int(rng.integers(1, n_max + 1))
-        a = random_spd(rng, n)
-        g = random_spd_dominating(rng, a) if dominating else random_spd(rng, n)
-        u = PrimalVector(rng.standard_normal(n))
-        yield a, g, u
+def _draw(rng: np.random.Generator, n_max: int, dominating: bool):
+    """One raw (A, G, u) triple; every suite draws its trials through this."""
+    n = int(rng.integers(1, n_max + 1))
+    a = random_spd_matrix(rng, n)
+    g = random_dominating_matrix(rng, a) if dominating else random_spd_matrix(rng, n)
+    return a, g, rng.standard_normal(n)
+
+
+def _stacks(rng: np.random.Generator, trials: int, n_max: int,
+            dominating: bool):
+    """Draw the trials in order; yield (trial indices, A, G, u) stacks of one n.
+
+    Draws wait until they hold ``_STACK_ELEMENTS`` entries (or the trials
+    run out) and then leave as one stack per dimension, in trial order.
+    """
+    pending: dict[int, list] = {}
+    held = 0
+    for trial in range(trials):
+        a, g, u = _draw(rng, n_max, dominating)
+        pending.setdefault(u.size, []).append((trial, a, g, u))
+        held += 2 * a.size + u.size
+        if held >= _STACK_ELEMENTS or trial == trials - 1:
+            while pending:
+                idx, a_s, g_s, u_s = zip(*pending.popitem()[1])
+                stack = np.array(idx), np.stack(a_s), np.stack(g_s), np.stack(u_s)
+                del idx, a_s, g_s, u_s
+                yield stack
+            held = 0
+
+
+class _Update(NamedTuple):
+    g_plus: np.ndarray
+    h_plus: np.ndarray
+    det_ratio: np.ndarray
+    lg_plus: np.ndarray
+    ok: np.ndarray
+
+
+class _Stack:
+    """A stack of triples with the factors and update scalars every suite uses.
+
+    ``ok`` marks the triples the typed API would accept: A and G pass the
+    SPD rule and the three update pairings are positive.
+    """
+
+    def __init__(self, a, g, u):
+        self.a, self.g, self.u = a, g, u
+        _, self.la, fault_a = spd_factor(a)
+        _, self.lg, fault_g = spd_factor(g)
+        self.lg_inv = np.linalg.inv(self.lg)
+        h = self.lg_inv.mT @ self.lg_inv
+        self.h = 0.5 * (h + h.mT)
+        self.scalars = kernel._scalars(a, g, u, self.apply_h, check=False)
+        au_u, gu_u, aha = self.scalars[2], self.scalars[3], self.scalars[5]
+        self.ok = ((fault_a == 0) & (fault_g == 0)
+                   & kernel._positive_pairings(au_u, gu_u, aha))
+
+    def apply_h(self, v):
+        """G^{-1} v through the explicit inverse, as the solver applies it."""
+        return np.matvec(self.h, v)
+
+    def solve_g(self, v):
+        """G^{-1} v through two triangular factors, as a factorized solve."""
+        return np.matvec(self.lg_inv.mT, np.matvec(self.lg_inv, v))
+
+    def closeness(self):
+        """nu of every triple, and where its two formulas agree."""
+        def inv_quad(w):
+            y = np.matvec(self.lg_inv, w)
+            return np.vecdot(y, y)
+        val_quad, val_norm = kernel._closeness(self.a, self.g, self.u,
+                                               self.apply_h, inv_quad)
+        return val_quad, ~kernel._nu_disagree(val_quad, val_norm)
+
+    @functools.cached_property
+    def la_inv(self):
+        """Inverse Cholesky factor of A, formed for the suites that use it."""
+        return np.linalg.inv(self.la)
+
+    def rel_spectrum(self, x):
+        """Ascending eigenvalues of each X relative to A, and where they are
+        all positive."""
+        lams = np.linalg.eigvalsh(self.la_inv @ x @ self.la_inv.mT)
+        return lams, lams[:, 0] > 0.0
+
+    def update(self, tau):
+        """The update at one tau, with the factor of G_plus and where both
+        G_plus and its closed-form inverse H_plus pass the SPD rule."""
+        g_plus, h_plus, _, det_ratio = kernel._apply_update(
+            self.g, self.h, self.u, self.scalars, tau)
+        _, lg_plus, fault_g = spd_factor(g_plus)
+        _, _, fault_h = spd_factor(h_plus)
+        return _Update(g_plus, h_plus, det_ratio, lg_plus,
+                       (fault_g == 0) & (fault_h == 0))
+
+
+def _run(name: str, evaluate, n_max: int, trials: int,
+         seed: int) -> CheckResult:
+    """Evaluate a random suite stack by stack and keep its worst value.
+
+    ``evaluate(stack)`` yields one ``(ok, values)`` pair per tau of the grid.
+    A value counts only where the stack and ``ok`` accept its triple and it
+    is finite; anything else is worst of all.  Ties go to the earliest
+    trial and tau, as a trial-by-trial scan would find them.
+    """
+    threshold, higher_is_worse = _CHECKS[name]
+    sign = 1.0 if higher_is_worse else -1.0
+    rng = np.random.default_rng(seed)
+    best = None
+    for idx, a, g, u in _stacks(rng, trials, n_max, name in _DOMINATING):
+        with np.errstate(all="ignore"):
+            stack = _Stack(a, g, u)
+            values = np.stack([
+                np.where(stack.ok & ok & np.isfinite(v), v, np.nan)
+                for ok, v in evaluate(stack)
+            ], axis=1)
+        key = np.where(np.isnan(values), np.inf, sign * values)
+        t, k = divmod(int(np.argmax(key)), values.shape[1])
+        rank = (key[t, k], -idx[t], -k)
+        if best is None or rank > best[0]:
+            best = (rank, int(idx[t]), k, float(values[t, k]), u.shape[-1])
+    _, trial, k, worst, n = best
+    if math.isnan(worst):
+        worst = sign * math.inf
+    return CheckResult(name, worst, threshold, higher_is_worse,
+                       trials * len(TAU_GRID), seed, trial, n, TAU_GRID[k])
 
 
 def inverse_identity_suite(n_max: int = 8, trials: int = 1000,
                            seed: int = 0) -> CheckResult:
     """Spectral residual of (updated operator) x (closed-form inverse) vs identity."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for a, g, u in _triples(rng, trials, n_max, dominating=False):
-        eye = np.eye(a.dim)
+    def residuals(st):
+        eye = np.eye(st.u.shape[-1])
         for tau in TAU_GRID:
-            res = broyd(a, g, u, tau)
-            resid = float(np.linalg.norm(
-                res.g_plus.entries @ res.g_plus_inv.entries - eye, 2
-            ))
-            worst = max(worst, resid)
-    return CheckResult("inverse_identity", worst, 1e-10, True,
-                       trials * len(TAU_GRID))
+            up = st.update(tau)
+            yield up.ok, np.linalg.norm(up.g_plus @ up.h_plus - eye, 2,
+                                        axis=(-2, -1))
+    return _run("inverse_identity", residuals, n_max, trials, seed)
 
 
 def det_ratio_suite(n_max: int = 8, trials: int = 1000,
                     seed: int = 1) -> CheckResult:
-    """Closed-form determinant ratio vs a factorized log-det evaluation."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for a, g, u in _triples(rng, trials, n_max, dominating=False):
+    """Closed-form determinant ratio vs a factorized log-det evaluation.
+
+    The closed form is evaluated twice: from the update itself (G^{-1}Au
+    through the explicit inverse) and from a factorized solve.
+    """
+    def rel_errors(st):
+        solved = kernel._scalars(st.a, st.g, st.u, st.solve_g, check=False)
+        au_u, gu_u, aha = solved[2], solved[3], solved[5]
+        solved_ok = kernel._positive_pairings(au_u, gu_u, aha)
+        logdet_g = chol_logdet(st.lg)
         for tau in TAU_GRID:
-            res = broyd(a, g, u, tau)
-            reference = rel_det(res.g_plus.inverse(), g)
-            rel_err = abs(res.det_ratio - reference) / abs(reference)
-            worst = max(worst, rel_err)
-            closed = broyd_det_ratio(a, g, u, tau)
-            worst = max(worst, abs(closed - reference) / abs(reference))
-    return CheckResult("det_ratio", worst, 1e-9, True, trials * len(TAU_GRID))
+            up = st.update(tau)
+            reference = np.exp(logdet_g - chol_logdet(up.lg_plus))
+            closed = kernel._phi_det(tau, au_u, gu_u, aha)[1]
+            yield up.ok & solved_ok, np.maximum(
+                np.abs(up.det_ratio - reference), np.abs(closed - reference)
+            ) / np.abs(reference)
+    return _run("det_ratio", rel_errors, n_max, trials, seed)
 
 
 def eigen_containment_suite(n_max: int = 8, trials: int = 1000,
@@ -157,100 +353,230 @@ def eigen_containment_suite(n_max: int = 8, trials: int = 1000,
     update, so the preserved bracket is the input range widened to
     include 1.
     """
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for a, g, u in _triples(rng, trials, n_max, dominating=False):
-        before = rel_eigen_range(g, a)
-        lo = min(1.0, before.min_rel)
-        hi = max(1.0, before.max_rel)
+    def margins(st):
+        before, ok = st.rel_spectrum(st.g)
+        lo = np.minimum(1.0, before[:, 0])
+        hi = np.maximum(1.0, before[:, -1])
         for tau in TAU_GRID:
-            after = rel_eigen_range(broyd(a, g, u, tau).g_plus, a)
-            worst = min(worst, after.min_rel - lo, hi - after.max_rel)
-    return CheckResult("eigen_containment", worst, -1e-9, False,
-                       trials * len(TAU_GRID))
+            up = st.update(tau)
+            after, after_ok = st.rel_spectrum(up.g_plus)
+            yield ok & up.ok & after_ok, np.minimum(after[:, 0] - lo,
+                                                    hi - after[:, -1])
+    return _run("eigen_containment", margins, n_max, trials, seed)
 
 
 def logdet_progress_suite(n_max: int = 8, trials: int = 1000,
                           seed: int = 3) -> CheckResult:
     """Measured log-det barrier decrease dominates its guaranteed bound."""
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for a, g, u in _triples(rng, trials, n_max, dominating=True):
-        eta = max(1.0, rel_eigen_range(g, a).max_rel)
-        nu_val = nu(a, g, u)
-        v_before = logdet_barrier(a, g)
+    def slacks(st):
+        before, ok = st.rel_spectrum(st.g)
+        eta = np.maximum(1.0, before[:, -1])
+        nu_val, nu_ok = st.closeness()
+        v_before, _ = spectral_barriers(before)
         for tau in TAU_GRID:
-            g_plus = broyd(a, g, u, tau).g_plus
-            decrease = v_before - logdet_barrier(a, g_plus)
-            bound = progress_lb_v(eta, tau, nu_val)
-            worst = min(worst, decrease - bound)
-    return CheckResult("logdet_progress", worst, -1e-8, False,
-                       trials * len(TAU_GRID))
+            up = st.update(tau)
+            after, after_ok = st.rel_spectrum(up.g_plus)
+            decrease = v_before - spectral_barriers(after)[0]
+            yield (ok & nu_ok & up.ok & after_ok,
+                   decrease - progress_lb_v(eta, tau, nu_val))
+    return _run("logdet_progress", slacks, n_max, trials, seed)
 
 
 def augmented_progress_suite(n_max: int = 8, trials: int = 1000,
                              seed: int = 4) -> CheckResult:
     """Measured augmented-barrier decrease dominates its guaranteed bound."""
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for a, g, u in _triples(rng, trials, n_max, dominating=False):
-        rng_ga = rel_eigen_range(g, a)
-        xi = max(1.0, 1.0 / rng_ga.min_rel)
-        eta = max(1.0, rng_ga.max_rel)
-        nu_val = nu(a, g, u)
-        psi_before = augmented_barrier(g, a)
+    def slacks(st):
+        before, ok = st.rel_spectrum(st.g)
+        xi = np.maximum(1.0, 1.0 / before[:, 0])
+        eta = np.maximum(1.0, before[:, -1])
+        nu_val, nu_ok = st.closeness()
+        _, psi_before = spectral_barriers(before)
         for tau in TAU_GRID:
-            g_plus = broyd(a, g, u, tau).g_plus
-            decrease = psi_before - augmented_barrier(g_plus, a)
-            bound = progress_lb_psi(xi, eta, tau, nu_val)
-            worst = min(worst, decrease - bound)
-    return CheckResult("augmented_progress", worst, -1e-8, False,
-                       trials * len(TAU_GRID))
+            up = st.update(tau)
+            after, after_ok = st.rel_spectrum(up.g_plus)
+            decrease = psi_before - spectral_barriers(after)[1]
+            yield (ok & nu_ok & up.ok & after_ok,
+                   decrease - progress_lb_psi(xi, eta, tau, nu_val))
+    return _run("augmented_progress", slacks, n_max, trials, seed)
 
 
 def metric_change_suite(n_max: int = 8, trials: int = 1000,
                         seed: int = 5) -> CheckResult:
     """Squared closeness dominates its post-update metric bound."""
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for a, g, u in _triples(rng, trials, n_max, dominating=False):
+    def slacks(st):
+        before, ok = st.rel_spectrum(st.g)
+        xi = 1.0 / before[:, 0]
+        nu_val, nu_ok = st.closeness()
         for tau in TAU_GRID:
-            nu_sq, rhs = metric_change_lb(a, g, u, tau)
-            worst = min(worst, nu_sq - rhs)
-    return CheckResult("metric_change", worst, -1e-8, False,
-                       trials * len(TAU_GRID))
+            up = st.update(tau)
+            rhs = metric_change_rhs(st.a, st.g, st.u, up.h_plus, xi)
+            yield ok & nu_ok & up.ok, nu_val * nu_val - rhs
+    return _run("metric_change", slacks, n_max, trials, seed)
 
 
-def scalar_gap_suite(grid: int = 100) -> CheckResult:
+def _scalar_gap_grid(grid: int):
+    """(alpha, beta) points in suite order: beta in [1e-6, 1e6] varies
+    slowest, alpha = beta * m with m in [1, 1e6], both log-spaced."""
+    mults = np.logspace(0.0, 6.0, grid)
+    for beta in np.logspace(-6.0, 6.0, grid):
+        for m in mults:
+            yield beta * m, beta
+
+
+def _scalar_gap_terms(alpha: float, beta: float) -> dict:
+    lhs, rhs = scalar_gap(alpha, beta)
+    arg = alpha + 1.0 / beta - 1.0
+    middle = SCALAR_GAP_MIDDLE_CONST * np.log(arg)
+    return {"lhs": lhs, "middle": middle, "rhs": rhs, "arg": arg,
+            "value": min(lhs - middle, middle - rhs, arg - 1.0)}
+
+
+def scalar_gap_suite(grid: int = SCALAR_GAP_GRID) -> CheckResult:
     """Scalar gap chain over a log-spaced (alpha, beta) grid.
 
     beta spans [1e-6, 1e6] and alpha = beta * m with m in [1, 1e6]; both the
     sharp and the relaxed constants must be dominated and the shared
-    argument must stay at or above 1.
+    argument must stay at or above 1.  The witness is the grid index.
     """
-    betas = np.logspace(-6.0, 6.0, grid)
-    mults = np.logspace(0.0, 6.0, grid)
-    worst = np.inf
-    for beta in betas:
-        for m in mults:
-            alpha = beta * m
-            if alpha < beta:
-                continue
-            lhs, rhs = scalar_gap(alpha, beta)
-            arg = alpha + 1.0 / beta - 1.0
-            middle = SCALAR_GAP_MIDDLE_CONST * np.log(arg)
-            worst = min(worst, lhs - middle, middle - rhs, arg - 1.0)
-    return CheckResult("scalar_gap", float(worst), -1e-12, False, grid * grid)
+    worst, witness = np.inf, 0
+    for index, (alpha, beta) in enumerate(_scalar_gap_grid(grid)):
+        value = _scalar_gap_terms(alpha, beta)["value"]
+        if value < worst:
+            worst, witness = value, index
+    return CheckResult("scalar_gap", float(worst), *_CHECKS["scalar_gap"],
+                       grid * grid, trial=witness)
+
+
+def run_suite(name: str, n_max: int = 8, trials: int = 1000,
+              seed: int = 0) -> CheckResult:
+    """One suite as :func:`run_all` runs it from the base seed."""
+    if name == "scalar_gap":
+        return scalar_gap_suite()
+    # Looked up at call time, so a wrapper installed on the module attribute
+    # (perfbench/tracer.py) sees the call.
+    suite = globals()[f"{name}_suite"]
+    return suite(n_max, trials, seed + SUITES.index(name))
 
 
 def run_all(n_max: int = 8, trials: int = 1000, seed: int = 0) -> list[CheckResult]:
     """Run every suite with seeds derived from the base seed."""
-    return [
-        inverse_identity_suite(n_max, trials, seed),
-        det_ratio_suite(n_max, trials, seed + 1),
-        eigen_containment_suite(n_max, trials, seed + 2),
-        logdet_progress_suite(n_max, trials, seed + 3),
-        augmented_progress_suite(n_max, trials, seed + 4),
-        metric_change_suite(n_max, trials, seed + 5),
-        scalar_gap_suite(),
-    ]
+    return [run_suite(name, n_max, trials, seed) for name in SUITES]
+
+
+def suite_size(name: str, trials: int) -> int:
+    """Number of replayable trials (grid points for the scalar gap)."""
+    return SCALAR_GAP_GRID ** 2 if name == "scalar_gap" else trials
+
+
+# ---------------------------------------------------------------------------
+# Replay: one triple through the typed API
+
+
+def _replay_inverse_identity(a, g, u):
+    eye = np.eye(a.dim)
+    for tau in TAU_GRID:
+        res = broyd(a, g, u, tau)
+        yield {"tau": tau, "phi": res.phi, "det_ratio": res.det_ratio,
+               "value": float(np.linalg.norm(
+                   res.g_plus.entries @ res.g_plus_inv.entries - eye, 2))}
+
+
+def _replay_det_ratio(a, g, u):
+    for tau in TAU_GRID:
+        res = broyd(a, g, u, tau)
+        reference = rel_det(res.g_plus.inverse(), g)
+        closed = broyd_det_ratio(a, g, u, tau)
+        yield {"tau": tau, "det_ratio": res.det_ratio, "closed_form": closed,
+               "reference": reference,
+               "value": max(abs(res.det_ratio - reference),
+                            abs(closed - reference)) / abs(reference)}
+
+
+def _replay_eigen_containment(a, g, u):
+    before = rel_eigen_range(g, a)
+    lo, hi = min(1.0, before.min_rel), max(1.0, before.max_rel)
+    yield {"min_rel": before.min_rel, "max_rel": before.max_rel,
+           "lo": lo, "hi": hi}
+    for tau in TAU_GRID:
+        after = rel_eigen_range(broyd(a, g, u, tau).g_plus, a)
+        yield {"tau": tau, "min_rel": after.min_rel, "max_rel": after.max_rel,
+               "value": min(after.min_rel - lo, hi - after.max_rel)}
+
+
+def _replay_logdet_progress(a, g, u):
+    eta = max(1.0, rel_eigen_range(g, a).max_rel)
+    nu_val = nu(a, g, u)
+    v_before = logdet_barrier(a, g)
+    yield {"eta": eta, "nu": nu_val, "v": v_before}
+    for tau in TAU_GRID:
+        v_after = logdet_barrier(a, broyd(a, g, u, tau).g_plus)
+        bound = progress_lb_v(eta, tau, nu_val)
+        yield {"tau": tau, "v": v_after, "decrease": v_before - v_after,
+               "bound": float(bound), "value": v_before - v_after - bound}
+
+
+def _replay_augmented_progress(a, g, u):
+    rng_ga = rel_eigen_range(g, a)
+    xi = max(1.0, 1.0 / rng_ga.min_rel)
+    eta = max(1.0, rng_ga.max_rel)
+    nu_val = nu(a, g, u)
+    psi_before = augmented_barrier(g, a)
+    yield {"xi": xi, "eta": eta, "nu": nu_val, "psi": psi_before}
+    for tau in TAU_GRID:
+        psi_after = augmented_barrier(broyd(a, g, u, tau).g_plus, a)
+        bound = progress_lb_psi(xi, eta, tau, nu_val)
+        yield {"tau": tau, "psi": psi_after, "decrease": psi_before - psi_after,
+               "bound": float(bound), "value": psi_before - psi_after - bound}
+
+
+def _replay_metric_change(a, g, u):
+    yield {"nu": nu(a, g, u), "xi": 1.0 / rel_eigen_range(g, a).min_rel}
+    for tau in TAU_GRID:
+        nu_sq, rhs = metric_change_lb(a, g, u, tau)
+        yield {"tau": tau, "nu_sq": nu_sq, "rhs": rhs, "value": nu_sq - rhs}
+
+
+def _fmt_values(values: dict) -> str:
+    return "  ".join(f"{key}={float(val)!r}" for key, val in values.items())
+
+
+def replay(name: str, trial: int, n_max: int = 8, seed: int = 0) -> CheckResult:
+    """Re-draw one trial of a suite and evaluate it through the typed API.
+
+    ``seed`` is the base seed, as for :func:`run_all`.  Prints the triple,
+    every intermediate value and the suite's value for each tau, and
+    returns the result of that one trial.  A triple the typed API rejects
+    raises its error once the values computed before it are printed.
+    """
+    threshold, higher_is_worse = _CHECKS[name]
+    if name == "scalar_gap":
+        alpha, beta = next(itertools.islice(
+            _scalar_gap_grid(SCALAR_GAP_GRID), trial, None))
+        terms = _scalar_gap_terms(alpha, beta)
+        print(f"scalar_gap grid point {trial}: alpha={float(alpha)!r}  "
+              f"beta={float(beta)!r}")
+        print(_fmt_values(terms))
+        return CheckResult(name, float(terms["value"]), threshold,
+                           higher_is_worse, 1, trial=trial)
+    suite_seed = seed + SUITES.index(name)
+    rng = np.random.default_rng(suite_seed)
+    dominating = name in _DOMINATING
+    for _ in range(trial):
+        _draw(rng, n_max, dominating)
+    a_mat, g_mat, u_vec = _draw(rng, n_max, dominating)
+    print(f"{name} seed={suite_seed} trial={trial} n={u_vec.size}")
+    with np.printoptions(precision=17, linewidth=100):
+        for label, arr in (("A", a_mat), ("G", g_mat), ("u", u_vec)):
+            print(f"{label} = {np.array2string(arr, prefix=label + ' = ')}")
+    a = SpdOperator(a_mat, Role.PRIMAL_TO_DUAL)
+    g = SpdOperator(g_mat, Role.PRIMAL_TO_DUAL)
+    u = PrimalVector(u_vec)
+    sign = 1.0 if higher_is_worse else -1.0
+    worst = None
+    for row in globals()[f"_replay_{name}"](a, g, u):
+        print(_fmt_values(row))
+        if "value" in row and (worst is None
+                               or sign * row["value"] > sign * worst[0]):
+            worst = (float(row["value"]), row["tau"])
+    return CheckResult(name, worst[0], threshold, higher_is_worse,
+                       len(TAU_GRID), suite_seed, trial, u_vec.size, worst[1])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from broyden_lab.cli import SEED_ENV_VAR, cmd_run, cmd_sweep, cmd_verify, main
-from broyden_lab.verify import run_all
+from broyden_lab.verify import SUITES, run_all
 
 
 def quad_experiment(out_dir, name="exp-quad", **extra):
@@ -211,6 +211,40 @@ class TestVerify:
         r1 = run_all(n_max=3, trials=25, seed=7)
         r2 = run_all(n_max=3, trials=25, seed=7)
         assert [c.worst for c in r1] == [c.worst for c in r2]
+
+    def test_negative_seed_exits_two_before_any_suite(self, capsys):
+        assert cmd_verify(n_max=3, trials=5, seed=-1) == 2
+        assert main(["verify", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed must be an integer >= 0" in captured.err
+
+    def test_bad_suite_or_trial_exits_two(self, capsys):
+        assert cmd_verify(suite="no_such_suite") == 2
+        assert cmd_verify(trials=10, suite="det_ratio", trial=10) == 2
+        assert cmd_verify(suite="det_ratio", trial=-1) == 2
+        assert cmd_verify(trial=3) == 2
+        assert cmd_verify(suite="scalar_gap", trial=10000) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_each_result_line_is_followed_by_its_replay(self, capsys):
+        assert cmd_verify(n_max=3, trials=10, seed=2) == 0
+        lines = capsys.readouterr().out.splitlines()
+        results, replays = lines[0::2], lines[1::2]
+        assert [ln.split()[0] for ln in results] == list(SUITES)
+        for ln in results:
+            assert "trials=" in ln and ln.endswith("PASS")
+        assert replays[1].startswith(
+            "replay: broyden-lab verify --suite det_ratio --seed 2 --trial ")
+        assert replays[-1].startswith(
+            "replay: broyden-lab verify --suite scalar_gap --trial ")
+
+    def test_single_suite_matches_its_line_in_the_full_run(self, capsys):
+        assert cmd_verify(n_max=3, trials=10, seed=4) == 0
+        full = capsys.readouterr().out.splitlines()
+        assert main(["verify", "--n-max", "3", "--trials", "10", "--seed", "4",
+                     "--suite", "metric_change"]) == 0
+        assert capsys.readouterr().out.splitlines() == full[10:12]
 
 
 class TestSweep:
