@@ -10,7 +10,6 @@ from its closed form, so both can be cross-checked against factorizations.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,7 @@ from .operators import (
     PrimalVector,
     SpdOperator,
     ZeroDirectionError,
+    check_number,
 )
 
 __all__ = [
@@ -44,8 +44,8 @@ _NU_GUARD = 1e-8
 
 def check_tau(tau: float) -> float:
     """Validate a convex-class parameter, rejecting values outside [0, 1]."""
-    tau = float(tau)
-    if not (0.0 <= tau <= 1.0) or math.isnan(tau):
+    tau = check_number(tau, "tau")
+    if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
     return tau
 

@@ -21,6 +21,12 @@ Three subcommands:
 Exit codes: 0 success, 1 bound violation or divergence, 2 malformed input.
 The environment variable ``BROYDEN_LAB_SEED`` overrides every experiment
 seed.  Validation completes before any file is written.
+
+Every number read from a config, a grid or the command line passes one
+rule, :func:`~broyden_lab.operators.check_number`: JSON numbers only, with
+booleans, strings and null rejected; finite; and for an integer field (a
+count or a seed) no ``1.0``.  Arrays pass
+:func:`~broyden_lab.operators.check_array`: rectangular and all-numeric.
 """
 
 from __future__ import annotations
@@ -48,7 +54,13 @@ from .bounds import (
     region_radius,
     trace_reports,
 )
-from .operators import PrimalVector, norm_dual, norm_primal
+from .operators import (
+    PrimalVector,
+    check_array,
+    check_number,
+    norm_dual,
+    norm_primal,
+)
 from .problems import (
     Kind,
     ProblemInstance,
@@ -110,115 +122,88 @@ def _normalize_experiment(raw: dict, idx: int, out_override: str | None) -> dict
     exp.setdefault("seed", 0)
     exp.setdefault("scheme", "auto")
     exp.setdefault("solver", {})
+    try:
+        _check_experiment(exp)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+    exp["output_dir"] = out_override or exp.get("output_dir", "out")
+    return exp
+
+
+def _check_experiment(exp: dict) -> None:
+    """Validate a named experiment in place; its x0 is stored as checked."""
     if exp["scheme"] not in ("auto", "general"):
-        raise ConfigError(f"{exp['name']}: scheme must be 'auto' or 'general'")
+        raise ConfigError("scheme must be 'auto' or 'general'")
     env_seed = _env_seed()
     if env_seed is not None:
         exp["seed"] = env_seed
-    _bounded(exp["seed"], f"{exp['name']}: seed", 0, integer=True)
-    if "instance" not in exp or "method" not in exp or "x0" not in exp:
-        raise ConfigError(
-            f"{exp['name']}: needs 'instance', 'method' and 'x0' entries"
-        )
-    try:
-        problem = instance_from_dict(exp["instance"])
-        TauSchedule.from_dict(exp["method"])
-        config = SolverConfig(**exp["solver"])
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"{exp['name']}: {exc}") from exc
+    check_number(exp["seed"], "seed", 0, integer=True)
+    for key in ("instance", "method", "x0", "solver"):
+        if not isinstance(exp.get(key), dict):
+            raise ConfigError(f"{key} must be given as a JSON object")
+    problem = instance_from_dict(exp["instance"])
+    TauSchedule.from_dict(exp["method"])
+    config = SolverConfig(**exp["solver"])
 
     x0 = exp["x0"]
-    if isinstance(x0, dict) and "coords" in x0:
-        coords = _numeric(exp, "x0 coords",
-                          lambda: np.asarray(x0["coords"], dtype=float))
+    if "coords" in x0:
+        coords = check_array(x0["coords"], "x0 coords", 1)
         if coords.shape != (problem.n,):
             raise ConfigError(
-                f"{exp['name']}: x0 has {coords.size} coords, expected {problem.n}"
-            )
-    elif isinstance(x0, dict) and "random_ball" in x0:
-        if not _numeric(exp, "random_ball", lambda: float(x0["random_ball"])) > 0.0:
-            raise ConfigError(f"{exp['name']}: random_ball radius must be positive")
+                f"x0 has {coords.size} coords, expected {problem.n}")
+        exp["x0"] = {"coords": coords}
+    elif "random_ball" in x0:
+        radius = check_number(x0["random_ball"], "random_ball")
+        if not radius > 0.0:
+            raise ConfigError("random_ball radius must be positive")
+        exp["x0"] = {"random_ball": radius}
     else:
-        raise ConfigError(
-            f"{exp['name']}: x0 must carry 'coords' or 'random_ball'"
-        )
+        raise ConfigError("x0 must carry 'coords' or 'random_ball'")
 
     quadratic = problem.kind is Kind.QUADRATIC
     exp.setdefault("envelopes", list(
         QUADRATIC_ENVELOPES if quadratic and exp["scheme"] == "auto"
         else GENERAL_ENVELOPES))
     if not isinstance(exp["envelopes"], list):
-        raise ConfigError(f"{exp['name']}: envelopes must be a list of names")
+        raise ConfigError("envelopes must be a list of names")
     if exp["envelopes"] and not config.instrument:
         # Without instrumentation the residual lambda_k is never measured,
         # so no envelope can be checked against it.
         raise ConfigError(
-            f"{exp['name']}: envelopes need an instrumented run; with "
+            "envelopes need an instrumented run; with "
             "\"instrument\": false set \"envelopes\": []"
         )
     for env in exp["envelopes"]:
         if env not in ENVELOPE_NAMES:
-            raise ConfigError(f"{exp['name']}: unknown envelope {env!r}")
+            raise ConfigError(f"unknown envelope {env!r}")
         if env in QUADRATIC_ENVELOPES and not quadratic:
-            raise ConfigError(
-                f"{exp['name']}: envelope {env!r} needs a quadratic instance"
-            )
+            raise ConfigError(f"envelope {env!r} needs a quadratic instance")
     overrides = exp.get("envelope_overrides")
     if overrides is not None:
         if not isinstance(overrides, dict) or not set(overrides) <= {
             "mu", "ell", "sc_const"
         }:
-            raise ConfigError(
-                f"{exp['name']}: envelope_overrides allows only "
-                "mu/ell/sc_const"
-            )
+            raise ConfigError("envelope_overrides allows only mu/ell/sc_const")
         for key, val in overrides.items():
-            if not _numeric(exp, f"envelope override {key}",
-                            lambda: float(val)) > 0.0:
-                raise ConfigError(
-                    f"{exp['name']}: envelope override {key} must be positive"
-                )
-        mu = float(overrides.get("mu", problem.mu))
-        ell = float(overrides.get("ell", problem.ell))
+            if not check_number(val, f"envelope override {key}") > 0.0:
+                raise ConfigError(f"envelope override {key} must be positive")
+        mu = overrides.get("mu", problem.mu)
+        ell = overrides.get("ell", problem.ell)
         if not mu <= ell:
             raise ConfigError(
-                f"{exp['name']}: envelope_overrides give mu = {mu} above "
-                f"ell = {ell}; the envelopes need 0 < mu <= ell"
+                f"envelope_overrides give mu = {mu} above ell = {ell}; the "
+                "envelopes need 0 < mu <= ell"
             )
-    exp["output_dir"] = out_override or exp.get("output_dir", "out")
-    return exp
-
-
-def _bounded(value, what: str, minimum: float, integer: bool = False) -> None:
-    """Reject anything but a finite JSON number (an integer if asked) of at
-    least ``minimum``."""
-    ok = (isinstance(value, int if integer else (int, float))
-          and not isinstance(value, bool))
-    try:
-        ok = ok and math.isfinite(float(value)) and value >= minimum
-    except OverflowError:
-        ok = False
-    if not ok:
-        kind = "an integer" if integer else "a finite number"
-        raise ConfigError(f"{what} must be {kind} >= {minimum}, got {value!r}")
-
-
-def _numeric(exp: dict, what: str, parse):
-    """Run a numeric conversion, turning a malformed value into a ConfigError."""
-    try:
-        return parse()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{exp['name']}: {what} must be numeric ({exc})") from exc
 
 
 def _make_x0(spec, n: int, seed: int, problem: ProblemInstance) -> PrimalVector:
     if "coords" in spec:
-        return PrimalVector(np.asarray(spec["coords"], dtype=float))
-    radius = float(spec["random_ball"])
+        return PrimalVector(spec["coords"])
     rng = np.random.default_rng(seed)
     d = rng.standard_normal(n)
     scale = norm_primal(problem.b_ref, PrimalVector(d))
-    return PrimalVector(d * (radius * rng.uniform() ** (1.0 / n) / scale))
+    return PrimalVector(
+        d * (spec["random_ball"] * rng.uniform() ** (1.0 / n) / scale))
 
 
 def _report_rows(reports: list[EnvelopeReport], measured):
@@ -304,6 +289,7 @@ def _execute_experiment(exp: dict) -> dict:
 
 def cmd_run(config_path: str, jobs: int = 1, out: str | None = None) -> int:
     try:
+        check_number(jobs, "--jobs", 1, integer=True)
         raw = _load_json(config_path)
         raw_list = raw if isinstance(raw, list) else [raw]
         if not raw_list:
@@ -319,7 +305,7 @@ def cmd_run(config_path: str, jobs: int = 1, out: str | None = None) -> int:
                     "experiment writes to its own directory"
                 )
             seen.add(exp["name"])
-    except ConfigError as exc:
+    except (TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
@@ -357,20 +343,20 @@ def cmd_verify(n_max: int = 8, trials: int = 1000, seed: int = 0,
     """Run the suites (or one), printing each result and its replay command;
     with ``trial``, replay that one trial of ``suite`` instead."""
     try:
-        _bounded(n_max, "--n-max", 1, integer=True)
-        _bounded(trials, "--trials", 1, integer=True)
-        _bounded(seed, "--seed", 0, integer=True)
+        check_number(n_max, "--n-max", 1, integer=True)
+        check_number(trials, "--trials", 1, integer=True)
+        check_number(seed, "--seed", 0, integer=True)
         if suite is not None and suite not in verify_mod.SUITES:
             raise ConfigError(f"--suite must be one of "
                               f"{', '.join(verify_mod.SUITES)}; got {suite!r}")
         if trial is not None:
             if suite is None:
                 raise ConfigError("--trial needs --suite")
-            _bounded(trial, "--trial", 0, integer=True)
+            check_number(trial, "--trial", 0, integer=True)
             size = verify_mod.suite_size(suite, trials)
             if trial >= size:
                 raise ConfigError(f"--trial must be below {size}, got {trial}")
-    except ConfigError as exc:
+    except (TypeError, ValueError) as exc:
         print(f"verify error: {exc}", file=sys.stderr)
         return 2
     if trial is not None:
@@ -407,13 +393,13 @@ def _normalize_grid(raw: dict) -> dict:
     env_seed = _env_seed()
     if env_seed is not None:
         grid["seed"] = env_seed
-    for n in grid["n"]:
-        _bounded(n, "grid n", 2, integer=True)
-    for kappa in grid["L_over_mu"]:
-        _bounded(kappa, "grid L_over_mu", 1)
-    _bounded(grid["seed"], "grid seed", 0, integer=True)
-    _bounded(grid["max_iter"], "grid max_iter", 1, integer=True)
-    _bounded(grid["target"], "grid target", 0)
+    grid["n"] = [check_number(n, "grid n", 2, integer=True)
+                 for n in grid["n"]]
+    grid["L_over_mu"] = [check_number(kappa, "grid L_over_mu", 1)
+                         for kappa in grid["L_over_mu"]]
+    for key, minimum, integer in (("seed", 0, True), ("max_iter", 1, True),
+                                  ("target", 0, False)):
+        grid[key] = check_number(grid[key], f"grid {key}", minimum, integer)
     if not isinstance(grid["output_dir"], str):
         raise ConfigError("grid output_dir must be a string")
     return grid
@@ -458,7 +444,7 @@ def _sweep_cell(n: int, kappa: float, method: str, seed: int,
 def cmd_sweep(grid_path: str, out: str | None = None) -> int:
     try:
         grid = _normalize_grid(_load_json(grid_path))
-    except ConfigError as exc:
+    except (TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
@@ -469,8 +455,8 @@ def cmd_sweep(grid_path: str, out: str | None = None) -> int:
     for n in grid["n"]:
         for kappa in grid["L_over_mu"]:
             for method in grid["method"]:
-                cell = _sweep_cell(n, float(kappa), method, grid["seed"],
-                                   grid["max_iter"], float(grid["target"]))
+                cell = _sweep_cell(n, kappa, method, grid["seed"],
+                                   grid["max_iter"], grid["target"])
                 rows.append(cell)
                 iters = cell["iters_to_1e-10"]
                 if not (cell["envelopes_ok"] and iters is not None):

@@ -13,6 +13,8 @@ function, so everything here is safe to share across threads.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +41,8 @@ __all__ = [
     "spd_solve",
     "spd_factor",
     "chol_logdet",
+    "check_number",
+    "check_array",
 ]
 
 _sygst = scipy.linalg.get_lapack_funcs("sygst", dtype=np.float64)
@@ -115,6 +119,43 @@ def spd_factor(m: np.ndarray):
     if singular.any():
         fault = np.where((fault == 0) & singular, 5, fault)
     return sym, chol, fault
+
+
+def check_number(value, what: str, minimum: float = -math.inf,
+                 integer: bool = False):
+    """The input rule for one number, returned as a float or, for a count
+    or seed (``integer``), an int.
+
+    A value must be a real (an integral one if ``integer``), never a bool,
+    or it is a TypeError; it must be finite and at least ``minimum``, or it
+    is a ValueError.  Both messages name ``what``.
+    """
+    if (not isinstance(value, numbers.Integral if integer else numbers.Real)
+            or isinstance(value, bool)):
+        kind = "an integer" if integer else "numeric"
+        raise TypeError(f"{what} must be {kind}, got {value!r}")
+    try:
+        ok = math.isfinite(value) and value >= minimum
+    except OverflowError:  # an integer beyond the double range
+        ok = False
+    if not ok:
+        kind = "an integer" if integer else "a finite number"
+        raise ValueError(f"{what} must be {kind} >= {minimum}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def check_array(value, what: str, ndim: int) -> np.ndarray:
+    """:func:`check_number` for nested lists with ``ndim`` axes: a float
+    array, or a TypeError for a ragged or differently nested value.
+
+    Every entry is checked, since numpy would read ``[True, 2.0]`` as floats.
+    """
+    entries = np.array(value, dtype=object)
+    if entries.ndim != ndim:
+        raise TypeError(f"{what} must be a rectangular {ndim}-d array of "
+                        f"numbers, got {entries.ndim}-d")
+    return np.array([check_number(v, what) for v in entries.flat],
+                    dtype=float).reshape(entries.shape)
 
 
 def chol_logdet(chol: np.ndarray):

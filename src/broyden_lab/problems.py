@@ -18,7 +18,6 @@ import functools
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +28,8 @@ from .operators import (
     PrimalVector,
     Role,
     SpdOperator,
+    check_array,
+    check_number,
     loewner_slack,
     norm_dual,
     norm_primal,
@@ -231,13 +232,13 @@ def quad_make(spectrum, b: DualVector | None = None, seed: int = 0) -> Quadratic
     The eigenbasis is a seeded Haar-random orthogonal conjugation, so the
     same seed reproduces the same operator exactly.
     """
-    spec = np.asarray(spectrum, dtype=float)
-    if spec.ndim != 1 or spec.size == 0:
+    spec = check_array(spectrum, "spectrum", 1)
+    if spec.size == 0:
         raise ValueError("spectrum must be a nonempty sequence")
     if np.any(spec <= 0.0):
         raise ValueError("spectrum entries must be positive")
     n = spec.size
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_number(seed, "seed", 0, integer=True))
     q = random_orthogonal(n, rng)
     a = (q * spec) @ q.T
     a = 0.5 * (a + a.T)
@@ -260,22 +261,21 @@ def lse_make(n: int, m: int, mu: float, seed: int = 0,
     Rows are Gaussian; when ``gamma`` is given they are rescaled so the
     largest row norm equals it exactly, keeping the certified constant tight.
     """
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
-    rng = np.random.default_rng(seed)
+    n = check_number(n, "n", 1, integer=True)
+    m = check_number(m, "m", 1, integer=True)
+    rng = np.random.default_rng(check_number(seed, "seed", 0, integer=True))
     a = rng.standard_normal((m, n))
     norms = np.linalg.norm(a, axis=1)
     if gamma is not None:
-        a = a * (gamma / norms.max())
-        cert = float(gamma)
+        cert = check_number(gamma, "gamma")
+        a = a * (cert / norms.max())
     else:
         cert = float(norms.max())
-    if b_shift is None:
-        b_shift = rng.standard_normal(m)
     return LogSumExpProblem(
         a_mat=a,
-        b_shift=np.asarray(b_shift, dtype=float),
-        mu=float(mu),
+        b_shift=(rng.standard_normal(m) if b_shift is None
+                 else check_array(b_shift, "b", 1)),
+        mu=check_number(mu, "mu"),
         b_ref=SpdOperator.identity(n),
         gamma=cert,
     )
@@ -463,13 +463,11 @@ def instance_to_dict(p: ProblemInstance) -> dict:
     }
 
 
-def _spec_int(d: dict, key: str, default: int | None = None) -> int:
-    """An integer generator field; a float or a bool is refused rather than
-    truncated into a different instance."""
-    value = d[key] if default is None else d.get(key, default)
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise TypeError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+def _reference(d: dict, n: int) -> SpdOperator:
+    """The spec's reference operator ``b_ref``, the identity by default."""
+    if "b_ref" not in d:
+        return SpdOperator.identity(n)
+    return SpdOperator(check_array(d["b_ref"], "b_ref", 2))
 
 
 def instance_from_dict(d: dict) -> ProblemInstance:
@@ -477,52 +475,50 @@ def instance_from_dict(d: dict) -> ProblemInstance:
 
     Quadratic specs carry either an explicit matrix ``a`` or a ``spectrum``
     plus ``seed``; log-sum-exp specs carry either explicit ``a_rows`` or
-    ``(n, m, seed)`` with an optional ``gamma`` rescale target.
+    ``(n, m, seed)`` with an optional ``gamma`` rescale target.  A stated
+    ``n`` (or ``m``) must agree with the data.
     """
     kind = d.get("kind")
-    if kind == "quadratic":
-        if "a" in d:
-            n = len(d["a"])
-            b_ref = (SpdOperator(np.asarray(d["b_ref"], dtype=float))
-                     if "b_ref" in d else SpdOperator.identity(n))
-            return ProblemInstance.quadratic(QuadraticProblem(
-                a_op=SpdOperator(np.asarray(d["a"], dtype=float)),
-                b=DualVector(np.asarray(d["b"], dtype=float)),
-                b_ref=b_ref,
-                mu=float(d["mu"]),
-                ell=float(d["ell"]),
-            ))
+    if kind == "quadratic" and "a" in d:
+        a = check_array(d["a"], "a", 2)
+        inst = ProblemInstance.quadratic(QuadraticProblem(
+            a_op=SpdOperator(a),
+            b=DualVector(check_array(d["b"], "b", 1)),
+            b_ref=_reference(d, len(a)),
+            mu=check_number(d["mu"], "mu"),
+            ell=check_number(d["ell"], "ell"),
+        ))
+    elif kind == "quadratic":
         if "spectrum" not in d:
             raise ValueError("quadratic spec needs either 'a' or 'spectrum'")
-        b = (DualVector(np.asarray(d["b"], dtype=float)) if "b" in d else None)
-        return ProblemInstance.quadratic(
-            quad_make(d["spectrum"], b=b, seed=_spec_int(d, "seed", 0))
-        )
-    if kind == "log_sum_exp":
-        if "a_rows" in d:
-            a = np.asarray(d["a_rows"], dtype=float)
-            n = a.shape[1]
-            b_ref = (SpdOperator(np.asarray(d["b_ref"], dtype=float))
-                     if "b_ref" in d else SpdOperator.identity(n))
-            gamma = float(d["gamma"]) if "gamma" in d else float(
-                np.linalg.norm(a, axis=1).max()
-            )
-            return ProblemInstance.log_sum_exp(LogSumExpProblem(
-                a_mat=a,
-                b_shift=np.asarray(d["b"], dtype=float),
-                mu=float(d["mu"]),
-                b_ref=b_ref,
-                gamma=gamma,
-            ))
-        return ProblemInstance.log_sum_exp(lse_make(
-            n=_spec_int(d, "n"),
-            m=_spec_int(d, "m"),
-            mu=float(d["mu"]),
-            seed=_spec_int(d, "seed", 0),
-            gamma=(float(d["gamma"]) if "gamma" in d else None),
-            b_shift=(np.asarray(d["b"], dtype=float) if "b" in d else None),
+        b = DualVector(check_array(d["b"], "b", 1)) if "b" in d else None
+        inst = ProblemInstance.quadratic(
+            quad_make(d["spectrum"], b=b, seed=d.get("seed", 0)))
+    elif kind == "log_sum_exp" and "a_rows" in d:
+        a = check_array(d["a_rows"], "a_rows", 2)
+        inst = ProblemInstance.log_sum_exp(LogSumExpProblem(
+            a_mat=a,
+            b_shift=check_array(d["b"], "b", 1),
+            mu=check_number(d["mu"], "mu"),
+            b_ref=_reference(d, a.shape[1]),
+            gamma=(check_number(d["gamma"], "gamma") if "gamma" in d
+                   else float(np.linalg.norm(a, axis=1).max())),
         ))
-    raise ValueError(f"unknown instance kind: {kind!r}")
+    elif kind == "log_sum_exp":
+        # lse_make reads None as "not given", so a stated null is checked
+        # here rather than passed on.
+        inst = ProblemInstance.log_sum_exp(lse_make(
+            n=d["n"], m=d["m"], mu=d["mu"], seed=d.get("seed", 0),
+            gamma=check_number(d["gamma"], "gamma") if "gamma" in d else None,
+            b_shift=check_array(d["b"], "b", 1) if "b" in d else None,
+        ))
+    else:
+        raise ValueError(f"unknown instance kind: {kind!r}")
+    for key, size in (("n", inst.n), ("m", getattr(inst.payload, "m", None))):
+        if key in d and check_number(d[key], key, integer=True) != size:
+            raise ValueError(f"{key} = {d[key]} disagrees with the "
+                             f"instance, whose {key} is {size}")
+    return inst
 
 
 def instance_hash(p: ProblemInstance) -> str:

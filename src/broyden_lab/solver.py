@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -56,6 +55,8 @@ from .operators import (
     PrimalVector,
     Role,
     SpdOperator,
+    check_array,
+    check_number,
     norm_dual,
     rel_eigvals,
 )
@@ -181,20 +182,10 @@ class TauSchedule:
         if kind == "dfp":
             return cls.dfp()
         if kind == "constant":
-            return cls.of_constant(float(d["tau"]))
+            return cls.of_constant(d["tau"])
         if kind == "sequence":
-            return cls.of_sequence(d["taus"])
+            return cls.of_sequence(check_array(d["taus"], "taus", 1))
         raise ValueError(f"unknown schedule kind: {kind!r}")
-
-
-_CONFIG_TYPES = (
-    ("max_iter", numbers.Integral, "an integer"),
-    ("grad_tol", numbers.Real, "a number"),
-    ("quad_order", numbers.Integral, "an integer"),
-    ("record_operators", bool, "true or false"),
-    ("quad_error_rtol", numbers.Real, "a number"),
-    ("instrument", bool, "true or false"),
-)
 
 
 @dataclass(frozen=True)
@@ -217,20 +208,14 @@ class SolverConfig:
     instrument: bool = True
 
     def __post_init__(self):
-        for name, kind, what in _CONFIG_TYPES:
-            value = getattr(self, name)
-            # bool is an Integral too, so a flag never passes as a count.
-            if not isinstance(value, kind) or (
-                    kind is not bool and isinstance(value, bool)):
-                raise TypeError(f"{name} must be {what}, got {value!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if not self.grad_tol >= 0.0:
-            raise ValueError("grad_tol must be nonnegative")
-        if self.quad_order < 2:
-            raise ValueError("quad_order must be at least 2")
-        if not self.quad_error_rtol >= 0.0:
-            raise ValueError("quad_error_rtol must be nonnegative")
+        check_number(self.max_iter, "max_iter", 1, integer=True)
+        check_number(self.grad_tol, "grad_tol", 0.0)
+        check_number(self.quad_order, "quad_order", 2, integer=True)
+        check_number(self.quad_error_rtol, "quad_error_rtol", 0.0)
+        for name in ("record_operators", "instrument"):
+            if not isinstance(getattr(self, name), bool):
+                raise TypeError(f"{name} must be true or false, "
+                                f"got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -358,12 +343,6 @@ def _json_num(v: float):
     return None if math.isnan(v) else v
 
 
-def _check_finite(k: int, *arrays) -> None:
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise DivergenceError(k, "non-finite iterate")
-
-
 def _wrap_spd(k: int, entries: np.ndarray, role: Role) -> SpdOperator:
     try:
         return SpdOperator(entries, role)
@@ -389,8 +368,10 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
     xi = 1.0
     for k in range(config.max_iter + 1):
         row = dict.fromkeys(_ROW_COLUMNS, math.nan)
-        grad = problem.grad(x)
-        _check_finite(k, x.coords, grad.coords)
+        try:
+            grad = problem.grad(x)
+        except ValueError as exc:  # an overflowed gradient is no DualVector
+            raise DivergenceError(k, f"non-finite gradient ({exc})") from exc
         g_op = _wrap_spd(k, g_mat, Role.PRIMAL_TO_DUAL)
         row.update(x=x, grad=grad, xi=xi,
                    g=math.sqrt(max(float(grad.coords @ (h_mat @ grad.coords)), 0.0)))
@@ -417,7 +398,9 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
         target = None if general else hess_k
         if not last:
             u_coords = -(h_mat @ grad.coords)
-            _check_finite(k, u_coords)
+            x_next = x.coords + u_coords
+            if not np.all(np.isfinite(x_next)):
+                raise DivergenceError(k, "non-finite iterate")
             row["tau"] = schedule.tau_at(k)
             if float(np.linalg.norm(u_coords)) <= ZERO_DIRECTION_NORM:
                 # Zero step: the update is skipped and the iterate does not
@@ -455,7 +438,7 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
             g_mat, h_mat, _, _ = update_arrays(
                 target.entries, g_mat, h_mat, u_coords, row["tau"]
             )
-            x = PrimalVector(x.coords + u_coords)
+            x = PrimalVector(x_next)
             # Distortion accumulates as exp(M * r) per step; a zero
             # self-concordance constant (every quadratic) pins it to exactly
             # 1, no drift allowed.  Far outside the local region the product

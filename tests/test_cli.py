@@ -1,7 +1,9 @@
 """Command-line surface: configs, outputs, exit codes, determinism."""
 
+import copy
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -141,6 +143,23 @@ class TestRun:
         )
         assert summary["error"]["kind"] == "DivergenceError"
 
+    def test_overflowing_gradient_exits_one(self, tmp_path, capsys):
+        # A valid instance whose gradient overflows at k = 0; the typed
+        # gradient used to raise a ValueError with no summary written.
+        exp = quad_experiment(
+            tmp_path / "out", name="overflow",
+            instance={"kind": "quadratic", "a": [[1e300]], "b": [0],
+                      "mu": 1e300, "ell": 1e300},
+            x0={"coords": [1e10]})
+        with np.errstate(over="ignore"):
+            assert cmd_run(write_config(tmp_path, exp)) == 1
+        summary = json.loads(
+            (tmp_path / "out" / "overflow" / "summary.json").read_text()
+        )
+        assert summary["error"]["kind"] == "DivergenceError"
+        assert summary["error"]["k"] == 0
+        assert "FAIL" in capsys.readouterr().out
+
     def test_suite_array_and_jobs(self, tmp_path):
         exps = [quad_experiment(tmp_path / "out", name=f"e{i}", seed=i)
                 for i in range(3)]
@@ -148,6 +167,13 @@ class TestRun:
         assert cmd_run(cfg, jobs=2) == 0
         for i in range(3):
             assert (tmp_path / "out" / f"e{i}" / "summary.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_exit_two(self, tmp_path, capsys, jobs):
+        cfg = write_config(tmp_path, quad_experiment(tmp_path / "out"))
+        assert main(["run", cfg, "--jobs", jobs]) == 2
+        assert not (tmp_path / "out").exists()
+        assert "--jobs must be an integer >= 1" in capsys.readouterr().err
 
     def test_reruns_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -291,6 +317,72 @@ class TestMain:
         assert not (tmp_path / "ignored").exists()
 
 
+def numeric_leaves(node, path=()):
+    """Paths to every number in a JSON value; a bool is not a number."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from numeric_leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from numeric_leaves(value, path + (i,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+def replaced(node, path, value):
+    """A copy of ``node`` with the entry at ``path`` set to ``value``."""
+    out = copy.deepcopy(node)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+# Valid run configs that between them hold every kind of number a run
+# reads: both instance families in generator and explicit form, constant
+# and sequence schedules, both x0 forms, solver fields and overrides.
+LEAF_CONFIGS = {
+    "spectrum_quadratic": {
+        "seed": 11,
+        "instance": {"kind": "quadratic", "n": 3, "spectrum": [1, 2.0, 5.0],
+                     "seed": 3, "b": [0.5, 0.0, -1]},
+        "method": {"kind": "bfgs"},
+        "x0": {"random_ball": 1.0},
+        "solver": {"max_iter": 100, "grad_tol": 1e-12, "quad_order": 8,
+                   "quad_error_rtol": 1e-9},
+        "envelope_overrides": {"mu": 0.5, "ell": 5, "sc_const": 1.0},
+    },
+    "explicit_quadratic": {
+        "seed": 0,
+        "instance": {"kind": "quadratic", "n": 2, "a": [[2.0, 0.5], [0.5, 3]],
+                     "b": [1.0, 0], "b_ref": [[1.0, 0.0], [0.0, 1.5]],
+                     "mu": 1.0, "ell": 4},
+        "method": {"kind": "constant", "tau": 0.5},
+        "x0": {"coords": [0.5, -0.5]},
+        "solver": {"max_iter": 100, "grad_tol": 1e-12},
+    },
+    "generator_lse": {
+        "seed": 2,
+        "instance": {"kind": "log_sum_exp", "n": 3, "m": 4, "mu": 0.5,
+                     "gamma": 1.0, "seed": 2, "b": [0.0, 0.1, 0.2, 0.3]},
+        "method": {"kind": "sequence", "taus": [0, 0.5, 1.0]},
+        "x0": {"random_ball": 0.1},
+        "solver": {"max_iter": 100, "grad_tol": 1e-11},
+    },
+    "explicit_lse": {
+        "seed": 0,
+        "instance": {"kind": "log_sum_exp", "n": 2, "m": 3,
+                     "a_rows": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
+                     "b": [0.0, 0.1, 0.2], "b_ref": [[1.0, 0.0], [0.0, 1.0]],
+                     "mu": 0.5, "gamma": 1.0},
+        "method": {"kind": "dfp"},
+        "x0": {"coords": [0.01, -0.02]},
+        "solver": {"max_iter": 100, "grad_tol": 1e-11},
+    },
+}
+
+
 class TestConfigContract:
     """Malformed or unsafe configs exit 2 before anything is written."""
 
@@ -407,8 +499,73 @@ class TestConfigContract:
         self.assert_rejected(tmp_path, capsys, exp, next(iter(solver)))
 
 
+    @pytest.mark.parametrize("name", sorted(LEAF_CONFIGS))
+    def test_every_numeric_leaf_checked(self, tmp_path, capsys, name):
+        # One input rule for every number: replacing any of them by a bool,
+        # a numeric string or null is refused before any write.
+        exp = dict(LEAF_CONFIGS[name], output_dir=str(tmp_path / "out"))
+        assert cmd_run(write_config(tmp_path, exp, "valid.json")) == 0
+        shutil.rmtree(tmp_path / "out")
+        capsys.readouterr()
+        leaves = list(numeric_leaves(exp))
+        assert len(leaves) >= 6
+        accepted = []
+        for path in leaves:
+            for bad in (True, "1", None):
+                cfg = write_config(tmp_path, replaced(exp, path, bad))
+                if cmd_run(cfg) != 2 or (tmp_path / "out").exists():
+                    accepted.append((path, bad))
+                    shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        assert accepted == []
+        for key in ("instance", "method", "x0", "solver"):
+            cfg = write_config(tmp_path, dict(exp, **{key: [exp[key]]}))
+            assert cmd_run(cfg) == 2, key
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field", [
+        {"method": {"kind": "sequence", "taus": "01"}},
+        {"instance": {"kind": "quadratic", "spectrum": [True, 2.0, "4"]}},
+        {"instance": {"kind": "quadratic", "spectrum": [[1.0, 2.0]]}},
+        {"instance": {"kind": "quadratic", "n": 4, "spectrum": [1, 2, 5]}},
+        {"instance": {"kind": "log_sum_exp", "n": 3, "m": 4, "mu": 0.5,
+                      "gamma": None}},
+        {"x0": {"coords": [True, False, True]}},
+        {"x0": {"coords": [[1.0, 2.0], [3.0]]}},
+        {"solver": {"grad_tol": 1e400}},
+    ])
+    def test_malformed_number_rejected(self, tmp_path, capsys, field):
+        path = tmp_path / "config.json"
+        exp = {**LEAF_CONFIGS["spectrum_quadratic"], **field,
+               "output_dir": str(tmp_path / "out")}
+        # json.dumps writes 1e400 (inf) as Infinity; the file keeps the
+        # literal a user would have written.
+        path.write_text(json.dumps(exp).replace("Infinity", "1e400"))
+        assert cmd_run(str(path)) == 2
+        assert not (tmp_path / "out").exists()
+        assert "config error" in capsys.readouterr().err
+
+
 class TestGridContract:
     """Malformed sweep grids exit 2 before the output directory exists."""
+
+    def test_every_numeric_leaf_checked(self, tmp_path, capsys):
+        grid = {"n": [2, 3], "L_over_mu": [10.0, 20], "method": ["bfgs"],
+                "seed": 1, "max_iter": 500, "target": 1e-8,
+                "output_dir": str(tmp_path / "sweep")}
+        assert cmd_sweep(write_config(tmp_path, grid, "valid.json")) == 0
+        shutil.rmtree(tmp_path / "sweep")
+        capsys.readouterr()
+        leaves = list(numeric_leaves(grid))
+        assert len(leaves) == 7
+        accepted = []
+        for path in leaves:
+            for bad in (True, "1", None):
+                cfg = write_config(tmp_path, replaced(grid, path, bad),
+                                   "grid.json")
+                if cmd_sweep(cfg) != 2 or (tmp_path / "sweep").exists():
+                    accepted.append((path, bad))
+                    shutil.rmtree(tmp_path / "sweep", ignore_errors=True)
+        assert accepted == []
 
     @pytest.mark.parametrize("override", [
         {"n": ["four"]}, {"n": [4.5]}, {"n": [True]},

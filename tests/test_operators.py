@@ -25,6 +25,7 @@ from broyden_lab import (
     rel_trace,
     spd_solve,
 )
+from broyden_lab.operators import check_array, check_number
 from broyden_lab.verify import random_spd
 
 from conftest import spd_from_spectrum
@@ -299,3 +300,37 @@ def test_spectrum_helper_roundtrip():
     np.testing.assert_allclose(
         np.linalg.eigvalsh(op.entries), [1.0, 5.0, 9.0], rtol=1e-12
     )
+
+
+class TestInputRule:
+    @pytest.mark.parametrize("value,kind", [
+        (True, TypeError), (np.bool_(False), TypeError), ("1", TypeError),
+        (None, TypeError), ([1.0], TypeError), (math.nan, ValueError),
+        (math.inf, ValueError), (-1, ValueError)])
+    def test_scalar_rejects(self, value, kind):
+        with pytest.raises(kind, match="field"):
+            check_number(value, "field", 0.0)
+
+    def test_scalar_accepts_numpy_and_converts(self):
+        assert check_number(np.float32(0.5), "x") == 0.5
+        assert type(check_number(2, "x")) is float
+        assert check_number(np.int64(3), "n", 1, integer=True) == 3
+        assert type(check_number(np.int64(3), "n", integer=True)) is int
+
+    @pytest.mark.parametrize("value", [1.0, 2.5, 10**400])
+    def test_integer_field_rejects_floats_and_overflow(self, value):
+        with pytest.raises((TypeError, ValueError), match="integer"):
+            check_number(value, "n", integer=True)
+
+    @pytest.mark.parametrize("value", [
+        [True, 2.0], [1.0, "2"], [[1.0, 2.0], [3.0]], [[1.0], [None]],
+        "01", 1.0, [[1.0, 2.0]]])
+    def test_array_rejects(self, value):
+        with pytest.raises(TypeError, match="spectrum"):
+            check_array(value, "spectrum", 1)
+
+    def test_array_accepts_rectangular_numbers(self):
+        out = check_array([[1, 2.5], [np.int64(3), 4.0]], "a", 2)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, [[1.0, 2.5], [3.0, 4.0]])
+        assert check_array([], "b", 1).shape == (0,)
