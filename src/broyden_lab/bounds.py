@@ -3,7 +3,10 @@
 Every theoretical bound is an explicit function of the certified constants
 (n, mu, ell, self-concordance), the tau schedule, the iteration index and the
 initial residual.  Builders turn a solver trace into per-iteration
-bound-versus-measured reports with explicit slacks.
+bound-versus-measured reports with explicit slacks.  They take their
+constants from :func:`envelope_constants`, the one owner of the override
+rule, which the CLI also runs before it writes anything.  The sharpened
+quadratic factor reads the spectrum the instance keeps.
 
 All envelope evaluation happens in log space so that values stay finite for
 iteration counts up to 1e6 and condition numbers up to 1e12; returned values
@@ -21,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import rel_eigvals
-from .problems import QuadraticProblem
+from .operators import check_number
+from .problems import ProblemInstance, QuadraticProblem
 from .solver import IterationTrace, TauSchedule
 
 __all__ = [
@@ -35,6 +38,7 @@ __all__ = [
     "env_quad_superlinear_psi",
     "env_quad_superlinear_log",
     "env_quad_sharpened_factor",
+    "envelope_constants",
     "k0",
     "region_radius",
     "region_condition_holds",
@@ -129,8 +133,6 @@ class EnvelopeReport:
     ks: np.ndarray
     measured: np.ndarray
     bound: np.ndarray
-    k0: int
-    region_radius: float
     asserted: bool = True
     provisional_last: bool = False
     satisfied: np.ndarray = field(init=False)
@@ -232,10 +234,10 @@ def env_quad_sharpened_factor(p: QuadraticProblem) -> float:
     """Sharper substitute sum_i ln(ell / lambda_i) for n * ln(ell/mu).
 
     The lambda_i are the eigenvalues of the quadratic operator relative to
-    the reference operator; the sum can be much smaller than n*ln(ell/mu)
-    when most of the spectrum sits far above mu.
+    the reference operator, as the instance keeps them; the sum can be much
+    smaller than n*ln(ell/mu) when most of the spectrum sits far above mu.
     """
-    return float(np.sum(np.log(p.ell / rel_eigvals(p.a_op, p.b_ref))))
+    return float(np.sum(np.log(p.ell / p.spectrum)))
 
 
 def k0(n: int, mu: float, ell: float, sup_tau: float) -> int:
@@ -286,31 +288,42 @@ def region_condition_holds(mu: float, ell: float, n: int, sup_tau: float,
     return big_m * lambda0 <= _region_cap(mu, ell, n, sup_tau)
 
 
-def _trace_params(trace: IterationTrace, overrides: dict | None = None):
-    p = trace.problem
-    n, mu, ell = p.n, p.mu, p.ell
-    big_m = p.sc_const if trace.general else 0.0
-    if overrides:
-        mu = float(overrides.get("mu", mu))
-        ell = float(overrides.get("ell", ell))
-        big_m = float(overrides.get("sc_const", big_m))
-    return n, mu, ell, big_m
+def envelope_constants(problem: ProblemInstance,
+                       overrides: dict | None = None):
+    """(n, mu, ell, M) for the envelopes of an instance, M = 0 for quadratics.
+
+    ``overrides`` substitutes any of mu, ell and M (``sc_const``) inside
+    the envelope formulas only, for fault injection: a deliberately wrong
+    constant must surface as a violation.  Each must be a positive number,
+    and the constants must keep 0 < mu <= ell.
+    """
+    consts = {"mu": problem.mu, "ell": problem.ell, "sc_const": problem.sc_const}
+    if overrides is not None:
+        if not isinstance(overrides, dict) or not set(overrides) <= set(consts):
+            raise ValueError("envelope_overrides allows only mu/ell/sc_const")
+        for key, val in overrides.items():
+            consts[key] = check_number(val, f"envelope override {key}")
+            if not consts[key] > 0.0:
+                raise ValueError(f"envelope override {key} must be positive")
+    mu, ell = consts["mu"], consts["ell"]
+    if not mu <= ell:
+        raise ValueError(f"envelope_overrides give mu = {mu} above ell = "
+                         f"{ell}; the envelopes need 0 < mu <= ell")
+    return problem.n, mu, ell, consts["sc_const"]
 
 
 def report_quad_linear(trace: IterationTrace,
                        overrides: dict | None = None) -> EnvelopeReport:
     """Linear-rate envelope along a quadratic-scheme trace.
 
-    ``overrides`` substitutes envelope constants (mu/ell) for fault
-    injection: a deliberately wrong constant must surface as a violation.
+    ``overrides`` substitutes envelope constants, as in
+    :func:`envelope_constants`.
     """
-    n, mu, ell, _ = _trace_params(trace, overrides)
+    _, mu, ell, _ = envelope_constants(trace.problem, overrides)
     ks = np.arange(len(trace))
     return EnvelopeReport(
         name="quad_linear", ks=ks, measured=trace.lambdas,
         bound=env_quad_linear(mu, ell, ks, trace.lambda0),
-        k0=k0(n, mu, ell, trace.schedule.sup_tau),
-        region_radius=math.inf,
     )
 
 
@@ -318,7 +331,7 @@ def report_quad_superlinear(trace: IterationTrace, psi_variant: bool = False,
                             sharpened: bool = False,
                             overrides: dict | None = None) -> EnvelopeReport:
     """Superlinear envelope along a quadratic-scheme trace (from k = 1)."""
-    n, mu, ell, _ = _trace_params(trace, overrides)
+    n, mu, ell, _ = envelope_constants(trace.problem, overrides)
     log_factor = None
     if sharpened:
         log_factor = env_quad_sharpened_factor(trace.problem.payload)
@@ -330,8 +343,6 @@ def report_quad_superlinear(trace: IterationTrace, psi_variant: bool = False,
     return EnvelopeReport(
         name=name, ks=np.arange(1, len(trace)), measured=trace.lambdas[1:],
         bound=_exp_clamped(ln_bound),
-        k0=k0(n, mu, ell, trace.schedule.sup_tau),
-        region_radius=math.inf,
     )
 
 
@@ -345,9 +356,9 @@ def env_general_linear(trace: IterationTrace, overrides: dict | None = None
     fixed-rate (1 - mu/(2 ell))^k * sqrt(3/2) * lambda0 form, asserted only
     when the starting residual was inside the local-convergence region.
     ``overrides`` substitutes envelope constants as in
-    :func:`report_quad_linear`.
+    :func:`envelope_constants`.
     """
-    consts = _trace_params(trace, overrides)
+    consts = envelope_constants(trace.problem, overrides)
     _, mu, ell, _ = consts
     lam0 = trace.lambda0
     xis = trace.xis
@@ -375,9 +386,9 @@ def env_general_superlinear(trace: IterationTrace,
     reuses the last available distortion and is flagged provisional.  The
     second is the uniform in-region form, asserted only when the starting
     residual was inside the local-convergence region.  ``overrides``
-    substitutes envelope constants as in :func:`report_quad_linear`.
+    substitutes envelope constants as in :func:`envelope_constants`.
     """
-    consts = _trace_params(trace, overrides)
+    consts = envelope_constants(trace.problem, overrides)
     n, mu, ell, _ = consts
     lam0 = trace.lambda0
     kk = len(trace)
@@ -410,18 +421,14 @@ def _general_pair(trace: IterationTrace, consts, kind: str, ks, bound_xi,
                   bound_fixed) -> tuple[EnvelopeReport, EnvelopeReport]:
     """The distortion-tracking and the uniform report of one envelope kind.
 
-    Both share K0 and the region radius.  The uniform report is asserted
-    only when the starting residual was inside the local-convergence region;
-    the tracked superlinear one reuses the last distortion at its final
-    entry, so that entry is provisional.
+    The uniform report is asserted only when the starting residual was
+    inside the local-convergence region; the tracked superlinear one reuses
+    the last distortion at its final entry, so that entry is provisional.
     """
     n, mu, ell, big_m = consts
-    sup_tau = trace.schedule.sup_tau
-    common = dict(ks=ks, measured=trace.lambdas[ks],
-                  k0=k0(n, mu, ell, sup_tau),
-                  region_radius=region_radius(mu, ell, n, sup_tau, big_m))
-    in_region = region_condition_holds(mu, ell, n, sup_tau, big_m,
-                                       trace.lambda0)
+    common = dict(ks=ks, measured=trace.lambdas[ks])
+    in_region = region_condition_holds(mu, ell, n, trace.schedule.sup_tau,
+                                       big_m, trace.lambda0)
     return (
         EnvelopeReport(name=f"general_{kind}_xi", bound=bound_xi,
                        provisional_last=kind == "superlinear", **common),

@@ -27,6 +27,8 @@ rule, :func:`~broyden_lab.operators.check_number`: JSON numbers only, with
 booleans, strings and null rejected; finite; and for an integer field (a
 count or a seed) no ``1.0``.  Arrays pass
 :func:`~broyden_lab.operators.check_array`: rectangular and all-numeric.
+An experiment, method or instance key that its form does not read is
+refused by :func:`~broyden_lab.operators.check_keys`.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .bounds import (
     QUADRATIC_ENVELOPES,
     EnvelopeReport,
     env_section6,
+    envelope_constants,
     first_superlinear_crossover,
     k0,
     region_radius,
@@ -57,6 +60,7 @@ from .bounds import (
 from .operators import (
     PrimalVector,
     check_array,
+    check_keys,
     check_number,
     norm_dual,
     norm_primal,
@@ -130,8 +134,13 @@ def _normalize_experiment(raw: dict, idx: int, out_override: str | None) -> dict
     return exp
 
 
+_EXPERIMENT_KEYS = ("name", "seed", "scheme", "instance", "method", "x0",
+                    "solver", "envelopes", "envelope_overrides", "output_dir")
+
+
 def _check_experiment(exp: dict) -> None:
     """Validate a named experiment in place; its x0 is stored as checked."""
+    check_keys(exp, _EXPERIMENT_KEYS, "an experiment")
     if exp["scheme"] not in ("auto", "general"):
         raise ConfigError("scheme must be 'auto' or 'general'")
     env_seed = _env_seed()
@@ -178,22 +187,7 @@ def _check_experiment(exp: dict) -> None:
             raise ConfigError(f"unknown envelope {env!r}")
         if env in QUADRATIC_ENVELOPES and not quadratic:
             raise ConfigError(f"envelope {env!r} needs a quadratic instance")
-    overrides = exp.get("envelope_overrides")
-    if overrides is not None:
-        if not isinstance(overrides, dict) or not set(overrides) <= {
-            "mu", "ell", "sc_const"
-        }:
-            raise ConfigError("envelope_overrides allows only mu/ell/sc_const")
-        for key, val in overrides.items():
-            if not check_number(val, f"envelope override {key}") > 0.0:
-                raise ConfigError(f"envelope override {key} must be positive")
-        mu = overrides.get("mu", problem.mu)
-        ell = overrides.get("ell", problem.ell)
-        if not mu <= ell:
-            raise ConfigError(
-                f"envelope_overrides give mu = {mu} above ell = {ell}; the "
-                "envelopes need 0 < mu <= ell"
-            )
+    envelope_constants(problem, exp.get("envelope_overrides"))
 
 
 def _make_x0(spec, n: int, seed: int, problem: ProblemInstance) -> PrimalVector:

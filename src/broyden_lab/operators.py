@@ -43,6 +43,7 @@ __all__ = [
     "chol_logdet",
     "check_number",
     "check_array",
+    "check_keys",
 ]
 
 _sygst = scipy.linalg.get_lapack_funcs("sygst", dtype=np.float64)
@@ -156,6 +157,16 @@ def check_array(value, what: str, ndim: int) -> np.ndarray:
                         f"numbers, got {entries.ndim}-d")
     return np.array([check_number(v, what) for v in entries.flat],
                     dtype=float).reshape(entries.shape)
+
+
+def check_keys(d: dict, allowed, what: str) -> None:
+    """The input rule for the keys of a config object: a key outside
+    ``allowed`` is a ValueError naming it, so a misspelled field cannot
+    silently fall back to a default."""
+    unknown = [key for key in d if key not in allowed]
+    if unknown:
+        raise ValueError(f"{what} does not read {', '.join(map(repr, unknown))}"
+                         f"; it reads {', '.join(allowed)}")
 
 
 def chol_logdet(chol: np.ndarray):

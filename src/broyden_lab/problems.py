@@ -7,8 +7,15 @@ relative to a reference operator B, plus the strong self-concordance
 constant) certified at construction, so rate envelopes computed from them
 are honest.
 
+Each certified quantity has one owner.  A quadratic computes its spectrum
+relative to B once, at construction, and keeps it as ``spectrum``: the
+certificate mu*B <= A <= ell*B, the JSON form and the sharpened envelope
+factor all read it.  A log-sum-exp instance computes the dual norms of its
+rows once, and its ``gamma`` defaults to the largest of them.
+
 Instances are immutable and their oracles are pure; JSON serialization is
-provided for reproducible experiment definitions.
+provided for reproducible experiment definitions, and a key that an
+instance form does not read is refused.
 """
 
 from __future__ import annotations
@@ -29,9 +36,9 @@ from .operators import (
     Role,
     SpdOperator,
     check_array,
+    check_keys,
     check_number,
     loewner_slack,
-    norm_dual,
     norm_primal,
 )
 
@@ -68,22 +75,36 @@ def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadraticProblem:
-    """f(x) = 1/2 <Ax, x> - <b, x> with mu*B <= A <= ell*B certified."""
+    """f(x) = 1/2 <Ax, x> - <b, x> with mu*B <= A <= ell*B certified.
+
+    ``spectrum`` (read-only, ascending) holds the eigenvalues of A relative
+    to B, those of L^-1 A L^-T with L the cached Cholesky factor of B.  It
+    is computed once, here; with B = I both solves return A as is, so it is
+    eigvalsh(A) bitwise.  The certificate is checked against it to a
+    relative tolerance of 1e-9.
+    """
 
     a_op: SpdOperator
     b: DualVector
     b_ref: SpdOperator
     mu: float
     ell: float
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.mu <= self.ell):
             raise ValueError(f"need 0 < mu <= ell, got ({self.mu}, {self.ell})")
         if self.a_op.dim != self.b.dim or self.a_op.dim != self.b_ref.dim:
             raise ValueError("operator and vector dimensions disagree")
-        if loewner_slack(self.b_ref.scaled(self.mu), self.a_op) < -_LOEWNER_TOL:
+        chol = self.b_ref._chol
+        y = scipy.linalg.solve_triangular(chol, self.a_op.entries, lower=True)
+        spec = np.linalg.eigvalsh(
+            scipy.linalg.solve_triangular(chol, y.T, lower=True))
+        spec.flags.writeable = False
+        object.__setattr__(self, "spectrum", spec)
+        if spec[0] < self.mu - _LOEWNER_TOL * spec[-1]:
             raise ValueError("mu*B <= A violated")
-        if loewner_slack(self.a_op, self.b_ref.scaled(self.ell)) < -_LOEWNER_TOL:
+        if spec[-1] > self.ell * (1.0 + _LOEWNER_TOL):
             raise ValueError("A <= ell*B violated")
 
     @property
@@ -108,17 +129,17 @@ class QuadraticProblem:
 class LogSumExpProblem:
     """f(x) = ln(sum_i exp(<a_i, x> + b_i)) + mu/2 ||x||^2_B.
 
-    ``gamma`` is the certified bound on the dual norms of the rows (taken
-    tight, the maximum itself, when built through :func:`lse_make`), which
+    ``gamma`` is the certified bound on the dual norms of the rows, which
     yields ell = gamma^2 + mu and the strong self-concordance constant
-    2 gamma^3 / mu^{3/2}.
+    2 gamma^3 / mu^{3/2}.  ``None`` (the default) takes the tight
+    certificate, the largest row norm itself.
     """
 
     a_mat: np.ndarray
     b_shift: np.ndarray
     mu: float
     b_ref: SpdOperator
-    gamma: float
+    gamma: float | None = None
 
     def __post_init__(self):
         a = np.array(self.a_mat, dtype=float, copy=True)
@@ -135,10 +156,13 @@ class LogSumExpProblem:
         bs.flags.writeable = False
         object.__setattr__(self, "a_mat", a)
         object.__setattr__(self, "b_shift", bs)
-        max_norm = max(
-            norm_dual(self.b_ref, DualVector(row)) for row in a
-        )
-        if self.gamma < max_norm - 1e-12:
+        # ||a_i||*_B = ||L^-1 a_i|| with L the cached Cholesky factor of B:
+        # one triangular solve for all rows.
+        y = scipy.linalg.solve_triangular(self.b_ref._chol, a.T, lower=True)
+        max_norm = float(np.linalg.norm(y.T, axis=1).max())
+        if self.gamma is None:
+            object.__setattr__(self, "gamma", max_norm)
+        elif self.gamma < max_norm - 1e-12:
             raise ValueError(
                 f"gamma={self.gamma} is below the largest row norm {max_norm}"
             )
@@ -222,7 +246,6 @@ class IntegralHessian:
     """Mean Hessian along a segment, with a quadrature error estimate."""
 
     j_op: SpdOperator
-    quad_order: int
     est_error: float
 
 
@@ -265,19 +288,16 @@ def lse_make(n: int, m: int, mu: float, seed: int = 0,
     m = check_number(m, "m", 1, integer=True)
     rng = np.random.default_rng(check_number(seed, "seed", 0, integer=True))
     a = rng.standard_normal((m, n))
-    norms = np.linalg.norm(a, axis=1)
     if gamma is not None:
-        cert = check_number(gamma, "gamma")
-        a = a * (cert / norms.max())
-    else:
-        cert = float(norms.max())
+        gamma = check_number(gamma, "gamma")
+        a = a * (gamma / np.linalg.norm(a, axis=1).max())
     return LogSumExpProblem(
         a_mat=a,
         b_shift=(rng.standard_normal(m) if b_shift is None
                  else check_array(b_shift, "b", 1)),
         mu=check_number(mu, "mu"),
         b_ref=SpdOperator.identity(n),
-        gamma=cert,
+        gamma=gamma,
     )
 
 
@@ -356,9 +376,9 @@ def integral_hessian(p: ProblemInstance, x: PrimalVector, u: PrimalVector,
     if order < 2:
         raise ValueError("quadrature order must be at least 2")
     if p.kind is Kind.QUADRATIC:
-        return IntegralHessian(j_op=p.payload.a_op, quad_order=order, est_error=0.0)
+        return IntegralHessian(j_op=p.payload.a_op, est_error=0.0)
     if float(np.linalg.norm(u.coords)) == 0.0:
-        return IntegralHessian(j_op=p.hess(x), quad_order=order, est_error=0.0)
+        return IntegralHessian(j_op=p.hess(x), est_error=0.0)
     lse = p.payload
     t0 = lse.a_mat @ x.coords + lse.b_shift
     dt = lse.a_mat @ u.coords
@@ -366,11 +386,8 @@ def integral_hessian(p: ProblemInstance, x: PrimalVector, u: PrimalVector,
     j_fine = _lse_segment_mean(lse, t0, dt, 2 * order)
     # The gap is symmetric, so its spectral norm is its largest |eigenvalue|.
     est = float(np.max(np.abs(np.linalg.eigvalsh(j - j_fine))))
-    return IntegralHessian(
-        j_op=SpdOperator(j, Role.PRIMAL_TO_DUAL),
-        quad_order=order,
-        est_error=est,
-    )
+    return IntegralHessian(j_op=SpdOperator(j, Role.PRIMAL_TO_DUAL),
+                           est_error=est)
 
 
 @dataclass(frozen=True)
@@ -434,12 +451,6 @@ def instance_to_dict(p: ProblemInstance) -> dict:
     """Canonical JSON-ready description (explicit data, no seeds)."""
     if p.kind is Kind.QUADRATIC:
         q = p.payload
-        # Eigenvalues of A relative to B are those of L^-1 A L^-T, with L the
-        # cached Cholesky factor of B; with B = I both solves return A as is.
-        y = scipy.linalg.solve_triangular(q.b_ref._chol, q.a_op.entries, lower=True)
-        spectrum = np.linalg.eigvalsh(
-            scipy.linalg.solve_triangular(q.b_ref._chol, y.T, lower=True)
-        )
         return {
             "kind": "quadratic",
             "n": q.n,
@@ -448,7 +459,7 @@ def instance_to_dict(p: ProblemInstance) -> dict:
             "b_ref": [list(map(float, row)) for row in q.b_ref.entries],
             "mu": q.mu,
             "ell": q.ell,
-            "spectrum": list(map(float, spectrum)),
+            "spectrum": list(map(float, q.spectrum)),
         }
     l = p.payload
     return {
@@ -470,16 +481,36 @@ def _reference(d: dict, n: int) -> SpdOperator:
     return SpdOperator(check_array(d["b_ref"], "b_ref", 2))
 
 
+# The keys each instance form reads besides "kind" and "n", by kind and
+# whether the data is explicit (``a`` or ``a_rows``) or generated.
+_INSTANCE_KEYS = {
+    ("quadratic", True): ("a", "b", "b_ref", "mu", "ell", "spectrum"),
+    ("quadratic", False): ("spectrum", "seed", "b"),
+    ("log_sum_exp", True): ("m", "a_rows", "b", "b_ref", "mu", "gamma"),
+    ("log_sum_exp", False): ("m", "mu", "seed", "gamma", "b"),
+}
+
+
 def instance_from_dict(d: dict) -> ProblemInstance:
     """Build an instance from either explicit data or a seeded generator spec.
 
     Quadratic specs carry either an explicit matrix ``a`` or a ``spectrum``
-    plus ``seed``; log-sum-exp specs carry either explicit ``a_rows`` or
+    plus ``seed``; log-sum-exp specs carry either explicit ``a_rows`` (with
+    an optional ``gamma``, the tight certificate by default) or
     ``(n, m, seed)`` with an optional ``gamma`` rescale target.  A stated
-    ``n`` (or ``m``) must agree with the data.
+    ``n`` (or ``m``) must agree with the data, and so must a ``spectrum``
+    stated beside ``a`` (to a relative 1e-12), as :func:`instance_to_dict`
+    writes it.  A key the form does not read is refused.
     """
     kind = d.get("kind")
-    if kind == "quadratic" and "a" in d:
+    if kind not in ("quadratic", "log_sum_exp"):
+        raise ValueError(f"unknown instance kind: {kind!r}")
+    if kind == "quadratic" and "a" not in d and "spectrum" not in d:
+        raise ValueError("quadratic spec needs either 'a' or 'spectrum'")
+    explicit = ("a" if kind == "quadratic" else "a_rows") in d
+    check_keys(d, ("kind", "n") + _INSTANCE_KEYS[kind, explicit],
+               f"{'explicit' if explicit else 'generator'} {kind} instance")
+    if kind == "quadratic" and explicit:
         a = check_array(d["a"], "a", 2)
         inst = ProblemInstance.quadratic(QuadraticProblem(
             a_op=SpdOperator(a),
@@ -489,22 +520,19 @@ def instance_from_dict(d: dict) -> ProblemInstance:
             ell=check_number(d["ell"], "ell"),
         ))
     elif kind == "quadratic":
-        if "spectrum" not in d:
-            raise ValueError("quadratic spec needs either 'a' or 'spectrum'")
         b = DualVector(check_array(d["b"], "b", 1)) if "b" in d else None
         inst = ProblemInstance.quadratic(
             quad_make(d["spectrum"], b=b, seed=d.get("seed", 0)))
-    elif kind == "log_sum_exp" and "a_rows" in d:
+    elif explicit:
         a = check_array(d["a_rows"], "a_rows", 2)
         inst = ProblemInstance.log_sum_exp(LogSumExpProblem(
             a_mat=a,
             b_shift=check_array(d["b"], "b", 1),
             mu=check_number(d["mu"], "mu"),
             b_ref=_reference(d, a.shape[1]),
-            gamma=(check_number(d["gamma"], "gamma") if "gamma" in d
-                   else float(np.linalg.norm(a, axis=1).max())),
+            gamma=check_number(d["gamma"], "gamma") if "gamma" in d else None,
         ))
-    elif kind == "log_sum_exp":
+    else:
         # lse_make reads None as "not given", so a stated null is checked
         # here rather than passed on.
         inst = ProblemInstance.log_sum_exp(lse_make(
@@ -512,12 +540,16 @@ def instance_from_dict(d: dict) -> ProblemInstance:
             gamma=check_number(d["gamma"], "gamma") if "gamma" in d else None,
             b_shift=check_array(d["b"], "b", 1) if "b" in d else None,
         ))
-    else:
-        raise ValueError(f"unknown instance kind: {kind!r}")
     for key, size in (("n", inst.n), ("m", getattr(inst.payload, "m", None))):
         if key in d and check_number(d[key], key, integer=True) != size:
             raise ValueError(f"{key} = {d[key]} disagrees with the "
                              f"instance, whose {key} is {size}")
+    if explicit and "spectrum" in d:  # only an explicit quadratic reads it
+        stated = check_array(d["spectrum"], "spectrum", 1)
+        if stated.shape != (inst.n,) or not np.allclose(
+                stated, inst.payload.spectrum, rtol=1e-12, atol=0.0):
+            raise ValueError("spectrum disagrees with the eigenvalues of a "
+                             "relative to b_ref")
     return inst
 
 

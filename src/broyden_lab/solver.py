@@ -56,6 +56,7 @@ from .operators import (
     Role,
     SpdOperator,
     check_array,
+    check_keys,
     check_number,
     norm_dual,
     rel_eigvals,
@@ -159,16 +160,6 @@ class TauSchedule:
             return self.constant
         return max(self.sequence)
 
-    @property
-    def name(self) -> str:
-        if self.constant == 0.0:
-            return "bfgs"
-        if self.constant == 1.0:
-            return "dfp"
-        if self.constant is not None:
-            return f"constant({self.constant})"
-        return f"sequence(len={len(self.sequence)})"
-
     def to_dict(self) -> dict:
         if self.constant is not None:
             return {"kind": "constant", "tau": self.constant}
@@ -176,16 +167,18 @@ class TauSchedule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TauSchedule":
+        """The schedule of a JSON ``method``; a key its kind does not read
+        is refused."""
         kind = d.get("kind")
-        if kind == "bfgs":
-            return cls.bfgs()
-        if kind == "dfp":
-            return cls.dfp()
+        if kind not in ("bfgs", "dfp", "constant", "sequence"):
+            raise ValueError(f"unknown schedule kind: {kind!r}")
+        own = {"constant": ("tau",), "sequence": ("taus",)}.get(kind, ())
+        check_keys(d, ("kind",) + own, f"method {kind!r}")
         if kind == "constant":
             return cls.of_constant(d["tau"])
         if kind == "sequence":
             return cls.of_sequence(check_array(d["taus"], "taus", 1))
-        raise ValueError(f"unknown schedule kind: {kind!r}")
+        return cls.bfgs() if kind == "bfgs" else cls.dfp()
 
 
 @dataclass(frozen=True)

@@ -346,7 +346,6 @@ class TestTraceReports:
             name="t", ks=np.array([0, 1, 2]),
             measured=np.array([1.0, 1.0, 1.0]),
             bound=np.array([1.0, 1.0 - 1e-6, 2.0]),
-            k0=1, region_radius=math.inf,
         )
         assert list(rep.satisfied) == [True, False, True]
         assert rep.first_violation == 1

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from broyden_lab.cli import SEED_ENV_VAR, cmd_run, cmd_sweep, cmd_verify, main
+from broyden_lab.problems import instance_from_dict
 from broyden_lab.verify import SUITES, run_all
 
 
@@ -214,6 +215,19 @@ class TestRun:
         }
         assert cmd_run(write_config(tmp_path, exp)) == 0
 
+    def test_explicit_lse_gamma_defaults_to_tight_certificate(self, tmp_path):
+        # Under B = I/4 the dual row norms are twice the Euclidean ones, so
+        # the tight gamma is 2.  The default used to be the Euclidean 1.0,
+        # which the instance then refused as below its largest row norm.
+        instance = {"kind": "log_sum_exp",
+                    "a_rows": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
+                    "b": [0.0, 0.1, 0.2], "mu": 0.5,
+                    "b_ref": [[0.25, 0.0], [0.0, 0.25]]}
+        assert instance_from_dict(instance).payload.gamma == 2.0
+        exp = quad_experiment(tmp_path / "out", instance=instance,
+                              x0={"coords": [0.01, -0.02]})
+        assert cmd_run(write_config(tmp_path, exp)) == 0
+
 
 class TestVerify:
     def test_quick_suite_passes(self, capsys):
@@ -292,6 +306,15 @@ class TestSweep:
             assert k0_new < k0_prev
             assert cells[7] == "1"
 
+    def test_unconverged_cell_exits_one(self, tmp_path, capsys):
+        # One update cannot reach the target, so the count cell is empty.
+        grid = {"n": [4], "L_over_mu": [10.0], "method": ["bfgs"],
+                "max_iter": 1, "output_dir": str(tmp_path / "sweep")}
+        assert cmd_sweep(write_config(tmp_path, grid, "grid.json")) == 1
+        rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].split(",")[3] == ""
+        assert "iters=None" in capsys.readouterr().out
+
     def test_malformed_grid(self, tmp_path):
         path = write_config(tmp_path, {"n": [], "L_over_mu": [10],
                                        "method": ["bfgs"]}, "g.json")
@@ -309,6 +332,13 @@ class TestMain:
     def test_verify_via_main(self):
         assert main(["verify", "--n-max", "3", "--trials", "20",
                      "--seed", "4"]) == 0
+
+    def test_sweep_via_main(self, tmp_path, capsys):
+        grid = {"n": [4], "L_over_mu": [10.0], "method": ["bfgs"]}
+        path = write_config(tmp_path, grid, "grid.json")
+        assert main(["sweep", path, "--out", str(tmp_path / "sw")]) == 0
+        assert (tmp_path / "sw" / "sweep.csv").read_text().startswith("n,")
+        assert "bfgs: iters=" in capsys.readouterr().out
 
     def test_out_flag_overrides_directory(self, tmp_path):
         cfg = write_config(tmp_path, quad_experiment(tmp_path / "ignored"))
@@ -443,6 +473,38 @@ class TestConfigContract:
         exp = quad_experiment(tmp_path / "out",
                               envelope_overrides={"mu": "big"})
         self.assert_rejected(tmp_path, capsys, exp, "numeric")
+
+    @pytest.mark.parametrize("field", [
+        {"envelope_override": {"mu": 25.0}},
+        {"method": {"kind": "bfgs", "tau": 1.0}},
+        {"method": {"kind": "constant", "tau": 0.5, "taus": [0.5]}},
+        {"instance": {"kind": "quadratic", "spectrum": [1.0, 2.0],
+                      "b_ref": [[4.0, 0.0], [0.0, 4.0]]}},
+        {"instance": {"kind": "log_sum_exp", "n": 2, "m": 3, "mu": 0.5,
+                      "seed": 1, "b_ref": [[4.0, 0.0], [0.0, 4.0]]}},
+        {"instance": {"kind": "quadratic", "spectrum": [1.0, 2.0], "sed": 3}},
+        {"instance": {"kind": "log_sum_exp", "n": 2, "m": 3, "mu": 0.5,
+                      "sed": 3}},
+    ], ids=["experiment", "bfgs_tau", "constant_taus", "quadratic_b_ref",
+            "lse_b_ref", "quadratic_sed", "lse_sed"])
+    def test_unknown_key_rejected(self, tmp_path, capsys, field):
+        # Each of these used to run without the key: a misspelled override
+        # dropped the fault and printed PASS, a tau beside "bfgs" ran BFGS,
+        # a b_ref beside a generator spec ran with B = I, and "sed" seed 0.
+        exp = quad_experiment(tmp_path / "out", **field)
+        self.assert_rejected(tmp_path, capsys, exp, "does not read")
+
+    def test_stated_spectrum_must_agree(self, tmp_path, capsys):
+        # The spectrum instance_to_dict writes beside an explicit matrix is
+        # checked like a stated n, so a round trip keeps working.
+        instance = {"kind": "quadratic", "a": [[2.0, 0.0], [0.0, 3.0]],
+                    "b": [1.0, 0.0], "mu": 2.0, "ell": 3.0,
+                    "spectrum": [2.0, 3.0]}
+        exp = quad_experiment(tmp_path / "out", instance=instance)
+        assert cmd_run(write_config(tmp_path, exp)) == 0
+        shutil.rmtree(tmp_path / "out")
+        instance["spectrum"] = [2.0, 3.0 * (1.0 + 1e-9)]
+        self.assert_rejected(tmp_path, capsys, exp, "spectrum disagrees")
 
     def test_envelopes_must_be_a_list(self, tmp_path, capsys):
         exp = quad_experiment(tmp_path / "out", envelopes="quad_linear")

@@ -253,6 +253,19 @@ class TestDecompositionCount:
                           "pointwise": visited, "pointwise_in_quadrature": 0}
 
 
+class TestSetUpCost:
+    def test_quadratic_spectrum_is_computed_once(self, monkeypatch):
+        # quad_make validates A and B = I and takes the one relative
+        # spectrum that the certificate, the JSON form and the sharpened
+        # factor all read; the content hash then solves nothing.
+        counts = {"eig": 0, "cholesky": 0, "reduction": 0, "svd": 0}
+        count_decompositions(monkeypatch, counts)
+        quad = quad_make(np.geomspace(1.0, 100.0, 12), seed=5)
+        assert counts == {"eig": 1, "cholesky": 2, "reduction": 0, "svd": 0}
+        problems_mod.instance_hash(ProblemInstance.quadratic(quad))
+        assert counts == {"eig": 1, "cholesky": 2, "reduction": 0, "svd": 0}
+
+
 class TestExplicitInverse:
     """The typed update and the solver take their explicit inverse from
     operators, without a throwaway validated operator."""

@@ -385,6 +385,20 @@ class TestSerialization:
         spectrum = instance_to_dict(inst)["spectrum"]
         np.testing.assert_allclose(spectrum, vals, rtol=1e-12)
 
+    def test_roundtrip_with_reference_operator(self):
+        # The spectrum written beside a is checked on the way back in.
+        rng = np.random.default_rng(7)
+        b_ref, a = random_spd(rng, 5, 2.0), random_spd(rng, 5, 2.0)
+        vals = scipy.linalg.eigh(a.entries, b_ref.entries, eigvals_only=True)
+        inst = ProblemInstance.quadratic(QuadraticProblem(
+            a_op=a, b=DualVector(np.ones(5)), b_ref=b_ref,
+            mu=float(vals[0]), ell=float(vals[-1])))
+        d = instance_to_dict(inst)
+        assert instance_hash(instance_from_dict(d)) == instance_hash(inst)
+        d["spectrum"][0] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="spectrum disagrees"):
+            instance_from_dict(d)
+
     @pytest.mark.parametrize("n", [1, 3, 12, 40])
     def test_identity_reference_spectrum_is_plain_eigvalsh(self, n):
         # With B = I the triangular solves return A itself, so the spectrum

@@ -314,9 +314,10 @@ def test_replay_prints_every_tau(capsys):
     assert out[-1].endswith("PASS")
 
 
-def test_replay_matches_batched_witness(capsys):
-    res = verify.run_suite("augmented_progress", n_max=6, trials=40, seed=3)
-    one = verify.replay("augmented_progress", res.trial, n_max=6, seed=3)
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_replay_matches_batched_witness(capsys, suite):
+    res = verify.run_suite(suite, n_max=6, trials=40, seed=3)
+    one = verify.replay(suite, res.trial, n_max=6, seed=3)
     capsys.readouterr()
     assert (one.n, one.tau, one.seed) == (res.n, res.tau, res.seed)
     assert one.worst == pytest.approx(res.worst, rel=RTOL, abs=ATOL)
