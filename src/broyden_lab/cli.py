@@ -16,19 +16,26 @@ Three subcommands:
 ``sweep <grid.json>``
     Run a quadratic grid over (n, condition number, method) and write one
     summary CSV row per cell comparing measured iteration counts with the
-    predicted superlinear starting moments.
+    predicted superlinear starting moments.  A cell that diverges keeps its
+    row, with an empty count, and names its witness on stderr.
 
 Exit codes: 0 success, 1 bound violation or divergence, 2 malformed input.
 The environment variable ``BROYDEN_LAB_SEED`` overrides every experiment
 seed.  Validation completes before any file is written.
+
+``run`` and ``sweep`` share one path.  A config experiment or a grid cell
+is checked and built once, into an :class:`_Experiment` holding the
+instance, schedule, solver settings and starting point; :func:`_solve` runs
+any of them.  Every experiment of a suite and every cell of a grid is built
+before the first write.
 
 Every number read from a config, a grid or the command line passes one
 rule, :func:`~broyden_lab.operators.check_number`: JSON numbers only, with
 booleans, strings and null rejected; finite; and for an integer field (a
 count or a seed) no ``1.0``.  Arrays pass
 :func:`~broyden_lab.operators.check_array`: rectangular and all-numeric.
-An experiment, method or instance key that its form does not read is
-refused by :func:`~broyden_lab.operators.check_keys`.
+An experiment, method, instance, ``x0`` or grid key that its form does not
+read is refused by :func:`~broyden_lab.operators.check_keys`.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +117,26 @@ def _env_seed() -> int | None:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
-def _normalize_experiment(raw: dict, idx: int, out_override: str | None) -> dict:
+@dataclass(frozen=True)
+class _Experiment:
+    """A checked experiment or sweep cell, with everything its run reads
+    built once; the objects pickle, so ``run --jobs`` sends them as they
+    are."""
+
+    name: str
+    seed: int
+    problem: ProblemInstance
+    schedule: TauSchedule
+    config: SolverConfig
+    x0: PrimalVector
+    envelopes: tuple
+    overrides: dict | None
+    general: bool  # the segment-mean-Hessian path rather than run_quadratic
+    output_dir: Path
+
+
+def _normalize_experiment(raw: dict, idx: int,
+                          out_override: str | None) -> _Experiment:
     if not isinstance(raw, dict):
         raise ConfigError(f"experiment #{idx} must be a JSON object")
     exp = dict(raw)
@@ -127,77 +154,73 @@ def _normalize_experiment(raw: dict, idx: int, out_override: str | None) -> dict
     exp.setdefault("scheme", "auto")
     exp.setdefault("solver", {})
     try:
-        _check_experiment(exp)
+        return _check_experiment(exp, out_override)
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
-    exp["output_dir"] = out_override or exp.get("output_dir", "out")
-    return exp
 
 
 _EXPERIMENT_KEYS = ("name", "seed", "scheme", "instance", "method", "x0",
                     "solver", "envelopes", "envelope_overrides", "output_dir")
 
 
-def _check_experiment(exp: dict) -> None:
-    """Validate a named experiment in place; its x0 is stored as checked."""
+def _check_experiment(exp: dict, out: str | None) -> _Experiment:
+    """Check a named experiment and build what its run reads."""
     check_keys(exp, _EXPERIMENT_KEYS, "an experiment")
     if exp["scheme"] not in ("auto", "general"):
         raise ConfigError("scheme must be 'auto' or 'general'")
     env_seed = _env_seed()
-    if env_seed is not None:
-        exp["seed"] = env_seed
-    check_number(exp["seed"], "seed", 0, integer=True)
+    seed = check_number(exp["seed"] if env_seed is None else env_seed,
+                        "seed", 0, integer=True)
     for key in ("instance", "method", "x0", "solver"):
         if not isinstance(exp.get(key), dict):
             raise ConfigError(f"{key} must be given as a JSON object")
     problem = instance_from_dict(exp["instance"])
-    TauSchedule.from_dict(exp["method"])
+    schedule = TauSchedule.from_dict(exp["method"])
     config = SolverConfig(**exp["solver"])
 
-    x0 = exp["x0"]
+    x0, n = exp["x0"], problem.n
     if "coords" in x0:
+        check_keys(x0, ("coords",), "an x0 given by coords")
         coords = check_array(x0["coords"], "x0 coords", 1)
-        if coords.shape != (problem.n,):
-            raise ConfigError(
-                f"x0 has {coords.size} coords, expected {problem.n}")
-        exp["x0"] = {"coords": coords}
+        if coords.shape != (n,):
+            raise ConfigError(f"x0 has {coords.size} coords, expected {n}")
     elif "random_ball" in x0:
+        check_keys(x0, ("random_ball",), "an x0 given by random_ball")
         radius = check_number(x0["random_ball"], "random_ball")
         if not radius > 0.0:
             raise ConfigError("random_ball radius must be positive")
-        exp["x0"] = {"random_ball": radius}
+        rng = np.random.default_rng(seed)
+        d = rng.standard_normal(n)
+        scale = norm_primal(problem.b_ref, PrimalVector(d))
+        coords = d * (radius * rng.uniform() ** (1.0 / n) / scale)
     else:
         raise ConfigError("x0 must carry 'coords' or 'random_ball'")
 
     quadratic = problem.kind is Kind.QUADRATIC
-    exp.setdefault("envelopes", list(
-        QUADRATIC_ENVELOPES if quadratic and exp["scheme"] == "auto"
-        else GENERAL_ENVELOPES))
-    if not isinstance(exp["envelopes"], list):
+    general = not quadratic or exp["scheme"] == "general"
+    envelopes = exp.get("envelopes", list(
+        GENERAL_ENVELOPES if general else QUADRATIC_ENVELOPES))
+    if not isinstance(envelopes, list):
         raise ConfigError("envelopes must be a list of names")
-    if exp["envelopes"] and not config.instrument:
+    if envelopes and not config.instrument:
         # Without instrumentation the residual lambda_k is never measured,
         # so no envelope can be checked against it.
         raise ConfigError(
             "envelopes need an instrumented run; with "
             "\"instrument\": false set \"envelopes\": []"
         )
-    for env in exp["envelopes"]:
+    for env in envelopes:
         if env not in ENVELOPE_NAMES:
             raise ConfigError(f"unknown envelope {env!r}")
         if env in QUADRATIC_ENVELOPES and not quadratic:
             raise ConfigError(f"envelope {env!r} needs a quadratic instance")
-    envelope_constants(problem, exp.get("envelope_overrides"))
-
-
-def _make_x0(spec, n: int, seed: int, problem: ProblemInstance) -> PrimalVector:
-    if "coords" in spec:
-        return PrimalVector(spec["coords"])
-    rng = np.random.default_rng(seed)
-    d = rng.standard_normal(n)
-    scale = norm_primal(problem.b_ref, PrimalVector(d))
-    return PrimalVector(
-        d * (spec["random_ball"] * rng.uniform() ** (1.0 / n) / scale))
+    overrides = exp.get("envelope_overrides")
+    envelope_constants(problem, overrides)
+    return _Experiment(
+        name=exp["name"], seed=seed, problem=problem, schedule=schedule,
+        config=config, x0=PrimalVector(coords), envelopes=tuple(envelopes),
+        overrides=overrides, general=general,
+        output_dir=Path(out or exp.get("output_dir", "out")))
 
 
 def _report_rows(reports: list[EnvelopeReport], measured):
@@ -214,64 +237,57 @@ def _report_rows(reports: list[EnvelopeReport], measured):
     return header, zip(*columns)
 
 
-def _execute_experiment(exp: dict) -> dict:
-    """Run one normalized experiment and write its three output files."""
-    problem = instance_from_dict(exp["instance"])
-    schedule = TauSchedule.from_dict(exp["method"])
-    config = SolverConfig(**exp["solver"])
-    x0 = _make_x0(exp["x0"], problem.n, exp["seed"], problem)
-
-    out_dir = Path(exp["output_dir"]) / exp["name"]
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+def _solve(exp: _Experiment):
+    """Run a built experiment: its result fields, its trace and its envelope
+    reports.  A run that diverges or whose quadrature fails has no trace
+    and no reports; its result records the error."""
     started = time.perf_counter()
-    error = None
-    trace = None
     try:
-        if problem.kind is Kind.QUADRATIC and exp["scheme"] == "auto":
-            trace = run_quadratic(problem, x0, schedule, config)
-        else:
-            trace = run_general(problem, x0, schedule, config)
+        run = run_general if exp.general else run_quadratic
+        trace = run(exp.problem, exp.x0, exp.schedule, exp.config)
     except (DivergenceError, QuadratureError) as exc:
-        error = {"kind": type(exc).__name__, "k": exc.k, "message": str(exc)}
+        return {
+            "wall_time_s": time.perf_counter() - started,
+            "pass": False,
+            "error": {"kind": type(exc).__name__, "k": exc.k,
+                      "message": str(exc)},
+            "iterations": None, "first_violation": None, "min_slack": None,
+            "K0": None, "region_radius": None, "converged": False,
+        }, None, []
     wall = time.perf_counter() - started
 
-    summary = {
-        "name": exp["name"],
-        "seed": exp["seed"],
-        "instance_hash": instance_hash(problem),
+    problem, sup_tau = exp.problem, exp.schedule.sup_tau
+    reports = trace_reports(trace, exp.envelopes, overrides=exp.overrides)
+    asserted = [r for r in reports if r.asserted]
+    violations = {r.name: r.first_violation for r in asserted
+                  if r.first_violation is not None}
+    min_slack = min((r.min_slack for r in asserted), default=math.inf)
+    radius = region_radius(problem.mu, problem.ell, problem.n, sup_tau,
+                           problem.sc_const)
+    return {
         "wall_time_s": wall,
-    }
-    if error is not None:
-        summary.update({
-            "pass": False, "error": error, "iterations": None,
-            "first_violation": None, "min_slack": None,
-            "K0": None, "region_radius": None, "converged": False,
-        })
-        reports = []
-    else:
-        reports = trace_reports(trace, exp["envelopes"],
-                                overrides=exp.get("envelope_overrides"))
-        asserted = [r for r in reports if r.asserted]
-        violations = {r.name: r.first_violation for r in asserted
-                      if r.first_violation is not None}
-        min_slack = min((r.min_slack for r in asserted), default=math.inf)
-        k0_val = k0(problem.n, problem.mu, problem.ell, schedule.sup_tau)
-        radius = region_radius(problem.mu, problem.ell, problem.n,
-                               schedule.sup_tau, problem.sc_const)
-        summary.update({
-            "pass": not violations,
-            "iterations": trace.k_final,
-            "converged": trace.converged,
-            "first_violation": violations or None,
-            "min_slack": None if math.isinf(min_slack) else min_slack,
-            "K0": k0_val,
-            "region_radius": None if math.isinf(radius) else radius,
-            "not_asserted": [r.name for r in reports if not r.asserted] or None,
-            # Diagnostic only: strict residual decrease is an empirical
-            # regularity, not a guarantee.
-            "lambda_increases": trace.lambda_increase_indices or None,
-        })
+        "pass": not violations,
+        "iterations": trace.k_final,
+        "converged": trace.converged,
+        "first_violation": violations or None,
+        "min_slack": None if math.isinf(min_slack) else min_slack,
+        "K0": k0(problem.n, problem.mu, problem.ell, sup_tau),
+        "region_radius": None if math.isinf(radius) else radius,
+        "not_asserted": [r.name for r in reports if not r.asserted] or None,
+        # Diagnostic only: strict residual decrease is an empirical
+        # regularity, not a guarantee.
+        "lambda_increases": trace.lambda_increase_indices or None,
+    }, trace, reports
+
+
+def _execute_experiment(exp: _Experiment) -> dict:
+    """Run one built experiment and write its three output files."""
+    out_dir = exp.output_dir / exp.name
+    out_dir.mkdir(parents=True, exist_ok=True)
+    result, trace, reports = _solve(exp)
+    summary = {"name": exp.name, "seed": exp.seed,
+               "instance_hash": instance_hash(exp.problem), **result}
+    if trace is not None:
         trace.to_csv(out_dir / "trace.csv")
         write_csv(out_dir / "envelopes.csv",
                   *_report_rows(reports, trace.lambdas))
@@ -293,12 +309,12 @@ def cmd_run(config_path: str, jobs: int = 1, out: str | None = None) -> int:
         ]
         seen = set()
         for exp in experiments:
-            if exp["name"] in seen:
+            if exp.name in seen:
                 raise ConfigError(
-                    f"duplicate experiment name {exp['name']!r}: each "
+                    f"duplicate experiment name {exp.name!r}: each "
                     "experiment writes to its own directory"
                 )
-            seen.add(exp["name"])
+            seen.add(exp.name)
     except (TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -369,100 +385,103 @@ def cmd_verify(n_max: int = 8, trials: int = 1000, seed: int = 0,
     return 0 if all(r.passed for r in results) else 1
 
 
-def _normalize_grid(raw: dict) -> dict:
+_GRID_KEYS = ("n", "L_over_mu", "method", "seed", "max_iter", "target",
+              "output_dir")
+
+
+def _grid_experiments(raw: dict, out: str | None):
+    """The output directory of a sweep grid and its cells in row order, each
+    a ((n, L_over_mu, method), built experiment) pair.
+
+    Cell (n, kappa, method) minimizes ``quad_make(geomspace(1, kappa, n),
+    seed)`` from a standard normal x0 drawn with seed + 1, down to
+    ``target`` times its starting residual, checking the quadratic
+    envelopes.  The cells of one (n, kappa) share their instance.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("grid spec must be a JSON object")
-    grid = dict(raw)
+    check_keys(raw, _GRID_KEYS, "a sweep grid")
     for key in ("n", "L_over_mu", "method"):
-        vals = grid.get(key)
-        if not isinstance(vals, list) or not vals:
+        if not isinstance(raw.get(key), list) or not raw[key]:
             raise ConfigError(f"grid needs a nonempty list {key!r}")
-    for m in grid["method"]:
+    for m in raw["method"]:
         if m not in ("bfgs", "dfp"):
             raise ConfigError(f"grid method must be 'bfgs' or 'dfp', got {m!r}")
-    grid.setdefault("seed", 0)
-    grid.setdefault("max_iter", 20000)
-    grid.setdefault("target", 1e-10)
-    grid.setdefault("output_dir", "sweep_out")
     env_seed = _env_seed()
-    if env_seed is not None:
-        grid["seed"] = env_seed
-    grid["n"] = [check_number(n, "grid n", 2, integer=True)
-                 for n in grid["n"]]
-    grid["L_over_mu"] = [check_number(kappa, "grid L_over_mu", 1)
-                         for kappa in grid["L_over_mu"]]
-    for key, minimum, integer in (("seed", 0, True), ("max_iter", 1, True),
-                                  ("target", 0, False)):
-        grid[key] = check_number(grid[key], f"grid {key}", minimum, integer)
-    if not isinstance(grid["output_dir"], str):
+    seed = check_number(raw.get("seed", 0) if env_seed is None else env_seed,
+                        "grid seed", 0, integer=True)
+    ns = [check_number(n, "grid n", 2, integer=True) for n in raw["n"]]
+    kappas = [check_number(kappa, "grid L_over_mu", 1)
+              for kappa in raw["L_over_mu"]]
+    max_iter = check_number(raw.get("max_iter", 20000), "grid max_iter", 1,
+                            integer=True)
+    target = check_number(raw.get("target", 1e-10), "grid target", 0)
+    if not isinstance(raw.get("output_dir", ""), str):
         raise ConfigError("grid output_dir must be a string")
-    return grid
+    out_dir = Path(out or raw.get("output_dir", "sweep_out"))
+
+    cells = []
+    for n in ns:
+        for kappa in kappas:
+            try:
+                problem = ProblemInstance.quadratic(
+                    quad_make(np.geomspace(1.0, kappa, n), seed=seed))
+                x0 = PrimalVector(
+                    np.random.default_rng(seed + 1).standard_normal(n))
+                lam0 = norm_dual(problem.payload.a_op, problem.grad(x0))
+                config = SolverConfig(max_iter=max_iter,
+                                      grad_tol=target * lam0)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"grid cell n={n} L_over_mu={kappa}: {exc}") from exc
+            for method in raw["method"]:
+                cells.append(((n, kappa, method), _Experiment(
+                    name=f"n={n} L/mu={kappa} {method}", seed=seed,
+                    problem=problem, schedule=TauSchedule.from_dict(
+                        {"kind": method}),
+                    config=config, x0=x0, envelopes=QUADRATIC_ENVELOPES,
+                    overrides=None, general=False, output_dir=out_dir)))
+    return out_dir, cells
 
 
-# sweep.csv columns, each an entry of a sweep cell.  The iteration count is
-# empty for a cell that did not reach its target.
+# sweep.csv columns, in the order of a row.  The iteration count is empty
+# for a cell that did not reach its target.
 _SWEEP_COLUMNS = ("n", "L_over_mu", "method", "iters_to_1e-10", "K0_new",
                   "K0_prev", "first_k_superlinear_env_below_linear_env",
                   "envelopes_ok")
 
 
-def _sweep_cell(n: int, kappa: float, method: str, seed: int,
-                max_iter: int, target: float) -> dict:
-    quad = quad_make(np.geomspace(1.0, kappa, n), seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    x0 = PrimalVector(rng.standard_normal(n))
-    schedule = TauSchedule.bfgs() if method == "bfgs" else TauSchedule.dfp()
-
-    lam0 = norm_dual(quad.a_op, quad.grad(x0))
-    config = SolverConfig(max_iter=max_iter, grad_tol=target * lam0)
-    trace = run_quadratic(quad, x0, schedule, config)
-
-    reports = trace_reports(trace, QUADRATIC_ENVELOPES)
-    envelopes_ok = all(r.all_satisfied for r in reports)
-    moments = env_section6(n, quad.mu, quad.ell, 1, 1.0, method)
-    cross = first_superlinear_crossover(
-        n, quad.mu, quad.ell, schedule.sup_tau
-    )
-    return {
-        "n": n,
-        "L_over_mu": kappa,
-        "method": method,
-        "iters_to_1e-10": trace.k_final if trace.converged else None,
-        "K0_new": moments.start_new,
-        "K0_prev": moments.start_prev,
-        "first_k_superlinear_env_below_linear_env": cross,
-        "envelopes_ok": envelopes_ok,
-    }
-
-
 def cmd_sweep(grid_path: str, out: str | None = None) -> int:
     try:
-        grid = _normalize_grid(_load_json(grid_path))
+        out_dir, cells = _grid_experiments(_load_json(grid_path), out)
     except (TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = Path(out or grid["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    ok = True
-    for n in grid["n"]:
-        for kappa in grid["L_over_mu"]:
-            for method in grid["method"]:
-                cell = _sweep_cell(n, kappa, method, grid["seed"],
-                                   grid["max_iter"], grid["target"])
-                rows.append(cell)
-                iters = cell["iters_to_1e-10"]
-                if not (cell["envelopes_ok"] and iters is not None):
-                    ok = False
-                print(f"n={cell['n']} L/mu={cell['L_over_mu']} "
-                      f"{cell['method']}: iters={iters} "
-                      f"K0_new={cell['K0_new']:.1f} K0_prev={cell['K0_prev']:.1f} "
-                      f"{'ok' if cell['envelopes_ok'] else 'VIOLATION'}")
+    for (n, kappa, method), exp in cells:
+        result, _, _ = _solve(exp)
+        mu, ell = exp.problem.mu, exp.problem.ell
+        moments = env_section6(n, mu, ell, 1, 1.0, method)
+        iters = result["iterations"] if result["converged"] else None
+        rows.append((n, kappa, method, iters, moments.start_new,
+                     moments.start_prev,
+                     first_superlinear_crossover(n, mu, ell,
+                                                 exp.schedule.sup_tau),
+                     result["pass"]))
+        error = result.get("error")
+        status = ("ok" if result["pass"]
+                  else error["kind"] if error else "VIOLATION")
+        print(f"{exp.name}: iters={iters} K0_new={moments.start_new:.1f} "
+              f"K0_prev={moments.start_prev:.1f} {status}")
+        if error is not None:
+            print(f"sweep cell failed: n={n} L_over_mu={kappa} "
+                  f"method={method} seed={exp.seed} k={error['k']}: "
+                  f"{error['kind']}: {error['message']}", file=sys.stderr)
 
-    write_csv(out_dir / "sweep.csv", _SWEEP_COLUMNS,
-              ([c[key] for key in _SWEEP_COLUMNS] for c in rows))
-    return 0 if ok else 1
+    write_csv(out_dir / "sweep.csv", _SWEEP_COLUMNS, rows)
+    return 0 if all(row[3] is not None and row[-1] for row in rows) else 1
 
 
 def main(argv=None) -> int:

@@ -168,6 +168,12 @@ class TestRun:
         assert cmd_run(cfg, jobs=2) == 0
         for i in range(3):
             assert (tmp_path / "out" / f"e{i}" / "summary.json").exists()
+        # The pool runs the built experiments it is sent, byte for byte.
+        assert cmd_run(cfg, jobs=1, out=str(tmp_path / "serial")) == 0
+        for i in range(3):
+            for fname in ("trace.csv", "envelopes.csv"):
+                assert ((tmp_path / "out" / f"e{i}" / fname).read_bytes()
+                        == (tmp_path / "serial" / f"e{i}" / fname).read_bytes())
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_nonpositive_jobs_exit_two(self, tmp_path, capsys, jobs):
@@ -314,6 +320,25 @@ class TestSweep:
         rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
         assert len(rows) == 2 and rows[1].split(",")[3] == ""
         assert "iters=None" in capsys.readouterr().out
+
+    def test_failed_cell_keeps_its_row(self, tmp_path, capsys):
+        # DFP at n = 2 loses definiteness at k = 2; the cell used to raise,
+        # and sweep.csv, with the rows already finished, was never written.
+        grid = {"n": [4, 2], "L_over_mu": [1e12], "method": ["bfgs", "dfp"],
+                "max_iter": 100, "output_dir": str(tmp_path / "sweep")}
+        assert cmd_sweep(write_config(tmp_path, grid, "grid.json")) == 1
+        rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+        cells = [row.split(",") for row in rows[1:]]
+        assert [c[:3] for c in cells] == [
+            ["4", "1000000000000.0", "bfgs"], ["4", "1000000000000.0", "dfp"],
+            ["2", "1000000000000.0", "bfgs"], ["2", "1000000000000.0", "dfp"]]
+        assert cells[0][3] and cells[2][3]
+        assert cells[3][3] == "" and cells[3][7] == "0"
+        assert [c[7] for c in cells[:3]] == ["1", "1", "1"]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert ("n=2 L_over_mu=1000000000000.0 method=dfp seed=0 k=2: "
+                "DivergenceError") in err[0]
 
     def test_malformed_grid(self, tmp_path):
         path = write_config(tmp_path, {"n": [], "L_over_mu": [10],
@@ -485,12 +510,15 @@ class TestConfigContract:
         {"instance": {"kind": "quadratic", "spectrum": [1.0, 2.0], "sed": 3}},
         {"instance": {"kind": "log_sum_exp", "n": 2, "m": 3, "mu": 0.5,
                       "sed": 3}},
+        {"x0": {"random_ball": 1.0, "seed": 5}},
+        {"x0": {"random_ball": 1.0, "coords": [0.1] * 6}},
     ], ids=["experiment", "bfgs_tau", "constant_taus", "quadratic_b_ref",
-            "lse_b_ref", "quadratic_sed", "lse_sed"])
+            "lse_b_ref", "quadratic_sed", "lse_sed", "x0_seed", "x0_both"])
     def test_unknown_key_rejected(self, tmp_path, capsys, field):
         # Each of these used to run without the key: a misspelled override
         # dropped the fault and printed PASS, a tau beside "bfgs" ran BFGS,
         # a b_ref beside a generator spec ran with B = I, and "sed" seed 0.
+        # An x0 seed was ignored, and an x0 with both forms ran from coords.
         exp = quad_experiment(tmp_path / "out", **field)
         self.assert_rejected(tmp_path, capsys, exp, "does not read")
 
@@ -636,6 +664,7 @@ class TestGridContract:
         {"max_iter": 0}, {"max_iter": 2.5},
         {"target": -1}, {"target": "small"},
         {"output_dir": 7},
+        {"max_iters": 1},
     ])
     def test_bad_value_rejected(self, tmp_path, capsys, override):
         grid = {"n": [4], "L_over_mu": [10.0], "method": ["bfgs"],
@@ -643,6 +672,15 @@ class TestGridContract:
         assert cmd_sweep(write_config(tmp_path, grid, "grid.json")) == 2
         assert not (tmp_path / "sweep").exists()
         assert "config error" in capsys.readouterr().err
+
+    def test_singular_condition_number_rejected(self, tmp_path, capsys):
+        # quad_make cannot factorize at this condition number; the grid used
+        # to exit 1 with a traceback after creating the output directory.
+        grid = {"n": [5], "L_over_mu": [1e17], "method": ["bfgs"],
+                "output_dir": str(tmp_path / "sweep")}
+        assert cmd_sweep(write_config(tmp_path, grid, "grid.json")) == 2
+        assert not (tmp_path / "sweep").exists()
+        assert "n=5 L_over_mu=1e+17" in capsys.readouterr().err
 
     def test_overflowing_condition_number_rejected(self, tmp_path, capsys):
         # JSON 1e400 reads as inf; the cell used to crash in quad_make.

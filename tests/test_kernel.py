@@ -6,12 +6,14 @@ potentials and the O(n^2) closeness against their direct definitions, and
 pins the per-iteration decomposition count of an instrumented run.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import broyden_lab.cli as cli_mod
 import broyden_lab.operators as operators_mod
 import broyden_lab.problems as problems_mod
 import broyden_lab.solver as solver_mod
@@ -264,6 +266,27 @@ class TestSetUpCost:
         assert counts == {"eig": 1, "cholesky": 2, "reduction": 0, "svd": 0}
         problems_mod.instance_hash(ProblemInstance.quadratic(quad))
         assert counts == {"eig": 1, "cholesky": 2, "reduction": 0, "svd": 0}
+
+    def test_run_builds_its_instance_once(self, monkeypatch, tmp_path):
+        # Checking a config builds the instance, and the run uses that one:
+        # up to the solver's start, one quad_make's worth of factorizations.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "instance": {"kind": "quadratic", "seed": 5,
+                         "spectrum": np.geomspace(1.0, 100.0, 12).tolist()},
+            "method": {"kind": "bfgs"}, "x0": {"random_ball": 1.0}}))
+        counts = {"eig": 0, "cholesky": 0, "reduction": 0, "svd": 0}
+        count_decompositions(monkeypatch, counts)
+        at_start = []
+
+        def run_quadratic_counted(*args):
+            at_start.append(dict(counts))
+            return run_quadratic(*args)
+
+        monkeypatch.setattr(cli_mod, "run_quadratic", run_quadratic_counted)
+        assert cli_mod.cmd_run(str(cfg), out=str(tmp_path / "out")) == 0
+        assert at_start == [{"eig": 1, "cholesky": 2, "reduction": 0,
+                             "svd": 0}]
 
 
 class TestExplicitInverse:
