@@ -159,14 +159,19 @@ def check_array(value, what: str, ndim: int) -> np.ndarray:
                     dtype=float).reshape(entries.shape)
 
 
-def check_keys(d: dict, allowed, what: str) -> None:
+def check_keys(d: dict, allowed, what: str, required=()) -> None:
     """The input rule for the keys of a config object: a key outside
     ``allowed`` is a ValueError naming it, so a misspelled field cannot
-    silently fall back to a default."""
+    silently fall back to a default, and so is a ``required`` key that is
+    missing."""
     unknown = [key for key in d if key not in allowed]
     if unknown:
         raise ValueError(f"{what} does not read {', '.join(map(repr, unknown))}"
                          f"; it reads {', '.join(allowed)}")
+    missing = [key for key in required if key not in d]
+    if missing:
+        raise ValueError(f"{what} is missing required key "
+                         f"{', '.join(map(repr, missing))}")
 
 
 def chol_logdet(chol: np.ndarray):
@@ -289,12 +294,11 @@ class SpdOperator:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.entries @ np.asarray(x, dtype=float)
 
-    def solve_vec(self, rhs: np.ndarray) -> np.ndarray:
-        """Apply the inverse to a raw coordinate vector via the cached factor."""
+    def solve_mat(self, rhs: np.ndarray) -> np.ndarray:
+        """Apply the inverse to a raw vector or matrix via the cached factor."""
         return scipy.linalg.cho_solve((self._chol, True), np.asarray(rhs, dtype=float))
 
-    def solve_mat(self, rhs: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve((self._chol, True), np.asarray(rhs, dtype=float))
+    solve_vec = solve_mat
 
     def quad_form(self, x: np.ndarray) -> float:
         """<Mx, x> for a raw coordinate vector."""

@@ -481,13 +481,13 @@ def _reference(d: dict, n: int) -> SpdOperator:
     return SpdOperator(check_array(d["b_ref"], "b_ref", 2))
 
 
-# The keys each instance form reads besides "kind" and "n", by kind and
-# whether the data is explicit (``a`` or ``a_rows``) or generated.
+# The keys each instance form reads besides "kind", as (required, optional),
+# by kind and whether the data is explicit (``a`` or ``a_rows``) or generated.
 _INSTANCE_KEYS = {
-    ("quadratic", True): ("a", "b", "b_ref", "mu", "ell", "spectrum"),
-    ("quadratic", False): ("spectrum", "seed", "b"),
-    ("log_sum_exp", True): ("m", "a_rows", "b", "b_ref", "mu", "gamma"),
-    ("log_sum_exp", False): ("m", "mu", "seed", "gamma", "b"),
+    ("quadratic", True): (("a", "b", "mu", "ell"), ("n", "b_ref", "spectrum")),
+    ("quadratic", False): (("spectrum",), ("n", "seed", "b")),
+    ("log_sum_exp", True): (("a_rows", "b", "mu"), ("n", "m", "b_ref", "gamma")),
+    ("log_sum_exp", False): (("n", "m", "mu"), ("seed", "gamma", "b")),
 }
 
 
@@ -500,16 +500,17 @@ def instance_from_dict(d: dict) -> ProblemInstance:
     ``(n, m, seed)`` with an optional ``gamma`` rescale target.  A stated
     ``n`` (or ``m``) must agree with the data, and so must a ``spectrum``
     stated beside ``a`` (to a relative 1e-12), as :func:`instance_to_dict`
-    writes it.  A key the form does not read is refused.
+    writes it.  A key the form does not read, or a required one that is
+    missing, is refused.
     """
     kind = d.get("kind")
     if kind not in ("quadratic", "log_sum_exp"):
         raise ValueError(f"unknown instance kind: {kind!r}")
-    if kind == "quadratic" and "a" not in d and "spectrum" not in d:
-        raise ValueError("quadratic spec needs either 'a' or 'spectrum'")
     explicit = ("a" if kind == "quadratic" else "a_rows") in d
-    check_keys(d, ("kind", "n") + _INSTANCE_KEYS[kind, explicit],
-               f"{'explicit' if explicit else 'generator'} {kind} instance")
+    required, optional = _INSTANCE_KEYS[kind, explicit]
+    check_keys(d, ("kind",) + required + optional,
+               f"{'explicit' if explicit else 'generator'} {kind} instance",
+               required)
     if kind == "quadratic" and explicit:
         a = check_array(d["a"], "a", 2)
         inst = ProblemInstance.quadratic(QuadraticProblem(

@@ -168,12 +168,12 @@ class TauSchedule:
     @classmethod
     def from_dict(cls, d: dict) -> "TauSchedule":
         """The schedule of a JSON ``method``; a key its kind does not read
-        is refused."""
+        is refused, and so is a missing ``tau`` or ``taus`` it requires."""
         kind = d.get("kind")
         if kind not in ("bfgs", "dfp", "constant", "sequence"):
             raise ValueError(f"unknown schedule kind: {kind!r}")
         own = {"constant": ("tau",), "sequence": ("taus",)}.get(kind, ())
-        check_keys(d, ("kind",) + own, f"method {kind!r}")
+        check_keys(d, ("kind",) + own, f"method {kind!r}", own)
         if kind == "constant":
             return cls.of_constant(d["tau"])
         if kind == "sequence":

@@ -18,10 +18,12 @@ the two closeness formulas agree and relative spectra are positive.  A
 triple that fails one of them, or yields a non-finite value, is the suite's
 witness with worst value +-inf (a FAIL) rather than an exception.
 
-:func:`replay` re-draws one triple and evaluates it through the typed API
-(``broyd``, ``rel_eigen_range``, ``nu``, the barriers and bounds), printing
-every intermediate value; ``broyden-lab verify --suite NAME --trial T`` runs
-it.  The CLI ``verify`` command drives the suites and exits nonzero on any
+Each random suite is one evaluator over a stack, which yields per tau
+whether each value counts, the intermediate values and the value itself.
+:func:`replay` re-draws one triple and runs it through that same evaluator
+as a one-triple stack, so it prints the very value the suite computed, with
+every intermediate; ``broyden-lab verify --suite NAME --trial T`` runs it.
+The CLI ``verify`` command drives the suites and exits nonzero on any
 failure.
 """
 
@@ -36,21 +38,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import broyden as kernel
-from .broyden import broyd, broyd_det_ratio, nu
-from .operators import (
-    PrimalVector,
-    Role,
-    SpdOperator,
-    chol_logdet,
-    rel_det,
-    rel_eigen_range,
-    spd_factor,
-)
+from .operators import Role, SpdOperator, chol_logdet, rel_eigen_range, spd_factor
 from .potentials import (
     SCALAR_GAP_MIDDLE_CONST,
-    augmented_barrier,
-    logdet_barrier,
-    metric_change_lb,
     metric_change_rhs,
     progress_lb_psi,
     progress_lb_v,
@@ -58,6 +48,17 @@ from .potentials import (
     spectral_barriers,
 )
 from .problems import random_orthogonal
+
+# The suites evaluate stacks through the kernel instead of calling these;
+# they stay importable here because perfbench/tracer.py wraps the typed
+# per-triple API under this module's names.
+from .broyden import broyd, broyd_det_ratio, nu  # noqa: F401
+from .operators import rel_det  # noqa: F401
+from .potentials import (  # noqa: F401
+    augmented_barrier,
+    logdet_barrier,
+    metric_change_lb,
+)
 
 __all__ = [
     "CheckResult",
@@ -216,6 +217,7 @@ def _stacks(rng: np.random.Generator, trials: int, n_max: int,
 class _Update(NamedTuple):
     g_plus: np.ndarray
     h_plus: np.ndarray
+    phi: np.ndarray
     det_ratio: np.ndarray
     lg_plus: np.ndarray
     ok: np.ndarray
@@ -271,42 +273,148 @@ class _Stack:
     def update(self, tau):
         """The update at one tau, with the factor of G_plus and where both
         G_plus and its closed-form inverse H_plus pass the SPD rule."""
-        g_plus, h_plus, _, det_ratio = kernel._apply_update(
+        g_plus, h_plus, phi, det_ratio = kernel._apply_update(
             self.g, self.h, self.u, self.scalars, tau)
         _, lg_plus, fault_g = spd_factor(g_plus)
         _, _, fault_h = spd_factor(h_plus)
-        return _Update(g_plus, h_plus, det_ratio, lg_plus,
+        return _Update(g_plus, h_plus, phi, det_ratio, lg_plus,
                        (fault_g == 0) & (fault_h == 0))
 
 
-def _run(name: str, evaluate, n_max: int, trials: int,
-         seed: int) -> CheckResult:
-    """Evaluate a random suite stack by stack and keep its worst value.
+# ---------------------------------------------------------------------------
+# The random suites.  Each evaluator takes a _Stack and yields one row per
+# tau of the grid: a dict of per-triple arrays holding ``ok`` (where the
+# suite's own checks accept the triple), the intermediate values and last
+# the suite's ``value``.  The batched run and the replay of one trial both
+# go through it.
 
-    ``evaluate(stack)`` yields one ``(ok, values)`` pair per tau of the grid.
-    A value counts only where the stack and ``ok`` accept its triple and it
-    is finite; anything else is worst of all.  Ties go to the earliest
-    trial and tau, as a trial-by-trial scan would find them.
+
+def _inverse_identity(st):
+    eye = np.eye(st.u.shape[-1])
+    for tau in TAU_GRID:
+        up = st.update(tau)
+        yield {"ok": up.ok, "phi": up.phi, "det_ratio": up.det_ratio,
+               "value": np.linalg.norm(up.g_plus @ up.h_plus - eye, 2,
+                                       axis=(-2, -1))}
+
+
+def _det_ratio(st):
+    solved = kernel._scalars(st.a, st.g, st.u, st.solve_g, check=False)
+    au_u, gu_u, aha = solved[2], solved[3], solved[5]
+    solved_ok = kernel._positive_pairings(au_u, gu_u, aha)
+    logdet_g = chol_logdet(st.lg)
+    for tau in TAU_GRID:
+        up = st.update(tau)
+        reference = np.exp(logdet_g - chol_logdet(up.lg_plus))
+        closed = kernel._phi_det(tau, au_u, gu_u, aha)[1]
+        yield {"ok": up.ok & solved_ok, "det_ratio": up.det_ratio,
+               "closed_form": closed, "reference": reference,
+               "value": np.maximum(np.abs(up.det_ratio - reference),
+                                   np.abs(closed - reference))
+               / np.abs(reference)}
+
+
+def _eigen_containment(st):
+    before, ok = st.rel_spectrum(st.g)
+    lo = np.minimum(1.0, before[:, 0])
+    hi = np.maximum(1.0, before[:, -1])
+    for tau in TAU_GRID:
+        up = st.update(tau)
+        after, after_ok = st.rel_spectrum(up.g_plus)
+        yield {"ok": ok & up.ok & after_ok, "lo": lo, "hi": hi,
+               "min_rel": after[:, 0], "max_rel": after[:, -1],
+               "value": np.minimum(after[:, 0] - lo, hi - after[:, -1])}
+
+
+def _logdet_progress(st):
+    before, ok = st.rel_spectrum(st.g)
+    eta = np.maximum(1.0, before[:, -1])
+    nu_val, nu_ok = st.closeness()
+    v_before, _ = spectral_barriers(before)
+    for tau in TAU_GRID:
+        up = st.update(tau)
+        after, after_ok = st.rel_spectrum(up.g_plus)
+        decrease = v_before - spectral_barriers(after)[0]
+        bound = progress_lb_v(eta, tau, nu_val)
+        yield {"ok": ok & nu_ok & up.ok & after_ok, "eta": eta, "nu": nu_val,
+               "decrease": decrease, "bound": bound,
+               "value": decrease - bound}
+
+
+def _augmented_progress(st):
+    before, ok = st.rel_spectrum(st.g)
+    xi = np.maximum(1.0, 1.0 / before[:, 0])
+    eta = np.maximum(1.0, before[:, -1])
+    nu_val, nu_ok = st.closeness()
+    _, psi_before = spectral_barriers(before)
+    for tau in TAU_GRID:
+        up = st.update(tau)
+        after, after_ok = st.rel_spectrum(up.g_plus)
+        decrease = psi_before - spectral_barriers(after)[1]
+        bound = progress_lb_psi(xi, eta, tau, nu_val)
+        yield {"ok": ok & nu_ok & up.ok & after_ok, "xi": xi, "eta": eta,
+               "nu": nu_val, "decrease": decrease, "bound": bound,
+               "value": decrease - bound}
+
+
+def _metric_change(st):
+    before, ok = st.rel_spectrum(st.g)
+    xi = 1.0 / before[:, 0]
+    nu_val, nu_ok = st.closeness()
+    for tau in TAU_GRID:
+        up = st.update(tau)
+        rhs = metric_change_rhs(st.a, st.g, st.u, up.h_plus, xi)
+        yield {"ok": ok & nu_ok & up.ok, "nu": nu_val, "xi": xi, "rhs": rhs,
+               "value": nu_val * nu_val - rhs}
+
+
+_EVALUATORS = {
+    "inverse_identity": _inverse_identity,
+    "det_ratio": _det_ratio,
+    "eigen_containment": _eigen_containment,
+    "logdet_progress": _logdet_progress,
+    "augmented_progress": _augmented_progress,
+    "metric_change": _metric_change,
+}
+
+
+def _evaluate(name: str, a, g, u):
+    """The suite's rows on the stack of triples (A, G, u), with ``ok``
+    narrowed to the values that count: accepted by the stack and the row,
+    and finite; and a (T, tau) array of the values, NaN where one does not
+    count."""
+    with np.errstate(all="ignore"):
+        stack = _Stack(a, g, u)
+        rows = [{**row, "ok": stack.ok & row["ok"] & np.isfinite(row["value"])}
+                for row in _EVALUATORS[name](stack)]
+    values = np.stack([np.where(row["ok"], row["value"], np.nan)
+                       for row in rows], axis=1)
+    return rows, values
+
+
+def _worst(values: np.ndarray, sign: float):
+    """(trial row, tau index, value) of the most adverse value of a stack.
+
+    A value that does not count (NaN) is worst of all, +-inf; ties go to
+    the earliest trial and tau, as a trial-by-trial scan would find them.
     """
+    key = np.where(np.isnan(values), np.inf, sign * values)
+    t, k = divmod(int(np.argmax(key)), values.shape[1])
+    return t, k, sign * float(key[t, k])
+
+
+def _run(name: str, n_max: int, trials: int, seed: int) -> CheckResult:
+    """Evaluate a random suite stack by stack and keep its worst value."""
     threshold, higher_is_worse = _CHECKS[name]
     sign = 1.0 if higher_is_worse else -1.0
     rng = np.random.default_rng(seed)
     best = None
     for idx, a, g, u in _stacks(rng, trials, n_max, name in _DOMINATING):
-        with np.errstate(all="ignore"):
-            stack = _Stack(a, g, u)
-            values = np.stack([
-                np.where(stack.ok & ok & np.isfinite(v), v, np.nan)
-                for ok, v in evaluate(stack)
-            ], axis=1)
-        key = np.where(np.isnan(values), np.inf, sign * values)
-        t, k = divmod(int(np.argmax(key)), values.shape[1])
-        rank = (key[t, k], -idx[t], -k)
+        t, k, worst = _worst(_evaluate(name, a, g, u)[1], sign)
+        rank = (sign * worst, -idx[t], -k)
         if best is None or rank > best[0]:
-            best = (rank, int(idx[t]), k, float(values[t, k]), u.shape[-1])
+            best = (rank, int(idx[t]), k, worst, u.shape[-1])
     _, trial, k, worst, n = best
-    if math.isnan(worst):
-        worst = sign * math.inf
     return CheckResult(name, worst, threshold, higher_is_worse,
                        trials * len(TAU_GRID), seed, trial, n, TAU_GRID[k])
 
@@ -314,13 +422,7 @@ def _run(name: str, evaluate, n_max: int, trials: int,
 def inverse_identity_suite(n_max: int = 8, trials: int = 1000,
                            seed: int = 0) -> CheckResult:
     """Spectral residual of (updated operator) x (closed-form inverse) vs identity."""
-    def residuals(st):
-        eye = np.eye(st.u.shape[-1])
-        for tau in TAU_GRID:
-            up = st.update(tau)
-            yield up.ok, np.linalg.norm(up.g_plus @ up.h_plus - eye, 2,
-                                        axis=(-2, -1))
-    return _run("inverse_identity", residuals, n_max, trials, seed)
+    return _run("inverse_identity", n_max, trials, seed)
 
 
 def det_ratio_suite(n_max: int = 8, trials: int = 1000,
@@ -330,19 +432,7 @@ def det_ratio_suite(n_max: int = 8, trials: int = 1000,
     The closed form is evaluated twice: from the update itself (G^{-1}Au
     through the explicit inverse) and from a factorized solve.
     """
-    def rel_errors(st):
-        solved = kernel._scalars(st.a, st.g, st.u, st.solve_g, check=False)
-        au_u, gu_u, aha = solved[2], solved[3], solved[5]
-        solved_ok = kernel._positive_pairings(au_u, gu_u, aha)
-        logdet_g = chol_logdet(st.lg)
-        for tau in TAU_GRID:
-            up = st.update(tau)
-            reference = np.exp(logdet_g - chol_logdet(up.lg_plus))
-            closed = kernel._phi_det(tau, au_u, gu_u, aha)[1]
-            yield up.ok & solved_ok, np.maximum(
-                np.abs(up.det_ratio - reference), np.abs(closed - reference)
-            ) / np.abs(reference)
-    return _run("det_ratio", rel_errors, n_max, trials, seed)
+    return _run("det_ratio", n_max, trials, seed)
 
 
 def eigen_containment_suite(n_max: int = 8, trials: int = 1000,
@@ -353,65 +443,25 @@ def eigen_containment_suite(n_max: int = 8, trials: int = 1000,
     update, so the preserved bracket is the input range widened to
     include 1.
     """
-    def margins(st):
-        before, ok = st.rel_spectrum(st.g)
-        lo = np.minimum(1.0, before[:, 0])
-        hi = np.maximum(1.0, before[:, -1])
-        for tau in TAU_GRID:
-            up = st.update(tau)
-            after, after_ok = st.rel_spectrum(up.g_plus)
-            yield ok & up.ok & after_ok, np.minimum(after[:, 0] - lo,
-                                                    hi - after[:, -1])
-    return _run("eigen_containment", margins, n_max, trials, seed)
+    return _run("eigen_containment", n_max, trials, seed)
 
 
 def logdet_progress_suite(n_max: int = 8, trials: int = 1000,
                           seed: int = 3) -> CheckResult:
     """Measured log-det barrier decrease dominates its guaranteed bound."""
-    def slacks(st):
-        before, ok = st.rel_spectrum(st.g)
-        eta = np.maximum(1.0, before[:, -1])
-        nu_val, nu_ok = st.closeness()
-        v_before, _ = spectral_barriers(before)
-        for tau in TAU_GRID:
-            up = st.update(tau)
-            after, after_ok = st.rel_spectrum(up.g_plus)
-            decrease = v_before - spectral_barriers(after)[0]
-            yield (ok & nu_ok & up.ok & after_ok,
-                   decrease - progress_lb_v(eta, tau, nu_val))
-    return _run("logdet_progress", slacks, n_max, trials, seed)
+    return _run("logdet_progress", n_max, trials, seed)
 
 
 def augmented_progress_suite(n_max: int = 8, trials: int = 1000,
                              seed: int = 4) -> CheckResult:
     """Measured augmented-barrier decrease dominates its guaranteed bound."""
-    def slacks(st):
-        before, ok = st.rel_spectrum(st.g)
-        xi = np.maximum(1.0, 1.0 / before[:, 0])
-        eta = np.maximum(1.0, before[:, -1])
-        nu_val, nu_ok = st.closeness()
-        _, psi_before = spectral_barriers(before)
-        for tau in TAU_GRID:
-            up = st.update(tau)
-            after, after_ok = st.rel_spectrum(up.g_plus)
-            decrease = psi_before - spectral_barriers(after)[1]
-            yield (ok & nu_ok & up.ok & after_ok,
-                   decrease - progress_lb_psi(xi, eta, tau, nu_val))
-    return _run("augmented_progress", slacks, n_max, trials, seed)
+    return _run("augmented_progress", n_max, trials, seed)
 
 
 def metric_change_suite(n_max: int = 8, trials: int = 1000,
                         seed: int = 5) -> CheckResult:
     """Squared closeness dominates its post-update metric bound."""
-    def slacks(st):
-        before, ok = st.rel_spectrum(st.g)
-        xi = 1.0 / before[:, 0]
-        nu_val, nu_ok = st.closeness()
-        for tau in TAU_GRID:
-            up = st.update(tau)
-            rhs = metric_change_rhs(st.a, st.g, st.u, up.h_plus, xi)
-            yield ok & nu_ok & up.ok, nu_val * nu_val - rhs
-    return _run("metric_change", slacks, n_max, trials, seed)
+    return _run("metric_change", n_max, trials, seed)
 
 
 def _scalar_gap_grid(grid: int):
@@ -468,85 +518,19 @@ def suite_size(name: str, trials: int) -> int:
     return SCALAR_GAP_GRID ** 2 if name == "scalar_gap" else trials
 
 
-# ---------------------------------------------------------------------------
-# Replay: one triple through the typed API
-
-
-def _replay_inverse_identity(a, g, u):
-    eye = np.eye(a.dim)
-    for tau in TAU_GRID:
-        res = broyd(a, g, u, tau)
-        yield {"tau": tau, "phi": res.phi, "det_ratio": res.det_ratio,
-               "value": float(np.linalg.norm(
-                   res.g_plus.entries @ res.g_plus_inv.entries - eye, 2))}
-
-
-def _replay_det_ratio(a, g, u):
-    for tau in TAU_GRID:
-        res = broyd(a, g, u, tau)
-        reference = rel_det(res.g_plus.inverse(), g)
-        closed = broyd_det_ratio(a, g, u, tau)
-        yield {"tau": tau, "det_ratio": res.det_ratio, "closed_form": closed,
-               "reference": reference,
-               "value": max(abs(res.det_ratio - reference),
-                            abs(closed - reference)) / abs(reference)}
-
-
-def _replay_eigen_containment(a, g, u):
-    before = rel_eigen_range(g, a)
-    lo, hi = min(1.0, before.min_rel), max(1.0, before.max_rel)
-    yield {"min_rel": before.min_rel, "max_rel": before.max_rel,
-           "lo": lo, "hi": hi}
-    for tau in TAU_GRID:
-        after = rel_eigen_range(broyd(a, g, u, tau).g_plus, a)
-        yield {"tau": tau, "min_rel": after.min_rel, "max_rel": after.max_rel,
-               "value": min(after.min_rel - lo, hi - after.max_rel)}
-
-
-def _replay_logdet_progress(a, g, u):
-    eta = max(1.0, rel_eigen_range(g, a).max_rel)
-    nu_val = nu(a, g, u)
-    v_before = logdet_barrier(a, g)
-    yield {"eta": eta, "nu": nu_val, "v": v_before}
-    for tau in TAU_GRID:
-        v_after = logdet_barrier(a, broyd(a, g, u, tau).g_plus)
-        bound = progress_lb_v(eta, tau, nu_val)
-        yield {"tau": tau, "v": v_after, "decrease": v_before - v_after,
-               "bound": float(bound), "value": v_before - v_after - bound}
-
-
-def _replay_augmented_progress(a, g, u):
-    rng_ga = rel_eigen_range(g, a)
-    xi = max(1.0, 1.0 / rng_ga.min_rel)
-    eta = max(1.0, rng_ga.max_rel)
-    nu_val = nu(a, g, u)
-    psi_before = augmented_barrier(g, a)
-    yield {"xi": xi, "eta": eta, "nu": nu_val, "psi": psi_before}
-    for tau in TAU_GRID:
-        psi_after = augmented_barrier(broyd(a, g, u, tau).g_plus, a)
-        bound = progress_lb_psi(xi, eta, tau, nu_val)
-        yield {"tau": tau, "psi": psi_after, "decrease": psi_before - psi_after,
-               "bound": float(bound), "value": psi_before - psi_after - bound}
-
-
-def _replay_metric_change(a, g, u):
-    yield {"nu": nu(a, g, u), "xi": 1.0 / rel_eigen_range(g, a).min_rel}
-    for tau in TAU_GRID:
-        nu_sq, rhs = metric_change_lb(a, g, u, tau)
-        yield {"tau": tau, "nu_sq": nu_sq, "rhs": rhs, "value": nu_sq - rhs}
-
-
 def _fmt_values(values: dict) -> str:
-    return "  ".join(f"{key}={float(val)!r}" for key, val in values.items())
+    return "  ".join(f"{key}={np.asarray(val).item()!r}"
+                     for key, val in values.items())
 
 
 def replay(name: str, trial: int, n_max: int = 8, seed: int = 0) -> CheckResult:
-    """Re-draw one trial of a suite and evaluate it through the typed API.
+    """Re-draw one trial of a suite and evaluate it as the suite does.
 
-    ``seed`` is the base seed, as for :func:`run_all`.  Prints the triple,
-    every intermediate value and the suite's value for each tau, and
-    returns the result of that one trial.  A triple the typed API rejects
-    raises its error once the values computed before it are printed.
+    ``seed`` is the base seed, as for :func:`run_all`.  The triple goes
+    through the suite's own evaluator as a one-triple stack, so each value
+    is the one the suite computed for it.  Prints the triple and, for each
+    tau, whether the value counts (``ok``), the intermediate values and the
+    value; returns the result of that one trial.
     """
     threshold, higher_is_worse = _CHECKS[name]
     if name == "scalar_gap":
@@ -563,20 +547,14 @@ def replay(name: str, trial: int, n_max: int = 8, seed: int = 0) -> CheckResult:
     dominating = name in _DOMINATING
     for _ in range(trial):
         _draw(rng, n_max, dominating)
-    a_mat, g_mat, u_vec = _draw(rng, n_max, dominating)
-    print(f"{name} seed={suite_seed} trial={trial} n={u_vec.size}")
+    a, g, u = _draw(rng, n_max, dominating)
+    print(f"{name} seed={suite_seed} trial={trial} n={u.size}")
     with np.printoptions(precision=17, linewidth=100):
-        for label, arr in (("A", a_mat), ("G", g_mat), ("u", u_vec)):
+        for label, arr in (("A", a), ("G", g), ("u", u)):
             print(f"{label} = {np.array2string(arr, prefix=label + ' = ')}")
-    a = SpdOperator(a_mat, Role.PRIMAL_TO_DUAL)
-    g = SpdOperator(g_mat, Role.PRIMAL_TO_DUAL)
-    u = PrimalVector(u_vec)
-    sign = 1.0 if higher_is_worse else -1.0
-    worst = None
-    for row in globals()[f"_replay_{name}"](a, g, u):
-        print(_fmt_values(row))
-        if "value" in row and (worst is None
-                               or sign * row["value"] > sign * worst[0]):
-            worst = (float(row["value"]), row["tau"])
-    return CheckResult(name, worst[0], threshold, higher_is_worse,
-                       len(TAU_GRID), suite_seed, trial, u_vec.size, worst[1])
+    rows, values = _evaluate(name, a[None], g[None], u[None])
+    for tau, row in zip(TAU_GRID, rows):
+        print(_fmt_values({"tau": tau, **row}))
+    _, k, worst = _worst(values, 1.0 if higher_is_worse else -1.0)
+    return CheckResult(name, worst, threshold, higher_is_worse,
+                       len(TAU_GRID), suite_seed, trial, u.size, TAU_GRID[k])

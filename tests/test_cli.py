@@ -2,13 +2,12 @@
 
 import copy
 import json
-import os
 import shutil
 
 import numpy as np
 import pytest
 
-from broyden_lab.cli import SEED_ENV_VAR, cmd_run, cmd_sweep, cmd_verify, main
+from broyden_lab.cli import cmd_run, cmd_sweep, cmd_verify, main
 from broyden_lab.problems import instance_from_dict
 from broyden_lab.verify import SUITES, run_all
 
@@ -192,15 +191,6 @@ class TestRun:
             b1 = (out1 / "exp-quad" / fname).read_bytes()
             b2 = (out2 / "exp-quad" / fname).read_bytes()
             assert b1 == b2
-
-    def test_seed_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "999")
-        cfg = write_config(tmp_path, quad_experiment(tmp_path / "out"))
-        assert cmd_run(cfg) == 0
-        summary = json.loads(
-            (tmp_path / "out" / "exp-quad" / "summary.json").read_text()
-        )
-        assert summary["seed"] == 999
 
     def test_general_scheme_forced_on_quadratic(self, tmp_path):
         exp = quad_experiment(tmp_path / "out", scheme="general",
@@ -522,6 +512,36 @@ class TestConfigContract:
         exp = quad_experiment(tmp_path / "out", **field)
         self.assert_rejected(tmp_path, capsys, exp, "does not read")
 
+    @pytest.mark.parametrize("config, path", [
+        ("explicit_quadratic", ("instance", "b")),
+        ("explicit_quadratic", ("instance", "mu")),
+        ("explicit_quadratic", ("instance", "ell")),
+        ("spectrum_quadratic", ("instance", "spectrum")),
+        ("explicit_lse", ("instance", "b")),
+        ("explicit_lse", ("instance", "mu")),
+        ("generator_lse", ("instance", "n")),
+        ("generator_lse", ("instance", "m")),
+        ("generator_lse", ("instance", "mu")),
+        ("explicit_quadratic", ("method", "tau")),
+        ("generator_lse", ("method", "taus")),
+        ("spectrum_quadratic", ("instance",)),
+        ("spectrum_quadratic", ("method",)),
+        ("spectrum_quadratic", ("x0",)),
+    ])
+    def test_missing_required_key_rejected(self, tmp_path, capsys, config,
+                                           path):
+        # Every required key of every form, but the "a" or "a_rows" that
+        # makes a form explicit.  A missing one used to surface as a bare
+        # KeyError repr, "config error: exp000: 'b'".
+        exp = dict(copy.deepcopy(LEAF_CONFIGS[config]),
+                   output_dir=str(tmp_path / "out"))
+        parent = exp
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        self.assert_rejected(tmp_path, capsys, exp,
+                             f"missing required key {path[-1]!r}")
+
     def test_stated_spectrum_must_agree(self, tmp_path, capsys):
         # The spectrum instance_to_dict writes beside an explicit matrix is
         # checked like a stated n, so a round trip keeps working.
@@ -567,11 +587,6 @@ class TestConfigContract:
         # different instance than the one written.
         exp = quad_experiment(tmp_path / "out", instance=instance)
         self.assert_rejected(tmp_path, capsys, exp, "must be an integer")
-
-    def test_negative_env_seed_rejected(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "-1")
-        self.assert_rejected(tmp_path, capsys,
-                             quad_experiment(tmp_path / "out"), "seed")
 
     @pytest.mark.parametrize("solver", [{"max_iter": 1.5},
                                         {"max_iter": True},
@@ -672,6 +687,15 @@ class TestGridContract:
         assert cmd_sweep(write_config(tmp_path, grid, "grid.json")) == 2
         assert not (tmp_path / "sweep").exists()
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["n", "L_over_mu", "method"])
+    def test_missing_required_key_rejected(self, tmp_path, capsys, key):
+        grid = {"n": [4], "L_over_mu": [10.0], "method": ["bfgs"],
+                "output_dir": str(tmp_path / "sweep")}
+        del grid[key]
+        assert cmd_sweep(write_config(tmp_path, grid, "grid.json")) == 2
+        assert not (tmp_path / "sweep").exists()
+        assert f"missing required key {key!r}" in capsys.readouterr().err
 
     def test_singular_condition_number_rejected(self, tmp_path, capsys):
         # quad_make cannot factorize at this condition number; the grid used

@@ -7,7 +7,6 @@ also return the value of every (trial, tau), so a batched witness can be
 checked against them.
 """
 
-import re
 import shlex
 
 import numpy as np
@@ -250,9 +249,9 @@ def _replay_argv(out: str, suite: str) -> list[str]:
     return shlex.split(line.removeprefix("replay: broyden-lab").split("#")[0])
 
 
-def _replayed_value(out: str, tau: float) -> float:
-    line = next(ln for ln in out.splitlines() if ln.startswith(f"tau={tau!r} "))
-    return float(re.search(r"value=(\S+)", line).group(1))
+def _replayed_row(lines, tau: float) -> dict:
+    line = next(ln for ln in lines if ln.startswith(f"tau={tau!r} "))
+    return dict(item.split("=", 1) for item in line.split("  "))
 
 
 @pytest.mark.parametrize("suite, kernel_fn, wrong", [
@@ -273,16 +272,17 @@ def test_wrong_closed_form_fails_and_replays(monkeypatch, capsys, suite,
     assert not res.passed
 
     assert main(_replay_argv(out, suite)) == 1
-    replayed = capsys.readouterr().out
-    assert replayed.splitlines()[-1].endswith("FAIL")
-    assert _replayed_value(replayed, res.tau) == pytest.approx(res.worst,
-                                                               rel=1e-6)
+    replayed = capsys.readouterr().out.splitlines()
+    assert replayed[-1].endswith("FAIL")
+    assert float(_replayed_row(replayed, res.tau)["value"]) == res.worst
 
 
 @pytest.mark.parametrize("suite, sign", [("inverse_identity", 1.0),
                                          ("eigen_containment", -1.0)])
-def test_update_leaving_spd_cone_is_a_witnessed_fail(monkeypatch, suite, sign):
-    """A stacked G_plus outside the SPD cone fails its suite, naming it."""
+def test_update_leaving_spd_cone_is_a_witnessed_fail(monkeypatch, capsys,
+                                                     suite, sign):
+    """A stacked G_plus outside the SPD cone fails its suite, naming it,
+    and the replay of that witness shows the value does not count."""
     original = broyden_mod._apply_update
 
     def corrupt(g_mat, h_mat, u, scalars, tau):
@@ -301,23 +301,50 @@ def test_update_leaving_spd_cone_is_a_witnessed_fail(monkeypatch, suite, sign):
     ns = [verify._draw(rng, 4, False)[2].size for _ in range(30)]
     assert (res.trial, res.n, res.tau) == (ns.index(3), 3, 0.5)
 
+    capsys.readouterr()
+    assert main(["verify", "--suite", suite, "--seed", "0", "--trial",
+                 str(res.trial), "--n-max", "4", "--trials", "30"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    oks = {tau: _replayed_row(out, tau)["ok"] for tau in TAU_GRID}
+    assert oks == {tau: repr(tau != 0.5) for tau in TAU_GRID}
+    assert out[-1].endswith("FAIL")
+
 
 def test_replay_prints_every_tau(capsys):
     assert main(["verify", "--suite", "logdet_progress", "--seed", "2",
                  "--trial", "7", "--trials", "10", "--n-max", "5"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("logdet_progress seed=5 trial=7 n=")
-    assert any(ln.startswith("eta=") and "nu=" in ln for ln in out)
     for tau in TAU_GRID:
-        assert any(ln.startswith(f"tau={tau!r} ") and "bound=" in ln
-                   for ln in out)
+        row = _replayed_row(out, tau)
+        assert list(row) == ["tau", "ok", "eta", "nu", "decrease", "bound",
+                             "value"]
+        assert row["ok"] == "True"
+        assert float(row["value"]) == \
+            float(row["decrease"]) - float(row["bound"])
     assert out[-1].endswith("PASS")
 
 
 @pytest.mark.parametrize("suite", verify.SUITES)
 def test_replay_matches_batched_witness(capsys, suite):
+    # The replay runs the suite's own evaluator on a one-triple stack, so
+    # its value is the batched worst to the bit.
     res = verify.run_suite(suite, n_max=6, trials=40, seed=3)
     one = verify.replay(suite, res.trial, n_max=6, seed=3)
     capsys.readouterr()
     assert (one.n, one.tau, one.seed) == (res.n, res.tau, res.seed)
-    assert one.worst == pytest.approx(res.worst, rel=RTOL, abs=ATOL)
+    assert one.worst == res.worst
+
+
+@pytest.mark.parametrize("suite", sorted(REFERENCE))
+def test_replayed_witness_matches_typed_reference(capsys, suite):
+    # The typed per-trial API cross-checks every value the replay prints.
+    res = verify.run_suite(suite, n_max=6, trials=40, seed=3)
+    verify.replay(suite, res.trial, n_max=6, seed=3)
+    out = capsys.readouterr().out.splitlines()
+    _, values, ns = REFERENCE[suite](6, 40, res.seed)
+    assert ns[res.trial] == res.n
+    for k, tau in enumerate(TAU_GRID):
+        row = _replayed_row(out, tau)
+        assert row["ok"] == "True", tau
+        assert _close(float(row["value"]), values[res.trial, k]), tau
