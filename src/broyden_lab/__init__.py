@@ -67,7 +67,6 @@ from .potentials import (
 )
 from .problems import (
     IntegralHessian,
-    Kind,
     LogSumExpProblem,
     ProblemInstance,
     QuadraticProblem,

@@ -92,13 +92,10 @@ def _ln_p(taus, ratio):
 
 
 def _tau_array(taus, k: int) -> np.ndarray:
-    """tau_0 .. tau_{k-1} from a schedule or an explicit sequence."""
-    if isinstance(taus, TauSchedule):
-        return taus.values(k)
-    seq = np.array([float(t) for t in taus])
-    if len(seq) < k:
-        raise ValueError(f"need {k} tau values, got {len(seq)}")
-    return seq[:k]
+    """tau_0 .. tau_{k-1} from a schedule or a sequence, read as one."""
+    if not isinstance(taus, TauSchedule):
+        taus = TauSchedule.of_sequence(taus)
+    return taus.values(k)
 
 
 def _sup_log(ks, ln_c, cum_ln_p, t, offset, lambda0: float):
@@ -334,7 +331,7 @@ def report_quad_superlinear(trace: IterationTrace, psi_variant: bool = False,
     n, mu, ell, _ = envelope_constants(trace.problem, overrides)
     log_factor = None
     if sharpened:
-        log_factor = env_quad_sharpened_factor(trace.problem.payload)
+        log_factor = env_quad_sharpened_factor(trace.problem)
     ln_bound = _quad_sup_logs(n, mu, ell, trace.schedule, len(trace) - 1,
                               trace.lambda0, psi_variant, log_factor)
     name = "quad_superlinear_psi" if psi_variant else "quad_superlinear"

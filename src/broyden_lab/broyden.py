@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
-    DimensionMismatch,
     Role,
     PrimalVector,
     SpdOperator,
     ZeroDirectionError,
     check_number,
+    check_same_dim,
 )
 
 __all__ = [
@@ -69,12 +69,10 @@ class UpdateResult:
 
 
 def _direction(a: SpdOperator, g: SpdOperator, u: PrimalVector):
-    if a.dim != g.dim:
-        raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {g.dim}")
+    check_same_dim(a, g)
     if not isinstance(u, PrimalVector):
         raise TypeError("update direction must be a PrimalVector")
-    if u.dim != a.dim:
-        raise DimensionMismatch(f"dimension mismatch: {u.dim} vs {a.dim}")
+    check_same_dim(u, a)
     return u.coords
 
 

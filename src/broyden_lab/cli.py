@@ -34,8 +34,8 @@ rule, :func:`~broyden_lab.operators.check_number`: JSON numbers only, with
 booleans, strings and null rejected; finite; and for an integer field (a
 count or a seed) no ``1.0``.  Arrays pass
 :func:`~broyden_lab.operators.check_array`: rectangular and all-numeric.
-An experiment, method, instance, ``x0`` or grid key that its form does not
-read is refused by :func:`~broyden_lab.operators.check_keys`.
+An experiment, method, instance, ``x0``, ``solver`` or grid key that its
+form does not read is refused by :func:`~broyden_lab.operators.check_keys`.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -73,8 +73,8 @@ from .operators import (
     norm_primal,
 )
 from .problems import (
-    Kind,
     ProblemInstance,
+    QuadraticProblem,
     instance_from_dict,
     instance_hash,
     quad_make,
@@ -161,6 +161,8 @@ def _check_experiment(exp: dict, out: str | None) -> _Experiment:
             raise ConfigError(f"{key} must be given as a JSON object")
     problem = instance_from_dict(exp["instance"])
     schedule = TauSchedule.from_dict(exp["method"])
+    check_keys(exp["solver"], [f.name for f in fields(SolverConfig)],
+               "the solver object")
     config = SolverConfig(**exp["solver"])
 
     x0, n = exp["x0"], problem.n
@@ -181,7 +183,7 @@ def _check_experiment(exp: dict, out: str | None) -> _Experiment:
     else:
         raise ConfigError("x0 must carry 'coords' or 'random_ball'")
 
-    quadratic = problem.kind is Kind.QUADRATIC
+    quadratic = isinstance(problem, QuadraticProblem)
     general = not quadratic or exp["scheme"] == "general"
     envelopes = exp.get("envelopes", list(
         GENERAL_ENVELOPES if general else QUADRATIC_ENVELOPES))
@@ -403,11 +405,10 @@ def _grid_experiments(raw: dict, out: str | None):
     for n in ns:
         for kappa in kappas:
             try:
-                problem = ProblemInstance.quadratic(
-                    quad_make(np.geomspace(1.0, kappa, n), seed=seed))
+                problem = quad_make(np.geomspace(1.0, kappa, n), seed=seed)
                 x0 = PrimalVector(
                     np.random.default_rng(seed + 1).standard_normal(n))
-                lam0 = norm_dual(problem.payload.a_op, problem.grad(x0))
+                lam0 = norm_dual(problem.a_op, problem.grad(x0))
                 config = SolverConfig(max_iter=max_iter,
                                       grad_tol=target * lam0)
             except ValueError as exc:

@@ -44,6 +44,7 @@ __all__ = [
     "check_number",
     "check_array",
     "check_keys",
+    "check_same_dim",
 ]
 
 _sygst = scipy.linalg.get_lapack_funcs("sygst", dtype=np.float64)
@@ -185,7 +186,9 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_same_dim(a, b) -> None:
+def check_same_dim(a, b) -> None:
+    """The dimension rule of every typed function: operands of different
+    dimension are a :class:`DimensionMismatch`."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
 
@@ -212,13 +215,13 @@ class _Vector:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        _check_same_dim(self, other)
+        check_same_dim(self, other)
         return self._like(self.coords + other.coords)
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        _check_same_dim(self, other)
+        check_same_dim(self, other)
         return self._like(self.coords - other.coords)
 
     def __neg__(self):
@@ -317,11 +320,11 @@ class SpdOperator:
         if self.role is Role.PRIMAL_TO_DUAL:
             if not isinstance(v, PrimalVector):
                 raise TypeError("primal->dual operator applies to PrimalVector")
-            _check_same_dim(self, v)
+            check_same_dim(self, v)
             return DualVector(self.matvec(v.coords))
         if not isinstance(v, DualVector):
             raise TypeError("dual->primal operator applies to DualVector")
-        _check_same_dim(self, v)
+        check_same_dim(self, v)
         return PrimalVector(self.matvec(v.coords))
 
     def scaled(self, c: float) -> "SpdOperator":
@@ -361,7 +364,7 @@ def pair(s: DualVector, x: PrimalVector) -> float:
     """Duality pairing <s, x> = sum_i s_i x_i."""
     if not isinstance(s, DualVector) or not isinstance(x, PrimalVector):
         raise TypeError("pair() takes a DualVector and a PrimalVector")
-    _check_same_dim(s, x)
+    check_same_dim(s, x)
     return float(s.coords @ x.coords)
 
 
@@ -369,7 +372,7 @@ def rel_trace(h: SpdOperator, a: SpdOperator) -> float:
     """Trace of A relative to H^{-1}, i.e. Tr(HA)."""
     _require_role(h, Role.DUAL_TO_PRIMAL, "h")
     _require_role(a, Role.PRIMAL_TO_DUAL, "a")
-    _check_same_dim(h, a)
+    check_same_dim(h, a)
     # Tr(HA) = sum_ij H_ij A_ji = sum_ij H_ij A_ij for symmetric operands.
     return float(np.tensordot(h.entries, a.entries))
 
@@ -378,7 +381,7 @@ def rel_det(h: SpdOperator, a: SpdOperator) -> float:
     """Determinant of HA, evaluated as exp(logdet A + logdet H) for stability."""
     _require_role(h, Role.DUAL_TO_PRIMAL, "h")
     _require_role(a, Role.PRIMAL_TO_DUAL, "a")
-    _check_same_dim(h, a)
+    check_same_dim(h, a)
     return float(np.exp(a.logdet + h.logdet))
 
 
@@ -387,7 +390,7 @@ def norm_primal(a: SpdOperator, h: PrimalVector) -> float:
     _require_role(a, Role.PRIMAL_TO_DUAL, "a")
     if not isinstance(h, PrimalVector):
         raise TypeError("norm_primal() takes a PrimalVector")
-    _check_same_dim(a, h)
+    check_same_dim(a, h)
     return float(np.sqrt(max(a.quad_form(h.coords), 0.0)))
 
 
@@ -396,7 +399,7 @@ def norm_dual(a: SpdOperator, s: DualVector) -> float:
     _require_role(a, Role.PRIMAL_TO_DUAL, "a")
     if not isinstance(s, DualVector):
         raise TypeError("norm_dual() takes a DualVector")
-    _check_same_dim(a, s)
+    check_same_dim(a, s)
     return float(np.sqrt(max(a.inv_quad_form(s.coords), 0.0)))
 
 
@@ -410,7 +413,7 @@ def rel_eigvals(g: SpdOperator, a: SpdOperator) -> np.ndarray:
     """
     _require_role(g, Role.PRIMAL_TO_DUAL, "g")
     _require_role(a, Role.PRIMAL_TO_DUAL, "a")
-    _check_same_dim(g, a)
+    check_same_dim(g, a)
     # Both operands are passed transposed so they arrive Fortran-ordered:
     # G^T = G, and A = U^T U with U = L^T upper triangular.
     reduced, info = _sygst(g.entries.T, a._chol.T, itype=1, lower=0)
@@ -433,7 +436,7 @@ def loewner_slack(a1: SpdOperator, a2: SpdOperator) -> float:
     Nonnegative (up to rounding) exactly when A1 is below A2 in the
     positive-semidefinite order.
     """
-    _check_same_dim(a1, a2)
+    check_same_dim(a1, a2)
     diff = a2.entries - a1.entries
     min_eig = float(np.linalg.eigvalsh(diff)[0])
     scale = float(np.linalg.eigvalsh(a2.entries)[-1])
@@ -450,5 +453,5 @@ def spd_solve(a: SpdOperator, s: DualVector) -> PrimalVector:
     _require_role(a, Role.PRIMAL_TO_DUAL, "a")
     if not isinstance(s, DualVector):
         raise TypeError("spd_solve() takes a DualVector right-hand side")
-    _check_same_dim(a, s)
+    check_same_dim(a, s)
     return PrimalVector(a.solve_vec(s.coords))

@@ -19,7 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .broyden import broyd, check_tau, nu
-from .operators import PrimalVector, SpdOperator, rel_eigen_range
+from .operators import (
+    PrimalVector,
+    SpdOperator,
+    check_same_dim,
+    rel_eigen_range,
+)
 
 __all__ = [
     "PotentialSnapshot",
@@ -65,15 +70,13 @@ def logdet_barrier(a: SpdOperator, g: SpdOperator) -> float:
     Nonnegative when A is below G in the semidefinite order; unbounded below
     otherwise, so no sign is asserted here.
     """
-    if a.dim != g.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {g.dim}")
+    check_same_dim(a, g)
     return g.logdet - a.logdet
 
 
 def augmented_barrier(g: SpdOperator, a: SpdOperator) -> float:
     """ln Det(A^{-1}G) - <G^{-1}, G - A>; nonnegative for any SPD pair."""
-    if a.dim != g.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {g.dim}")
+    check_same_dim(a, g)
     # <G^{-1}, G - A> = n - Tr(G^{-1} A), with the trace via a factorized solve.
     trace_inv_a = float(np.trace(g.solve_mat(a.entries)))
     return logdet_barrier(a, g) - (g.dim - trace_inv_a)

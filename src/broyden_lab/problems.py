@@ -1,11 +1,15 @@
 """Problem instances with certified curvature constants.
 
-Two families are supported: quadratics with a prescribed spectrum, and
-regularized log-sum-exp objectives.  Both carry the constants the convergence
-theory needs (strong convexity mu and gradient Lipschitz constant ell
-relative to a reference operator B, plus the strong self-concordance
-constant) certified at construction, so rate envelopes computed from them
-are honest.
+One base class, :class:`ProblemInstance`, and two families under it:
+quadratics with a prescribed spectrum (:class:`QuadraticProblem`) and
+regularized log-sum-exp objectives (:class:`LogSumExpProblem`).  The base
+owns the typed oracles ``value``, ``grad`` and ``hess``; each family supplies
+its raw-coordinate parts and the constants the convergence theory needs
+(strong convexity mu and gradient Lipschitz constant ell relative to a
+reference operator B, plus the strong self-concordance constant, 0 for a
+quadratic), certified at construction, so rate envelopes computed from them
+are honest.  Code that treats the families differently tests
+``isinstance(p, QuadraticProblem)``.
 
 Each certified quantity has one owner.  A quadratic computes its spectrum
 relative to B once, at construction, and keeps it as ``spectrum``: the
@@ -20,7 +24,6 @@ instance form does not read is refused.
 
 from __future__ import annotations
 
-import enum
 import functools
 import hashlib
 import json
@@ -43,7 +46,6 @@ from .operators import (
 )
 
 __all__ = [
-    "Kind",
     "QuadraticProblem",
     "LogSumExpProblem",
     "ProblemInstance",
@@ -62,11 +64,6 @@ __all__ = [
 _LOEWNER_TOL = 1e-9
 
 
-class Kind(enum.Enum):
-    QUADRATIC = "quadratic"
-    LOG_SUM_EXP = "log_sum_exp"
-
-
 def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed orthogonal matrix (QR of a Gaussian, signs fixed)."""
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
@@ -74,7 +71,31 @@ def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class QuadraticProblem:
+class ProblemInstance:
+    """Base of the two problem families: the one home of the typed oracles.
+
+    A family supplies ``n``, ``mu``, ``ell``, ``sc_const`` and ``b_ref``,
+    and the raw-coordinate parts of the oracles: ``_value`` and ``_grad``
+    map a coordinate array to a number and an array, ``_hess`` to an
+    :class:`SpdOperator`.  ``value``, ``grad`` and ``hess`` are defined here
+    only, and a family must not override them: ``perfbench/tracer.py`` wraps
+    ``ProblemInstance.grad`` and ``.hess`` on this class and takes the
+    solver's per-iteration latency (``solver.iter_ms_p50/p99``) from the
+    gaps between ``grad`` spans, so an override would hide its calls.
+    """
+
+    def value(self, x: PrimalVector) -> float:
+        return self._value(x.coords)
+
+    def grad(self, x: PrimalVector) -> DualVector:
+        return DualVector(self._grad(x.coords))
+
+    def hess(self, x: PrimalVector) -> SpdOperator:
+        return self._hess(x.coords)
+
+
+@dataclass(frozen=True)
+class QuadraticProblem(ProblemInstance):
     """f(x) = 1/2 <Ax, x> - <b, x> with mu*B <= A <= ell*B certified.
 
     ``spectrum`` (read-only, ascending) holds the eigenvalues of A relative
@@ -90,6 +111,7 @@ class QuadraticProblem:
     mu: float
     ell: float
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    sc_const = 0.0  # no third-derivative term
 
     def __post_init__(self):
         if not (0.0 < self.mu <= self.ell):
@@ -111,14 +133,13 @@ class QuadraticProblem:
     def n(self) -> int:
         return self.a_op.dim
 
-    def value(self, x: PrimalVector) -> float:
-        xc = x.coords
+    def _value(self, xc: np.ndarray) -> float:
         return 0.5 * self.a_op.quad_form(xc) - float(self.b.coords @ xc)
 
-    def grad(self, x: PrimalVector) -> DualVector:
-        return DualVector(self.a_op.matvec(x.coords) - self.b.coords)
+    def _grad(self, xc: np.ndarray) -> np.ndarray:
+        return self.a_op.matvec(xc) - self.b.coords
 
-    def hess(self, x: PrimalVector) -> SpdOperator:
+    def _hess(self, xc: np.ndarray) -> SpdOperator:
         return self.a_op
 
     def minimizer(self) -> PrimalVector:
@@ -126,7 +147,7 @@ class QuadraticProblem:
 
 
 @dataclass(frozen=True)
-class LogSumExpProblem:
+class LogSumExpProblem(ProblemInstance):
     """f(x) = ln(sum_i exp(<a_i, x> + b_i)) + mu/2 ||x||^2_B.
 
     ``gamma`` is the certified bound on the dual norms of the rows, which
@@ -183,62 +204,14 @@ class LogSumExpProblem:
     def sc_const(self) -> float:
         return 2.0 * self.gamma ** 3 / self.mu ** 1.5
 
-    def value(self, x: PrimalVector) -> float:
-        return _lse_value_grad(self, x.coords)[0]
+    def _value(self, xc: np.ndarray) -> float:
+        return _lse_value_grad(self, xc)[0]
 
-    def grad(self, x: PrimalVector) -> DualVector:
-        return DualVector(_lse_value_grad(self, x.coords)[1])
+    def _grad(self, xc: np.ndarray) -> np.ndarray:
+        return _lse_value_grad(self, xc)[1]
 
-    def hess(self, x: PrimalVector) -> SpdOperator:
-        return lse_value_grad_hess(self, x)[2]
-
-
-@dataclass(frozen=True)
-class ProblemInstance:
-    """Uniform oracle bundle over the two supported families."""
-
-    kind: Kind
-    payload: QuadraticProblem | LogSumExpProblem
-
-    @staticmethod
-    def quadratic(p: QuadraticProblem) -> "ProblemInstance":
-        return ProblemInstance(Kind.QUADRATIC, p)
-
-    @staticmethod
-    def log_sum_exp(p: LogSumExpProblem) -> "ProblemInstance":
-        return ProblemInstance(Kind.LOG_SUM_EXP, p)
-
-    @property
-    def n(self) -> int:
-        return self.payload.n
-
-    @property
-    def mu(self) -> float:
-        return self.payload.mu
-
-    @property
-    def ell(self) -> float:
-        return self.payload.ell
-
-    @property
-    def sc_const(self) -> float:
-        """Strong self-concordance constant (0 for quadratics)."""
-        if self.kind is Kind.QUADRATIC:
-            return 0.0
-        return self.payload.sc_const
-
-    @property
-    def b_ref(self) -> SpdOperator:
-        return self.payload.b_ref
-
-    def value(self, x: PrimalVector) -> float:
-        return self.payload.value(x)
-
-    def grad(self, x: PrimalVector) -> DualVector:
-        return self.payload.grad(x)
-
-    def hess(self, x: PrimalVector) -> SpdOperator:
-        return self.payload.hess(x)
+    def _hess(self, xc: np.ndarray) -> SpdOperator:
+        return lse_value_grad_hess(self, PrimalVector(xc))[2]
 
 
 @dataclass(frozen=True)
@@ -375,15 +348,14 @@ def integral_hessian(p: ProblemInstance, x: PrimalVector, u: PrimalVector,
     """
     if order < 2:
         raise ValueError("quadrature order must be at least 2")
-    if p.kind is Kind.QUADRATIC:
-        return IntegralHessian(j_op=p.payload.a_op, est_error=0.0)
+    if isinstance(p, QuadraticProblem):
+        return IntegralHessian(j_op=p.a_op, est_error=0.0)
     if float(np.linalg.norm(u.coords)) == 0.0:
         return IntegralHessian(j_op=p.hess(x), est_error=0.0)
-    lse = p.payload
-    t0 = lse.a_mat @ x.coords + lse.b_shift
-    dt = lse.a_mat @ u.coords
-    j = _lse_segment_mean(lse, t0, dt, order)
-    j_fine = _lse_segment_mean(lse, t0, dt, 2 * order)
+    t0 = p.a_mat @ x.coords + p.b_shift
+    dt = p.a_mat @ u.coords
+    j = _lse_segment_mean(p, t0, dt, order)
+    j_fine = _lse_segment_mean(p, t0, dt, 2 * order)
     # The gap is symmetric, so its spectral norm is its largest |eigenvalue|.
     est = float(np.max(np.abs(np.linalg.eigvalsh(j - j_fine))))
     return IntegralHessian(j_op=SpdOperator(j, Role.PRIMAL_TO_DUAL),
@@ -449,28 +421,26 @@ def sandwich_check(p: ProblemInstance, x: PrimalVector, y: PrimalVector,
 
 def instance_to_dict(p: ProblemInstance) -> dict:
     """Canonical JSON-ready description (explicit data, no seeds)."""
-    if p.kind is Kind.QUADRATIC:
-        q = p.payload
+    if isinstance(p, QuadraticProblem):
         return {
             "kind": "quadratic",
-            "n": q.n,
-            "a": [list(map(float, row)) for row in q.a_op.entries],
-            "b": list(map(float, q.b.coords)),
-            "b_ref": [list(map(float, row)) for row in q.b_ref.entries],
-            "mu": q.mu,
-            "ell": q.ell,
-            "spectrum": list(map(float, q.spectrum)),
+            "n": p.n,
+            "a": [list(map(float, row)) for row in p.a_op.entries],
+            "b": list(map(float, p.b.coords)),
+            "b_ref": [list(map(float, row)) for row in p.b_ref.entries],
+            "mu": p.mu,
+            "ell": p.ell,
+            "spectrum": list(map(float, p.spectrum)),
         }
-    l = p.payload
     return {
         "kind": "log_sum_exp",
-        "n": l.n,
-        "m": l.m,
-        "a_rows": [list(map(float, row)) for row in l.a_mat],
-        "b": list(map(float, l.b_shift)),
-        "b_ref": [list(map(float, row)) for row in l.b_ref.entries],
-        "mu": l.mu,
-        "gamma": l.gamma,
+        "n": p.n,
+        "m": p.m,
+        "a_rows": [list(map(float, row)) for row in p.a_mat],
+        "b": list(map(float, p.b_shift)),
+        "b_ref": [list(map(float, row)) for row in p.b_ref.entries],
+        "mu": p.mu,
+        "gamma": p.gamma,
     }
 
 
@@ -513,42 +483,41 @@ def instance_from_dict(d: dict) -> ProblemInstance:
                required)
     if kind == "quadratic" and explicit:
         a = check_array(d["a"], "a", 2)
-        inst = ProblemInstance.quadratic(QuadraticProblem(
+        inst = QuadraticProblem(
             a_op=SpdOperator(a),
             b=DualVector(check_array(d["b"], "b", 1)),
             b_ref=_reference(d, len(a)),
             mu=check_number(d["mu"], "mu"),
             ell=check_number(d["ell"], "ell"),
-        ))
+        )
     elif kind == "quadratic":
         b = DualVector(check_array(d["b"], "b", 1)) if "b" in d else None
-        inst = ProblemInstance.quadratic(
-            quad_make(d["spectrum"], b=b, seed=d.get("seed", 0)))
+        inst = quad_make(d["spectrum"], b=b, seed=d.get("seed", 0))
     elif explicit:
         a = check_array(d["a_rows"], "a_rows", 2)
-        inst = ProblemInstance.log_sum_exp(LogSumExpProblem(
+        inst = LogSumExpProblem(
             a_mat=a,
             b_shift=check_array(d["b"], "b", 1),
             mu=check_number(d["mu"], "mu"),
             b_ref=_reference(d, a.shape[1]),
             gamma=check_number(d["gamma"], "gamma") if "gamma" in d else None,
-        ))
+        )
     else:
         # lse_make reads None as "not given", so a stated null is checked
         # here rather than passed on.
-        inst = ProblemInstance.log_sum_exp(lse_make(
+        inst = lse_make(
             n=d["n"], m=d["m"], mu=d["mu"], seed=d.get("seed", 0),
             gamma=check_number(d["gamma"], "gamma") if "gamma" in d else None,
             b_shift=check_array(d["b"], "b", 1) if "b" in d else None,
-        ))
-    for key, size in (("n", inst.n), ("m", getattr(inst.payload, "m", None))):
+        )
+    for key, size in (("n", inst.n), ("m", getattr(inst, "m", None))):
         if key in d and check_number(d[key], key, integer=True) != size:
             raise ValueError(f"{key} = {d[key]} disagrees with the "
                              f"instance, whose {key} is {size}")
     if explicit and "spectrum" in d:  # only an explicit quadratic reads it
         stated = check_array(d["spectrum"], "spectrum", 1)
         if stated.shape != (inst.n,) or not np.allclose(
-                stated, inst.payload.spectrum, rtol=1e-12, atol=0.0):
+                stated, inst.spectrum, rtol=1e-12, atol=0.0):
             raise ValueError("spectrum disagrees with the eigenvalues of a "
                              "relative to b_ref")
     return inst

@@ -69,7 +69,6 @@ from .potentials import spectral_barriers
 from .operators import rel_eigen_range  # noqa: F401
 from .potentials import augmented_barrier, logdet_barrier  # noqa: F401
 from .problems import (
-    Kind,
     ProblemInstance,
     QuadraticProblem,
     instance_hash,
@@ -82,6 +81,7 @@ __all__ = [
     "IterationTrace",
     "DivergenceError",
     "QuadratureError",
+    "QUAD_ERROR_RTOL",
     "run_quadratic",
     "run_general",
     "secant_residual",
@@ -108,62 +108,51 @@ class QuadratureError(RuntimeError):
 class TauSchedule:
     """Per-iteration choice of the convex-class parameter.
 
-    Either a constant (0 for BFGS, 1 for DFP, anything in between) or an
-    explicit sequence; a sequence shorter than the run repeats its last entry.
+    ``taus`` holds tau_0, tau_1, ... (0 for BFGS, 1 for DFP, anything in
+    between); a run longer than the tuple repeats its last entry, so a
+    constant schedule is the one-entry case.
     """
 
-    constant: float | None = None
-    sequence: tuple[float, ...] | None = None
+    taus: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if (self.constant is None) == (self.sequence is None):
-            raise ValueError("specify exactly one of constant or sequence")
-        if self.constant is not None:
-            object.__setattr__(self, "constant", check_tau(self.constant))
-        else:
-            seq = tuple(check_tau(t) for t in self.sequence)
-            if not seq:
-                raise ValueError("sequence schedule must be nonempty")
-            object.__setattr__(self, "sequence", seq)
+        taus = tuple(check_tau(t) for t in self.taus)
+        if not taus:
+            raise ValueError("a tau schedule must be nonempty")
+        object.__setattr__(self, "taus", taus)
 
     @classmethod
     def bfgs(cls) -> "TauSchedule":
-        return cls(constant=0.0)
+        return cls((0.0,))
 
     @classmethod
     def dfp(cls) -> "TauSchedule":
-        return cls(constant=1.0)
+        return cls((1.0,))
 
     @classmethod
     def of_constant(cls, tau: float) -> "TauSchedule":
-        return cls(constant=tau)
+        return cls((tau,))
 
     @classmethod
     def of_sequence(cls, taus) -> "TauSchedule":
-        return cls(sequence=tuple(taus))
+        return cls(tuple(taus))
 
     def tau_at(self, k: int) -> float:
-        if self.constant is not None:
-            return self.constant
-        return self.sequence[min(k, len(self.sequence) - 1)]
+        return self.taus[min(k, len(self.taus) - 1)]
 
     def values(self, k: int) -> np.ndarray:
         """tau_0 .. tau_{k-1}: the first k values of :meth:`tau_at`."""
-        if self.constant is not None:
-            return np.full(k, self.constant)
-        seq = np.asarray(self.sequence)
+        seq = np.asarray(self.taus)
         return seq[np.minimum(np.arange(k), seq.size - 1)]
 
     @property
     def sup_tau(self) -> float:
-        if self.constant is not None:
-            return self.constant
-        return max(self.sequence)
+        return max(self.taus)
 
     def to_dict(self) -> dict:
-        if self.constant is not None:
-            return {"kind": "constant", "tau": self.constant}
-        return {"kind": "sequence", "taus": list(self.sequence)}
+        if len(self.taus) == 1:
+            return {"kind": "constant", "tau": self.taus[0]}
+        return {"kind": "sequence", "taus": list(self.taus)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TauSchedule":
@@ -197,14 +186,12 @@ class SolverConfig:
     grad_tol: float = 1e-12
     quad_order: int = 16
     record_operators: bool = False
-    quad_error_rtol: float = 1e-9
     instrument: bool = True
 
     def __post_init__(self):
         check_number(self.max_iter, "max_iter", 1, integer=True)
         check_number(self.grad_tol, "grad_tol", 0.0)
         check_number(self.quad_order, "quad_order", 2, integer=True)
-        check_number(self.quad_error_rtol, "quad_error_rtol", 0.0)
         for name in ("record_operators", "instrument"):
             if not isinstance(getattr(self, name), bool):
                 raise TypeError(f"{name} must be true or false, "
@@ -349,6 +336,11 @@ def _extremes(lams: np.ndarray) -> tuple[float, float]:
     return rng.min_rel, rng.max_rel
 
 
+# The quadrature gate: a step fails with QuadratureError when the gap between
+# the two Gauss-Legendre rules exceeds this multiple of ||J||.
+QUAD_ERROR_RTOL = 1e-9
+
+
 def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
            config: SolverConfig, general: bool) -> IterationTrace:
     if x0.dim != problem.n:
@@ -410,11 +402,11 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
                 # ||J|| is only needed when the two rules disagree at all.
                 if ih.est_error > 0.0:
                     j_scale = float(np.linalg.eigvalsh(target.entries)[-1])
-                    if ih.est_error > config.quad_error_rtol * j_scale:
+                    if ih.est_error > QUAD_ERROR_RTOL * j_scale:
                         raise QuadratureError(
                             k,
                             f"quadrature error {ih.est_error:.3e} above "
-                            f"{config.quad_error_rtol:.1e} * ||J||",
+                            f"{QUAD_ERROR_RTOL:.1e} * ||J||",
                         )
                 if hess_k is not None:
                     row["r"] = math.sqrt(
@@ -459,10 +451,9 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
 def run_quadratic(p: QuadraticProblem, x0: PrimalVector, sched: TauSchedule,
                   cfg: SolverConfig) -> IterationTrace:
     """Minimize a quadratic, updating toward its operator every iteration."""
-    instance = p if isinstance(p, ProblemInstance) else ProblemInstance.quadratic(p)
-    if instance.kind is not Kind.QUADRATIC:
-        raise TypeError("run_quadratic needs a quadratic instance")
-    return _drive(instance, x0, sched, cfg, general=False)
+    if not isinstance(p, QuadraticProblem):
+        raise TypeError("run_quadratic needs a QuadraticProblem")
+    return _drive(p, x0, sched, cfg, general=False)
 
 
 def run_general(p: ProblemInstance, x0: PrimalVector, sched: TauSchedule,

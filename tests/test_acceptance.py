@@ -14,7 +14,6 @@ import pytest
 
 from broyden_lab import (
     PrimalVector,
-    ProblemInstance,
     SolverConfig,
     TauSchedule,
     augmented_barrier,
@@ -122,9 +121,7 @@ def quad_runs():
 @pytest.fixture(scope="module")
 def lse_setup():
     """The log-sum-exp acceptance instance and its approximate minimizer."""
-    problem = ProblemInstance.log_sum_exp(
-        lse_make(8, 20, mu=0.1, seed=424242, gamma=1.0)
-    )
+    problem = lse_make(8, 20, mu=0.1, seed=424242, gamma=1.0)
     warm = run_general(problem, PrimalVector(np.zeros(8)), TauSchedule.bfgs(),
                        SolverConfig(max_iter=400, grad_tol=1e-13))
     return problem, warm.xs[-1]
@@ -429,7 +426,7 @@ def test_a09_quadratic_reduction_consistency():
     x0 = PrimalVector(np.random.default_rng(778).standard_normal(10))
     cfg = SolverConfig(max_iter=1000, grad_tol=1e-12)
     t_quad = run_quadratic(quad, x0, TauSchedule.bfgs(), cfg)
-    t_gen = run_general(ProblemInstance.quadratic(quad), x0,
+    t_gen = run_general(quad, x0,
                         TauSchedule.bfgs(), cfg)
     xi_exact = bool(np.all(t_gen.xis == 1.0))
     same_len = len(t_quad) == len(t_gen)

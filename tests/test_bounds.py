@@ -11,7 +11,6 @@ import scipy.linalg
 from broyden_lab import (
     DualVector,
     PrimalVector,
-    ProblemInstance,
     QuadraticProblem,
     Role,
     SolverConfig,
@@ -374,8 +373,7 @@ class TestTraceReports:
         assert tracked_sup.all_satisfied and uniform_sup.all_satisfied
 
     def test_general_reports_on_lse_inside_region(self):
-        p = ProblemInstance.log_sum_exp(lse_make(5, 12, mu=0.1, seed=62,
-                                                 gamma=1.0))
+        p = lse_make(5, 12, mu=0.1, seed=62, gamma=1.0)
         # Start close enough that the region condition certifiably holds.
         radius = region_radius(p.mu, p.ell, p.n, 0.0, p.sc_const)
         x_center = _approx_minimizer(p)
@@ -557,8 +555,7 @@ def quad_traces():
 
 @pytest.fixture(scope="module")
 def lse_traces():
-    p = ProblemInstance.log_sum_exp(lse_make(5, 12, mu=0.1, seed=3,
-                                             gamma=1.0))
+    p = lse_make(5, 12, mu=0.1, seed=3, gamma=1.0)
     x0 = PrimalVector(0.5 * np.random.default_rng(72).standard_normal(5))
     return {name: run_general(p, x0, sched,
                               SolverConfig(max_iter=300, grad_tol=1e-11))
@@ -595,7 +592,7 @@ class TestKernelMatchesReference:
     def test_quadratic_reports(self, quad_traces, schedule):
         trace = quad_traces[schedule]
         _check_quad(trace)
-        factor = env_quad_sharpened_factor(trace.problem.payload)
+        factor = env_quad_sharpened_factor(trace.problem)
         _assert_matches(report_quad_superlinear(trace, sharpened=True),
                         _ref_quad_superlinear(trace, trace.problem.mu,
                                               trace.problem.ell, 1.0, factor))
@@ -646,7 +643,7 @@ class TestKernelMatchesReference:
         # From a start of radius 5 the distortion reaches 9e170 at k = 2, so
         # xi^2 overflows on the way to the intended zero DFP weight; that
         # used to print a RuntimeWarning on a passing run.
-        p = ProblemInstance.log_sum_exp(lse_make(4, 1, mu=0.5, seed=2))
+        p = lse_make(4, 1, mu=0.5, seed=2)
         rng = np.random.default_rng(0)
         d = rng.standard_normal(4)
         x0 = PrimalVector(d * (5.0 * rng.uniform() ** 0.25 / np.linalg.norm(d)))

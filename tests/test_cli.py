@@ -219,7 +219,7 @@ class TestRun:
                     "a_rows": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
                     "b": [0.0, 0.1, 0.2], "mu": 0.5,
                     "b_ref": [[0.25, 0.0], [0.0, 0.25]]}
-        assert instance_from_dict(instance).payload.gamma == 2.0
+        assert instance_from_dict(instance).gamma == 2.0
         exp = quad_experiment(tmp_path / "out", instance=instance,
                               x0={"coords": [0.01, -0.02]})
         assert cmd_run(write_config(tmp_path, exp)) == 0
@@ -394,8 +394,7 @@ LEAF_CONFIGS = {
                      "seed": 3, "b": [0.5, 0.0, -1]},
         "method": {"kind": "bfgs"},
         "x0": {"random_ball": 1.0},
-        "solver": {"max_iter": 100, "grad_tol": 1e-12, "quad_order": 8,
-                   "quad_error_rtol": 1e-9},
+        "solver": {"max_iter": 100, "grad_tol": 1e-12, "quad_order": 8},
         "envelope_overrides": {"mu": 0.5, "ell": 5, "sc_const": 1.0},
     },
     "explicit_quadratic": {
@@ -502,15 +501,27 @@ class TestConfigContract:
                       "sed": 3}},
         {"x0": {"random_ball": 1.0, "seed": 5}},
         {"x0": {"random_ball": 1.0, "coords": [0.1] * 6}},
+        {"solver": {"grad_tol": 1e-12, "quad_error_rtol": 1e-9}},
     ], ids=["experiment", "bfgs_tau", "constant_taus", "quadratic_b_ref",
-            "lse_b_ref", "quadratic_sed", "lse_sed", "x0_seed", "x0_both"])
+            "lse_b_ref", "quadratic_sed", "lse_sed", "x0_seed", "x0_both",
+            "solver_stale"])
     def test_unknown_key_rejected(self, tmp_path, capsys, field):
         # Each of these used to run without the key: a misspelled override
         # dropped the fault and printed PASS, a tau beside "bfgs" ran BFGS,
         # a b_ref beside a generator spec ran with B = I, and "sed" seed 0.
         # An x0 seed was ignored, and an x0 with both forms ran from coords.
+        # A solver key that is gone was a Python keyword-argument error.
         exp = quad_experiment(tmp_path / "out", **field)
         self.assert_rejected(tmp_path, capsys, exp, "does not read")
+
+    def test_unknown_solver_key_lists_what_it_reads(self, tmp_path, capsys):
+        # A typo used to exit 2 with "SolverConfig.__init__() got an
+        # unexpected keyword argument 'max_iters'".
+        exp = quad_experiment(tmp_path / "out", solver={"max_iters": 5})
+        self.assert_rejected(
+            tmp_path, capsys, exp,
+            "the solver object does not read 'max_iters'; it reads max_iter, "
+            "grad_tol, quad_order, record_operators, instrument")
 
     @pytest.mark.parametrize("config, path", [
         ("explicit_quadratic", ("instance", "b")),

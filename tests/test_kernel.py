@@ -20,7 +20,6 @@ import broyden_lab.solver as solver_mod
 from broyden_lab import (
     DualVector,
     PrimalVector,
-    ProblemInstance,
     QuadraticProblem,
     SolverConfig,
     SpdOperator,
@@ -215,8 +214,7 @@ class TestDecompositionCount:
         # nothing); two pencil spectra plus two symmetric eigenvalue solves
         # for the quadrature check; no SVD.  The terminal iterate has no
         # step, so it drops J, its pencil and the check.
-        problem = ProblemInstance.log_sum_exp(
-            lse_make(8, 20, mu=0.1, seed=424242, gamma=1.0))
+        problem = lse_make(8, 20, mu=0.1, seed=424242, gamma=1.0)
         # The cached Gauss-Legendre nodes come from an eigenvalue solve once
         # per process; build them before counting.
         for order in (16, 32):
@@ -264,7 +262,7 @@ class TestSetUpCost:
         count_decompositions(monkeypatch, counts)
         quad = quad_make(np.geomspace(1.0, 100.0, 12), seed=5)
         assert counts == {"eig": 1, "cholesky": 2, "reduction": 0, "svd": 0}
-        problems_mod.instance_hash(ProblemInstance.quadratic(quad))
+        problems_mod.instance_hash(quad)
         assert counts == {"eig": 1, "cholesky": 2, "reduction": 0, "svd": 0}
 
     def test_run_builds_its_instance_once(self, monkeypatch, tmp_path):

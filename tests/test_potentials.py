@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from broyden_lab import (
+    DimensionMismatch,
     PrimalVector,
     PotentialSnapshot,
     SpdOperator,
@@ -28,6 +29,13 @@ from broyden_lab.verify import random_spd, random_spd_dominating
 from conftest import spd_from_spectrum
 
 TAUS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+@pytest.mark.parametrize("barrier", [logdet_barrier, augmented_barrier])
+def test_barrier_dimension_mismatch(rng, barrier):
+    # The barriers follow the one dimension rule of the typed functions.
+    with pytest.raises(DimensionMismatch, match="dimension mismatch"):
+        barrier(random_spd(rng, 3), random_spd(rng, 4))
 
 
 class TestLogdetBarrier:

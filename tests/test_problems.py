@@ -8,10 +8,8 @@ import scipy.linalg
 
 from broyden_lab import (
     DualVector,
-    Kind,
     LogSumExpProblem,
     PrimalVector,
-    ProblemInstance,
     QuadraticProblem,
     SpdOperator,
     instance_from_dict,
@@ -145,7 +143,7 @@ class TestLogSumExpOracles:
 
     def test_gradient_matches_finite_differences(self, rng):
         p = lse_make(5, 12, mu=0.1, seed=3, gamma=1.0)
-        inst = ProblemInstance.log_sum_exp(p)
+        inst = p
         for _ in range(5):
             x = PrimalVector(rng.standard_normal(5))
             g = inst.grad(x)
@@ -168,7 +166,7 @@ class TestLogSumExpOracles:
                             lambda a, *args, **kw: calls.append(a.shape)
                             or cholesky(a, *args, **kw))
         for (p, xs), refs in zip(cases, full):
-            inst = ProblemInstance.log_sum_exp(p)
+            inst = p
             for x, (f, g, _) in zip(xs, refs):
                 x = PrimalVector(x)
                 assert rel_err(inst.grad(x).coords, g.coords) <= 1e-15
@@ -177,7 +175,7 @@ class TestLogSumExpOracles:
 
     def test_hessian_matches_gradient_differences(self, rng):
         p = lse_make(4, 10, mu=0.1, seed=4, gamma=1.0)
-        inst = ProblemInstance.log_sum_exp(p)
+        inst = p
         x = PrimalVector(rng.standard_normal(4))
         h = inst.hess(x).entries
         fd = np.empty((4, 4))
@@ -199,7 +197,7 @@ class TestLogSumExpOracles:
 
     def test_overflow_safe_far_from_origin(self):
         p = lse_make(3, 8, mu=0.1, seed=6, gamma=1.0)
-        inst = ProblemInstance.log_sum_exp(p)
+        inst = p
         x = PrimalVector(np.full(3, 500.0))
         f, g, h = lse_value_grad_hess(p, x)
         assert np.isfinite(f)
@@ -209,7 +207,7 @@ class TestLogSumExpOracles:
     def test_curvature_bounds_hold(self, rng):
         # mu*B <= H(x) <= ell*B with ell = gamma^2 + mu, at random points.
         p = lse_make(4, 9, mu=0.25, seed=7, gamma=1.5)
-        inst = ProblemInstance.log_sum_exp(p)
+        inst = p
         assert inst.ell == pytest.approx(1.5 ** 2 + 0.25)
         for _ in range(1000):
             x = PrimalVector(2.0 * rng.standard_normal(4))
@@ -234,7 +232,7 @@ class TestLogSumExpOracles:
 class TestIntegralHessian:
     def test_quadratic_is_exact(self):
         q = quad_make([1.0, 5.0], seed=2)
-        inst = ProblemInstance.quadratic(q)
+        inst = q
         ih = integral_hessian(inst, PrimalVector([1.0, 2.0]),
                               PrimalVector([0.5, -0.5]), order=16)
         assert ih.j_op is q.a_op
@@ -242,7 +240,7 @@ class TestIntegralHessian:
 
     def test_degenerate_segment_is_pointwise_hessian(self, rng):
         p = lse_make(3, 6, mu=0.2, seed=9, gamma=1.0)
-        inst = ProblemInstance.log_sum_exp(p)
+        inst = p
         x = PrimalVector(rng.standard_normal(3))
         ih = integral_hessian(inst, x, PrimalVector(np.zeros(3)), order=8)
         np.testing.assert_array_equal(ih.j_op.entries, inst.hess(x).entries)
@@ -251,7 +249,7 @@ class TestIntegralHessian:
     def test_refinement_agreement(self, rng):
         # Order 16 against order 32, relative spectral norm.
         p = lse_make(4, 10, mu=0.1, seed=10, gamma=1.0)
-        inst = ProblemInstance.log_sum_exp(p)
+        inst = p
         for _ in range(10):
             x = PrimalVector(rng.standard_normal(4))
             u = PrimalVector(rng.standard_normal(4))
@@ -264,7 +262,7 @@ class TestIntegralHessian:
 
     def test_order_validated(self, rng):
         p = lse_make(3, 5, mu=0.1, seed=11)
-        inst = ProblemInstance.log_sum_exp(p)
+        inst = p
         x = PrimalVector(np.zeros(3))
         with pytest.raises(ValueError):
             integral_hessian(inst, x, x, order=1)
@@ -272,7 +270,7 @@ class TestIntegralHessian:
     def test_rule_computed_once_per_order(self, rng, monkeypatch):
         # The nodes never change, so repeated segments reuse one rule per
         # order instead of re-solving the Jacobi eigenproblem each call.
-        p = ProblemInstance.log_sum_exp(lse_make(3, 5, mu=0.1, seed=13))
+        p = lse_make(3, 5, mu=0.1, seed=13)
         x = PrimalVector(rng.standard_normal(3))
         u = PrimalVector(rng.standard_normal(3))
         first = integral_hessian(p, x, u, order=7).j_op.entries
@@ -301,7 +299,7 @@ class TestIntegralHessian:
             p, x = lse_make(3, 8, mu=0.1, seed=6, gamma=1.0), np.full(3, 500.0)
         else:
             p, x = lse_make(4, 1, mu=0.3, seed=18, gamma=1.0), None
-        inst = ProblemInstance.log_sum_exp(p)
+        inst = p
         x = PrimalVector(rng.standard_normal(p.n) if x is None else x)
         u = PrimalVector(rng.standard_normal(p.n))
         for order in (2, 7, 16, 32):
@@ -315,7 +313,7 @@ class TestIntegralHessian:
     def test_matches_trapezoid_refinement_oracle(self, rng):
         # Independent oracle: very fine trapezoid rule along the segment.
         p = lse_make(3, 7, mu=0.15, seed=12, gamma=1.0)
-        inst = ProblemInstance.log_sum_exp(p)
+        inst = p
         x = PrimalVector(rng.standard_normal(3))
         u = PrimalVector(rng.standard_normal(3))
         ts = np.linspace(0.0, 1.0, 2001)
@@ -333,7 +331,7 @@ class TestIntegralHessian:
 class TestSandwich:
     def test_quadratic_exact_equality(self, rng):
         q = quad_make([1.0, 4.0, 9.0], seed=13)
-        inst = ProblemInstance.quadratic(q)
+        inst = q
         rep = sandwich_check(inst, PrimalVector(rng.standard_normal(3)),
                              PrimalVector(rng.standard_normal(3)))
         assert rep.passed
@@ -342,7 +340,7 @@ class TestSandwich:
 
     def test_coincident_points(self, rng):
         p = lse_make(4, 8, mu=0.2, seed=14, gamma=1.0)
-        inst = ProblemInstance.log_sum_exp(p)
+        inst = p
         x = PrimalVector(rng.standard_normal(4))
         rep = sandwich_check(inst, x, x)
         assert rep.r == 0.0
@@ -350,7 +348,7 @@ class TestSandwich:
 
     def test_random_pairs(self, rng):
         p = lse_make(4, 10, mu=0.1, seed=15, gamma=1.0)
-        inst = ProblemInstance.log_sum_exp(p)
+        inst = p
         for _ in range(100):
             x = PrimalVector(rng.standard_normal(4))
             y = PrimalVector(rng.standard_normal(4))
@@ -360,12 +358,12 @@ class TestSandwich:
 
 class TestSerialization:
     def test_quadratic_roundtrip(self):
-        inst = ProblemInstance.quadratic(quad_make([1.0, 2.0, 8.0], seed=21))
+        inst = quad_make([1.0, 2.0, 8.0], seed=21)
         d = instance_to_dict(inst)
         rebuilt = instance_from_dict(d)
         assert instance_hash(rebuilt) == instance_hash(inst)
-        np.testing.assert_array_equal(rebuilt.payload.a_op.entries,
-                                      inst.payload.a_op.entries)
+        np.testing.assert_array_equal(rebuilt.a_op.entries,
+                                      inst.a_op.entries)
 
     def test_spectrum_is_relative_to_reference_operator(self):
         # The same pencil as the bounds test with B != I: B^{-1} A is not
@@ -377,11 +375,11 @@ class TestSerialization:
         a = m @ m.T + np.eye(6)
         a, b_ref = 0.5 * (a + a.T), 0.5 * (b_ref + b_ref.T)
         vals = scipy.linalg.eigh(a, b_ref, eigvals_only=True)
-        inst = ProblemInstance.quadratic(QuadraticProblem(
+        inst = QuadraticProblem(
             a_op=SpdOperator(a), b=DualVector(np.ones(6)),
             b_ref=SpdOperator(b_ref), mu=float(vals.min()),
             ell=float(vals.max()),
-        ))
+        )
         spectrum = instance_to_dict(inst)["spectrum"]
         np.testing.assert_allclose(spectrum, vals, rtol=1e-12)
 
@@ -390,9 +388,9 @@ class TestSerialization:
         rng = np.random.default_rng(7)
         b_ref, a = random_spd(rng, 5, 2.0), random_spd(rng, 5, 2.0)
         vals = scipy.linalg.eigh(a.entries, b_ref.entries, eigvals_only=True)
-        inst = ProblemInstance.quadratic(QuadraticProblem(
+        inst = QuadraticProblem(
             a_op=a, b=DualVector(np.ones(5)), b_ref=b_ref,
-            mu=float(vals[0]), ell=float(vals[-1])))
+            mu=float(vals[0]), ell=float(vals[-1]))
         d = instance_to_dict(inst)
         assert instance_hash(instance_from_dict(d)) == instance_hash(inst)
         d["spectrum"][0] *= 1.0 + 1e-9
@@ -404,16 +402,15 @@ class TestSerialization:
         # With B = I the triangular solves return A itself, so the spectrum
         # and with it every B = I instance_hash is that of eigvalsh(A).
         q = quad_make(np.geomspace(1.0, 1e3, n), seed=n)
-        spectrum = instance_to_dict(ProblemInstance.quadratic(q))["spectrum"]
+        spectrum = instance_to_dict(q)["spectrum"]
         np.testing.assert_array_equal(spectrum,
                                       np.linalg.eigvalsh(q.a_op.entries))
 
     def test_lse_roundtrip(self):
-        inst = ProblemInstance.log_sum_exp(lse_make(3, 5, mu=0.2, seed=22,
-                                                    gamma=0.9))
+        inst = lse_make(3, 5, mu=0.2, seed=22, gamma=0.9)
         d = instance_to_dict(inst)
         rebuilt = instance_from_dict(d)
-        assert rebuilt.kind is Kind.LOG_SUM_EXP
+        assert isinstance(rebuilt, LogSumExpProblem)
         assert instance_hash(rebuilt) == instance_hash(inst)
 
     def test_seeded_spec_deterministic(self):

@@ -10,7 +10,6 @@ from broyden_lab import (
     DivergenceError,
     DualVector,
     PrimalVector,
-    ProblemInstance,
     QuadratureError,
     SolverConfig,
     SpdOperator,
@@ -28,8 +27,7 @@ from broyden_lab import (
 
 @pytest.fixture(scope="module")
 def lse_instance():
-    return ProblemInstance.log_sum_exp(lse_make(6, 14, mu=0.1, seed=77,
-                                                gamma=1.0))
+    return lse_make(6, 14, mu=0.1, seed=77, gamma=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +63,8 @@ class TestTauSchedule:
         for s in (TauSchedule.bfgs(), TauSchedule.of_constant(0.3),
                   TauSchedule.of_sequence([0.1, 0.9])):
             assert TauSchedule.from_dict(s.to_dict()) == s
-        assert TauSchedule.from_dict({"kind": "bfgs"}).constant == 0.0
-        assert TauSchedule.from_dict({"kind": "dfp"}).constant == 1.0
+        assert TauSchedule.from_dict({"kind": "bfgs"}).taus == (0.0,)
+        assert TauSchedule.from_dict({"kind": "dfp"}).taus == (1.0,)
 
 
 class TestSolverConfig:
@@ -81,13 +79,10 @@ class TestSolverConfig:
     def test_tolerances_nonnegative(self):
         with pytest.raises(ValueError, match="grad_tol"):
             SolverConfig(grad_tol=math.nan)
-        with pytest.raises(ValueError, match="quad_error_rtol"):
-            SolverConfig(quad_error_rtol=-1e-9)
 
     @pytest.mark.parametrize("field", [{"max_iter": 1.5}, {"max_iter": True},
                                        {"quad_order": 16.0},
                                        {"grad_tol": "0"}, {"grad_tol": False},
-                                       {"quad_error_rtol": None},
                                        {"instrument": "no"},
                                        {"record_operators": 1}])
     def test_field_types(self, field):
@@ -120,6 +115,11 @@ class TestQuadraticPath:
         tr = run_quadratic(q, PrimalVector([4.0]), TauSchedule.dfp(),
                            SolverConfig())
         assert tr.converged and tr.k_final == 1
+
+    def test_needs_a_quadratic(self, lse_instance):
+        with pytest.raises(TypeError, match="QuadraticProblem"):
+            run_quadratic(lse_instance, PrimalVector(np.zeros(6)),
+                          TauSchedule.bfgs(), SolverConfig())
 
     def test_linear_rate_envelope_holds(self, rng):
         q = quad_make(np.geomspace(1.0, 100.0, 10), seed=31)
@@ -203,7 +203,7 @@ class TestQuadraticPath:
         tr = run_quadratic(q, PrimalVector(rng.standard_normal(5)),
                            TauSchedule.bfgs(),
                            SolverConfig(max_iter=200, record_operators=True))
-        res = secant_residual(tr, ProblemInstance.quadratic(q))
+        res = secant_residual(tr, q)
         assert res and max(res) <= 1e-10
 
     def test_secant_residual_needs_snapshots(self, rng):
@@ -211,7 +211,7 @@ class TestQuadraticPath:
         tr = run_quadratic(q, PrimalVector(rng.standard_normal(2)),
                            TauSchedule.bfgs(), SolverConfig())
         with pytest.raises(ValueError, match="snapshots"):
-            secant_residual(tr, ProblemInstance.quadratic(q))
+            secant_residual(tr, q)
 
 
 class TestGeneralPath:
@@ -284,7 +284,7 @@ class TestGeneralPath:
             a_mat=np.array([[0.3, -0.4, 0.2]]), b_shift=np.array([0.0]),
             mu=0.5, b_ref=SpdOperator(np.eye(3)), gamma=1.0,
         )
-        inst = ProblemInstance.log_sum_exp(p)
+        inst = p
         tr = run_general(inst, PrimalVector(np.zeros(3)), TauSchedule.bfgs(),
                          SolverConfig(max_iter=10, grad_tol=1e-13))
         assert tr.converged and tr.k_final <= 2
@@ -296,7 +296,7 @@ class TestGeneralPath:
         x0 = PrimalVector(rng.standard_normal(6))
         cfg = SolverConfig(max_iter=300, grad_tol=1e-12)
         t_quad = run_quadratic(q, x0, TauSchedule.bfgs(), cfg)
-        t_gen = run_general(ProblemInstance.quadratic(q), x0,
+        t_gen = run_general(q, x0,
                             TauSchedule.bfgs(), cfg)
         assert np.all(t_gen.xis == 1.0)
         assert len(t_quad) == len(t_gen)
@@ -304,7 +304,7 @@ class TestGeneralPath:
 
     def test_divergent_input_reported_with_iteration(self):
         p = lse_make(3, 5, mu=0.1, seed=41, gamma=1.0)
-        inst = ProblemInstance.log_sum_exp(p)
+        inst = p
         x0 = PrimalVector(np.full(3, 1e308))
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(DivergenceError) as err:
@@ -313,15 +313,14 @@ class TestGeneralPath:
         assert "iteration" in str(err.value)
 
     def test_quadrature_error_threshold_enforced(self, rng):
-        # A zero tolerance trips on the first step with any curvature
-        # variation along the segment.
+        # A two-node rule is far coarser than the fixed tolerance allows, so
+        # the gate trips on the first step.
         p = lse_make(2, 3, mu=0.1, seed=42, gamma=1.0)
-        inst = ProblemInstance.log_sum_exp(p)
+        inst = p
         x0 = PrimalVector(rng.standard_normal(2))
         with pytest.raises(QuadratureError) as err:
             run_general(inst, x0, TauSchedule.bfgs(),
-                        SolverConfig(max_iter=50, quad_order=2,
-                                     quad_error_rtol=0.0))
+                        SolverConfig(max_iter=50, quad_order=2))
         assert err.value.k == 0
 
 
@@ -362,9 +361,7 @@ class TestExports:
         path = tmp_path / "trace.json"
         tr.to_json(path)
         doc = json.loads(path.read_text())
-        assert doc["instance_hash"] == instance_hash(
-            ProblemInstance.quadratic(q)
-        )
+        assert doc["instance_hash"] == instance_hash(q)
         assert doc["config"]["max_iter"] == 50
         assert doc["schedule"] == {"kind": "constant", "tau": 0.5}
         assert doc["columns"]["lambda"][0] == tr.lambda0
@@ -398,9 +395,7 @@ class TestRowPattern:
     def run(path, instrument, problem, x0, **cfg):
         cfg = SolverConfig(instrument=instrument, record_operators=True, **cfg)
         if path == "general":
-            return run_general(ProblemInstance.quadratic(problem)
-                               if not isinstance(problem, ProblemInstance)
-                               else problem, x0, TauSchedule.bfgs(), cfg)
+            return run_general(problem, x0, TauSchedule.bfgs(), cfg)
         return run_quadratic(problem, x0, TauSchedule.bfgs(), cfg)
 
     @staticmethod

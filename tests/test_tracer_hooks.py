@@ -70,3 +70,9 @@ def test_traced_run_records_solver_layers(tracer_mod, tmp_path):
     assert metrics["broyden.update_calls"] == iterations
     assert metrics["operators.eigen_range_calls"] <= iterations
     assert metrics["operators.solve_mat_calls"] <= iterations
+    # Every visited iterate calls the typed oracles once, through the
+    # ProblemInstance methods the tracer wraps; a family that overrode them
+    # would read zero here and zero the per-iteration latency below.
+    assert (metrics["problems.grad_calls"] == metrics["problems.hess_calls"]
+            == iterations + 1)
+    assert metrics["solver.iter_ms_p50"] > 0
