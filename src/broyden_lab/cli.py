@@ -451,8 +451,8 @@ def cmd_sweep(grid_path: str, out: str | None = None) -> int:
                                                  exp.schedule.sup_tau),
                      result["pass"]))
         error = result.get("error")
-        status = ("ok" if result["pass"]
-                  else error["kind"] if error else "VIOLATION")
+        status = (error["kind"] if error else "VIOLATION" if not result["pass"]
+                  else "max_iter" if iters is None else "ok")
         print(f"{exp.name}: iters={iters} K0_new={moments.start_new:.1f} "
               f"K0_prev={moments.start_prev:.1f} {status}")
         if error is not None:

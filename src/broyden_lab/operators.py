@@ -224,9 +224,6 @@ class _Vector:
         check_same_dim(self, other)
         return self._like(self.coords - other.coords)
 
-    def __neg__(self):
-        return self._like(-self.coords)
-
     def __mul__(self, scalar: float):
         return self._like(self.coords * float(scalar))
 
@@ -308,11 +305,16 @@ class SpdOperator:
         x = np.asarray(x, dtype=float)
         return float(x @ (self.entries @ x))
 
+    def solve_factor(self, rhs: np.ndarray) -> np.ndarray:
+        """L^{-1} rhs for a raw vector or matrix, with L the cached lower
+        Cholesky factor (M = L L^T): one triangular solve."""
+        return scipy.linalg.solve_triangular(
+            self._chol, np.asarray(rhs, dtype=float), lower=True
+        )
+
     def inv_quad_form(self, x: np.ndarray) -> float:
         """<x, M^{-1}x> for a raw coordinate vector, via triangular solve."""
-        y = scipy.linalg.solve_triangular(
-            self._chol, np.asarray(x, dtype=float), lower=True
-        )
+        y = self.solve_factor(x)
         return float(y @ y)
 
     def apply(self, v):

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .operators import (
     DualVector,
@@ -118,10 +117,8 @@ class QuadraticProblem(ProblemInstance):
             raise ValueError(f"need 0 < mu <= ell, got ({self.mu}, {self.ell})")
         if self.a_op.dim != self.b.dim or self.a_op.dim != self.b_ref.dim:
             raise ValueError("operator and vector dimensions disagree")
-        chol = self.b_ref._chol
-        y = scipy.linalg.solve_triangular(chol, self.a_op.entries, lower=True)
-        spec = np.linalg.eigvalsh(
-            scipy.linalg.solve_triangular(chol, y.T, lower=True))
+        y = self.b_ref.solve_factor(self.a_op.entries)
+        spec = np.linalg.eigvalsh(self.b_ref.solve_factor(y.T))
         spec.flags.writeable = False
         object.__setattr__(self, "spectrum", spec)
         if spec[0] < self.mu - _LOEWNER_TOL * spec[-1]:
@@ -179,7 +176,7 @@ class LogSumExpProblem(ProblemInstance):
         object.__setattr__(self, "b_shift", bs)
         # ||a_i||*_B = ||L^-1 a_i|| with L the cached Cholesky factor of B:
         # one triangular solve for all rows.
-        y = scipy.linalg.solve_triangular(self.b_ref._chol, a.T, lower=True)
+        y = self.b_ref.solve_factor(a.T)
         max_norm = float(np.linalg.norm(y.T, axis=1).max())
         if self.gamma is None:
             object.__setattr__(self, "gamma", max_norm)

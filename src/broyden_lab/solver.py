@@ -24,7 +24,10 @@ tau, r, nu and the quadrature error, and the potentials and eigenvalue range
 against the step target.  A zero step (direction norm at most
 ZERO_DIRECTION_NORM) records r = 0, targets the Hessian at the same iterate
 and skips the update.  The terminal row has no step; only the quadratic
-path, whose target is fixed, still measures its potentials.
+path, whose target is fixed, still measures its potentials.  Each row's
+values go to one float64 buffer per column, so a trace retains about 13
+doubles per iterate; the per-iterate vectors and operator snapshots are kept
+only when a caller passes ``record_operators=True``.
 
 An instrumented general-path iteration on log-sum-exp makes three validated
 Cholesky factorizations: the approximation, the one pointwise Hessian (the
@@ -41,9 +44,9 @@ mutable state.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +74,6 @@ from .potentials import augmented_barrier, logdet_barrier  # noqa: F401
 from .problems import (
     ProblemInstance,
     QuadraticProblem,
-    instance_hash,
     integral_hessian,
 )
 
@@ -149,11 +151,6 @@ class TauSchedule:
     def sup_tau(self) -> float:
         return max(self.taus)
 
-    def to_dict(self) -> dict:
-        if len(self.taus) == 1:
-            return {"kind": "constant", "tau": self.taus[0]}
-        return {"kind": "sequence", "taus": list(self.taus)}
-
     @classmethod
     def from_dict(cls, d: dict) -> "TauSchedule":
         """The schedule of a JSON ``method``; a key its kind does not read
@@ -176,41 +173,35 @@ class SolverConfig:
 
     The schemes have no intrinsic stopping rule, so the run terminates when
     the local gradient norm drops to ``grad_tol`` or after ``max_iter``
-    updates.  ``record_operators`` keeps per-iteration operator snapshots for
-    invariant audits.  ``instrument=False`` skips all Hessian-based
-    measurements (for timing only; stopping then uses the Euclidean gradient
-    norm).
+    updates.  ``instrument=False`` skips all Hessian-based measurements (for
+    timing only; stopping then uses the Euclidean gradient norm).  These
+    four fields are the keys of a config's ``solver`` object.
     """
 
     max_iter: int = 500
     grad_tol: float = 1e-12
     quad_order: int = 16
-    record_operators: bool = False
     instrument: bool = True
 
     def __post_init__(self):
         check_number(self.max_iter, "max_iter", 1, integer=True)
         check_number(self.grad_tol, "grad_tol", 0.0)
         check_number(self.quad_order, "quad_order", 2, integer=True)
-        for name in ("record_operators", "instrument"):
-            if not isinstance(getattr(self, name), bool):
-                raise TypeError(f"{name} must be true or false, "
-                                f"got {getattr(self, name)!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        if not isinstance(self.instrument, bool):
+            raise TypeError(f"instrument must be true or false, "
+                            f"got {self.instrument!r}")
 
 
 # One row per visited iterate.  Each column is stored in the IterationTrace
-# array named after it plus "s" (lambda -> lambdas); the JSON export writes
-# the first eleven columns, trace.csv k and the first ten.
+# array named after it plus "s" (lambda -> lambdas); trace.csv writes k and
+# the first ten.
 _ROW_COLUMNS = ("lambda", "g", "r", "xi", "nu", "v", "psi", "eig_min",
                 "eig_max", "tau", "est_error", "j_eig_min", "j_eig_max")
-_JSON_COLUMNS = _ROW_COLUMNS[:11]
 _CSV_COLUMNS = ("k",) + _ROW_COLUMNS[:10]
-# A stored row also carries the iterate's objects (None where absent; the
-# operator snapshots only with record_operators).
-_ROW_FIELDS = _ROW_COLUMNS + ("x", "grad", "u", "g_op", "h_op", "j_op")
+# The per-iterate objects a recorded run keeps, one list each: the iterate,
+# its gradient, the step (None where there is none), G_k, H_k and the step
+# target (None where there is no step).
+_OBJECT_FIELDS = ("xs", "grads", "us", "g_ops", "h_ops", "j_ops")
 
 
 def _fmt(value) -> str:
@@ -237,18 +228,17 @@ def write_csv(path, header, rows) -> None:
 class IterationTrace:
     """Per-iteration record of a run.
 
-    Arrays all have one entry per visited iterate.  Step-dependent fields
-    (r, nu, tau, est_error, and v/psi and the j_eig range on the general
-    path) are NaN on the terminal row, which has no outgoing step.
+    The 13 float64 column arrays all have one entry per visited iterate.
+    Step-dependent fields (r, nu, tau, est_error, and v/psi and the j_eig
+    range on the general path) are NaN on the terminal row, which has no
+    outgoing step.  ``x_final`` is the last iterate.  The six object lists
+    (see ``_OBJECT_FIELDS``) are kept together by a run called with
+    ``record_operators=True`` and are ``None`` otherwise.
     """
 
     problem: ProblemInstance
     schedule: TauSchedule
     config: SolverConfig
-    general: bool
-    xs: list[PrimalVector]
-    grads: list[DualVector]
-    us: list[PrimalVector | None]
     lambdas: np.ndarray
     gs: np.ndarray
     rs: np.ndarray
@@ -262,8 +252,12 @@ class IterationTrace:
     j_eig_mins: np.ndarray
     j_eig_maxs: np.ndarray
     est_errors: np.ndarray
+    x_final: PrimalVector
     converged: bool
     stop_reason: str
+    xs: list[PrimalVector] | None = None
+    grads: list[DualVector] | None = None
+    us: list[PrimalVector | None] | None = None
     g_ops: list[SpdOperator] | None = None
     h_ops: list[SpdOperator] | None = None
     j_ops: list[SpdOperator | None] | None = None
@@ -286,41 +280,12 @@ class IterationTrace:
         Strict decrease is an empirical regularity, not a guarantee, so this
         is a diagnostic for reports rather than a failure condition.
         """
-        out = []
-        for k in range(1, self.k_final):
-            if self.lambdas[k + 1] >= self.lambdas[k]:
-                out.append(k + 1)
-        return out
-
-    def _column(self, name: str) -> np.ndarray:
-        return getattr(self, name + "s")
+        lam = self.lambdas
+        return (np.flatnonzero(lam[2:] >= lam[1:-1]) + 2).tolist()
 
     def to_csv(self, path) -> None:
-        cols = [self._column(name) for name in _CSV_COLUMNS[1:]]
+        cols = [getattr(self, name + "s") for name in _CSV_COLUMNS[1:]]
         write_csv(path, _CSV_COLUMNS, zip(range(len(self)), *cols))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "instance_hash": instance_hash(self.problem),
-            "schedule": self.schedule.to_dict(),
-            "config": self.config.to_dict(),
-            "general_path": self.general,
-            "converged": self.converged,
-            "stop_reason": self.stop_reason,
-            "iterations": self.k_final,
-            "columns": {name: [_json_num(v) for v in self._column(name)]
-                        for name in _JSON_COLUMNS},
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w", newline="\n") as f:
-            json.dump(self.to_json_dict(), f, indent=1)
-            f.write("\n")
-
-
-def _json_num(v: float):
-    v = float(v)
-    return None if math.isnan(v) else v
 
 
 def _wrap_spd(k: int, entries: np.ndarray, role: Role) -> SpdOperator:
@@ -342,13 +307,14 @@ QUAD_ERROR_RTOL = 1e-9
 
 
 def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
-           config: SolverConfig, general: bool) -> IterationTrace:
+           config: SolverConfig, general: bool, record: bool) -> IterationTrace:
     if x0.dim != problem.n:
         raise ValueError(f"x0 has dimension {x0.dim}, expected {problem.n}")
     g_mat = problem.ell * problem.b_ref.entries
     h_mat = problem.b_ref.inverse_matrix() / problem.ell
 
-    rows = []
+    columns = {name: array("d") for name in _ROW_COLUMNS}
+    objects = {name: [] for name in _OBJECT_FIELDS} if record else {}
     x = x0
     xi = 1.0
     for k in range(config.max_iter + 1):
@@ -358,8 +324,8 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
         except ValueError as exc:  # an overflowed gradient is no DualVector
             raise DivergenceError(k, f"non-finite gradient ({exc})") from exc
         g_op = _wrap_spd(k, g_mat, Role.PRIMAL_TO_DUAL)
-        row.update(x=x, grad=grad, xi=xi,
-                   g=math.sqrt(max(float(grad.coords @ (h_mat @ grad.coords)), 0.0)))
+        row.update(xi=xi, g=math.sqrt(
+            max(float(grad.coords @ (h_mat @ grad.coords)), 0.0)))
         # A quadratic's Hessian is its operator object, the same one
         # integral_hessian returns, so "target is hess_k" below reuses the
         # spectrum on every quadratic iterate.
@@ -371,9 +337,6 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
             measure = row["lambda"]
         else:
             measure = float(np.linalg.norm(grad.coords))
-        # Snapshots are O(n^2) each, so a row holds them only when asked.
-        if config.record_operators:
-            row.update(g_op=g_op, h_op=_wrap_spd(k, h_mat, Role.DUAL_TO_PRIMAL))
 
         converged = measure <= config.grad_tol
         last = converged or k == config.max_iter
@@ -381,6 +344,7 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
         # the target is still the fixed operator, so the potentials remain
         # defined.
         target = None if general else hess_k
+        u = None
         if not last:
             u_coords = -(h_mat @ grad.coords)
             x_next = x.coords + u_coords
@@ -393,11 +357,9 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
                 row.update(r=0.0, est_error=0.0)
                 target = hess_k
             else:
-                u = row["u"] = PrimalVector(u_coords)
+                u = PrimalVector(u_coords)
                 ih = integral_hessian(problem, x, u, config.quad_order)
                 target = ih.j_op
-                if config.record_operators:
-                    row["j_op"] = target
                 row["est_error"] = ih.est_error
                 # ||J|| is only needed when the two rules disagree at all.
                 if ih.est_error > 0.0:
@@ -416,10 +378,17 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
             lams = lams_g if target is hess_k else rel_eigvals(g_op, target)
             row["j_eig_min"], row["j_eig_max"] = _extremes(lams)
             row["v"], row["psi"] = spectral_barriers(lams)
-        rows.append(tuple(map(row.get, _ROW_FIELDS)))
+        for name, value in row.items():
+            columns[name].append(value)
+        # Snapshots are O(n^2) each, so a run keeps them only when asked.
+        if record:
+            for name, obj in zip(_OBJECT_FIELDS, (
+                    x, grad, u, g_op, _wrap_spd(k, h_mat, Role.DUAL_TO_PRIMAL),
+                    None if u is None else target)):
+                objects[name].append(obj)
         if last:
             break
-        if "u" in row:
+        if u is not None:
             g_mat, h_mat, _, _ = update_arrays(
                 target.entries, g_mat, h_mat, u_coords, row["tau"]
             )
@@ -432,36 +401,36 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
                 xi = (xi * math.exp(min(problem.sc_const * row["r"], 709.0))
                       if config.instrument else math.nan)
 
-    def column(name):
-        i = _ROW_FIELDS.index(name)
-        return [row[i] for row in rows]
-
-    snapshots = config.record_operators
     return IterationTrace(
-        problem=problem, schedule=schedule, config=config, general=general,
-        xs=column("x"), grads=column("grad"), us=column("u"),
-        **{name + "s": np.asarray(column(name)) for name in _ROW_COLUMNS},
-        converged=converged, stop_reason="grad_tol" if converged else "max_iter",
-        g_ops=column("g_op") if snapshots else None,
-        h_ops=column("h_op") if snapshots else None,
-        j_ops=column("j_op") if snapshots else None,
+        problem=problem, schedule=schedule, config=config,
+        **{name + "s": np.frombuffer(buf) for name, buf in columns.items()},
+        x_final=x, converged=converged,
+        stop_reason="grad_tol" if converged else "max_iter", **objects,
     )
 
 
 def run_quadratic(p: QuadraticProblem, x0: PrimalVector, sched: TauSchedule,
-                  cfg: SolverConfig) -> IterationTrace:
-    """Minimize a quadratic, updating toward its operator every iteration."""
+                  cfg: SolverConfig, *,
+                  record_operators: bool = False) -> IterationTrace:
+    """Minimize a quadratic, updating toward its operator every iteration.
+
+    With ``record_operators=True`` the trace also keeps every iterate, its
+    gradient and step, and the G_k, H_k and step-target snapshots, O(n^2)
+    per iterate; :func:`secant_residual` needs them.
+    """
     if not isinstance(p, QuadraticProblem):
         raise TypeError("run_quadratic needs a QuadraticProblem")
-    return _drive(p, x0, sched, cfg, general=False)
+    return _drive(p, x0, sched, cfg, False, record_operators)
 
 
 def run_general(p: ProblemInstance, x0: PrimalVector, sched: TauSchedule,
-                cfg: SolverConfig) -> IterationTrace:
-    """Minimize a smooth instance, updating toward each segment-mean Hessian."""
+                cfg: SolverConfig, *,
+                record_operators: bool = False) -> IterationTrace:
+    """Minimize a smooth instance, updating toward each segment-mean Hessian;
+    ``record_operators`` as for :func:`run_quadratic`."""
     if not isinstance(p, ProblemInstance):
         raise TypeError("run_general needs a ProblemInstance")
-    return _drive(p, x0, sched, cfg, general=True)
+    return _drive(p, x0, sched, cfg, True, record_operators)
 
 
 def secant_residual(trace: IterationTrace, p: ProblemInstance) -> list[float]:

@@ -108,8 +108,8 @@ def quad_runs():
                 x0 = PrimalVector(rng.standard_normal(n))
                 trace = run_quadratic(
                     quad, x0, schedules[j % 3],
-                    SolverConfig(max_iter=40000, grad_tol=1e-12,
-                                 record_operators=True),
+                    SolverConfig(max_iter=40000, grad_tol=1e-12),
+                    record_operators=True,
                 )
                 runs.append({"n": n, "kappa": kappa,
                              "method": labels[j % 3], "quad": quad,
@@ -124,7 +124,7 @@ def lse_setup():
     problem = lse_make(8, 20, mu=0.1, seed=424242, gamma=1.0)
     warm = run_general(problem, PrimalVector(np.zeros(8)), TauSchedule.bfgs(),
                        SolverConfig(max_iter=400, grad_tol=1e-13))
-    return problem, warm.xs[-1]
+    return problem, warm.x_final
 
 
 def _x0_at_lambda(problem, center, direction, lam_target):
@@ -357,8 +357,8 @@ def test_a07_general_scheme_local_convergence(lse_setup):
         assert region_condition_holds(mu, ell, n, sched.sup_tau, big_m, lam0)
 
         trace = run_general(problem, x0, sched,
-                            SolverConfig(max_iter=2000, grad_tol=1e-11,
-                                         record_operators=True))
+                            SolverConfig(max_iter=2000, grad_tol=1e-11),
+                            record_operators=True)
         assert trace.converged
 
         # Uniform Hessian sandwich at every iterate.

@@ -354,7 +354,7 @@ class TestTraceReports:
         # With distortion pinned at 1, the measured-distortion envelopes
         # collapse to the fixed quadratic forms.
         q = quad_trace.problem
-        x0 = quad_trace.xs[0]
+        x0 = PrimalVector(np.random.default_rng(61).standard_normal(8))
         tr = run_general(q, x0, TauSchedule.bfgs(),
                          SolverConfig(max_iter=300, grad_tol=1e-12))
         tracked_lin, uniform_lin = env_general_linear(tr)
@@ -392,7 +392,7 @@ class TestTraceReports:
 def _approx_minimizer(p):
     tr = run_general(p, PrimalVector(np.zeros(p.n)), TauSchedule.bfgs(),
                      SolverConfig(max_iter=400, grad_tol=1e-13))
-    return tr.xs[-1]
+    return tr.x_final
 
 
 def _scale_to_lambda(p, center, direction, lam_target):
@@ -605,7 +605,7 @@ class TestKernelMatchesReference:
         for trace in (quad_traces["dfp"], lse_traces["tau0.5"]):
             zero = dataclasses.replace(
                 trace, lambdas=np.r_[0.0, trace.lambdas[1:]])
-            if zero.general:
+            if not isinstance(zero.problem, QuadraticProblem):
                 _check_general(zero)
                 assert not env_general_superlinear(zero)[1].bound.any()
             else:

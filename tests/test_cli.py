@@ -311,6 +311,16 @@ class TestSweep:
         assert len(rows) == 2 and rows[1].split(",")[3] == ""
         assert "iters=None" in capsys.readouterr().out
 
+    def test_unconverged_cell_status(self, tmp_path, capsys):
+        # A cell that stops at max_iter used to print "ok": only the
+        # envelope verdict chose the word.
+        grid = {"n": [5], "L_over_mu": [100], "method": ["dfp"],
+                "max_iter": 2, "output_dir": str(tmp_path / "sweep")}
+        assert cmd_sweep(write_config(tmp_path, grid, "grid.json")) == 1
+        line, = capsys.readouterr().out.splitlines()
+        assert line.startswith("n=5 L/mu=100.0 dfp: iters=None ")
+        assert line.endswith(" max_iter")
+
     def test_failed_cell_keeps_its_row(self, tmp_path, capsys):
         # DFP at n = 2 loses definiteness at k = 2; the cell used to raise,
         # and sweep.csv, with the rows already finished, was never written.
@@ -502,9 +512,10 @@ class TestConfigContract:
         {"x0": {"random_ball": 1.0, "seed": 5}},
         {"x0": {"random_ball": 1.0, "coords": [0.1] * 6}},
         {"solver": {"grad_tol": 1e-12, "quad_error_rtol": 1e-9}},
+        {"solver": {"grad_tol": 1e-12, "record_operators": True}},
     ], ids=["experiment", "bfgs_tau", "constant_taus", "quadratic_b_ref",
             "lse_b_ref", "quadratic_sed", "lse_sed", "x0_seed", "x0_both",
-            "solver_stale"])
+            "solver_stale", "solver_record_operators"])
     def test_unknown_key_rejected(self, tmp_path, capsys, field):
         # Each of these used to run without the key: a misspelled override
         # dropped the fault and printed PASS, a tau beside "bfgs" ran BFGS,
@@ -521,7 +532,7 @@ class TestConfigContract:
         self.assert_rejected(
             tmp_path, capsys, exp,
             "the solver object does not read 'max_iters'; it reads max_iter, "
-            "grad_tol, quad_order, record_operators, instrument")
+            "grad_tol, quad_order, instrument")
 
     @pytest.mark.parametrize("config, path", [
         ("explicit_quadratic", ("instance", "b")),
