@@ -55,11 +55,9 @@ from .operators import (
     spd_solve,
 )
 from .potentials import (
-    PotentialSnapshot,
     augmented_barrier,
     logdet_barrier,
     metric_change_lb,
-    potential_snapshot,
     progress_lb_psi,
     progress_lb_v,
     scalar_gap,

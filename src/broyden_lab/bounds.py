@@ -94,7 +94,7 @@ def _ln_p(taus, ratio):
 def _tau_array(taus, k: int) -> np.ndarray:
     """tau_0 .. tau_{k-1} from a schedule or a sequence, read as one."""
     if not isinstance(taus, TauSchedule):
-        taus = TauSchedule.of_sequence(taus)
+        taus = TauSchedule(taus)
     return taus.values(k)
 
 
@@ -121,9 +121,7 @@ class EnvelopeReport:
     ``satisfied`` marks measured <= bound within the fixed slack; when
     ``asserted`` is false (a hypothesis of the bound was not verified, e.g.
     the starting point fell outside the local-convergence region) the
-    verdicts are informational only.  ``provisional_last`` flags a final
-    entry that reused the last available distortion factor because the
-    one-step-ahead value does not exist at the trace boundary.
+    verdicts are informational only.
     """
 
     name: str
@@ -131,7 +129,6 @@ class EnvelopeReport:
     measured: np.ndarray
     bound: np.ndarray
     asserted: bool = True
-    provisional_last: bool = False
     satisfied: np.ndarray = field(init=False)
     slack: np.ndarray = field(init=False)
 
@@ -363,8 +360,10 @@ def env_general_linear(trace: IterationTrace, overrides: dict | None = None
 
     # q_i needs the one-step-ahead distortion, available for every completed
     # step.  The product is a prefix sum in log space: the factors can be
-    # huge when the trajectory leaves the local region.
-    q = np.maximum(1.0 - mu / (xis[1:] * ell), xis[1:] - 1.0)
+    # huge when the trajectory leaves the local region, and xi * ell may
+    # overflow to +inf on the way, as intended: q is then xi - 1.
+    with np.errstate(over="ignore"):
+        q = np.maximum(1.0 - mu / (xis[1:] * ell), xis[1:] - 1.0)
     ln_prod = np.concatenate(([0.0], np.cumsum(_ln_pos(q))))
     if lam0 > 0.0:
         bound_xi = _exp_clamped(0.5 * np.log(xis) + math.log(lam0) + ln_prod)
@@ -379,11 +378,13 @@ def env_general_superlinear(trace: IterationTrace,
                             ) -> tuple[EnvelopeReport, EnvelopeReport]:
     """Both superlinear envelopes for the general scheme (from k = 1).
 
-    The first tracks the measured distortion sequence; its final entry
-    reuses the last available distortion and is flagged provisional.  The
-    second is the uniform in-region form, asserted only when the starting
-    residual was inside the local-convergence region.  ``overrides``
-    substitutes envelope constants as in :func:`envelope_constants`.
+    The first tracks the measured distortion sequence.  Its exponent at k
+    reads the one-step-ahead distortion xi_{k+1}, which does not exist at
+    the end of the trace, so its final entry reuses the last distortion and
+    is provisional.  The second is the uniform in-region form, asserted only
+    when the starting residual was inside the local-convergence region.
+    ``overrides`` substitutes envelope constants as in
+    :func:`envelope_constants`.
     """
     consts = envelope_constants(trace.problem, overrides)
     n, mu, ell, _ = consts
@@ -419,16 +420,14 @@ def _general_pair(trace: IterationTrace, consts, kind: str, ks, bound_xi,
     """The distortion-tracking and the uniform report of one envelope kind.
 
     The uniform report is asserted only when the starting residual was
-    inside the local-convergence region; the tracked superlinear one reuses
-    the last distortion at its final entry, so that entry is provisional.
+    inside the local-convergence region.
     """
     n, mu, ell, big_m = consts
     common = dict(ks=ks, measured=trace.lambdas[ks])
     in_region = region_condition_holds(mu, ell, n, trace.schedule.sup_tau,
                                        big_m, trace.lambda0)
     return (
-        EnvelopeReport(name=f"general_{kind}_xi", bound=bound_xi,
-                       provisional_last=kind == "superlinear", **common),
+        EnvelopeReport(name=f"general_{kind}_xi", bound=bound_xi, **common),
         EnvelopeReport(name=f"general_{kind}", bound=bound_fixed,
                        asserted=in_region, **common),
     )

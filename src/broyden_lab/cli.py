@@ -20,8 +20,9 @@ Three subcommands:
     predicted superlinear starting moments.  A cell that diverges keeps its
     row, with an empty count, and names its witness on stderr.
 
-Exit codes: 0 success, 1 bound violation or divergence, 2 malformed input.
-Validation completes before any file is written.
+Exit codes: 0 success, 1 bound violation or divergence, 2 malformed input,
+an output directory that is a file included.  Validation completes before
+any file is written.
 
 ``run`` and ``sweep`` share one path.  A config experiment or a grid cell
 is checked and built once, into an :class:`_Experiment` holding the
@@ -80,8 +81,7 @@ from .problems import (
     quad_make,
 )
 from .solver import (
-    DivergenceError,
-    QuadratureError,
+    IterationError,
     SolverConfig,
     TauSchedule,
     run_general,
@@ -196,9 +196,12 @@ def _check_experiment(exp: dict, out: str | None) -> _Experiment:
             "envelopes need an instrumented run; with "
             "\"instrument\": false set \"envelopes\": []"
         )
-    for env in envelopes:
+    for i, env in enumerate(envelopes):
         if env not in ENVELOPE_NAMES:
             raise ConfigError(f"unknown envelope {env!r}")
+        if env in envelopes[:i]:
+            # One name is one column pair of envelopes.csv.
+            raise ConfigError(f"envelope {env!r} is named twice")
         if env in QUADRATIC_ENVELOPES and not quadratic:
             raise ConfigError(f"envelope {env!r} needs a quadratic instance")
     overrides = exp.get("envelope_overrides")
@@ -208,6 +211,17 @@ def _check_experiment(exp: dict, out: str | None) -> _Experiment:
         config=config, x0=PrimalVector(coords), envelopes=tuple(envelopes),
         overrides=overrides, general=general,
         output_dir=Path(out or exp.get("output_dir", "out")))
+
+
+def _check_output_dir(path: Path) -> None:
+    """Refuse a directory to be made where a file is: the path itself or
+    the nearest of its ancestors that exists must be a directory."""
+    for p in (path, *path.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise ConfigError(f"output path {str(p)!r} exists and is "
+                                  "not a directory")
+            return
 
 
 def _report_rows(reports: list[EnvelopeReport], measured):
@@ -232,7 +246,7 @@ def _solve(exp: _Experiment):
     try:
         run = run_general if exp.general else run_quadratic
         trace = run(exp.problem, exp.x0, exp.schedule, exp.config)
-    except (DivergenceError, QuadratureError) as exc:
+    except IterationError as exc:
         return {
             "wall_time_s": time.perf_counter() - started,
             "pass": False,
@@ -302,6 +316,7 @@ def cmd_run(config_path: str, jobs: int = 1, out: str | None = None) -> int:
                     "experiment writes to its own directory"
                 )
             seen.add(exp.name)
+            _check_output_dir(exp.output_dir / exp.name)
     except (TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -434,6 +449,7 @@ _SWEEP_COLUMNS = ("n", "L_over_mu", "method", "iters_to_1e-10", "K0_new",
 def cmd_sweep(grid_path: str, out: str | None = None) -> int:
     try:
         out_dir, cells = _grid_experiments(_load_json(grid_path), out)
+        _check_output_dir(out_dir)
     except (TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

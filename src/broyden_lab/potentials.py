@@ -6,15 +6,16 @@ semidefinite order) and the augmented barrier, which subtracts the trace
 correction <G^{-1}, G - A> and is a Bregman divergence of -logdet centered
 at G, hence nonnegative without any ordering assumption.
 
-Each inequality used by the convergence analysis is exposed as a function
-returning the bound (or both sides), so measured trajectories can be checked
-against it with explicit slacks.
+Each potential and each inequality used by the convergence analysis is one
+function returning its value, the bound or both sides, so measured
+trajectories can be checked against it with explicit slacks; the solver and
+the verify suites take both potentials of a pair from one relative spectrum
+through :func:`spectral_barriers`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,13 +28,11 @@ from .operators import (
 )
 
 __all__ = [
-    "PotentialSnapshot",
     "SCALAR_GAP_MIDDLE_CONST",
     "SCALAR_GAP_CONST",
     "logdet_barrier",
     "augmented_barrier",
     "spectral_barriers",
-    "potential_snapshot",
     "progress_lb_v",
     "progress_lb_psi",
     "scalar_gap",
@@ -45,23 +44,6 @@ __all__ = [
 # and its rational relaxation 6/13 used by the augmented-barrier bound.
 SCALAR_GAP_MIDDLE_CONST = math.sqrt(3.0) / (2.0 + math.sqrt(3.0))
 SCALAR_GAP_CONST = 6.0 / 13.0
-
-_PSI_FLOOR = -1e-9
-
-
-@dataclass(frozen=True)
-class PotentialSnapshot:
-    """Potential values of one (target, approximation, direction) triple."""
-
-    v: float
-    psi: float
-    nu: float
-
-    def __post_init__(self):
-        if self.psi < _PSI_FLOOR:
-            raise ValueError(f"augmented barrier must be nonnegative, got {self.psi}")
-        if self.nu < 0.0:
-            raise ValueError(f"closeness measure must be nonnegative, got {self.nu}")
 
 
 def logdet_barrier(a: SpdOperator, g: SpdOperator) -> float:
@@ -96,16 +78,6 @@ def spectral_barriers(rel_eigs) -> tuple[float, float]:
     logs = np.log(lams)
     return (np.sum(logs, axis=-1)[()],
             np.sum(logs - 1.0 + 1.0 / lams, axis=-1)[()])
-
-
-def potential_snapshot(a: SpdOperator, g: SpdOperator,
-                       u: PrimalVector) -> PotentialSnapshot:
-    """Measure both potentials and the directional closeness in one shot."""
-    return PotentialSnapshot(
-        v=logdet_barrier(a, g),
-        psi=augmented_barrier(g, a),
-        nu=nu(a, g, u),
-    )
 
 
 def progress_lb_v(eta: float, tau: float, nu_val: float) -> float:

@@ -81,6 +81,7 @@ __all__ = [
     "TauSchedule",
     "SolverConfig",
     "IterationTrace",
+    "IterationError",
     "DivergenceError",
     "QuadratureError",
     "QUAD_ERROR_RTOL",
@@ -90,20 +91,20 @@ __all__ = [
 ]
 
 
-class DivergenceError(RuntimeError):
+class IterationError(RuntimeError):
+    """A run stopped at iteration ``k``; the message names it."""
+
+    def __init__(self, k: int, message: str):
+        super().__init__(f"iteration {k}: {message}")
+        self.k = k
+
+
+class DivergenceError(IterationError):
     """The iteration produced a non-finite or non-SPD state."""
 
-    def __init__(self, k: int, message: str):
-        super().__init__(f"iteration {k}: {message}")
-        self.k = k
 
-
-class QuadratureError(RuntimeError):
+class QuadratureError(IterationError):
     """Segment-Hessian quadrature error estimate exceeded its threshold."""
-
-    def __init__(self, k: int, message: str):
-        super().__init__(f"iteration {k}: {message}")
-        self.k = k
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,8 @@ class TauSchedule:
 
     ``taus`` holds tau_0, tau_1, ... (0 for BFGS, 1 for DFP, anything in
     between); a run longer than the tuple repeats its last entry, so a
-    constant schedule is the one-entry case.
+    constant schedule is the one-entry case, ``TauSchedule((0.5,))``.  Any
+    sequence is accepted and stored as a checked tuple.
     """
 
     taus: tuple[float, ...] = ()
@@ -130,14 +132,6 @@ class TauSchedule:
     @classmethod
     def dfp(cls) -> "TauSchedule":
         return cls((1.0,))
-
-    @classmethod
-    def of_constant(cls, tau: float) -> "TauSchedule":
-        return cls((tau,))
-
-    @classmethod
-    def of_sequence(cls, taus) -> "TauSchedule":
-        return cls(tuple(taus))
 
     def tau_at(self, k: int) -> float:
         return self.taus[min(k, len(self.taus) - 1)]
@@ -161,9 +155,9 @@ class TauSchedule:
         own = {"constant": ("tau",), "sequence": ("taus",)}.get(kind, ())
         check_keys(d, ("kind",) + own, f"method {kind!r}", own)
         if kind == "constant":
-            return cls.of_constant(d["tau"])
+            return cls((d["tau"],))
         if kind == "sequence":
-            return cls.of_sequence(check_array(d["taus"], "taus", 1))
+            return cls(check_array(d["taus"], "taus", 1))
         return cls.bfgs() if kind == "bfgs" else cls.dfp()
 
 
@@ -231,14 +225,14 @@ class IterationTrace:
     The 13 float64 column arrays all have one entry per visited iterate.
     Step-dependent fields (r, nu, tau, est_error, and v/psi and the j_eig
     range on the general path) are NaN on the terminal row, which has no
-    outgoing step.  ``x_final`` is the last iterate.  The six object lists
+    outgoing step.  ``x_final`` is the last iterate; ``converged`` is false
+    when the run stopped at ``max_iter``.  The six object lists
     (see ``_OBJECT_FIELDS``) are kept together by a run called with
     ``record_operators=True`` and are ``None`` otherwise.
     """
 
     problem: ProblemInstance
     schedule: TauSchedule
-    config: SolverConfig
     lambdas: np.ndarray
     gs: np.ndarray
     rs: np.ndarray
@@ -254,7 +248,6 @@ class IterationTrace:
     est_errors: np.ndarray
     x_final: PrimalVector
     converged: bool
-    stop_reason: str
     xs: list[PrimalVector] | None = None
     grads: list[DualVector] | None = None
     us: list[PrimalVector | None] | None = None
@@ -402,10 +395,9 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
                       if config.instrument else math.nan)
 
     return IterationTrace(
-        problem=problem, schedule=schedule, config=config,
+        problem=problem, schedule=schedule,
         **{name + "s": np.frombuffer(buf) for name, buf in columns.items()},
-        x_final=x, converged=converged,
-        stop_reason="grad_tol" if converged else "max_iter", **objects,
+        x_final=x, converged=converged, **objects,
     )
 
 

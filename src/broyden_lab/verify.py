@@ -83,21 +83,6 @@ __all__ = [
 
 TAU_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
-# Suite name -> (threshold, higher_is_worse), in run order; a suite's seed
-# is the base seed plus its position here.
-_CHECKS = {
-    "inverse_identity": (1e-10, True),
-    "det_ratio": (1e-9, True),
-    "eigen_containment": (-1e-9, False),
-    "logdet_progress": (-1e-8, False),
-    "augmented_progress": (-1e-8, False),
-    "metric_change": (-1e-8, False),
-    "scalar_gap": (-1e-12, False),
-}
-SUITES = tuple(_CHECKS)
-# Suites whose G dominates A in the semidefinite order.
-_DOMINATING = ("logdet_progress",)
-
 # Matrix entries the drawn triples waiting for evaluation may hold before
 # they are stacked and evaluated, so memory stays flat in trials and n_max.
 _STACK_ELEMENTS = 1 << 16
@@ -368,14 +353,20 @@ def _metric_change(st):
                "value": nu_val * nu_val - rhs}
 
 
-_EVALUATORS = {
-    "inverse_identity": _inverse_identity,
-    "det_ratio": _det_ratio,
-    "eigen_containment": _eigen_containment,
-    "logdet_progress": _logdet_progress,
-    "augmented_progress": _augmented_progress,
-    "metric_change": _metric_change,
+# Every suite by name, in run order; a suite's seed is the base seed plus
+# its position here.  Each row: (threshold, higher_is_worse, evaluator over
+# a _Stack or None for the scalar gap's grid, whether G dominates A in the
+# semidefinite order).
+_SUITES = {
+    "inverse_identity": (1e-10, True, _inverse_identity, False),
+    "det_ratio": (1e-9, True, _det_ratio, False),
+    "eigen_containment": (-1e-9, False, _eigen_containment, False),
+    "logdet_progress": (-1e-8, False, _logdet_progress, True),
+    "augmented_progress": (-1e-8, False, _augmented_progress, False),
+    "metric_change": (-1e-8, False, _metric_change, False),
+    "scalar_gap": (-1e-12, False, None, False),
 }
+SUITES = tuple(_SUITES)
 
 
 def _evaluate(name: str, a, g, u):
@@ -386,7 +377,7 @@ def _evaluate(name: str, a, g, u):
     with np.errstate(all="ignore"):
         stack = _Stack(a, g, u)
         rows = [{**row, "ok": stack.ok & row["ok"] & np.isfinite(row["value"])}
-                for row in _EVALUATORS[name](stack)]
+                for row in _SUITES[name][2](stack)]
     values = np.stack([np.where(row["ok"], row["value"], np.nan)
                        for row in rows], axis=1)
     return rows, values
@@ -405,11 +396,11 @@ def _worst(values: np.ndarray, sign: float):
 
 def _run(name: str, n_max: int, trials: int, seed: int) -> CheckResult:
     """Evaluate a random suite stack by stack and keep its worst value."""
-    threshold, higher_is_worse = _CHECKS[name]
+    threshold, higher_is_worse, _, dominating = _SUITES[name]
     sign = 1.0 if higher_is_worse else -1.0
     rng = np.random.default_rng(seed)
     best = None
-    for idx, a, g, u in _stacks(rng, trials, n_max, name in _DOMINATING):
+    for idx, a, g, u in _stacks(rng, trials, n_max, dominating):
         t, k, worst = _worst(_evaluate(name, a, g, u)[1], sign)
         rank = (sign * worst, -idx[t], -k)
         if best is None or rank > best[0]:
@@ -493,7 +484,7 @@ def scalar_gap_suite(grid: int = SCALAR_GAP_GRID) -> CheckResult:
         value = _scalar_gap_terms(alpha, beta)["value"]
         if value < worst:
             worst, witness = value, index
-    return CheckResult("scalar_gap", float(worst), *_CHECKS["scalar_gap"],
+    return CheckResult("scalar_gap", float(worst), *_SUITES["scalar_gap"][:2],
                        grid * grid, trial=witness)
 
 
@@ -532,7 +523,7 @@ def replay(name: str, trial: int, n_max: int = 8, seed: int = 0) -> CheckResult:
     tau, whether the value counts (``ok``), the intermediate values and the
     value; returns the result of that one trial.
     """
-    threshold, higher_is_worse = _CHECKS[name]
+    threshold, higher_is_worse, _, dominating = _SUITES[name]
     if name == "scalar_gap":
         alpha, beta = next(itertools.islice(
             _scalar_gap_grid(SCALAR_GAP_GRID), trial, None))
@@ -544,7 +535,6 @@ def replay(name: str, trial: int, n_max: int = 8, seed: int = 0) -> CheckResult:
                            higher_is_worse, 1, trial=trial)
     suite_seed = seed + SUITES.index(name)
     rng = np.random.default_rng(suite_seed)
-    dominating = name in _DOMINATING
     for _ in range(trial):
         _draw(rng, n_max, dominating)
     a, g, u = _draw(rng, n_max, dominating)

@@ -95,7 +95,7 @@ def quad_runs():
     """
     started = time.perf_counter()
     schedules = (TauSchedule.bfgs(), TauSchedule.dfp(),
-                 TauSchedule.of_constant(0.5))
+                 TauSchedule((0.5,)))
     labels = ("bfgs", "dfp", "half")
     runs = []
     idx = 0

@@ -224,6 +224,20 @@ class TestRun:
                               x0={"coords": [0.01, -0.02]})
         assert cmd_run(write_config(tmp_path, exp)) == 0
 
+    def test_saturated_distortion_passes_without_warning(self, tmp_path,
+                                                         capsys):
+        # At mu = 1e-6 the distortion xi reaches the 1e308 range; xi * ell in
+        # the tracked linear envelope used to overflow with a RuntimeWarning,
+        # which the suite turns into an error.
+        exp = {"name": "lse", "seed": 1,
+               "instance": {"kind": "log_sum_exp", "n": 5, "m": 20,
+                            "mu": 1e-06, "seed": 2},
+               "method": {"kind": "bfgs"}, "x0": {"random_ball": 1.0},
+               "solver": {"max_iter": 3000, "grad_tol": 1e-12}}
+        cfg = write_config(tmp_path, exp)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestVerify:
     def test_quick_suite_passes(self, capsys):
@@ -580,6 +594,30 @@ class TestConfigContract:
         exp = quad_experiment(tmp_path / "out", envelopes="quad_linear")
         self.assert_rejected(tmp_path, capsys, exp, "must be a list")
 
+    def test_repeated_envelope_rejected(self, tmp_path, capsys):
+        # Each name is one column pair of envelopes.csv.
+        exp = quad_experiment(tmp_path / "out",
+                              envelopes=["quad_linear", "quad_linear"])
+        self.assert_rejected(tmp_path, capsys, exp,
+                             "envelope 'quad_linear' is named twice")
+
+    @pytest.mark.parametrize("blocked", ["root", "experiment"])
+    def test_out_that_is_a_file_rejected(self, tmp_path, capsys, blocked):
+        out = tmp_path / "out"
+        if blocked == "root":
+            out.write_text("keep")
+            path = out
+        else:
+            out.mkdir()
+            path = out / "exp-quad"
+            path.write_text("keep")
+        cfg = write_config(tmp_path, quad_experiment(tmp_path / "elsewhere"))
+        assert main(["run", cfg, "--out", str(out)]) == 2
+        assert path.read_text() == "keep"
+        assert not (tmp_path / "elsewhere").exists()
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(str(path)) in err
+
     @pytest.mark.parametrize("overrides", [{"mu": 60.0},
                                            {"ell": 0.5},
                                            {"mu": 8.0, "ell": 4.0}])
@@ -727,6 +765,16 @@ class TestGridContract:
         assert cmd_sweep(write_config(tmp_path, grid, "grid.json")) == 2
         assert not (tmp_path / "sweep").exists()
         assert "n=5 L_over_mu=1e+17" in capsys.readouterr().err
+
+    def test_out_that_is_a_file_rejected(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        out.write_text("keep")
+        grid = {"n": [4], "L_over_mu": [10.0], "method": ["bfgs"]}
+        cfg = write_config(tmp_path, grid, "grid.json")
+        assert main(["sweep", cfg, "--out", str(out)]) == 2
+        assert out.read_text() == "keep"
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(str(out)) in err
 
     def test_overflowing_condition_number_rejected(self, tmp_path, capsys):
         # JSON 1e400 reads as inf; the cell used to crash in quad_make.

@@ -126,7 +126,7 @@ def old_nu(a, g, u) -> float:
 def recorded():
     quad = quad_make(np.geomspace(1.0, 30.0, 8), seed=31)
     x0 = PrimalVector(np.random.default_rng(32).standard_normal(8))
-    trace = run_quadratic(quad, x0, TauSchedule.of_constant(0.3),
+    trace = run_quadratic(quad, x0, TauSchedule((0.3,)),
                           SolverConfig(max_iter=500, grad_tol=1e-12),
                           record_operators=True)
     return quad, trace

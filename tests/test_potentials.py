@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 from broyden_lab import (
     DimensionMismatch,
     PrimalVector,
-    PotentialSnapshot,
     SpdOperator,
     augmented_barrier,
     broyd,
     logdet_barrier,
     metric_change_lb,
     nu,
-    potential_snapshot,
     progress_lb_psi,
     progress_lb_v,
     rel_eigen_range,
@@ -62,6 +60,12 @@ class TestLogdetBarrier:
         # negative without complaint.
         a = random_spd(rng, 3)
         assert logdet_barrier(a, a.scaled(0.1)) < 0.0
+
+    def test_nonnegative_when_dominating(self, rng):
+        # A below G in the semidefinite order gives ln Det(A^{-1}G) >= 0.
+        for n in (1, 4, 8):
+            a = random_spd(rng, n)
+            assert logdet_barrier(a, random_spd_dominating(rng, a)) >= -1e-9
 
 
 class TestAugmentedBarrier:
@@ -222,20 +226,3 @@ class TestMetricChange:
                 nu_sq, rhs = metric_change_lb(a, g, u, tau)
                 assert nu_sq >= rhs - 1e-10
 
-
-class TestSnapshot:
-    def test_values_match_components(self, rng):
-        a = random_spd(rng, 4)
-        g = random_spd_dominating(rng, a)
-        u = PrimalVector(rng.standard_normal(4))
-        snap = potential_snapshot(a, g, u)
-        assert snap.v == logdet_barrier(a, g)
-        assert snap.psi == augmented_barrier(g, a)
-        assert snap.nu == nu(a, g, u)
-        assert snap.v >= -1e-9 and snap.psi >= -1e-9
-
-    def test_invalid_snapshot_rejected(self):
-        with pytest.raises(ValueError):
-            PotentialSnapshot(v=0.0, psi=-1.0, nu=0.0)
-        with pytest.raises(ValueError):
-            PotentialSnapshot(v=0.0, psi=0.0, nu=-0.5)

@@ -1,0 +1,57 @@
+"""README examples run as written, and scipy stays behind one module."""
+
+import ast
+import contextlib
+import io
+import re
+from pathlib import Path
+
+from broyden_lab.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+# A fenced block: its language tag and its body, up to the closing fence.
+_FENCE = re.compile(r"^```(\w*)\n(.*?)^```", re.M | re.S)
+
+
+def readme_blocks(lang: str) -> list[str]:
+    text = (ROOT / "README.md").read_text()
+    return [body for tag, body in _FENCE.findall(text) if tag == lang]
+
+
+def test_run_config_and_sweep_grid(tmp_path):
+    config, grid = readme_blocks("json")
+    (tmp_path / "config.json").write_text(config)
+    (tmp_path / "grid.json").write_text(grid)
+    assert main(["run", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "run")]) == 0
+    assert (tmp_path / "run" / "bfgs-quad" / "summary.json").is_file()
+    assert main(["sweep", str(tmp_path / "grid.json"),
+                 "--out", str(tmp_path / "sweep")]) == 0
+    rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    assert len(rows) == 1 + 2 * 2 * 2
+
+
+def test_library_example():
+    (snippet,) = readme_blocks("python")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(snippet, "README.md", "exec"), {})
+    k_final, satisfied, _ = out.getvalue().split()
+    assert int(k_final) > 0 and satisfied == "True"
+
+
+def test_only_operators_imports_scipy():
+    # The package reaches scipy through operators alone, so that one module
+    # decides when scipy is loaded.
+    importers = set()
+    for path in sorted((ROOT / "src" / "broyden_lab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(path.name)
+    assert importers == {"operators.py"}

@@ -54,29 +54,29 @@ class TestTauSchedule:
     def test_constants(self):
         assert TauSchedule.bfgs().tau_at(3) == 0.0
         assert TauSchedule.dfp().tau_at(0) == 1.0
-        assert TauSchedule.of_constant(0.25).sup_tau == 0.25
+        assert TauSchedule((0.25,)).sup_tau == 0.25
 
     def test_sequence_repeats_last(self):
-        s = TauSchedule.of_sequence([0.0, 1.0, 0.5])
+        s = TauSchedule([0.0, 1.0, 0.5])
         assert s.tau_at(1) == 1.0
         assert s.tau_at(10) == 0.5
         assert s.sup_tau == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TauSchedule.of_constant(1.5)
+            TauSchedule((1.5,))
         with pytest.raises(ValueError):
-            TauSchedule.of_sequence([0.2, -0.1])
+            TauSchedule([0.2, -0.1])
         with pytest.raises(ValueError):
-            TauSchedule.of_sequence([])
+            TauSchedule([])
         with pytest.raises(ValueError):
             TauSchedule()
 
     def test_from_dict(self):
         assert (TauSchedule.from_dict({"kind": "constant", "tau": 0.3})
-                == TauSchedule.of_constant(0.3))
+                == TauSchedule((0.3,)))
         assert (TauSchedule.from_dict({"kind": "sequence", "taus": [0.1, 0.9]})
-                == TauSchedule.of_sequence([0.1, 0.9]))
+                == TauSchedule([0.1, 0.9]))
         assert TauSchedule.from_dict({"kind": "bfgs"}).taus == (0.0,)
         assert TauSchedule.from_dict({"kind": "dfp"}).taus == (1.0,)
 
@@ -146,7 +146,7 @@ class TestQuadraticPath:
     def test_operator_sandwich_via_eigen_range(self, rng):
         q = quad_make(np.geomspace(1.0, 50.0, 8), seed=32)
         tr = run_quadratic(q, PrimalVector(rng.standard_normal(8)),
-                           TauSchedule.of_constant(0.5),
+                           TauSchedule((0.5,)),
                            SolverConfig(max_iter=300))
         kappa = q.ell / q.mu
         assert np.all(tr.eig_mins >= 1.0 - 1e-8)
@@ -185,7 +185,7 @@ class TestQuadraticPath:
         # Both potentials drop by at least their guaranteed amounts.
         q = quad_make(np.geomspace(1.0, 40.0, 7), seed=35)
         tr = run_quadratic(q, PrimalVector(rng.standard_normal(7)),
-                           TauSchedule.of_constant(0.5),
+                           TauSchedule((0.5,)),
                            SolverConfig(max_iter=300))
         for k in range(tr.k_final):
             if math.isnan(tr.nus[k]):
@@ -213,7 +213,6 @@ class TestQuadraticPath:
                            TauSchedule.dfp(),
                            SolverConfig(max_iter=5, grad_tol=0.0))
         assert not tr.converged
-        assert tr.stop_reason == "max_iter"
         assert len(tr) == 6
 
     def test_secant_residual_quadratic(self, rng):
@@ -445,7 +444,7 @@ class TestRowPattern:
     def test_zero_step_rows(self, path, instrument):
         tr = self.run(path, instrument, _zero_step_quadratic(),
                       PrimalVector([1e-180, 0.0]), max_iter=2, grad_tol=0.0)
-        assert tr.stop_reason == "max_iter" and len(tr) == 3
+        assert not tr.converged and len(tr) == 3
         for k in (0, 1):
             assert tr.rs[k] == 0.0 and tr.est_errors[k] == 0.0
             assert tr.taus[k] == 0.0
