@@ -24,11 +24,9 @@ from .bounds import (
     env_quad_linear,
     env_quad_sharpened_factor,
     env_quad_superlinear,
-    env_quad_superlinear_psi,
     env_section6,
     first_superlinear_crossover,
     k0,
-    region_condition_holds,
     region_radius,
     report_quad_linear,
     report_quad_superlinear,
@@ -43,7 +41,6 @@ from .operators import (
     Role,
     SpdOperator,
     ZeroDirectionError,
-    loewner_leq,
     loewner_slack,
     norm_dual,
     norm_primal,

@@ -35,13 +35,11 @@ __all__ = [
     "SATISFIED_ATOL",
     "env_quad_linear",
     "env_quad_superlinear",
-    "env_quad_superlinear_psi",
     "env_quad_superlinear_log",
     "env_quad_sharpened_factor",
     "envelope_constants",
     "k0",
     "region_radius",
-    "region_condition_holds",
     "env_general_linear",
     "env_general_superlinear",
     "env_section6",
@@ -130,7 +128,6 @@ class EnvelopeReport:
     bound: np.ndarray
     asserted: bool = True
     satisfied: np.ndarray = field(init=False)
-    slack: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.ks = np.asarray(self.ks, dtype=int)
@@ -139,7 +136,6 @@ class EnvelopeReport:
         self.satisfied = (
             self.measured <= self.bound * (1.0 + SATISFIED_RTOL) + SATISFIED_ATOL
         )
-        self.slack = self.bound - self.measured
 
     @property
     def first_violation(self) -> int | None:
@@ -148,7 +144,7 @@ class EnvelopeReport:
 
     @property
     def min_slack(self) -> float:
-        return float(self.slack.min()) if self.slack.size else math.inf
+        return float(np.min(self.bound - self.measured, initial=math.inf))
 
     @property
     def all_satisfied(self) -> bool:
@@ -189,29 +185,19 @@ def _quad_sup_logs(n: int, mu: float, ell: float, taus, kk: int,
 
 
 def env_quad_superlinear(n: int, mu: float, ell: float, taus, k: int,
-                         lambda0: float,
+                         lambda0: float, psi_variant: bool = False,
                          log_factor: float | None = None) -> float:
     """Superlinear envelope from the log-det barrier analysis.
 
     ``[2 / prod_i(tau_i mu/ell + 1 - tau_i)^{1/k} * (e^{n/k ln(ell/mu)} - 1)]^{k/2}
-    * sqrt(ell/mu) * lambda0``.  ``log_factor`` substitutes a sharper value
+    * sqrt(ell/mu) * lambda0``.  ``psi_variant`` gives the envelope from the
+    augmented-barrier analysis instead: the exponent scaled by 13/6, so
+    always at least as large.  ``log_factor`` substitutes a sharper value
     for n*ln(ell/mu) in the exponent (see
     :func:`env_quad_sharpened_factor`).
     """
     return float(_exp_clamped(env_quad_superlinear_log(
-        n, mu, ell, taus, k, lambda0, log_factor=log_factor)))
-
-
-def env_quad_superlinear_psi(n: int, mu: float, ell: float, taus, k: int,
-                             lambda0: float,
-                             log_factor: float | None = None) -> float:
-    """Superlinear envelope from the augmented-barrier analysis.
-
-    Same shape as :func:`env_quad_superlinear` with the exponent scaled by
-    13/6; always at least as large.
-    """
-    return float(_exp_clamped(env_quad_superlinear_log(
-        n, mu, ell, taus, k, lambda0, True, log_factor)))
+        n, mu, ell, taus, k, lambda0, psi_variant, log_factor)))
 
 
 def env_quad_superlinear_log(n: int, mu: float, ell: float, taus, k: int,
@@ -256,11 +242,6 @@ def k0(n: int, mu: float, ell: float, sup_tau: float) -> int:
     return max(1, math.ceil(val))
 
 
-def _region_cap(mu: float, ell: float, n: int, sup_tau: float) -> float:
-    return REGION_CONST * max(mu / (2.0 * ell),
-                              1.0 / (k0(n, mu, ell, sup_tau) + 9))
-
-
 def region_radius(mu: float, ell: float, n: int, sup_tau: float,
                   big_m: float) -> float:
     """Largest admissible initial residual for local convergence.
@@ -273,13 +254,8 @@ def region_radius(mu: float, ell: float, n: int, sup_tau: float,
         raise ValueError("self-concordance constant must be nonnegative")
     if big_m == 0.0:
         return math.inf
-    return _region_cap(mu, ell, n, sup_tau) / big_m
-
-
-def region_condition_holds(mu: float, ell: float, n: int, sup_tau: float,
-                           big_m: float, lambda0: float) -> bool:
-    """Whether the starting residual satisfies the local-convergence bound."""
-    return big_m * lambda0 <= _region_cap(mu, ell, n, sup_tau)
+    return REGION_CONST * max(mu / (2.0 * ell),
+                              1.0 / (k0(n, mu, ell, sup_tau) + 9)) / big_m
 
 
 def envelope_constants(problem: ProblemInstance,
@@ -424,8 +400,8 @@ def _general_pair(trace: IterationTrace, consts, kind: str, ks, bound_xi,
     """
     n, mu, ell, big_m = consts
     common = dict(ks=ks, measured=trace.lambdas[ks])
-    in_region = region_condition_holds(mu, ell, n, trace.schedule.sup_tau,
-                                       big_m, trace.lambda0)
+    in_region = trace.lambda0 <= region_radius(
+        mu, ell, n, trace.schedule.sup_tau, big_m)
     return (
         EnvelopeReport(name=f"general_{kind}_xi", bound=bound_xi, **common),
         EnvelopeReport(name=f"general_{kind}", bound=bound_fixed,

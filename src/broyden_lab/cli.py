@@ -21,8 +21,8 @@ Three subcommands:
     row, with an empty count, and names its witness on stderr.
 
 Exit codes: 0 success, 1 bound violation or divergence, 2 malformed input,
-an output directory that is a file included.  Validation completes before
-any file is written.
+an output directory that is a file, or an output file that is a directory,
+included.  Validation completes before any file is written.
 
 ``run`` and ``sweep`` share one path.  A config experiment or a grid cell
 is checked and built once, into an :class:`_Experiment` holding the
@@ -121,12 +121,16 @@ class _Experiment:
     output_dir: Path
 
 
-def _normalize_experiment(raw: dict, idx: int,
-                          out_override: str | None) -> _Experiment:
+_EXPERIMENT_KEYS = ("name", "seed", "scheme", "instance", "method", "x0",
+                    "solver", "envelopes", "envelope_overrides", "output_dir")
+
+
+def _check_experiment(raw, idx: int, out: str | None) -> _Experiment:
+    """Check experiment #idx of a config and build what its run reads."""
     if not isinstance(raw, dict):
         raise ConfigError(f"experiment #{idx} must be a JSON object")
-    exp = dict(raw)
-    exp.setdefault("name", f"exp{idx:03d}")
+    exp = {"name": f"exp{idx:03d}", "seed": 0, "scheme": "auto",
+           "solver": {}, **raw}
     name = exp["name"]
     # The name becomes a directory under the output root: one plain path
     # component, so no experiment can write outside it.
@@ -136,92 +140,92 @@ def _normalize_experiment(raw: dict, idx: int,
             f"experiment #{idx}: name must be a single plain path component, "
             f"got {name!r}"
         )
-    exp.setdefault("seed", 0)
-    exp.setdefault("scheme", "auto")
-    exp.setdefault("solver", {})
     try:
-        return _check_experiment(exp, out_override)
+        check_keys(exp, _EXPERIMENT_KEYS, "an experiment",
+                   ("instance", "method", "x0"))
+        if exp["scheme"] not in ("auto", "general"):
+            raise ConfigError("scheme must be 'auto' or 'general'")
+        seed = check_number(exp["seed"], "seed", 0, integer=True)
+        for key in ("instance", "method", "x0", "solver"):
+            if not isinstance(exp.get(key), dict):
+                raise ConfigError(f"{key} must be given as a JSON object")
+        problem = instance_from_dict(exp["instance"])
+        schedule = TauSchedule.from_dict(exp["method"])
+        check_keys(exp["solver"], [f.name for f in fields(SolverConfig)],
+                   "the solver object")
+        config = SolverConfig(**exp["solver"])
+
+        x0, n = exp["x0"], problem.n
+        if "coords" in x0:
+            check_keys(x0, ("coords",), "an x0 given by coords")
+            coords = check_array(x0["coords"], "x0 coords", 1)
+            if coords.shape != (n,):
+                raise ConfigError(f"x0 has {coords.size} coords, expected {n}")
+        elif "random_ball" in x0:
+            check_keys(x0, ("random_ball",), "an x0 given by random_ball")
+            radius = check_number(x0["random_ball"], "random_ball")
+            if not radius > 0.0:
+                raise ConfigError("random_ball radius must be positive")
+            rng = np.random.default_rng(seed)
+            d = rng.standard_normal(n)
+            scale = norm_primal(problem.b_ref, PrimalVector(d))
+            coords = d * (radius * rng.uniform() ** (1.0 / n) / scale)
+        else:
+            raise ConfigError("x0 must carry 'coords' or 'random_ball'")
+
+        quadratic = isinstance(problem, QuadraticProblem)
+        general = not quadratic or exp["scheme"] == "general"
+        envelopes = exp.get("envelopes", list(
+            GENERAL_ENVELOPES if general else QUADRATIC_ENVELOPES))
+        if not isinstance(envelopes, list):
+            raise ConfigError("envelopes must be a list of names")
+        if envelopes and not config.instrument:
+            # Without instrumentation the residual lambda_k is never
+            # measured, so no envelope can be checked against it.
+            raise ConfigError(
+                "envelopes need an instrumented run; with "
+                "\"instrument\": false set \"envelopes\": []"
+            )
+        for i, env in enumerate(envelopes):
+            if env not in ENVELOPE_NAMES:
+                raise ConfigError(f"unknown envelope {env!r}")
+            if env in envelopes[:i]:
+                # One name is one column pair of envelopes.csv.
+                raise ConfigError(f"envelope {env!r} is named twice")
+            if env in QUADRATIC_ENVELOPES and not quadratic:
+                raise ConfigError(
+                    f"envelope {env!r} needs a quadratic instance")
+        overrides = exp.get("envelope_overrides")
+        envelope_constants(problem, overrides)
+        return _Experiment(
+            name=name, seed=seed, problem=problem, schedule=schedule,
+            config=config, x0=PrimalVector(coords),
+            envelopes=tuple(envelopes), overrides=overrides, general=general,
+            output_dir=Path(out or exp.get("output_dir", "out")))
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-_EXPERIMENT_KEYS = ("name", "seed", "scheme", "instance", "method", "x0",
-                    "solver", "envelopes", "envelope_overrides", "output_dir")
+# The files run writes into each experiment's directory, and sweep into its
+# output directory.
+_RUN_FILES = ("trace.csv", "envelopes.csv", "summary.json")
+_SWEEP_FILE = "sweep.csv"
 
 
-def _check_experiment(exp: dict, out: str | None) -> _Experiment:
-    """Check a named experiment and build what its run reads."""
-    check_keys(exp, _EXPERIMENT_KEYS, "an experiment",
-               ("instance", "method", "x0"))
-    if exp["scheme"] not in ("auto", "general"):
-        raise ConfigError("scheme must be 'auto' or 'general'")
-    seed = check_number(exp["seed"], "seed", 0, integer=True)
-    for key in ("instance", "method", "x0", "solver"):
-        if not isinstance(exp.get(key), dict):
-            raise ConfigError(f"{key} must be given as a JSON object")
-    problem = instance_from_dict(exp["instance"])
-    schedule = TauSchedule.from_dict(exp["method"])
-    check_keys(exp["solver"], [f.name for f in fields(SolverConfig)],
-               "the solver object")
-    config = SolverConfig(**exp["solver"])
-
-    x0, n = exp["x0"], problem.n
-    if "coords" in x0:
-        check_keys(x0, ("coords",), "an x0 given by coords")
-        coords = check_array(x0["coords"], "x0 coords", 1)
-        if coords.shape != (n,):
-            raise ConfigError(f"x0 has {coords.size} coords, expected {n}")
-    elif "random_ball" in x0:
-        check_keys(x0, ("random_ball",), "an x0 given by random_ball")
-        radius = check_number(x0["random_ball"], "random_ball")
-        if not radius > 0.0:
-            raise ConfigError("random_ball radius must be positive")
-        rng = np.random.default_rng(seed)
-        d = rng.standard_normal(n)
-        scale = norm_primal(problem.b_ref, PrimalVector(d))
-        coords = d * (radius * rng.uniform() ** (1.0 / n) / scale)
-    else:
-        raise ConfigError("x0 must carry 'coords' or 'random_ball'")
-
-    quadratic = isinstance(problem, QuadraticProblem)
-    general = not quadratic or exp["scheme"] == "general"
-    envelopes = exp.get("envelopes", list(
-        GENERAL_ENVELOPES if general else QUADRATIC_ENVELOPES))
-    if not isinstance(envelopes, list):
-        raise ConfigError("envelopes must be a list of names")
-    if envelopes and not config.instrument:
-        # Without instrumentation the residual lambda_k is never measured,
-        # so no envelope can be checked against it.
-        raise ConfigError(
-            "envelopes need an instrumented run; with "
-            "\"instrument\": false set \"envelopes\": []"
-        )
-    for i, env in enumerate(envelopes):
-        if env not in ENVELOPE_NAMES:
-            raise ConfigError(f"unknown envelope {env!r}")
-        if env in envelopes[:i]:
-            # One name is one column pair of envelopes.csv.
-            raise ConfigError(f"envelope {env!r} is named twice")
-        if env in QUADRATIC_ENVELOPES and not quadratic:
-            raise ConfigError(f"envelope {env!r} needs a quadratic instance")
-    overrides = exp.get("envelope_overrides")
-    envelope_constants(problem, overrides)
-    return _Experiment(
-        name=exp["name"], seed=seed, problem=problem, schedule=schedule,
-        config=config, x0=PrimalVector(coords), envelopes=tuple(envelopes),
-        overrides=overrides, general=general,
-        output_dir=Path(out or exp.get("output_dir", "out")))
-
-
-def _check_output_dir(path: Path) -> None:
-    """Refuse a directory to be made where a file is: the path itself or
-    the nearest of its ancestors that exists must be a directory."""
+def _check_output_dir(path: Path, files) -> None:
+    """Refuse a directory to be made where a file is, and a file to be
+    written where a directory is: the path itself or the nearest of its
+    ancestors that exists must be a directory, and none of ``files`` in it
+    may be one."""
     for p in (path, *path.parents):
         if p.exists():
             if not p.is_dir():
                 raise ConfigError(f"output path {str(p)!r} exists and is "
                                   "not a directory")
-            return
+            break
+    for p in (path / name for name in files):
+        if p.is_dir():
+            raise ConfigError(f"output file {str(p)!r} is a directory")
 
 
 def _report_rows(reports: list[EnvelopeReport], measured):
@@ -265,6 +269,7 @@ def _solve(exp: _Experiment):
     min_slack = min((r.min_slack for r in asserted), default=math.inf)
     radius = region_radius(problem.mu, problem.ell, problem.n, sup_tau,
                            problem.sc_const)
+    increases = trace.lambda_increase_indices
     return {
         "wall_time_s": wall,
         "pass": not violations,
@@ -276,8 +281,10 @@ def _solve(exp: _Experiment):
         "region_radius": None if math.isinf(radius) else radius,
         "not_asserted": [r.name for r in reports if not r.asserted] or None,
         # Diagnostic only: strict residual decrease is an empirical
-        # regularity, not a guarantee.
-        "lambda_increases": trace.lambda_increase_indices or None,
+        # regularity, not a guarantee.  The count and the first ten
+        # indices keep the summary's size independent of K.
+        "lambda_increases": ({"count": len(increases), "first": increases[:10]}
+                             if increases else None),
     }, trace, reports
 
 
@@ -285,14 +292,14 @@ def _execute_experiment(exp: _Experiment) -> dict:
     """Run one built experiment and write its three output files."""
     out_dir = exp.output_dir / exp.name
     out_dir.mkdir(parents=True, exist_ok=True)
+    trace_csv, envelopes_csv, summary_json = (out_dir / f for f in _RUN_FILES)
     result, trace, reports = _solve(exp)
     summary = {"name": exp.name, "seed": exp.seed,
                "instance_hash": instance_hash(exp.problem), **result}
     if trace is not None:
-        trace.to_csv(out_dir / "trace.csv")
-        write_csv(out_dir / "envelopes.csv",
-                  *_report_rows(reports, trace.lambdas))
-    with open(out_dir / "summary.json", "w", newline="\n") as f:
+        trace.to_csv(trace_csv)
+        write_csv(envelopes_csv, *_report_rows(reports, trace.lambdas))
+    with open(summary_json, "w", newline="\n") as f:
         json.dump(summary, f, indent=1)
         f.write("\n")
     return summary
@@ -306,7 +313,7 @@ def cmd_run(config_path: str, jobs: int = 1, out: str | None = None) -> int:
         if not raw_list:
             raise ConfigError("config contains no experiments")
         experiments = [
-            _normalize_experiment(r, i, out) for i, r in enumerate(raw_list)
+            _check_experiment(r, i, out) for i, r in enumerate(raw_list)
         ]
         seen = set()
         for exp in experiments:
@@ -316,7 +323,7 @@ def cmd_run(config_path: str, jobs: int = 1, out: str | None = None) -> int:
                     "experiment writes to its own directory"
                 )
             seen.add(exp.name)
-            _check_output_dir(exp.output_dir / exp.name)
+            _check_output_dir(exp.output_dir / exp.name, _RUN_FILES)
     except (TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -449,7 +456,7 @@ _SWEEP_COLUMNS = ("n", "L_over_mu", "method", "iters_to_1e-10", "K0_new",
 def cmd_sweep(grid_path: str, out: str | None = None) -> int:
     try:
         out_dir, cells = _grid_experiments(_load_json(grid_path), out)
-        _check_output_dir(out_dir)
+        _check_output_dir(out_dir, (_SWEEP_FILE,))
     except (TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -476,7 +483,7 @@ def cmd_sweep(grid_path: str, out: str | None = None) -> int:
                   f"method={method} seed={exp.seed} k={error['k']}: "
                   f"{error['kind']}: {error['message']}", file=sys.stderr)
 
-    write_csv(out_dir / "sweep.csv", _SWEEP_COLUMNS, rows)
+    write_csv(out_dir / _SWEEP_FILE, _SWEEP_COLUMNS, rows)
     return 0 if all(row[3] is not None and row[-1] for row in rows) else 1
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "norm_dual",
     "rel_eigvals",
     "rel_eigen_range",
-    "loewner_leq",
     "loewner_slack",
     "spd_solve",
     "spd_factor",
@@ -443,11 +442,6 @@ def loewner_slack(a1: SpdOperator, a2: SpdOperator) -> float:
     min_eig = float(np.linalg.eigvalsh(diff)[0])
     scale = float(np.linalg.eigvalsh(a2.entries)[-1])
     return min_eig / scale
-
-
-def loewner_leq(a1: SpdOperator, a2: SpdOperator, tol: float = 1e-9) -> bool:
-    """True iff A1 is below A2 in the positive-semidefinite order, up to tol."""
-    return loewner_slack(a1, a2) >= -tol
 
 
 def spd_solve(a: SpdOperator, s: DualVector) -> PrimalVector:

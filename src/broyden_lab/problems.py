@@ -208,7 +208,8 @@ class LogSumExpProblem(ProblemInstance):
         return _lse_value_grad(self, xc)[1]
 
     def _hess(self, xc: np.ndarray) -> SpdOperator:
-        return lse_value_grad_hess(self, PrimalVector(xc))[2]
+        z = (self.a_mat @ xc + self.b_shift)[None]
+        return SpdOperator(_lse_mean(self, z, np.ones(1)), Role.PRIMAL_TO_DUAL)
 
 
 @dataclass(frozen=True)
@@ -290,10 +291,8 @@ def _lse_value_grad(p: LogSumExpProblem, xc: np.ndarray):
 def lse_value_grad_hess(p: LogSumExpProblem,
                         x: PrimalVector) -> tuple[float, DualVector, SpdOperator]:
     """Objective value, gradient and Hessian of a log-sum-exp instance."""
-    f, g, pi = _lse_value_grad(p, x.coords)
-    g0 = p.a_mat.T @ pi
-    h = (p.a_mat.T * pi) @ p.a_mat - np.outer(g0, g0) + p.mu * p.b_ref.entries
-    return f, DualVector(g), SpdOperator(0.5 * (h + h.T), Role.PRIMAL_TO_DUAL)
+    f, g, _ = _lse_value_grad(p, x.coords)
+    return f, DualVector(g), p.hess(x)
 
 
 def lse_softmax(p: LogSumExpProblem, x: PrimalVector) -> np.ndarray:
@@ -312,18 +311,16 @@ def _gauss_legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def _lse_segment_mean(p: LogSumExpProblem, t0: np.ndarray, dt: np.ndarray,
-                      order: int) -> np.ndarray:
-    """Gauss-Legendre mean of the log-sum-exp Hessian along a segment.
+def _lse_mean(p: LogSumExpProblem, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted mean of the log-sum-exp Hessian over points x_j, raw entries.
 
-    With t0 = A x + b and dt = A u, the exponents at the nodes x + t_j u are
-    the rows of t0 + t_j dt.  Stacking their max-shifted softmax rows in P,
-    the mean is A^T diag(w^T P) A - G^T diag(w) G + mu B with G = P A: one
-    O(m n^2) product plus O(q m n + q n^2), instead of one O(m n^2) Hessian
-    per node.
+    The one statement of the Hessian A^T (diag(pi) - pi pi^T) A + mu B.
+    The rows of z are the exponent vectors A x_j + b and w holds the
+    weights.  Stacking the max-shifted softmax rows in P, the mean is
+    A^T diag(w^T P) A - G^T diag(w) G + mu B with G = P A: one O(m n^2)
+    product plus O(q m n + q n^2) for q points, instead of one O(m n^2)
+    Hessian per point.
     """
-    t, w = _gauss_legendre_rule(order)
-    z = t0 + np.outer(t, dt)
     e = np.exp(z - z.max(axis=1, keepdims=True))
     pis = e / e.sum(axis=1, keepdims=True)
     gs = pis @ p.a_mat
@@ -349,10 +346,11 @@ def integral_hessian(p: ProblemInstance, x: PrimalVector, u: PrimalVector,
         return IntegralHessian(j_op=p.a_op, est_error=0.0)
     if float(np.linalg.norm(u.coords)) == 0.0:
         return IntegralHessian(j_op=p.hess(x), est_error=0.0)
+    # The exponents at the nodes x + t_j u are the rows of t0 + t_j dt.
     t0 = p.a_mat @ x.coords + p.b_shift
     dt = p.a_mat @ u.coords
-    j = _lse_segment_mean(p, t0, dt, order)
-    j_fine = _lse_segment_mean(p, t0, dt, 2 * order)
+    j, j_fine = (_lse_mean(p, t0 + np.outer(t, dt), w) for t, w in
+                 map(_gauss_legendre_rule, (order, 2 * order)))
     # The gap is symmetric, so its spectral norm is its largest |eigenvalue|.
     est = float(np.max(np.abs(np.linalg.eigvalsh(j - j_fine))))
     return IntegralHessian(j_op=SpdOperator(j, Role.PRIMAL_TO_DUAL),

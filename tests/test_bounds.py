@@ -21,13 +21,11 @@ from broyden_lab import (
     env_quad_linear,
     env_quad_sharpened_factor,
     env_quad_superlinear,
-    env_quad_superlinear_psi,
     env_section6,
     first_superlinear_crossover,
     k0,
     lse_make,
     quad_make,
-    region_condition_holds,
     region_radius,
     report_quad_linear,
     report_quad_superlinear,
@@ -80,14 +78,15 @@ class TestSuperlinearEnvelopes:
 
     def test_perfect_conditioning_is_zero(self):
         assert env_quad_superlinear(5, 2.0, 2.0, TauSchedule.bfgs(), 3, 1.0) == 0.0
-        assert env_quad_superlinear_psi(5, 2.0, 2.0, TauSchedule.dfp(), 3, 1.0) == 0.0
+        assert env_quad_superlinear(5, 2.0, 2.0, TauSchedule.dfp(), 3, 1.0,
+                                    psi_variant=True) == 0.0
 
     def test_psi_variant_dominates(self):
         for k in (1, 5, 20, 100):
             for kappa in (2.0, 100.0):
                 v = env_quad_superlinear(8, 1.0, kappa, TauSchedule.bfgs(), k, 1.0)
-                p = env_quad_superlinear_psi(8, 1.0, kappa, TauSchedule.bfgs(),
-                                             k, 1.0)
+                p = env_quad_superlinear(8, 1.0, kappa, TauSchedule.bfgs(),
+                                         k, 1.0, psi_variant=True)
                 assert p >= v
 
     def test_psi_exponent_factor(self):
@@ -95,7 +94,8 @@ class TestSuperlinearEnvelopes:
         t = 13.0 / 6.0 * n / k * math.log(ell / mu)
         expected = (2.0 * (math.exp(t) - 1.0)) ** (k / 2.0) \
             * math.sqrt(ell / mu)
-        got = env_quad_superlinear_psi(n, mu, ell, TauSchedule.bfgs(), k, 1.0)
+        got = env_quad_superlinear(n, mu, ell, TauSchedule.bfgs(), k, 1.0,
+                                   psi_variant=True)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_mixed_schedule_uses_per_iteration_taus(self):
@@ -122,8 +122,8 @@ class TestSuperlinearEnvelopes:
                 for sched in (TauSchedule.bfgs(), TauSchedule.dfp()):
                     val = env_quad_superlinear(50, 1.0, kappa, sched, k, 1.0)
                     assert math.isfinite(val)
-                    val_psi = env_quad_superlinear_psi(50, 1.0, kappa, sched,
-                                                       k, 1.0)
+                    val_psi = env_quad_superlinear(50, 1.0, kappa, sched,
+                                                   k, 1.0, psi_variant=True)
                     assert math.isfinite(val_psi)
 
     def test_log_variant_matches_value(self):
@@ -235,8 +235,8 @@ class TestRegionRadius:
         assert region_radius(mu, ell, n, 0.0, m) == pytest.approx(expected)
 
     def test_condition_check(self):
-        assert region_condition_holds(1.0, 10.0, 5, 0.0, 0.0, 1e9)
-        assert not region_condition_holds(1.0, 10.0, 5, 0.0, 1.0, 1e9)
+        assert 1e9 <= region_radius(1.0, 10.0, 5, 0.0, 0.0)
+        assert not 1e9 <= region_radius(1.0, 10.0, 5, 0.0, 1.0)
 
 
 class TestSection6:
@@ -366,8 +366,9 @@ class TestTraceReports:
         assert uniform_lin.asserted  # zero self-concordance: region always holds
         tracked_sup, uniform_sup = env_general_superlinear(tr)
         for j, k in enumerate(tracked_sup.ks):
-            expected = env_quad_superlinear_psi(
-                n, mu, ell, TauSchedule.bfgs(), int(k), tr.lambda0
+            expected = env_quad_superlinear(
+                n, mu, ell, TauSchedule.bfgs(), int(k), tr.lambda0,
+                psi_variant=True,
             )
             assert tracked_sup.bound[j] == pytest.approx(expected, rel=1e-10)
         assert tracked_sup.all_satisfied and uniform_sup.all_satisfied

@@ -238,6 +238,26 @@ class TestRun:
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_lambda_increases_bounded_in_k(self, tmp_path):
+        # At its rounding floor this DFP run's residual rises on about half
+        # of its iterations; the summary keeps the count and the first ten
+        # indices, not every index.
+        exp = {"name": "floor",
+               "instance": {"kind": "quadratic", "seed": 2,
+                            "spectrum": [1.0, 3.0, 10.0, 30.0]},
+               "method": {"kind": "dfp"}, "x0": {"random_ball": 1.0},
+               "solver": {"max_iter": 3000, "grad_tol": 0.0},
+               "envelopes": [], "output_dir": str(tmp_path / "out")}
+        assert cmd_run(write_config(tmp_path, exp)) == 0
+        exp_dir = tmp_path / "out" / "floor"
+        lam = np.loadtxt(exp_dir / "trace.csv", delimiter=",", skiprows=1,
+                         usecols=1)
+        rises = np.flatnonzero(lam[2:] >= lam[1:-1]) + 2
+        assert rises.size > 100
+        summary = json.loads((exp_dir / "summary.json").read_text())
+        assert summary["lambda_increases"] == {"count": int(rises.size),
+                                               "first": rises[:10].tolist()}
+
 
 class TestVerify:
     def test_quick_suite_passes(self, capsys):
@@ -618,6 +638,24 @@ class TestConfigContract:
         err = capsys.readouterr().err
         assert "config error" in err and repr(str(path)) in err
 
+    @pytest.mark.parametrize("blocked", ["trace.csv", "envelopes.csv",
+                                         "summary.json"])
+    def test_output_file_that_is_a_directory_rejected(self, tmp_path, capsys,
+                                                      blocked):
+        # A directory where an output file goes used to end the run in an
+        # IsADirectoryError traceback, after the experiments before it had
+        # run and written their files.
+        out = tmp_path / "out"
+        path = out / "exp-quad" / blocked
+        path.mkdir(parents=True)
+        cfg = write_config(tmp_path, [quad_experiment(out, name="first"),
+                                      quad_experiment(out)])
+        assert main(["run", cfg]) == 2
+        assert sorted(out.iterdir()) == [out / "exp-quad"]
+        assert list((out / "exp-quad").iterdir()) == [path]
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(str(path)) in err
+
     @pytest.mark.parametrize("overrides", [{"mu": 60.0},
                                            {"ell": 0.5},
                                            {"mu": 8.0, "ell": 4.0}])
@@ -775,6 +813,20 @@ class TestGridContract:
         assert out.read_text() == "keep"
         err = capsys.readouterr().err
         assert "config error" in err and repr(str(out)) in err
+
+    def test_output_file_that_is_a_directory_rejected(self, tmp_path,
+                                                      capsys):
+        # Used to run every cell, then end in an IsADirectoryError traceback.
+        path = tmp_path / "sweep" / "sweep.csv"
+        path.mkdir(parents=True)
+        grid = {"n": [4], "L_over_mu": [10.0], "method": ["bfgs"]}
+        cfg = write_config(tmp_path, grid, "grid.json")
+        assert main(["sweep", cfg, "--out", str(tmp_path / "sweep")]) == 2
+        assert list((tmp_path / "sweep").iterdir()) == [path]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("config error" in captured.err
+                and repr(str(path)) in captured.err)
 
     def test_overflowing_condition_number_rejected(self, tmp_path, capsys):
         # JSON 1e400 reads as inf; the cell used to crash in quad_make.

@@ -236,9 +236,9 @@ class TestDecompositionCount:
             finally:
                 in_quadrature.pop()
 
-        pointwise_hessian_orig = problems_mod.lse_value_grad_hess
+        pointwise_hessian_orig = problems_mod.LogSumExpProblem._hess
         integral_hessian_orig = solver_mod.integral_hessian
-        monkeypatch.setattr(problems_mod, "lse_value_grad_hess",
+        monkeypatch.setattr(problems_mod.LogSumExpProblem, "_hess",
                             pointwise_hessian)
         monkeypatch.setattr(solver_mod, "integral_hessian", integral_hessian)
 

@@ -52,13 +52,43 @@ def lse_with_reference(rng, n, m, mu) -> LogSumExpProblem:
                             b_ref=b_ref, gamma=gamma)
 
 
+def reference_hessian(p: LogSumExpProblem, xc) -> np.ndarray:
+    """Textbook log-sum-exp Hessian A^T (diag(pi) - pi pi^T) A + mu B at
+    raw coordinates, with its own softmax: independent of the program's
+    kernel."""
+    t = p.a_mat @ xc + p.b_shift
+    e = np.exp(t - t.max())
+    pi = e / e.sum()
+    return (p.a_mat.T @ (np.diag(pi) - np.outer(pi, pi)) @ p.a_mat
+            + p.mu * p.b_ref.entries)
+
+
 def loop_segment_mean(inst, x, u, order) -> np.ndarray:
-    """Reference rule: one full pointwise Hessian per Gauss-Legendre node."""
+    """Reference rule: one textbook pointwise Hessian per Gauss-Legendre
+    node."""
     nodes, weights = _gauss_legendre_rule(order)
     acc = np.zeros((inst.n, inst.n))
     for t, w in zip(nodes, weights):
-        acc += w * inst.hess(PrimalVector(x.coords + t * u.coords)).entries
+        acc += w * reference_hessian(inst, x.coords + t * u.coords)
     return acc
+
+
+# Log-sum-exp cases for the Hessian kernel: B = I, a random B, a point far
+# from the origin where one softmax weight takes all, and a single row.
+LSE_CASES = ["identity", "reference", "far", "m1"]
+
+
+def lse_case(rng, case) -> tuple[LogSumExpProblem, PrimalVector]:
+    """The instance and the point of one of :data:`LSE_CASES`."""
+    if case == "identity":
+        p, x = lse_make(6, 15, mu=0.1, seed=17, gamma=1.0), None
+    elif case == "reference":
+        p, x = lse_with_reference(rng, 6, 15, 0.2), None
+    elif case == "far":
+        p, x = lse_make(3, 8, mu=0.1, seed=6, gamma=1.0), np.full(3, 500.0)
+    else:
+        p, x = lse_make(4, 1, mu=0.3, seed=18, gamma=1.0), None
+    return p, PrimalVector(rng.standard_normal(p.n) if x is None else x)
 
 
 class TestQuadMake:
@@ -188,6 +218,16 @@ class TestLogSumExpOracles:
             fd[:, i] = (gp - gm) / (2.0 * eps)
         np.testing.assert_allclose(h, 0.5 * (fd + fd.T), rtol=1e-5, atol=1e-7)
 
+    @pytest.mark.parametrize("case", LSE_CASES)
+    def test_hessian_matches_textbook_reference(self, rng, case):
+        # The pointwise Hessian is the one-point case of the segment-mean
+        # kernel; it agrees with the textbook formula to a few ulps.
+        p, x = lse_case(rng, case)
+        for _ in range(5):
+            ref = reference_hessian(p, x.coords)
+            assert rel_err(p.hess(x).entries, ref) <= 1e-13
+            x = PrimalVector(x.coords + rng.standard_normal(p.n))
+
     def test_softmax_positive_and_normalized(self, rng):
         p = lse_make(6, 15, mu=0.3, seed=5, gamma=2.0)
         for _ in range(200):
@@ -286,22 +326,13 @@ class TestIntegralHessian:
         assert not nodes.flags.writeable and not weights.flags.writeable
         assert weights.sum() == pytest.approx(1.0, rel=1e-14)
 
-    @pytest.mark.parametrize("case", ["identity", "reference", "far", "m1"])
+    @pytest.mark.parametrize("case", LSE_CASES)
     def test_structured_rule_matches_pointwise_loop(self, rng, case):
-        # The structured mean sums the same node Hessians in another order:
-        # agreement to a few ulps of ||J||, and the error estimate is still
-        # the spectral-norm gap to the doubled-order rule.
-        if case == "identity":
-            p, x = lse_make(6, 15, mu=0.1, seed=17, gamma=1.0), None
-        elif case == "reference":
-            p, x = lse_with_reference(rng, 6, 15, 0.2), None
-        elif case == "far":
-            p, x = lse_make(3, 8, mu=0.1, seed=6, gamma=1.0), np.full(3, 500.0)
-        else:
-            p, x = lse_make(4, 1, mu=0.3, seed=18, gamma=1.0), None
-        inst = p
-        x = PrimalVector(rng.standard_normal(p.n) if x is None else x)
-        u = PrimalVector(rng.standard_normal(p.n))
+        # The structured mean sums the textbook node Hessians in another
+        # order: agreement to a few ulps of ||J||, and the error estimate is
+        # still the spectral-norm gap to the doubled-order rule.
+        inst, x = lse_case(rng, case)
+        u = PrimalVector(rng.standard_normal(inst.n))
         for order in (2, 7, 16, 32):
             ih = integral_hessian(inst, x, u, order=order)
             ref = loop_segment_mean(inst, x, u, order)
