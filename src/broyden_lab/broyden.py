@@ -89,16 +89,17 @@ def _positive_pairings(au_u, gu_u, aha):
     return (au_u > 0.0) & (gu_u > 0.0) & (aha > 0.0)
 
 
-def _scalars(a_mat, g_mat, u, solve_g, check=True):
+def _scalars(au, g_mat, u, solve_g, check=True):
     """Shared update scalars: Au, Gu, G^{-1}Au and the three pairings.
 
+    The target enters only through ``au``, its image Au of the direction:
+    the secant y = grad f(x + u) - grad f(x) on the solver's general path.
     Every argument may carry leading batch axes.  ``solve_g`` applies G^{-1}
     to (a stack of) vectors: the maintained inverse on the raw-array path,
     the cached factorization on the typed one.  With ``check`` a
     non-positive pairing raises; without it the caller masks the updates
     :func:`_positive_pairings` rejects.
     """
-    au = np.matvec(a_mat, u)
     gu = np.matvec(g_mat, u)
     au_u = np.vecdot(au, u)
     gu_u = np.vecdot(gu, u)
@@ -114,7 +115,7 @@ def _scalars(a_mat, g_mat, u, solve_g, check=True):
 
 def _typed_scalars(a: SpdOperator, g: SpdOperator, u: PrimalVector, what: str):
     uc = _nonzero_direction(a, g, u, what)
-    return _scalars(a.entries, g.entries, uc, g.solve_vec)
+    return _scalars(np.matvec(a.entries, uc), g.entries, uc, g.solve_vec)
 
 
 def _phi_det(tau, au_u, gu_u, aha):
@@ -178,17 +179,18 @@ def _apply_update(g_mat, h_mat, u, scalars, tau):
     return g_plus, h_plus, phi, det_ratio
 
 
-def update_arrays(a_mat, g_mat, h_mat, u, tau):
+def update_arrays(au, g_mat, h_mat, u, tau):
     """Raw-array fast path for one update.
 
-    Takes the target, the current approximation and its inverse, and returns
+    Takes the target's image Au of the direction (the solver passes the
+    secant y_k), the current approximation and its inverse, and returns
     ``(g_plus, h_plus, phi, det_ratio)`` as plain arrays/floats.  The caller
     owns validation; this is what the solver drives once per iteration.  Both
     operators change by a rank-two correction with a 2x2 core, so the update
     costs O(n^2), with the inverse maintained by the rank-two inverse formula
     instead of refactorizing.
     """
-    scalars = _scalars(a_mat, g_mat, u, functools.partial(np.matvec, h_mat))
+    scalars = _scalars(au, g_mat, u, functools.partial(np.matvec, h_mat))
     return _apply_update(g_mat, h_mat, u, scalars, tau)
 
 
@@ -215,7 +217,7 @@ def broyd(a: SpdOperator, g: SpdOperator, u: PrimalVector, tau: float) -> Update
         return UpdateResult(g_plus=g, g_plus_inv=g.inverse(), phi=tau, det_ratio=1.0)
     h_mat = g.inverse_matrix()
     g_plus, h_plus, phi, det_ratio = update_arrays(
-        a.entries, g.entries, h_mat, uc, tau
+        np.matvec(a.entries, uc), g.entries, h_mat, uc, tau
     )
     return UpdateResult(
         g_plus=SpdOperator(g_plus, Role.PRIMAL_TO_DUAL),
@@ -231,7 +233,7 @@ def broyd_inverse(a: SpdOperator, g: SpdOperator, u: PrimalVector,
     tau = check_tau(tau)
     uc = _nonzero_direction(a, g, u, "inverse update")
     h_mat = g.inverse_matrix()
-    _, _, au_u, _, z, aha = _scalars(a.entries, g.entries, uc,
+    _, _, au_u, _, z, aha = _scalars(np.matvec(a.entries, uc), g.entries, uc,
                                       functools.partial(np.matvec, h_mat))
     h_plus = _rank_two(h_mat, z, uc, _inverse_core(tau, au_u, aha))
     return SpdOperator(h_plus, Role.DUAL_TO_PRIMAL)
@@ -246,15 +248,15 @@ def broyd_det_ratio(a: SpdOperator, g: SpdOperator, u: PrimalVector,
     return float(det_ratio)
 
 
-def _closeness(a_mat, g_mat, u, solve_g, inv_quad_g):
+def _closeness(au, g_mat, u, solve_g, inv_quad_g):
     """Both forms of nu over leading batch axes: ``(val_quad, val_norm)``.
 
-    With w = (G - A)u, ``val_quad`` takes <w, G^{-1}w> from ``solve_g`` (a
+    With w = Gu - Au, ``val_quad`` takes <w, G^{-1}w> from ``solve_g`` (a
     full solve or the maintained inverse) and ``val_norm`` from
     ``inv_quad_g`` (the squared norm of a triangular solve L^{-1}w).
     """
-    w = np.matvec(g_mat - a_mat, u)
-    au_u = np.vecdot(u, np.matvec(a_mat, u))
+    w = np.matvec(g_mat, u) - au
+    au_u = np.vecdot(u, au)
     val_quad = np.sqrt(np.maximum(np.vecdot(w, solve_g(w)), 0.0) / au_u)
     val_norm = np.sqrt(np.maximum(inv_quad_g(w), 0.0) / au_u)
     return val_quad, val_norm
@@ -267,16 +269,21 @@ def _nu_disagree(val_quad, val_norm):
 
 
 def nu(a: SpdOperator, g: SpdOperator, u: PrimalVector) -> float:
-    """Closeness of G to A along u: ||(G - A)u||*_G / ||u||_A.
+    """Closeness of G to A along u: ||(G - A)u||*_G / ||u||_A."""
+    uc = _nonzero_direction(a, g, u, "closeness measure")
+    return secant_nu(np.matvec(a.entries, uc), g, uc)
 
-    Evaluates both equivalent forms of the numerator for w = (G - A)u (the
+
+def secant_nu(au, g: SpdOperator, uc) -> float:
+    """:func:`nu` from the target's image Au of the raw direction ``uc``.
+
+    Evaluates both equivalent forms of the numerator for w = Gu - Au (the
     quadratic form <(G-A)G^{-1}(G-A)u, u> as <w, G^{-1}w> through a full
     factorized solve, and the squared norm of the triangular solve L^{-1}w)
     and returns the quadratic-form value after checking they agree.  Both
     cost O(n^2) with the cached factor of G.
     """
-    uc = _nonzero_direction(a, g, u, "closeness measure")
-    val_quad, val_norm = _closeness(a.entries, g.entries, uc, g.solve_vec,
+    val_quad, val_norm = _closeness(au, g.entries, uc, g.solve_vec,
                                     g.inv_quad_form)
     if _nu_disagree(val_quad, val_norm):
         raise ArithmeticError(

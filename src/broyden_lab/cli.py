@@ -214,9 +214,9 @@ _SWEEP_FILE = "sweep.csv"
 
 def _check_output_dir(path: Path, files) -> None:
     """Refuse a directory to be made where a file is, and a file to be
-    written where a directory is: the path itself or the nearest of its
-    ancestors that exists must be a directory, and none of ``files`` in it
-    may be one."""
+    written where anything is, so no earlier output is overwritten: the
+    path itself or the nearest of its ancestors that exists must be a
+    directory, and none of ``files`` in it may exist."""
     for p in (path, *path.parents):
         if p.exists():
             if not p.is_dir():
@@ -224,8 +224,8 @@ def _check_output_dir(path: Path, files) -> None:
                                   "not a directory")
             break
     for p in (path / name for name in files):
-        if p.is_dir():
-            raise ConfigError(f"output file {str(p)!r} is a directory")
+        if p.exists():
+            raise ConfigError(f"output file {str(p)!r} already exists")
 
 
 def _report_rows(reports: list[EnvelopeReport], measured):

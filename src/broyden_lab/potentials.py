@@ -138,16 +138,18 @@ def metric_change_lb(a: SpdOperator, g: SpdOperator, u: PrimalVector,
     nu_val = nu(a, g, u)
     xi = 1.0 / rel_eigen_range(g, a).min_rel
     h_plus = broyd(a, g, u, tau).g_plus_inv
-    rhs = metric_change_rhs(a.entries, g.entries, u.coords, h_plus.entries, xi)
+    rhs = metric_change_rhs(np.matvec(a.entries, u.coords), g.entries,
+                            u.coords, h_plus.entries, xi)
     return nu_val * nu_val, float(rhs)
 
 
-def metric_change_rhs(a_mat, g_mat, u, h_plus, xi):
+def metric_change_rhs(au, g_mat, u, h_plus, xi):
     """Raw-array bound of :func:`metric_change_lb` over leading batch axes.
 
-    ``h_plus`` is the inverse of the updated operator and 1/xi the smallest
-    eigenvalue of G relative to A.
+    ``au`` is the target's image Au of the direction, ``h_plus`` the inverse
+    of the updated operator and 1/xi the smallest eigenvalue of G relative
+    to A.
     """
-    w = np.matvec(g_mat - a_mat, u)
-    gu_u = np.vecdot(u, np.matvec(g_mat, u))
-    return np.vecdot(w, np.matvec(h_plus, w)) / ((1.0 + xi) * gu_u)
+    gu = np.matvec(g_mat, u)
+    w = gu - au
+    return np.vecdot(w, np.matvec(h_plus, w)) / ((1.0 + xi) * np.vecdot(u, gu))

@@ -1,42 +1,53 @@
 """Quasi-Newton driver for the convex Broyden class, with instrumentation.
 
 Two entry points share one loop: :func:`run_quadratic` updates toward the
-fixed quadratic operator, :func:`run_general` toward the mean Hessian of each
-step segment.  Both start from ell * B, step with the analytically maintained
-inverse, and record every quantity the convergence analysis tracks: the local
-gradient norm lambda, the approximation-metric gradient norm g, step length r
-in the local metric, the accumulated distortion xi, the directional closeness
-nu, both potentials, and the eigenvalue range of the approximation relative
-to the current Hessian.
+fixed quadratic operator, :func:`run_general` toward the mean Hessian J_k of
+each step segment.  Both start from ell * B, step with the analytically
+maintained inverse, and record every quantity the convergence analysis
+tracks: the local gradient norm lambda, the approximation-metric gradient
+norm g, step length r in the local metric, the accumulated distortion xi,
+the directional closeness nu, both potentials, and the eigenvalue range of
+the approximation relative to the current Hessian.
+
+The update is the classical one: it reads the target only through the
+secant y_k = grad f(x_{k+1}) - grad f(x_k), which equals J_k u_k by the mean
+value theorem (a quadratic states it exactly, as A u_k).  Each nonzero step
+evaluates the gradient at the new iterate once and carries it into the next
+iteration, so a run makes one gradient call per visited iterate.
 
 Per iteration the loop costs one validated Cholesky factorization of the
-approximation (its definiteness check, made even without instrumentation),
-one eigendecomposition of the approximation relative to each distinct target
-(one on the quadratic path, where the Hessian is the update target; two on
-the general path), and O(n^2) for the rest: the rank-two update of the
-approximation and its inverse, the closeness nu, and both potentials, which
-follow from the same eigenvalues.
+approximation (its definiteness check, made even without instrumentation)
+and O(n^2) for the rank-two update of the approximation and its inverse.
+Without instrumentation that is all: no Hessian, no segment mean, so an
+uninstrumented run makes no quadrature and cannot raise
+:class:`QuadratureError`.  Instrumented, it adds one eigendecomposition of
+the approximation relative to each distinct target (one on the quadratic
+path, where the Hessian is the update target; two on the general path), and
+O(n^2) for the closeness nu and both potentials, which follow from the same
+eigenvalues.
 
 Every visited iterate takes the same path and leaves one row.  The row starts
 with each column NaN and is filled in once: g and xi always; lambda and the
 eigenvalue range against the Hessian when instrumented; for an outgoing step
-tau, r, nu and the quadrature error, and the potentials and eigenvalue range
-against the step target.  A zero step (direction norm at most
-ZERO_DIRECTION_NORM) records r = 0, targets the Hessian at the same iterate
-and skips the update.  The terminal row has no step; only the quadratic
-path, whose target is fixed, still measures its potentials.  Each row's
-values go to one float64 buffer per column, so a trace retains about 13
-doubles per iterate; the per-iterate vectors and operator snapshots are kept
-only when a caller passes ``record_operators=True``.
+tau, and when instrumented r, nu and the quadrature error, and the
+potentials and eigenvalue range against the step target.  A zero step
+(direction norm at most ZERO_DIRECTION_NORM) records r = 0, targets the
+Hessian at the same iterate and skips the update.  The terminal row has no
+step; only the quadratic path, whose target is fixed, still measures its
+potentials.  Each row's values go to one float64 buffer per column, so a
+trace retains about 13 doubles per iterate; the per-iterate vectors and
+operator snapshots are kept only when a caller passes
+``record_operators=True``.
 
 An instrumented general-path iteration on log-sum-exp makes three validated
 Cholesky factorizations: the approximation, the one pointwise Hessian (the
-gradient is an O(m n) oracle that forms none) and the segment-mean Hessian.
-The mean comes from two structured Gauss-Legendre rules, of orders q and 2q,
-at O(m n^2 + q m n) each; the quadrature check adds two symmetric eigenvalue
-solves, one for the gap between the rules and one for the largest
-eigenvalue of the mean (made only when the gap is nonzero, so never for a
-quadratic, whose mean is its operator).
+gradient is an O(m n) oracle that forms none) and the segment mean J_k,
+built only to measure the step.  The mean comes from two structured
+Gauss-Legendre rules, of orders q and 2q, at O(m n^2 + q m n) each; the
+quadrature check adds two symmetric eigenvalue solves, one for the gap
+between the rules and one for the largest eigenvalue of the mean (made only
+when the gap is nonzero, so never for a quadratic, whose mean is its
+operator).
 
 A single run is single-threaded and deterministic; independent runs share no
 mutable state.
@@ -50,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .broyden import ZERO_DIRECTION_NORM, check_tau, nu, update_arrays
+from .broyden import ZERO_DIRECTION_NORM, check_tau, secant_nu, update_arrays
 from .operators import (
     DualVector,
     EigenRange,
@@ -66,9 +77,11 @@ from .operators import (
 )
 from .potentials import spectral_barriers
 
-# The loop draws range and potentials from one spectrum per pencil instead of
-# calling these; they stay importable here because perfbench/tracer.py wraps
-# the instrumentation layer under this module's names.
+# The loop draws range and potentials from one spectrum per pencil, and nu
+# from the secant, instead of calling these; they stay importable here
+# because perfbench/tracer.py wraps the instrumentation layer under this
+# module's names.
+from .broyden import nu  # noqa: F401
 from .operators import rel_eigen_range  # noqa: F401
 from .potentials import augmented_barrier, logdet_barrier  # noqa: F401
 from .problems import (
@@ -288,6 +301,13 @@ def _wrap_spd(k: int, entries: np.ndarray, role: Role) -> SpdOperator:
         raise DivergenceError(k, f"approximation lost definiteness ({exc})") from exc
 
 
+def _gradient(problem: ProblemInstance, x: PrimalVector, k: int) -> DualVector:
+    try:
+        return problem.grad(x)
+    except ValueError as exc:  # an overflowed gradient is no DualVector
+        raise DivergenceError(k, f"non-finite gradient ({exc})") from exc
+
+
 def _extremes(lams: np.ndarray) -> tuple[float, float]:
     """Smallest and largest entry of an ascending, positive spectrum."""
     rng = EigenRange.of_spectrum(lams)
@@ -305,17 +325,15 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
         raise ValueError(f"x0 has dimension {x0.dim}, expected {problem.n}")
     g_mat = problem.ell * problem.b_ref.entries
     h_mat = problem.b_ref.inverse_matrix() / problem.ell
+    quadratic = isinstance(problem, QuadraticProblem)
 
     columns = {name: array("d") for name in _ROW_COLUMNS}
     objects = {name: [] for name in _OBJECT_FIELDS} if record else {}
     x = x0
+    grad = _gradient(problem, x, 0)
     xi = 1.0
     for k in range(config.max_iter + 1):
         row = dict.fromkeys(_ROW_COLUMNS, math.nan)
-        try:
-            grad = problem.grad(x)
-        except ValueError as exc:  # an overflowed gradient is no DualVector
-            raise DivergenceError(k, f"non-finite gradient ({exc})") from exc
         g_op = _wrap_spd(k, g_mat, Role.PRIMAL_TO_DUAL)
         row.update(xi=xi, g=math.sqrt(
             max(float(grad.coords @ (h_mat @ grad.coords)), 0.0)))
@@ -340,8 +358,8 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
         u = None
         if not last:
             u_coords = -(h_mat @ grad.coords)
-            x_next = x.coords + u_coords
-            if not np.all(np.isfinite(x_next)):
+            next_coords = x.coords + u_coords
+            if not np.all(np.isfinite(next_coords)):
                 raise DivergenceError(k, "non-finite iterate")
             row["tau"] = schedule.tau_at(k)
             if float(np.linalg.norm(u_coords)) <= ZERO_DIRECTION_NORM:
@@ -351,22 +369,29 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
                 target = hess_k
             else:
                 u = PrimalVector(u_coords)
-                ih = integral_hessian(problem, x, u, config.quad_order)
-                target = ih.j_op
-                row["est_error"] = ih.est_error
-                # ||J|| is only needed when the two rules disagree at all.
-                if ih.est_error > 0.0:
-                    j_scale = float(np.linalg.eigvalsh(target.entries)[-1])
-                    if ih.est_error > QUAD_ERROR_RTOL * j_scale:
-                        raise QuadratureError(
-                            k,
-                            f"quadrature error {ih.est_error:.3e} above "
-                            f"{QUAD_ERROR_RTOL:.1e} * ||J||",
-                        )
+                x_next = PrimalVector(next_coords)
+                grad_next = _gradient(problem, x_next, k + 1)
+                # The secant y_k = J_k u_k.  A quadratic states it exactly,
+                # as the product the typed update forms from its operator.
+                y = (np.matvec(problem.a_op.entries, u_coords) if quadratic
+                     else grad_next.coords - grad.coords)
                 if hess_k is not None:
+                    # J_k is built only to measure the step against it.
+                    ih = integral_hessian(problem, x, u, config.quad_order)
+                    target = ih.j_op
+                    row["est_error"] = ih.est_error
+                    # ||J|| is only needed when the two rules disagree at all.
+                    if ih.est_error > 0.0:
+                        j_scale = float(np.linalg.eigvalsh(target.entries)[-1])
+                        if ih.est_error > QUAD_ERROR_RTOL * j_scale:
+                            raise QuadratureError(
+                                k,
+                                f"quadrature error {ih.est_error:.3e} above "
+                                f"{QUAD_ERROR_RTOL:.1e} * ||J||",
+                            )
                     row["r"] = math.sqrt(
                         max(float(u_coords @ (hess_k.entries @ u_coords)), 0.0))
-                    row["nu"] = nu(target, g_op, u)
+                    row["nu"] = secant_nu(y, g_op, u_coords)
         if hess_k is not None and target is not None:
             lams = lams_g if target is hess_k else rel_eigvals(g_op, target)
             row["j_eig_min"], row["j_eig_max"] = _extremes(lams)
@@ -383,9 +408,9 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
             break
         if u is not None:
             g_mat, h_mat, _, _ = update_arrays(
-                target.entries, g_mat, h_mat, u_coords, row["tau"]
+                y, g_mat, h_mat, u_coords, row["tau"]
             )
-            x = PrimalVector(x_next)
+            x, grad = x_next, grad_next
             # Distortion accumulates as exp(M * r) per step; a zero
             # self-concordance constant (every quadratic) pins it to exactly
             # 1, no drift allowed.  Far outside the local region the product
@@ -428,11 +453,13 @@ def run_general(p: ProblemInstance, x0: PrimalVector, sched: TauSchedule,
 def secant_residual(trace: IterationTrace, p: ProblemInstance) -> list[float]:
     """Relative secant residuals ||G_{k+1} u_k - dg_k|| / ||dg_k|| per step.
 
-    dg_k is the measured gradient difference across step k.  Exact up to
-    rounding on the quadratic path and up to quadrature error on the general
-    path.  Near-degenerate tail steps are skipped: once the gradient
-    difference sinks toward the rounding noise of a gradient evaluation
-    (around eps * ell * |x|), its relative direction is meaningless.
+    dg_k is the measured gradient difference across step k.  The general
+    path updates from dg_k itself, so there the residual is exact up to
+    rounding; the quadratic path updates from A u_k, which dg_k matches up
+    to the rounding of the two gradients.  Near-degenerate tail steps are
+    skipped: once the gradient difference sinks toward the rounding noise
+    of a gradient evaluation (around eps * ell * |x|), its relative
+    direction is meaningless.
     """
     if trace.g_ops is None:
         raise ValueError("trace was recorded without operator snapshots")

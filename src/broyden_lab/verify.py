@@ -216,13 +216,13 @@ class _Stack:
     """
 
     def __init__(self, a, g, u):
-        self.a, self.g, self.u = a, g, u
+        self.g, self.u, self.au = g, u, np.matvec(a, u)
         _, self.la, fault_a = spd_factor(a)
         _, self.lg, fault_g = spd_factor(g)
         self.lg_inv = np.linalg.inv(self.lg)
         h = self.lg_inv.mT @ self.lg_inv
         self.h = 0.5 * (h + h.mT)
-        self.scalars = kernel._scalars(a, g, u, self.apply_h, check=False)
+        self.scalars = kernel._scalars(self.au, g, u, self.apply_h, check=False)
         au_u, gu_u, aha = self.scalars[2], self.scalars[3], self.scalars[5]
         self.ok = ((fault_a == 0) & (fault_g == 0)
                    & kernel._positive_pairings(au_u, gu_u, aha))
@@ -240,7 +240,7 @@ class _Stack:
         def inv_quad(w):
             y = np.matvec(self.lg_inv, w)
             return np.vecdot(y, y)
-        val_quad, val_norm = kernel._closeness(self.a, self.g, self.u,
+        val_quad, val_norm = kernel._closeness(self.au, self.g, self.u,
                                                self.apply_h, inv_quad)
         return val_quad, ~kernel._nu_disagree(val_quad, val_norm)
 
@@ -284,7 +284,7 @@ def _inverse_identity(st):
 
 
 def _det_ratio(st):
-    solved = kernel._scalars(st.a, st.g, st.u, st.solve_g, check=False)
+    solved = kernel._scalars(st.au, st.g, st.u, st.solve_g, check=False)
     au_u, gu_u, aha = solved[2], solved[3], solved[5]
     solved_ok = kernel._positive_pairings(au_u, gu_u, aha)
     logdet_g = chol_logdet(st.lg)
@@ -348,7 +348,7 @@ def _metric_change(st):
     nu_val, nu_ok = st.closeness()
     for tau in TAU_GRID:
         up = st.update(tau)
-        rhs = metric_change_rhs(st.a, st.g, st.u, up.h_plus, xi)
+        rhs = metric_change_rhs(st.au, st.g, st.u, up.h_plus, xi)
         yield {"ok": ok & nu_ok & up.ok, "nu": nu_val, "xi": xi, "rhs": rhs,
                "value": nu_val * nu_val - rhs}
 

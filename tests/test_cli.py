@@ -656,6 +656,21 @@ class TestConfigContract:
         err = capsys.readouterr().err
         assert "config error" in err and repr(str(path)) in err
 
+    def test_existing_output_file_not_overwritten(self, tmp_path, capsys):
+        # Used to exit 0 and replace the file with this run's summary.
+        out = tmp_path / "out"
+        path = out / "ow" / "summary.json"
+        path.parent.mkdir(parents=True)
+        path.write_text("precious")
+        cfg = write_config(tmp_path, [quad_experiment(out, name="first"),
+                                      quad_experiment(out, name="ow")])
+        assert main(["run", cfg]) == 2
+        assert path.read_text() == "precious"
+        assert sorted(out.rglob("*")) == [out / "ow", path]
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(str(path)) in err
+        assert "already exists" in err
+
     @pytest.mark.parametrize("overrides", [{"mu": 60.0},
                                            {"ell": 0.5},
                                            {"mu": 8.0, "ell": 4.0}])
@@ -827,6 +842,22 @@ class TestGridContract:
         assert captured.out == ""
         assert ("config error" in captured.err
                 and repr(str(path)) in captured.err)
+
+    def test_existing_output_file_not_overwritten(self, tmp_path, capsys):
+        # Used to run every cell and replace the file with the new table.
+        path = tmp_path / "sweep" / "sweep.csv"
+        path.parent.mkdir()
+        path.write_text("precious")
+        grid = {"n": [4], "L_over_mu": [10.0], "method": ["bfgs"]}
+        cfg = write_config(tmp_path, grid, "grid.json")
+        assert main(["sweep", cfg, "--out", str(tmp_path / "sweep")]) == 2
+        assert path.read_text() == "precious"
+        assert list((tmp_path / "sweep").iterdir()) == [path]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("config error" in captured.err
+                and repr(str(path)) in captured.err)
+        assert "already exists" in captured.err
 
     def test_overflowing_condition_number_rejected(self, tmp_path, capsys):
         # JSON 1e400 reads as inf; the cell used to crash in quad_make.

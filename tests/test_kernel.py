@@ -3,7 +3,8 @@
 Checks the update kernel against the textbook outer-product formulas, the
 typed update entry points against each other, the spectrum-derived range and
 potentials and the O(n^2) closeness against their direct definitions, and
-pins the per-iteration decomposition count of an instrumented run.
+pins the per-iteration decomposition count of instrumented and
+uninstrumented runs.
 """
 
 import json
@@ -82,7 +83,7 @@ class TestRankTwoKernel:
             g = random_spd(rng, n, log_cond_max=2.0)
             u = rng.standard_normal(n)
             g_plus, h_plus, phi, _ = update_arrays(
-                a.entries, g.entries, np.linalg.inv(g.entries), u, tau
+                a.entries @ u, g.entries, np.linalg.inv(g.entries), u, tau
             )
             ref_g, ref_h = textbook_update(a.entries, g.entries, u, tau, phi)
             assert rel_err(g_plus, ref_g) <= TOL
@@ -95,9 +96,9 @@ class TestRankTwoKernel:
 
     def test_outputs_exactly_symmetric(self, rng):
         a, g = random_spd(rng, 7), random_spd(rng, 7)
+        u = rng.standard_normal(7)
         g_plus, h_plus, _, _ = update_arrays(
-            a.entries, g.entries, np.linalg.inv(g.entries),
-            rng.standard_normal(7), 0.4,
+            a.entries @ u, g.entries, np.linalg.inv(g.entries), u, 0.4,
         )
         assert np.array_equal(g_plus, g_plus.T)
         assert np.array_equal(h_plus, h_plus.T)
@@ -251,6 +252,28 @@ class TestDecompositionCount:
         assert counts == {"eig": 4 * steps + 1, "cholesky": 3 * steps + 2,
                           "reduction": 2 * steps + 1, "svd": 0,
                           "pointwise": visited, "pointwise_in_quadrature": 0}
+
+    def test_uninstrumented_general_path_builds_no_target(self, monkeypatch):
+        # The update reads the secant y_k = grad_{k+1} - grad_k, so without
+        # instrumentation a step needs no Hessian, no segment mean and no
+        # spectrum: one Cholesky of G per iterate, its definiteness check.
+        problem = lse_make(8, 20, mu=0.1, seed=424242, gamma=1.0)
+        counts = {"eig": 0, "cholesky": 0, "reduction": 0, "svd": 0,
+                  "quadrature": 0, "hess": 0}
+        count_decompositions(monkeypatch, counts)
+        monkeypatch.setattr(solver_mod, "integral_hessian", counting(
+            counts, "quadrature", solver_mod.integral_hessian))
+        monkeypatch.setattr(problems_mod.LogSumExpProblem, "_hess", counting(
+            counts, "hess", problems_mod.LogSumExpProblem._hess))
+
+        trace = run_general(problem, PrimalVector(np.zeros(8)),
+                            TauSchedule.bfgs(),
+                            SolverConfig(max_iter=400, grad_tol=1e-13,
+                                         instrument=False))
+        visited = len(trace)
+        assert trace.converged and visited > 10
+        assert counts == {"eig": 0, "cholesky": visited, "reduction": 0,
+                          "svd": 0, "quadrature": 0, "hess": 0}
 
 
 class TestSetUpCost:

@@ -311,9 +311,35 @@ class TestGeneralPath:
             assert tr.psis[k] - psi_tilde >= bound - 1e-8
 
     def test_secant_residual_general(self, lse_instance, lse_trace):
+        # The update reads the measured gradient difference itself, so the
+        # secant equation holds to rounding, not to quadrature error.
         assert_recorded(lse_trace)
         res = secant_residual(lse_trace, lse_instance)
-        assert res and max(res) <= 1e-8
+        assert res and max(res) <= 1e-13
+
+    @pytest.mark.parametrize("n, m, mu, taus", [
+        (100, 400, 0.005, (0.0,)),
+        (30, 90, 0.01, (1.0,)),
+        (30, 90, 0.01, (0.5,)),
+    ])
+    def test_segment_mean_maps_step_to_secant(self, n, m, mu, taus):
+        # Mean value theorem: J_k u_k = y_k = grad_{k+1} - grad_k.  The
+        # measured J_k may miss it by its quadrature error times ||u_k||
+        # plus the rounding of the two gradients, eps (gamma + mu ||x||)
+        # each; a check independent of the quadrature's own two-rule gap.
+        p = lse_make(n, m, mu=mu, seed=3, gamma=1.0)
+        tr = run_general(p, PrimalVector(np.zeros(n)), TauSchedule(taus),
+                         SolverConfig(max_iter=1000), record_operators=True)
+        assert tr.converged and tr.k_final > 50
+        eps = np.finfo(float).eps
+        for k in range(tr.k_final):
+            u = tr.us[k].coords
+            y = tr.grads[k + 1].coords - tr.grads[k].coords
+            resid = np.linalg.norm(tr.j_ops[k].matvec(u) - y)
+            x_norms = sum(np.linalg.norm(x.coords) for x in tr.xs[k:k + 2])
+            floor = eps * (p.gamma + p.mu * x_norms)
+            assert resid <= 4.0 * (tr.est_errors[k] * np.linalg.norm(u)
+                                   + floor), k
 
     def test_quadrature_errors_recorded_small(self, lse_trace):
         errs = lse_trace.est_errors[:-1]
@@ -364,6 +390,17 @@ class TestGeneralPath:
             run_general(inst, x0, TauSchedule.bfgs(),
                         SolverConfig(max_iter=50, quad_order=2))
         assert err.value.k == 0
+
+    def test_uninstrumented_run_makes_no_quadrature(self, rng):
+        # The same run without instrumentation updates from the gradient
+        # difference alone, so the coarse rule is never evaluated.
+        p = lse_make(2, 3, mu=0.1, seed=42, gamma=1.0)
+        x0 = PrimalVector(rng.standard_normal(2))
+        tr = run_general(p, x0, TauSchedule.bfgs(),
+                         SolverConfig(max_iter=50, quad_order=2,
+                                      instrument=False))
+        assert tr.converged
+        assert np.all(np.isnan(tr.est_errors))
 
 
 class TestExports:
@@ -466,13 +503,15 @@ class TestRowPattern:
                       PrimalVector(rng.standard_normal(5)), max_iter=200)
         assert tr.converged
         for k in range(tr.k_final):
-            assert tr.us[k] is not None
-            assert tr.j_ops[k] is q.a_op
-            assert tr.est_errors[k] == 0.0 and tr.xis[k] == 1.0
+            assert tr.us[k] is not None and tr.xis[k] == 1.0
+            # An uninstrumented step never builds its target: no j_ops
+            # entry and a NaN quadrature error, never measured.
+            assert tr.j_ops[k] is (q.a_op if instrument else None)
             self.measured(tr, k, instrument, "lambdas", "rs", "nus", "vs",
                           "psis", "eig_mins", "eig_maxs", "j_eig_mins",
-                          "j_eig_maxs")
+                          "j_eig_maxs", "est_errors")
             if instrument:
+                assert tr.est_errors[k] == 0.0
                 # One spectrum serves both ranges when the target is A.
                 assert tr.j_eig_mins[k] == tr.eig_mins[k]
                 assert tr.j_eig_maxs[k] == tr.eig_maxs[k]
@@ -490,11 +529,13 @@ class TestRowPattern:
         x0 = PrimalVector(0.01 * np.random.default_rng(5).standard_normal(6))
         tr = self.run("general", instrument, lse_instance, x0, max_iter=300)
         for k in range(tr.k_final):
-            assert tr.us[k] is not None and tr.j_ops[k] is not None
-            assert 0.0 <= tr.est_errors[k] <= 1e-9
+            assert tr.us[k] is not None
+            assert (tr.j_ops[k] is not None) == instrument
             self.measured(tr, k, instrument, "lambdas", "rs", "nus", "vs",
                           "psis", "eig_mins", "eig_maxs", "j_eig_mins",
-                          "j_eig_maxs")
+                          "j_eig_maxs", "est_errors")
+            if instrument:
+                assert 0.0 <= tr.est_errors[k] <= 1e-9
         # The distortion starts at 1 and accumulates measured step lengths.
         assert tr.xis[0] == 1.0
         for k in range(1, len(tr)):
