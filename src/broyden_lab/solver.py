@@ -13,7 +13,12 @@ The update is the classical one: it reads the target only through the
 secant y_k = grad f(x_{k+1}) - grad f(x_k), which equals J_k u_k by the mean
 value theorem (a quadratic states it exactly, as A u_k).  Each nonzero step
 evaluates the gradient at the new iterate once and carries it into the next
-iteration, so a run makes one gradient call per visited iterate.
+iteration, so a run makes one gradient call per visited iterate.  A true
+gradient difference of a mu-strongly convex, ell-smooth f obeys
+mu ||u||^2 <= <y, u> and ||y||_*^2 <= ell <y, u> in the B norm.  A step whose
+y breaks either by more than a factor 2 carries gradient rounding noise, not
+curvature (a run past its rounding floor, at grad_tol 0, meets such steps):
+the iterate still takes it, but the update is skipped and its nu is NaN.
 
 Per iteration the loop costs one validated Cholesky factorization of the
 approximation (its definiteness check, made even without instrumentation)
@@ -30,13 +35,15 @@ Every visited iterate takes the same path and leaves one row.  The row starts
 with each column NaN and is filled in once: g and xi always; lambda and the
 eigenvalue range against the Hessian when instrumented; for an outgoing step
 tau, and when instrumented r, nu and the quadrature error, and the
-potentials and eigenvalue range against the step target.  A zero step
-(direction norm at most ZERO_DIRECTION_NORM) records r = 0, targets the
-Hessian at the same iterate and skips the update.  The terminal row has no
-step; only the quadratic path, whose target is fixed, still measures its
-potentials.  Each row's values go to one float64 buffer per column, so a
-trace retains about 13 doubles per iterate; the per-iterate vectors and
-operator snapshots are kept only when a caller passes
+potentials and eigenvalue range against the step target.  An instrumented
+step builds and checks its target before it evaluates the gradient at the
+next iterate, so a failing quadrature is reported at the step itself.  A
+zero step (direction norm at most ZERO_DIRECTION_NORM) records r = 0,
+targets the Hessian at the same iterate and skips the update.  The terminal
+row has no step; only the quadratic path, whose target is fixed, still
+measures its potentials.  Each row's values go to one float64 buffer per
+column, so a trace retains about 13 doubles per iterate; the per-iterate
+vectors and operator snapshots are kept only when a caller passes
 ``record_operators=True``.
 
 An instrumented general-path iteration on log-sum-exp makes three validated
@@ -61,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .broyden import ZERO_DIRECTION_NORM, check_tau, secant_nu, update_arrays
+from .broyden import ZERO_DIRECTION_NORM, check_tau, update_arrays
 from .operators import (
     DualVector,
     EigenRange,
@@ -77,11 +84,11 @@ from .operators import (
 )
 from .potentials import spectral_barriers
 
-# The loop draws range and potentials from one spectrum per pencil, and nu
-# from the secant, instead of calling these; they stay importable here
-# because perfbench/tracer.py wraps the instrumentation layer under this
-# module's names.
-from .broyden import nu  # noqa: F401
+# The loop draws range and potentials from one spectrum per pencil instead
+# of calling these; they stay importable here because perfbench/tracer.py
+# wraps the instrumentation layer under this module's names.  For the same
+# reason the loop calls the secant form of nu under the name nu.
+from .broyden import secant_nu as nu
 from .operators import rel_eigen_range  # noqa: F401
 from .potentials import augmented_barrier, logdet_barrier  # noqa: F401
 from .problems import (
@@ -308,6 +315,19 @@ def _gradient(problem: ProblemInstance, x: PrimalVector, k: int) -> DualVector:
         raise DivergenceError(k, f"non-finite gradient ({exc})") from exc
 
 
+def _secant_holds(problem: ProblemInstance, b_inv: np.ndarray, u: np.ndarray,
+                  y: np.ndarray) -> bool:
+    """Whether (u, y) keeps, with slack 2, both inequalities that a gradient
+    difference of a mu-strongly convex, ell-smooth f obeys in the B norm:
+    mu ||u||^2 <= <y, u> and ||y||_*^2 <= ell <y, u>.  Past the rounding
+    floor y is gradient noise that can break them, and an update from it can
+    lose definiteness or fail outright, so the solver skips that update.
+    ``b_inv`` is the inverse of B, which prices the dual norm in O(n^2)."""
+    yu = 2.0 * float(y @ u)
+    return (yu >= problem.mu * problem.b_ref.quad_form(u)
+            and problem.ell * yu >= float(y @ (b_inv @ y)))
+
+
 def _extremes(lams: np.ndarray) -> tuple[float, float]:
     """Smallest and largest entry of an ascending, positive spectrum."""
     rng = EigenRange.of_spectrum(lams)
@@ -324,7 +344,8 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
     if x0.dim != problem.n:
         raise ValueError(f"x0 has dimension {x0.dim}, expected {problem.n}")
     g_mat = problem.ell * problem.b_ref.entries
-    h_mat = problem.b_ref.inverse_matrix() / problem.ell
+    b_inv = problem.b_ref.inverse_matrix()
+    h_mat = b_inv / problem.ell
     quadratic = isinstance(problem, QuadraticProblem)
 
     columns = {name: array("d") for name in _ROW_COLUMNS}
@@ -369,12 +390,6 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
                 target = hess_k
             else:
                 u = PrimalVector(u_coords)
-                x_next = PrimalVector(next_coords)
-                grad_next = _gradient(problem, x_next, k + 1)
-                # The secant y_k = J_k u_k.  A quadratic states it exactly,
-                # as the product the typed update forms from its operator.
-                y = (np.matvec(problem.a_op.entries, u_coords) if quadratic
-                     else grad_next.coords - grad.coords)
                 if hess_k is not None:
                     # J_k is built only to measure the step against it.
                     ih = integral_hessian(problem, x, u, config.quad_order)
@@ -389,9 +404,18 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
                                 f"quadrature error {ih.est_error:.3e} above "
                                 f"{QUAD_ERROR_RTOL:.1e} * ||J||",
                             )
-                    row["r"] = math.sqrt(
-                        max(float(u_coords @ (hess_k.entries @ u_coords)), 0.0))
-                    row["nu"] = secant_nu(y, g_op, u_coords)
+                    row["r"] = math.sqrt(max(hess_k.quad_form(u_coords), 0.0))
+                x_next = PrimalVector(next_coords)
+                grad_next = _gradient(problem, x_next, k + 1)
+                # The secant y_k = J_k u_k.  A quadratic states it exactly,
+                # as the product the typed update forms from its operator.
+                y = (np.matvec(problem.a_op.entries, u_coords) if quadratic
+                     else grad_next.coords - grad.coords)
+                if not (quadratic
+                        or _secant_holds(problem, b_inv, u_coords, y)):
+                    y = None  # rounding, not curvature: no update, no nu
+                elif hess_k is not None:
+                    row["nu"] = nu(y, g_op, u_coords)
         if hess_k is not None and target is not None:
             lams = lams_g if target is hess_k else rel_eigvals(g_op, target)
             row["j_eig_min"], row["j_eig_max"] = _extremes(lams)
@@ -407,9 +431,9 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
         if last:
             break
         if u is not None:
-            g_mat, h_mat, _, _ = update_arrays(
-                y, g_mat, h_mat, u_coords, row["tau"]
-            )
+            if y is not None:
+                g_mat, h_mat, _, _ = update_arrays(
+                    y, g_mat, h_mat, u_coords, row["tau"])
             x, grad = x_next, grad_next
             # Distortion accumulates as exp(M * r) per step; a zero
             # self-concordance constant (every quadratic) pins it to exactly

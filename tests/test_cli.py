@@ -238,6 +238,28 @@ class TestRun:
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("instrument", [True, False])
+    def test_lse_run_past_rounding_floor(self, tmp_path, capsys, instrument):
+        # With grad_tol 0 the run goes on past convergence, where the
+        # gradient difference is rounding noise and can pair negatively with
+        # the step.  The update from it used to end the run in an
+        # ArithmeticError traceback; the solver now skips it and the run
+        # reaches max_iter.
+        exp = {"name": "floor", "seed": 1,
+               "instance": {"kind": "log_sum_exp", "n": 4, "m": 12,
+                            "mu": 0.01, "seed": 1},
+               "method": {"kind": "bfgs"}, "x0": {"coords": [0.0] * 4},
+               "solver": {"max_iter": 200, "grad_tol": 0.0,
+                          "instrument": instrument},
+               "output_dir": str(tmp_path / "out")}
+        if not instrument:
+            exp["envelopes"] = []
+        assert main(["run", write_config(tmp_path, exp)]) == 0
+        assert capsys.readouterr().err == ""
+        summary = json.loads(
+            (tmp_path / "out" / "floor" / "summary.json").read_text())
+        assert summary["iterations"] == 200 and "error" not in summary
+
     def test_lambda_increases_bounded_in_k(self, tmp_path):
         # At its rounding floor this DFP run's residual rises on about half
         # of its iterations; the summary keeps the count and the first ten

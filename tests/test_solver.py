@@ -391,6 +391,25 @@ class TestGeneralPath:
                         SolverConfig(max_iter=50, quad_order=2))
         assert err.value.k == 0
 
+    def test_quadrature_error_reported_before_next_gradient(self, rng,
+                                                            monkeypatch):
+        # A step measures its segment mean before it evaluates the gradient
+        # at the next iterate, so when both fail the error names the step.
+        p = lse_make(2, 3, mu=0.1, seed=42, gamma=1.0)
+        grad = type(p)._grad
+        calls = []
+
+        def grad_overflowing_after_the_first(self, xc):
+            calls.append(xc)
+            return grad(self, xc) if len(calls) == 1 else np.full(2, np.inf)
+
+        monkeypatch.setattr(type(p), "_grad", grad_overflowing_after_the_first)
+        with pytest.raises(QuadratureError) as err:
+            run_general(p, PrimalVector(rng.standard_normal(2)),
+                        TauSchedule.bfgs(),
+                        SolverConfig(max_iter=50, quad_order=2))
+        assert err.value.k == 0 and len(calls) == 1
+
     def test_uninstrumented_run_makes_no_quadrature(self, rng):
         # The same run without instrumentation updates from the gradient
         # difference alone, so the coarse rule is never evaluated.
@@ -545,3 +564,33 @@ class TestRowPattern:
         self.unmeasured(tr, last, "rs", "nus", "taus", "est_errors", "vs",
                         "psis", "j_eig_mins", "j_eig_maxs")
         self.measured(tr, last, instrument, "lambdas", "eig_mins", "eig_maxs")
+
+    @pytest.mark.parametrize("instrument", [True, False])
+    def test_noise_secant_skips_the_update(self, instrument):
+        # Run on past convergence, a step's gradient difference y is
+        # rounding noise.  Where it breaks mu |u|^2 <= 2 <y, u> or
+        # |y|_*^2 <= 2 ell <y, u>, as no true secant can, the iterate still
+        # takes the step but G stays as it was and the step has no nu; every
+        # other step updates.
+        p = lse_make(4, 12, mu=0.01, seed=1)
+        tr = self.run("general", instrument, p, PrimalVector(np.zeros(4)),
+                      max_iter=200, grad_tol=0.0)
+        assert not tr.converged and len(tr) == 201
+        b = p.b_ref
+        skipped = []
+        for k in range(tr.k_final):
+            u = tr.us[k].coords
+            y = tr.grads[k + 1].coords - tr.grads[k].coords
+            yu = 2.0 * float(y @ u)
+            noise = (yu < p.mu * b.quad_form(u)
+                     or p.ell * yu < b.inv_quad_form(y))
+            kept = np.array_equal(tr.g_ops[k + 1].entries,
+                                  tr.g_ops[k].entries)
+            assert kept == noise, k
+            if noise:
+                skipped.append(k)
+                assert np.linalg.norm(tr.grads[k].coords) < 1e-10, k
+                self.unmeasured(tr, k, "nus")
+            else:
+                self.measured(tr, k, instrument, "nus")
+        assert len(skipped) > 50
