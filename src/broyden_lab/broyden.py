@@ -21,6 +21,8 @@ from .operators import (
     ZeroDirectionError,
     check_number,
     check_same_dim,
+    chol_inv_quad,
+    chol_solve,
 )
 
 __all__ = [
@@ -106,10 +108,28 @@ def _scalars(au, g_mat, u, solve_g, check=True):
     z = solve_g(au)
     aha = np.vecdot(au, z)
     if check and not _positive_pairings(au_u, gu_u, aha).all():
-        raise ArithmeticError(
-            "update pairings must be positive for SPD inputs; "
-            f"got <Au,u>={au_u}, <Gu,u>={gu_u}, <AG^-1Au,u>={aha}"
-        )
+        raise _pairing_error(au_u, gu_u, aha)
+    return au, gu, au_u, gu_u, z, aha
+
+
+def _pairing_error(au_u, gu_u, aha) -> ArithmeticError:
+    return ArithmeticError(
+        "update pairings must be positive for SPD inputs; "
+        f"got <Au,u>={au_u}, <Gu,u>={gu_u}, <AG^-1Au,u>={aha}"
+    )
+
+
+def _vector_scalars(au, g_mat, h_mat, u):
+    """:func:`_scalars` for one plain direction, with G^{-1} applied through
+    the maintained inverse ``h_mat``: the same products, with the three
+    pairings as Python floats.  A non-positive pairing raises."""
+    gu = np.matvec(g_mat, u)
+    z = np.matvec(h_mat, au)
+    au_u = float(np.vecdot(au, u))
+    gu_u = float(np.vecdot(gu, u))
+    aha = float(np.vecdot(au, z))
+    if not _positive_pairings(au_u, gu_u, aha):
+        raise _pairing_error(au_u, gu_u, aha)
     return au, gu, au_u, gu_u, z, aha
 
 
@@ -141,6 +161,20 @@ def _rank_two(m, x, y, core):
     out = (basis @ core) @ basis.mT
     out += m
     sym = out + out.mT
+    sym *= 0.5
+    return sym
+
+
+def _vector_rank_two(m, x, y, core):
+    """:func:`_rank_two` for one pair of plain vectors.  The (n, 2) basis is
+    filled in place instead of built by np.stack, at a fraction of its cost;
+    layout and products are the same, so are the bits."""
+    basis = np.empty((x.size, 2))
+    basis[:, 0] = x
+    basis[:, 1] = y
+    out = (basis @ core) @ basis.T
+    out += m
+    sym = out + out.T
     sym *= 0.5
     return sym
 
@@ -188,10 +222,14 @@ def update_arrays(au, g_mat, h_mat, u, tau):
     owns validation; this is what the solver drives once per iteration.  Both
     operators change by a rank-two correction with a 2x2 core, so the update
     costs O(n^2), with the inverse maintained by the rank-two inverse formula
-    instead of refactorizing.
+    instead of refactorizing.  It is :func:`_apply_update` for one plain
+    direction, with its scalars as Python floats.
     """
-    scalars = _scalars(au, g_mat, u, functools.partial(np.matvec, h_mat))
-    return _apply_update(g_mat, h_mat, u, scalars, tau)
+    au, gu, au_u, gu_u, z, aha = _vector_scalars(au, g_mat, h_mat, u)
+    phi, det_ratio = _phi_det(tau, au_u, gu_u, aha)
+    g_plus = _vector_rank_two(g_mat, au, gu, _primal_core(phi, au_u, gu_u))
+    h_plus = _vector_rank_two(h_mat, z, u, _inverse_core(tau, au_u, aha))
+    return g_plus, h_plus, phi, det_ratio
 
 
 def phi_tau(a: SpdOperator, g: SpdOperator, u: PrimalVector, tau: float) -> float:
@@ -233,9 +271,9 @@ def broyd_inverse(a: SpdOperator, g: SpdOperator, u: PrimalVector,
     tau = check_tau(tau)
     uc = _nonzero_direction(a, g, u, "inverse update")
     h_mat = g.inverse_matrix()
-    _, _, au_u, _, z, aha = _scalars(np.matvec(a.entries, uc), g.entries, uc,
-                                      functools.partial(np.matvec, h_mat))
-    h_plus = _rank_two(h_mat, z, uc, _inverse_core(tau, au_u, aha))
+    _, _, au_u, _, z, aha = _vector_scalars(np.matvec(a.entries, uc),
+                                             g.entries, h_mat, uc)
+    h_plus = _vector_rank_two(h_mat, z, uc, _inverse_core(tau, au_u, aha))
     return SpdOperator(h_plus, Role.DUAL_TO_PRIMAL)
 
 
@@ -271,20 +309,22 @@ def _nu_disagree(val_quad, val_norm):
 def nu(a: SpdOperator, g: SpdOperator, u: PrimalVector) -> float:
     """Closeness of G to A along u: ||(G - A)u||*_G / ||u||_A."""
     uc = _nonzero_direction(a, g, u, "closeness measure")
-    return secant_nu(np.matvec(a.entries, uc), g, uc)
+    return secant_nu(np.matvec(a.entries, uc), g.entries, g.factor, uc)
 
 
-def secant_nu(au, g: SpdOperator, uc) -> float:
-    """:func:`nu` from the target's image Au of the raw direction ``uc``.
+def secant_nu(au, g_mat, g_chol, uc) -> float:
+    """:func:`nu` on raw arrays, from the target's image Au of the direction
+    ``uc``, the matrix G and its lower Cholesky factor L.
 
     Evaluates both equivalent forms of the numerator for w = Gu - Au (the
     quadratic form <(G-A)G^{-1}(G-A)u, u> as <w, G^{-1}w> through a full
     factorized solve, and the squared norm of the triangular solve L^{-1}w)
     and returns the quadratic-form value after checking they agree.  Both
-    cost O(n^2) with the cached factor of G.
+    cost O(n^2) with the factor of G.
     """
-    val_quad, val_norm = _closeness(au, g.entries, uc, g.solve_vec,
-                                    g.inv_quad_form)
+    val_quad, val_norm = _closeness(
+        au, g_mat, uc, functools.partial(chol_solve, g_chol),
+        functools.partial(chol_inv_quad, g_chol))
     if _nu_disagree(val_quad, val_norm):
         raise ArithmeticError(
             f"closeness formulas disagree: {val_quad} vs {val_norm}"

@@ -40,13 +40,22 @@ __all__ = [
     "spd_solve",
     "spd_factor",
     "chol_logdet",
+    "chol_solve",
+    "chol_factor_solve",
+    "chol_inv_quad",
+    "pencil_eigvals",
+    "spectrum_extremes",
     "check_number",
     "check_array",
     "check_keys",
     "check_same_dim",
 ]
 
-_sygst = scipy.linalg.get_lapack_funcs("sygst", dtype=np.float64)
+# Raw LAPACK handles.  The helpers below call them with the argument layout
+# that scipy.linalg's checked wrappers use, so the bits agree, but skip those
+# wrappers' validation: the raw-array solver loop calls them every iteration.
+_sygst, _potrs, _trtrs = scipy.linalg.get_lapack_funcs(
+    ("sygst", "potrs", "trtrs"), dtype=np.float64)
 
 # Relative symmetry tolerance and pivot floor for accepting a matrix as SPD.
 SYMMETRY_RTOL = 1e-12
@@ -91,9 +100,27 @@ def spd_factor(m: np.ndarray):
     a Cholesky factor whose squared pivots all exceed ``PIVOT_RTOL`` times
     that entry.  Returns ``(sym, chol, fault)``: the symmetrized matrices,
     their lower Cholesky factors and one fault code per matrix (an index
-    into ``SPD_FAULTS``).  A rejected matrix gets the identity as its
-    factor, so a stack keeps computing and the caller masks its results.
+    into ``SPD_FAULTS``; a plain int for a single matrix).  A rejected
+    matrix gets the identity as its factor, so a stack keeps computing and
+    the caller masks its results.
     """
+    if m.ndim == 2:
+        # One matrix, as the solver checks each iterate: the same tests on
+        # Python scalars, without the masking a stack needs.
+        scale = float(np.abs(m).max())
+        if not (math.isfinite(scale) and scale > 0.0):
+            with np.errstate(invalid="ignore"):
+                sym = 0.5 * (m + m.T)
+            return sym, np.eye(m.shape[0]), 1 if scale != 0.0 else 2
+        sym = 0.5 * (m + m.T)
+        if not float(np.abs(m - m.T).max()) <= SYMMETRY_RTOL * scale:
+            return sym, np.eye(m.shape[0]), 3
+        try:
+            chol = np.linalg.cholesky(sym)
+        except np.linalg.LinAlgError:
+            return sym, np.eye(m.shape[0]), 4
+        return sym, chol, (5 if float(chol.diagonal().min()) ** 2
+                           <= PIVOT_RTOL * scale else 0)
     with np.errstate(invalid="ignore"):
         scale = np.abs(m).max(axis=(-2, -1))
         asym = np.abs(m - m.mT).max(axis=(-2, -1))
@@ -179,6 +206,59 @@ def chol_logdet(chol: np.ndarray):
     return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
 
 
+def chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """M^{-1} rhs for a raw vector or matrix, from the C-ordered lower
+    Cholesky factor L of M: one ``potrs``, laid out as
+    ``scipy.linalg.cho_solve((chol, True), rhs)`` lays it out."""
+    x, info = _potrs(chol, rhs, lower=True)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return x
+
+
+def chol_factor_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """L^{-1} rhs for a raw vector or matrix, from the C-ordered lower
+    Cholesky factor L: one ``trtrs`` on the Fortran-ordered L^T, as
+    ``scipy.linalg.solve_triangular(chol, rhs, lower=True)`` lays it out."""
+    x, info = _trtrs(chol.T, rhs, lower=False, trans=True)
+    if info != 0:
+        raise ValueError(f"triangular solve failed (info={info})")
+    return x
+
+
+def chol_inv_quad(chol: np.ndarray, x: np.ndarray) -> float:
+    """<x, M^{-1}x> for a raw vector, as the squared norm of L^{-1}x."""
+    y = chol_factor_solve(chol, x)
+    return float(y @ y)
+
+
+def pencil_eigvals(g: np.ndarray, a_chol: np.ndarray) -> np.ndarray:
+    """All eigenvalues of the matrix G relative to the SPD matrix with lower
+    Cholesky factor ``a_chol``, ascending.
+
+    Reduces the pencil to the standard problem L^{-1} G L^{-T} (one LAPACK
+    ``sygst`` call, so A is never refactorized) and takes its eigenvalues.
+    Both operands are passed transposed so they arrive Fortran-ordered:
+    G^T = G, and A = U^T U with U = L^T upper triangular.
+    """
+    reduced, info = _sygst(g.T, a_chol.T, itype=1, lower=0)
+    if info != 0:
+        raise NotSpdError(f"generalized eigenvalue reduction failed (info={info})")
+    try:
+        return np.linalg.eigvalsh(reduced, UPLO="U")
+    except np.linalg.LinAlgError as exc:
+        raise NotSpdError("generalized eigenvalue reduction failed") from exc
+
+
+def spectrum_extremes(vals) -> tuple[float, float]:
+    """Smallest and largest entry of an ascending spectrum, as floats; a
+    ValueError unless they form a positive range."""
+    lo, hi = float(vals[0]), float(vals[-1])
+    if not 0.0 < lo <= hi:
+        raise ValueError(f"invalid eigen range ({lo}, {hi})")
+    return lo, hi
+
+
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.flags.writeable = False
@@ -197,12 +277,13 @@ class _Vector:
     coords: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
+        c = np.array(self.coords, dtype=float)  # a private copy
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coords must be a non-empty 1-d array")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("coords must be finite")
-        object.__setattr__(self, "coords", _as_readonly(c))
+        c.flags.writeable = False
+        object.__setattr__(self, "coords", c)
 
     @property
     def dim(self) -> int:
@@ -245,15 +326,12 @@ class EigenRange:
     max_rel: float
 
     def __post_init__(self):
-        if not (0.0 < self.min_rel <= self.max_rel):
-            raise ValueError(
-                f"invalid eigen range ({self.min_rel}, {self.max_rel})"
-            )
+        spectrum_extremes((self.min_rel, self.max_rel))
 
     @classmethod
     def of_spectrum(cls, vals: np.ndarray) -> "EigenRange":
         """Range of an ascending spectrum (rejected if not positive)."""
-        return cls(float(vals[0]), float(vals[-1]))
+        return cls(*spectrum_extremes(vals))
 
 
 @dataclass(frozen=True)
@@ -287,6 +365,11 @@ class SpdOperator:
         return self.entries.shape[0]
 
     @property
+    def factor(self) -> np.ndarray:
+        """The cached lower Cholesky factor L, M = L L^T (read-only)."""
+        return self._chol
+
+    @property
     def logdet(self) -> float:
         return float(chol_logdet(self._chol))
 
@@ -295,7 +378,7 @@ class SpdOperator:
 
     def solve_mat(self, rhs: np.ndarray) -> np.ndarray:
         """Apply the inverse to a raw vector or matrix via the cached factor."""
-        return scipy.linalg.cho_solve((self._chol, True), np.asarray(rhs, dtype=float))
+        return chol_solve(self._chol, np.asarray(rhs, dtype=float))
 
     solve_vec = solve_mat
 
@@ -307,14 +390,11 @@ class SpdOperator:
     def solve_factor(self, rhs: np.ndarray) -> np.ndarray:
         """L^{-1} rhs for a raw vector or matrix, with L the cached lower
         Cholesky factor (M = L L^T): one triangular solve."""
-        return scipy.linalg.solve_triangular(
-            self._chol, np.asarray(rhs, dtype=float), lower=True
-        )
+        return chol_factor_solve(self._chol, np.asarray(rhs, dtype=float))
 
     def inv_quad_form(self, x: np.ndarray) -> float:
         """<x, M^{-1}x> for a raw coordinate vector, via triangular solve."""
-        y = self.solve_factor(x)
-        return float(y @ y)
+        return chol_inv_quad(self._chol, np.asarray(x, dtype=float))
 
     def apply(self, v):
         """Typed application: primal->dual maps PrimalVector to DualVector."""
@@ -405,25 +485,14 @@ def norm_dual(a: SpdOperator, s: DualVector) -> float:
 
 
 def rel_eigvals(g: SpdOperator, a: SpdOperator) -> np.ndarray:
-    """All eigenvalues of G relative to A, ascending.
-
-    Reduces the pencil to the standard problem L^{-1} G L^{-T} with A's cached
-    Cholesky factor L (one LAPACK ``sygst`` call, so A is never refactorized)
-    and takes its eigenvalues: one eigendecomposition per (G, A) pair, from
+    """All eigenvalues of G relative to A, ascending: :func:`pencil_eigvals`
+    with A's cached factor, one eigendecomposition per (G, A) pair, from
     which the range, the log-determinant ratio and Tr(G^{-1}A) all follow.
     """
     _require_role(g, Role.PRIMAL_TO_DUAL, "g")
     _require_role(a, Role.PRIMAL_TO_DUAL, "a")
     check_same_dim(g, a)
-    # Both operands are passed transposed so they arrive Fortran-ordered:
-    # G^T = G, and A = U^T U with U = L^T upper triangular.
-    reduced, info = _sygst(g.entries.T, a._chol.T, itype=1, lower=0)
-    if info != 0:
-        raise NotSpdError(f"generalized eigenvalue reduction failed (info={info})")
-    try:
-        return np.linalg.eigvalsh(reduced, UPLO="U")
-    except np.linalg.LinAlgError as exc:
-        raise NotSpdError("generalized eigenvalue reduction failed") from exc
+    return pencil_eigvals(g.entries, a.factor)
 
 
 def rel_eigen_range(g: SpdOperator, a: SpdOperator) -> EigenRange:

@@ -20,6 +20,15 @@ y breaks either by more than a factor 2 carries gradient rounding noise, not
 curvature (a run past its rounding floor, at grad_tol 0, meets such steps):
 the iterate still takes it, but the update is skipped and its nu is NaN.
 
+The loop runs on raw arrays from entry to exit.  Typed wrappers appear only
+at its edges: the starting point and reference operator it is given, the
+trace it returns, and the oracle calls (the gradient and Hessian of each
+visited iterate and the segment mean, which take and return typed values).
+Between them G_k, H_k, the step and the secant are plain arrays: G_k passes
+the one SPD rule of :func:`operators.spd_factor` each iteration without
+becoming an ``SpdOperator``, and lambda, nu and the spectra call LAPACK
+through the raw helpers in :mod:`operators`.
+
 Per iteration the loop costs one validated Cholesky factorization of the
 approximation (its definiteness check, made even without instrumentation)
 and O(n^2) for the rank-two update of the approximation and its inverse.
@@ -51,10 +60,11 @@ Cholesky factorizations: the approximation, the one pointwise Hessian (the
 gradient is an O(m n) oracle that forms none) and the segment mean J_k,
 built only to measure the step.  The mean comes from two structured
 Gauss-Legendre rules, of orders q and 2q, at O(m n^2 + q m n) each; the
-quadrature check adds two symmetric eigenvalue solves, one for the gap
-between the rules and one for the largest eigenvalue of the mean (made only
-when the gap is nonzero, so never for a quadratic, whose mean is its
-operator).
+quadrature check adds one symmetric eigenvalue solve, for the spectral norm
+of the gap between the rules.  The gate compares that gap with ||J||, and
+since J is SPD its largest diagonal entry is a lower bound on ||J||: the
+exact norm, a second eigenvalue solve, is taken only when the gap exceeds
+the diagonal's share.
 
 A single run is single-threaded and deterministic; independent runs share no
 mutable state.
@@ -62,6 +72,7 @@ mutable state.
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -70,26 +81,27 @@ import numpy as np
 
 from .broyden import ZERO_DIRECTION_NORM, check_tau, update_arrays
 from .operators import (
+    SPD_FAULTS,
     DualVector,
-    EigenRange,
-    NotSpdError,
     PrimalVector,
     Role,
     SpdOperator,
     check_array,
     check_keys,
     check_number,
-    norm_dual,
-    rel_eigvals,
+    pencil_eigvals,
+    spd_factor,
+    spectrum_extremes,
 )
 from .potentials import spectral_barriers
 
-# The loop draws range and potentials from one spectrum per pencil instead
-# of calling these; they stay importable here because perfbench/tracer.py
-# wraps the instrumentation layer under this module's names.  For the same
-# reason the loop calls the secant form of nu under the name nu.
+# The loop takes lambda from a raw factor solve, and range and potentials
+# from one spectrum per pencil, instead of calling these typed functions;
+# they stay importable here because perfbench/tracer.py wraps the
+# instrumentation layer under this module's names.  For the same reason the
+# loop calls the raw secant form of nu under the name nu.
 from .broyden import secant_nu as nu
-from .operators import rel_eigen_range  # noqa: F401
+from .operators import norm_dual, rel_eigen_range  # noqa: F401
 from .potentials import augmented_barrier, logdet_barrier  # noqa: F401
 from .problems import (
     ProblemInstance,
@@ -212,6 +224,8 @@ class SolverConfig:
 _ROW_COLUMNS = ("lambda", "g", "r", "xi", "nu", "v", "psi", "eig_min",
                 "eig_max", "tau", "est_error", "j_eig_min", "j_eig_max")
 _CSV_COLUMNS = ("k",) + _ROW_COLUMNS[:10]
+# Rows that trace.csv formats at once.
+_CSV_BLOCK = 4096
 # The per-iterate objects a recorded run keeps, one list each: the iterate,
 # its gradient, the step (None where there is none), G_k, H_k and the step
 # target (None where there is no step).
@@ -233,9 +247,14 @@ def _fmt(value) -> str:
 
 def write_csv(path, header, rows) -> None:
     """Write a header and rows of cell values (see :func:`_fmt`), LF-ended."""
+    _write_cells(path, header, (map(_fmt, row) for row in rows))
+
+
+def _write_cells(path, header, rows) -> None:
+    """Write a header and rows of already formatted cells, LF-ended."""
     with open(path, "w", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        f.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        f.writelines(",".join(row) + "\n" for row in rows)
 
 
 @dataclass
@@ -297,15 +316,27 @@ class IterationTrace:
         return (np.flatnonzero(lam[2:] >= lam[1:-1]) + 2).tolist()
 
     def to_csv(self, path) -> None:
+        """Write trace.csv: the bytes :func:`write_csv` writes for these
+        rows, formatted a column at a time (the repr of a float is
+        :func:`_fmt`'s cell for it, NaN included), one block of rows at a
+        time so a long trace is never held as Python floats."""
         cols = [getattr(self, name + "s") for name in _CSV_COLUMNS[1:]]
-        write_csv(path, _CSV_COLUMNS, zip(range(len(self)), *cols))
+        blocks = (zip(map(str, range(start, start + _CSV_BLOCK)),
+                      *(map(repr, col[start:start + _CSV_BLOCK].tolist())
+                        for col in cols))
+                  for start in range(0, len(self), _CSV_BLOCK))
+        _write_cells(path, _CSV_COLUMNS, itertools.chain.from_iterable(blocks))
 
 
-def _wrap_spd(k: int, entries: np.ndarray, role: Role) -> SpdOperator:
-    try:
-        return SpdOperator(entries, role)
-    except NotSpdError as exc:
-        raise DivergenceError(k, f"approximation lost definiteness ({exc})") from exc
+def _checked_factor(k: int, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetrized entries and lower Cholesky factor of an approximation
+    that passes the SPD rule of :func:`operators.spd_factor`; a
+    :class:`DivergenceError` at iteration ``k`` otherwise."""
+    sym, chol, fault = spd_factor(m)
+    if fault:
+        raise DivergenceError(
+            k, f"approximation lost definiteness ({SPD_FAULTS[fault]})")
+    return sym, chol
 
 
 def _gradient(problem: ProblemInstance, x: PrimalVector, k: int) -> DualVector:
@@ -328,15 +359,24 @@ def _secant_holds(problem: ProblemInstance, b_inv: np.ndarray, u: np.ndarray,
             and problem.ell * yu >= float(y @ (b_inv @ y)))
 
 
-def _extremes(lams: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest entry of an ascending, positive spectrum."""
-    rng = EigenRange.of_spectrum(lams)
-    return rng.min_rel, rng.max_rel
-
-
 # The quadrature gate: a step fails with QuadratureError when the gap between
 # the two Gauss-Legendre rules exceeds this multiple of ||J||.
 QUAD_ERROR_RTOL = 1e-9
+
+
+def _gated_target(problem: ProblemInstance, x: PrimalVector, u: PrimalVector,
+                  order: int, k: int) -> tuple[SpdOperator, float]:
+    """The segment mean J_k and its quadrature error estimate, which must
+    not exceed ``QUAD_ERROR_RTOL * ||J||``.  J is SPD, so its largest
+    diagonal entry is at most ||J||: the exact norm, one symmetric
+    eigenvalue solve, is taken only when the estimate exceeds that share."""
+    ih = integral_hessian(problem, x, u, order)
+    est, j = ih.est_error, ih.j_op.entries
+    if (est > QUAD_ERROR_RTOL * float(j.diagonal().max())
+            and est > QUAD_ERROR_RTOL * float(np.linalg.eigvalsh(j)[-1])):
+        raise QuadratureError(
+            k, f"quadrature error {est:.3e} above {QUAD_ERROR_RTOL:.1e} * ||J||")
+    return ih.j_op, est
 
 
 def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
@@ -355,20 +395,20 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
     xi = 1.0
     for k in range(config.max_iter + 1):
         row = dict.fromkeys(_ROW_COLUMNS, math.nan)
-        g_op = _wrap_spd(k, g_mat, Role.PRIMAL_TO_DUAL)
-        row.update(xi=xi, g=math.sqrt(
-            max(float(grad.coords @ (h_mat @ grad.coords)), 0.0)))
+        g_sym, g_chol = _checked_factor(k, g_mat)
+        gc = grad.coords
+        row.update(xi=xi, g=math.sqrt(max(float(gc @ (h_mat @ gc)), 0.0)))
         # A quadratic's Hessian is its operator object, the same one
         # integral_hessian returns, so "target is hess_k" below reuses the
         # spectrum on every quadratic iterate.
         hess_k = problem.hess(x) if config.instrument else None
         if hess_k is not None:
-            row["lambda"] = norm_dual(hess_k, grad)
-            lams_g = rel_eigvals(g_op, hess_k)
-            row["eig_min"], row["eig_max"] = _extremes(lams_g)
-            measure = row["lambda"]
+            row["lambda"] = measure = math.sqrt(
+                max(hess_k.inv_quad_form(gc), 0.0))
+            lams_g = pencil_eigvals(g_sym, hess_k.factor)
+            row["eig_min"], row["eig_max"] = spectrum_extremes(lams_g)
         else:
-            measure = float(np.linalg.norm(grad.coords))
+            measure = float(np.linalg.norm(gc))
 
         converged = measure <= config.grad_tol
         last = converged or k == config.max_iter
@@ -376,64 +416,59 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
         # the target is still the fixed operator, so the potentials remain
         # defined.
         target = None if general else hess_k
-        u = None
+        # The step taken, raw, and typed where an oracle or a record takes it.
+        u = u_vec = None
         if not last:
-            u_coords = -(h_mat @ grad.coords)
-            next_coords = x.coords + u_coords
-            if not np.all(np.isfinite(next_coords)):
-                raise DivergenceError(k, "non-finite iterate")
+            step = -(h_mat @ gc)
+            try:
+                x_next = PrimalVector(x.coords + step)
+            except ValueError:  # the typed iterate admits finite coords only
+                raise DivergenceError(k, "non-finite iterate") from None
             row["tau"] = schedule.tau_at(k)
-            if float(np.linalg.norm(u_coords)) <= ZERO_DIRECTION_NORM:
+            if float(np.linalg.norm(step)) <= ZERO_DIRECTION_NORM:
                 # Zero step: the update is skipped and the iterate does not
                 # move; its target is the Hessian at this same iterate.
                 row.update(r=0.0, est_error=0.0)
                 target = hess_k
             else:
-                u = PrimalVector(u_coords)
+                u = step
+                if hess_k is not None or record:
+                    u_vec = PrimalVector(u)
                 if hess_k is not None:
                     # J_k is built only to measure the step against it.
-                    ih = integral_hessian(problem, x, u, config.quad_order)
-                    target = ih.j_op
-                    row["est_error"] = ih.est_error
-                    # ||J|| is only needed when the two rules disagree at all.
-                    if ih.est_error > 0.0:
-                        j_scale = float(np.linalg.eigvalsh(target.entries)[-1])
-                        if ih.est_error > QUAD_ERROR_RTOL * j_scale:
-                            raise QuadratureError(
-                                k,
-                                f"quadrature error {ih.est_error:.3e} above "
-                                f"{QUAD_ERROR_RTOL:.1e} * ||J||",
-                            )
-                    row["r"] = math.sqrt(max(hess_k.quad_form(u_coords), 0.0))
-                x_next = PrimalVector(next_coords)
+                    target, row["est_error"] = _gated_target(
+                        problem, x, u_vec, config.quad_order, k)
+                    row["r"] = math.sqrt(max(hess_k.quad_form(u), 0.0))
                 grad_next = _gradient(problem, x_next, k + 1)
                 # The secant y_k = J_k u_k.  A quadratic states it exactly,
                 # as the product the typed update forms from its operator.
-                y = (np.matvec(problem.a_op.entries, u_coords) if quadratic
-                     else grad_next.coords - grad.coords)
-                if not (quadratic
-                        or _secant_holds(problem, b_inv, u_coords, y)):
+                y = (np.matvec(problem.a_op.entries, u) if quadratic
+                     else grad_next.coords - gc)
+                if not (quadratic or _secant_holds(problem, b_inv, u, y)):
                     y = None  # rounding, not curvature: no update, no nu
                 elif hess_k is not None:
-                    row["nu"] = nu(y, g_op, u_coords)
+                    row["nu"] = nu(y, g_sym, g_chol, u)
         if hess_k is not None and target is not None:
-            lams = lams_g if target is hess_k else rel_eigvals(g_op, target)
-            row["j_eig_min"], row["j_eig_max"] = _extremes(lams)
+            lams = (lams_g if target is hess_k
+                    else pencil_eigvals(g_sym, target.factor))
+            row["j_eig_min"], row["j_eig_max"] = spectrum_extremes(lams)
             row["v"], row["psi"] = spectral_barriers(lams)
         for name, value in row.items():
             columns[name].append(value)
         # Snapshots are O(n^2) each, so a run keeps them only when asked.
         if record:
+            h_sym, _ = _checked_factor(k, h_mat)
             for name, obj in zip(_OBJECT_FIELDS, (
-                    x, grad, u, g_op, _wrap_spd(k, h_mat, Role.DUAL_TO_PRIMAL),
+                    x, grad, u_vec, SpdOperator(g_sym, Role.PRIMAL_TO_DUAL),
+                    SpdOperator(h_sym, Role.DUAL_TO_PRIMAL),
                     None if u is None else target)):
                 objects[name].append(obj)
         if last:
             break
         if u is not None:
             if y is not None:
-                g_mat, h_mat, _, _ = update_arrays(
-                    y, g_mat, h_mat, u_coords, row["tau"])
+                g_mat, h_mat, _, _ = update_arrays(y, g_mat, h_mat, u,
+                                                   row["tau"])
             x, grad = x_next, grad_next
             # Distortion accumulates as exp(M * r) per step; a zero
             # self-concordance constant (every quadratic) pins it to exactly

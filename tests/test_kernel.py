@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import broyden_lab.broyden as broyden_mod
 import broyden_lab.cli as cli_mod
 import broyden_lab.operators as operators_mod
 import broyden_lab.problems as problems_mod
@@ -102,6 +103,25 @@ class TestRankTwoKernel:
         )
         assert np.array_equal(g_plus, g_plus.T)
         assert np.array_equal(h_plus, h_plus.T)
+
+    def test_one_vector_path_is_the_batched_kernel_bitwise(self, rng):
+        # update_arrays runs the 2x2-core arithmetic on Python floats and
+        # fills its own (n, 2) basis; the batched kernels verify stacks must
+        # give the same bits.
+        for n in (1, 3, 8, 30):
+            a, g = random_spd(rng, n), random_spd(rng, n)
+            h = np.linalg.inv(g.entries)
+            h = 0.5 * (h + h.T)
+            u = rng.standard_normal(n)
+            au = a.entries @ u
+            for tau in KERNEL_TAUS:
+                scalars = broyden_mod._scalars(
+                    au, g.entries, u, lambda v: np.matvec(h, v))
+                batched = broyden_mod._apply_update(g.entries, h, u, scalars,
+                                                    tau)
+                one = update_arrays(au, g.entries, h, u, tau)
+                for x, ref in zip(one, batched):
+                    assert np.array_equal(x, ref)
 
     def test_typed_entry_points_agree_with_broyd(self, rng):
         for _ in range(25):
@@ -212,9 +232,10 @@ class TestDecompositionCount:
     def test_general_path_three_factorizations_per_iteration(self, monkeypatch):
         # Per iterate with a step: Cholesky of G, of the one pointwise
         # Hessian and of the segment mean J (the gradient factorizes
-        # nothing); two pencil spectra plus two symmetric eigenvalue solves
-        # for the quadrature check; no SVD.  The terminal iterate has no
-        # step, so it drops J, its pencil and the check.
+        # nothing); two pencil spectra plus one symmetric eigenvalue solve
+        # for the quadrature check's rule gap (its ||J|| bound reads the
+        # diagonal of J first, which suffices here); no SVD.  The terminal
+        # iterate has no step, so it drops J, its pencil and the check.
         problem = lse_make(8, 20, mu=0.1, seed=424242, gamma=1.0)
         # The cached Gauss-Legendre nodes come from an eigenvalue solve once
         # per process; build them before counting.
@@ -249,7 +270,7 @@ class TestDecompositionCount:
         visited = len(trace)
         steps = int(np.isfinite(trace.nus).sum())
         assert trace.converged and visited > 10 and steps == visited - 1
-        assert counts == {"eig": 4 * steps + 1, "cholesky": 3 * steps + 2,
+        assert counts == {"eig": 3 * steps + 1, "cholesky": 3 * steps + 2,
                           "reduction": 2 * steps + 1, "svd": 0,
                           "pointwise": visited, "pointwise_in_quadrature": 0}
 
@@ -274,6 +295,53 @@ class TestDecompositionCount:
         assert trace.converged and visited > 10
         assert counts == {"eig": 0, "cholesky": visited, "reduction": 0,
                           "svd": 0, "quadrature": 0, "hess": 0}
+
+
+class TestRawLoop:
+    """The solver loop runs on raw arrays: typed operators only at entry,
+    at exit and in the oracles, and nu under the name the solver exports."""
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_operator_builds_do_not_grow_with_the_run(self, monkeypatch,
+                                                      general):
+        # An instrumented quadratic run (whose Hessian is its operator) and
+        # an uninstrumented general run (which forms no Hessian) validate
+        # the same number of operators however many iterates they visit.
+        builds = {"spd": 0}
+        monkeypatch.setattr(operators_mod.SpdOperator, "__post_init__",
+                            counting(builds, "spd",
+                                     operators_mod.SpdOperator.__post_init__))
+        if general:
+            problem = lse_make(6, 15, mu=0.1, seed=7, gamma=1.0)
+            run, instrument = run_general, False
+        else:
+            problem = quad_make(np.geomspace(1.0, 1e3, 6), seed=7)
+            run, instrument = run_quadratic, True
+        x0 = PrimalVector(np.random.default_rng(8).standard_normal(6))
+        seen = []
+        for k in (20, 200):
+            builds["spd"] = 0
+            trace = run(problem, x0, TauSchedule.dfp(),
+                        SolverConfig(max_iter=k, grad_tol=0.0,
+                                     instrument=instrument))
+            assert len(trace) == k + 1
+            seen.append(builds["spd"])
+        assert seen[0] == seen[1]
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_loop_nu_is_solver_nu(self, monkeypatch, general):
+        calls = {"nu": 0}
+        monkeypatch.setattr(solver_mod, "nu",
+                            counting(calls, "nu", solver_mod.nu))
+        if general:
+            trace = run_general(lse_make(6, 15, mu=0.1, seed=7, gamma=1.0),
+                                PrimalVector(np.zeros(6)), TauSchedule.bfgs(),
+                                SolverConfig(max_iter=400, grad_tol=1e-13))
+        else:
+            trace = run_quadratic(quad_make(np.geomspace(1.0, 1e3, 6), seed=7),
+                                  PrimalVector(np.ones(6)), TauSchedule.dfp(),
+                                  SolverConfig(max_iter=400))
+        assert calls["nu"] == int(np.isfinite(trace.nus).sum()) > 5
 
 
 class TestSetUpCost:

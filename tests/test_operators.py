@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -24,7 +25,14 @@ from broyden_lab import (
     rel_trace,
     spd_solve,
 )
-from broyden_lab.operators import check_array, check_number
+from broyden_lab.operators import (
+    SPD_FAULTS,
+    check_array,
+    check_number,
+    chol_factor_solve,
+    chol_solve,
+    spd_factor,
+)
 from broyden_lab.verify import random_spd
 
 from conftest import spd_from_spectrum
@@ -270,6 +278,44 @@ class TestSolve:
         np.testing.assert_allclose(
             inv.entries @ a.entries, np.eye(6), atol=1e-10
         )
+
+
+class TestRawHelpers:
+    """The raw LAPACK helpers the solver loop calls, and the one-matrix path
+    of the SPD rule, against the checked forms they replace."""
+
+    def test_solves_match_the_scipy_wrappers_bitwise(self, rng):
+        for n in (1, 2, 5, 30):
+            a = random_spd(rng, n)
+            chol = a.factor
+            for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3)),
+                        rng.standard_normal((3, n)).T):
+                assert np.array_equal(
+                    chol_solve(chol, rhs),
+                    scipy.linalg.cho_solve((chol, True), rhs))
+                assert np.array_equal(
+                    chol_factor_solve(chol, rhs),
+                    scipy.linalg.solve_triangular(chol, rhs, lower=True))
+
+    @pytest.mark.parametrize("m, fault", [
+        (np.diag([2.0, 3.0]), 0),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), 1),
+        (np.array([[1.0, np.inf], [np.inf, 1.0]]), 1),
+        (np.zeros((2, 2)), 2),
+        (np.array([[1.0, 0.5], [0.2, 1.0]]), 3),
+        (np.diag([1.0, -1.0]), 4),
+        (np.diag([1.0, 1e-15]), 5),
+    ])
+    def test_one_matrix_rule_is_the_stack_rule(self, m, fault):
+        with np.errstate(invalid="ignore"):
+            sym, chol, code = spd_factor(m)
+            sym_s, chol_s, code_s = spd_factor(m[None])
+        assert code == code_s[0] == fault
+        assert np.array_equal(sym, sym_s[0], equal_nan=True)
+        assert np.array_equal(chol, chol_s[0])
+        if fault:
+            with pytest.raises(NotSpdError, match=SPD_FAULTS[fault]):
+                SpdOperator(m)
 
 
 class TestVectors:

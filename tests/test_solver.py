@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import broyden_lab.problems as problems_mod
+import broyden_lab.solver as solver_mod
 from broyden_lab import (
     DivergenceError,
     DualVector,
@@ -391,6 +393,27 @@ class TestGeneralPath:
                         SolverConfig(max_iter=50, quad_order=2))
         assert err.value.k == 0
 
+    @pytest.mark.parametrize("est, fails", [(1.5e-9, False), (2.0e-9, True)])
+    def test_quadrature_gate_measures_against_the_norm_of_j(self, rng,
+                                                           monkeypatch, est,
+                                                           fails):
+        # ||J|| = 1.9 while J's largest diagonal entry is 1: an estimate
+        # above the diagonal's share but within 1e-9 * ||J|| passes.
+        j_op = SpdOperator(np.array([[1.0, 0.9], [0.9, 1.0]]))
+        monkeypatch.setattr(
+            solver_mod, "integral_hessian",
+            lambda *args: problems_mod.IntegralHessian(j_op, est))
+        p = lse_make(2, 3, mu=0.1, seed=42, gamma=1.0)
+        x0 = PrimalVector(rng.standard_normal(2))
+        cfg = SolverConfig(max_iter=5)
+        if fails:
+            with pytest.raises(QuadratureError) as err:
+                run_general(p, x0, TauSchedule.bfgs(), cfg)
+            assert err.value.k == 0
+        else:
+            tr = run_general(p, x0, TauSchedule.bfgs(), cfg)
+            assert np.all(tr.est_errors[:-1] == est)
+
     def test_quadrature_error_reported_before_next_gradient(self, rng,
                                                             monkeypatch):
         # A step measures its segment mean before it evaluates the gradient
@@ -439,6 +462,24 @@ class TestExports:
         assert header == "k,lambda,g,r,xi,nu,v,psi,eig_min,eig_max,tau"
         rows = b1.decode().strip().splitlines()[1:]
         assert len(rows) == len(run_quadratic(q, x0, TauSchedule.bfgs(), cfg))
+
+    def test_column_formatting_writes_the_cell_bytes(self, tmp_path, rng,
+                                                     monkeypatch):
+        # to_csv formats a column at a time, in blocks of rows (small here,
+        # so the run spans several); the bytes are those of write_csv's
+        # per-cell formatting, NaN, signed zero and inf included.
+        monkeypatch.setattr(solver_mod, "_CSV_BLOCK", 7)
+        q = quad_make(np.geomspace(1.0, 10.0, 4), seed=50)
+        tr = run_quadratic(q, PrimalVector(rng.standard_normal(4)),
+                           TauSchedule.bfgs(), SolverConfig(max_iter=100))
+        tr.gs[:3] = (-0.0, np.inf, -np.inf)
+        tr.to_csv(tmp_path / "columns.csv")
+        cols = [getattr(tr, name + "s") for name in solver_mod._CSV_COLUMNS[1:]]
+        solver_mod.write_csv(tmp_path / "cells.csv", solver_mod._CSV_COLUMNS,
+                             zip(range(len(tr)), *cols))
+        data = (tmp_path / "columns.csv").read_bytes()
+        assert data == (tmp_path / "cells.csv").read_bytes()
+        assert b",nan," in data and b",-0.0," in data and b",-inf," in data
 
     def test_csv_roundtrip_values(self, tmp_path, rng):
         q = quad_make([1.0, 6.0], seed=51)

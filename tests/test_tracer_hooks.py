@@ -68,6 +68,8 @@ def test_traced_run_records_solver_layers(tracer_mod, tmp_path):
     iterations = metrics["solver.iterations"]
     assert iterations > 0
     assert metrics["broyden.update_calls"] == iterations
+    # The loop calls nu under the name the tracer wraps, so its time shows.
+    assert metrics["broyden.nu_s"] > 0.0
     assert metrics["operators.eigen_range_calls"] <= iterations
     assert metrics["operators.solve_mat_calls"] <= iterations
     # Every visited iterate calls the typed oracles once, through the
