@@ -155,26 +155,16 @@ def _core(d0, cross, d1):
 def _rank_two(m, x, y, core):
     """Symmetrized m + [x, y] core [x, y]^T for a symmetric 2x2 core: O(n^2).
 
-    Leading batch axes of every argument broadcast.
+    ``x`` and ``y`` share one shape; leading batch axes of every argument
+    broadcast.  The (..., n, 2) basis is filled in place, in the C order
+    np.stack would give it, without np.stack's call overhead.
     """
-    basis = np.stack((x, y), axis=-1)
+    basis = np.empty(x.shape + (2,))
+    basis[..., 0] = x
+    basis[..., 1] = y
     out = (basis @ core) @ basis.mT
     out += m
     sym = out + out.mT
-    sym *= 0.5
-    return sym
-
-
-def _vector_rank_two(m, x, y, core):
-    """:func:`_rank_two` for one pair of plain vectors.  The (n, 2) basis is
-    filled in place instead of built by np.stack, at a fraction of its cost;
-    layout and products are the same, so are the bits."""
-    basis = np.empty((x.size, 2))
-    basis[:, 0] = x
-    basis[:, 1] = y
-    out = (basis @ core) @ basis.T
-    out += m
-    sym = out + out.T
     sym *= 0.5
     return sym
 
@@ -225,11 +215,8 @@ def update_arrays(au, g_mat, h_mat, u, tau):
     instead of refactorizing.  It is :func:`_apply_update` for one plain
     direction, with its scalars as Python floats.
     """
-    au, gu, au_u, gu_u, z, aha = _vector_scalars(au, g_mat, h_mat, u)
-    phi, det_ratio = _phi_det(tau, au_u, gu_u, aha)
-    g_plus = _vector_rank_two(g_mat, au, gu, _primal_core(phi, au_u, gu_u))
-    h_plus = _vector_rank_two(h_mat, z, u, _inverse_core(tau, au_u, aha))
-    return g_plus, h_plus, phi, det_ratio
+    return _apply_update(g_mat, h_mat, u, _vector_scalars(au, g_mat, h_mat, u),
+                         tau)
 
 
 def phi_tau(a: SpdOperator, g: SpdOperator, u: PrimalVector, tau: float) -> float:
@@ -273,7 +260,7 @@ def broyd_inverse(a: SpdOperator, g: SpdOperator, u: PrimalVector,
     h_mat = g.inverse_matrix()
     _, _, au_u, _, z, aha = _vector_scalars(np.matvec(a.entries, uc),
                                              g.entries, h_mat, uc)
-    h_plus = _vector_rank_two(h_mat, z, uc, _inverse_core(tau, au_u, aha))
+    h_plus = _rank_two(h_mat, z, uc, _inverse_core(tau, au_u, aha))
     return SpdOperator(h_plus, Role.DUAL_TO_PRIMAL)
 
 

@@ -360,6 +360,18 @@ class SpdOperator:
         object.__setattr__(self, "entries", _as_readonly(sym))
         object.__setattr__(self, "_chol", _as_readonly(chol))
 
+    @classmethod
+    def _accepted(cls, sym: np.ndarray, chol: np.ndarray,
+                  role: Role) -> "SpdOperator":
+        """The operator of a matrix that :func:`spd_factor` accepted, from
+        the symmetrized entries and factor it returned, without factoring
+        again: what construction from that matrix would store."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "entries", _as_readonly(sym))
+        object.__setattr__(op, "role", role)
+        object.__setattr__(op, "_chol", _as_readonly(chol))
+        return op
+
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
@@ -376,9 +388,21 @@ class SpdOperator:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.entries @ np.asarray(x, dtype=float)
 
+    def _rhs(self, rhs) -> np.ndarray:
+        """A right-hand side as floats, checked as scipy's cho_solve and
+        solve_triangular check theirs: finite, with this operator's
+        dimension along its first axis, or a ValueError."""
+        b = np.asarray(rhs, dtype=float)
+        if b.ndim == 0 or b.shape[0] != self.dim:
+            raise ValueError(f"incompatible dimensions ({self.entries.shape} "
+                             f"and {b.shape})")
+        if not np.isfinite(b).all():
+            raise ValueError("array must not contain infs or NaNs")
+        return b
+
     def solve_mat(self, rhs: np.ndarray) -> np.ndarray:
         """Apply the inverse to a raw vector or matrix via the cached factor."""
-        return chol_solve(self._chol, np.asarray(rhs, dtype=float))
+        return chol_solve(self._chol, self._rhs(rhs))
 
     solve_vec = solve_mat
 
@@ -390,11 +414,11 @@ class SpdOperator:
     def solve_factor(self, rhs: np.ndarray) -> np.ndarray:
         """L^{-1} rhs for a raw vector or matrix, with L the cached lower
         Cholesky factor (M = L L^T): one triangular solve."""
-        return chol_factor_solve(self._chol, np.asarray(rhs, dtype=float))
+        return chol_factor_solve(self._chol, self._rhs(rhs))
 
     def inv_quad_form(self, x: np.ndarray) -> float:
         """<x, M^{-1}x> for a raw coordinate vector, via triangular solve."""
-        return chol_inv_quad(self._chol, np.asarray(x, dtype=float))
+        return chol_inv_quad(self._chol, self._rhs(x))
 
     def apply(self, v):
         """Typed application: primal->dual maps PrimalVector to DualVector."""

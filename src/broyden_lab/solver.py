@@ -26,8 +26,10 @@ trace it returns, and the oracle calls (the gradient and Hessian of each
 visited iterate and the segment mean, which take and return typed values).
 Between them G_k, H_k, the step and the secant are plain arrays: G_k passes
 the one SPD rule of :func:`operators.spd_factor` each iteration without
-becoming an ``SpdOperator``, and lambda, nu and the spectra call LAPACK
-through the raw helpers in :mod:`operators`.
+becoming an ``SpdOperator``, and nu and the spectra call LAPACK through
+the raw helpers in :mod:`operators`.  Lambda, the gradient's norm in the
+Hessian's metric, comes from the typed :func:`operators.norm_dual`, since
+both are oracle values; it calls the same triangular-solve helper.
 
 Per iteration the loop costs one validated Cholesky factorization of the
 approximation (its definiteness check, made even without instrumentation)
@@ -89,19 +91,19 @@ from .operators import (
     check_array,
     check_keys,
     check_number,
+    norm_dual,
     pencil_eigvals,
     spd_factor,
     spectrum_extremes,
 )
 from .potentials import spectral_barriers
 
-# The loop takes lambda from a raw factor solve, and range and potentials
-# from one spectrum per pencil, instead of calling these typed functions;
-# they stay importable here because perfbench/tracer.py wraps the
-# instrumentation layer under this module's names.  For the same reason the
-# loop calls the raw secant form of nu under the name nu.
+# The loop draws range and potentials from one spectrum per pencil instead
+# of calling these; they stay importable here because perfbench/tracer.py
+# wraps the instrumentation layer under this module's names.  For the same
+# reason the loop calls the raw secant form of nu under the name nu.
 from .broyden import secant_nu as nu
-from .operators import norm_dual, rel_eigen_range  # noqa: F401
+from .operators import rel_eigen_range  # noqa: F401
 from .potentials import augmented_barrier, logdet_barrier  # noqa: F401
 from .problems import (
     ProblemInstance,
@@ -403,8 +405,7 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
         # spectrum on every quadratic iterate.
         hess_k = problem.hess(x) if config.instrument else None
         if hess_k is not None:
-            row["lambda"] = measure = math.sqrt(
-                max(hess_k.inv_quad_form(gc), 0.0))
+            row["lambda"] = measure = norm_dual(hess_k, grad)
             lams_g = pencil_eigvals(g_sym, hess_k.factor)
             row["eig_min"], row["eig_max"] = spectrum_extremes(lams_g)
         else:
@@ -456,11 +457,13 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
         for name, value in row.items():
             columns[name].append(value)
         # Snapshots are O(n^2) each, so a run keeps them only when asked.
+        # G_k's reuses the factor checked above; H_k's is factored once.
         if record:
-            h_sym, _ = _checked_factor(k, h_mat)
             for name, obj in zip(_OBJECT_FIELDS, (
-                    x, grad, u_vec, SpdOperator(g_sym, Role.PRIMAL_TO_DUAL),
-                    SpdOperator(h_sym, Role.DUAL_TO_PRIMAL),
+                    x, grad, u_vec,
+                    SpdOperator._accepted(g_sym, g_chol, Role.PRIMAL_TO_DUAL),
+                    SpdOperator._accepted(*_checked_factor(k, h_mat),
+                                          Role.DUAL_TO_PRIMAL),
                     None if u is None else target)):
                 objects[name].append(obj)
         if last:

@@ -105,9 +105,8 @@ class TestRankTwoKernel:
         assert np.array_equal(h_plus, h_plus.T)
 
     def test_one_vector_path_is_the_batched_kernel_bitwise(self, rng):
-        # update_arrays runs the 2x2-core arithmetic on Python floats and
-        # fills its own (n, 2) basis; the batched kernels verify stacks must
-        # give the same bits.
+        # update_arrays takes its pairings as Python floats; the batched
+        # scalars verify stacks must give the same bits.
         for n in (1, 3, 8, 30):
             a, g = random_spd(rng, n), random_spd(rng, n)
             h = np.linalg.inv(g.entries)
@@ -227,6 +226,22 @@ class TestDecompositionCount:
         visited = len(trace)
         assert trace.converged and visited > 10
         assert counts == {"eig": visited, "cholesky": visited,
+                          "reduction": visited, "svd": 0}
+
+    def test_recorded_run_factors_only_the_inverse_more(self, monkeypatch):
+        # Snapshots add one Cholesky per iterate, H_k's check: G_k's
+        # snapshot reuses the factor the loop already checked.
+        quad = quad_make(np.geomspace(1.0, 100.0, 12), seed=5)
+        x0 = PrimalVector(np.random.default_rng(6).standard_normal(12))
+        counts = {"eig": 0, "cholesky": 0, "reduction": 0, "svd": 0}
+        count_decompositions(monkeypatch, counts)
+
+        trace = run_quadratic(quad, x0, TauSchedule.bfgs(),
+                              SolverConfig(max_iter=500, grad_tol=1e-12),
+                              record_operators=True)
+        visited = len(trace)
+        assert trace.converged and len(trace.g_ops) == visited > 10
+        assert counts == {"eig": visited, "cholesky": 2 * visited,
                           "reduction": visited, "svd": 0}
 
     def test_general_path_three_factorizations_per_iteration(self, monkeypatch):

@@ -317,6 +317,34 @@ class TestRawHelpers:
             with pytest.raises(NotSpdError, match=SPD_FAULTS[fault]):
                 SpdOperator(m)
 
+    def test_typed_solves_check_the_rhs(self):
+        # The typed solves reach the raw helpers, which do not scan their
+        # input; they keep the checks scipy's wrappers made before.
+        a = diag_op([2.0, 3.0])
+        solves = (a.solve_mat, a.solve_vec, a.solve_factor, a.inv_quad_form)
+        for solve in solves:
+            for bad in ([1.0, math.nan], [math.inf, 1.0]):
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    solve(np.array(bad))
+            for bad in (np.ones(3), np.ones((3, 2)), np.float64(1.0)):
+                with pytest.raises(ValueError, match="incompatible"):
+                    solve(bad)
+
+    def test_accepted_factor_is_what_construction_stores(self, rng):
+        for n in (1, 4, 9):
+            m = random_spd(rng, n).entries.copy()
+            m[0, -1] += 1e-14 * abs(m[0, -1])  # within the symmetry rule
+            sym, chol, fault = spd_factor(m)
+            assert fault == 0
+            for role in Role:
+                built = SpdOperator(m, role)
+                kept = SpdOperator._accepted(sym, chol, role)
+                assert kept.role is role
+                assert np.array_equal(kept.entries, built.entries)
+                assert np.array_equal(kept.factor, built.factor)
+                assert not (kept.entries.flags.writeable
+                            or kept.factor.flags.writeable)
+
 
 class TestVectors:
     def test_arithmetic_stays_typed(self):
