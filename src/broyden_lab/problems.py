@@ -14,7 +14,10 @@ are honest.  Code that treats the families differently tests
 Each certified quantity has one owner.  A quadratic computes its spectrum
 relative to B once, at construction, and keeps it as ``spectrum``: the
 certificate mu*B <= A <= ell*B, the JSON form and the sharpened envelope
-factor all read it.  A log-sum-exp instance computes the dual norms of its
+factor all read it.  Its eigenvectors are not kept: the solver calls
+:meth:`QuadraticProblem.eigenbasis` once per run, which takes V with
+V^T A V = diag(s) and V^T B V = I from the same reduced matrix, and keeps V
+for that run only.  A log-sum-exp instance computes the dual norms of its
 rows once, and its ``gamma`` defaults to the largest of them.
 
 Instances are immutable and their oracles are pure; JSON serialization is
@@ -34,6 +37,7 @@ import numpy as np
 
 from .operators import (
     DualVector,
+    NotSpdError,
     PrimalVector,
     Role,
     SpdOperator,
@@ -117,8 +121,7 @@ class QuadraticProblem(ProblemInstance):
             raise ValueError(f"need 0 < mu <= ell, got ({self.mu}, {self.ell})")
         if self.a_op.dim != self.b.dim or self.a_op.dim != self.b_ref.dim:
             raise ValueError("operator and vector dimensions disagree")
-        y = self.b_ref.solve_factor(self.a_op.entries)
-        spec = np.linalg.eigvalsh(self.b_ref.solve_factor(y.T))
+        spec = np.linalg.eigvalsh(self._reduced())
         spec.flags.writeable = False
         object.__setattr__(self, "spectrum", spec)
         if spec[0] < self.mu - _LOEWNER_TOL * spec[-1]:
@@ -129,6 +132,41 @@ class QuadraticProblem(ProblemInstance):
     @property
     def n(self) -> int:
         return self.a_op.dim
+
+    def _reduced(self) -> np.ndarray:
+        """L^-1 A L^-T, whose eigenvalues are those of A relative to B: two
+        triangular solves with B's cached factor (A itself when B = I)."""
+        y = self.b_ref.solve_factor(self.a_op.entries)
+        return self.b_ref.solve_factor(y.T)
+
+    def eigenbasis(self) -> tuple[np.ndarray, "QuadraticProblem"]:
+        """The generalized eigenvectors of (A, B) and this problem in them.
+
+        Returns V with V^T A V = diag(s) and V^T B V = I, from one
+        symmetric eigendecomposition of :meth:`_reduced` (V = L^-T W for
+        its eigenvectors W), and the same quadratic in y = V^T B x, where
+        x = V y: A = diag(s), B = I and b = V^T b, with this instance's mu
+        and ell and s as its spectrum.  That instance is assembled without
+        another decomposition, so an s that is not positive (an A too
+        ill-conditioned for float64) is a :class:`NotSpdError`.  Nothing
+        keeps V: the solver takes it once per run.
+        """
+        s, w = np.linalg.eigh(self._reduced())
+        if not s[0] > 0.0:
+            raise NotSpdError(f"eigenvalue {s[0]:.3e} of A relative to B is "
+                              "not positive in float64")
+        v = self.b_ref.solve_factor(np.eye(self.n)).T @ w
+        s.flags.writeable = False
+        diagonal = object.__new__(QuadraticProblem)
+        for name, value in (
+                ("a_op", SpdOperator._accepted(np.diag(s), np.diag(np.sqrt(s)),
+                                               Role.PRIMAL_TO_DUAL)),
+                ("b", DualVector(v.T @ self.b.coords)),
+                ("b_ref", SpdOperator._accepted(np.eye(self.n), np.eye(self.n),
+                                                Role.PRIMAL_TO_DUAL)),
+                ("mu", self.mu), ("ell", self.ell), ("spectrum", s)):
+            object.__setattr__(diagonal, name, value)
+        return v, diagonal
 
     def _value(self, xc: np.ndarray) -> float:
         return 0.5 * self.a_op.quad_form(xc) - float(self.b.coords @ xc)

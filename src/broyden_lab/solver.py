@@ -9,6 +9,21 @@ norm g, step length r in the local metric, the accumulated distortion xi,
 the directional closeness nu, both potentials, and the eigenvalue range of
 the approximation relative to the current Hessian.
 
+Every quadratic, through either entry point, runs in the generalized
+eigenbasis of (A, B).  The convex Broyden class started from ell * B is
+affine-invariant, so the change of variables leaves the iterates the same in
+exact arithmetic; in float64 it keeps a kappa = 1e12 run from stalling on
+the representation error of a dense G_k.  Before the loop starts, the run
+takes V with V^T A V = diag(s) and V^T B V = I from one eigendecomposition
+(:meth:`QuadraticProblem.eigenbasis`), and the loop runs on the same
+quadratic in y = V^T B x: A = diag(s), B = I, b = V^T b, so G_0 = ell I and
+H_0 = I / ell.  There the secant is s * u, r^2 is <s * u, u>, and the
+eigenvalues of G_k relative to A are those of the standard symmetric matrix
+G_k * (d d^T) with d = s^(-1/2), formed once.  At exit the final iterate and
+any recorded objects go back to the caller's coordinates, and an
+uninstrumented run stops on the Euclidean norm of the gradient there, as on
+the general path.
+
 The update is the classical one: it reads the target only through the
 secant y_k = grad f(x_{k+1}) - grad f(x_k), which equals J_k u_k by the mean
 value theorem (a quadratic states it exactly, as A u_k).  Each nonzero step
@@ -23,13 +38,14 @@ the iterate still takes it, but the update is skipped and its nu is NaN.
 The loop runs on raw arrays from entry to exit.  Typed wrappers appear only
 at its edges: the starting point and reference operator it is given, the
 trace it returns, and the oracle calls (the gradient and Hessian of each
-visited iterate and the segment mean, which take and return typed values).
-Between them G_k, H_k, the step and the secant are plain arrays: G_k passes
-the one SPD rule of :func:`operators.spd_factor` each iteration without
-becoming an ``SpdOperator``, and nu and the spectra call LAPACK through
-the raw helpers in :mod:`operators`.  Lambda, the gradient's norm in the
-Hessian's metric, comes from the typed :func:`operators.norm_dual`, since
-both are oracle values; it calls the same triangular-solve helper.
+visited iterate, on the problem the loop runs, and the segment mean, which
+take and return typed values).  Between them G_k, H_k, the step and the
+secant are plain arrays: G_k passes the one SPD rule of
+:func:`operators.spd_factor` each iteration without becoming an
+``SpdOperator``, and nu and the spectra call LAPACK through numpy or the raw
+helpers in :mod:`operators`.  Lambda, the gradient's norm in the Hessian's
+metric, comes from the typed :func:`operators.norm_dual`, since both are
+oracle values; it calls the same triangular-solve helper.
 
 Per iteration the loop costs one validated Cholesky factorization of the
 approximation (its definiteness check, made even without instrumentation)
@@ -37,10 +53,12 @@ and O(n^2) for the rank-two update of the approximation and its inverse.
 Without instrumentation that is all: no Hessian, no segment mean, so an
 uninstrumented run makes no quadrature and cannot raise
 :class:`QuadratureError`.  Instrumented, it adds one eigendecomposition of
-the approximation relative to each distinct target (one on the quadratic
-path, where the Hessian is the update target; two on the general path), and
-O(n^2) for the closeness nu and both potentials, which follow from the same
-eigenvalues.
+the approximation relative to each distinct target, and O(n^2) for the
+closeness nu and both potentials, which follow from the same eigenvalues.
+On a quadratic that is one ``eigvalsh`` of a scaled G_k (the Hessian is the
+update target), so an instrumented quadratic iteration makes one Cholesky
+and one ``eigvalsh``; the general path takes two pencil spectra, each a
+``sygst`` reduction and an ``eigvalsh``.
 
 Every visited iterate takes the same path and leaves one row.  The row starts
 with each column NaN and is filled in once: g and xi always; lambda and the
@@ -85,6 +103,7 @@ from .broyden import ZERO_DIRECTION_NORM, check_tau, update_arrays
 from .operators import (
     SPD_FAULTS,
     DualVector,
+    NotSpdError,
     PrimalVector,
     Role,
     SpdOperator,
@@ -269,7 +288,9 @@ class IterationTrace:
     outgoing step.  ``x_final`` is the last iterate; ``converged`` is false
     when the run stopped at ``max_iter``.  The six object lists
     (see ``_OBJECT_FIELDS``) are kept together by a run called with
-    ``record_operators=True`` and are ``None`` otherwise.
+    ``record_operators=True`` and are ``None`` otherwise.  ``x_final`` and
+    the object lists are in the coordinates of ``problem``, the instance the
+    caller passed, also for a quadratic, which runs in its eigenbasis.
     """
 
     problem: ProblemInstance
@@ -341,6 +362,12 @@ def _checked_factor(k: int, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sym, chol
 
 
+def _snapshot(k: int, m: np.ndarray, role: Role) -> SpdOperator:
+    """A recorded operator: ``m`` checked as :func:`_checked_factor` checks
+    an approximation, and kept as construction would keep it."""
+    return SpdOperator._accepted(*_checked_factor(k, m), role)
+
+
 def _gradient(problem: ProblemInstance, x: PrimalVector, k: int) -> DualVector:
     try:
         return problem.grad(x)
@@ -381,18 +408,94 @@ def _gated_target(problem: ProblemInstance, x: PrimalVector, u: PrimalVector,
     return ih.j_op, est
 
 
-def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
+@dataclass(frozen=True)
+class _Eigenbasis:
+    """A quadratic's generalized eigenbasis of (A, B), taken once per run.
+
+    ``problem`` is the caller's quadratic in y = V^T B x (A = diag(s) with
+    s its ``spectrum``, B = I, b = V^T b), ``v`` maps a point or step back
+    (x = V y), ``dual`` is B V = V^-T, which maps a gradient back, and
+    ``ddt`` holds d_i d_j with d = s^(-1/2), so that G * ddt is the standard
+    symmetric matrix whose eigenvalues are those of G relative to diag(s).
+    """
+
+    problem: QuadraticProblem
+    v: np.ndarray
+    dual: np.ndarray
+    ddt: np.ndarray
+
+    @classmethod
+    def of(cls, p: QuadraticProblem) -> "_Eigenbasis":
+        try:
+            v, diagonal = p.eigenbasis()
+        except NotSpdError as exc:
+            raise DivergenceError(0, str(exc)) from None
+        d = 1.0 / np.sqrt(diagonal.spectrum)
+        return cls(diagonal, v, p.b_ref.entries @ v, np.outer(d, d))
+
+
+def _mapped(start: np.ndarray, y_start: np.ndarray, y: np.ndarray,
+            left: np.ndarray) -> np.ndarray:
+    """A point or operator that a run in the eigenbasis moved from
+    ``y_start`` to ``y``, in the caller's coordinates: the caller's own
+    ``start`` plus the change mapped by ``left`` (``left`` applied on both
+    sides of an operator), so the start maps exactly and only the change
+    carries the basis's rounding."""
+    change = left @ (y - y_start)
+    return start + (change if change.ndim == 1 else change @ left.T)
+
+
+def _recorded_objects(p: ProblemInstance, x0: PrimalVector,
+                      basis: _Eigenbasis | None, records: list) -> dict:
+    """The six per-iterate object lists of a recorded run, typed and in the
+    caller's coordinates.
+
+    On the general path G_k's snapshot reuses the factor the loop checked
+    and H_k's is factored once.  A quadratic's iterates, G_k and H_k come
+    back from the eigenbasis by :func:`_mapped` from x0, ell B and
+    B^-1 / ell, each operator factored once; its steps and gradients are
+    mapped by V and B V, and its step target is its own A.
+    """
+    out = {name: [] for name in _OBJECT_FIELDS}
+    if basis is not None:
+        y0, g_y0, h_y0 = records[0][0].coords, records[0][3], records[0][5]
+        g0 = p.ell * p.b_ref.entries
+        h0 = p.b_ref.inverse_matrix() / p.ell
+    for k, (x, grad, u, g_sym, g_chol, h_mat, target) in enumerate(records):
+        if basis is None:
+            g_op = SpdOperator._accepted(g_sym, g_chol, Role.PRIMAL_TO_DUAL)
+        else:
+            x = PrimalVector(_mapped(x0.coords, y0, x.coords, basis.v))
+            grad = DualVector(basis.dual @ grad.coords)
+            u = None if u is None else basis.v @ u
+            g_op = _snapshot(k, _mapped(g0, g_y0, g_sym, basis.dual),
+                             Role.PRIMAL_TO_DUAL)
+            h_mat = _mapped(h0, h_y0, h_mat, basis.v)
+            target = None if target is None else p.a_op
+        for name, obj in zip(_OBJECT_FIELDS, (
+                x, grad, None if u is None else PrimalVector(u),
+                g_op, _snapshot(k, h_mat, Role.DUAL_TO_PRIMAL), target)):
+            out[name].append(obj)
+    return out
+
+
+def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
            config: SolverConfig, general: bool, record: bool) -> IterationTrace:
-    if x0.dim != problem.n:
-        raise ValueError(f"x0 has dimension {x0.dim}, expected {problem.n}")
+    if x0.dim != p.n:
+        raise ValueError(f"x0 has dimension {x0.dim}, expected {p.n}")
+    # A quadratic runs in its eigenbasis, taken here once; the loop reads
+    # only the problem in it, and the exit maps what it returns back.
+    quadratic = isinstance(p, QuadraticProblem)
+    basis = _Eigenbasis.of(p) if quadratic else None
+    problem = basis.problem if quadratic else p
+    x = PrimalVector(basis.dual.T @ x0.coords) if quadratic else x0
+    y0 = x.coords
     g_mat = problem.ell * problem.b_ref.entries
     b_inv = problem.b_ref.inverse_matrix()
     h_mat = b_inv / problem.ell
-    quadratic = isinstance(problem, QuadraticProblem)
 
     columns = {name: array("d") for name in _ROW_COLUMNS}
-    objects = {name: [] for name in _OBJECT_FIELDS} if record else {}
-    x = x0
+    records = []
     grad = _gradient(problem, x, 0)
     xi = 1.0
     for k in range(config.max_iter + 1):
@@ -400,16 +503,16 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
         g_sym, g_chol = _checked_factor(k, g_mat)
         gc = grad.coords
         row.update(xi=xi, g=math.sqrt(max(float(gc @ (h_mat @ gc)), 0.0)))
-        # A quadratic's Hessian is its operator object, the same one
-        # integral_hessian returns, so "target is hess_k" below reuses the
-        # spectrum on every quadratic iterate.
         hess_k = problem.hess(x) if config.instrument else None
         if hess_k is not None:
             row["lambda"] = measure = norm_dual(hess_k, grad)
-            lams_g = pencil_eigvals(g_sym, hess_k.factor)
+            lams_g = (np.linalg.eigvalsh(g_sym * basis.ddt) if quadratic
+                      else pencil_eigvals(g_sym, hess_k.factor))
             row["eig_min"], row["eig_max"] = spectrum_extremes(lams_g)
         else:
-            measure = float(np.linalg.norm(gc))
+            # The Euclidean norm of the gradient in the caller's coordinates.
+            measure = float(np.linalg.norm(basis.dual @ gc if quadratic
+                                           else gc))
 
         converged = measure <= config.grad_tol
         last = converged or k == config.max_iter
@@ -417,8 +520,7 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
         # the target is still the fixed operator, so the potentials remain
         # defined.
         target = None if general else hess_k
-        # The step taken, raw, and typed where an oracle or a record takes it.
-        u = u_vec = None
+        u = None
         if not last:
             step = -(h_mat @ gc)
             try:
@@ -433,21 +535,25 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
                 target = hess_k
             else:
                 u = step
-                if hess_k is not None or record:
-                    u_vec = PrimalVector(u)
-                if hess_k is not None:
+                if quadratic:
+                    # The secant A u_k, exact and O(n) in the eigenbasis,
+                    # where A is also every step's target.
+                    y = problem.spectrum * u
+                    if hess_k is not None:
+                        target = hess_k
+                        row.update(r=math.sqrt(float(y @ u)), est_error=0.0)
+                elif hess_k is not None:
                     # J_k is built only to measure the step against it.
                     target, row["est_error"] = _gated_target(
-                        problem, x, u_vec, config.quad_order, k)
+                        problem, x, PrimalVector(u), config.quad_order, k)
                     row["r"] = math.sqrt(max(hess_k.quad_form(u), 0.0))
                 grad_next = _gradient(problem, x_next, k + 1)
-                # The secant y_k = J_k u_k.  A quadratic states it exactly,
-                # as the product the typed update forms from its operator.
-                y = (np.matvec(problem.a_op.entries, u) if quadratic
-                     else grad_next.coords - gc)
-                if not (quadratic or _secant_holds(problem, b_inv, u, y)):
-                    y = None  # rounding, not curvature: no update, no nu
-                elif hess_k is not None:
+                if not quadratic:
+                    # The secant y_k = grad_{k+1} - grad_k = J_k u_k.
+                    y = grad_next.coords - gc
+                    if not _secant_holds(problem, b_inv, u, y):
+                        y = None  # rounding, not curvature: no update, no nu
+                if y is not None and hess_k is not None:
                     row["nu"] = nu(y, g_sym, g_chol, u)
         if hess_k is not None and target is not None:
             lams = (lams_g if target is hess_k
@@ -457,15 +563,9 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
         for name, value in row.items():
             columns[name].append(value)
         # Snapshots are O(n^2) each, so a run keeps them only when asked.
-        # G_k's reuses the factor checked above; H_k's is factored once.
         if record:
-            for name, obj in zip(_OBJECT_FIELDS, (
-                    x, grad, u_vec,
-                    SpdOperator._accepted(g_sym, g_chol, Role.PRIMAL_TO_DUAL),
-                    SpdOperator._accepted(*_checked_factor(k, h_mat),
-                                          Role.DUAL_TO_PRIMAL),
-                    None if u is None else target)):
-                objects[name].append(obj)
+            records.append((x, grad, u, g_sym, g_chol, h_mat,
+                            None if u is None else target))
         if last:
             break
         if u is not None:
@@ -481,8 +581,13 @@ def _drive(problem: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
                 xi = (xi * math.exp(min(problem.sc_const * row["r"], 709.0))
                       if config.instrument else math.nan)
 
+    objects = _recorded_objects(p, x0, basis, records) if record else {}
+    if record:
+        x = objects["xs"][-1]
+    elif quadratic:
+        x = PrimalVector(_mapped(x0.coords, y0, x.coords, basis.v))
     return IterationTrace(
-        problem=problem, schedule=schedule,
+        problem=p, schedule=schedule,
         **{name + "s": np.frombuffer(buf) for name, buf in columns.items()},
         x_final=x, converged=converged, **objects,
     )

@@ -378,10 +378,11 @@ class TestSweep:
         assert line.endswith(" max_iter")
 
     def test_failed_cell_keeps_its_row(self, tmp_path, capsys):
-        # DFP at n = 2 loses definiteness at k = 2; the cell used to raise,
-        # and sweep.csv, with the rows already finished, was never written.
+        # DFP at n = 2 loses definiteness at k = 234; the cell used to
+        # raise, and sweep.csv, with the rows already finished, was never
+        # written.
         grid = {"n": [4, 2], "L_over_mu": [1e12], "method": ["bfgs", "dfp"],
-                "max_iter": 100, "output_dir": str(tmp_path / "sweep")}
+                "max_iter": 300, "output_dir": str(tmp_path / "sweep")}
         assert cmd_sweep(write_config(tmp_path, grid, "grid.json")) == 1
         rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
         cells = [row.split(",") for row in rows[1:]]
@@ -393,7 +394,7 @@ class TestSweep:
         assert [c[7] for c in cells[:3]] == ["1", "1", "1"]
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert ("n=2 L_over_mu=1000000000000.0 method=dfp seed=0 k=2: "
+        assert ("n=2 L_over_mu=1000000000000.0 method=dfp seed=0 k=234: "
                 "DivergenceError") in err[0]
 
     def test_malformed_grid(self, tmp_path):

@@ -1,0 +1,179 @@
+"""Quadratics run in the generalized eigenbasis of (A, B).
+
+A quadratic run takes V with V^T A V = diag(s) and V^T B V = I once, drives
+the loop in y = V^T B x, where A is diag(s) and B is I, and maps what it
+returns back to the caller's coordinates.  These tests pin the
+extreme-conditioning runs that a loop in the dense coordinates stalls on
+(there the n = 50, kappa = 1e12 BFGS case below takes 3,560 iterations,
+with 104 rows violating quad_superlinear), the coordinate contract on a
+B != I quadratic, and the set-up's guard against an eigenvalue that float64
+cannot keep positive.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import broyden_lab.problems as problems_mod
+from broyden_lab import (
+    DivergenceError,
+    DualVector,
+    PrimalVector,
+    QuadraticProblem,
+    SolverConfig,
+    SpdOperator,
+    TauSchedule,
+    norm_dual,
+    quad_make,
+    run_general,
+    run_quadratic,
+    secant_residual,
+)
+from broyden_lab.bounds import trace_reports
+from broyden_lab.cli import QUADRATIC_ENVELOPES
+from broyden_lab.problems import random_orthogonal
+
+SCHEDULES = {"bfgs": TauSchedule.bfgs(), "half": TauSchedule((0.5,))}
+
+
+def _run_to_relative_target(problem, x0, schedule):
+    """A run down to 1e-10 of its starting residual, as a sweep cell runs."""
+    lam0 = norm_dual(problem.a_op, problem.grad(x0))
+    return run_quadratic(problem, x0, schedule,
+                         SolverConfig(max_iter=20_000, grad_tol=1e-10 * lam0))
+
+
+def _assert_within_envelopes(trace):
+    assert trace.converged
+    for rep in trace_reports(trace, QUADRATIC_ENVELOPES):
+        assert rep.asserted and rep.all_satisfied, (rep.name,
+                                                    rep.first_violation)
+
+
+@pytest.mark.parametrize("method", sorted(SCHEDULES))
+def test_kappa_1e12_case_converges_within_its_envelopes(method):
+    # n = 50, quad_make(geomspace(1, 1e12, 50), seed=3), x0 standard normal
+    # with seed 1: every envelope holds, and BFGS takes 903 iterations.
+    q = quad_make(np.geomspace(1.0, 1e12, 50), seed=3)
+    x0 = PrimalVector(np.random.default_rng(1).standard_normal(50))
+    trace = _run_to_relative_target(q, x0, SCHEDULES[method])
+    _assert_within_envelopes(trace)
+    if method == "bfgs":
+        assert trace.k_final < 1000
+
+
+@pytest.mark.parametrize("n, kappa, method", [
+    (n, kappa, method) for n in (10, 30) for kappa in (1e8, 1e12)
+    for method in sorted(SCHEDULES)] + [(100, 1e12, "bfgs")])
+def test_extreme_conditioning(n, kappa, method):
+    q = quad_make(np.geomspace(1.0, kappa, n), seed=n)
+    x0 = PrimalVector(np.random.default_rng(n + 1).standard_normal(n))
+    _assert_within_envelopes(_run_to_relative_target(q, x0, SCHEDULES[method]))
+
+
+def _b_not_identity(n=8, kappa=100.0, seed=20260419):
+    """An explicit quadratic with spectrum geomspace(1, kappa) relative to a
+    reference B != I with cond(B) = 10, and a start."""
+    rng = np.random.default_rng(seed)
+
+    def spd(cond):
+        m = random_orthogonal(n, rng) * np.geomspace(1.0, math.sqrt(cond), n)
+        return m @ m.T
+
+    b_ref = spd(10.0)
+    chol = np.linalg.cholesky(b_ref)
+    a = chol @ spd(kappa) @ chol.T
+    q = QuadraticProblem(a_op=SpdOperator(a), b=DualVector(rng.standard_normal(n)),
+                         b_ref=SpdOperator(b_ref), mu=1.0, ell=kappa)
+    return q, PrimalVector(rng.standard_normal(n))
+
+
+class TestCallerCoordinates:
+    """What a quadratic run returns is in the caller's coordinates."""
+
+    @pytest.mark.parametrize("run", [run_quadratic, run_general])
+    @pytest.mark.parametrize("method", ["bfgs", "dfp", "half"])
+    def test_recorded_objects(self, run, method):
+        q, x0 = _b_not_identity()
+        schedule = {"bfgs": TauSchedule.bfgs(), "dfp": TauSchedule.dfp(),
+                    "half": TauSchedule((0.5,))}[method]
+        tr = run(q, x0, schedule, SolverConfig(max_iter=2000, grad_tol=1e-10),
+                 record_operators=True)
+        assert tr.converged and tr.problem is q
+        a, b = q.a_op.entries, q.b.coords
+        # The start and its metric map back exactly.
+        assert np.array_equal(tr.xs[0].coords, x0.coords)
+        assert np.array_equal(tr.g_ops[0].entries, q.ell * q.b_ref.entries)
+        assert tr.xs[-1] is tr.x_final
+        np.testing.assert_allclose(tr.x_final.coords, q.minimizer().coords,
+                                   rtol=1e-9, atol=1e-12)
+        scale = np.linalg.norm(a, 2)
+        for k, (x, grad) in enumerate(zip(tr.xs, tr.grads)):
+            x_norm = float(np.linalg.norm(x.coords))
+            assert np.linalg.norm(grad.coords - (a @ x.coords - b)) <= (
+                1e-12 * (scale * x_norm + np.linalg.norm(b))), k
+            # lambda is the caller's ||grad||*_A.
+            assert tr.lambdas[k] == pytest.approx(norm_dual(q.a_op, grad),
+                                                  rel=1e-6, abs=1e-14)
+            np.testing.assert_allclose(
+                tr.g_ops[k].entries @ tr.h_ops[k].entries, np.eye(q.n),
+                atol=1e-9)
+            if tr.us[k] is not None:
+                assert tr.j_ops[k] is q.a_op
+                np.testing.assert_allclose(
+                    tr.us[k].coords, tr.xs[k + 1].coords - x.coords,
+                    rtol=0.0, atol=1e-12 * (1.0 + x_norm))
+        res = secant_residual(tr, q)
+        assert res and max(res) <= 1e-10
+
+    @pytest.mark.parametrize("method, tol, k_stop", [
+        ("bfgs", 1e-6, 36), ("dfp", 1e-4, 194)])
+    def test_uninstrumented_stop_reads_the_callers_gradient(self, method, tol,
+                                                            k_stop):
+        # Uninstrumented, a run stops on the Euclidean norm of the gradient
+        # in the caller's coordinates, as the dense loop did (k_stop is its
+        # iteration count); the norm of V^T grad f, the gradient in the
+        # eigenbasis, differs when B != I and would stop one step earlier.
+        q, x0 = _b_not_identity()
+        schedule = TauSchedule.dfp() if method == "dfp" else TauSchedule.bfgs()
+        tr = run_quadratic(q, x0, schedule,
+                           SolverConfig(max_iter=2000, grad_tol=tol,
+                                        instrument=False),
+                           record_operators=True)
+        assert tr.converged and tr.k_final == k_stop
+        v, _ = q.eigenbasis()
+        caller = [float(np.linalg.norm(g.coords)) for g in tr.grads]
+        eigen = [float(np.linalg.norm(v.T @ g.coords)) for g in tr.grads]
+        assert min(k for k, x in enumerate(caller) if x <= tol) == k_stop
+        assert min(k for k, x in enumerate(eigen) if x <= tol) < k_stop
+
+
+def test_eigenbasis_diagonalizes_the_pencil():
+    q, _ = _b_not_identity()
+    v, diagonal = q.eigenbasis()
+    s = diagonal.spectrum
+    np.testing.assert_allclose(v.T @ q.a_op.entries @ v, np.diag(s),
+                               atol=1e-12 * s[-1])
+    np.testing.assert_allclose(v.T @ q.b_ref.entries @ v, np.eye(q.n),
+                               atol=1e-12)
+    np.testing.assert_allclose(s, q.spectrum, rtol=1e-12)
+    np.testing.assert_allclose(diagonal.b.coords, v.T @ q.b.coords, rtol=1e-15)
+    assert (diagonal.mu, diagonal.ell) == (q.mu, q.ell)
+
+
+def test_nonpositive_eigenvalue_is_a_divergence_at_k0(monkeypatch):
+    # An A whose smallest eigenvalue relative to B rounds to zero or below
+    # has no eigenbasis in float64; the run reports that as iteration 0.
+    q = quad_make([1.0, 2.0, 3.0], seed=4)
+    eigh = np.linalg.eigh
+
+    def rounded_below_zero(m):
+        s, w = eigh(m)
+        return s - 2.0 * s[0], w
+
+    monkeypatch.setattr(problems_mod.np.linalg, "eigh", rounded_below_zero)
+    with pytest.raises(DivergenceError, match="iteration 0: eigenvalue") as exc:
+        run_quadratic(q, PrimalVector(np.ones(3)), TauSchedule.bfgs(),
+                      SolverConfig())
+    assert exc.value.k == 0

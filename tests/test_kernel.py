@@ -163,8 +163,14 @@ class TestOneSpectrum:
             rng_ref = rel_eigen_range(g, quad.a_op)
             assert close(trace.eig_mins[k], ref[0])
             assert close(trace.eig_maxs[k], ref[-1])
-            assert trace.j_eig_mins[k] == rng_ref.min_rel
-            assert trace.j_eig_maxs[k] == rng_ref.max_rel
+            # The loop's spectrum is G_k's relative to diag(s) in the
+            # eigenbasis, and the snapshot is G_k mapped back, so the typed
+            # pencil on the snapshot agrees to rounding; one spectrum serves
+            # both ranges, bit for bit.
+            assert close(trace.j_eig_mins[k], rng_ref.min_rel)
+            assert close(trace.j_eig_maxs[k], rng_ref.max_rel)
+            assert trace.j_eig_mins[k] == trace.eig_mins[k]
+            assert trace.j_eig_maxs[k] == trace.eig_maxs[k]
 
     def test_potentials_match_factorized_forms(self, recorded):
         quad, trace = recorded
@@ -216,21 +222,27 @@ def count_decompositions(monkeypatch, counts):
 class TestDecompositionCount:
     def test_one_eigendecomposition_and_one_cholesky_per_iteration(
             self, monkeypatch):
+        # The run takes the eigenbasis of (A, B) once, one eigh; then each
+        # iterate makes one Cholesky (G_k's check) and one eigvalsh (G_k
+        # relative to diag(s), a scaling of G_k), and no sygst.  A quadratic
+        # on the general path runs the same branch.
         quad = quad_make(np.geomspace(1.0, 100.0, 12), seed=5)
         x0 = PrimalVector(np.random.default_rng(6).standard_normal(12))
-        counts = {"eig": 0, "cholesky": 0, "reduction": 0, "svd": 0}
-        count_decompositions(monkeypatch, counts)
+        for run in (run_quadratic, run_general):
+            counts = {"eig": 0, "cholesky": 0, "reduction": 0, "svd": 0}
+            with monkeypatch.context() as patch:
+                count_decompositions(patch, counts)
+                trace = run(quad, x0, TauSchedule.bfgs(),
+                            SolverConfig(max_iter=500, grad_tol=1e-12))
+            visited = len(trace)
+            assert trace.converged and visited > 10
+            assert counts == {"eig": visited + 1, "cholesky": visited,
+                              "reduction": 0, "svd": 0}
 
-        trace = run_quadratic(quad, x0, TauSchedule.bfgs(),
-                              SolverConfig(max_iter=500, grad_tol=1e-12))
-        visited = len(trace)
-        assert trace.converged and visited > 10
-        assert counts == {"eig": visited, "cholesky": visited,
-                          "reduction": visited, "svd": 0}
-
-    def test_recorded_run_factors_only_the_inverse_more(self, monkeypatch):
-        # Snapshots add one Cholesky per iterate, H_k's check: G_k's
-        # snapshot reuses the factor the loop already checked.
+    def test_recorded_quadratic_run_factors_its_mapped_snapshots(
+            self, monkeypatch):
+        # Snapshots add two Choleskys per iterate: G_k and H_k are mapped
+        # back to the caller's coordinates and each is checked there.
         quad = quad_make(np.geomspace(1.0, 100.0, 12), seed=5)
         x0 = PrimalVector(np.random.default_rng(6).standard_normal(12))
         counts = {"eig": 0, "cholesky": 0, "reduction": 0, "svd": 0}
@@ -241,8 +253,23 @@ class TestDecompositionCount:
                               record_operators=True)
         visited = len(trace)
         assert trace.converged and len(trace.g_ops) == visited > 10
-        assert counts == {"eig": visited, "cholesky": 2 * visited,
-                          "reduction": visited, "svd": 0}
+        assert counts == {"eig": visited + 1, "cholesky": 3 * visited,
+                          "reduction": 0, "svd": 0}
+
+    def test_recorded_run_factors_only_the_inverse_more(self, monkeypatch):
+        # On the general path G_k's snapshot reuses the factor the loop
+        # already checked, so snapshots add one Cholesky per iterate, H_k's.
+        problem = lse_make(8, 20, mu=0.1, seed=424242, gamma=1.0)
+        cfg = SolverConfig(max_iter=400, grad_tol=1e-13, instrument=False)
+        counts = {"eig": 0, "cholesky": 0, "reduction": 0, "svd": 0}
+        count_decompositions(monkeypatch, counts)
+
+        trace = run_general(problem, PrimalVector(np.zeros(8)),
+                            TauSchedule.bfgs(), cfg, record_operators=True)
+        visited = len(trace)
+        assert trace.converged and len(trace.g_ops) == visited > 10
+        assert counts == {"eig": 0, "cholesky": 2 * visited, "reduction": 0,
+                          "svd": 0}
 
     def test_general_path_three_factorizations_per_iteration(self, monkeypatch):
         # Per iterate with a step: Cholesky of G, of the one pointwise
@@ -370,6 +397,10 @@ class TestSetUpCost:
         assert counts == {"eig": 1, "cholesky": 2, "reduction": 0, "svd": 0}
         problems_mod.instance_hash(quad)
         assert counts == {"eig": 1, "cholesky": 2, "reduction": 0, "svd": 0}
+        # The eigenbasis a run takes is one eigh more, and nothing else:
+        # the instance in it is assembled without factoring.
+        quad.eigenbasis()
+        assert counts == {"eig": 2, "cholesky": 2, "reduction": 0, "svd": 0}
 
     def test_run_builds_its_instance_once(self, monkeypatch, tmp_path):
         # Checking a config builds the instance, and the run uses that one:

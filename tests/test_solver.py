@@ -242,9 +242,11 @@ class TestQuadraticPath:
         # A long run that never stops early: past its fixed parts, what the
         # trace retains is its columns.  Every row stores all 13 whether or
         # not it is instrumented; without instrumentation the run is 3x
-        # faster under tracemalloc.
-        q = quad_make(np.geomspace(1.0, 1e3, 4), seed=72)
-        x0 = PrimalVector(np.random.default_rng(73).standard_normal(4))
+        # faster under tracemalloc.  In the eigenbasis a gradient can round
+        # to exactly zero, which stops even a grad_tol 0 run (the seed 72
+        # instance from seed 73 does at k = 1,119); this start never does.
+        q = quad_make(np.geomspace(1.0, 1e3, 4), seed=75)
+        x0 = PrimalVector(np.random.default_rng(76).standard_normal(4))
         cfg = SolverConfig(max_iter=10_000, grad_tol=0.0, instrument=False)
         tracemalloc.start()
         try:
