@@ -147,9 +147,15 @@ def _phi_det(tau, au_u, gu_u, aha):
 
 
 def _core(d0, cross, d1):
-    """Symmetric 2x2 core [[d0, cross], [cross, d1]] over leading batch axes."""
+    """Symmetric 2x2 core [[d0, cross], [cross, d1]] over leading batch axes.
+
+    C-ordered, so every core of a stack is multiplied as a lone core is (a
+    strided core takes numpy's non-BLAS matmul loop, which rounds an n = 1
+    product differently), and a stacked update is bitwise the update of
+    each of its members.
+    """
     core = np.array([[d0, cross], [cross, d1]])
-    return core.transpose(*range(2, core.ndim), 0, 1)
+    return np.ascontiguousarray(core.transpose(*range(2, core.ndim), 0, 1))
 
 
 def _rank_two(m, x, y, core):

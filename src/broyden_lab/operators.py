@@ -103,6 +103,12 @@ def spd_factor(m: np.ndarray):
     into ``SPD_FAULTS``; a plain int for a single matrix).  A rejected
     matrix gets the identity as its factor, so a stack keeps computing and
     the caller masks its results.
+
+    The symmetrized part is 0.5 m + 0.5 m^T: each entry lies between the
+    two it averages, so it is finite wherever m is (0.5 (m + m^T) overflows
+    near the largest double), and a non-finite m is refused as such.  A
+    single matrix that is exactly symmetric is its own symmetrized part and
+    is returned as it is, not copied.
     """
     if m.ndim == 2:
         # One matrix, as the solver checks each iterate: the same tests on
@@ -110,21 +116,26 @@ def spd_factor(m: np.ndarray):
         scale = float(np.abs(m).max())
         if not (math.isfinite(scale) and scale > 0.0):
             with np.errstate(invalid="ignore"):
-                sym = 0.5 * (m + m.T)
+                sym = 0.5 * m + 0.5 * m.T
             return sym, np.eye(m.shape[0]), 1 if scale != 0.0 else 2
-        sym = 0.5 * (m + m.T)
-        if not float(np.abs(m - m.T).max()) <= SYMMETRY_RTOL * scale:
-            return sym, np.eye(m.shape[0]), 3
+        if (m == m.T).all():  # an asymmetry that measures exactly 0
+            sym = m
+        else:
+            sym = 0.5 * m + 0.5 * m.T
+            with np.errstate(over="ignore"):
+                asym = float(np.abs(m - m.T).max())
+            if not asym <= SYMMETRY_RTOL * scale:
+                return sym, np.eye(m.shape[0]), 3
         try:
             chol = np.linalg.cholesky(sym)
         except np.linalg.LinAlgError:
             return sym, np.eye(m.shape[0]), 4
         return sym, chol, (5 if float(chol.diagonal().min()) ** 2
                            <= PIVOT_RTOL * scale else 0)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         scale = np.abs(m).max(axis=(-2, -1))
         asym = np.abs(m - m.mT).max(axis=(-2, -1))
-        sym = 0.5 * (m + m.mT)
+        sym = 0.5 * m + 0.5 * m.mT
     # A NaN or infinite entry leaves the scale non-finite.
     fault = np.zeros(scale.shape, dtype=int)
     work = sym

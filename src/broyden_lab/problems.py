@@ -67,10 +67,26 @@ __all__ = [
 _LOEWNER_TOL = 1e-9
 
 
+def haar_orthogonal(z: np.ndarray) -> np.ndarray:
+    """The Haar-distributed orthogonal matrix of each standard Gaussian
+    matrix of a (..., n, n) stack: its QR factor Q, each column's sign
+    fixed by R's diagonal, all in one stacked QR."""
+    q, r = np.linalg.qr(z)
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+
+
+def haar_spd(eigs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Exactly symmetric Q diag(eigs) Q^T over a stack, Q the
+    :func:`haar_orthogonal` matrix of each Gaussian matrix of ``z``."""
+    q = haar_orthogonal(z)
+    m = (q * eigs[..., None, :]) @ q.mT
+    return 0.5 * (m + m.mT)
+
+
 def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed orthogonal matrix (QR of a Gaussian, signs fixed)."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diagonal(r))
+    """Haar-distributed orthogonal matrix: :func:`haar_orthogonal` of one
+    Gaussian matrix."""
+    return haar_orthogonal(rng.standard_normal((n, n)))
 
 
 @dataclass(frozen=True)
@@ -271,9 +287,7 @@ def quad_make(spectrum, b: DualVector | None = None, seed: int = 0) -> Quadratic
         raise ValueError("spectrum entries must be positive")
     n = spec.size
     rng = np.random.default_rng(check_number(seed, "seed", 0, integer=True))
-    q = random_orthogonal(n, rng)
-    a = (q * spec) @ q.T
-    a = 0.5 * (a + a.T)
+    a = haar_spd(spec, rng.standard_normal((n, n)))
     if b is None:
         b = DualVector(rng.standard_normal(n))
     return QuadraticProblem(

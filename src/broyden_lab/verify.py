@@ -7,22 +7,30 @@ inequality of the update calculus at every tau of ``TAU_GRID`` and reports
 the most adverse value against its pass threshold, together with its
 witness: the suite's seed, the trial index, n and tau of that value.
 
-The draws run one trial at a time in a fixed RNG order; the evaluation does
-not.  Drawn triples are grouped by n into (T, n, n) stacks that hold at most
-``_STACK_ELEMENTS`` matrix entries between them, and each stack goes through
-stacked LAPACK calls and the solver's own update kernel
-(``broyden._scalars`` and ``broyden._apply_update``).  The stack gets every
-check the typed API makes on one triple: A, G and each G_plus, H_plus pass
-the ``SpdOperator`` acceptance rule, the three update pairings are positive,
-the two closeness formulas agree and relative spectra are positive.  A
-triple that fails one of them, or yields a non-finite value, is the suite's
-witness with worst value +-inf (a FAIL) rather than an exception.
+Drawing and evaluating are separate.  The draws run one trial at a time in
+a fixed RNG order, and a draw holds only raw inputs: n, each matrix's
+spectrum and Gaussian block (or the dominating bump's block and scale),
+and u.  Drawn triples are grouped by n and wait until their raw inputs hold
+``_STACK_ELEMENTS`` entries between them.  Each group is then assembled as
+one (T, n, n) stack (a stacked QR with its sign fix, then Q diag(eigs) Q^T)
+and goes through stacked LAPACK calls and the solver's own update kernel
+(``broyden._scalars`` and ``broyden._apply_update``).  Every stacked value
+is bitwise the value of its triple alone, so no result depends on how the
+draws were grouped.  The stack gets every check the typed API makes on one
+triple: A, G and each G_plus, H_plus pass the ``SpdOperator`` acceptance
+rule, the three update pairings are positive, the two closeness formulas
+agree and relative spectra are positive.  A triple that fails one of them,
+or yields a non-finite value, is the suite's witness with worst value
++-inf (a FAIL) rather than an exception.  The scalar gap evaluates its
+whole (alpha, beta) grid as arrays, under the same rule for a non-finite
+value.
 
 Each random suite is one evaluator over a stack, which yields per tau
 whether each value counts, the intermediate values and the value itself.
 :func:`replay` re-draws one triple and runs it through that same evaluator
 as a one-triple stack, so it prints the very value the suite computed, with
 every intermediate; ``broyden-lab verify --suite NAME --trial T`` runs it.
+It draws the raw inputs of the trials before T without assembling them.
 The CLI ``verify`` command drives the suites and exits nonzero on any
 failure.
 """
@@ -30,7 +38,6 @@ failure.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -40,24 +47,27 @@ import numpy as np
 from . import broyden as kernel
 from .operators import Role, SpdOperator, chol_logdet, rel_eigen_range, spd_factor
 from .potentials import (
+    SCALAR_GAP_CONST,
     SCALAR_GAP_MIDDLE_CONST,
     metric_change_rhs,
     progress_lb_psi,
     progress_lb_v,
-    scalar_gap,
     spectral_barriers,
 )
-from .problems import random_orthogonal
+from .problems import haar_spd
 
-# The suites evaluate stacks through the kernel instead of calling these;
-# they stay importable here because perfbench/tracer.py wraps the typed
+# The suites evaluate stacks through the kernel, assemble their draws as
+# stacks and take the scalar gap as arrays instead of calling these; they
+# stay importable here because perfbench/tracer.py wraps the typed
 # per-triple API under this module's names.
 from .broyden import broyd, broyd_det_ratio, nu  # noqa: F401
 from .operators import rel_det  # noqa: F401
+from .problems import random_orthogonal  # noqa: F401
 from .potentials import (  # noqa: F401
     augmented_barrier,
     logdet_barrier,
     metric_change_lb,
+    scalar_gap,
 )
 
 __all__ = [
@@ -83,8 +93,9 @@ __all__ = [
 
 TAU_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
-# Matrix entries the drawn triples waiting for evaluation may hold before
-# they are stacked and evaluated, so memory stays flat in trials and n_max.
+# Entries the raw draws waiting for assembly may hold (Gaussian blocks,
+# spectra, scales and directions) before they are assembled into stacks and
+# evaluated, so memory stays flat in trials and n_max.
 _STACK_ELEMENTS = 1 << 16
 
 SCALAR_GAP_GRID = 100
@@ -122,25 +133,44 @@ class CheckResult:
                 f"({rel} {self.threshold: .1e})  trials={self.trials}  {status}")
 
 
+def _draw_spd(rng: np.random.Generator, n: int, log_cond_max: float = 3.0):
+    """The raw inputs of one random SPD matrix: its log-uniform spectrum,
+    condition <= 10^log_cond_max, and the Gaussian block of its
+    eigenvectors."""
+    span = rng.uniform(0.0, log_cond_max)
+    eigs = 10.0 ** rng.uniform(-span / 2.0, span / 2.0, size=n)
+    return eigs, rng.standard_normal((n, n))
+
+
+def _draw_bump(rng: np.random.Generator, n: int):
+    """The raw inputs of one semidefinite bump w w^T * scale: the Gaussian
+    block of w (before its 1/sqrt(n)) and the scale."""
+    return rng.standard_normal((n, n)), 10.0 ** rng.uniform(-2.0, 1.0)
+
+
+def _dominating_stack(a: np.ndarray, z: np.ndarray,
+                      scale: np.ndarray) -> np.ndarray:
+    """Exactly symmetric A + w w^T * scale, w = z / sqrt(n), of a stack."""
+    w = z / np.sqrt(z.shape[-1])
+    bump = w @ w.mT * scale[..., None, None]
+    m = a + 0.5 * (bump + bump.mT)
+    return 0.5 * (m + m.mT)
+
+
 def random_spd_matrix(rng: np.random.Generator, n: int,
                       log_cond_max: float = 3.0) -> np.ndarray:
     """Random exactly symmetric SPD matrix with log-uniform spectrum,
-    condition <= 10^log_cond_max."""
-    span = rng.uniform(0.0, log_cond_max)
-    eigs = 10.0 ** rng.uniform(-span / 2.0, span / 2.0, size=n)
-    q = random_orthogonal(n, rng)
-    m = (q * eigs) @ q.T
-    return 0.5 * (m + m.T)
+    condition <= 10^log_cond_max: a one-matrix stack of the suites' draw."""
+    eigs, z = _draw_spd(rng, n, log_cond_max)
+    return haar_spd(eigs[None], z[None])[0]
 
 
 def random_dominating_matrix(rng: np.random.Generator,
                              a_mat: np.ndarray) -> np.ndarray:
-    """Random exactly symmetric G with A below G in the semidefinite order."""
-    n = a_mat.shape[0]
-    w = rng.standard_normal((n, n)) / np.sqrt(n)
-    bump = w @ w.T * 10.0 ** rng.uniform(-2.0, 1.0)
-    m = a_mat + 0.5 * (bump + bump.T)
-    return 0.5 * (m + m.T)
+    """Random exactly symmetric G with A below G in the semidefinite order:
+    a one-matrix stack of the suites' draw."""
+    z, scale = _draw_bump(rng, a_mat.shape[0])
+    return _dominating_stack(a_mat[None], z[None], np.array([scale]))[0]
 
 
 def random_spd(rng: np.random.Generator, n: int,
@@ -170,31 +200,47 @@ def straddle_normalize(g: SpdOperator, a: SpdOperator) -> SpdOperator:
 
 
 def _draw(rng: np.random.Generator, n_max: int, dominating: bool):
-    """One raw (A, G, u) triple; every suite draws its trials through this."""
+    """The raw inputs of one (A, G, u) triple, drawn without assembling a
+    matrix: (n, A's spectrum, A's Gaussian block, G's spectrum and block or
+    its bump's block and scale, u).  Every suite and every replay draws its
+    trials through this, in this RNG order."""
     n = int(rng.integers(1, n_max + 1))
-    a = random_spd_matrix(rng, n)
-    g = random_dominating_matrix(rng, a) if dominating else random_spd_matrix(rng, n)
-    return a, g, rng.standard_normal(n)
+    a_eigs, a_z = _draw_spd(rng, n)
+    g_1, g_2 = _draw_bump(rng, n) if dominating else _draw_spd(rng, n)
+    return n, a_eigs, a_z, g_1, g_2, rng.standard_normal(n)
+
+
+def _assemble(draws, dominating: bool):
+    """The (A, G, u) stacks of raw draws of one n, each matrix of the stack
+    built in the same stacked calls."""
+    _, a_eigs, a_z, g_1, g_2, u = map(np.array, zip(*draws))
+    a = haar_spd(a_eigs, a_z)
+    g = _dominating_stack(a, g_1, g_2) if dominating else haar_spd(g_1, g_2)
+    return a, g, u
 
 
 def _stacks(rng: np.random.Generator, trials: int, n_max: int,
             dominating: bool):
     """Draw the trials in order; yield (trial indices, A, G, u) stacks of one n.
 
-    Draws wait until they hold ``_STACK_ELEMENTS`` entries (or the trials
-    run out) and then leave as one stack per dimension, in trial order.
+    Raw draws wait until they hold ``_STACK_ELEMENTS`` entries (or the
+    trials run out) and then leave as one assembled stack per dimension, in
+    trial order.
     """
     pending: dict[int, list] = {}
     held = 0
     for trial in range(trials):
-        a, g, u = _draw(rng, n_max, dominating)
-        pending.setdefault(u.size, []).append((trial, a, g, u))
-        held += 2 * a.size + u.size
+        draw = _draw(rng, n_max, dominating)
+        n = draw[0]
+        pending.setdefault(n, []).append((trial, draw))
+        # Two n-by-n blocks, A's spectrum, u, and G's spectrum or the
+        # bump's scale.
+        held += 2 * n * n + 2 * n + (1 if dominating else n)
         if held >= _STACK_ELEMENTS or trial == trials - 1:
             while pending:
-                idx, a_s, g_s, u_s = zip(*pending.popitem()[1])
-                stack = np.array(idx), np.stack(a_s), np.stack(g_s), np.stack(u_s)
-                del idx, a_s, g_s, u_s
+                idx, draws = zip(*pending.popitem()[1])
+                stack = (np.array(idx), *_assemble(draws, dominating))
+                del idx, draws  # the raw draws are not held while it runs
                 yield stack
             held = 0
 
@@ -456,20 +502,29 @@ def metric_change_suite(n_max: int = 8, trials: int = 1000,
 
 
 def _scalar_gap_grid(grid: int):
-    """(alpha, beta) points in suite order: beta in [1e-6, 1e6] varies
-    slowest, alpha = beta * m with m in [1, 1e6], both log-spaced."""
-    mults = np.logspace(0.0, 6.0, grid)
-    for beta in np.logspace(-6.0, 6.0, grid):
-        for m in mults:
-            yield beta * m, beta
+    """(alpha, beta) arrays of the points in suite order: beta in
+    [1e-6, 1e6] varies slowest, alpha = beta * m with m in [1, 1e6], both
+    log-spaced."""
+    betas = np.repeat(np.logspace(-6.0, 6.0, grid), grid)
+    return betas * np.tile(np.logspace(0.0, 6.0, grid), grid), betas
 
 
-def _scalar_gap_terms(alpha: float, beta: float) -> dict:
-    lhs, rhs = scalar_gap(alpha, beta)
-    arg = alpha + 1.0 / beta - 1.0
-    middle = SCALAR_GAP_MIDDLE_CONST * np.log(arg)
-    return {"lhs": lhs, "middle": middle, "rhs": rhs, "arg": arg,
-            "value": min(lhs - middle, middle - rhs, arg - 1.0)}
+def _scalar_gap_terms(alpha: np.ndarray, beta: np.ndarray):
+    """Both sides of the scalar gap, its middle term and shared argument at
+    each point; the value is the least of the three margins.  Returns the
+    terms and (index, value) of the first most adverse value, a non-finite
+    value being worst of all (-inf)."""
+    with np.errstate(all="ignore"):
+        lhs = alpha - np.log(beta) - 1.0
+        arg = alpha + 1.0 / beta - 1.0
+        log_arg = np.log(arg)
+        middle = SCALAR_GAP_MIDDLE_CONST * log_arg
+        rhs = SCALAR_GAP_CONST * log_arg
+        value = np.minimum(np.minimum(lhs - middle, middle - rhs), arg - 1.0)
+    index, _, worst = _worst(
+        np.where(np.isfinite(value), value, np.nan)[:, None], -1.0)
+    return ({"lhs": lhs, "middle": middle, "rhs": rhs, "arg": arg,
+             "value": value}, index, worst)
 
 
 def scalar_gap_suite(grid: int = SCALAR_GAP_GRID) -> CheckResult:
@@ -479,12 +534,8 @@ def scalar_gap_suite(grid: int = SCALAR_GAP_GRID) -> CheckResult:
     sharp and the relaxed constants must be dominated and the shared
     argument must stay at or above 1.  The witness is the grid index.
     """
-    worst, witness = np.inf, 0
-    for index, (alpha, beta) in enumerate(_scalar_gap_grid(grid)):
-        value = _scalar_gap_terms(alpha, beta)["value"]
-        if value < worst:
-            worst, witness = value, index
-    return CheckResult("scalar_gap", float(worst), *_SUITES["scalar_gap"][:2],
+    _, witness, worst = _scalar_gap_terms(*_scalar_gap_grid(grid))
+    return CheckResult("scalar_gap", worst, *_SUITES["scalar_gap"][:2],
                        grid * grid, trial=witness)
 
 
@@ -525,26 +576,26 @@ def replay(name: str, trial: int, n_max: int = 8, seed: int = 0) -> CheckResult:
     """
     threshold, higher_is_worse, _, dominating = _SUITES[name]
     if name == "scalar_gap":
-        alpha, beta = next(itertools.islice(
-            _scalar_gap_grid(SCALAR_GAP_GRID), trial, None))
-        terms = _scalar_gap_terms(alpha, beta)
-        print(f"scalar_gap grid point {trial}: alpha={float(alpha)!r}  "
-              f"beta={float(beta)!r}")
+        alpha, beta = (x[trial:trial + 1]
+                       for x in _scalar_gap_grid(SCALAR_GAP_GRID))
+        terms, _, worst = _scalar_gap_terms(alpha, beta)
+        print(f"scalar_gap grid point {trial}: alpha={float(alpha[0])!r}  "
+              f"beta={float(beta[0])!r}")
         print(_fmt_values(terms))
-        return CheckResult(name, float(terms["value"]), threshold,
-                           higher_is_worse, 1, trial=trial)
+        return CheckResult(name, worst, threshold, higher_is_worse, 1,
+                           trial=trial)
     suite_seed = seed + SUITES.index(name)
     rng = np.random.default_rng(suite_seed)
     for _ in range(trial):
         _draw(rng, n_max, dominating)
-    a, g, u = _draw(rng, n_max, dominating)
-    print(f"{name} seed={suite_seed} trial={trial} n={u.size}")
+    a, g, u = _assemble([_draw(rng, n_max, dominating)], dominating)
+    print(f"{name} seed={suite_seed} trial={trial} n={u.shape[-1]}")
     with np.printoptions(precision=17, linewidth=100):
-        for label, arr in (("A", a), ("G", g), ("u", u)):
+        for label, arr in (("A", a[0]), ("G", g[0]), ("u", u[0])):
             print(f"{label} = {np.array2string(arr, prefix=label + ' = ')}")
-    rows, values = _evaluate(name, a[None], g[None], u[None])
+    rows, values = _evaluate(name, a, g, u)
     for tau, row in zip(TAU_GRID, rows):
         print(_fmt_values({"tau": tau, **row}))
     _, k, worst = _worst(values, 1.0 if higher_is_worse else -1.0)
     return CheckResult(name, worst, threshold, higher_is_worse,
-                       len(TAU_GRID), suite_seed, trial, u.size, TAU_GRID[k])
+                       len(TAU_GRID), suite_seed, trial, u.shape[-1], TAU_GRID[k])

@@ -305,6 +305,8 @@ class TestRawHelpers:
         (np.array([[1.0, 0.5], [0.2, 1.0]]), 3),
         (np.diag([1.0, -1.0]), 4),
         (np.diag([1.0, 1e-15]), 5),
+        (np.array([[1.7e308, 1.7e307], [1.7e307, 1.7e308]]), 0),
+        (np.array([[1.7e308, 1.7e308], [-1.7e308, 1.7e308]]), 3),
     ])
     def test_one_matrix_rule_is_the_stack_rule(self, m, fault):
         with np.errstate(invalid="ignore"):
@@ -316,6 +318,31 @@ class TestRawHelpers:
         if fault:
             with pytest.raises(NotSpdError, match=SPD_FAULTS[fault]):
                 SpdOperator(m)
+
+    def test_symmetrizing_never_overflows(self):
+        # 0.5 (m + m^T) overflowed to inf on the diagonal of this finite
+        # SPD matrix, and the operator then reported logdet = inf.
+        m = np.array([[1.7e308, 1.7e307], [1.7e307, 1.7e308]])
+        skew = m.copy()
+        skew[0, 1] *= 1.0 + 1e-15  # within the symmetry rule
+        for got in (spd_factor(m), spd_factor(m[None]),
+                    spd_factor(skew), spd_factor(skew[None])):
+            sym, chol, fault = got
+            assert np.all(fault == 0)
+            assert np.isfinite(sym).all() and np.isfinite(chol).all()
+        assert np.array_equal(spd_factor(skew)[0], 0.5 * skew + 0.5 * skew.T)
+        op = SpdOperator(m)
+        assert np.array_equal(op.entries, m)
+        # det = 1.7e308^2 (1 - 0.1^2)
+        assert op.logdet == pytest.approx(
+            2.0 * math.log(1.7e308) + math.log1p(-0.01), rel=1e-14)
+
+    def test_exactly_symmetric_matrix_is_returned_as_is(self, rng):
+        m = random_spd(rng, 5).entries.copy()
+        assert spd_factor(m)[0] is m
+        m[0, -1] += 1e-14 * abs(m[0, -1])
+        sym = spd_factor(m)[0]
+        assert sym is not m and np.array_equal(sym, 0.5 * m + 0.5 * m.T)
 
     def test_typed_solves_check_the_rhs(self):
         # The typed solves reach the raw helpers, which do not scan their

@@ -7,6 +7,7 @@ also return the value of every (trial, tau), so a batched witness can be
 checked against them.
 """
 
+import math
 import shlex
 
 import numpy as np
@@ -213,6 +214,48 @@ def test_scalar_gap_matches_reference():
         (want.threshold, want.trials, want.passed)
 
 
+def test_scalar_gap_grid_matches_typed_chain():
+    """The array grid evaluates the typed scalar_gap chain at every point,
+    to the last bits (math.log and np.log may differ by an ulp), and a
+    one-point slice gives the grid's own bits."""
+    alpha, beta = verify._scalar_gap_grid(verify.SCALAR_GAP_GRID)
+    terms, _, _ = verify._scalar_gap_terms(alpha, beta)
+    want = {key: [] for key in terms}
+    for a, b in zip(alpha.tolist(), beta.tolist()):
+        lhs, rhs = scalar_gap(a, b)
+        arg = a + 1.0 / b - 1.0
+        middle = SCALAR_GAP_MIDDLE_CONST * math.log(arg)
+        for key, val in zip(want, (lhs, middle, rhs, arg, min(
+                lhs - middle, middle - rhs, arg - 1.0))):
+            want[key].append(val)
+    assert alpha.size == verify.SCALAR_GAP_GRID ** 2
+    for key, val in terms.items():
+        np.testing.assert_allclose(val, want[key], rtol=1e-15, atol=0.0,
+                                   err_msg=key)
+    for i in range(0, alpha.size, 97):
+        one, _, _ = verify._scalar_gap_terms(alpha[i:i + 1], beta[i:i + 1])
+        assert all(one[key][0] == val[i] for key, val in terms.items()), i
+
+
+def test_scalar_gap_non_finite_or_invalid_point_fails(monkeypatch, capsys):
+    # A NaN term is the witness with worst -inf, not a silent PASS.
+    monkeypatch.setattr(verify, "SCALAR_GAP_MIDDLE_CONST", math.nan)
+    res = verify.scalar_gap_suite()
+    assert (res.worst, res.trial, res.passed) == (-math.inf, 0, False)
+    assert verify.replay("scalar_gap", 0).worst == -math.inf
+    monkeypatch.undo()
+    # A point off the domain (alpha < beta) fails through its margins
+    # rather than raising: arg - 1 at the second point, NaN at the third.
+    grid = (np.array([2.0, 0.5, 0.1]), np.array([1.0, 1.5, 2.0]))
+    monkeypatch.setattr(verify, "_scalar_gap_grid", lambda size: grid)
+    res = verify.scalar_gap_suite()
+    assert (res.worst, res.trial, res.passed) == (-math.inf, 2, False)
+    terms, index, worst = verify._scalar_gap_terms(grid[0][:2], grid[1][:2])
+    assert index == 1 and worst == terms["value"][1] == pytest.approx(
+        0.5 + 1.0 / 1.5 - 2.0)
+    capsys.readouterr()
+
+
 def test_run_all_derives_suite_seeds_from_base():
     results = verify.run_all(n_max=3, trials=5, seed=10)
     assert [r.name for r in results] == list(verify.SUITES)
@@ -220,23 +263,63 @@ def test_run_all_derives_suite_seeds_from_base():
 
 
 def test_result_independent_of_stack_budget(monkeypatch):
-    """Chunking is an evaluation detail: tiny stacks give the same results."""
+    """Chunking is an evaluation detail: tiny stacks give the same results,
+    bit for bit."""
     full = verify.run_all(n_max=6, trials=30, seed=2)[:-1]
     sizes = []
-    original = verify._Stack.__init__
+    original = verify._assemble
 
-    def spy(self, a, g, u):
-        sizes.append(a.size)
-        original(self, a, g, u)
+    def spy(draws, dominating):
+        sizes.append(sum(np.size(x) for draw in draws for x in draw[1:]))
+        return original(draws, dominating)
 
     monkeypatch.setattr(verify, "_STACK_ELEMENTS", 60)
-    monkeypatch.setattr(verify._Stack, "__init__", spy)
+    monkeypatch.setattr(verify, "_assemble", spy)
     small = verify.run_all(n_max=6, trials=30, seed=2)[:-1]
-    for a, b in zip(full, small):
-        assert _close(b.worst, a.worst), a.name
-    # Draws wait only until they pass the budget: no stack's A holds more
-    # than the budget plus the entries of one n = 6 trial.
-    assert max(sizes) <= 60 + 36
+    assert small == full
+    # Raw draws wait only until they pass the budget: no stack holds more
+    # raw entries than the budget plus those of one n = 6 trial (two 6 x 6
+    # Gaussian blocks, two spectra and u).
+    assert max(sizes) <= 60 + 2 * 36 + 3 * 6
+
+
+@pytest.mark.parametrize("suite", sorted(REFERENCE))
+def test_stack_evaluates_each_triple_as_alone(suite):
+    """Every row of a stack is bitwise the row of its triple evaluated as a
+    one-triple stack, as the replay evaluates it, so neither a witness nor
+    a replayed value depends on which draws shared a stack."""
+    dominating = verify._SUITES[suite][3]
+    for idx, a, g, u in verify._stacks(np.random.default_rng(4), 60, 4,
+                                       dominating):
+        rows, values = verify._evaluate(suite, a, g, u)
+        for t in range(len(idx)):
+            one_rows, one = verify._evaluate(suite, a[t:t + 1], g[t:t + 1],
+                                             u[t:t + 1])
+            assert np.array_equal(one[0], values[t], equal_nan=True), t
+            for row, one_row in zip(rows, one_rows):
+                for key, val in row.items():
+                    assert np.array_equal(one_row[key][0], val[t],
+                                          equal_nan=True), (t, key)
+
+
+@pytest.mark.parametrize("dominating", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_draws_match_typed_draws(seed, dominating):
+    """The suites' stacked assembly builds every A, G and u bit for bit as
+    the typed per-trial random_spd / random_spd_dominating draws do, for
+    every n from 1 to 8."""
+    stacked = {}
+    for idx, a, g, u in verify._stacks(np.random.default_rng(seed), 80, 8,
+                                       dominating):
+        for t, a_t, g_t, u_t in zip(idx, a, g, u):
+            stacked[int(t)] = (a_t, g_t, u_t)
+    typed = _triples(np.random.default_rng(seed), 80, 8, dominating)
+    for t, (a, g, u) in enumerate(typed):
+        a_t, g_t, u_t = stacked[t]
+        assert np.array_equal(a.entries, a_t), t
+        assert np.array_equal(g.entries, g_t), t
+        assert np.array_equal(u.coords, u_t), t
+    assert {u.size for _, _, u in stacked.values()} == set(range(1, 9))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +381,7 @@ def test_update_leaving_spd_cone_is_a_witnessed_fail(monkeypatch, capsys,
     assert res.worst == sign * np.inf
     # The corrupted entry is the first trial with n = 3.
     rng = np.random.default_rng(res.seed)
-    ns = [verify._draw(rng, 4, False)[2].size for _ in range(30)]
+    ns = [verify._draw(rng, 4, False)[0] for _ in range(30)]
     assert (res.trial, res.n, res.tau) == (ns.index(3), 3, 0.5)
 
     capsys.readouterr()
