@@ -9,7 +9,7 @@ from its closed form, so both can be cross-checked against factorizations.
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +21,6 @@ from .operators import (
     ZeroDirectionError,
     check_number,
     check_same_dim,
-    chol_inv_quad,
-    chol_solve,
 )
 
 __all__ = [
@@ -40,8 +38,10 @@ __all__ = [
 ZERO_DIRECTION_NORM = 1e-300
 
 # Defensive ceiling on the disagreement between the two equivalent closeness
-# formulas (combined absolute/relative); the tests pin the tight 1e-10 bound.
+# formulas of the typed nu (combined absolute/relative); the tests pin the
+# tight 1e-10 bound.
 _NU_GUARD = 1e-8
+_EPS = float(np.finfo(float).eps)
 
 
 def check_tau(tau: float) -> float:
@@ -122,13 +122,15 @@ def _pairing_error(au_u, gu_u, aha) -> ArithmeticError:
 def _vector_scalars(au, g_mat, h_mat, u):
     """:func:`_scalars` for one plain direction, with G^{-1} applied through
     the maintained inverse ``h_mat``: the same products, with the three
-    pairings as Python floats.  A non-positive pairing raises."""
+    pairings as Python floats.  A pairing that is not positive and finite
+    raises: this is the solver's only check of G and H on a run without
+    instrumentation."""
     gu = np.matvec(g_mat, u)
     z = np.matvec(h_mat, au)
     au_u = float(np.vecdot(au, u))
     gu_u = float(np.vecdot(gu, u))
     aha = float(np.vecdot(au, z))
-    if not _positive_pairings(au_u, gu_u, aha):
+    if not all(0.0 < v < math.inf for v in (au_u, gu_u, aha)):
         raise _pairing_error(au_u, gu_u, aha)
     return au, gu, au_u, gu_u, z, aha
 
@@ -300,26 +302,42 @@ def _nu_disagree(val_quad, val_norm):
 
 
 def nu(a: SpdOperator, g: SpdOperator, u: PrimalVector) -> float:
-    """Closeness of G to A along u: ||(G - A)u||*_G / ||u||_A."""
-    uc = _nonzero_direction(a, g, u, "closeness measure")
-    return secant_nu(np.matvec(a.entries, uc), g.entries, g.factor, uc)
+    """Closeness of G to A along u: ||(G - A)u||*_G / ||u||_A.
 
-
-def secant_nu(au, g_mat, g_chol, uc) -> float:
-    """:func:`nu` on raw arrays, from the target's image Au of the direction
-    ``uc``, the matrix G and its lower Cholesky factor L.
-
-    Evaluates both equivalent forms of the numerator for w = Gu - Au (the
-    quadratic form <(G-A)G^{-1}(G-A)u, u> as <w, G^{-1}w> through a full
-    factorized solve, and the squared norm of the triangular solve L^{-1}w)
-    and returns the quadratic-form value after checking they agree.  Both
-    cost O(n^2) with the factor of G.
+    Evaluates both equivalent forms of the numerator for w = Gu - Au through
+    the cached factor of G (<w, G^{-1}w> by a full factorized solve, and the
+    squared norm of the triangular solve L^{-1}w) and returns the first
+    after checking that they agree to ``_NU_GUARD``.
     """
-    val_quad, val_norm = _closeness(
-        au, g_mat, uc, functools.partial(chol_solve, g_chol),
-        functools.partial(chol_inv_quad, g_chol))
+    uc = _nonzero_direction(a, g, u, "closeness measure")
+    val_quad, val_norm = _closeness(np.matvec(a.entries, uc), g.entries, uc,
+                                    g.solve_vec, g.inv_quad_form)
     if _nu_disagree(val_quad, val_norm):
         raise ArithmeticError(
             f"closeness formulas disagree: {val_quad} vs {val_norm}"
         )
     return float(val_quad)
+
+
+def secant_nu(au, g_mat, h_mat, uc, g_cond) -> float:
+    """:func:`nu` on raw arrays, from the target's image Au of the direction
+    ``uc``, the matrix G and its maintained inverse H, in O(n^2).
+
+    With w = Gu - Au and z = Hw, the value is <w, z>^{1/2} / <u, Au>^{1/2}.
+    Its cross-check is the energy form <z, Gz>, which differs from <w, z> by
+    <z, (GH - I)w>: relative to <w, z>, the deviation of G^{1/2} H G^{1/2}
+    from I along w.  Computed, the gap also carries the rounding of Hw, of
+    Gz and of the two inner products, each about n eps cond(G) relative, so
+    with ``g_cond`` an upper bound on cond(G) a gap above
+    ``4 n eps g_cond`` (or a negative <w, z>, which an SPD H cannot give)
+    shows H is not the inverse of G, and is an ArithmeticError.
+    """
+    w = g_mat @ uc - au
+    z = h_mat @ w
+    quad = float(w @ z)
+    energy = float(z @ (g_mat @ z))
+    if not abs(energy - quad) <= 4 * uc.size * _EPS * g_cond * quad:
+        raise ArithmeticError(
+            f"closeness forms disagree: <w, Hw> = {quad} vs "
+            f"<Hw, GHw> = {energy}")
+    return math.sqrt(quad / float(uc @ au))

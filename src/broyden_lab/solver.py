@@ -40,25 +40,29 @@ at its edges: the starting point and reference operator it is given, the
 trace it returns, and the oracle calls (the gradient and Hessian of each
 visited iterate, on the problem the loop runs, and the segment mean, which
 take and return typed values).  Between them G_k, H_k, the step and the
-secant are plain arrays: G_k passes the one SPD rule of
-:func:`operators.spd_factor` each iteration without becoming an
-``SpdOperator``, and nu and the spectra call LAPACK through numpy or the raw
-helpers in :mod:`operators`.  Lambda, the gradient's norm in the Hessian's
-metric, comes from the typed :func:`operators.norm_dual`, since both are
-oracle values; it calls the same triangular-solve helper.
+secant are plain arrays that never become an ``SpdOperator``, and the
+spectra call LAPACK through numpy or the raw helpers in :mod:`operators`.
+On the general path lambda, the gradient's norm in the Hessian's metric,
+comes from the typed :func:`operators.norm_dual`, since both are oracle
+values; in the eigenbasis it is the O(n) ||g / s^(1/2)||, the same value.
 
-Per iteration the loop costs one validated Cholesky factorization of the
-approximation (its definiteness check, made even without instrumentation)
-and O(n^2) for the rank-two update of the approximation and its inverse.
-Without instrumentation that is all: no Hessian, no segment mean, so an
-uninstrumented run makes no quadrature and cannot raise
-:class:`QuadratureError`.  Instrumented, it adds one eigendecomposition of
-the approximation relative to each distinct target, and O(n^2) for the
-closeness nu and both potentials, which follow from the same eigenvalues.
-On a quadratic that is one ``eigvalsh`` of a scaled G_k (the Hessian is the
-update target), so an instrumented quadratic iteration makes one Cholesky
-and one ``eigvalsh``; the general path takes two pencil spectra, each a
-``sygst`` reduction and an ``eigvalsh``.
+No iteration factors G_k.  Without instrumentation a step costs O(n^2) for
+the rank-two update of the approximation and its inverse, which checks G_k
+and H_k through the update's pairings <y, u>, <G u, u> and <y, H y>: each
+must be positive and finite, or the run stops with a
+:class:`DivergenceError`.  That is all: no decomposition, no Hessian and no
+segment mean, so an uninstrumented run makes no quadrature and cannot raise
+:class:`QuadratureError`.  Instrumented, an iteration adds one
+eigendecomposition of the approximation relative to each distinct target,
+and O(n^2) for the closeness nu and both potentials, which follow from the
+same eigenvalues.  The spectrum relative to the Hessian is also the
+definiteness check: its smallest eigenvalue must exceed the eigensolver's
+resolution, n eps times the largest.  Nu reads the maintained inverse, and
+its cross-check against the energy form shows H_k still inverts G_k (see
+:func:`broyden.secant_nu`).  On a quadratic that is one ``eigvalsh`` of a
+scaled G_k (the Hessian is the update target), so an instrumented quadratic
+iteration makes one decomposition; the general path takes two pencil
+spectra, each a ``sygst`` reduction and an ``eigvalsh``.
 
 Every visited iterate takes the same path and leaves one row.  The row starts
 with each column NaN and is filled in once: g and xi always; lambda and the
@@ -75,10 +79,10 @@ column, so a trace retains about 13 doubles per iterate; the per-iterate
 vectors and operator snapshots are kept only when a caller passes
 ``record_operators=True``.
 
-An instrumented general-path iteration on log-sum-exp makes three validated
-Cholesky factorizations: the approximation, the one pointwise Hessian (the
-gradient is an O(m n) oracle that forms none) and the segment mean J_k,
-built only to measure the step.  The mean comes from two structured
+An instrumented general-path iteration on log-sum-exp makes two validated
+Cholesky factorizations: the one pointwise Hessian (the gradient is an
+O(m n) oracle that forms none) and the segment mean J_k, built only to
+measure the step.  The mean comes from two structured
 Gauss-Legendre rules, of orders q and 2q, at O(m n^2 + q m n) each; the
 quadrature check adds one symmetric eigenvalue solve, for the spectral norm
 of the gap between the rules.  The gate compares that gap with ||J||, and
@@ -99,7 +103,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .broyden import ZERO_DIRECTION_NORM, check_tau, update_arrays
+from .broyden import _EPS, ZERO_DIRECTION_NORM, check_tau, update_arrays
 from .operators import (
     SPD_FAULTS,
     DualVector,
@@ -113,7 +117,6 @@ from .operators import (
     norm_dual,
     pencil_eigvals,
     spd_factor,
-    spectrum_extremes,
 )
 from .potentials import spectral_barriers
 
@@ -351,21 +354,44 @@ class IterationTrace:
         _write_cells(path, _CSV_COLUMNS, itertools.chain.from_iterable(blocks))
 
 
-def _checked_factor(k: int, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The symmetrized entries and lower Cholesky factor of an approximation
-    that passes the SPD rule of :func:`operators.spd_factor`; a
-    :class:`DivergenceError` at iteration ``k`` otherwise."""
-    sym, chol, fault = spd_factor(m)
-    if fault:
-        raise DivergenceError(
-            k, f"approximation lost definiteness ({SPD_FAULTS[fault]})")
-    return sym, chol
+def _lost_definiteness(k: int, why: str) -> DivergenceError:
+    return DivergenceError(k, f"approximation lost definiteness ({why})")
 
 
 def _snapshot(k: int, m: np.ndarray, role: Role) -> SpdOperator:
-    """A recorded operator: ``m`` checked as :func:`_checked_factor` checks
-    an approximation, and kept as construction would keep it."""
-    return SpdOperator._accepted(*_checked_factor(k, m), role)
+    """A recorded operator: ``m`` if it passes the SPD rule of
+    :func:`operators.spd_factor`, kept as construction would keep it; a
+    :class:`DivergenceError` at iteration ``k`` otherwise."""
+    sym, chol, fault = spd_factor(m)
+    if fault:
+        raise _lost_definiteness(k, SPD_FAULTS[fault])
+    return SpdOperator._accepted(sym, chol, role)
+
+
+def _spectrum(k: int, eigvals, *args) -> tuple[np.ndarray, float, float]:
+    """A relative spectrum of G_k, ascending, with its extremes, as the
+    definiteness check of an instrumented iteration.
+
+    ``eigvals(*args)`` returns the eigenvalues of the n-by-n symmetric
+    matrix the spectrum is taken from.  A symmetric eigensolver resolves
+    them to its backward error, about n eps times the largest, so the
+    smallest must exceed n eps times the largest to show the matrix
+    positive definite; below that it is numerically singular.  That is the
+    relative form of :func:`operators.spd_factor`'s pivot rule, with the
+    eigensolver's resolution in place of ``PIVOT_RTOL``, which would refuse
+    every start at kappa >= 1e14 (G_0 spans [1, kappa] relative to A).  A
+    :class:`DivergenceError` at iteration ``k`` otherwise.
+    """
+    try:
+        lams = eigvals(*args)
+    except (np.linalg.LinAlgError, NotSpdError) as exc:
+        raise _lost_definiteness(k, f"eigenvalue solve failed: {exc}") from None
+    lo, hi = float(lams[0]), float(lams[-1])
+    if not (lo > 0.0 and lo > lams.size * _EPS * hi):
+        raise _lost_definiteness(k, f"relative spectrum ({lo}, {hi}) "
+                                 + ("is numerically singular" if lo > 0.0
+                                    else "is not positive"))
+    return lams, lo, hi
 
 
 def _gradient(problem: ProblemInstance, x: PrimalVector, k: int) -> DualVector:
@@ -414,14 +440,16 @@ class _Eigenbasis:
 
     ``problem`` is the caller's quadratic in y = V^T B x (A = diag(s) with
     s its ``spectrum``, B = I, b = V^T b), ``v`` maps a point or step back
-    (x = V y), ``dual`` is B V = V^-T, which maps a gradient back, and
-    ``ddt`` holds d_i d_j with d = s^(-1/2), so that G * ddt is the standard
-    symmetric matrix whose eigenvalues are those of G relative to diag(s).
+    (x = V y), ``dual`` is B V = V^-T, which maps a gradient back, ``root``
+    is s^(1/2), and ``ddt`` holds d_i d_j with d = 1 / root, so that G * ddt
+    is the standard symmetric matrix whose eigenvalues are those of G
+    relative to diag(s).
     """
 
     problem: QuadraticProblem
     v: np.ndarray
     dual: np.ndarray
+    root: np.ndarray
     ddt: np.ndarray
 
     @classmethod
@@ -430,8 +458,15 @@ class _Eigenbasis:
             v, diagonal = p.eigenbasis()
         except NotSpdError as exc:
             raise DivergenceError(0, str(exc)) from None
-        d = 1.0 / np.sqrt(diagonal.spectrum)
-        return cls(diagonal, v, p.b_ref.entries @ v, np.outer(d, d))
+        root = np.sqrt(diagonal.spectrum)
+        d = 1.0 / root
+        return cls(diagonal, v, p.b_ref.entries @ v, root, np.outer(d, d))
+
+    def norm_dual(self, g: np.ndarray) -> float:
+        """||g||*_A of a gradient in the eigenbasis, ||g / s^(1/2)||, in O(n):
+        bitwise :func:`operators.norm_dual` on diag(s), whose Cholesky
+        factor is diag(s^(1/2)), so its triangular solve is this division."""
+        return float(np.linalg.norm(g / self.root))
 
 
 def _mapped(start: np.ndarray, y_start: np.ndarray, y: np.ndarray,
@@ -450,31 +485,28 @@ def _recorded_objects(p: ProblemInstance, x0: PrimalVector,
     """The six per-iterate object lists of a recorded run, typed and in the
     caller's coordinates.
 
-    On the general path G_k's snapshot reuses the factor the loop checked
-    and H_k's is factored once.  A quadratic's iterates, G_k and H_k come
-    back from the eigenbasis by :func:`_mapped` from x0, ell B and
-    B^-1 / ell, each operator factored once; its steps and gradients are
-    mapped by V and B V, and its step target is its own A.
+    Each snapshot of G_k and H_k is factored once, as the loop factors
+    neither.  A quadratic's iterates, G_k and H_k come back from the
+    eigenbasis by :func:`_mapped` from x0, ell B and B^-1 / ell; its steps
+    and gradients are mapped by V and B V, and its step target is its own A.
     """
     out = {name: [] for name in _OBJECT_FIELDS}
     if basis is not None:
-        y0, g_y0, h_y0 = records[0][0].coords, records[0][3], records[0][5]
+        y0, g_y0, h_y0 = records[0][0].coords, records[0][3], records[0][4]
         g0 = p.ell * p.b_ref.entries
         h0 = p.b_ref.inverse_matrix() / p.ell
-    for k, (x, grad, u, g_sym, g_chol, h_mat, target) in enumerate(records):
-        if basis is None:
-            g_op = SpdOperator._accepted(g_sym, g_chol, Role.PRIMAL_TO_DUAL)
-        else:
+    for k, (x, grad, u, g_mat, h_mat, target) in enumerate(records):
+        if basis is not None:
             x = PrimalVector(_mapped(x0.coords, y0, x.coords, basis.v))
             grad = DualVector(basis.dual @ grad.coords)
             u = None if u is None else basis.v @ u
-            g_op = _snapshot(k, _mapped(g0, g_y0, g_sym, basis.dual),
-                             Role.PRIMAL_TO_DUAL)
+            g_mat = _mapped(g0, g_y0, g_mat, basis.dual)
             h_mat = _mapped(h0, h_y0, h_mat, basis.v)
             target = None if target is None else p.a_op
         for name, obj in zip(_OBJECT_FIELDS, (
                 x, grad, None if u is None else PrimalVector(u),
-                g_op, _snapshot(k, h_mat, Role.DUAL_TO_PRIMAL), target)):
+                _snapshot(k, g_mat, Role.PRIMAL_TO_DUAL),
+                _snapshot(k, h_mat, Role.DUAL_TO_PRIMAL), target)):
             out[name].append(obj)
     return out
 
@@ -493,6 +525,12 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
     g_mat = problem.ell * problem.b_ref.entries
     b_inv = problem.b_ref.inverse_matrix()
     h_mat = b_inv / problem.ell
+    # cond(G_k) is at most ref_cond times eig_max / eig_min of G_k relative
+    # to the Hessian, which lies between mu B and ell B; the max-row-sum
+    # norms of B and B^-1 bound cond(B), exactly for B = I, the eigenbasis's.
+    ref_cond = (problem.ell / problem.mu
+                * float(np.abs(problem.b_ref.entries).sum(axis=1).max())
+                * float(np.abs(b_inv).sum(axis=1).max()))
 
     columns = {name: array("d") for name in _ROW_COLUMNS}
     records = []
@@ -500,15 +538,22 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
     xi = 1.0
     for k in range(config.max_iter + 1):
         row = dict.fromkeys(_ROW_COLUMNS, math.nan)
-        g_sym, g_chol = _checked_factor(k, g_mat)
         gc = grad.coords
-        row.update(xi=xi, g=math.sqrt(max(float(gc @ (h_mat @ gc)), 0.0)))
+        hg = h_mat @ gc  # H_k g_k: the norm g and, negated, the step
+        row.update(xi=xi, g=math.sqrt(max(float(gc @ hg), 0.0)))
         hess_k = problem.hess(x) if config.instrument else None
         if hess_k is not None:
-            row["lambda"] = measure = norm_dual(hess_k, grad)
-            lams_g = (np.linalg.eigvalsh(g_sym * basis.ddt) if quadratic
-                      else pencil_eigvals(g_sym, hess_k.factor))
-            row["eig_min"], row["eig_max"] = spectrum_extremes(lams_g)
+            # The spectrum of G_k relative to the Hessian is the iteration's
+            # one decomposition and its definiteness check.
+            if quadratic:
+                row["lambda"] = measure = basis.norm_dual(gc)
+                lams_g, lo, hi = _spectrum(k, np.linalg.eigvalsh,
+                                           g_mat * basis.ddt)
+            else:
+                row["lambda"] = measure = norm_dual(hess_k, grad)
+                lams_g, lo, hi = _spectrum(k, pencil_eigvals, g_mat,
+                                           hess_k.factor)
+            row["eig_min"], row["eig_max"] = lo, hi
         else:
             # The Euclidean norm of the gradient in the caller's coordinates.
             measure = float(np.linalg.norm(basis.dual @ gc if quadratic
@@ -522,7 +567,7 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
         target = None if general else hess_k
         u = None
         if not last:
-            step = -(h_mat @ gc)
+            step = -hg
             try:
                 x_next = PrimalVector(x.coords + step)
             except ValueError:  # the typed iterate admits finite coords only
@@ -554,24 +599,30 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
                     if not _secant_holds(problem, b_inv, u, y):
                         y = None  # rounding, not curvature: no update, no nu
                 if y is not None and hess_k is not None:
-                    row["nu"] = nu(y, g_sym, g_chol, u)
+                    try:
+                        row["nu"] = nu(y, g_mat, h_mat, u, ref_cond * hi / lo)
+                    except ArithmeticError as exc:
+                        raise DivergenceError(k, str(exc)) from None
         if hess_k is not None and target is not None:
-            lams = (lams_g if target is hess_k
-                    else pencil_eigvals(g_sym, target.factor))
-            row["j_eig_min"], row["j_eig_max"] = spectrum_extremes(lams)
+            lams, row["j_eig_min"], row["j_eig_max"] = (
+                (lams_g, lo, hi) if target is hess_k
+                else _spectrum(k, pencil_eigvals, g_mat, target.factor))
             row["v"], row["psi"] = spectral_barriers(lams)
         for name, value in row.items():
             columns[name].append(value)
         # Snapshots are O(n^2) each, so a run keeps them only when asked.
         if record:
-            records.append((x, grad, u, g_sym, g_chol, h_mat,
+            records.append((x, grad, u, g_mat, h_mat,
                             None if u is None else target))
         if last:
             break
         if u is not None:
             if y is not None:
-                g_mat, h_mat, _, _ = update_arrays(y, g_mat, h_mat, u,
-                                                   row["tau"])
+                try:
+                    g_mat, h_mat, _, _ = update_arrays(y, g_mat, h_mat, u,
+                                                       row["tau"])
+                except ArithmeticError as exc:
+                    raise _lost_definiteness(k, str(exc)) from None
             x, grad = x_next, grad_next
             # Distortion accumulates as exp(M * r) per step; a zero
             # self-concordance constant (every quadratic) pins it to exactly

@@ -7,6 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
+import broyden_lab.solver as solver_mod
 from broyden_lab.cli import cmd_run, cmd_sweep, cmd_verify, main
 from broyden_lab.problems import instance_from_dict
 from broyden_lab.verify import SUITES, run_all
@@ -32,6 +33,35 @@ def write_config(tmp_path, payload, fname="config.json"):
     path = tmp_path / fname
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def inject_loop_fault(monkeypatch, fault, n, tau=None):
+    """Make one of the solver loop's checks fail on runs of dimension ``n``
+    (and schedule value ``tau``, if given), as a drifted inverse or a lost
+    definiteness would.
+
+    ``"nu"`` hands the closeness measure 2 H for H, which its energy-form
+    cross-check refuses at k = 0; ``"update"`` negates G after the first
+    update, which the spectrum (instrumented) or the next update's pairings
+    (uninstrumented) refuse at k = 1.
+    """
+    def hit(u, t):
+        return u.size == n and tau in (None, t)
+
+    if fault == "nu":
+        loop_nu = solver_mod.nu
+
+        def nu(au, g_mat, h_mat, u, g_cond):
+            return loop_nu(au, g_mat, 2.0 * h_mat if hit(u, None) else h_mat,
+                           u, g_cond)
+        monkeypatch.setattr(solver_mod, "nu", nu)
+    else:
+        loop_update = solver_mod.update_arrays
+
+        def update_arrays(au, g_mat, h_mat, u, t):
+            g_plus, h_plus, phi, det_ratio = loop_update(au, g_mat, h_mat, u, t)
+            return (-g_plus if hit(u, t) else g_plus), h_plus, phi, det_ratio
+        monkeypatch.setattr(solver_mod, "update_arrays", update_arrays)
 
 
 # envelopes.csv header of the default general envelope set.
@@ -377,10 +407,13 @@ class TestSweep:
         assert line.startswith("n=5 L/mu=100.0 dfp: iters=None ")
         assert line.endswith(" max_iter")
 
-    def test_failed_cell_keeps_its_row(self, tmp_path, capsys):
-        # DFP at n = 2 loses definiteness at k = 234; the cell used to
-        # raise, and sweep.csv, with the rows already finished, was never
-        # written.
+    def test_failed_cell_keeps_its_row(self, tmp_path, capsys, monkeypatch):
+        # A cell that fails used to raise, and sweep.csv, with the rows
+        # already finished, was never written.  No cell of this grid fails
+        # on its own any more (DFP at n = 2 runs to max_iter within its
+        # envelopes, see test_eigenbasis.py), so its G_k is made indefinite
+        # after the first update.
+        inject_loop_fault(monkeypatch, "update", 2, tau=1.0)
         grid = {"n": [4, 2], "L_over_mu": [1e12], "method": ["bfgs", "dfp"],
                 "max_iter": 300, "output_dir": str(tmp_path / "sweep")}
         assert cmd_sweep(write_config(tmp_path, grid, "grid.json")) == 1
@@ -394,7 +427,7 @@ class TestSweep:
         assert [c[7] for c in cells[:3]] == ["1", "1", "1"]
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert ("n=2 L_over_mu=1000000000000.0 method=dfp seed=0 k=234: "
+        assert ("n=2 L_over_mu=1000000000000.0 method=dfp seed=0 k=1: "
                 "DivergenceError") in err[0]
 
     def test_malformed_grid(self, tmp_path):
@@ -404,6 +437,46 @@ class TestSweep:
         path = write_config(tmp_path, {"n": [4], "L_over_mu": [10],
                                        "method": ["sr1"]}, "g2.json")
         assert cmd_sweep(path) == 2
+
+
+class TestLoopFailure:
+    """A check that fails inside the solver loop ends the run as a
+    DivergenceError that names its iteration: ``run`` writes the summary
+    and exits 1, and a sweep keeps the rows of its other cells."""
+
+    @pytest.mark.parametrize("fault, instrument, k", [
+        ("nu", True, 0), ("update", True, 1), ("update", False, 1)])
+    def test_run_records_the_error(self, tmp_path, capsys, monkeypatch,
+                                   fault, instrument, k):
+        inject_loop_fault(monkeypatch, fault, 6)
+        exp = quad_experiment(tmp_path / "out", solver={
+            "max_iter": 300, "grad_tol": 1e-12, "instrument": instrument})
+        if not instrument:
+            exp["envelopes"] = []
+        assert cmd_run(write_config(tmp_path, exp)) == 1
+        exp_dir = tmp_path / "out" / "exp-quad"
+        summary = json.loads((exp_dir / "summary.json").read_text())
+        assert summary["error"]["kind"] == "DivergenceError"
+        assert summary["error"]["k"] == k
+        assert summary["error"]["message"].startswith(f"iteration {k}: ")
+        assert not (exp_dir / "trace.csv").exists()
+        assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fault", ["nu", "update"])
+    def test_sweep_keeps_the_other_rows(self, tmp_path, capsys, monkeypatch,
+                                        fault):
+        inject_loop_fault(monkeypatch, fault, 3)
+        grid = {"n": [2, 3, 4], "L_over_mu": [100.0], "method": ["bfgs"],
+                "output_dir": str(tmp_path / "sweep")}
+        assert cmd_sweep(write_config(tmp_path, grid, "grid.json")) == 1
+        rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+        cells = [row.split(",") for row in rows[1:]]
+        assert [c[0] for c in cells] == ["2", "3", "4"]
+        assert [bool(c[3]) for c in cells] == [True, False, True]
+        assert [c[7] for c in cells] == ["1", "0", "1"]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "n=3 " in err[0]
+        assert "DivergenceError" in err[0]
 
 
 class TestMain:

@@ -30,7 +30,7 @@ from broyden_lab import (
     run_quadratic,
     secant_residual,
 )
-from broyden_lab.bounds import trace_reports
+from broyden_lab.bounds import env_section6, trace_reports
 from broyden_lab.cli import QUADRATIC_ENVELOPES
 from broyden_lab.problems import random_orthogonal
 
@@ -70,6 +70,34 @@ def test_extreme_conditioning(n, kappa, method):
     q = quad_make(np.geomspace(1.0, kappa, n), seed=n)
     x0 = PrimalVector(np.random.default_rng(n + 1).standard_normal(n))
     _assert_within_envelopes(_run_to_relative_target(q, x0, SCHEDULES[method]))
+
+
+@pytest.mark.parametrize("n, kappa", [(2, 1e12), (3, 1e8), (3, 1e12)])
+def test_slow_dfp_cells_run_to_max_iter_within_their_envelopes(n, kappa):
+    # Sweep cells (grid seed 0, max_iter 20,000) that a Cholesky of G_k in
+    # the eigenbasis used to stop, at k = 234, 10,449 and 7,742, on its
+    # pivot floor: G_k's condition number passed 1e14 there.  The loop
+    # factors no G_k now, and its spectrum relative to A stays within
+    # [1, kappa] to the eigensolver's resolution, so the run goes on to
+    # max_iter, every envelope holding: DFP's superlinear phase starts at
+    # K0 >= 2e10 on these cells, far past the run.
+    q = quad_make(np.geomspace(1.0, kappa, n), seed=0)
+    x0 = PrimalVector(np.random.default_rng(1).standard_normal(n))
+    lam0 = norm_dual(q.a_op, q.grad(x0))
+    trace = run_quadratic(q, x0, TauSchedule.dfp(),
+                          SolverConfig(max_iter=20_000, grad_tol=1e-10 * lam0))
+    assert not trace.converged and trace.k_final == 20_000
+    assert env_section6(n, q.mu, q.ell, 1, 1.0, "dfp").start_new > 1e10
+    for rep in trace_reports(trace, QUADRATIC_ENVELOPES):
+        assert rep.asserted and rep.all_satisfied, (rep.name,
+                                                    rep.first_violation)
+    # Containment, 1 <= eig <= kappa, to the rounding of each end: a row's
+    # spectrum resolves to n eps eig_max, and the eigenbasis's smallest s
+    # (so eig_max, up to kappa / s_min) to n eps kappa relative.
+    n_eps = n * np.finfo(float).eps
+    assert np.all(trace.eig_mins >= 1.0 - n_eps * trace.eig_maxs)
+    assert np.all(trace.eig_maxs <= kappa * (1.0 + n_eps * kappa))
+    assert np.all(np.isfinite(trace.nus[:-1]))
 
 
 def _b_not_identity(n=8, kappa=100.0, seed=20260419):

@@ -32,6 +32,7 @@ from broyden_lab import (
     broyd_inverse,
     logdet_barrier,
     lse_make,
+    norm_dual,
     nu,
     phi_tau,
     quad_make,
@@ -220,12 +221,12 @@ def count_decompositions(monkeypatch, counts):
 
 
 class TestDecompositionCount:
-    def test_one_eigendecomposition_and_one_cholesky_per_iteration(
+    def test_one_eigendecomposition_and_no_cholesky_per_iteration(
             self, monkeypatch):
         # The run takes the eigenbasis of (A, B) once, one eigh; then each
-        # iterate makes one Cholesky (G_k's check) and one eigvalsh (G_k
-        # relative to diag(s), a scaling of G_k), and no sygst.  A quadratic
-        # on the general path runs the same branch.
+        # iterate makes one eigvalsh (G_k relative to diag(s), a scaling of
+        # G_k), which is also G_k's definiteness check, and no Cholesky and
+        # no sygst.  A quadratic on the general path runs the same branch.
         quad = quad_make(np.geomspace(1.0, 100.0, 12), seed=5)
         x0 = PrimalVector(np.random.default_rng(6).standard_normal(12))
         for run in (run_quadratic, run_general):
@@ -236,13 +237,28 @@ class TestDecompositionCount:
                             SolverConfig(max_iter=500, grad_tol=1e-12))
             visited = len(trace)
             assert trace.converged and visited > 10
-            assert counts == {"eig": visited + 1, "cholesky": visited,
+            assert counts == {"eig": visited + 1, "cholesky": 0,
                               "reduction": 0, "svd": 0}
+
+    def test_uninstrumented_quadratic_run_makes_no_decomposition(
+            self, monkeypatch):
+        # Without instrumentation the update's pairings are the only check
+        # of G_k: after the eigenbasis, one eigh, no iteration factors or
+        # diagonalizes anything (the general path is pinned below).
+        quad = quad_make(np.geomspace(1.0, 1e3, 8), seed=5)
+        counts = {"eig": 0, "cholesky": 0, "reduction": 0, "svd": 0}
+        count_decompositions(monkeypatch, counts)
+        trace = run_quadratic(quad, PrimalVector(np.ones(8)),
+                              TauSchedule.bfgs(),
+                              SolverConfig(max_iter=400, grad_tol=1e-8,
+                                           instrument=False))
+        assert trace.converged and len(trace) > 10
+        assert counts == {"eig": 1, "cholesky": 0, "reduction": 0, "svd": 0}
 
     def test_recorded_quadratic_run_factors_its_mapped_snapshots(
             self, monkeypatch):
-        # Snapshots add two Choleskys per iterate: G_k and H_k are mapped
-        # back to the caller's coordinates and each is checked there.
+        # Snapshots are the only Choleskys, two per iterate: G_k and H_k are
+        # mapped back to the caller's coordinates and each is checked there.
         quad = quad_make(np.geomspace(1.0, 100.0, 12), seed=5)
         x0 = PrimalVector(np.random.default_rng(6).standard_normal(12))
         counts = {"eig": 0, "cholesky": 0, "reduction": 0, "svd": 0}
@@ -253,12 +269,13 @@ class TestDecompositionCount:
                               record_operators=True)
         visited = len(trace)
         assert trace.converged and len(trace.g_ops) == visited > 10
-        assert counts == {"eig": visited + 1, "cholesky": 3 * visited,
+        assert counts == {"eig": visited + 1, "cholesky": 2 * visited,
                           "reduction": 0, "svd": 0}
 
     def test_recorded_run_factors_only_the_inverse_more(self, monkeypatch):
-        # On the general path G_k's snapshot reuses the factor the loop
-        # already checked, so snapshots add one Cholesky per iterate, H_k's.
+        # On the general path the loop factors no G_k, so an uninstrumented
+        # recorded run makes two Choleskys per iterate, its snapshots of
+        # G_k and H_k.
         problem = lse_make(8, 20, mu=0.1, seed=424242, gamma=1.0)
         cfg = SolverConfig(max_iter=400, grad_tol=1e-13, instrument=False)
         counts = {"eig": 0, "cholesky": 0, "reduction": 0, "svd": 0}
@@ -271,10 +288,11 @@ class TestDecompositionCount:
         assert counts == {"eig": 0, "cholesky": 2 * visited, "reduction": 0,
                           "svd": 0}
 
-    def test_general_path_three_factorizations_per_iteration(self, monkeypatch):
-        # Per iterate with a step: Cholesky of G, of the one pointwise
-        # Hessian and of the segment mean J (the gradient factorizes
-        # nothing); two pencil spectra plus one symmetric eigenvalue solve
+    def test_general_path_two_factorizations_per_iteration(self, monkeypatch):
+        # Per iterate with a step: Cholesky of the one pointwise Hessian and
+        # of the segment mean J (G is never factored, and the gradient
+        # factorizes nothing); two pencil spectra plus one symmetric
+        # eigenvalue solve
         # for the quadrature check's rule gap (its ||J|| bound reads the
         # diagonal of J first, which suffices here); no SVD.  The terminal
         # iterate has no step, so it drops J, its pencil and the check.
@@ -312,14 +330,14 @@ class TestDecompositionCount:
         visited = len(trace)
         steps = int(np.isfinite(trace.nus).sum())
         assert trace.converged and visited > 10 and steps == visited - 1
-        assert counts == {"eig": 3 * steps + 1, "cholesky": 3 * steps + 2,
+        assert counts == {"eig": 3 * steps + 1, "cholesky": 2 * steps + 1,
                           "reduction": 2 * steps + 1, "svd": 0,
                           "pointwise": visited, "pointwise_in_quadrature": 0}
 
     def test_uninstrumented_general_path_builds_no_target(self, monkeypatch):
         # The update reads the secant y_k = grad_{k+1} - grad_k, so without
-        # instrumentation a step needs no Hessian, no segment mean and no
-        # spectrum: one Cholesky of G per iterate, its definiteness check.
+        # instrumentation a step needs no Hessian, no segment mean, no
+        # spectrum and no factor of G.
         problem = lse_make(8, 20, mu=0.1, seed=424242, gamma=1.0)
         counts = {"eig": 0, "cholesky": 0, "reduction": 0, "svd": 0,
                   "quadrature": 0, "hess": 0}
@@ -335,7 +353,7 @@ class TestDecompositionCount:
                                          instrument=False))
         visited = len(trace)
         assert trace.converged and visited > 10
-        assert counts == {"eig": 0, "cholesky": visited, "reduction": 0,
+        assert counts == {"eig": 0, "cholesky": 0, "reduction": 0,
                           "svd": 0, "quadrature": 0, "hess": 0}
 
 
@@ -372,9 +390,18 @@ class TestRawLoop:
 
     @pytest.mark.parametrize("general", [False, True])
     def test_loop_nu_is_solver_nu(self, monkeypatch, general):
+        # The loop passes nu the approximation and its maintained inverse,
+        # never a factor: H G = I to the rounding of the updates.
         calls = {"nu": 0}
-        monkeypatch.setattr(solver_mod, "nu",
-                            counting(calls, "nu", solver_mod.nu))
+        loop_nu = solver_mod.nu
+
+        def nu_checked(au, g_mat, h_mat, u, g_cond):
+            calls["nu"] += 1
+            np.testing.assert_allclose(h_mat @ g_mat, np.eye(len(u)),
+                                       atol=1e-8)
+            return loop_nu(au, g_mat, h_mat, u, g_cond)
+
+        monkeypatch.setattr(solver_mod, "nu", nu_checked)
         if general:
             trace = run_general(lse_make(6, 15, mu=0.1, seed=7, gamma=1.0),
                                 PrimalVector(np.zeros(6)), TauSchedule.bfgs(),
@@ -384,6 +411,21 @@ class TestRawLoop:
                                   PrimalVector(np.ones(6)), TauSchedule.dfp(),
                                   SolverConfig(max_iter=400))
         assert calls["nu"] == int(np.isfinite(trace.nus).sum()) > 5
+
+
+class TestEigenbasisLambda:
+    @pytest.mark.parametrize("n", [2, 5, 30, 100])
+    def test_lambda_is_norm_dual_bitwise(self, n):
+        # In the eigenbasis lambda is ||g / s^(1/2)||, O(n); the typed
+        # norm_dual on diag(s) solves with the factor diag(s^(1/2)) and
+        # returns the same double.
+        rng = np.random.default_rng(n)
+        quad = quad_make(np.geomspace(1.0, 1e6, n), seed=n)
+        basis = solver_mod._Eigenbasis.of(quad)
+        for _ in range(200):
+            g = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8)
+            assert basis.norm_dual(g) == norm_dual(basis.problem.a_op,
+                                                   DualVector(g))
 
 
 class TestSetUpCost:

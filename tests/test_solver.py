@@ -258,6 +258,33 @@ class TestQuadraticPath:
         assert len(tr) == 10_001
         assert retained / len(tr) <= 150.0
 
+    @pytest.mark.parametrize("general", [False, True])
+    def test_inverse_off_by_1e6_fails_at_a_named_k(self, monkeypatch,
+                                                   general):
+        # The loop never factors G_k, so nu's cross-check is what holds the
+        # maintained H_k to G_k's inverse: an update whose inverse is off by
+        # 1e-6 relative ends an instrumented kappa = 1e3 run at the first
+        # step that reads it, well above the derived floor
+        # (4 n eps cond(G_k), at most 1e-8 here).
+        loop_update = solver_mod.update_arrays
+
+        def off_update(*args):
+            g_plus, h_plus, phi, det_ratio = loop_update(*args)
+            return g_plus, h_plus * (1.0 + 1e-6), phi, det_ratio
+
+        monkeypatch.setattr(solver_mod, "update_arrays", off_update)
+        if general:
+            problem, run = lse_make(8, 20, mu=0.1, seed=424242,
+                                    gamma=1.0), run_general
+        else:
+            problem, run = quad_make(np.geomspace(1.0, 1e3, 8),
+                                     seed=4), run_quadratic
+        assert problem.ell / problem.mu <= 1e3
+        with pytest.raises(DivergenceError,
+                           match="iteration 1: closeness forms disagree"):
+            run(problem, PrimalVector(np.ones(8)), TauSchedule.bfgs(),
+                SolverConfig(max_iter=500))
+
 
 class TestGeneralPath:
     def test_converges_and_records(self, lse_trace):
