@@ -30,6 +30,13 @@ instance, schedule, solver settings and starting point; :func:`_solve` runs
 any of them.  Every experiment of a suite and every cell of a grid is built
 before the first write.
 
+Writing a run's output takes bounded memory, whatever the instance's size
+or the trace's length: ``summary.json``'s ``instance_hash`` digests the
+instance a matrix row at a time
+(:func:`~broyden_lab.problems.instance_hash`), and ``envelopes.csv``, like
+``trace.csv``, is written one block of rows at a time by
+:func:`~broyden_lab.solver.write_columns`.
+
 Every number read from a config, a grid or the command line passes one
 rule, :func:`~broyden_lab.operators.check_number`: JSON numbers only, with
 booleans, strings and null rejected; finite; and for an integer field (a
@@ -86,6 +93,7 @@ from .solver import (
     TauSchedule,
     run_general,
     run_quadratic,
+    write_columns,
     write_csv,
 )
 
@@ -228,18 +236,14 @@ def _check_output_dir(path: Path, files) -> None:
             raise ConfigError(f"output file {str(p)!r} already exists")
 
 
-def _report_rows(reports: list[EnvelopeReport], measured):
-    """Header and rows of envelopes.csv: k, the measured residual, then a
-    bound and a verdict column per report, empty where it has no entry."""
-    header = ["k", "measured"]
-    columns = [range(len(measured)), measured]
+def _write_envelopes(path, reports: list[EnvelopeReport], measured) -> None:
+    """Write envelopes.csv: k, the measured residual, then a bound and a
+    verdict column per report, empty where it has no entry."""
+    header, columns = ["k", "measured"], [measured]
     for rep in reports:
         header += [f"bound_{rep.name}", f"ok_{rep.name}"]
-        for values in (rep.bound, rep.satisfied):
-            column = np.full(len(measured), None, dtype=object)
-            column[rep.ks] = values.tolist()
-            columns.append(column)
-    return header, zip(*columns)
+        columns += [(rep.ks, rep.bound), (rep.ks, rep.satisfied)]
+    write_columns(path, header, len(measured), columns)
 
 
 def _solve(exp: _Experiment):
@@ -298,7 +302,7 @@ def _execute_experiment(exp: _Experiment) -> dict:
                "instance_hash": instance_hash(exp.problem), **result}
     if trace is not None:
         trace.to_csv(trace_csv)
-        write_csv(envelopes_csv, *_report_rows(reports, trace.lambdas))
+        _write_envelopes(envelopes_csv, reports, trace.lambdas)
     with open(summary_json, "w", newline="\n") as f:
         json.dump(summary, f, indent=1)
         f.write("\n")

@@ -18,7 +18,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "Role",
@@ -51,11 +50,27 @@ __all__ = [
     "check_same_dim",
 ]
 
-# Raw LAPACK handles.  The helpers below call them with the argument layout
-# that scipy.linalg's checked wrappers use, so the bits agree, but skip those
-# wrappers' validation: the raw-array solver loop calls them every iteration.
-_sygst, _potrs, _trtrs = scipy.linalg.get_lapack_funcs(
-    ("sygst", "potrs", "trtrs"), dtype=np.float64)
+
+class _Lapack:
+    """Raw float64 LAPACK handles by routine name (``_lapack.sygst``).
+
+    The helpers below call them with the argument layout that
+    scipy.linalg's checked wrappers use, so the bits agree, but skip those
+    wrappers' validation: the raw-array solver loop calls them every
+    iteration.  A handle is fetched from scipy on its first use and kept,
+    so a caller that needs none (``broyden-lab verify``) never imports
+    scipy.
+    """
+
+    def __getattr__(self, name: str):
+        import scipy.linalg
+
+        (handle,) = scipy.linalg.get_lapack_funcs((name,), dtype=np.float64)
+        setattr(self, name, handle)
+        return handle
+
+
+_lapack = _Lapack()
 
 # Relative symmetry tolerance and pivot floor for accepting a matrix as SPD.
 SYMMETRY_RTOL = 1e-12
@@ -221,7 +236,7 @@ def chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """M^{-1} rhs for a raw vector or matrix, from the C-ordered lower
     Cholesky factor L of M: one ``potrs``, laid out as
     ``scipy.linalg.cho_solve((chol, True), rhs)`` lays it out."""
-    x, info = _potrs(chol, rhs, lower=True)
+    x, info = _lapack.potrs(chol, rhs, lower=True)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of potrs")
     return x
@@ -231,7 +246,7 @@ def chol_factor_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """L^{-1} rhs for a raw vector or matrix, from the C-ordered lower
     Cholesky factor L: one ``trtrs`` on the Fortran-ordered L^T, as
     ``scipy.linalg.solve_triangular(chol, rhs, lower=True)`` lays it out."""
-    x, info = _trtrs(chol.T, rhs, lower=False, trans=True)
+    x, info = _lapack.trtrs(chol.T, rhs, lower=False, trans=True)
     if info != 0:
         raise ValueError(f"triangular solve failed (info={info})")
     return x
@@ -252,7 +267,7 @@ def pencil_eigvals(g: np.ndarray, a_chol: np.ndarray) -> np.ndarray:
     Both operands are passed transposed so they arrive Fortran-ordered:
     G^T = G, and A = U^T U with U = L^T upper triangular.
     """
-    reduced, info = _sygst(g.T, a_chol.T, itype=1, lower=0)
+    reduced, info = _lapack.sygst(g.T, a_chol.T, itype=1, lower=0)
     if info != 0:
         raise NotSpdError(f"generalized eigenvalue reduction failed (info={info})")
     try:

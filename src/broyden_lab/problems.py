@@ -22,7 +22,11 @@ rows once, and its ``gamma`` defaults to the largest of them.
 
 Instances are immutable and their oracles are pure; JSON serialization is
 provided for reproducible experiment definitions, and a key that an
-instance form does not read is refused.
+instance form does not read is refused.  One table of an instance's keys
+and values serves both :func:`instance_to_dict` and :func:`instance_hash`,
+the SHA-256 of that description's compact, key-sorted JSON text; the hash
+reads the text a matrix row at a time, so its memory does not grow with
+m * n.
 """
 
 from __future__ import annotations
@@ -466,29 +470,37 @@ def sandwich_check(p: ProblemInstance, x: PrimalVector, y: PrimalVector,
     return SandwichReport(r=r, factor=c, slacks=slacks, tol=tol)
 
 
-def instance_to_dict(p: ProblemInstance) -> dict:
-    """Canonical JSON-ready description (explicit data, no seeds)."""
+def _instance_fields(p: ProblemInstance) -> dict:
+    """The canonical description's keys and values, its vectors and
+    matrices kept as the instance's float64 arrays: what
+    :func:`instance_to_dict` writes and :func:`instance_hash` digests."""
     if isinstance(p, QuadraticProblem):
         return {
             "kind": "quadratic",
             "n": p.n,
-            "a": [list(map(float, row)) for row in p.a_op.entries],
-            "b": list(map(float, p.b.coords)),
-            "b_ref": [list(map(float, row)) for row in p.b_ref.entries],
+            "a": p.a_op.entries,
+            "b": p.b.coords,
+            "b_ref": p.b_ref.entries,
             "mu": p.mu,
             "ell": p.ell,
-            "spectrum": list(map(float, p.spectrum)),
+            "spectrum": p.spectrum,
         }
     return {
         "kind": "log_sum_exp",
         "n": p.n,
         "m": p.m,
-        "a_rows": [list(map(float, row)) for row in p.a_mat],
-        "b": list(map(float, p.b_shift)),
-        "b_ref": [list(map(float, row)) for row in p.b_ref.entries],
+        "a_rows": p.a_mat,
+        "b": p.b_shift,
+        "b_ref": p.b_ref.entries,
         "mu": p.mu,
         "gamma": p.gamma,
     }
+
+
+def instance_to_dict(p: ProblemInstance) -> dict:
+    """Canonical JSON-ready description (explicit data, no seeds)."""
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in _instance_fields(p).items()}
 
 
 def _reference(d: dict, n: int) -> SpdOperator:
@@ -570,7 +582,29 @@ def instance_from_dict(d: dict) -> ProblemInstance:
     return inst
 
 
+_compact_json = functools.partial(json.dumps, separators=(",", ":"))
+
+
 def instance_hash(p: ProblemInstance) -> str:
-    """Stable content hash of the canonical instance description."""
-    blob = json.dumps(instance_to_dict(p), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    """SHA-256 of the compact, key-sorted JSON text of
+    :func:`instance_to_dict`, in hex.
+
+    The text is fed to the hash a piece at a time, a matrix one row at a
+    time, so memory stays at one row's text whatever the instance's size.
+    """
+    digest = hashlib.sha256()
+    opening = "{"
+    for key, value in sorted(_instance_fields(p).items()):
+        digest.update(f"{opening}{_compact_json(key)}:".encode())
+        opening = ","
+        if isinstance(value, np.ndarray) and value.ndim == 2:
+            for i, row in enumerate(value):
+                digest.update(("," if i else "[").encode())
+                digest.update(_compact_json(row.tolist()).encode())
+            digest.update(b"]")
+        else:
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            digest.update(_compact_json(value).encode())
+    digest.update(b"}")
+    return digest.hexdigest()

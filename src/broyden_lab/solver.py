@@ -96,7 +96,6 @@ mutable state.
 
 from __future__ import annotations
 
-import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -248,7 +247,7 @@ class SolverConfig:
 _ROW_COLUMNS = ("lambda", "g", "r", "xi", "nu", "v", "psi", "eig_min",
                 "eig_max", "tau", "est_error", "j_eig_min", "j_eig_max")
 _CSV_COLUMNS = ("k",) + _ROW_COLUMNS[:10]
-# Rows that trace.csv formats at once.
+# Rows that write_columns formats at once (trace.csv and envelopes.csv).
 _CSV_BLOCK = 4096
 # The per-iterate objects a recorded run keeps, one list each: the iterate,
 # its gradient, the step (None where there is none), G_k, H_k and the step
@@ -279,6 +278,38 @@ def _write_cells(path, header, rows) -> None:
     with open(path, "w", newline="\n") as f:
         f.write(",".join(header) + "\n")
         f.writelines(",".join(row) + "\n" for row in rows)
+
+
+def _block_cells(column, start: int, stop: int):
+    """The cells of rows start..stop-1 of one :func:`write_columns` column,
+    formatted as they are read (the repr of a float, NaN included, is
+    :func:`_fmt`'s cell for it)."""
+    if not isinstance(column, tuple):
+        return map(repr, column[start:stop].tolist())
+    ks, values = column
+    lo, hi = np.searchsorted(ks, (start, stop))
+    entries = np.full(stop - start, None, dtype=object)
+    entries[ks[lo:hi] - start] = values[lo:hi].tolist()
+    return map(_fmt, entries.tolist())
+
+
+def write_columns(path, header, n_rows: int, columns) -> None:
+    """Write ``n_rows`` rows: the row index k, then one cell per column.
+
+    A column is a float array with one entry per row, or a ``(ks, values)``
+    pair whose ``values[i]``, a float or a bool flag, is the entry of row
+    ``ks[i]`` (``ks`` ascending), empty on every other row.  The bytes are
+    those of :func:`write_csv` for the same cells, read a column at a time,
+    one block of ``_CSV_BLOCK`` rows at a time, so a long column is never
+    held as Python objects.
+    """
+    def rows():
+        for start in range(0, n_rows, _CSV_BLOCK):
+            stop = min(start + _CSV_BLOCK, n_rows)
+            yield from zip(map(str, range(start, stop)),
+                           *(_block_cells(col, start, stop) for col in columns))
+
+    _write_cells(path, header, rows())
 
 
 @dataclass
@@ -342,16 +373,10 @@ class IterationTrace:
         return (np.flatnonzero(lam[2:] >= lam[1:-1]) + 2).tolist()
 
     def to_csv(self, path) -> None:
-        """Write trace.csv: the bytes :func:`write_csv` writes for these
-        rows, formatted a column at a time (the repr of a float is
-        :func:`_fmt`'s cell for it, NaN included), one block of rows at a
-        time so a long trace is never held as Python floats."""
-        cols = [getattr(self, name + "s") for name in _CSV_COLUMNS[1:]]
-        blocks = (zip(map(str, range(start, start + _CSV_BLOCK)),
-                      *(map(repr, col[start:start + _CSV_BLOCK].tolist())
-                        for col in cols))
-                  for start in range(0, len(self), _CSV_BLOCK))
-        _write_cells(path, _CSV_COLUMNS, itertools.chain.from_iterable(blocks))
+        """Write trace.csv through :func:`write_columns`: k and the first
+        ten columns of a row."""
+        write_columns(path, _CSV_COLUMNS, len(self),
+                      [getattr(self, name + "s") for name in _CSV_COLUMNS[1:]])
 
 
 def _lost_definiteness(k: int, why: str) -> DivergenceError:

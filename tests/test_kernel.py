@@ -216,8 +216,9 @@ def count_decompositions(monkeypatch, counts):
     for mod, name in ((np.linalg, "svd"), (np.linalg._linalg, "svd"),
                       (scipy.linalg, "svd"), (scipy.linalg, "svdvals")):
         monkeypatch.setattr(mod, name, counting(counts, "svd", getattr(mod, name)))
-    monkeypatch.setattr(operators_mod, "_sygst",
-                        counting(counts, "reduction", operators_mod._sygst))
+    monkeypatch.setattr(operators_mod._lapack, "sygst",
+                        counting(counts, "reduction",
+                                 operators_mod._lapack.sygst))
 
 
 class TestDecompositionCount:

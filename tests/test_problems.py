@@ -1,6 +1,9 @@
 """Problem instances: oracles, certified constants, quadrature, serialization."""
 
+import hashlib
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -463,3 +466,51 @@ class TestSerialization:
     def test_quadratic_spec_needs_data(self):
         with pytest.raises(ValueError):
             instance_from_dict({"kind": "quadratic", "mu": 1.0})
+
+
+# A reference operator B != I shared by the explicit pinned instances.
+_B_REF = [[2.0, 0.5, 0.0], [0.5, 1.5, 0.0], [0.0, 0.0, 1.0]]
+# instance_hash digests that verdicts are tied to: each must stay as it is,
+# and each is the one-shot digest of the reference form below.
+_PINNED_DIGESTS = [
+    ({"kind": "quadratic", "a": [[4.0, 1.0, 0.5], [1.0, 3.0, 0.25],
+                                 [0.5, 0.25, 2.0]],
+      "b": [1.0, -2.0, 0.5], "b_ref": _B_REF, "mu": 0.5, "ell": 10.0},
+     "a0b78a788a25790bad1581614ff9f6e7aa728141b29327c09e63503d659771ca"),
+    ({"kind": "quadratic", "spectrum": [2.5], "seed": 3},
+     "9700068bf33399434edd2903b7168813ba7cdc423067f38d73612e8c8fb94b25"),
+    # The lse-general benchmark instance at seed 1.
+    ({"kind": "log_sum_exp", "n": 100, "m": 400, "mu": 0.005, "gamma": 1.0,
+      "seed": 7919},
+     "b5fbb32b5d5ce8b9dba6a149e5247c48988da11518bc5f6bf45298f7a01a023a"),
+    ({"kind": "log_sum_exp", "a_rows": [[1.0, -0.5, 0.25], [0.3, 0.2, -1.0]],
+      "b": [0.1, -0.2], "b_ref": _B_REF, "mu": 0.3, "gamma": 2.0},
+     "2f1df8b4e3c94a3d6975e4cb3dba7e22a804d8786a2956717d12d010d18973bd"),
+]
+
+
+class TestInstanceHash:
+    @pytest.mark.parametrize("spec,digest", _PINNED_DIGESTS,
+                             ids=["quad_b_ref", "quad_n1", "lse_general",
+                                  "lse_b_ref_gamma"])
+    def test_pinned_digest(self, spec, digest):
+        inst = instance_from_dict(spec)
+        assert instance_hash(inst) == digest
+        # The reference form: SHA-256 of the compact, key-sorted JSON text
+        # of instance_to_dict, built in one piece.
+        blob = json.dumps(instance_to_dict(inst), sort_keys=True,
+                          separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+    def test_hash_memory_does_not_grow_with_the_instance(self):
+        # Hashed row by row, the 0.38 MiB n = 100, m = 400 instance holds
+        # one row's text at a time; as one JSON string and its Python lists
+        # it would hold 6.2 MiB.
+        inst = lse_make(100, 400, 0.005)
+        tracemalloc.start()
+        try:
+            instance_hash(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 2 ** 20

@@ -3,7 +3,10 @@
 import ast
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from broyden_lab.cli import main
@@ -55,3 +58,17 @@ def test_only_operators_imports_scipy():
             if any(name.split(".")[0] == "scipy" for name in names):
                 importers.add(path.name)
     assert importers == {"operators.py"}
+
+
+def test_verify_never_imports_scipy():
+    # operators fetches its LAPACK handles on first use, and verify's suites
+    # call only numpy, so a verify run loads no scipy.
+    code = ("import sys; from broyden_lab.cli import main; "
+            "main(['verify', '--trials', '2']); "
+            "sys.exit('scipy' in sys.modules)")
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=path), text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "scalar_gap" in proc.stdout

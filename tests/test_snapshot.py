@@ -34,6 +34,20 @@ def test_verify_small_seed0(tmp_path, capsys):
     assert str(tmp_path) not in "\n".join(lines)
 
 
+def test_lse_general_seed1_instance_hash(tmp_path, capsys):
+    # The end-to-end pin of the hash: this digest was recorded when the
+    # instance was still hashed as one JSON string.
+    tool = load_snapshot()
+    assert tool.main([str(tmp_path), "--workload", "lse-general",
+                      "--seed", "1"]) == 0
+    assert capsys.readouterr().out == "lse-general-1: exit 0\n"
+    work = tmp_path / "lse-general-1"
+    assert (work / "exit_code.txt").read_text() == "0\n"
+    summary = (work / "out" / "lse" / "summary.json").read_text()
+    assert ('"instance_hash": "b5fbb32b5d5ce8b9dba6a149e5247c48988da11518bc5f6'
+            'bf45298f7a01a023a"') in summary
+
+
 def test_wall_times_masked(tmp_path):
     tool = load_snapshot()
     (tmp_path / "stdout.txt").write_text(

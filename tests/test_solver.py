@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import broyden_lab.cli as cli_mod
 import broyden_lab.problems as problems_mod
 import broyden_lab.solver as solver_mod
 from broyden_lab import (
@@ -25,6 +26,7 @@ from broyden_lab import (
     run_general,
     run_quadratic,
     secant_residual,
+    trace_reports,
 )
 
 
@@ -510,6 +512,54 @@ class TestExports:
         assert data == (tmp_path / "cells.csv").read_bytes()
         assert b",nan," in data and b",-0.0," in data and b",-inf," in data
 
+    @pytest.mark.parametrize("general", [False, True])
+    def test_envelope_columns_write_the_cell_bytes(self, tmp_path, rng,
+                                                   monkeypatch, general):
+        # envelopes.csv goes through trace.csv's block writer; its bytes are
+        # those of write_csv's per-cell formatting of the report columns,
+        # for reports that start at k = 0 and at k = 1.
+        monkeypatch.setattr(solver_mod, "_CSV_BLOCK", 7)
+        if general:
+            p = lse_make(3, 6, mu=0.3, seed=54, gamma=1.0)
+            tr = run_general(p, PrimalVector(np.full(3, 0.5)),
+                             TauSchedule.bfgs(), SolverConfig(max_iter=100))
+            names = ("general_linear", "general_superlinear")
+        else:
+            q = quad_make(np.geomspace(1.0, 10.0, 4), seed=50)
+            tr = run_quadratic(q, PrimalVector(rng.standard_normal(4)),
+                               TauSchedule.bfgs(), SolverConfig(max_iter=100))
+            names = ("quad_linear", "quad_superlinear")
+        reports = trace_reports(tr, names)
+        assert {int(r.ks[0]) for r in reports} == {0, 1} and len(tr) > 14
+        reports[-1].bound[:2] = (np.nan, np.inf)
+        cli_mod._write_envelopes(tmp_path / "columns.csv", reports,
+                                 tr.lambdas)
+        solver_mod.write_csv(tmp_path / "cells.csv",
+                             *_envelope_cells(reports, tr.lambdas))
+        data = (tmp_path / "columns.csv").read_bytes()
+        assert data == (tmp_path / "cells.csv").read_bytes()
+        assert data.splitlines()[1].endswith(b",,")
+
+    def test_envelope_csv_peaks_no_higher_than_trace_csv(self, tmp_path):
+        # Both files are written a block of rows at a time, so a long trace
+        # is never held as Python objects; envelopes.csv has fewer float
+        # columns than trace.csv, even with every report.
+        tr = _synthetic_trace(20_001)
+        reports = trace_reports(tr, ("quad_linear", "quad_superlinear",
+                                     "general_linear", "general_superlinear"))
+        peaks = []
+        for write in (lambda: tr.to_csv(tmp_path / "trace.csv"),
+                      lambda: cli_mod._write_envelopes(
+                          tmp_path / "envelopes.csv", reports, tr.lambdas)):
+            tracemalloc.start()
+            try:
+                write()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        trace_peak, envelopes_peak = peaks
+        assert envelopes_peak <= trace_peak
+
     def test_csv_roundtrip_values(self, tmp_path, rng):
         q = quad_make([1.0, 6.0], seed=51)
         tr = run_quadratic(q, PrimalVector(rng.standard_normal(2)),
@@ -528,6 +578,34 @@ class TestExports:
         assert tr.converged
         assert np.all(np.isnan(tr.lambdas))
         assert np.all(np.isnan(tr.vs))
+
+
+def _envelope_cells(reports, measured):
+    """envelopes.csv's header and rows cell by cell, for write_csv: each
+    report column is None where the report has no entry."""
+    header = ["k", "measured"]
+    columns = [range(len(measured)), measured]
+    for rep in reports:
+        header += [f"bound_{rep.name}", f"ok_{rep.name}"]
+        for values in (rep.bound, rep.satisfied):
+            column = np.full(len(measured), None, dtype=object)
+            column[rep.ks] = values.tolist()
+            columns.append(column)
+    return header, zip(*columns)
+
+
+def _synthetic_trace(rows: int):
+    """A trace of ``rows`` iterates with made-up columns: a geometric
+    residual and distortions just above 1, so every envelope is finite."""
+    rng = np.random.default_rng(81)
+    cols = {name + "s": rng.uniform(0.5, 2.0, rows)
+            for name in solver_mod._ROW_COLUMNS}
+    cols["lambdas"] = np.geomspace(1.0, 1e-12, rows)
+    cols["xis"] = 1.0 + rng.uniform(0.0, 1e-3, rows)
+    return solver_mod.IterationTrace(
+        problem=quad_make(np.geomspace(1.0, 10.0, 4), seed=80),
+        schedule=TauSchedule.bfgs(), x_final=PrimalVector(np.zeros(4)),
+        converged=True, **cols)
 
 
 def _zero_step_quadratic():
