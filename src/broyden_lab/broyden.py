@@ -87,8 +87,11 @@ def _nonzero_direction(a: SpdOperator, g: SpdOperator, u: PrimalVector,
 
 
 def _positive_pairings(au_u, gu_u, aha):
-    """Where the three update pairings are positive, as SPD inputs make them."""
-    return (au_u > 0.0) & (gu_u > 0.0) & (aha > 0.0)
+    """Where the three update pairings are positive and finite, as SPD
+    inputs make them."""
+    return ((0.0 < au_u) & (au_u < math.inf)
+            & (0.0 < gu_u) & (gu_u < math.inf)
+            & (0.0 < aha) & (aha < math.inf))
 
 
 def _scalars(au, g_mat, u, solve_g, check=True):
@@ -98,40 +101,22 @@ def _scalars(au, g_mat, u, solve_g, check=True):
     the secant y = grad f(x + u) - grad f(x) on the solver's general path.
     Every argument may carry leading batch axes.  ``solve_g`` applies G^{-1}
     to (a stack of) vectors: the maintained inverse on the raw-array path,
-    the cached factorization on the typed one.  With ``check`` a
-    non-positive pairing raises; without it the caller masks the updates
-    :func:`_positive_pairings` rejects.
+    the cached factorization on the typed one.  With ``check``, which takes
+    one direction, a pairing that is not positive and finite raises: the
+    solver's only check of G and H on a run without instrumentation.
+    Without it the caller masks the updates :func:`_positive_pairings`
+    rejects.
     """
     gu = np.matvec(g_mat, u)
     au_u = np.vecdot(au, u)
     gu_u = np.vecdot(gu, u)
     z = solve_g(au)
     aha = np.vecdot(au, z)
-    if check and not _positive_pairings(au_u, gu_u, aha).all():
-        raise _pairing_error(au_u, gu_u, aha)
-    return au, gu, au_u, gu_u, z, aha
-
-
-def _pairing_error(au_u, gu_u, aha) -> ArithmeticError:
-    return ArithmeticError(
-        "update pairings must be positive for SPD inputs; "
-        f"got <Au,u>={au_u}, <Gu,u>={gu_u}, <AG^-1Au,u>={aha}"
-    )
-
-
-def _vector_scalars(au, g_mat, h_mat, u):
-    """:func:`_scalars` for one plain direction, with G^{-1} applied through
-    the maintained inverse ``h_mat``: the same products, with the three
-    pairings as Python floats.  A pairing that is not positive and finite
-    raises: this is the solver's only check of G and H on a run without
-    instrumentation."""
-    gu = np.matvec(g_mat, u)
-    z = np.matvec(h_mat, au)
-    au_u = float(np.vecdot(au, u))
-    gu_u = float(np.vecdot(gu, u))
-    aha = float(np.vecdot(au, z))
-    if not all(0.0 < v < math.inf for v in (au_u, gu_u, aha)):
-        raise _pairing_error(au_u, gu_u, aha)
+    if check and not _positive_pairings(au_u, gu_u, aha):
+        raise ArithmeticError(
+            "update pairings must be positive for SPD inputs; "
+            f"got <Au,u>={au_u}, <Gu,u>={gu_u}, <AG^-1Au,u>={aha}"
+        )
     return au, gu, au_u, gu_u, z, aha
 
 
@@ -221,10 +206,10 @@ def update_arrays(au, g_mat, h_mat, u, tau):
     operators change by a rank-two correction with a 2x2 core, so the update
     costs O(n^2), with the inverse maintained by the rank-two inverse formula
     instead of refactorizing.  It is :func:`_apply_update` for one plain
-    direction, with its scalars as Python floats.
+    direction, with G^{-1} applied through ``h_mat``.
     """
-    return _apply_update(g_mat, h_mat, u, _vector_scalars(au, g_mat, h_mat, u),
-                         tau)
+    scalars = _scalars(au, g_mat, u, lambda v: np.matvec(h_mat, v))
+    return _apply_update(g_mat, h_mat, u, scalars, tau)
 
 
 def phi_tau(a: SpdOperator, g: SpdOperator, u: PrimalVector, tau: float) -> float:
@@ -266,8 +251,8 @@ def broyd_inverse(a: SpdOperator, g: SpdOperator, u: PrimalVector,
     tau = check_tau(tau)
     uc = _nonzero_direction(a, g, u, "inverse update")
     h_mat = g.inverse_matrix()
-    _, _, au_u, _, z, aha = _vector_scalars(np.matvec(a.entries, uc),
-                                             g.entries, h_mat, uc)
+    _, _, au_u, _, z, aha = _scalars(np.matvec(a.entries, uc), g.entries, uc,
+                                     lambda v: np.matvec(h_mat, v))
     h_plus = _rank_two(h_mat, z, uc, _inverse_core(tau, au_u, aha))
     return SpdOperator(h_plus, Role.DUAL_TO_PRIMAL)
 

@@ -115,38 +115,14 @@ def spd_factor(m: np.ndarray):
     a Cholesky factor whose squared pivots all exceed ``PIVOT_RTOL`` times
     that entry.  Returns ``(sym, chol, fault)``: the symmetrized matrices,
     their lower Cholesky factors and one fault code per matrix (an index
-    into ``SPD_FAULTS``; a plain int for a single matrix).  A rejected
-    matrix gets the identity as its factor, so a stack keeps computing and
-    the caller masks its results.
+    into ``SPD_FAULTS``; for a single (n, n) matrix, the stack with no
+    batch axes, a 0-d int array).  A rejected matrix gets the identity as
+    its factor, so a stack keeps computing and the caller masks its results.
 
     The symmetrized part is 0.5 m + 0.5 m^T: each entry lies between the
     two it averages, so it is finite wherever m is (0.5 (m + m^T) overflows
-    near the largest double), and a non-finite m is refused as such.  A
-    single matrix that is exactly symmetric is its own symmetrized part and
-    is returned as it is, not copied.
+    near the largest double), and a non-finite m is refused as such.
     """
-    if m.ndim == 2:
-        # One matrix, as the solver checks each iterate: the same tests on
-        # Python scalars, without the masking a stack needs.
-        scale = float(np.abs(m).max())
-        if not (math.isfinite(scale) and scale > 0.0):
-            with np.errstate(invalid="ignore"):
-                sym = 0.5 * m + 0.5 * m.T
-            return sym, np.eye(m.shape[0]), 1 if scale != 0.0 else 2
-        if (m == m.T).all():  # an asymmetry that measures exactly 0
-            sym = m
-        else:
-            sym = 0.5 * m + 0.5 * m.T
-            with np.errstate(over="ignore"):
-                asym = float(np.abs(m - m.T).max())
-            if not asym <= SYMMETRY_RTOL * scale:
-                return sym, np.eye(m.shape[0]), 3
-        try:
-            chol = np.linalg.cholesky(sym)
-        except np.linalg.LinAlgError:
-            return sym, np.eye(m.shape[0]), 4
-        return sym, chol, (5 if float(chol.diagonal().min()) ** 2
-                           <= PIVOT_RTOL * scale else 0)
     with np.errstate(invalid="ignore", over="ignore"):
         scale = np.abs(m).max(axis=(-2, -1))
         asym = np.abs(m - m.mT).max(axis=(-2, -1))
@@ -389,9 +365,11 @@ class SpdOperator:
     @classmethod
     def _accepted(cls, sym: np.ndarray, chol: np.ndarray,
                   role: Role) -> "SpdOperator":
-        """The operator of a matrix that :func:`spd_factor` accepted, from
-        the symmetrized entries and factor it returned, without factoring
-        again: what construction from that matrix would store."""
+        """The operator of symmetric entries and their lower Cholesky
+        factor, stored as given without the SPD rule: the diag(s) and I of
+        :meth:`QuadraticProblem.eigenbasis`, whose factors are known.  The
+        rule's pivot floor would refuse a diag(s) with kappa >= 1e14, a
+        start the eigenbasis runs."""
         op = object.__new__(cls)
         object.__setattr__(op, "entries", _as_readonly(sym))
         object.__setattr__(op, "role", role)

@@ -351,11 +351,6 @@ def lse_value_grad_hess(p: LogSumExpProblem,
     return f, DualVector(g), p.hess(x)
 
 
-def lse_softmax(p: LogSumExpProblem, x: PrimalVector) -> np.ndarray:
-    """Softmax weights at x; strictly positive and summing to one."""
-    return _lse_value_grad(p, x.coords)[2]
-
-
 @functools.lru_cache(maxsize=16)
 def _gauss_legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only nodes and weights of the ``order``-point rule on [0, 1]."""

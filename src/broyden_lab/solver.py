@@ -104,7 +104,6 @@ import numpy as np
 
 from .broyden import _EPS, ZERO_DIRECTION_NORM, check_tau, update_arrays
 from .operators import (
-    SPD_FAULTS,
     DualVector,
     NotSpdError,
     PrimalVector,
@@ -115,7 +114,6 @@ from .operators import (
     check_number,
     norm_dual,
     pencil_eigvals,
-    spd_factor,
 )
 from .potentials import spectral_barriers
 
@@ -384,13 +382,13 @@ def _lost_definiteness(k: int, why: str) -> DivergenceError:
 
 
 def _snapshot(k: int, m: np.ndarray, role: Role) -> SpdOperator:
-    """A recorded operator: ``m`` if it passes the SPD rule of
-    :func:`operators.spd_factor`, kept as construction would keep it; a
-    :class:`DivergenceError` at iteration ``k`` otherwise."""
-    sym, chol, fault = spd_factor(m)
-    if fault:
-        raise _lost_definiteness(k, SPD_FAULTS[fault])
-    return SpdOperator._accepted(sym, chol, role)
+    """A recorded operator: ``SpdOperator(m, role)``, or a
+    :class:`DivergenceError` at iteration ``k`` if ``m`` fails its SPD
+    rule."""
+    try:
+        return SpdOperator(m, role)
+    except NotSpdError as exc:
+        raise _lost_definiteness(k, str(exc)) from None
 
 
 def _spectrum(k: int, eigvals, *args) -> tuple[np.ndarray, float, float]:

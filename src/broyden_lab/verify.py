@@ -18,12 +18,12 @@ and goes through stacked LAPACK calls and the solver's own update kernel
 is bitwise the value of its triple alone, so no result depends on how the
 draws were grouped.  The stack gets every check the typed API makes on one
 triple: A, G and each G_plus, H_plus pass the ``SpdOperator`` acceptance
-rule, the three update pairings are positive, the two closeness formulas
-agree and relative spectra are positive.  A triple that fails one of them,
-or yields a non-finite value, is the suite's witness with worst value
-+-inf (a FAIL) rather than an exception.  The scalar gap evaluates its
-whole (alpha, beta) grid as arrays, under the same rule for a non-finite
-value.
+rule, the three update pairings are positive and finite, the two closeness
+formulas agree and relative spectra are positive.  A triple that fails
+one of them, or yields a non-finite value, is the suite's witness with
+worst value +-inf (a FAIL) rather than an exception.  The scalar gap
+evaluates its whole (alpha, beta) grid as arrays, under the same rule for
+a non-finite value.
 
 Each random suite is one evaluator over a stack, which yields per tau
 whether each value counts, the intermediate values and the value itself.
@@ -38,14 +38,13 @@ failure.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import broyden as kernel
-from .operators import Role, SpdOperator, chol_logdet, rel_eigen_range, spd_factor
+from .operators import chol_logdet, spd_factor
 from .potentials import (
     SCALAR_GAP_CONST,
     SCALAR_GAP_MIDDLE_CONST,
@@ -61,7 +60,7 @@ from .problems import haar_spd
 # stay importable here because perfbench/tracer.py wraps the typed
 # per-triple API under this module's names.
 from .broyden import broyd, broyd_det_ratio, nu  # noqa: F401
-from .operators import rel_det  # noqa: F401
+from .operators import rel_det, rel_eigen_range  # noqa: F401
 from .problems import random_orthogonal  # noqa: F401
 from .potentials import (  # noqa: F401
     augmented_barrier,
@@ -72,10 +71,6 @@ from .potentials import (  # noqa: F401
 
 __all__ = [
     "CheckResult",
-    "random_spd",
-    "random_spd_dominating",
-    "random_spd_matrix",
-    "random_dominating_matrix",
     "TAU_GRID",
     "SUITES",
     "inverse_identity_suite",
@@ -157,48 +152,6 @@ def _dominating_stack(a: np.ndarray, z: np.ndarray,
     return 0.5 * (m + m.mT)
 
 
-def random_spd_matrix(rng: np.random.Generator, n: int,
-                      log_cond_max: float = 3.0) -> np.ndarray:
-    """Random exactly symmetric SPD matrix with log-uniform spectrum,
-    condition <= 10^log_cond_max: a one-matrix stack of the suites' draw."""
-    eigs, z = _draw_spd(rng, n, log_cond_max)
-    return haar_spd(eigs[None], z[None])[0]
-
-
-def random_dominating_matrix(rng: np.random.Generator,
-                             a_mat: np.ndarray) -> np.ndarray:
-    """Random exactly symmetric G with A below G in the semidefinite order:
-    a one-matrix stack of the suites' draw."""
-    z, scale = _draw_bump(rng, a_mat.shape[0])
-    return _dominating_stack(a_mat[None], z[None], np.array([scale]))[0]
-
-
-def random_spd(rng: np.random.Generator, n: int,
-               log_cond_max: float = 3.0) -> SpdOperator:
-    """:func:`random_spd_matrix` as a validated operator."""
-    return SpdOperator(random_spd_matrix(rng, n, log_cond_max),
-                       Role.PRIMAL_TO_DUAL)
-
-
-def random_spd_dominating(rng: np.random.Generator,
-                          a: SpdOperator) -> SpdOperator:
-    """:func:`random_dominating_matrix` as a validated operator."""
-    return SpdOperator(random_dominating_matrix(rng, a.entries),
-                       Role.PRIMAL_TO_DUAL)
-
-
-def straddle_normalize(g: SpdOperator, a: SpdOperator) -> SpdOperator:
-    """Rescale G so its eigenvalue range relative to A straddles 1.
-
-    Every update pins a relative eigenvalue at exactly 1 (the secant
-    direction), so range-containment statements are exact only for brackets
-    of the form [1/xi, eta] with xi, eta >= 1.  Geometric centering puts an
-    arbitrary pair into that regime without changing its geometry.
-    """
-    rng_ga = rel_eigen_range(g, a)
-    return g.scaled(1.0 / math.sqrt(rng_ga.min_rel * rng_ga.max_rel))
-
-
 def _draw(rng: np.random.Generator, n_max: int, dominating: bool):
     """The raw inputs of one (A, G, u) triple, drawn without assembling a
     matrix: (n, A's spectrum, A's Gaussian block, G's spectrum and block or
@@ -258,7 +211,8 @@ class _Stack:
     """A stack of triples with the factors and update scalars every suite uses.
 
     ``ok`` marks the triples the typed API would accept: A and G pass the
-    SPD rule and the three update pairings are positive.
+    SPD rule and the three update pairings are positive and finite, the
+    rule :func:`broyden.update_arrays` applies in the solver.
     """
 
     def __init__(self, a, g, u):

@@ -45,7 +45,8 @@ from broyden_lab import (
 )
 from broyden_lab.cli import cmd_sweep
 from broyden_lab.potentials import SCALAR_GAP_MIDDLE_CONST
-from broyden_lab.verify import random_spd, random_spd_dominating, straddle_normalize
+
+from helpers import random_spd, random_spd_dominating, straddle_normalize
 
 TAU_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import broyden_lab.broyden as broyden_mod
 import broyden_lab.cli as cli_mod
 import broyden_lab.operators as operators_mod
 import broyden_lab.problems as problems_mod
@@ -43,7 +42,8 @@ from broyden_lab import (
     spectral_barriers,
 )
 from broyden_lab.broyden import update_arrays
-from broyden_lab.verify import random_spd
+
+from helpers import random_spd
 
 KERNEL_TAUS = (0.0, 0.3, 1.0)
 TOL = 1e-12
@@ -104,24 +104,6 @@ class TestRankTwoKernel:
         )
         assert np.array_equal(g_plus, g_plus.T)
         assert np.array_equal(h_plus, h_plus.T)
-
-    def test_one_vector_path_is_the_batched_kernel_bitwise(self, rng):
-        # update_arrays takes its pairings as Python floats; the batched
-        # scalars verify stacks must give the same bits.
-        for n in (1, 3, 8, 30):
-            a, g = random_spd(rng, n), random_spd(rng, n)
-            h = np.linalg.inv(g.entries)
-            h = 0.5 * (h + h.T)
-            u = rng.standard_normal(n)
-            au = a.entries @ u
-            for tau in KERNEL_TAUS:
-                scalars = broyden_mod._scalars(
-                    au, g.entries, u, lambda v: np.matvec(h, v))
-                batched = broyden_mod._apply_update(g.entries, h, u, scalars,
-                                                    tau)
-                one = update_arrays(au, g.entries, h, u, tau)
-                for x, ref in zip(one, batched):
-                    assert np.array_equal(x, ref)
 
     def test_typed_entry_points_agree_with_broyd(self, rng):
         for _ in range(25):

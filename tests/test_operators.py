@@ -33,9 +33,9 @@ from broyden_lab.operators import (
     chol_solve,
     spd_factor,
 )
-from broyden_lab.verify import random_spd
 
 from conftest import spd_from_spectrum
+from helpers import random_spd
 
 
 def diag_op(values, role=Role.PRIMAL_TO_DUAL):
@@ -281,8 +281,9 @@ class TestSolve:
 
 
 class TestRawHelpers:
-    """The raw LAPACK helpers the solver loop calls, and the one-matrix path
-    of the SPD rule, against the checked forms they replace."""
+    """The raw LAPACK helpers the solver loop calls against the checked
+    forms they replace, and the SPD rule on one matrix against the rule on
+    a one-matrix stack."""
 
     def test_solves_match_the_scipy_wrappers_bitwise(self, rng):
         for n in (1, 2, 5, 30):
@@ -336,13 +337,6 @@ class TestRawHelpers:
         # det = 1.7e308^2 (1 - 0.1^2)
         assert op.logdet == pytest.approx(
             2.0 * math.log(1.7e308) + math.log1p(-0.01), rel=1e-14)
-
-    def test_exactly_symmetric_matrix_is_returned_as_is(self, rng):
-        m = random_spd(rng, 5).entries.copy()
-        assert spd_factor(m)[0] is m
-        m[0, -1] += 1e-14 * abs(m[0, -1])
-        sym = spd_factor(m)[0]
-        assert sym is not m and np.array_equal(sym, 0.5 * m + 0.5 * m.T)
 
     def test_typed_solves_check_the_rhs(self):
         # The typed solves reach the raw helpers, which do not scan their

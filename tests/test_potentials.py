@@ -22,9 +22,9 @@ from broyden_lab import (
     scalar_gap,
 )
 from broyden_lab.potentials import SCALAR_GAP_CONST, SCALAR_GAP_MIDDLE_CONST
-from broyden_lab.verify import random_spd, random_spd_dominating
 
 from conftest import spd_from_spectrum
+from helpers import random_spd, random_spd_dominating
 
 TAUS = (0.0, 0.25, 0.5, 0.75, 1.0)
 

@@ -27,8 +27,9 @@ from broyden_lab import (
     rel_eigen_range,
     sandwich_check,
 )
-from broyden_lab.problems import _gauss_legendre_rule, lse_softmax
-from broyden_lab.verify import random_spd
+from broyden_lab.problems import _gauss_legendre_rule
+
+from helpers import lse_softmax, random_spd
 
 
 def grad_fd(f, x, h=1e-6):

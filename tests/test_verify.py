@@ -27,12 +27,9 @@ from broyden_lab.potentials import (
     progress_lb_v,
     scalar_gap,
 )
-from broyden_lab.verify import (
-    TAU_GRID,
-    CheckResult,
-    random_spd,
-    random_spd_dominating,
-)
+from broyden_lab.verify import TAU_GRID, CheckResult
+
+from helpers import random_spd, random_spd_dominating
 
 TRIALS = 20
 RTOL, ATOL = 1e-9, 1e-12
@@ -391,6 +388,20 @@ def test_update_leaving_spd_cone_is_a_witnessed_fail(monkeypatch, capsys,
     oks = {tau: _replayed_row(out, tau)["ok"] for tau in TAU_GRID}
     assert oks == {tau: repr(tau != 0.5) for tau in TAU_GRID}
     assert out[-1].endswith("FAIL")
+
+
+def test_infinite_pairing_is_refused_as_the_solver_refuses_it():
+    """A triple whose pairings overflow to +inf (A = G = I, all finite, and
+    a huge u) is masked out of its stack, as the solver's update_arrays
+    refuses it: the two checks are one rule."""
+    eye = np.eye(2)
+    u = np.array([[1.0, 0.0], [1e200, 0.0]])
+    with np.errstate(over="ignore"):
+        stack = verify._Stack(np.stack([eye, eye]), np.stack([eye, eye]), u)
+        assert np.isinf(stack.scalars[2][1])
+        assert stack.ok.tolist() == [True, False]
+        with pytest.raises(ArithmeticError, match="pairings must be positive"):
+            broyden_mod.update_arrays(u[1], eye, eye, u[1], 0.5)
 
 
 def test_replay_prints_every_tau(capsys):
