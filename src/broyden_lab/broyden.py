@@ -5,6 +5,13 @@ the DFP component of the *inverse* update.  Alongside the updated operator we
 always produce its inverse from the closed-form rank-two inverse formula
 rather than by numerical inversion, and the determinant ratio of the update
 from its closed form, so both can be cross-checked against factorizations.
+
+An update costs O(n^2) in one stacked call: G changes by a rank-two
+correction with a 2x2 core in the basis [Au, Gu], H by one in [G^{-1}Au, u],
+and both are one (2, n, 2) basis, one (2, 2, 2) stack of cores, one pair of
+matmuls and one symmetrization (:func:`_rank_two`), whose two halves are
+G_plus and H_plus.  The solver loop, the verify stacks and the typed API all
+run that one kernel, :func:`_apply_update`.
 """
 
 from __future__ import annotations
@@ -81,7 +88,7 @@ def _direction(a: SpdOperator, g: SpdOperator, u: PrimalVector):
 def _nonzero_direction(a: SpdOperator, g: SpdOperator, u: PrimalVector,
                        what: str) -> np.ndarray:
     uc = _direction(a, g, u)
-    if float(np.linalg.norm(uc)) <= ZERO_DIRECTION_NORM:
+    if math.sqrt(float(uc @ uc)) <= ZERO_DIRECTION_NORM:
         raise ZeroDirectionError(f"{what} needs a nonzero direction")
     return uc
 
@@ -133,67 +140,85 @@ def _phi_det(tau, au_u, gu_u, aha):
     return phi, denom
 
 
-def _core(d0, cross, d1):
-    """Symmetric 2x2 core [[d0, cross], [cross, d1]] over leading batch axes.
+def _cores(*entries):
+    """C-ordered (..., k, 2, 2) stack of the symmetric 2x2 cores
+    [[d0, cross], [cross, d1]], one per ``(d0, cross, d1)`` triple, over
+    the entries' leading batch axes.
 
     C-ordered, so every core of a stack is multiplied as a lone core is (a
     strided core takes numpy's non-BLAS matmul loop, which rounds an n = 1
     product differently), and a stacked update is bitwise the update of
     each of its members.
     """
-    core = np.array([[d0, cross], [cross, d1]])
-    return np.ascontiguousarray(core.transpose(*range(2, core.ndim), 0, 1))
+    flat = np.array([v for d0, cross, d1 in entries
+                     for v in (d0, cross, cross, d1)])
+    core = flat.reshape((len(entries), 2, 2) + flat.shape[1:])
+    if core.ndim > 3:
+        core = np.ascontiguousarray(np.moveaxis(core, (0, 1, 2), (-3, -2, -1)))
+    return core
 
 
-def _rank_two(m, x, y, core):
-    """Symmetrized m + [x, y] core [x, y]^T for a symmetric 2x2 core: O(n^2).
+def _rank_two(ms, pairs, core):
+    """Symmetrized m + [x, y] core [x, y]^T for each member of a k-stack: O(n^2).
 
-    ``x`` and ``y`` share one shape; leading batch axes of every argument
-    broadcast.  The (..., n, 2) basis is filled in place, in the C order
-    np.stack would give it, without np.stack's call overhead.
+    ``ms`` holds the k addends, ``pairs`` the k ``(x, y)`` basis pairs, all
+    vectors of one shape, and ``core`` their (..., k, 2, 2) cores from
+    :func:`_cores`; the addends and cores broadcast against the vectors'
+    leading batch axes.  The (..., k, n, 2) basis is filled in place, in
+    the C order np.stack would give it, so the whole stack takes one pair
+    of matmuls and one symmetrization, and member i of the (..., k, n, n)
+    result is what a lone correction of ``ms[i]`` gives, bit for bit.
     """
-    basis = np.empty(x.shape + (2,))
-    basis[..., 0] = x
-    basis[..., 1] = y
+    x0 = pairs[0][0]
+    basis = np.empty(x0.shape[:-1] + (len(pairs),) + x0.shape[-1:] + (2,))
+    for i, (x, y) in enumerate(pairs):
+        basis[..., i, :, 0] = x
+        basis[..., i, :, 1] = y
     out = (basis @ core) @ basis.mT
-    out += m
+    for i, m in enumerate(ms):
+        out[..., i, :, :] += m
     sym = out + out.mT
     sym *= 0.5
     return sym
 
 
 def _primal_core(phi, au_u, gu_u):
-    """2x2 core of G_plus - G in the basis [Au, Gu].
+    """Core entries (d0, cross, d1) of G_plus - G in the basis [Au, Gu].
 
     phi * DFP + (1 - phi) * BFGS, where DFP contributes
     -(Au Gu^T + Gu Au^T)/<Au,u> + (<Gu,u>/<Au,u> + 1) Au Au^T/<Au,u> and BFGS
     contributes Au Au^T/<Au,u> - Gu Gu^T/<Gu,u>.
     """
-    return _core((1.0 + phi * gu_u / au_u) / au_u, -phi / au_u,
-                 -(1.0 - phi) / gu_u)
+    return ((1.0 + phi * gu_u / au_u) / au_u, -phi / au_u,
+            -(1.0 - phi) / gu_u)
 
 
 def _inverse_core(tau, au_u, aha):
-    """2x2 core of H_plus - H in the basis [G^{-1}Au, u], with z = G^{-1}Au.
+    """Core entries (d0, cross, d1) of H_plus - H in the basis
+    [G^{-1}Au, u], with z = G^{-1}Au.
 
     tau * DFP + (1 - tau) * BFGS, where DFP contributes
     u u^T/<Au,u> - z z^T/<Au,z> and BFGS contributes
     -(z u^T + u z^T)/<Au,u> + (<Au,z>/<Au,u> + 1) u u^T/<Au,u>.
     """
-    return _core(-tau / aha, -(1.0 - tau) / au_u,
-                 (1.0 + (1.0 - tau) * aha / au_u) / au_u)
+    return (-tau / aha, -(1.0 - tau) / au_u,
+            (1.0 + (1.0 - tau) * aha / au_u) / au_u)
 
 
 def _apply_update(g_mat, h_mat, u, scalars, tau):
     """``(g_plus, h_plus, phi, det_ratio)`` from the shared update scalars.
 
+    G and H change in one :func:`_rank_two` call on the pair: the basis
+    [Au, Gu] with the primal core for G, [G^{-1}Au, u] with the inverse core
+    for H.  The two results are the halves of one (..., 2, n, n) array.
     Batch axes broadcast, so one set of scalars serves every tau of a grid.
     """
     au, gu, au_u, gu_u, z, aha = scalars
     phi, det_ratio = _phi_det(tau, au_u, gu_u, aha)
-    g_plus = _rank_two(g_mat, au, gu, _primal_core(phi, au_u, gu_u))
-    h_plus = _rank_two(h_mat, z, u, _inverse_core(tau, au_u, aha))
-    return g_plus, h_plus, phi, det_ratio
+    pair = _rank_two((g_mat, h_mat), ((au, gu), (z, u)),
+                     _cores(_primal_core(phi, au_u, gu_u),
+                            _inverse_core(tau, au_u, aha)))
+    return pair[..., 0, :, :], pair[..., 1, :, :], phi, det_ratio
 
 
 def update_arrays(au, g_mat, h_mat, u, tau):
@@ -231,7 +256,7 @@ def broyd(a: SpdOperator, g: SpdOperator, u: PrimalVector, tau: float) -> Update
     """
     tau = check_tau(tau)
     uc = _direction(a, g, u)
-    if float(np.linalg.norm(uc)) <= ZERO_DIRECTION_NORM:
+    if math.sqrt(float(uc @ uc)) <= ZERO_DIRECTION_NORM:
         return UpdateResult(g_plus=g, g_plus_inv=g.inverse(), phi=tau, det_ratio=1.0)
     h_mat = g.inverse_matrix()
     g_plus, h_plus, phi, det_ratio = update_arrays(
@@ -253,7 +278,8 @@ def broyd_inverse(a: SpdOperator, g: SpdOperator, u: PrimalVector,
     h_mat = g.inverse_matrix()
     _, _, au_u, _, z, aha = _scalars(np.matvec(a.entries, uc), g.entries, uc,
                                      lambda v: np.matvec(h_mat, v))
-    h_plus = _rank_two(h_mat, z, uc, _inverse_core(tau, au_u, aha))
+    (h_plus,) = _rank_two((h_mat,), ((z, uc),),
+                          _cores(_inverse_core(tau, au_u, aha)))
     return SpdOperator(h_plus, Role.DUAL_TO_PRIMAL)
 
 

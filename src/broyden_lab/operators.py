@@ -41,7 +41,6 @@ __all__ = [
     "chol_logdet",
     "chol_solve",
     "chol_factor_solve",
-    "chol_inv_quad",
     "pencil_eigvals",
     "spectrum_extremes",
     "check_number",
@@ -121,16 +120,22 @@ def spd_factor(m: np.ndarray):
 
     The symmetrized part is 0.5 m + 0.5 m^T: each entry lies between the
     two it averages, so it is finite wherever m is (0.5 (m + m^T) overflows
-    near the largest double), and a non-finite m is refused as such.
+    near the largest double), and a non-finite m is refused as such.  Both
+    it and the asymmetry read one contiguous copy of m^T, the rule's one
+    strided pass.
     """
+    mt = m.mT.astype(float, order="C")
     with np.errstate(invalid="ignore", over="ignore"):
-        scale = np.abs(m).max(axis=(-2, -1))
-        asym = np.abs(m - m.mT).max(axis=(-2, -1))
-        sym = 0.5 * m + 0.5 * m.mT
+        diff = m - mt
+        asym = np.abs(diff, out=diff).max(axis=(-2, -1))
+        scale = np.abs(m, out=diff).max(axis=(-2, -1))
+        sym = 0.5 * m
+        mt *= 0.5
+        sym += mt
     # A NaN or infinite entry leaves the scale non-finite.
     fault = np.zeros(scale.shape, dtype=int)
     work = sym
-    sane = np.isfinite(scale) & (scale > 0.0) & (asym <= SYMMETRY_RTOL * scale)
+    sane = (0.0 < scale) & (scale < math.inf) & (asym <= SYMMETRY_RTOL * scale)
     if not sane.all():
         fault = np.where(~np.isfinite(scale), 1,
                          np.where(scale == 0.0, 2, np.where(sane, 0, 3)))
@@ -226,12 +231,6 @@ def chol_factor_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if info != 0:
         raise ValueError(f"triangular solve failed (info={info})")
     return x
-
-
-def chol_inv_quad(chol: np.ndarray, x: np.ndarray) -> float:
-    """<x, M^{-1}x> for a raw vector, as the squared norm of L^{-1}x."""
-    y = chol_factor_solve(chol, x)
-    return float(y @ y)
 
 
 def pencil_eigvals(g: np.ndarray, a_chol: np.ndarray) -> np.ndarray:
@@ -349,6 +348,9 @@ class SpdOperator:
     entries: np.ndarray
     role: Role = Role.PRIMAL_TO_DUAL
     _chol: np.ndarray = field(init=False, repr=False, compare=False)
+    # True only on an identity, from :meth:`identity` or ``_accepted(...,
+    # unit=True)`` (a class attribute, not a field): its solves skip LAPACK.
+    _unit = False
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
@@ -363,17 +365,20 @@ class SpdOperator:
         object.__setattr__(self, "_chol", _as_readonly(chol))
 
     @classmethod
-    def _accepted(cls, sym: np.ndarray, chol: np.ndarray,
-                  role: Role) -> "SpdOperator":
+    def _accepted(cls, sym: np.ndarray, chol: np.ndarray, role: Role,
+                  unit: bool = False) -> "SpdOperator":
         """The operator of symmetric entries and their lower Cholesky
         factor, stored as given without the SPD rule: the diag(s) and I of
         :meth:`QuadraticProblem.eigenbasis`, whose factors are known.  The
         rule's pivot floor would refuse a diag(s) with kappa >= 1e14, a
-        start the eigenbasis runs."""
+        start the eigenbasis runs.  ``unit`` marks I as :meth:`identity`
+        does."""
         op = object.__new__(cls)
         object.__setattr__(op, "entries", _as_readonly(sym))
         object.__setattr__(op, "role", role)
         object.__setattr__(op, "_chol", _as_readonly(chol))
+        if unit:
+            object.__setattr__(op, "_unit", True)
         return op
 
     @property
@@ -404,9 +409,18 @@ class SpdOperator:
             raise ValueError("array must not contain infs or NaNs")
         return b
 
+    def _solve(self, solve, rhs) -> np.ndarray:
+        """``solve(factor, rhs)`` for a checked right-hand side.  The
+        identity's factor is I, so its solve returns the right-hand side
+        itself, with no LAPACK call: a fresh Fortran-ordered array, as
+        LAPACK's is, with LAPACK's values (``potrs`` may turn a -0.0 into
+        0.0, which compares equal)."""
+        b = self._rhs(rhs)
+        return np.array(b, order="F") if self._unit else solve(self._chol, b)
+
     def solve_mat(self, rhs: np.ndarray) -> np.ndarray:
         """Apply the inverse to a raw vector or matrix via the cached factor."""
-        return chol_solve(self._chol, self._rhs(rhs))
+        return self._solve(chol_solve, rhs)
 
     solve_vec = solve_mat
 
@@ -418,11 +432,13 @@ class SpdOperator:
     def solve_factor(self, rhs: np.ndarray) -> np.ndarray:
         """L^{-1} rhs for a raw vector or matrix, with L the cached lower
         Cholesky factor (M = L L^T): one triangular solve."""
-        return chol_factor_solve(self._chol, self._rhs(rhs))
+        return self._solve(chol_factor_solve, rhs)
 
     def inv_quad_form(self, x: np.ndarray) -> float:
-        """<x, M^{-1}x> for a raw coordinate vector, via triangular solve."""
-        return chol_inv_quad(self._chol, self._rhs(x))
+        """<x, M^{-1}x> for a raw coordinate vector, as the squared norm of
+        :meth:`solve_factor`'s L^{-1}x."""
+        y = self.solve_factor(x)
+        return float(y @ y)
 
     def apply(self, v):
         """Typed application: primal->dual maps PrimalVector to DualVector."""
@@ -461,7 +477,12 @@ class SpdOperator:
 
     @staticmethod
     def identity(dim: int, role: Role = Role.PRIMAL_TO_DUAL) -> "SpdOperator":
-        return SpdOperator(np.eye(dim), role)
+        """``SpdOperator(np.eye(dim), role)``, marked so its solves make no
+        LAPACK call: a quadratic with B = I, every generated one, then runs
+        without scipy."""
+        op = SpdOperator(np.eye(dim), role)
+        object.__setattr__(op, "_unit", True)
+        return op
 
 
 def _require_role(op: SpdOperator, role: Role, name: str) -> None:

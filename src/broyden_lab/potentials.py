@@ -76,8 +76,10 @@ def spectral_barriers(rel_eigs) -> tuple[float, float]:
     """
     lams = np.asarray(rel_eigs, dtype=float)
     logs = np.log(lams)
-    return (np.sum(logs, axis=-1)[()],
-            np.sum(logs - 1.0 + 1.0 / lams, axis=-1)[()])
+    # np.add.reduce is the reduction np.sum wraps, in the same pairwise
+    # order, without the wrapper's call overhead.
+    return (np.add.reduce(logs, axis=-1),
+            np.add.reduce(logs - 1.0 + 1.0 / lams, axis=-1))
 
 
 def progress_lb_v(eta: float, tau: float, nu_val: float) -> float:

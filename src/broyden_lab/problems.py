@@ -183,7 +183,8 @@ class QuadraticProblem(ProblemInstance):
                                                Role.PRIMAL_TO_DUAL)),
                 ("b", DualVector(v.T @ self.b.coords)),
                 ("b_ref", SpdOperator._accepted(np.eye(self.n), np.eye(self.n),
-                                                Role.PRIMAL_TO_DUAL)),
+                                                Role.PRIMAL_TO_DUAL,
+                                                unit=True)),
                 ("mu", self.mu), ("ell", self.ell), ("spectrum", s)):
             object.__setattr__(diagonal, name, value)
         return v, diagonal

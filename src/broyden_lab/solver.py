@@ -47,9 +47,10 @@ comes from the typed :func:`operators.norm_dual`, since both are oracle
 values; in the eigenbasis it is the O(n) ||g / s^(1/2)||, the same value.
 
 No iteration factors G_k.  Without instrumentation a step costs O(n^2) for
-the rank-two update of the approximation and its inverse, which checks G_k
-and H_k through the update's pairings <y, u>, <G u, u> and <y, H y>: each
-must be positive and finite, or the run stops with a
+the rank-two update of the approximation and its inverse, one stacked call
+that corrects G_k and H_k together (:func:`broyden.update_arrays`), which
+checks G_k and H_k through the update's pairings <y, u>, <G u, u> and
+<y, H y>: each must be positive and finite, or the run stops with a
 :class:`DivergenceError`.  That is all: no decomposition, no Hessian and no
 segment mean, so an uninstrumented run makes no quadrature and cannot raise
 :class:`QuadratureError`.  Instrumented, an iteration adds one
@@ -489,7 +490,8 @@ class _Eigenbasis:
         """||g||*_A of a gradient in the eigenbasis, ||g / s^(1/2)||, in O(n):
         bitwise :func:`operators.norm_dual` on diag(s), whose Cholesky
         factor is diag(s^(1/2)), so its triangular solve is this division."""
-        return float(np.linalg.norm(g / self.root))
+        scaled = g / self.root
+        return math.sqrt(float(scaled @ scaled))
 
 
 def _mapped(start: np.ndarray, y_start: np.ndarray, y: np.ndarray,
@@ -555,15 +557,17 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
                 * float(np.abs(problem.b_ref.entries).sum(axis=1).max())
                 * float(np.abs(b_inv).sum(axis=1).max()))
 
-    columns = {name: array("d") for name in _ROW_COLUMNS}
+    # One buffer per column, and the row every iterate starts from.
+    columns = [array("d") for _ in _ROW_COLUMNS]
+    blank_row = dict.fromkeys(_ROW_COLUMNS, math.nan)
     records = []
     grad = _gradient(problem, x, 0)
     xi = 1.0
     for k in range(config.max_iter + 1):
-        row = dict.fromkeys(_ROW_COLUMNS, math.nan)
+        row = blank_row.copy()
         gc = grad.coords
         hg = h_mat @ gc  # H_k g_k: the norm g and, negated, the step
-        row.update(xi=xi, g=math.sqrt(max(float(gc @ hg), 0.0)))
+        row["xi"], row["g"] = xi, math.sqrt(max(float(gc @ hg), 0.0))
         hess_k = problem.hess(x) if config.instrument else None
         if hess_k is not None:
             # The spectrum of G_k relative to the Hessian is the iteration's
@@ -579,8 +583,8 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
             row["eig_min"], row["eig_max"] = lo, hi
         else:
             # The Euclidean norm of the gradient in the caller's coordinates.
-            measure = float(np.linalg.norm(basis.dual @ gc if quadratic
-                                           else gc))
+            gx = basis.dual @ gc if quadratic else gc
+            measure = math.sqrt(float(gx @ gx))
 
         converged = measure <= config.grad_tol
         last = converged or k == config.max_iter
@@ -596,10 +600,10 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
             except ValueError:  # the typed iterate admits finite coords only
                 raise DivergenceError(k, "non-finite iterate") from None
             row["tau"] = schedule.tau_at(k)
-            if float(np.linalg.norm(step)) <= ZERO_DIRECTION_NORM:
+            if math.sqrt(float(step @ step)) <= ZERO_DIRECTION_NORM:
                 # Zero step: the update is skipped and the iterate does not
                 # move; its target is the Hessian at this same iterate.
-                row.update(r=0.0, est_error=0.0)
+                row["r"], row["est_error"] = 0.0, 0.0
                 target = hess_k
             else:
                 u = step
@@ -609,7 +613,8 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
                     y = problem.spectrum * u
                     if hess_k is not None:
                         target = hess_k
-                        row.update(r=math.sqrt(float(y @ u)), est_error=0.0)
+                        row["r"] = math.sqrt(float(y @ u))
+                        row["est_error"] = 0.0
                 elif hess_k is not None:
                     # J_k is built only to measure the step against it.
                     target, row["est_error"] = _gated_target(
@@ -631,8 +636,8 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
                 (lams_g, lo, hi) if target is hess_k
                 else _spectrum(k, pencil_eigvals, g_mat, target.factor))
             row["v"], row["psi"] = spectral_barriers(lams)
-        for name, value in row.items():
-            columns[name].append(value)
+        for buf, value in zip(columns, row.values()):
+            buf.append(value)
         # Snapshots are O(n^2) each, so a run keeps them only when asked.
         if record:
             records.append((x, grad, u, g_mat, h_mat,
@@ -662,7 +667,8 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
         x = PrimalVector(_mapped(x0.coords, y0, x.coords, basis.v))
     return IterationTrace(
         problem=p, schedule=schedule,
-        **{name + "s": np.frombuffer(buf) for name, buf in columns.items()},
+        **{name + "s": np.frombuffer(buf)
+           for name, buf in zip(_ROW_COLUMNS, columns)},
         x_final=x, converged=converged, **objects,
     )
 

@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import broyden_lab.broyden as broyden_mod
 import broyden_lab.cli as cli_mod
 import broyden_lab.operators as operators_mod
 import broyden_lab.problems as problems_mod
 import broyden_lab.solver as solver_mod
+import broyden_lab.verify as verify_mod
 from broyden_lab import (
     DualVector,
     PrimalVector,
@@ -116,6 +118,121 @@ class TestRankTwoKernel:
                 assert rel_err(inv.entries, res.g_plus_inv.entries) <= TOL
                 assert close(broyd_det_ratio(a, g, u, tau), res.det_ratio)
                 assert close(phi_tau(a, g, u, tau), res.phi)
+
+
+def lone_correction(m, x, y, d0, cross, d1):
+    """One symmetrized rank-two correction m + [x, y] C [x, y]^T, C the
+    core [[d0, cross], [cross, d1]], computed alone: a C-ordered core and
+    an (n, 2) basis per correction, as the kernel computed each of its two
+    corrections before it took them as one stacked pair."""
+    core = np.array([[d0, cross], [cross, d1]])
+    core = np.ascontiguousarray(core.transpose(*range(2, core.ndim), 0, 1))
+    basis = np.empty(x.shape + (2,))
+    basis[..., 0] = x
+    basis[..., 1] = y
+    out = (basis @ core) @ basis.mT
+    out += m
+    sym = out + out.mT
+    sym *= 0.5
+    return sym
+
+
+def lone_update(au, g, h, u, tau):
+    """``(g_plus, h_plus, phi, det_ratio)`` as two lone corrections, with
+    the primal core over [Au, Gu] and the inverse core over [H Au, u]."""
+    gu, z = g @ u, h @ au
+    au_u, gu_u, aha = au @ u, gu @ u, au @ z
+    t_dfp, t_bfgs = au_u / aha, gu_u / au_u
+    denom = tau * t_dfp + (1.0 - tau) * t_bfgs
+    phi = tau * t_dfp / denom
+    g_plus = lone_correction(g, au, gu, (1.0 + phi * gu_u / au_u) / au_u,
+                             -phi / au_u, -(1.0 - phi) / gu_u)
+    h_plus = lone_correction(h, z, u, -tau / aha, -(1.0 - tau) / au_u,
+                             (1.0 + (1.0 - tau) * aha / au_u) / au_u)
+    return g_plus, h_plus, phi, denom
+
+
+def update_inputs(rng, n, batch=()):
+    """A target image Au, an SPD G, its explicit inverse H and a direction u,
+    over leading ``batch`` axes."""
+    shape = batch + (n, n)
+    m = rng.standard_normal(shape)
+    g = m @ m.mT + n * np.eye(n)
+    h = np.linalg.inv(g)
+    h = 0.5 * (h + h.mT)
+    m = rng.standard_normal(shape)
+    u = rng.standard_normal(batch + (n,))
+    return np.matvec(m @ m.mT + np.eye(n), u), g, h, u
+
+
+class TestStackedPair:
+    """G and H change in one stacked rank-two call, bit for bit the two
+    lone corrections it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 30, 100])
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+    def test_update_is_two_lone_corrections_bitwise(self, n, tau):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            au, g, h, u = update_inputs(rng, n)
+            got = update_arrays(au, g, h, u, tau)
+            ref = lone_update(au, g, h, u, tau)
+            for x, y in zip(got, ref):
+                assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+    def test_batched_stack_is_each_member_alone_bitwise(self, tau):
+        rng = np.random.default_rng(34)
+        for n in (1, 2, 8):
+            au, g, h, u = update_inputs(rng, n, (3, 4))
+            scalars = broyden_mod._scalars(au, g, u,
+                                           lambda v: np.matvec(h, v),
+                                           check=False)
+            got = broyden_mod._apply_update(g, h, u, scalars, tau)
+            for i in np.ndindex(3, 4):
+                ref = lone_update(au[i], g[i], h[i], u[i], tau)
+                for x, y in zip(got, ref):
+                    assert np.array_equal(x[i], y)
+
+    def test_one_rank_two_call_per_update(self, monkeypatch):
+        counts = {"rank_two": 0, "update": 0, "apply": 0}
+        monkeypatch.setattr(broyden_mod, "_rank_two", counting(
+            counts, "rank_two", broyden_mod._rank_two))
+        monkeypatch.setattr(solver_mod, "update_arrays", counting(
+            counts, "update", solver_mod.update_arrays))
+        trace = run_quadratic(quad_make(np.geomspace(1.0, 1e3, 6), seed=7),
+                              PrimalVector(np.ones(6)), TauSchedule.dfp(),
+                              SolverConfig(max_iter=40))
+        assert counts["rank_two"] == counts["update"] == len(trace) - 1 > 5
+
+        counts.update(rank_two=0, apply=0)
+        monkeypatch.setattr(broyden_mod, "_apply_update", counting(
+            counts, "apply", broyden_mod._apply_update))
+        verify_mod.run_suite("inverse_identity", n_max=4, trials=12, seed=0)
+        assert counts["rank_two"] == counts["apply"] > 0
+
+        rng = np.random.default_rng(3)
+        a, g = random_spd(rng, 5), random_spd(rng, 5)
+        counts["rank_two"] = 0
+        broyd(a, g, PrimalVector(rng.standard_normal(5)), 0.5)
+        assert counts["rank_two"] == 1
+
+
+def sum_barriers(lams):
+    """Both potentials of a spectrum in np.sum's form."""
+    logs = np.log(lams)
+    return (np.sum(logs, axis=-1)[()],
+            np.sum(logs - 1.0 + 1.0 / lams, axis=-1)[()])
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (30,), (257,), (5, 30),
+                                   (2, 3, 100)])
+def test_spectral_barriers_are_the_sum_form_bitwise(shape):
+    lams = 10.0 ** np.random.default_rng(shape[-1]).uniform(-1, 3, shape)
+    lams.sort(axis=-1)
+    for got, ref in zip(spectral_barriers(lams), sum_barriers(lams)):
+        assert np.shape(got) == np.shape(ref)
+        assert np.array_equal(got, ref)
 
 
 def old_nu(a, g, u) -> float:

@@ -8,6 +8,8 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+import broyden_lab.operators as operators_mod
+
 from broyden_lab import (
     DimensionMismatch,
     DualVector,
@@ -26,7 +28,9 @@ from broyden_lab import (
     spd_solve,
 )
 from broyden_lab.operators import (
+    PIVOT_RTOL,
     SPD_FAULTS,
+    SYMMETRY_RTOL,
     check_array,
     check_number,
     chol_factor_solve,
@@ -280,6 +284,51 @@ class TestSolve:
         )
 
 
+def strided_spd_rule(m):
+    """The SPD rule as it read m^T before its one contiguous copy: two
+    strided passes, one for the asymmetry and one for the symmetrized part.
+    Everything after them is the rule's own code."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        scale = np.abs(m).max(axis=(-2, -1))
+        asym = np.abs(m - m.mT).max(axis=(-2, -1))
+        sym = 0.5 * m + 0.5 * m.mT
+    fault = np.zeros(scale.shape, dtype=int)
+    work = sym
+    sane = np.isfinite(scale) & (scale > 0.0) & (asym <= SYMMETRY_RTOL * scale)
+    if not sane.all():
+        fault = np.where(~np.isfinite(scale), 1,
+                         np.where(scale == 0.0, 2, np.where(sane, 0, 3)))
+        work = np.where(sane[..., None, None], sym, np.eye(m.shape[-1]))
+    try:
+        chol = np.linalg.cholesky(work)
+    except np.linalg.LinAlgError:
+        chol = np.empty_like(work)
+        for i in np.ndindex(fault.shape):
+            try:
+                chol[i] = np.linalg.cholesky(work[i])
+            except np.linalg.LinAlgError:
+                chol[i], fault[i] = np.eye(m.shape[-1]), 4
+    pivots = np.diagonal(chol, axis1=-2, axis2=-1).min(axis=-1) ** 2
+    singular = pivots <= PIVOT_RTOL * scale
+    if singular.any():
+        fault = np.where((fault == 0) & singular, 5, fault)
+    return sym, chol, fault
+
+
+# One 2 x 2 matrix per outcome of the SPD rule, with its fault code.
+RULE_CASES = [
+    (np.diag([2.0, 3.0]), 0),
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), 1),
+    (np.array([[1.0, np.inf], [np.inf, 1.0]]), 1),
+    (np.zeros((2, 2)), 2),
+    (np.array([[1.0, 0.5], [0.2, 1.0]]), 3),
+    (np.diag([1.0, -1.0]), 4),
+    (np.diag([1.0, 1e-15]), 5),
+    (np.array([[1.7e308, 1.7e307], [1.7e307, 1.7e308]]), 0),
+    (np.array([[1.7e308, 1.7e308], [-1.7e308, 1.7e308]]), 3),
+]
+
+
 class TestRawHelpers:
     """The raw LAPACK helpers the solver loop calls against the checked
     forms they replace, and the SPD rule on one matrix against the rule on
@@ -298,17 +347,7 @@ class TestRawHelpers:
                     chol_factor_solve(chol, rhs),
                     scipy.linalg.solve_triangular(chol, rhs, lower=True))
 
-    @pytest.mark.parametrize("m, fault", [
-        (np.diag([2.0, 3.0]), 0),
-        (np.array([[1.0, np.nan], [np.nan, 1.0]]), 1),
-        (np.array([[1.0, np.inf], [np.inf, 1.0]]), 1),
-        (np.zeros((2, 2)), 2),
-        (np.array([[1.0, 0.5], [0.2, 1.0]]), 3),
-        (np.diag([1.0, -1.0]), 4),
-        (np.diag([1.0, 1e-15]), 5),
-        (np.array([[1.7e308, 1.7e307], [1.7e307, 1.7e308]]), 0),
-        (np.array([[1.7e308, 1.7e308], [-1.7e308, 1.7e308]]), 3),
-    ])
+    @pytest.mark.parametrize("m, fault", RULE_CASES)
     def test_one_matrix_rule_is_the_stack_rule(self, m, fault):
         with np.errstate(invalid="ignore"):
             sym, chol, code = spd_factor(m)
@@ -319,6 +358,33 @@ class TestRawHelpers:
         if fault:
             with pytest.raises(NotSpdError, match=SPD_FAULTS[fault]):
                 SpdOperator(m)
+
+    def test_rule_keeps_the_bits_of_its_strided_form(self, rng):
+        # (sym, chol, fault) bit for bit, on lone matrices and on stacks
+        # that hold every fault code, C-ordered or strided like the halves
+        # of a stacked update.
+        lone = [m for m, _ in RULE_CASES]
+        for n in (1, 2, 5, 30, 100):
+            m = random_spd(rng, n).entries.copy()
+            m[0, -1] += 1e-14 * abs(m[0, -1])  # within the symmetry rule
+            lone += [m, 1e-300 * m, m + 1e-13 * rng.standard_normal((n, n))]
+        cases = np.stack([m for m, _ in RULE_CASES])
+        stacks = [cases, cases.reshape(3, 3, 2, 2), cases[::-1].mT]
+        for n in (3, 8):
+            pair = np.stack([random_spd(rng, n).entries for _ in range(8)])
+            pair = pair.reshape(4, 2, n, n)
+            pair[0, 0, 0, 0] = -pair[0, 0, 0, 0] * 1e3
+            pair[1, 1, 0, 1] += 1.0
+            stacks += [pair, pair[:, 0], pair[:, 1]]
+        with np.errstate(invalid="ignore"):
+            for m in lone + stacks:
+                got, ref = spd_factor(m), strided_spd_rule(m)
+                assert np.array_equal(got[0], ref[0], equal_nan=True)
+                assert np.array_equal(got[1], ref[1])
+                assert np.array_equal(got[2], ref[2])
+                assert np.shape(got[2]) == np.shape(ref[2])
+        codes = np.concatenate([np.ravel(spd_factor(m)[2]) for m in stacks])
+        assert set(codes.tolist()) == set(range(len(SPD_FAULTS)))
 
     def test_symmetrizing_never_overflows(self):
         # 0.5 (m + m^T) overflowed to inf on the diagonal of this finite
@@ -350,6 +416,39 @@ class TestRawHelpers:
             for bad in (np.ones(3), np.ones((3, 2)), np.float64(1.0)):
                 with pytest.raises(ValueError, match="incompatible"):
                     solve(bad)
+
+    def test_identity_solves_without_lapack(self, rng, monkeypatch):
+        # The identity's factor is I, so each solve returns its right-hand
+        # side: LAPACK's values and layout, with no LAPACK handle fetched.
+        cases = []
+        for n in (1, 2, 5, 30):
+            eye = np.eye(n)
+            for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3)),
+                        np.eye(n), -0.0 * rng.standard_normal(n)):
+                cases.append((n, rhs, chol_solve(eye, rhs),
+                              chol_factor_solve(eye, rhs)))
+
+        class NoLapack:
+            def __getattr__(self, name):
+                raise AssertionError(f"LAPACK {name} fetched")
+
+        monkeypatch.setattr(operators_mod, "_lapack", NoLapack())
+        for n, rhs, solved, factor_solved in cases:
+            op = SpdOperator.identity(n)
+            for got, ref in ((op.solve_mat(rhs), solved),
+                             (op.solve_factor(rhs), factor_solved)):
+                assert np.array_equal(got, ref)
+                assert got.flags.f_contiguous and got is not rhs
+            if rhs.ndim == 1:
+                assert op.inv_quad_form(rhs) == float(rhs @ rhs)
+            assert np.array_equal(op.inverse_matrix(), np.eye(n))
+        plain = SpdOperator(np.eye(3), Role.DUAL_TO_PRIMAL)
+        op = SpdOperator.identity(3, Role.DUAL_TO_PRIMAL)
+        assert op.role is plain.role
+        assert np.array_equal(op.entries, plain.entries)
+        assert np.array_equal(op.factor, plain.factor)
+        with pytest.raises(AssertionError, match="LAPACK potrs"):
+            plain.solve_mat(np.ones(3))
 
     def test_accepted_factor_is_what_construction_stores(self, rng):
         for n in (1, 4, 9):

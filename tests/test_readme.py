@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import io
+import json
 import os
 import re
 import subprocess
@@ -60,15 +61,38 @@ def test_only_operators_imports_scipy():
     assert importers == {"operators.py"}
 
 
-def test_verify_never_imports_scipy():
-    # operators fetches its LAPACK handles on first use, and verify's suites
-    # call only numpy, so a verify run loads no scipy.
+def run_without_scipy(argv, cwd=None) -> str:
+    """The stdout of ``broyden-lab ARGV`` in a fresh interpreter, which must
+    exit 0 without having loaded scipy."""
     code = ("import sys; from broyden_lab.cli import main; "
-            "main(['verify', '--trials', '2']); "
-            "sys.exit('scipy' in sys.modules)")
+            f"code = main({argv!r}); "
+            "sys.exit(code or 3 * ('scipy' in sys.modules))")
     path = os.pathsep.join(filter(None, (str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          env=dict(os.environ, PYTHONPATH=path), text=True)
+                          env=dict(os.environ, PYTHONPATH=path), text=True,
+                          cwd=cwd)
     assert proc.returncode == 0, proc.stderr
-    assert "scalar_gap" in proc.stdout
+    return proc.stdout
+
+
+def test_verify_never_imports_scipy():
+    # operators fetches its LAPACK handles on first use, and verify's suites
+    # call only numpy, so a verify run loads no scipy.
+    assert "scalar_gap" in run_without_scipy(["verify", "--trials", "2"])
+
+
+def test_generated_quadratic_run_never_imports_scipy(tmp_path):
+    # A generated quadratic has B = I, whose solves return their right-hand
+    # side without LAPACK, and the loop's one decomposition is numpy's
+    # eigvalsh, so the run loads no scipy.
+    (tmp_path / "config.json").write_text(json.dumps({
+        "name": "quad", "seed": 1,
+        "instance": {"kind": "quadratic", "seed": 3,
+                     "spectrum": [1, 2, 5, 10, 20, 50, 100, 200]},
+        "method": {"kind": "constant", "tau": 0.5},
+        "x0": {"random_ball": 1.0}}))
+    out = run_without_scipy(["run", "config.json", "--out", "out"],
+                            cwd=tmp_path)
+    assert out.startswith("quad: PASS")
+    assert (tmp_path / "out" / "quad" / "summary.json").is_file()
