@@ -12,6 +12,10 @@ and both are one (2, n, 2) basis, one (2, 2, 2) stack of cores, one pair of
 matmuls and one symmetrization (:func:`_rank_two`), whose two halves are
 G_plus and H_plus.  The solver loop, the verify stacks and the typed API all
 run that one kernel, :func:`_apply_update`.
+
+The directional closeness nu is stated once too, with its check that H
+inverts G, in :func:`_closeness`: the solver's :func:`secant_nu`, the typed
+:func:`nu` and the verify stacks all call it.
 """
 
 from __future__ import annotations
@@ -44,10 +48,6 @@ __all__ = [
 # the update degenerates to the identity map on G.
 ZERO_DIRECTION_NORM = 1e-300
 
-# Defensive ceiling on the disagreement between the two equivalent closeness
-# formulas of the typed nu (combined absolute/relative); the tests pin the
-# tight 1e-10 bound.
-_NU_GUARD = 1e-8
 _EPS = float(np.finfo(float).eps)
 
 
@@ -272,14 +272,12 @@ def broyd(a: SpdOperator, g: SpdOperator, u: PrimalVector, tau: float) -> Update
 
 def broyd_inverse(a: SpdOperator, g: SpdOperator, u: PrimalVector,
                   tau: float) -> SpdOperator:
-    """Inverse of the updated operator, straight from the rank-two formula."""
+    """Inverse of the updated operator, straight from the rank-two formula:
+    the H_plus half of :func:`update_arrays` from H = G^{-1}, validated."""
     tau = check_tau(tau)
     uc = _nonzero_direction(a, g, u, "inverse update")
-    h_mat = g.inverse_matrix()
-    _, _, au_u, _, z, aha = _scalars(np.matvec(a.entries, uc), g.entries, uc,
-                                     lambda v: np.matvec(h_mat, v))
-    (h_plus,) = _rank_two((h_mat,), ((z, uc),),
-                          _cores(_inverse_core(tau, au_u, aha)))
+    _, h_plus, _, _ = update_arrays(np.matvec(a.entries, uc), g.entries,
+                                    g.inverse_matrix(), uc, tau)
     return SpdOperator(h_plus, Role.DUAL_TO_PRIMAL)
 
 
@@ -292,63 +290,63 @@ def broyd_det_ratio(a: SpdOperator, g: SpdOperator, u: PrimalVector,
     return float(det_ratio)
 
 
-def _closeness(au, g_mat, u, solve_g, inv_quad_g):
-    """Both forms of nu over leading batch axes: ``(val_quad, val_norm)``.
+def _cond_inf(m, m_inv):
+    """||M||_inf ||M^{-1}||_inf over leading batch axes, from M and its
+    inverse: an upper bound on cond(M) for a symmetric M, whose spectral
+    norm is at most its max-row-sum norm.  Every ``g_cond`` of
+    :func:`_closeness` comes from it."""
+    return (np.abs(m).sum(axis=-1).max(axis=-1)
+            * np.abs(m_inv).sum(axis=-1).max(axis=-1))
 
-    With w = Gu - Au, ``val_quad`` takes <w, G^{-1}w> from ``solve_g`` (a
-    full solve or the maintained inverse) and ``val_norm`` from
-    ``inv_quad_g`` (the squared norm of a triangular solve L^{-1}w).
+
+def _closeness(au, g_mat, h_mat, u, g_cond):
+    """nu over leading batch axes, and its check: ``(nu, ok, quad, energy)``.
+
+    The one statement of the closeness measure.  With w = Gu - Au and H the
+    inverse of G, ``quad`` is <w, Hw> and nu = (quad / <u, Au>)^{1/2}.  The
+    check is the energy form ``energy`` = <Hw, GHw>, which differs from
+    <w, Hw> by <Hw, (GH - I)w>: relative to <w, Hw>, the deviation of
+    G^{1/2} H G^{1/2} from I along w.  Computed, the gap also carries the
+    rounding of Hw, of G(Hw) and of the two inner products, each about
+    n eps cond(G) relative, so with ``g_cond`` an upper bound on cond(G)
+    (:func:`_cond_inf`) ``ok`` marks where the gap is at most
+    4 n eps g_cond <w, Hw>.  Elsewhere H is not the inverse of G; so too
+    where <w, Hw> is negative, which an SPD H cannot give, and nu reads 0
+    there rather than warn.
     """
     w = np.matvec(g_mat, u) - au
-    au_u = np.vecdot(u, au)
-    val_quad = np.sqrt(np.maximum(np.vecdot(w, solve_g(w)), 0.0) / au_u)
-    val_norm = np.sqrt(np.maximum(inv_quad_g(w), 0.0) / au_u)
-    return val_quad, val_norm
+    z = np.matvec(h_mat, w)
+    quad = np.vecdot(w, z)
+    energy = np.vecdot(z, np.matvec(g_mat, z))
+    ok = abs(energy - quad) <= 4 * u.shape[-1] * _EPS * g_cond * quad
+    return np.sqrt(np.maximum(quad, 0.0) / np.vecdot(u, au)), ok, quad, energy
 
 
-def _nu_disagree(val_quad, val_norm):
-    """Where the two closeness forms differ by more than ``_NU_GUARD``."""
-    return (np.abs(val_quad - val_norm)
-            > _NU_GUARD * (1.0 + np.maximum(val_quad, val_norm)))
+def secant_nu(au, g_mat, h_mat, uc, g_cond) -> float:
+    """nu along one direction ``uc`` on raw arrays, in O(n^2): the solver's
+    form, from the target's image Au of the direction, the matrix G, its
+    maintained inverse H and an upper bound ``g_cond`` on cond(G).
+
+    It is :func:`_closeness` on one direction, and a failing check is an
+    ArithmeticError: H is not the inverse of G.
+    """
+    val, ok, quad, energy = _closeness(au, g_mat, h_mat, uc, g_cond)
+    if not ok:
+        raise ArithmeticError(
+            f"closeness forms disagree: <w, Hw> = {quad} vs "
+            f"<Hw, GHw> = {energy}")
+    return float(val)
 
 
 def nu(a: SpdOperator, g: SpdOperator, u: PrimalVector) -> float:
     """Closeness of G to A along u: ||(G - A)u||*_G / ||u||_A.
 
-    Evaluates both equivalent forms of the numerator for w = Gu - Au through
-    the cached factor of G (<w, G^{-1}w> by a full factorized solve, and the
-    squared norm of the triangular solve L^{-1}w) and returns the first
-    after checking that they agree to ``_NU_GUARD``.
+    :func:`secant_nu` with H = G^{-1} from the cached factor of G (one
+    n-by-n solve, O(n^3)) and cond(G) bounded by :func:`_cond_inf`: the
+    solver's value under the solver's check, which raises if that computed
+    inverse fails it.
     """
     uc = _nonzero_direction(a, g, u, "closeness measure")
-    val_quad, val_norm = _closeness(np.matvec(a.entries, uc), g.entries, uc,
-                                    g.solve_vec, g.inv_quad_form)
-    if _nu_disagree(val_quad, val_norm):
-        raise ArithmeticError(
-            f"closeness formulas disagree: {val_quad} vs {val_norm}"
-        )
-    return float(val_quad)
-
-
-def secant_nu(au, g_mat, h_mat, uc, g_cond) -> float:
-    """:func:`nu` on raw arrays, from the target's image Au of the direction
-    ``uc``, the matrix G and its maintained inverse H, in O(n^2).
-
-    With w = Gu - Au and z = Hw, the value is <w, z>^{1/2} / <u, Au>^{1/2}.
-    Its cross-check is the energy form <z, Gz>, which differs from <w, z> by
-    <z, (GH - I)w>: relative to <w, z>, the deviation of G^{1/2} H G^{1/2}
-    from I along w.  Computed, the gap also carries the rounding of Hw, of
-    Gz and of the two inner products, each about n eps cond(G) relative, so
-    with ``g_cond`` an upper bound on cond(G) a gap above
-    ``4 n eps g_cond`` (or a negative <w, z>, which an SPD H cannot give)
-    shows H is not the inverse of G, and is an ArithmeticError.
-    """
-    w = g_mat @ uc - au
-    z = h_mat @ w
-    quad = float(w @ z)
-    energy = float(z @ (g_mat @ z))
-    if not abs(energy - quad) <= 4 * uc.size * _EPS * g_cond * quad:
-        raise ArithmeticError(
-            f"closeness forms disagree: <w, Hw> = {quad} vs "
-            f"<Hw, GHw> = {energy}")
-    return math.sqrt(quad / float(uc @ au))
+    h_mat = g.inverse_matrix()
+    return secant_nu(np.matvec(a.entries, uc), g.entries, h_mat, uc,
+                     _cond_inf(g.entries, h_mat))

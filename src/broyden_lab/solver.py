@@ -59,11 +59,13 @@ and O(n^2) for the closeness nu and both potentials, which follow from the
 same eigenvalues.  The spectrum relative to the Hessian is also the
 definiteness check: its smallest eigenvalue must exceed the eigensolver's
 resolution, n eps times the largest.  Nu reads the maintained inverse, and
-its cross-check against the energy form shows H_k still inverts G_k (see
-:func:`broyden.secant_nu`).  On a quadratic that is one ``eigvalsh`` of a
-scaled G_k (the Hessian is the update target), so an instrumented quadratic
-iteration makes one decomposition; the general path takes two pencil
-spectra, each a ``sygst`` reduction and an ``eigvalsh``.
+its check against the energy form shows H_k still inverts G_k to
+4 n eps cond(G_k), with cond(G_k) bounded by ell / mu, ||B||_inf
+||B^{-1}||_inf and that spectrum's extremes (see :func:`broyden._closeness`,
+which verify and the typed nu run too).  On a quadratic that is one
+``eigvalsh`` of a scaled G_k (the Hessian is the update target), so an
+instrumented quadratic iteration makes one decomposition; the general path
+takes two pencil spectra, each a ``sygst`` reduction and an ``eigvalsh``.
 
 Every visited iterate takes the same path and leaves one row.  The row starts
 with each column NaN and is filled in once: g and xi always; lambda and the
@@ -103,7 +105,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .broyden import _EPS, ZERO_DIRECTION_NORM, check_tau, update_arrays
+from .broyden import (
+    _EPS,
+    ZERO_DIRECTION_NORM,
+    _cond_inf,
+    check_tau,
+    update_arrays,
+)
 from .operators import (
     DualVector,
     NotSpdError,
@@ -553,9 +561,8 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
     # cond(G_k) is at most ref_cond times eig_max / eig_min of G_k relative
     # to the Hessian, which lies between mu B and ell B; the max-row-sum
     # norms of B and B^-1 bound cond(B), exactly for B = I, the eigenbasis's.
-    ref_cond = (problem.ell / problem.mu
-                * float(np.abs(problem.b_ref.entries).sum(axis=1).max())
-                * float(np.abs(b_inv).sum(axis=1).max()))
+    ref_cond = problem.ell / problem.mu * float(
+        _cond_inf(problem.b_ref.entries, b_inv))
 
     # One buffer per column, and the row every iterate starts from.
     columns = [array("d") for _ in _ROW_COLUMNS]

@@ -13,17 +13,18 @@ spectrum and Gaussian block (or the dominating bump's block and scale),
 and u.  Drawn triples are grouped by n and wait until their raw inputs hold
 ``_STACK_ELEMENTS`` entries between them.  Each group is then assembled as
 one (T, n, n) stack (a stacked QR with its sign fix, then Q diag(eigs) Q^T)
-and goes through stacked LAPACK calls and the solver's own update kernel
-(``broyden._scalars`` and ``broyden._apply_update``).  Every stacked value
-is bitwise the value of its triple alone, so no result depends on how the
-draws were grouped.  The stack gets every check the typed API makes on one
-triple: A, G and each G_plus, H_plus pass the ``SpdOperator`` acceptance
-rule, the three update pairings are positive and finite, the two closeness
-formulas agree and relative spectra are positive.  A triple that fails
-one of them, or yields a non-finite value, is the suite's witness with
-worst value +-inf (a FAIL) rather than an exception.  The scalar gap
-evaluates its whole (alpha, beta) grid as arrays, under the same rule for
-a non-finite value.
+and goes through stacked LAPACK calls and the solver's own kernels: the
+update (``broyden._scalars`` and ``broyden._apply_update``) and nu with its
+check (``broyden._closeness``).  Every stacked value is bitwise the value of
+its triple alone, so no result depends on how the draws were grouped.  The
+stack gets every check the typed API makes on one triple: A, G and each
+G_plus, H_plus pass the ``SpdOperator`` acceptance rule, the three update
+pairings are positive and finite, nu passes the solver's check that H
+inverts G, and relative spectra are positive.  A triple that fails one of
+them, or yields a non-finite value, is the suite's witness with worst value
++-inf (a FAIL) rather than an exception.  The scalar gap evaluates its
+whole (alpha, beta) grid as arrays, under the same rule for a non-finite
+value.
 
 Each random suite is one evaluator over a stack, which yields per tau
 whether each value counts, the intermediate values and the value itself.
@@ -212,7 +213,10 @@ class _Stack:
 
     ``ok`` marks the triples the typed API would accept: A and G pass the
     SPD rule and the three update pairings are positive and finite, the
-    rule :func:`broyden.update_arrays` applies in the solver.
+    rule :func:`broyden.update_arrays` applies in the solver.  ``h`` is the
+    explicit inverse of G from its factor; the update and nu read it as the
+    solver reads its maintained inverse, and nu's mask is the solver's
+    check that it inverts G.
     """
 
     def __init__(self, a, g, u):
@@ -236,13 +240,10 @@ class _Stack:
         return np.matvec(self.lg_inv.mT, np.matvec(self.lg_inv, v))
 
     def closeness(self):
-        """nu of every triple, and where its two formulas agree."""
-        def inv_quad(w):
-            y = np.matvec(self.lg_inv, w)
-            return np.vecdot(y, y)
-        val_quad, val_norm = kernel._closeness(self.au, self.g, self.u,
-                                               self.apply_h, inv_quad)
-        return val_quad, ~kernel._nu_disagree(val_quad, val_norm)
+        """nu of every triple through ``h``, and where the solver's check
+        of it passes (:func:`broyden.secant_nu` on each triple, bitwise)."""
+        return kernel._closeness(self.au, self.g, self.h, self.u,
+                                 kernel._cond_inf(self.g, self.h))[:2]
 
     @functools.cached_property
     def la_inv(self):

@@ -194,6 +194,18 @@ class TestStackedPair:
                 for x, y in zip(got, ref):
                     assert np.array_equal(x[i], y)
 
+    @pytest.mark.parametrize("tau", KERNEL_TAUS)
+    def test_typed_inverse_is_the_lone_inverse_correction_bitwise(self, tau):
+        # broyd_inverse is the H_plus half of update_arrays from G^{-1}.
+        rng = np.random.default_rng(35)
+        for n in (1, 2, 8, 39):
+            a, g = random_spd(rng, n), random_spd(rng, n)
+            u = rng.standard_normal(n)
+            ref = lone_update(a.entries @ u, g.entries, g.inverse_matrix(),
+                              u, tau)[1]
+            got = broyd_inverse(a, g, PrimalVector(u), tau)
+            assert np.array_equal(got.entries, ref)
+
     def test_one_rank_two_call_per_update(self, monkeypatch):
         counts = {"rank_two": 0, "update": 0, "apply": 0}
         monkeypatch.setattr(broyden_mod, "_rank_two", counting(

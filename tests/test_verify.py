@@ -9,6 +9,7 @@ checked against them.
 
 import math
 import shlex
+import warnings
 
 import numpy as np
 import pytest
@@ -402,6 +403,67 @@ def test_infinite_pairing_is_refused_as_the_solver_refuses_it():
         assert stack.ok.tolist() == [True, False]
         with pytest.raises(ArithmeticError, match="pairings must be positive"):
             broyden_mod.update_arrays(u[1], eye, eye, u[1], 0.5)
+
+
+def _secant_nu_of(stack, i):
+    """The solver's nu of triple ``i`` of a stack, or None where it raises."""
+    g, h = stack.g[i], stack.h[i]
+    try:
+        return broyden_mod.secant_nu(stack.au[i], g, h, stack.u[i],
+                                     broyden_mod._cond_inf(g, h))
+    except ArithmeticError:
+        return None
+
+
+def test_verify_nu_is_the_solver_nu():
+    """A stack's nu is the solver's secant_nu of each triple to the bit, and
+    its mask is where that check passes: an inverse off by 1e-9 relative
+    masks every triple out."""
+    rng = np.random.default_rng(11)
+    triples = 0
+    for _, a, g, u in verify._stacks(rng, 60, 6, False):
+        stack = verify._Stack(a, g, u)
+        nu_val, nu_ok = stack.closeness()
+        for i in range(len(u)):
+            ref = _secant_nu_of(stack, i)
+            assert nu_ok[i] == (ref is not None)
+            assert ref is None or nu_val[i] == ref
+        assert nu_ok.all()
+        stack.h = stack.h * (1.0 + 1e-9)
+        assert not stack.closeness()[1].any()
+        triples += len(u)
+    assert triples == 60
+
+
+def test_failing_nu_check_raises_and_does_not_warn(monkeypatch):
+    """H = -G^{-1} makes <w, Hw> negative: secant_nu raises its
+    ArithmeticError rather than warn from a square root, and a stack whose
+    inverse is negated masks the triple, with no warning out of
+    _evaluate."""
+    rng = np.random.default_rng(12)
+    a, g = random_spd(rng, 4), random_spd(rng, 4)
+    u = rng.standard_normal(4)
+    h_neg = -g.inverse_matrix()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="closeness forms disagree"):
+            broyden_mod.secant_nu(a.entries @ u, g.entries, h_neg, u,
+                                  broyden_mod._cond_inf(g.entries, h_neg))
+
+    build = verify._Stack.__init__
+
+    def negated(self, *args):
+        build(self, *args)
+        self.h = -self.h
+
+    monkeypatch.setattr(verify._Stack, "__init__", negated)
+    stacked = (a.entries[None], g.entries[None], u[None])
+    assert not verify._Stack(*stacked).closeness()[1].any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows, values = verify._evaluate("metric_change", *stacked)
+    assert not any(row["ok"].any() for row in rows)
+    assert np.isnan(values).all()
 
 
 def test_replay_prints_every_tau(capsys):
