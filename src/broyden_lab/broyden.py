@@ -6,16 +6,20 @@ always produce its inverse from the closed-form rank-two inverse formula
 rather than by numerical inversion, and the determinant ratio of the update
 from its closed form, so both can be cross-checked against factorizations.
 
-An update costs O(n^2) in one stacked call: G changes by a rank-two
-correction with a 2x2 core in the basis [Au, Gu], H by one in [G^{-1}Au, u],
-and both are one (2, n, 2) basis, one (2, 2, 2) stack of cores, one pair of
-matmuls and one symmetrization (:func:`_rank_two`), whose two halves are
-G_plus and H_plus.  The solver loop, the verify stacks and the typed API all
-run that one kernel, :func:`_apply_update`.
+One set of update scalars per step (:func:`_scalars`: Au, Gu, G^{-1}Au and
+the pairings <Au, u>, <Gu, u>, <Au, G^{-1}Au>) serves both the update and the
+directional closeness nu.  The update costs O(n^2) in one call on the
+(G, H) pair, held as the two halves of one (2, n, n) array: G changes by a
+rank-two correction with a 2x2 core in the basis [Au, Gu], H by one in
+[G^{-1}Au, u], and both are one (2, n, 2) basis, one (2, 2, 2) pair of
+cores, one pair of matmuls, one ``+=`` of the pair and one symmetrization
+(:func:`_rank_two`).  The solver loop, the verify stacks and the typed API
+all run that one kernel, :func:`_apply_update`.
 
-The directional closeness nu is stated once too, with its check that H
-inverts G, in :func:`_closeness`: the solver's :func:`secant_nu`, the typed
-:func:`nu` and the verify stacks all call it.
+The closeness nu is stated once too, with its check that H inverts G, in
+:func:`_closeness`, which reads Gu and <u, Au> from the update scalars: the
+solver's :func:`secant_nu`, the typed :func:`nu` and the verify stacks all
+call it.
 """
 
 from __future__ import annotations
@@ -101,30 +105,39 @@ def _positive_pairings(au_u, gu_u, aha):
             & (0.0 < aha) & (aha < math.inf))
 
 
+def _check_pairings(scalars):
+    """Raise unless the three pairings of one direction's update scalars
+    are positive and finite: the solver's only check of G and H on a run
+    without instrumentation."""
+    _, _, au_u, gu_u, _, aha = scalars
+    if not _positive_pairings(au_u, gu_u, aha):
+        raise ArithmeticError(
+            "update pairings must be positive for SPD inputs; "
+            f"got <Au,u>={au_u}, <Gu,u>={gu_u}, <AG^-1Au,u>={aha}"
+        )
+
+
 def _scalars(au, g_mat, u, solve_g, check=True):
-    """Shared update scalars: Au, Gu, G^{-1}Au and the three pairings.
+    """Shared update scalars ``(au, gu, au_u, gu_u, z, aha)``: Au, Gu,
+    z = G^{-1}Au and the three pairings <Au, u>, <Gu, u>, <Au, z>.
 
     The target enters only through ``au``, its image Au of the direction:
     the secant y = grad f(x + u) - grad f(x) on the solver's general path.
     Every argument may carry leading batch axes.  ``solve_g`` applies G^{-1}
     to (a stack of) vectors: the maintained inverse on the raw-array path,
     the cached factorization on the typed one.  With ``check``, which takes
-    one direction, a pairing that is not positive and finite raises: the
-    solver's only check of G and H on a run without instrumentation.
-    Without it the caller masks the updates :func:`_positive_pairings`
-    rejects.
+    one direction, :func:`_check_pairings` runs on them.  The solver and the
+    typed update pass ``check=False`` and leave it to :func:`update_arrays`;
+    the verify stacks mask the updates :func:`_positive_pairings` rejects.
     """
     gu = np.matvec(g_mat, u)
     au_u = np.vecdot(au, u)
     gu_u = np.vecdot(gu, u)
     z = solve_g(au)
-    aha = np.vecdot(au, z)
-    if check and not _positive_pairings(au_u, gu_u, aha):
-        raise ArithmeticError(
-            "update pairings must be positive for SPD inputs; "
-            f"got <Au,u>={au_u}, <Gu,u>={gu_u}, <AG^-1Au,u>={aha}"
-        )
-    return au, gu, au_u, gu_u, z, aha
+    scalars = au, gu, au_u, gu_u, z, np.vecdot(au, z)
+    if check:
+        _check_pairings(scalars)
+    return scalars
 
 
 def _typed_scalars(a: SpdOperator, g: SpdOperator, u: PrimalVector, what: str):
@@ -140,43 +153,42 @@ def _phi_det(tau, au_u, gu_u, aha):
     return phi, denom
 
 
-def _cores(*entries):
-    """C-ordered (..., k, 2, 2) stack of the symmetric 2x2 cores
-    [[d0, cross], [cross, d1]], one per ``(d0, cross, d1)`` triple, over
-    the entries' leading batch axes.
+def _cores(primal, inverse):
+    """C-ordered (..., 2, 2, 2) pair of the symmetric 2x2 cores
+    [[d0, cross], [cross, d1]] of G's and H's corrections, from their
+    ``(d0, cross, d1)`` triples, over the entries' leading batch axes.
 
     C-ordered, so every core of a stack is multiplied as a lone core is (a
     strided core takes numpy's non-BLAS matmul loop, which rounds an n = 1
     product differently), and a stacked update is bitwise the update of
     each of its members.
     """
-    flat = np.array([v for d0, cross, d1 in entries
-                     for v in (d0, cross, cross, d1)])
-    core = flat.reshape((len(entries), 2, 2) + flat.shape[1:])
+    (d0, c0, d1), (e0, c1, e1) = primal, inverse
+    flat = np.array([d0, c0, c0, d1, e0, c1, c1, e1])
+    core = flat.reshape((2, 2, 2) + flat.shape[1:])
     if core.ndim > 3:
         core = np.ascontiguousarray(np.moveaxis(core, (0, 1, 2), (-3, -2, -1)))
     return core
 
 
-def _rank_two(ms, pairs, core):
-    """Symmetrized m + [x, y] core [x, y]^T for each member of a k-stack: O(n^2).
+def _rank_two(pair, au, gu, z, u, core):
+    """The symmetrized pair + [x, y] core [x, y]^T, with [x, y] = [Au, Gu]
+    for G and [z, u] for H: O(n^2).
 
-    ``ms`` holds the k addends, ``pairs`` the k ``(x, y)`` basis pairs, all
-    vectors of one shape, and ``core`` their (..., k, 2, 2) cores from
-    :func:`_cores`; the addends and cores broadcast against the vectors'
-    leading batch axes.  The (..., k, n, 2) basis is filled in place, in
-    the C order np.stack would give it, so the whole stack takes one pair
-    of matmuls and one symmetrization, and member i of the (..., k, n, n)
-    result is what a lone correction of ``ms[i]`` gives, bit for bit.
+    ``pair`` is the (..., 2, n, n) array of G and H, and ``core`` their
+    cores from :func:`_cores`; both broadcast against the vectors' leading
+    batch axes.  The (..., 2, n, 2) basis is filled in place, in the C
+    order np.stack would give it, so the pair takes one pair of matmuls,
+    one ``+=`` and one symmetrization, and each half of the (..., 2, n, n)
+    result is what a lone correction of G or H gives, bit for bit.
     """
-    x0 = pairs[0][0]
-    basis = np.empty(x0.shape[:-1] + (len(pairs),) + x0.shape[-1:] + (2,))
-    for i, (x, y) in enumerate(pairs):
-        basis[..., i, :, 0] = x
-        basis[..., i, :, 1] = y
+    basis = np.empty(au.shape[:-1] + (2,) + au.shape[-1:] + (2,))
+    basis[..., 0, :, 0] = au
+    basis[..., 0, :, 1] = gu
+    basis[..., 1, :, 0] = z
+    basis[..., 1, :, 1] = u
     out = (basis @ core) @ basis.mT
-    for i, m in enumerate(ms):
-        out[..., i, :, :] += m
+    out += pair
     sym = out + out.mT
     sym *= 0.5
     return sym
@@ -205,36 +217,52 @@ def _inverse_core(tau, au_u, aha):
             (1.0 + (1.0 - tau) * aha / au_u) / au_u)
 
 
-def _apply_update(g_mat, h_mat, u, scalars, tau):
-    """``(g_plus, h_plus, phi, det_ratio)`` from the shared update scalars.
+def _apply_update(pair, u, scalars, tau):
+    """``(pair_plus, phi, det_ratio)`` from the shared update scalars.
 
-    G and H change in one :func:`_rank_two` call on the pair: the basis
+    The (G, H) ``pair`` changes in one :func:`_rank_two` call: the basis
     [Au, Gu] with the primal core for G, [G^{-1}Au, u] with the inverse core
-    for H.  The two results are the halves of one (..., 2, n, n) array.
+    for H, and ``pair_plus`` holds G_plus and H_plus as its two halves.
     Batch axes broadcast, so one set of scalars serves every tau of a grid.
     """
     au, gu, au_u, gu_u, z, aha = scalars
     phi, det_ratio = _phi_det(tau, au_u, gu_u, aha)
-    pair = _rank_two((g_mat, h_mat), ((au, gu), (z, u)),
-                     _cores(_primal_core(phi, au_u, gu_u),
-                            _inverse_core(tau, au_u, aha)))
-    return pair[..., 0, :, :], pair[..., 1, :, :], phi, det_ratio
+    core = _cores(_primal_core(phi, au_u, gu_u), _inverse_core(tau, au_u, aha))
+    return _rank_two(pair, au, gu, z, u, core), phi, det_ratio
 
 
-def update_arrays(au, g_mat, h_mat, u, tau):
-    """Raw-array fast path for one update.
+def update_arrays(pair, u, scalars, tau):
+    """Raw-array fast path for one update: :func:`_apply_update` on one
+    plain direction, after :func:`_check_pairings` on its scalars.
 
-    Takes the target's image Au of the direction (the solver passes the
-    secant y_k), the current approximation and its inverse, and returns
-    ``(g_plus, h_plus, phi, det_ratio)`` as plain arrays/floats.  The caller
-    owns validation; this is what the solver drives once per iteration.  Both
-    operators change by a rank-two correction with a 2x2 core, so the update
-    costs O(n^2), with the inverse maintained by the rank-two inverse formula
-    instead of refactorizing.  It is :func:`_apply_update` for one plain
-    direction, with G^{-1} applied through ``h_mat``.
+    Takes the (2, n, n) array of the current approximation and its inverse,
+    the direction and its update scalars (:func:`_scalars`, with G^{-1}
+    applied through the pair's H half), and returns
+    ``(pair_plus, phi, det_ratio)``.  The caller owns validation; this is
+    what the solver drives once per iteration.  Both operators change by a
+    rank-two correction with a 2x2 core, so the update costs O(n^2), with
+    the inverse maintained by the rank-two inverse formula instead of
+    refactorizing.
     """
-    scalars = _scalars(au, g_mat, u, lambda v: np.matvec(h_mat, v))
-    return _apply_update(g_mat, h_mat, u, scalars, tau)
+    _check_pairings(scalars)
+    return _apply_update(pair, u, scalars, tau)
+
+
+def _explicit_scalars(a: SpdOperator, g: SpdOperator, uc: np.ndarray):
+    """``(h_mat, scalars)`` of the typed update and nu: G^{-1} from the
+    cached factor of G (one n-by-n solve, O(n^3)), and the update scalars
+    with G^{-1} applied through it, as the solver applies its maintained
+    inverse."""
+    h_mat = g.inverse_matrix()
+    return h_mat, _scalars(np.matvec(a.entries, uc), g.entries, uc,
+                           lambda v: np.matvec(h_mat, v), check=False)
+
+
+def _typed_update(a: SpdOperator, g: SpdOperator, uc: np.ndarray, tau: float):
+    """:func:`update_arrays` from the typed inputs, on the stacked pair of
+    G and G^{-1}."""
+    h_mat, scalars = _explicit_scalars(a, g, uc)
+    return update_arrays(np.stack((g.entries, h_mat)), uc, scalars, tau)
 
 
 def phi_tau(a: SpdOperator, g: SpdOperator, u: PrimalVector, tau: float) -> float:
@@ -258,13 +286,10 @@ def broyd(a: SpdOperator, g: SpdOperator, u: PrimalVector, tau: float) -> Update
     uc = _direction(a, g, u)
     if math.sqrt(float(uc @ uc)) <= ZERO_DIRECTION_NORM:
         return UpdateResult(g_plus=g, g_plus_inv=g.inverse(), phi=tau, det_ratio=1.0)
-    h_mat = g.inverse_matrix()
-    g_plus, h_plus, phi, det_ratio = update_arrays(
-        np.matvec(a.entries, uc), g.entries, h_mat, uc, tau
-    )
+    pair, phi, det_ratio = _typed_update(a, g, uc, tau)
     return UpdateResult(
-        g_plus=SpdOperator(g_plus, Role.PRIMAL_TO_DUAL),
-        g_plus_inv=SpdOperator(h_plus, Role.DUAL_TO_PRIMAL),
+        g_plus=SpdOperator(pair[0], Role.PRIMAL_TO_DUAL),
+        g_plus_inv=SpdOperator(pair[1], Role.DUAL_TO_PRIMAL),
         phi=float(phi),
         det_ratio=float(det_ratio),
     )
@@ -276,9 +301,7 @@ def broyd_inverse(a: SpdOperator, g: SpdOperator, u: PrimalVector,
     the H_plus half of :func:`update_arrays` from H = G^{-1}, validated."""
     tau = check_tau(tau)
     uc = _nonzero_direction(a, g, u, "inverse update")
-    _, h_plus, _, _ = update_arrays(np.matvec(a.entries, uc), g.entries,
-                                    g.inverse_matrix(), uc, tau)
-    return SpdOperator(h_plus, Role.DUAL_TO_PRIMAL)
+    return SpdOperator(_typed_update(a, g, uc, tau)[0][1], Role.DUAL_TO_PRIMAL)
 
 
 def broyd_det_ratio(a: SpdOperator, g: SpdOperator, u: PrimalVector,
@@ -299,38 +322,40 @@ def _cond_inf(m, m_inv):
             * np.abs(m_inv).sum(axis=-1).max(axis=-1))
 
 
-def _closeness(au, g_mat, h_mat, u, g_cond):
+def _closeness(scalars, g_mat, h_mat, g_cond):
     """nu over leading batch axes, and its check: ``(nu, ok, quad, energy)``.
 
     The one statement of the closeness measure.  With w = Gu - Au and H the
-    inverse of G, ``quad`` is <w, Hw> and nu = (quad / <u, Au>)^{1/2}.  The
-    check is the energy form ``energy`` = <Hw, GHw>, which differs from
-    <w, Hw> by <Hw, (GH - I)w>: relative to <w, Hw>, the deviation of
-    G^{1/2} H G^{1/2} from I along w.  Computed, the gap also carries the
-    rounding of Hw, of G(Hw) and of the two inner products, each about
-    n eps cond(G) relative, so with ``g_cond`` an upper bound on cond(G)
-    (:func:`_cond_inf`) ``ok`` marks where the gap is at most
+    inverse of G, ``quad`` is <w, Hw> and nu = (quad / <u, Au>)^{1/2}, with
+    Au, Gu and <u, Au> read from the direction's update ``scalars``
+    (:func:`_scalars`).  The check is the energy form ``energy`` = <Hw, GHw>,
+    which differs from <w, Hw> by <Hw, (GH - I)w>: relative to <w, Hw>, the
+    deviation of G^{1/2} H G^{1/2} from I along w.  Computed, the gap also
+    carries the rounding of Hw, of G(Hw) and of the two inner products, each
+    about n eps cond(G) relative, so with ``g_cond`` an upper bound on
+    cond(G) (:func:`_cond_inf`) ``ok`` marks where the gap is at most
     4 n eps g_cond <w, Hw>.  Elsewhere H is not the inverse of G; so too
     where <w, Hw> is negative, which an SPD H cannot give, and nu reads 0
     there rather than warn.
     """
-    w = np.matvec(g_mat, u) - au
+    au, gu, au_u = scalars[:3]
+    w = gu - au
     z = np.matvec(h_mat, w)
     quad = np.vecdot(w, z)
     energy = np.vecdot(z, np.matvec(g_mat, z))
-    ok = abs(energy - quad) <= 4 * u.shape[-1] * _EPS * g_cond * quad
-    return np.sqrt(np.maximum(quad, 0.0) / np.vecdot(u, au)), ok, quad, energy
+    ok = abs(energy - quad) <= 4 * au.shape[-1] * _EPS * g_cond * quad
+    return np.sqrt(np.maximum(quad, 0.0) / au_u), ok, quad, energy
 
 
-def secant_nu(au, g_mat, h_mat, uc, g_cond) -> float:
-    """nu along one direction ``uc`` on raw arrays, in O(n^2): the solver's
-    form, from the target's image Au of the direction, the matrix G, its
+def secant_nu(scalars, g_mat, h_mat, g_cond) -> float:
+    """nu along one direction on raw arrays, in O(n^2): the solver's form,
+    from the direction's update scalars (:func:`_scalars`), the matrix G, its
     maintained inverse H and an upper bound ``g_cond`` on cond(G).
 
     It is :func:`_closeness` on one direction, and a failing check is an
     ArithmeticError: H is not the inverse of G.
     """
-    val, ok, quad, energy = _closeness(au, g_mat, h_mat, uc, g_cond)
+    val, ok, quad, energy = _closeness(scalars, g_mat, h_mat, g_cond)
     if not ok:
         raise ArithmeticError(
             f"closeness forms disagree: <w, Hw> = {quad} vs "
@@ -342,11 +367,11 @@ def nu(a: SpdOperator, g: SpdOperator, u: PrimalVector) -> float:
     """Closeness of G to A along u: ||(G - A)u||*_G / ||u||_A.
 
     :func:`secant_nu` with H = G^{-1} from the cached factor of G (one
-    n-by-n solve, O(n^3)) and cond(G) bounded by :func:`_cond_inf`: the
-    solver's value under the solver's check, which raises if that computed
-    inverse fails it.
+    n-by-n solve, O(n^3)), update scalars taken through it as the solver
+    takes them, and cond(G) bounded by :func:`_cond_inf`: the solver's
+    value under the solver's check, which raises if that computed inverse
+    fails it.
     """
     uc = _nonzero_direction(a, g, u, "closeness measure")
-    h_mat = g.inverse_matrix()
-    return secant_nu(np.matvec(a.entries, uc), g.entries, h_mat, uc,
-                     _cond_inf(g.entries, h_mat))
+    h_mat, scalars = _explicit_scalars(a, g, uc)
+    return secant_nu(scalars, g.entries, h_mat, _cond_inf(g.entries, h_mat))

@@ -46,26 +46,31 @@ On the general path lambda, the gradient's norm in the Hessian's metric,
 comes from the typed :func:`operators.norm_dual`, since both are oracle
 values; in the eigenbasis it is the O(n) ||g / s^(1/2)||, the same value.
 
-No iteration factors G_k.  Without instrumentation a step costs O(n^2) for
-the rank-two update of the approximation and its inverse, one stacked call
-that corrects G_k and H_k together (:func:`broyden.update_arrays`), which
-checks G_k and H_k through the update's pairings <y, u>, <G u, u> and
-<y, H y>: each must be positive and finite, or the run stops with a
-:class:`DivergenceError`.  That is all: no decomposition, no Hessian and no
-segment mean, so an uninstrumented run makes no quadrature and cannot raise
-:class:`QuadratureError`.  Instrumented, an iteration adds one
-eigendecomposition of the approximation relative to each distinct target,
-and O(n^2) for the closeness nu and both potentials, which follow from the
-same eigenvalues.  The spectrum relative to the Hessian is also the
-definiteness check: its smallest eigenvalue must exceed the eigensolver's
-resolution, n eps times the largest.  Nu reads the maintained inverse, and
-its check against the energy form shows H_k still inverts G_k to
-4 n eps cond(G_k), with cond(G_k) bounded by ell / mu, ||B||_inf
-||B^{-1}||_inf and that spectrum's extremes (see :func:`broyden._closeness`,
-which verify and the typed nu run too).  On a quadratic that is one
-``eigvalsh`` of a scaled G_k (the Hessian is the update target), so an
-instrumented quadratic iteration makes one decomposition; the general path
-takes two pencil spectra, each a ``sygst`` reduction and an ``eigvalsh``.
+No iteration factors G_k.  The loop holds G_k and H_k as the two halves of
+one (2, n, n) array, and each step computes its update scalars once
+(:func:`broyden._scalars`: G u, H y and the pairings <y, u>, <G u, u> and
+<y, H y>, two matrix-vector products in all).  Without instrumentation a
+step costs O(n^2) for the rank-two update of that pair, one call that
+corrects G_k and H_k together (:func:`broyden.update_arrays`), which checks
+G_k and H_k through the pairings: each must be positive and finite, or the
+run stops with a :class:`DivergenceError`.  That is all: no decomposition,
+no Hessian and no segment mean, so an uninstrumented run makes no quadrature
+and cannot raise :class:`QuadratureError`.  Instrumented, an iteration adds
+one eigendecomposition of the approximation relative to each distinct
+target, and O(n^2) for the closeness nu (two more matrix-vector products,
+as it reads G u and <y, u> from the step's scalars) and both potentials,
+which follow from the same eigenvalues.  The spectrum relative to the
+Hessian is also the definiteness check: its smallest eigenvalue must exceed
+the eigensolver's resolution, n eps times the largest.  Nu reads the
+maintained inverse, and its check against the energy form shows H_k still
+inverts G_k to 4 n eps cond(G_k), with cond(G_k) bounded by ell / mu,
+||B||_inf ||B^{-1}||_inf and that spectrum's extremes (see
+:func:`broyden._closeness`, which verify and the typed nu run too).  It runs
+before the update's pairing check, so a step that fails both stops on nu's.
+On a quadratic the spectrum is one ``eigvalsh`` of a scaled G_k (the Hessian
+is the update target), so an instrumented quadratic iteration makes one
+decomposition; the general path takes two pencil spectra, each a ``sygst``
+reduction and an ``eigvalsh``.
 
 Every visited iterate takes the same path and leaves one row.  The row starts
 with each column NaN and is filled in once: g and xi always; lambda and the
@@ -102,6 +107,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -109,6 +115,7 @@ from .broyden import (
     _EPS,
     ZERO_DIRECTION_NORM,
     _cond_inf,
+    _scalars,
     check_tau,
     update_arrays,
 )
@@ -555,9 +562,11 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
     problem = basis.problem if quadratic else p
     x = PrimalVector(basis.dual.T @ x0.coords) if quadratic else x0
     y0 = x.coords
-    g_mat = problem.ell * problem.b_ref.entries
     b_inv = problem.b_ref.inverse_matrix()
-    h_mat = b_inv / problem.ell
+    # G_k and H_k are the two halves of one (2, n, n) array, which each
+    # update replaces.
+    pair = np.stack((problem.ell * problem.b_ref.entries, b_inv / problem.ell))
+    g_mat, h_mat = pair
     # cond(G_k) is at most ref_cond times eig_max / eig_min of G_k relative
     # to the Hessian, which lies between mu B and ell B; the max-row-sum
     # norms of B and B^-1 bound cond(B), exactly for B = I, the eigenbasis's.
@@ -614,30 +623,34 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
                 target = hess_k
             else:
                 u = step
-                if quadratic:
-                    # The secant A u_k, exact and O(n) in the eigenbasis,
-                    # where A is also every step's target.
-                    y = problem.spectrum * u
-                    if hess_k is not None:
-                        target = hess_k
-                        row["r"] = math.sqrt(float(y @ u))
-                        row["est_error"] = 0.0
-                elif hess_k is not None:
+                if not quadratic and hess_k is not None:
                     # J_k is built only to measure the step against it.
                     target, row["est_error"] = _gated_target(
                         problem, x, PrimalVector(u), config.quad_order, k)
                     row["r"] = math.sqrt(max(hess_k.quad_form(u), 0.0))
                 grad_next = _gradient(problem, x_next, k + 1)
-                if not quadratic:
+                if quadratic:
+                    # The secant A u_k, exact and O(n) in the eigenbasis,
+                    # where A is also every step's target.
+                    y = problem.spectrum * u
+                else:
                     # The secant y_k = grad_{k+1} - grad_k = J_k u_k.
                     y = grad_next.coords - gc
                     if not _secant_holds(problem, b_inv, u, y):
                         y = None  # rounding, not curvature: no update, no nu
-                if y is not None and hess_k is not None:
-                    try:
-                        row["nu"] = nu(y, g_mat, h_mat, u, ref_cond * hi / lo)
-                    except ArithmeticError as exc:
-                        raise DivergenceError(k, str(exc)) from None
+                if y is not None:
+                    # One set of update scalars serves r, nu and the update.
+                    scalars = _scalars(y, g_mat, u, partial(np.matvec, h_mat),
+                                       check=False)
+                    if hess_k is not None:
+                        if quadratic:
+                            target, row["est_error"] = hess_k, 0.0
+                            row["r"] = math.sqrt(float(scalars[2]))
+                        try:
+                            row["nu"] = nu(scalars, g_mat, h_mat,
+                                           ref_cond * hi / lo)
+                        except ArithmeticError as exc:
+                            raise DivergenceError(k, str(exc)) from None
         if hess_k is not None and target is not None:
             lams, row["j_eig_min"], row["j_eig_max"] = (
                 (lams_g, lo, hi) if target is hess_k
@@ -654,10 +667,10 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
         if u is not None:
             if y is not None:
                 try:
-                    g_mat, h_mat, _, _ = update_arrays(y, g_mat, h_mat, u,
-                                                       row["tau"])
+                    pair, _, _ = update_arrays(pair, u, scalars, row["tau"])
                 except ArithmeticError as exc:
                     raise _lost_definiteness(k, str(exc)) from None
+                g_mat, h_mat = pair
             x, grad = x_next, grad_next
             # Distortion accumulates as exp(M * r) per step; a zero
             # self-concordance constant (every quadratic) pins it to exactly

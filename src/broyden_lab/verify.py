@@ -216,16 +216,18 @@ class _Stack:
     rule :func:`broyden.update_arrays` applies in the solver.  ``h`` is the
     explicit inverse of G from its factor; the update and nu read it as the
     solver reads its maintained inverse, and nu's mask is the solver's
-    check that it inverts G.
+    check that it inverts G.  ``g`` and ``h`` are the halves of ``pair``,
+    built once, which the update at every tau reads.
     """
 
     def __init__(self, a, g, u):
-        self.g, self.u, self.au = g, u, np.matvec(a, u)
+        self.u, self.au = u, np.matvec(a, u)
         _, self.la, fault_a = spd_factor(a)
         _, self.lg, fault_g = spd_factor(g)
         self.lg_inv = np.linalg.inv(self.lg)
         h = self.lg_inv.mT @ self.lg_inv
-        self.h = 0.5 * (h + h.mT)
+        self.pair = np.stack((g, 0.5 * (h + h.mT)), axis=-3)
+        self.g, self.h = self.pair[..., 0, :, :], self.pair[..., 1, :, :]
         self.scalars = kernel._scalars(self.au, g, u, self.apply_h, check=False)
         au_u, gu_u, aha = self.scalars[2], self.scalars[3], self.scalars[5]
         self.ok = ((fault_a == 0) & (fault_g == 0)
@@ -242,7 +244,7 @@ class _Stack:
     def closeness(self):
         """nu of every triple through ``h``, and where the solver's check
         of it passes (:func:`broyden.secant_nu` on each triple, bitwise)."""
-        return kernel._closeness(self.au, self.g, self.h, self.u,
+        return kernel._closeness(self.scalars, self.g, self.h,
                                  kernel._cond_inf(self.g, self.h))[:2]
 
     @functools.cached_property
@@ -259,8 +261,9 @@ class _Stack:
     def update(self, tau):
         """The update at one tau, with the factor of G_plus and where both
         G_plus and its closed-form inverse H_plus pass the SPD rule."""
-        g_plus, h_plus, phi, det_ratio = kernel._apply_update(
-            self.g, self.h, self.u, self.scalars, tau)
+        pair, phi, det_ratio = kernel._apply_update(self.pair, self.u,
+                                                    self.scalars, tau)
+        g_plus, h_plus = pair[..., 0, :, :], pair[..., 1, :, :]
         _, lg_plus, fault_g = spd_factor(g_plus)
         _, _, fault_h = spd_factor(h_plus)
         return _Update(g_plus, h_plus, phi, det_ratio, lg_plus,

@@ -51,16 +51,19 @@ def inject_loop_fault(monkeypatch, fault, n, tau=None):
     if fault == "nu":
         loop_nu = solver_mod.nu
 
-        def nu(au, g_mat, h_mat, u, g_cond):
-            return loop_nu(au, g_mat, 2.0 * h_mat if hit(u, None) else h_mat,
-                           u, g_cond)
+        def nu(scalars, g_mat, h_mat, g_cond):
+            return loop_nu(scalars, g_mat,
+                           2.0 * h_mat if hit(scalars[0], None) else h_mat,
+                           g_cond)
         monkeypatch.setattr(solver_mod, "nu", nu)
     else:
         loop_update = solver_mod.update_arrays
 
-        def update_arrays(au, g_mat, h_mat, u, t):
-            g_plus, h_plus, phi, det_ratio = loop_update(au, g_mat, h_mat, u, t)
-            return (-g_plus if hit(u, t) else g_plus), h_plus, phi, det_ratio
+        def update_arrays(pair, u, scalars, t):
+            pair_plus, phi, det_ratio = loop_update(pair, u, scalars, t)
+            if hit(u, t):
+                pair_plus = np.stack((-pair_plus[0], pair_plus[1]))
+            return pair_plus, phi, det_ratio
         monkeypatch.setattr(solver_mod, "update_arrays", update_arrays)
 
 

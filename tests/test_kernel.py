@@ -78,6 +78,21 @@ def textbook_update(a, g, u, tau, phi):
             tau * inv_dfp + (1.0 - tau) * inv_bfgs)
 
 
+def h_scalars(au, g, h, u):
+    """A step's update scalars with G^{-1} applied through H, as the solver
+    takes them."""
+    return broyden_mod._scalars(au, g, u, lambda v: np.matvec(h, v),
+                                check=False)
+
+
+def update(au, g, h, u, tau):
+    """``(g_plus, h_plus, phi, det_ratio)`` of :func:`update_arrays` on
+    plain arrays."""
+    pair, phi, det_ratio = update_arrays(np.stack((g, h)), u,
+                                         h_scalars(au, g, h, u), tau)
+    return pair[0], pair[1], phi, det_ratio
+
+
 class TestRankTwoKernel:
     @pytest.mark.parametrize("tau", KERNEL_TAUS)
     def test_matches_textbook_formulas(self, rng, tau):
@@ -86,7 +101,7 @@ class TestRankTwoKernel:
             a = random_spd(rng, n, log_cond_max=2.0)
             g = random_spd(rng, n, log_cond_max=2.0)
             u = rng.standard_normal(n)
-            g_plus, h_plus, phi, _ = update_arrays(
+            g_plus, h_plus, phi, _ = update(
                 a.entries @ u, g.entries, np.linalg.inv(g.entries), u, tau
             )
             ref_g, ref_h = textbook_update(a.entries, g.entries, u, tau, phi)
@@ -101,7 +116,7 @@ class TestRankTwoKernel:
     def test_outputs_exactly_symmetric(self, rng):
         a, g = random_spd(rng, 7), random_spd(rng, 7)
         u = rng.standard_normal(7)
-        g_plus, h_plus, _, _ = update_arrays(
+        g_plus, h_plus, _, _ = update(
             a.entries @ u, g.entries, np.linalg.inv(g.entries), u, 0.4,
         )
         assert np.array_equal(g_plus, g_plus.T)
@@ -175,7 +190,7 @@ class TestStackedPair:
         rng = np.random.default_rng(n)
         for _ in range(5):
             au, g, h, u = update_inputs(rng, n)
-            got = update_arrays(au, g, h, u, tau)
+            got = update(au, g, h, u, tau)
             ref = lone_update(au, g, h, u, tau)
             for x, y in zip(got, ref):
                 assert np.array_equal(x, y)
@@ -185,10 +200,9 @@ class TestStackedPair:
         rng = np.random.default_rng(34)
         for n in (1, 2, 8):
             au, g, h, u = update_inputs(rng, n, (3, 4))
-            scalars = broyden_mod._scalars(au, g, u,
-                                           lambda v: np.matvec(h, v),
-                                           check=False)
-            got = broyden_mod._apply_update(g, h, u, scalars, tau)
+            pair, phi, det_ratio = broyden_mod._apply_update(
+                np.stack((g, h), axis=-3), u, h_scalars(au, g, h, u), tau)
+            got = pair[..., 0, :, :], pair[..., 1, :, :], phi, det_ratio
             for i in np.ndindex(3, 4):
                 ref = lone_update(au[i], g[i], h[i], u[i], tau)
                 for x, y in zip(got, ref):
@@ -228,6 +242,72 @@ class TestStackedPair:
         counts["rank_two"] = 0
         broyd(a, g, PrimalVector(rng.standard_normal(5)), 0.5)
         assert counts["rank_two"] == 1
+
+
+def own_closeness(au, g, h, u, g_cond):
+    """``_closeness``'s four outputs with its own Gu and <u, Au>, as it
+    computed them before it read a step's shared update scalars."""
+    w = np.matvec(g, u) - au
+    z = np.matvec(h, w)
+    quad = np.vecdot(w, z)
+    energy = np.vecdot(z, np.matvec(g, z))
+    ok = abs(energy - quad) <= 4 * u.shape[-1] * broyden_mod._EPS * g_cond * quad
+    return np.sqrt(np.maximum(quad, 0.0) / np.vecdot(u, au)), ok, quad, energy
+
+
+class TestSharedScalars:
+    """One set of update scalars per step feeds nu, the quadratic path's r
+    and the update, and each reads the same bits it computed alone."""
+
+    @pytest.mark.parametrize("batch, n", [((), 1), ((), 2), ((), 8), ((), 30),
+                                          ((), 100), ((3, 4), 1),
+                                          ((3, 4), 2), ((3, 4), 8)])
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+    def test_nu_from_shared_scalars_is_its_own_form_bitwise(self, batch, n,
+                                                            tau):
+        # nu at the step after an update at tau, on the pair that update
+        # returned, as the loop reads it.
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            au, g, h, u = update_inputs(rng, n, batch)
+            pair, _, _ = broyden_mod._apply_update(
+                np.stack((g, h), axis=-3), u, h_scalars(au, g, h, u), tau)
+            g, h = pair[..., 0, :, :], pair[..., 1, :, :]
+            au, _, _, u = update_inputs(rng, n, batch)
+            g_cond = broyden_mod._cond_inf(g, h)
+            got = broyden_mod._closeness(h_scalars(au, g, h, u), g, h, g_cond)
+            ref = own_closeness(au, g, h, u, g_cond)
+            for x, y in zip(got, ref):
+                assert np.shape(x) == np.shape(y) == batch
+                assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 30, 100, 400])
+    def test_r_is_the_root_of_y_dot_u_bitwise(self, n):
+        # On the quadratic path y = s * u, and r reads <y, u> from the
+        # scalars: the 1-d y @ u it computed before, to the bit.
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            u = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8)
+            y = 10.0 ** rng.uniform(0, 3, n) * u
+            g = np.eye(n)
+            au_u = h_scalars(y, g, g, u)[2]
+            assert math.sqrt(float(au_u)) == math.sqrt(float(y @ u))
+
+    def test_loop_r_is_the_root_of_y_dot_u(self, monkeypatch):
+        loop_scalars = solver_mod._scalars
+        pairs = []
+
+        def recorded(au, g_mat, u, *args, **kwargs):
+            pairs.append((au, u))
+            return loop_scalars(au, g_mat, u, *args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "_scalars", recorded)
+        trace = run_quadratic(quad_make(np.geomspace(1.0, 1e3, 12), seed=7),
+                              PrimalVector(np.ones(12)), TauSchedule.dfp(),
+                              SolverConfig(max_iter=300))
+        assert len(pairs) == len(trace) - 1 > 20
+        for r, (y, u) in zip(trace.rs, pairs):
+            assert r == math.sqrt(float(y @ u))
 
 
 def sum_barriers(lams):
@@ -507,11 +587,11 @@ class TestRawLoop:
         calls = {"nu": 0}
         loop_nu = solver_mod.nu
 
-        def nu_checked(au, g_mat, h_mat, u, g_cond):
+        def nu_checked(scalars, g_mat, h_mat, g_cond):
             calls["nu"] += 1
-            np.testing.assert_allclose(h_mat @ g_mat, np.eye(len(u)),
+            np.testing.assert_allclose(h_mat @ g_mat, np.eye(len(g_mat)),
                                        atol=1e-8)
-            return loop_nu(au, g_mat, h_mat, u, g_cond)
+            return loop_nu(scalars, g_mat, h_mat, g_cond)
 
         monkeypatch.setattr(solver_mod, "nu", nu_checked)
         if general:

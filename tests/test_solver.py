@@ -271,8 +271,8 @@ class TestQuadraticPath:
         loop_update = solver_mod.update_arrays
 
         def off_update(*args):
-            g_plus, h_plus, phi, det_ratio = loop_update(*args)
-            return g_plus, h_plus * (1.0 + 1e-6), phi, det_ratio
+            pair, phi, det_ratio = loop_update(*args)
+            return np.stack((pair[0], pair[1] * (1.0 + 1e-6))), phi, det_ratio
 
         monkeypatch.setattr(solver_mod, "update_arrays", off_update)
         if general:
@@ -286,6 +286,62 @@ class TestQuadraticPath:
                            match="iteration 1: closeness forms disagree"):
             run(problem, PrimalVector(np.ones(8)), TauSchedule.bfgs(),
                 SolverConfig(max_iter=500))
+
+    @staticmethod
+    def _failing_run(general):
+        if general:
+            return lse_make(8, 20, mu=0.1, seed=424242, gamma=1.0), run_general
+        return quad_make(np.geomspace(1.0, 1e3, 8), seed=4), run_quadratic
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_nu_check_fails_before_the_pairings(self, monkeypatch, general):
+        # An update that hands back -H_plus breaks both checks of the next
+        # step: <w, Hw> and <y, Hy> turn negative.  The step's one set of
+        # update scalars feeds both, and nu's check still raises first.
+        loop_update, loop_scalars = (solver_mod.update_arrays,
+                                     solver_mod._scalars)
+        seen = []
+
+        def negated_inverse(*args):
+            pair, phi, det_ratio = loop_update(*args)
+            return np.stack((pair[0], -pair[1])), phi, det_ratio
+
+        def recorded_scalars(*args, **kwargs):
+            seen.append(loop_scalars(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(solver_mod, "update_arrays", negated_inverse)
+        monkeypatch.setattr(solver_mod, "_scalars", recorded_scalars)
+        problem, run = self._failing_run(general)
+        with pytest.raises(DivergenceError,
+                           match="iteration 1: closeness forms disagree"):
+            run(problem, PrimalVector(np.ones(8)), TauSchedule.bfgs(),
+                SolverConfig(max_iter=500))
+        # The pairing check would refuse that step too: <y, Hy> < 0.
+        assert len(seen) == 2 and seen[1][5] < 0.0
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_pairing_failure_keeps_its_message_and_k(self, monkeypatch,
+                                                     general):
+        # <y, Hy> of the third step turns negative; nu does not read it, so
+        # its check passes and the update's pairing check stops the run.
+        loop_scalars = solver_mod._scalars
+        calls = []
+
+        def third_step_breaks(*args, **kwargs):
+            au, gu, au_u, gu_u, z, aha = loop_scalars(*args, **kwargs)
+            calls.append(aha)
+            return au, gu, au_u, gu_u, z, -aha if len(calls) == 3 else aha
+
+        monkeypatch.setattr(solver_mod, "_scalars", third_step_breaks)
+        problem, run = self._failing_run(general)
+        with pytest.raises(DivergenceError,
+                           match=r"iteration 2: approximation lost "
+                                 r"definiteness \(update pairings must be "
+                                 r"positive for SPD inputs; got <Au,u>=") as err:
+            run(problem, PrimalVector(np.ones(8)), TauSchedule.bfgs(),
+                SolverConfig(max_iter=500))
+        assert err.value.k == 2 and len(calls) == 3
 
 
 class TestGeneralPath:

@@ -366,12 +366,12 @@ def test_update_leaving_spd_cone_is_a_witnessed_fail(monkeypatch, capsys,
     and the replay of that witness shows the value does not count."""
     original = broyden_mod._apply_update
 
-    def corrupt(g_mat, h_mat, u, scalars, tau):
-        g_plus, h_plus, phi, det_ratio = original(g_mat, h_mat, u, scalars, tau)
-        if tau == 0.5 and g_plus.ndim == 3 and g_plus.shape[-1] == 3:
-            g_plus = g_plus.copy()
-            g_plus[0] = -g_plus[0]
-        return g_plus, h_plus, phi, det_ratio
+    def corrupt(pair, u, scalars, tau):
+        pair, phi, det_ratio = original(pair, u, scalars, tau)
+        if tau == 0.5 and pair.ndim == 4 and pair.shape[-1] == 3:
+            pair = pair.copy()
+            pair[0, 0] = -pair[0, 0]
+        return pair, phi, det_ratio
 
     monkeypatch.setattr(broyden_mod, "_apply_update", corrupt)
     res = verify.run_suite(suite, n_max=4, trials=30, seed=0)
@@ -401,15 +401,20 @@ def test_infinite_pairing_is_refused_as_the_solver_refuses_it():
         stack = verify._Stack(np.stack([eye, eye]), np.stack([eye, eye]), u)
         assert np.isinf(stack.scalars[2][1])
         assert stack.ok.tolist() == [True, False]
+        scalars = broyden_mod._scalars(u[1], eye, u[1],
+                                       lambda v: eye @ v, check=False)
         with pytest.raises(ArithmeticError, match="pairings must be positive"):
-            broyden_mod.update_arrays(u[1], eye, eye, u[1], 0.5)
+            broyden_mod.update_arrays(np.stack((eye, eye)), u[1], scalars,
+                                      0.5)
 
 
 def _secant_nu_of(stack, i):
     """The solver's nu of triple ``i`` of a stack, or None where it raises."""
     g, h = stack.g[i], stack.h[i]
+    scalars = broyden_mod._scalars(stack.au[i], g, stack.u[i],
+                                   lambda v: np.matvec(h, v), check=False)
     try:
-        return broyden_mod.secant_nu(stack.au[i], g, h, stack.u[i],
+        return broyden_mod.secant_nu(scalars, g, h,
                                      broyden_mod._cond_inf(g, h))
     except ArithmeticError:
         return None
@@ -446,15 +451,17 @@ def test_failing_nu_check_raises_and_does_not_warn(monkeypatch):
     h_neg = -g.inverse_matrix()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        scalars = broyden_mod._scalars(a.entries @ u, g.entries, u,
+                                       lambda v: h_neg @ v, check=False)
         with pytest.raises(ArithmeticError, match="closeness forms disagree"):
-            broyden_mod.secant_nu(a.entries @ u, g.entries, h_neg, u,
+            broyden_mod.secant_nu(scalars, g.entries, h_neg,
                                   broyden_mod._cond_inf(g.entries, h_neg))
 
     build = verify._Stack.__init__
 
     def negated(self, *args):
         build(self, *args)
-        self.h = -self.h
+        self.h *= -1.0  # in the pair, so the update reads it too
 
     monkeypatch.setattr(verify._Stack, "__init__", negated)
     stacked = (a.entries[None], g.entries[None], u[None])

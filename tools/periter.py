@@ -10,19 +10,25 @@ and not, and prints one markdown row per n:
 - ``update``: the time of one ``update_arrays`` call inside the
   uninstrumented loop, the O(n^2) rank-two update of G_k and H_k;
 - ``eigvalsh``: the time of one ``np.linalg.eigvalsh`` call inside the
-  instrumented loop, the instrumented iteration's one decomposition.
+  instrumented loop, the instrumented iteration's one decomposition;
+- ``nu``: the time of one ``nu`` call inside the instrumented loop, the
+  closeness measure and its check;
+- ``rest``: the step's fixed cost outside those three calls, from an
+  instrumented run with a timer on each: its time per iteration (as above)
+  less one call of each.
 
 Each figure is the best of ``--repeat`` runs.  The first line names the BLAS
 thread setting, the environment variables that pin it (run with
 ``OPENBLAS_NUM_THREADS=1`` for the single-thread figures).
 
 Usage: PYTHONPATH=src python tools/periter.py [--n N ...] [--iters K]
-       [--repeat R]   (defaults: n = 30 100 200 400, K = 300, R = 3)
+       [--repeat R]   (defaults: n = 8 30 100 200 400, K = 300, R = 3)
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -79,32 +85,40 @@ def _run(quad, iters: int, instrument: bool):
     return time.perf_counter() - start, len(trace) - 1
 
 
-def row(n: int, iters: int, repeat: int) -> tuple[float, float, float, float]:
-    """``(uninstrumented, instrumented, update, eigvalsh)`` in us."""
+def _per_iter(quad, iters: int, instrument: bool, timers=()) -> float:
+    """Time per iteration of one run, less a one-iteration run's time, with
+    ``timers`` installed for the long run."""
+    base, _ = _run(quad, 1, instrument)
+    with contextlib.ExitStack() as stack:
+        for timer in timers:
+            stack.enter_context(timer)
+        total, steps = _run(quad, iters, instrument)
+    return (total - base) / max(steps - 1, 1)
+
+
+def row(n: int, iters: int, repeat: int) -> tuple[float, ...]:
+    """``(uninstrumented, instrumented, update, eigvalsh, nu, rest)`` in
+    us."""
     quad = quad_make(np.geomspace(1.0, 1e3, n), seed=n)
-    per_iter = []
-    for instrument in (False, True):
-        best = np.inf
-        for _ in range(repeat):
-            base, _ = _run(quad, 1, instrument)
-            total, steps = _run(quad, iters, instrument)
-            best = min(best, (total - base) / max(steps - 1, 1))
-        per_iter.append(best)
-    per_call = []
-    for owner, name, instrument in ((solver_mod, "update_arrays", False),
-                                    (np.linalg, "eigvalsh", True)):
-        best = np.inf
-        for _ in range(repeat):
-            with _Timed(owner, name) as timed:
-                _run(quad, iters, instrument)
-            best = min(best, timed.seconds / timed.calls)
-        per_call.append(best)
-    return tuple(1e6 * t for t in per_iter + per_call)
+    runs = []
+    for _ in range(repeat):
+        plain = _per_iter(quad, iters, False)
+        instrumented = _per_iter(quad, iters, True)
+        update = _Timed(solver_mod, "update_arrays")
+        _per_iter(quad, iters, False, [update])
+        timers = [_Timed(solver_mod, "update_arrays"),
+                  _Timed(np.linalg, "eigvalsh"), _Timed(solver_mod, "nu")]
+        timed = _per_iter(quad, iters, True, timers)
+        per_call = [t.seconds / t.calls for t in timers]
+        runs.append((plain, instrumented, update.seconds / update.calls,
+                     *per_call[1:], timed - sum(per_call)))
+    return tuple(1e6 * t for t in np.min(runs, axis=0))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n", type=int, nargs="+", default=[30, 100, 200, 400])
+    parser.add_argument("--n", type=int, nargs="+",
+                        default=[8, 30, 100, 200, 400])
     parser.add_argument("--iters", type=int, default=300)
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args(argv)
@@ -112,8 +126,9 @@ def main(argv=None) -> int:
     print(f"DFP, kappa = 1e3, {args.iters} iterations, best of {args.repeat}; "
           "per iteration, in us")
     print()
-    print("| n | uninstrumented | instrumented | update | eigvalsh |")
-    print("| --- | --- | --- | --- | --- |")
+    print("| n | uninstrumented | instrumented | update | eigvalsh | nu "
+          "| rest |")
+    print("| --- | --- | --- | --- | --- | --- | --- |")
     for n in args.n:
         cells = " | ".join(f"{t:,.0f}" for t in row(n, args.iters, args.repeat))
         print(f"| {n} | {cells} |", flush=True)
