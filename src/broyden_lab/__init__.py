@@ -83,7 +83,6 @@ from .solver import (
     TauSchedule,
     run_general,
     run_quadratic,
-    secant_residual,
 )
 
 __version__ = "0.1.0"

@@ -117,7 +117,7 @@ def _check_pairings(scalars):
         )
 
 
-def _scalars(au, g_mat, u, solve_g, check=True):
+def _scalars(au, g_mat, u, solve_g):
     """Shared update scalars ``(au, gu, au_u, gu_u, z, aha)``: Au, Gu,
     z = G^{-1}Au and the three pairings <Au, u>, <Gu, u>, <Au, z>.
 
@@ -125,24 +125,25 @@ def _scalars(au, g_mat, u, solve_g, check=True):
     the secant y = grad f(x + u) - grad f(x) on the solver's general path.
     Every argument may carry leading batch axes.  ``solve_g`` applies G^{-1}
     to (a stack of) vectors: the maintained inverse on the raw-array path,
-    the cached factorization on the typed one.  With ``check``, which takes
-    one direction, :func:`_check_pairings` runs on them.  The solver and the
-    typed update pass ``check=False`` and leave it to :func:`update_arrays`;
-    the verify stacks mask the updates :func:`_positive_pairings` rejects.
+    the cached factorization on the typed one.  No pairing is checked here:
+    :func:`update_arrays` and :func:`_typed_scalars` run
+    :func:`_check_pairings`, and the verify stacks mask the updates
+    :func:`_positive_pairings` rejects.
     """
     gu = np.matvec(g_mat, u)
     au_u = np.vecdot(au, u)
     gu_u = np.vecdot(gu, u)
     z = solve_g(au)
-    scalars = au, gu, au_u, gu_u, z, np.vecdot(au, z)
-    if check:
-        _check_pairings(scalars)
-    return scalars
+    return au, gu, au_u, gu_u, z, np.vecdot(au, z)
 
 
 def _typed_scalars(a: SpdOperator, g: SpdOperator, u: PrimalVector, what: str):
+    """The checked update scalars of a typed triple, G^{-1} through G's
+    cached factor."""
     uc = _nonzero_direction(a, g, u, what)
-    return _scalars(np.matvec(a.entries, uc), g.entries, uc, g.solve_vec)
+    scalars = _scalars(np.matvec(a.entries, uc), g.entries, uc, g.solve_vec)
+    _check_pairings(scalars)
+    return scalars
 
 
 def _phi_det(tau, au_u, gu_u, aha):
@@ -255,7 +256,7 @@ def _explicit_scalars(a: SpdOperator, g: SpdOperator, uc: np.ndarray):
     inverse."""
     h_mat = g.inverse_matrix()
     return h_mat, _scalars(np.matvec(a.entries, uc), g.entries, uc,
-                           lambda v: np.matvec(h_mat, v), check=False)
+                           lambda v: np.matvec(h_mat, v))
 
 
 def _typed_update(a: SpdOperator, g: SpdOperator, uc: np.ndarray, tau: float):

@@ -42,7 +42,6 @@ __all__ = [
     "chol_solve",
     "chol_factor_solve",
     "pencil_eigvals",
-    "spectrum_extremes",
     "check_number",
     "check_array",
     "check_keys",
@@ -251,15 +250,6 @@ def pencil_eigvals(g: np.ndarray, a_chol: np.ndarray) -> np.ndarray:
         raise NotSpdError("generalized eigenvalue reduction failed") from exc
 
 
-def spectrum_extremes(vals) -> tuple[float, float]:
-    """Smallest and largest entry of an ascending spectrum, as floats; a
-    ValueError unless they form a positive range."""
-    lo, hi = float(vals[0]), float(vals[-1])
-    if not 0.0 < lo <= hi:
-        raise ValueError(f"invalid eigen range ({lo}, {hi})")
-    return lo, hi
-
-
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.flags.writeable = False
@@ -321,18 +311,23 @@ class DualVector(_Vector):
 
 @dataclass(frozen=True)
 class EigenRange:
-    """Extreme generalized eigenvalues of one SPD operator relative to another."""
+    """Extreme generalized eigenvalues of one SPD operator relative to another,
+    stored as floats; a ValueError unless 0 < min_rel <= max_rel."""
 
     min_rel: float
     max_rel: float
 
     def __post_init__(self):
-        spectrum_extremes((self.min_rel, self.max_rel))
+        lo, hi = float(self.min_rel), float(self.max_rel)
+        if not 0.0 < lo <= hi:
+            raise ValueError(f"invalid eigen range ({lo}, {hi})")
+        object.__setattr__(self, "min_rel", lo)
+        object.__setattr__(self, "max_rel", hi)
 
     @classmethod
     def of_spectrum(cls, vals: np.ndarray) -> "EigenRange":
         """Range of an ascending spectrum (rejected if not positive)."""
-        return cls(*spectrum_extremes(vals))
+        return cls(vals[0], vals[-1])
 
 
 @dataclass(frozen=True)

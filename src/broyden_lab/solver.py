@@ -19,10 +19,9 @@ takes V with V^T A V = diag(s) and V^T B V = I from one eigendecomposition
 quadratic in y = V^T B x: A = diag(s), B = I, b = V^T b, so G_0 = ell I and
 H_0 = I / ell.  There the secant is s * u, r^2 is <s * u, u>, and the
 eigenvalues of G_k relative to A are those of the standard symmetric matrix
-G_k * (d d^T) with d = s^(-1/2), formed once.  At exit the final iterate and
-any recorded objects go back to the caller's coordinates, and an
-uninstrumented run stops on the Euclidean norm of the gradient there, as on
-the general path.
+G_k * (d d^T) with d = s^(-1/2), formed once.  At exit the final iterate
+goes back to the caller's coordinates, and an uninstrumented run stops on
+the Euclidean norm of the gradient there, as on the general path.
 
 The update is the classical one: it reads the target only through the
 secant y_k = grad f(x_{k+1}) - grad f(x_k), which equals J_k u_k by the mean
@@ -83,9 +82,8 @@ zero step (direction norm at most ZERO_DIRECTION_NORM) records r = 0,
 targets the Hessian at the same iterate and skips the update.  The terminal
 row has no step; only the quadratic path, whose target is fixed, still
 measures its potentials.  Each row's values go to one float64 buffer per
-column, so a trace retains about 13 doubles per iterate; the per-iterate
-vectors and operator snapshots are kept only when a caller passes
-``record_operators=True``.
+column, so a trace retains about 13 doubles per iterate and the final
+iterate; G_k, H_k and the per-iterate vectors are not kept.
 
 An instrumented general-path iteration on log-sum-exp makes two validated
 Cholesky factorizations: the one pointwise Hessian (the gradient is an
@@ -123,7 +121,6 @@ from .operators import (
     DualVector,
     NotSpdError,
     PrimalVector,
-    Role,
     SpdOperator,
     check_array,
     check_keys,
@@ -156,7 +153,6 @@ __all__ = [
     "QUAD_ERROR_RTOL",
     "run_quadratic",
     "run_general",
-    "secant_residual",
 ]
 
 
@@ -263,10 +259,6 @@ _ROW_COLUMNS = ("lambda", "g", "r", "xi", "nu", "v", "psi", "eig_min",
 _CSV_COLUMNS = ("k",) + _ROW_COLUMNS[:10]
 # Rows that write_columns formats at once (trace.csv and envelopes.csv).
 _CSV_BLOCK = 4096
-# The per-iterate objects a recorded run keeps, one list each: the iterate,
-# its gradient, the step (None where there is none), G_k, H_k and the step
-# target (None where there is no step).
-_OBJECT_FIELDS = ("xs", "grads", "us", "g_ops", "h_ops", "j_ops")
 
 
 def _fmt(value) -> str:
@@ -333,12 +325,10 @@ class IterationTrace:
     The 13 float64 column arrays all have one entry per visited iterate.
     Step-dependent fields (r, nu, tau, est_error, and v/psi and the j_eig
     range on the general path) are NaN on the terminal row, which has no
-    outgoing step.  ``x_final`` is the last iterate; ``converged`` is false
-    when the run stopped at ``max_iter``.  The six object lists
-    (see ``_OBJECT_FIELDS``) are kept together by a run called with
-    ``record_operators=True`` and are ``None`` otherwise.  ``x_final`` and
-    the object lists are in the coordinates of ``problem``, the instance the
-    caller passed, also for a quadratic, which runs in its eigenbasis.
+    outgoing step.  ``x_final`` is the last iterate, in the coordinates of
+    ``problem``, the instance the caller passed, also for a quadratic, which
+    runs in its eigenbasis; ``converged`` is false when the run stopped at
+    ``max_iter``.
     """
 
     problem: ProblemInstance
@@ -358,12 +348,6 @@ class IterationTrace:
     est_errors: np.ndarray
     x_final: PrimalVector
     converged: bool
-    xs: list[PrimalVector] | None = None
-    grads: list[DualVector] | None = None
-    us: list[PrimalVector | None] | None = None
-    g_ops: list[SpdOperator] | None = None
-    h_ops: list[SpdOperator] | None = None
-    j_ops: list[SpdOperator | None] | None = None
 
     def __len__(self) -> int:
         return len(self.lambdas)
@@ -395,16 +379,6 @@ class IterationTrace:
 
 def _lost_definiteness(k: int, why: str) -> DivergenceError:
     return DivergenceError(k, f"approximation lost definiteness ({why})")
-
-
-def _snapshot(k: int, m: np.ndarray, role: Role) -> SpdOperator:
-    """A recorded operator: ``SpdOperator(m, role)``, or a
-    :class:`DivergenceError` at iteration ``k`` if ``m`` fails its SPD
-    rule."""
-    try:
-        return SpdOperator(m, role)
-    except NotSpdError as exc:
-        raise _lost_definiteness(k, str(exc)) from None
 
 
 def _spectrum(k: int, eigvals, *args) -> tuple[np.ndarray, float, float]:
@@ -509,50 +483,8 @@ class _Eigenbasis:
         return math.sqrt(float(scaled @ scaled))
 
 
-def _mapped(start: np.ndarray, y_start: np.ndarray, y: np.ndarray,
-            left: np.ndarray) -> np.ndarray:
-    """A point or operator that a run in the eigenbasis moved from
-    ``y_start`` to ``y``, in the caller's coordinates: the caller's own
-    ``start`` plus the change mapped by ``left`` (``left`` applied on both
-    sides of an operator), so the start maps exactly and only the change
-    carries the basis's rounding."""
-    change = left @ (y - y_start)
-    return start + (change if change.ndim == 1 else change @ left.T)
-
-
-def _recorded_objects(p: ProblemInstance, x0: PrimalVector,
-                      basis: _Eigenbasis | None, records: list) -> dict:
-    """The six per-iterate object lists of a recorded run, typed and in the
-    caller's coordinates.
-
-    Each snapshot of G_k and H_k is factored once, as the loop factors
-    neither.  A quadratic's iterates, G_k and H_k come back from the
-    eigenbasis by :func:`_mapped` from x0, ell B and B^-1 / ell; its steps
-    and gradients are mapped by V and B V, and its step target is its own A.
-    """
-    out = {name: [] for name in _OBJECT_FIELDS}
-    if basis is not None:
-        y0, g_y0, h_y0 = records[0][0].coords, records[0][3], records[0][4]
-        g0 = p.ell * p.b_ref.entries
-        h0 = p.b_ref.inverse_matrix() / p.ell
-    for k, (x, grad, u, g_mat, h_mat, target) in enumerate(records):
-        if basis is not None:
-            x = PrimalVector(_mapped(x0.coords, y0, x.coords, basis.v))
-            grad = DualVector(basis.dual @ grad.coords)
-            u = None if u is None else basis.v @ u
-            g_mat = _mapped(g0, g_y0, g_mat, basis.dual)
-            h_mat = _mapped(h0, h_y0, h_mat, basis.v)
-            target = None if target is None else p.a_op
-        for name, obj in zip(_OBJECT_FIELDS, (
-                x, grad, None if u is None else PrimalVector(u),
-                _snapshot(k, g_mat, Role.PRIMAL_TO_DUAL),
-                _snapshot(k, h_mat, Role.DUAL_TO_PRIMAL), target)):
-            out[name].append(obj)
-    return out
-
-
 def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
-           config: SolverConfig, general: bool, record: bool) -> IterationTrace:
+           config: SolverConfig, general: bool) -> IterationTrace:
     if x0.dim != p.n:
         raise ValueError(f"x0 has dimension {x0.dim}, expected {p.n}")
     # A quadratic runs in its eigenbasis, taken here once; the loop reads
@@ -576,7 +508,6 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
     # One buffer per column, and the row every iterate starts from.
     columns = [array("d") for _ in _ROW_COLUMNS]
     blank_row = dict.fromkeys(_ROW_COLUMNS, math.nan)
-    records = []
     grad = _gradient(problem, x, 0)
     xi = 1.0
     for k in range(config.max_iter + 1):
@@ -640,8 +571,7 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
                         y = None  # rounding, not curvature: no update, no nu
                 if y is not None:
                     # One set of update scalars serves r, nu and the update.
-                    scalars = _scalars(y, g_mat, u, partial(np.matvec, h_mat),
-                                       check=False)
+                    scalars = _scalars(y, g_mat, u, partial(np.matvec, h_mat))
                     if hess_k is not None:
                         if quadratic:
                             target, row["est_error"] = hess_k, 0.0
@@ -658,10 +588,6 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
             row["v"], row["psi"] = spectral_barriers(lams)
         for buf, value in zip(columns, row.values()):
             buf.append(value)
-        # Snapshots are O(n^2) each, so a run keeps them only when asked.
-        if record:
-            records.append((x, grad, u, g_mat, h_mat,
-                            None if u is None else target))
         if last:
             break
         if u is not None:
@@ -680,71 +606,30 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
                 xi = (xi * math.exp(min(problem.sc_const * row["r"], 709.0))
                       if config.instrument else math.nan)
 
-    objects = _recorded_objects(p, x0, basis, records) if record else {}
-    if record:
-        x = objects["xs"][-1]
-    elif quadratic:
-        x = PrimalVector(_mapped(x0.coords, y0, x.coords, basis.v))
+    if quadratic:
+        # The caller's own x0 plus the change mapped by V, so a run that
+        # never moves returns x0 exactly and only the change carries the
+        # basis's rounding.
+        x = PrimalVector(x0.coords + basis.v @ (x.coords - y0))
     return IterationTrace(
         problem=p, schedule=schedule,
         **{name + "s": np.frombuffer(buf)
            for name, buf in zip(_ROW_COLUMNS, columns)},
-        x_final=x, converged=converged, **objects,
+        x_final=x, converged=converged,
     )
 
 
 def run_quadratic(p: QuadraticProblem, x0: PrimalVector, sched: TauSchedule,
-                  cfg: SolverConfig, *,
-                  record_operators: bool = False) -> IterationTrace:
-    """Minimize a quadratic, updating toward its operator every iteration.
-
-    With ``record_operators=True`` the trace also keeps every iterate, its
-    gradient and step, and the G_k, H_k and step-target snapshots, O(n^2)
-    per iterate; :func:`secant_residual` needs them.
-    """
+                  cfg: SolverConfig) -> IterationTrace:
+    """Minimize a quadratic, updating toward its operator every iteration."""
     if not isinstance(p, QuadraticProblem):
         raise TypeError("run_quadratic needs a QuadraticProblem")
-    return _drive(p, x0, sched, cfg, False, record_operators)
+    return _drive(p, x0, sched, cfg, False)
 
 
 def run_general(p: ProblemInstance, x0: PrimalVector, sched: TauSchedule,
-                cfg: SolverConfig, *,
-                record_operators: bool = False) -> IterationTrace:
-    """Minimize a smooth instance, updating toward each segment-mean Hessian;
-    ``record_operators`` as for :func:`run_quadratic`."""
+                cfg: SolverConfig) -> IterationTrace:
+    """Minimize a smooth instance, updating toward each segment-mean Hessian."""
     if not isinstance(p, ProblemInstance):
         raise TypeError("run_general needs a ProblemInstance")
-    return _drive(p, x0, sched, cfg, True, record_operators)
-
-
-def secant_residual(trace: IterationTrace, p: ProblemInstance) -> list[float]:
-    """Relative secant residuals ||G_{k+1} u_k - dg_k|| / ||dg_k|| per step.
-
-    dg_k is the measured gradient difference across step k.  The general
-    path updates from dg_k itself, so there the residual is exact up to
-    rounding; the quadratic path updates from A u_k, which dg_k matches up
-    to the rounding of the two gradients.  Near-degenerate tail steps are
-    skipped: once the gradient difference sinks toward the rounding noise
-    of a gradient evaluation (around eps * ell * |x|), its relative
-    direction is meaningless.
-    """
-    if trace.g_ops is None:
-        raise ValueError("trace was recorded without operator snapshots")
-    eps = np.finfo(float).eps
-    out = []
-    for k in range(trace.k_final):
-        u = trace.us[k]
-        if u is None:
-            continue
-        dg = trace.grads[k + 1].coords - trace.grads[k].coords
-        denom = float(np.linalg.norm(dg))
-        noise_floor = eps * p.ell * (
-            float(np.linalg.norm(trace.xs[k].coords))
-            + float(np.linalg.norm(trace.xs[k + 1].coords))
-            + 1.0
-        )
-        if denom <= 1e10 * noise_floor:
-            continue
-        resid = trace.g_ops[k + 1].matvec(u.coords) - dg
-        out.append(float(np.linalg.norm(resid)) / denom)
-    return out
+    return _drive(p, x0, sched, cfg, True)

@@ -12,8 +12,9 @@ a fixed RNG order, and a draw holds only raw inputs: n, each matrix's
 spectrum and Gaussian block (or the dominating bump's block and scale),
 and u.  Drawn triples are grouped by n and wait until their raw inputs hold
 ``_STACK_ELEMENTS`` entries between them.  Each group is then assembled as
-one (T, n, n) stack (a stacked QR with its sign fix, then Q diag(eigs) Q^T)
-and goes through stacked LAPACK calls and the solver's own kernels: the
+one (T, n, n) stack per matrix (a stacked QR with its sign fix, then
+Q diag(eigs) Q^T), G straight into the first half of the (T, 2, n, n)
+(G, H) pair the update reads, and goes through stacked LAPACK calls and the solver's own kernels: the
 update (``broyden._scalars`` and ``broyden._apply_update``) and nu with its
 check (``broyden._closeness``).  Every stacked value is bitwise the value of
 its triple alone, so no result depends on how the draws were grouped.  The
@@ -165,17 +166,21 @@ def _draw(rng: np.random.Generator, n_max: int, dominating: bool):
 
 
 def _assemble(draws, dominating: bool):
-    """The (A, G, u) stacks of raw draws of one n, each matrix of the stack
-    built in the same stacked calls."""
+    """The stacks of raw draws of one n: A, the (T, 2, n, n) pair whose G
+    half holds G (:class:`_Stack` fills its H half) and u, each matrix of a
+    stack built in the same stacked calls."""
     _, a_eigs, a_z, g_1, g_2, u = map(np.array, zip(*draws))
     a = haar_spd(a_eigs, a_z)
-    g = _dominating_stack(a, g_1, g_2) if dominating else haar_spd(g_1, g_2)
-    return a, g, u
+    pair = np.empty(a.shape[:-2] + (2,) + a.shape[-2:])
+    pair[..., 0, :, :] = (_dominating_stack(a, g_1, g_2) if dominating
+                          else haar_spd(g_1, g_2))
+    return a, pair, u
 
 
 def _stacks(rng: np.random.Generator, trials: int, n_max: int,
             dominating: bool):
-    """Draw the trials in order; yield (trial indices, A, G, u) stacks of one n.
+    """Draw the trials in order; yield (trial indices, A, pair, u) stacks of
+    one n, G in the pair's first half (see :func:`_assemble`).
 
     Raw draws wait until they hold ``_STACK_ELEMENTS`` entries (or the
     trials run out) and then leave as one assembled stack per dimension, in
@@ -217,18 +222,21 @@ class _Stack:
     explicit inverse of G from its factor; the update and nu read it as the
     solver reads its maintained inverse, and nu's mask is the solver's
     check that it inverts G.  ``g`` and ``h`` are the halves of ``pair``,
-    built once, which the update at every tau reads.
+    the (T, 2, n, n) array that :func:`_assemble` built with G in its first
+    half; the stack fills in the second, and the update at every tau reads
+    the pair.
     """
 
-    def __init__(self, a, g, u):
+    def __init__(self, a, pair, u):
         self.u, self.au = u, np.matvec(a, u)
+        self.pair = pair
+        self.g, self.h = pair[..., 0, :, :], pair[..., 1, :, :]
         _, self.la, fault_a = spd_factor(a)
-        _, self.lg, fault_g = spd_factor(g)
+        _, self.lg, fault_g = spd_factor(self.g)
         self.lg_inv = np.linalg.inv(self.lg)
         h = self.lg_inv.mT @ self.lg_inv
-        self.pair = np.stack((g, 0.5 * (h + h.mT)), axis=-3)
-        self.g, self.h = self.pair[..., 0, :, :], self.pair[..., 1, :, :]
-        self.scalars = kernel._scalars(self.au, g, u, self.apply_h, check=False)
+        self.h[...] = 0.5 * (h + h.mT)
+        self.scalars = kernel._scalars(self.au, self.g, u, self.apply_h)
         au_u, gu_u, aha = self.scalars[2], self.scalars[3], self.scalars[5]
         self.ok = ((fault_a == 0) & (fault_g == 0)
                    & kernel._positive_pairings(au_u, gu_u, aha))
@@ -288,7 +296,7 @@ def _inverse_identity(st):
 
 
 def _det_ratio(st):
-    solved = kernel._scalars(st.au, st.g, st.u, st.solve_g, check=False)
+    solved = kernel._scalars(st.au, st.g, st.u, st.solve_g)
     au_u, gu_u, aha = solved[2], solved[3], solved[5]
     solved_ok = kernel._positive_pairings(au_u, gu_u, aha)
     logdet_g = chol_logdet(st.lg)
@@ -373,13 +381,14 @@ _SUITES = {
 SUITES = tuple(_SUITES)
 
 
-def _evaluate(name: str, a, g, u):
-    """The suite's rows on the stack of triples (A, G, u), with ``ok``
+def _evaluate(name: str, a, pair, u):
+    """The suite's rows on the stack of triples (A, G, u), G in the first
+    half of ``pair`` (see :func:`_assemble`), with ``ok``
     narrowed to the values that count: accepted by the stack and the row,
     and finite; and a (T, tau) array of the values, NaN where one does not
     count."""
     with np.errstate(all="ignore"):
-        stack = _Stack(a, g, u)
+        stack = _Stack(a, pair, u)
         rows = [{**row, "ok": stack.ok & row["ok"] & np.isfinite(row["value"])}
                 for row in _SUITES[name][2](stack)]
     values = np.stack([np.where(row["ok"], row["value"], np.nan)
@@ -404,8 +413,8 @@ def _run(name: str, n_max: int, trials: int, seed: int) -> CheckResult:
     sign = 1.0 if higher_is_worse else -1.0
     rng = np.random.default_rng(seed)
     best = None
-    for idx, a, g, u in _stacks(rng, trials, n_max, dominating):
-        t, k, worst = _worst(_evaluate(name, a, g, u)[1], sign)
+    for idx, a, pair, u in _stacks(rng, trials, n_max, dominating):
+        t, k, worst = _worst(_evaluate(name, a, pair, u)[1], sign)
         rank = (sign * worst, -idx[t], -k)
         if best is None or rank > best[0]:
             best = (rank, int(idx[t]), k, worst, u.shape[-1])
@@ -546,12 +555,12 @@ def replay(name: str, trial: int, n_max: int = 8, seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(suite_seed)
     for _ in range(trial):
         _draw(rng, n_max, dominating)
-    a, g, u = _assemble([_draw(rng, n_max, dominating)], dominating)
+    a, pair, u = _assemble([_draw(rng, n_max, dominating)], dominating)
     print(f"{name} seed={suite_seed} trial={trial} n={u.shape[-1]}")
     with np.printoptions(precision=17, linewidth=100):
-        for label, arr in (("A", a[0]), ("G", g[0]), ("u", u[0])):
+        for label, arr in (("A", a[0]), ("G", pair[0, 0]), ("u", u[0])):
             print(f"{label} = {np.array2string(arr, prefix=label + ' = ')}")
-    rows, values = _evaluate(name, a, g, u)
+    rows, values = _evaluate(name, a, pair, u)
     for tau, row in zip(TAU_GRID, rows):
         print(_fmt_values({"tau": tau, **row}))
     _, k, worst = _worst(values, 1.0 if higher_is_worse else -1.0)

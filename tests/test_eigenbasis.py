@@ -28,11 +28,12 @@ from broyden_lab import (
     quad_make,
     run_general,
     run_quadratic,
-    secant_residual,
 )
 from broyden_lab.bounds import env_section6, trace_reports
 from broyden_lab.cli import QUADRATIC_ENVELOPES
 from broyden_lab.problems import random_orthogonal
+
+from helpers import record_run
 
 SCHEDULES = {"bfgs": TauSchedule.bfgs(), "half": TauSchedule((0.5,))}
 
@@ -123,37 +124,52 @@ class TestCallerCoordinates:
     @pytest.mark.parametrize("run", [run_quadratic, run_general])
     @pytest.mark.parametrize("method", ["bfgs", "dfp", "half"])
     def test_recorded_objects(self, run, method):
+        # The loop's own arrays, in the eigenbasis (V, diag(s)) that
+        # q.eigenbasis() rebuilds bit for bit: an iterate y maps back to
+        # x0 + V (y - y0), a gradient to B V grad_y.
         q, x0 = _b_not_identity()
         schedule = {"bfgs": TauSchedule.bfgs(), "dfp": TauSchedule.dfp(),
                     "half": TauSchedule((0.5,))}[method]
-        tr = run(q, x0, schedule, SolverConfig(max_iter=2000, grad_tol=1e-10),
-                 record_operators=True)
+        tr, rec = record_run(run, q, x0, schedule,
+                             SolverConfig(max_iter=2000, grad_tol=1e-10))
         assert tr.converged and tr.problem is q
+        v, diagonal = q.eigenbasis()
+        dual = q.b_ref.entries @ v
         a, b = q.a_op.entries, q.b.coords
-        # The start and its metric map back exactly.
-        assert np.array_equal(tr.xs[0].coords, x0.coords)
-        assert np.array_equal(tr.g_ops[0].entries, q.ell * q.b_ref.entries)
-        assert tr.xs[-1] is tr.x_final
+        # The start is V^T B x0, with G_0 = ell I and H_0 = I / ell there,
+        # and the final iterate is the last one mapped back.
+        y0 = rec.xs[0]
+        assert np.array_equal(y0, dual.T @ x0.coords)
+        g0, h0 = rec.pair(0)
+        assert np.array_equal(g0, q.ell * np.eye(q.n))
+        assert np.array_equal(h0, np.eye(q.n) / q.ell)
+        assert list(rec.xs) == list(range(len(tr)))
+        assert np.array_equal(tr.x_final.coords,
+                              x0.coords + v @ (rec.xs[tr.k_final] - y0))
         np.testing.assert_allclose(tr.x_final.coords, q.minimizer().coords,
                                    rtol=1e-9, atol=1e-12)
         scale = np.linalg.norm(a, 2)
-        for k, (x, grad) in enumerate(zip(tr.xs, tr.grads)):
-            x_norm = float(np.linalg.norm(x.coords))
-            assert np.linalg.norm(grad.coords - (a @ x.coords - b)) <= (
+        for k, y in rec.xs.items():
+            x = x0.coords + v @ (y - y0)
+            grad = dual @ rec.grads[k]
+            x_norm = float(np.linalg.norm(x))
+            assert np.linalg.norm(grad - (a @ x - b)) <= (
                 1e-12 * (scale * x_norm + np.linalg.norm(b))), k
             # lambda is the caller's ||grad||*_A.
-            assert tr.lambdas[k] == pytest.approx(norm_dual(q.a_op, grad),
-                                                  rel=1e-6, abs=1e-14)
+            assert tr.lambdas[k] == pytest.approx(
+                norm_dual(q.a_op, DualVector(grad)), rel=1e-6, abs=1e-14)
+            g, h = rec.pair(k)
+            np.testing.assert_allclose(g @ h, np.eye(q.n), atol=1e-9)
+        # Every step moves the iterate and updates toward A itself, whose
+        # secant s * u_k is exact in the eigenbasis: no segment mean.
+        assert sorted(rec.steps) == list(range(tr.k_final))
+        assert not rec.targets
+        for k, step in rec.steps.items():
             np.testing.assert_allclose(
-                tr.g_ops[k].entries @ tr.h_ops[k].entries, np.eye(q.n),
-                atol=1e-9)
-            if tr.us[k] is not None:
-                assert tr.j_ops[k] is q.a_op
-                np.testing.assert_allclose(
-                    tr.us[k].coords, tr.xs[k + 1].coords - x.coords,
-                    rtol=0.0, atol=1e-12 * (1.0 + x_norm))
-        res = secant_residual(tr, q)
-        assert res and max(res) <= 1e-10
+                step.u, rec.xs[k + 1] - rec.xs[k], rtol=0.0,
+                atol=1e-12 * (1.0 + np.linalg.norm(rec.xs[k])))
+            assert np.array_equal(step.y, diagonal.spectrum * step.u)
+        assert max(rec.secant_residuals()) <= 1e-10
 
     @pytest.mark.parametrize("method, tol, k_stop", [
         ("bfgs", 1e-6, 36), ("dfp", 1e-4, 194)])
@@ -161,18 +177,19 @@ class TestCallerCoordinates:
                                                             k_stop):
         # Uninstrumented, a run stops on the Euclidean norm of the gradient
         # in the caller's coordinates, as the dense loop did (k_stop is its
-        # iteration count); the norm of V^T grad f, the gradient in the
-        # eigenbasis, differs when B != I and would stop one step earlier.
+        # iteration count); the norm of the gradient in the eigenbasis,
+        # V^T grad f, differs when B != I and would stop one step earlier.
         q, x0 = _b_not_identity()
         schedule = TauSchedule.dfp() if method == "dfp" else TauSchedule.bfgs()
-        tr = run_quadratic(q, x0, schedule,
-                           SolverConfig(max_iter=2000, grad_tol=tol,
-                                        instrument=False),
-                           record_operators=True)
+        tr, rec = record_run(run_quadratic, q, x0, schedule,
+                             SolverConfig(max_iter=2000, grad_tol=tol,
+                                          instrument=False))
         assert tr.converged and tr.k_final == k_stop
+        assert list(rec.grads) == list(range(len(tr)))
         v, _ = q.eigenbasis()
-        caller = [float(np.linalg.norm(g.coords)) for g in tr.grads]
-        eigen = [float(np.linalg.norm(v.T @ g.coords)) for g in tr.grads]
+        dual = q.b_ref.entries @ v
+        caller = [float(np.linalg.norm(dual @ g)) for g in rec.grads.values()]
+        eigen = [float(np.linalg.norm(g)) for g in rec.grads.values()]
         assert min(k for k, x in enumerate(caller) if x <= tol) == k_stop
         assert min(k for k, x in enumerate(eigen) if x <= tol) < k_stop
 

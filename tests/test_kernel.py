@@ -45,7 +45,7 @@ from broyden_lab import (
 )
 from broyden_lab.broyden import update_arrays
 
-from helpers import random_spd
+from helpers import random_spd, record_run
 
 KERNEL_TAUS = (0.0, 0.3, 1.0)
 TOL = 1e-12
@@ -81,8 +81,7 @@ def textbook_update(a, g, u, tau, phi):
 def h_scalars(au, g, h, u):
     """A step's update scalars with G^{-1} applied through H, as the solver
     takes them."""
-    return broyden_mod._scalars(au, g, u, lambda v: np.matvec(h, v),
-                                check=False)
+    return broyden_mod._scalars(au, g, u, lambda v: np.matvec(h, v))
 
 
 def update(au, g, h, u, tau):
@@ -327,60 +326,87 @@ def test_spectral_barriers_are_the_sum_form_bitwise(shape):
         assert np.array_equal(got, ref)
 
 
-def old_nu(a, g, u) -> float:
-    """The closeness measure as first written: an explicit n x n quadratic form."""
-    diff = g.entries - a.entries
-    mid = diff @ scipy.linalg.cho_solve((np.linalg.cholesky(g.entries), True), diff)
-    return math.sqrt(max(float(u @ (mid @ u)), 0.0) / float(u @ (a.entries @ u)))
+def old_nu(a_u, g, u) -> float:
+    """The closeness measure as first written, ||(G - A)u||*_G / ||u||_A,
+    through an explicit Cholesky solve with G, from the image ``a_u`` of u."""
+    w = g @ u - a_u
+    mid = w @ scipy.linalg.cho_solve((np.linalg.cholesky(g), True), w)
+    return math.sqrt(max(float(mid), 0.0) / float(u @ a_u))
 
 
 @pytest.fixture(scope="module")
 def recorded():
+    """A quadratic and a log-sum-exp run at each of BFGS, DFP, tau = 0.5 and
+    tau = 0.3, with the arrays each loop used, as ``(quadratic, trace,
+    record, hess, target)``: ``hess(k)`` is the Hessian at iterate k and
+    ``target(k)`` the step target of row k (None on a general run's
+    terminal row), both in the loop's coordinates."""
     quad = quad_make(np.geomspace(1.0, 30.0, 8), seed=31)
     x0 = PrimalVector(np.random.default_rng(32).standard_normal(8))
-    trace = run_quadratic(quad, x0, TauSchedule((0.3,)),
-                          SolverConfig(max_iter=500, grad_tol=1e-12),
-                          record_operators=True)
-    return quad, trace
+    a = quad.eigenbasis()[1].a_op.entries
+    lse = lse_make(8, 20, mu=0.1, seed=424242, gamma=1.0)
+    runs = []
+    for tau in (0.0, 1.0, 0.5, 0.3):
+        tr, rec = record_run(run_quadratic, quad, x0, TauSchedule((tau,)),
+                             SolverConfig(max_iter=500, grad_tol=1e-12))
+        runs.append((True, tr, rec, lambda k: a, lambda k: a))
+        tr, rec = record_run(run_general, lse, PrimalVector(np.zeros(8)),
+                             TauSchedule((tau,)),
+                             SolverConfig(max_iter=400, grad_tol=1e-13))
+        runs.append((False, tr, rec,
+                     lambda k, x=rec.xs: lse.hess(PrimalVector(x[k])).entries,
+                     lambda k, j=rec.targets: j.get(k)))
+    for _, tr, rec, _, _ in runs:
+        assert tr.converged and sorted(rec.steps) == list(range(tr.k_final))
+    return runs
 
 
 class TestOneSpectrum:
     def test_range_matches_generalized_eigh(self, recorded):
-        quad, trace = recorded
-        for k, g in enumerate(trace.g_ops):
-            ref = scipy.linalg.eigh(g.entries, quad.a_op.entries,
-                                    eigvals_only=True)
-            lams = rel_eigvals(g, quad.a_op)
-            assert all(close(x, y) for x, y in zip(lams, ref))
-            rng_ref = rel_eigen_range(g, quad.a_op)
-            assert close(trace.eig_mins[k], ref[0])
-            assert close(trace.eig_maxs[k], ref[-1])
-            # The loop's spectrum is G_k's relative to diag(s) in the
-            # eigenbasis, and the snapshot is G_k mapped back, so the typed
-            # pencil on the snapshot agrees to rounding; one spectrum serves
-            # both ranges, bit for bit.
-            assert close(trace.j_eig_mins[k], rng_ref.min_rel)
-            assert close(trace.j_eig_maxs[k], rng_ref.max_rel)
-            assert trace.j_eig_mins[k] == trace.eig_mins[k]
-            assert trace.j_eig_maxs[k] == trace.eig_maxs[k]
+        for quadratic, trace, rec, hess, target in recorded:
+            for k in range(len(trace)):
+                g = rec.pair(k)[0]
+                ref = scipy.linalg.eigh(g, hess(k), eigvals_only=True)
+                lams = rel_eigvals(SpdOperator(g), SpdOperator(hess(k)))
+                assert all(close(x, y) for x, y in zip(lams, ref))
+                assert close(trace.eig_mins[k], ref[0])
+                assert close(trace.eig_maxs[k], ref[-1])
+                if target(k) is None:
+                    assert math.isnan(trace.j_eig_mins[k])
+                    continue
+                rng_ref = rel_eigen_range(SpdOperator(g),
+                                          SpdOperator(target(k)))
+                assert close(trace.j_eig_mins[k], rng_ref.min_rel)
+                assert close(trace.j_eig_maxs[k], rng_ref.max_rel)
+                if quadratic:
+                    # The Hessian is the step target: one spectrum serves
+                    # both ranges, bit for bit.
+                    assert trace.j_eig_mins[k] == trace.eig_mins[k]
+                    assert trace.j_eig_maxs[k] == trace.eig_maxs[k]
 
     def test_potentials_match_factorized_forms(self, recorded):
-        quad, trace = recorded
-        for k, g in enumerate(trace.g_ops):
-            v, psi = spectral_barriers(rel_eigvals(g, quad.a_op))
-            v_ref = logdet_barrier(quad.a_op, g)
-            psi_ref = augmented_barrier(g, quad.a_op)
-            assert close(v, v_ref) and close(trace.vs[k], v_ref)
-            assert close(psi, psi_ref) and close(trace.psis[k], psi_ref)
+        for _, trace, rec, _, target in recorded:
+            for k in range(len(trace)):
+                if target(k) is None:
+                    assert np.isnan([trace.vs[k], trace.psis[k]]).all()
+                    continue
+                g, t = SpdOperator(rec.pair(k)[0]), SpdOperator(target(k))
+                v, psi = spectral_barriers(rel_eigvals(g, t))
+                v_ref = logdet_barrier(t, g)
+                psi_ref = augmented_barrier(g, t)
+                assert close(v, v_ref) and close(trace.vs[k], v_ref)
+                assert close(psi, psi_ref) and close(trace.psis[k], psi_ref)
 
     def test_linear_cost_nu_matches_old_definition(self, recorded):
-        quad, trace = recorded
-        for k, u in enumerate(trace.us):
-            if u is None:
-                continue
-            ref = old_nu(quad.a_op, trace.g_ops[k], u.coords)
-            assert close(nu(quad.a_op, trace.g_ops[k], u), ref)
-            assert close(trace.nus[k], ref)
+        # The loop's nu reads the secant y_k (A u_k on a quadratic), the
+        # typed nu the target's own image of u_k.
+        for _, trace, rec, _, target in recorded:
+            for k, step in rec.steps.items():
+                assert close(trace.nus[k], old_nu(step.y, step.g, step.u))
+                a = target(k)
+                assert close(nu(SpdOperator(a), SpdOperator(step.g),
+                                PrimalVector(step.u)),
+                             old_nu(a @ step.u, step.g, step.u))
 
 
 def counting(counts, key, fn):
@@ -446,39 +472,6 @@ class TestDecompositionCount:
                                            instrument=False))
         assert trace.converged and len(trace) > 10
         assert counts == {"eig": 1, "cholesky": 0, "reduction": 0, "svd": 0}
-
-    def test_recorded_quadratic_run_factors_its_mapped_snapshots(
-            self, monkeypatch):
-        # Snapshots are the only Choleskys, two per iterate: G_k and H_k are
-        # mapped back to the caller's coordinates and each is checked there.
-        quad = quad_make(np.geomspace(1.0, 100.0, 12), seed=5)
-        x0 = PrimalVector(np.random.default_rng(6).standard_normal(12))
-        counts = {"eig": 0, "cholesky": 0, "reduction": 0, "svd": 0}
-        count_decompositions(monkeypatch, counts)
-
-        trace = run_quadratic(quad, x0, TauSchedule.bfgs(),
-                              SolverConfig(max_iter=500, grad_tol=1e-12),
-                              record_operators=True)
-        visited = len(trace)
-        assert trace.converged and len(trace.g_ops) == visited > 10
-        assert counts == {"eig": visited + 1, "cholesky": 2 * visited,
-                          "reduction": 0, "svd": 0}
-
-    def test_recorded_run_factors_only_the_inverse_more(self, monkeypatch):
-        # On the general path the loop factors no G_k, so an uninstrumented
-        # recorded run makes two Choleskys per iterate, its snapshots of
-        # G_k and H_k.
-        problem = lse_make(8, 20, mu=0.1, seed=424242, gamma=1.0)
-        cfg = SolverConfig(max_iter=400, grad_tol=1e-13, instrument=False)
-        counts = {"eig": 0, "cholesky": 0, "reduction": 0, "svd": 0}
-        count_decompositions(monkeypatch, counts)
-
-        trace = run_general(problem, PrimalVector(np.zeros(8)),
-                            TauSchedule.bfgs(), cfg, record_operators=True)
-        visited = len(trace)
-        assert trace.converged and len(trace.g_ops) == visited > 10
-        assert counts == {"eig": 0, "cholesky": 2 * visited, "reduction": 0,
-                          "svd": 0}
 
     def test_general_path_two_factorizations_per_iteration(self, monkeypatch):
         # Per iterate with a step: Cholesky of the one pointwise Hessian and
@@ -684,8 +677,10 @@ class TestExplicitInverse:
         vals = scipy.linalg.eigh(a.entries, b_ref.entries, eigvals_only=True)
         quad = QuadraticProblem(a_op=a, b=DualVector(np.ones(6)), b_ref=b_ref,
                                 mu=float(vals.min()), ell=float(vals.max()))
-        trace = run_quadratic(quad, PrimalVector(np.ones(6)), TauSchedule.bfgs(),
-                              SolverConfig(max_iter=3), record_operators=True)
-        assert np.array_equal(trace.h_ops[0].entries,
-                              b_ref.inverse().entries / quad.ell)
-        assert np.array_equal(trace.g_ops[0].entries, quad.ell * b_ref.entries)
+        # The loop runs in the eigenbasis of (A, B), where B is I: its first
+        # update reads G_0 = ell I and H_0 = I / ell, exactly.
+        _, rec = record_run(run_quadratic, quad, PrimalVector(np.ones(6)),
+                            TauSchedule.bfgs(), SolverConfig(max_iter=3))
+        g0, h0 = rec.pair(0)
+        assert np.array_equal(h0, np.eye(6) / quad.ell)
+        assert np.array_equal(g0, quad.ell * np.eye(6))

@@ -25,20 +25,10 @@ from broyden_lab import (
     quad_make,
     run_general,
     run_quadratic,
-    secant_residual,
     trace_reports,
 )
 
-
-# The per-iterate object lists of a trace, kept only by a recorded run.
-OBJECT_LISTS = ("xs", "grads", "us", "g_ops", "h_ops", "j_ops")
-
-
-def assert_recorded(tr):
-    for name in OBJECT_LISTS:
-        assert len(getattr(tr, name)) == len(tr), name
-    assert tr.xs[-1] is tr.x_final
-    assert tr.us[-1] is None and tr.j_ops[-1] is None
+from helpers import record_run
 
 
 @pytest.fixture(scope="module")
@@ -47,11 +37,16 @@ def lse_instance():
 
 
 @pytest.fixture(scope="module")
-def lse_trace(lse_instance):
+def lse_run(lse_instance):
+    """The log-sum-exp BFGS run and the arrays its loop used."""
     x0 = PrimalVector(0.01 * np.random.default_rng(5).standard_normal(6))
     cfg = SolverConfig(max_iter=300, grad_tol=1e-12)
-    return run_general(lse_instance, x0, TauSchedule.bfgs(), cfg,
-                       record_operators=True)
+    return record_run(run_general, lse_instance, x0, TauSchedule.bfgs(), cfg)
+
+
+@pytest.fixture(scope="module")
+def lse_trace(lse_run):
+    return lse_run[0]
 
 
 class TestTauSchedule:
@@ -220,25 +215,40 @@ class TestQuadraticPath:
         assert len(tr) == 6
 
     def test_secant_residual_quadratic(self, rng):
+        # In the eigenbasis the update reads the secant s * u_k, exactly A u_k
+        # there, and G_{k+1} maps u_k onto it to rounding.  The measured
+        # gradient difference matches it to the rounding of two gradients;
+        # a step whose difference sinks toward that noise (about
+        # eps * ell * |x|) is skipped.
         q = quad_make(np.geomspace(1.0, 20.0, 5), seed=38)
-        tr = run_quadratic(q, PrimalVector(rng.standard_normal(5)),
-                           TauSchedule.bfgs(),
-                           SolverConfig(max_iter=200), record_operators=True)
-        assert_recorded(tr)
-        res = secant_residual(tr, q)
+        tr, rec = record_run(run_quadratic, q,
+                             PrimalVector(rng.standard_normal(5)),
+                             TauSchedule.bfgs(), SolverConfig(max_iter=200))
+        spectrum = q.eigenbasis()[1].spectrum
+        assert sorted(rec.steps) == list(range(tr.k_final))
+        assert all(np.array_equal(step.y, spectrum * step.u)
+                   for step in rec.steps.values())
+        res = rec.secant_residuals()
         assert res and max(res) <= 1e-10
+        eps = np.finfo(float).eps
+        measured = 0
+        for k, step in rec.steps.items():
+            dg = rec.grads[k + 1] - rec.grads[k]
+            noise_floor = eps * q.ell * (np.linalg.norm(rec.xs[k])
+                                         + np.linalg.norm(rec.xs[k + 1]) + 1.0)
+            if np.linalg.norm(dg) > 1e10 * noise_floor:
+                measured += 1
+                assert (np.linalg.norm(step.y - dg)
+                        <= 1e-10 * np.linalg.norm(dg)), k
+        assert measured > 0
 
-    def test_secant_residual_needs_snapshots(self, rng):
-        # An unrecorded run keeps its columns and final iterate, no objects.
+    def test_final_iterate_is_the_minimizer(self, rng):
         q = quad_make([1.0, 2.0], seed=39)
         tr = run_quadratic(q, PrimalVector(rng.standard_normal(2)),
                            TauSchedule.bfgs(), SolverConfig())
-        assert all(getattr(tr, name) is None for name in OBJECT_LISTS)
         assert tr.converged
         np.testing.assert_allclose(tr.x_final.coords, q.minimizer().coords,
                                    atol=1e-9)
-        with pytest.raises(ValueError, match="snapshots"):
-            secant_residual(tr, q)
 
     def test_unrecorded_trace_memory_per_iterate(self):
         # A long run that never stops early: past its fixed parts, what the
@@ -386,25 +396,28 @@ class TestGeneralPath:
             assert lse_trace.j_eig_mins[k] >= 1.0 / xi_next - 1e-8
             assert lse_trace.j_eig_maxs[k] <= xi_next * kappa + 1e-8 * kappa
 
-    def test_augmented_potential_decrease_vs_segment_target(self, lse_trace):
+    def test_augmented_potential_decrease_vs_segment_target(self, lse_run):
         # psi(G_k, J_k) - psi(G_{k+1}, J_k) >= guaranteed progress, with the
         # bracket read off the measured eigen ranges against J_k.
-        tr = lse_trace
-        for k in range(tr.k_final):
-            if tr.j_ops[k] is None or math.isnan(tr.nus[k]):
-                continue
-            psi_tilde = augmented_barrier(tr.g_ops[k + 1], tr.j_ops[k])
+        tr, rec = lse_run
+        assert sorted(rec.steps) == sorted(rec.targets) == list(
+            range(tr.k_final))
+        for k, step in rec.steps.items():
+            psi_tilde = augmented_barrier(SpdOperator(step.g_next),
+                                          SpdOperator(rec.targets[k]))
             xi = max(1.0, 1.0 / tr.j_eig_mins[k])
             eta = max(1.0, tr.j_eig_maxs[k])
             bound = progress_lb_psi(xi, eta, tr.taus[k], tr.nus[k])
             assert tr.psis[k] - psi_tilde >= bound - 1e-8
 
-    def test_secant_residual_general(self, lse_instance, lse_trace):
+    def test_secant_residual_general(self, lse_run):
         # The update reads the measured gradient difference itself, so the
         # secant equation holds to rounding, not to quadrature error.
-        assert_recorded(lse_trace)
-        res = secant_residual(lse_trace, lse_instance)
-        assert res and max(res) <= 1e-13
+        tr, rec = lse_run
+        for k, step in rec.steps.items():
+            assert np.array_equal(step.y, rec.grads[k + 1] - rec.grads[k])
+        res = rec.secant_residuals()
+        assert len(res) == tr.k_final and max(res) <= 1e-13
 
     @pytest.mark.parametrize("n, m, mu, taus", [
         (100, 400, 0.005, (0.0,)),
@@ -417,15 +430,15 @@ class TestGeneralPath:
         # plus the rounding of the two gradients, eps (gamma + mu ||x||)
         # each; a check independent of the quadrature's own two-rule gap.
         p = lse_make(n, m, mu=mu, seed=3, gamma=1.0)
-        tr = run_general(p, PrimalVector(np.zeros(n)), TauSchedule(taus),
-                         SolverConfig(max_iter=1000), record_operators=True)
+        tr, rec = record_run(run_general, p, PrimalVector(np.zeros(n)),
+                             TauSchedule(taus), SolverConfig(max_iter=1000))
         assert tr.converged and tr.k_final > 50
+        assert sorted(rec.steps) == list(range(tr.k_final))
         eps = np.finfo(float).eps
-        for k in range(tr.k_final):
-            u = tr.us[k].coords
-            y = tr.grads[k + 1].coords - tr.grads[k].coords
-            resid = np.linalg.norm(tr.j_ops[k].matvec(u) - y)
-            x_norms = sum(np.linalg.norm(x.coords) for x in tr.xs[k:k + 2])
+        for k, step in rec.steps.items():
+            u, y = step.u, step.y
+            resid = np.linalg.norm(rec.targets[k] @ u - y)
+            x_norms = np.linalg.norm(rec.xs[k]) + np.linalg.norm(rec.xs[k + 1])
             floor = eps * (p.gamma + p.mu * x_norms)
             assert resid <= 4.0 * (tr.est_errors[k] * np.linalg.norm(u)
                                    + floor), k
@@ -681,12 +694,10 @@ class TestRowPattern:
 
     @staticmethod
     def run(path, instrument, problem, x0, **cfg):
-        cfg = SolverConfig(instrument=instrument, **cfg)
-        if path == "general":
-            return run_general(problem, x0, TauSchedule.bfgs(), cfg,
-                               record_operators=True)
-        return run_quadratic(problem, x0, TauSchedule.bfgs(), cfg,
-                             record_operators=True)
+        """The trace of a BFGS run and the arrays its loop used."""
+        run = run_general if path == "general" else run_quadratic
+        return record_run(run, problem, x0, TauSchedule.bfgs(),
+                          SolverConfig(instrument=instrument, **cfg))
 
     @staticmethod
     def measured(tr, k, instrument, *names):
@@ -702,34 +713,39 @@ class TestRowPattern:
     @pytest.mark.parametrize("instrument", [True, False])
     @pytest.mark.parametrize("path", ["quadratic", "general"])
     def test_zero_step_rows(self, path, instrument):
-        tr = self.run(path, instrument, _zero_step_quadratic(),
-                      PrimalVector([1e-180, 0.0]), max_iter=2, grad_tol=0.0)
+        x0 = PrimalVector([1e-180, 0.0])
+        tr, rec = self.run(path, instrument, _zero_step_quadratic(), x0,
+                           max_iter=2, grad_tol=0.0)
         assert not tr.converged and len(tr) == 3
         for k in (0, 1):
             assert tr.rs[k] == 0.0 and tr.est_errors[k] == 0.0
             assert tr.taus[k] == 0.0
             self.unmeasured(tr, k, "nus")
-            assert tr.us[k] is None and tr.j_ops[k] is None
             # The step target is the Hessian at this same iterate.
             self.measured(tr, k, instrument, "lambdas", "vs", "psis",
                           "eig_mins", "eig_maxs", "j_eig_mins", "j_eig_maxs")
-            np.testing.assert_array_equal(tr.xs[k + 1].coords, tr.xs[0].coords)
+        # No step updates or builds a target, and the iterate never moves:
+        # its one gradient is the first, and the run returns x0 itself.
+        assert not rec.steps and not rec.targets and list(rec.grads) == [0]
+        np.testing.assert_array_equal(tr.x_final.coords, x0.coords)
         np.testing.assert_array_equal(tr.xis, 1.0)
-        assert tr.us[2] is None and tr.j_ops[2] is None
         self.unmeasured(tr, 2, "rs", "nus", "taus", "est_errors")
 
     @pytest.mark.parametrize("instrument", [True, False])
     @pytest.mark.parametrize("path", ["quadratic", "general"])
     def test_step_and_terminal_rows_on_a_quadratic(self, path, instrument, rng):
         q = quad_make(np.geomspace(1.0, 30.0, 5), seed=60)
-        tr = self.run(path, instrument, q,
-                      PrimalVector(rng.standard_normal(5)), max_iter=200)
+        tr, rec = self.run(path, instrument, q,
+                           PrimalVector(rng.standard_normal(5)), max_iter=200)
         assert tr.converged
+        # Every step moves and updates.  Its target is A itself, so no step
+        # builds a segment mean; an uninstrumented step has a NaN
+        # quadrature error, never measured.
+        assert sorted(rec.steps) == list(range(tr.k_final))
+        assert list(rec.grads) == list(range(len(tr)))
+        assert not rec.targets
         for k in range(tr.k_final):
-            assert tr.us[k] is not None and tr.xis[k] == 1.0
-            # An uninstrumented step never builds its target: no j_ops
-            # entry and a NaN quadrature error, never measured.
-            assert tr.j_ops[k] is (q.a_op if instrument else None)
+            assert tr.xis[k] == 1.0
             self.measured(tr, k, instrument, "lambdas", "rs", "nus", "vs",
                           "psis", "eig_mins", "eig_maxs", "j_eig_mins",
                           "j_eig_maxs", "est_errors")
@@ -739,7 +755,6 @@ class TestRowPattern:
                 assert tr.j_eig_mins[k] == tr.eig_mins[k]
                 assert tr.j_eig_maxs[k] == tr.eig_maxs[k]
         last = tr.k_final
-        assert tr.us[last] is None and tr.j_ops[last] is None
         self.unmeasured(tr, last, "rs", "nus", "taus", "est_errors")
         self.measured(tr, last, instrument, "lambdas", "eig_mins", "eig_maxs")
         # Toward the fixed operator the potentials stay defined at the end;
@@ -750,10 +765,15 @@ class TestRowPattern:
     @pytest.mark.parametrize("instrument", [True, False])
     def test_general_rows_on_log_sum_exp(self, lse_instance, instrument):
         x0 = PrimalVector(0.01 * np.random.default_rng(5).standard_normal(6))
-        tr = self.run("general", instrument, lse_instance, x0, max_iter=300)
+        tr, rec = self.run("general", instrument, lse_instance, x0,
+                           max_iter=300)
+        # Every step moves and updates; only an instrumented one builds its
+        # segment mean J_k, and the terminal row has neither.
+        assert sorted(rec.steps) == list(range(tr.k_final))
+        assert list(rec.grads) == list(range(len(tr)))
+        assert sorted(rec.targets) == (list(range(tr.k_final)) if instrument
+                                       else [])
         for k in range(tr.k_final):
-            assert tr.us[k] is not None
-            assert (tr.j_ops[k] is not None) == instrument
             self.measured(tr, k, instrument, "lambdas", "rs", "nus", "vs",
                           "psis", "eig_mins", "eig_maxs", "j_eig_mins",
                           "j_eig_maxs", "est_errors")
@@ -764,7 +784,6 @@ class TestRowPattern:
         for k in range(1, len(tr)):
             self.measured(tr, k, instrument, "xis")
         last = tr.k_final
-        assert tr.us[last] is None and tr.j_ops[last] is None
         self.unmeasured(tr, last, "rs", "nus", "taus", "est_errors", "vs",
                         "psis", "j_eig_mins", "j_eig_maxs")
         self.measured(tr, last, instrument, "lambdas", "eig_mins", "eig_maxs")
@@ -777,23 +796,25 @@ class TestRowPattern:
         # takes the step but G stays as it was and the step has no nu; every
         # other step updates.
         p = lse_make(4, 12, mu=0.01, seed=1)
-        tr = self.run("general", instrument, p, PrimalVector(np.zeros(4)),
-                      max_iter=200, grad_tol=0.0)
+        tr, rec = self.run("general", instrument, p, PrimalVector(np.zeros(4)),
+                           max_iter=200, grad_tol=0.0)
         assert not tr.converged and len(tr) == 201
+        assert list(rec.grads) == list(range(len(tr)))
         b = p.b_ref
         skipped = []
         for k in range(tr.k_final):
-            u = tr.us[k].coords
-            y = tr.grads[k + 1].coords - tr.grads[k].coords
+            # The step -H_k g_k, as the loop takes it: bitwise the step of
+            # every update the loop made.
+            u = -(rec.pair(k)[1] @ rec.grads[k])
+            assert k not in rec.steps or np.array_equal(u, rec.steps[k].u), k
+            y = rec.grads[k + 1] - rec.grads[k]
             yu = 2.0 * float(y @ u)
             noise = (yu < p.mu * b.quad_form(u)
                      or p.ell * yu < b.inv_quad_form(y))
-            kept = np.array_equal(tr.g_ops[k + 1].entries,
-                                  tr.g_ops[k].entries)
-            assert kept == noise, k
+            assert (k not in rec.steps) == noise, k
             if noise:
                 skipped.append(k)
-                assert np.linalg.norm(tr.grads[k].coords) < 1e-10, k
+                assert np.linalg.norm(rec.grads[k]) < 1e-10, k
                 self.unmeasured(tr, k, "nus")
             else:
                 self.measured(tr, k, instrument, "nus")

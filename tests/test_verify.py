@@ -287,12 +287,12 @@ def test_stack_evaluates_each_triple_as_alone(suite):
     one-triple stack, as the replay evaluates it, so neither a witness nor
     a replayed value depends on which draws shared a stack."""
     dominating = verify._SUITES[suite][3]
-    for idx, a, g, u in verify._stacks(np.random.default_rng(4), 60, 4,
-                                       dominating):
-        rows, values = verify._evaluate(suite, a, g, u)
+    for idx, a, pair, u in verify._stacks(np.random.default_rng(4), 60, 4,
+                                          dominating):
+        rows, values = verify._evaluate(suite, a, pair, u)
         for t in range(len(idx)):
-            one_rows, one = verify._evaluate(suite, a[t:t + 1], g[t:t + 1],
-                                             u[t:t + 1])
+            one_rows, one = verify._evaluate(suite, a[t:t + 1],
+                                             pair[t:t + 1], u[t:t + 1])
             assert np.array_equal(one[0], values[t], equal_nan=True), t
             for row, one_row in zip(rows, one_rows):
                 for key, val in row.items():
@@ -307,9 +307,9 @@ def test_stacked_draws_match_typed_draws(seed, dominating):
     the typed per-trial random_spd / random_spd_dominating draws do, for
     every n from 1 to 8."""
     stacked = {}
-    for idx, a, g, u in verify._stacks(np.random.default_rng(seed), 80, 8,
-                                       dominating):
-        for t, a_t, g_t, u_t in zip(idx, a, g, u):
+    for idx, a, pair, u in verify._stacks(np.random.default_rng(seed), 80, 8,
+                                          dominating):
+        for t, a_t, g_t, u_t in zip(idx, a, pair[:, 0], u):
             stacked[int(t)] = (a_t, g_t, u_t)
     typed = _triples(np.random.default_rng(seed), 80, 8, dominating)
     for t, (a, g, u) in enumerate(typed):
@@ -398,11 +398,12 @@ def test_infinite_pairing_is_refused_as_the_solver_refuses_it():
     eye = np.eye(2)
     u = np.array([[1.0, 0.0], [1e200, 0.0]])
     with np.errstate(over="ignore"):
-        stack = verify._Stack(np.stack([eye, eye]), np.stack([eye, eye]), u)
+        stack = verify._Stack(np.stack([eye, eye]),
+                              np.array([[eye, eye], [eye, eye]]), u)
         assert np.isinf(stack.scalars[2][1])
         assert stack.ok.tolist() == [True, False]
         scalars = broyden_mod._scalars(u[1], eye, u[1],
-                                       lambda v: eye @ v, check=False)
+                                       lambda v: eye @ v)
         with pytest.raises(ArithmeticError, match="pairings must be positive"):
             broyden_mod.update_arrays(np.stack((eye, eye)), u[1], scalars,
                                       0.5)
@@ -412,7 +413,7 @@ def _secant_nu_of(stack, i):
     """The solver's nu of triple ``i`` of a stack, or None where it raises."""
     g, h = stack.g[i], stack.h[i]
     scalars = broyden_mod._scalars(stack.au[i], g, stack.u[i],
-                                   lambda v: np.matvec(h, v), check=False)
+                                   lambda v: np.matvec(h, v))
     try:
         return broyden_mod.secant_nu(scalars, g, h,
                                      broyden_mod._cond_inf(g, h))
@@ -426,8 +427,8 @@ def test_verify_nu_is_the_solver_nu():
     masks every triple out."""
     rng = np.random.default_rng(11)
     triples = 0
-    for _, a, g, u in verify._stacks(rng, 60, 6, False):
-        stack = verify._Stack(a, g, u)
+    for _, a, pair, u in verify._stacks(rng, 60, 6, False):
+        stack = verify._Stack(a, pair, u)
         nu_val, nu_ok = stack.closeness()
         for i in range(len(u)):
             ref = _secant_nu_of(stack, i)
@@ -452,7 +453,7 @@ def test_failing_nu_check_raises_and_does_not_warn(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         scalars = broyden_mod._scalars(a.entries @ u, g.entries, u,
-                                       lambda v: h_neg @ v, check=False)
+                                       lambda v: h_neg @ v)
         with pytest.raises(ArithmeticError, match="closeness forms disagree"):
             broyden_mod.secant_nu(scalars, g.entries, h_neg,
                                   broyden_mod._cond_inf(g.entries, h_neg))
@@ -464,7 +465,7 @@ def test_failing_nu_check_raises_and_does_not_warn(monkeypatch):
         self.h *= -1.0  # in the pair, so the update reads it too
 
     monkeypatch.setattr(verify._Stack, "__init__", negated)
-    stacked = (a.entries[None], g.entries[None], u[None])
+    stacked = (a.entries[None], np.stack((g.entries, g.entries))[None], u[None])
     assert not verify._Stack(*stacked).closeness()[1].any()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
