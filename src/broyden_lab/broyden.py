@@ -17,8 +17,9 @@ cores, one pair of matmuls, one ``+=`` of the pair and one symmetrization
 all run that one kernel, :func:`_apply_update`.
 
 The closeness nu is stated once too, with its check that H inverts G, in
-:func:`_closeness`, which reads Gu and <u, Au> from the update scalars: the
-solver's :func:`secant_nu`, the typed :func:`nu` and the verify stacks all
+:func:`_closeness`, which reads Au, Gu and <u, Au> from the update scalars
+over any leading batch axes: the solver's blocks of rows, the verify stacks
+and, through :func:`secant_nu` on one direction, the typed :func:`nu` all
 call it.
 """
 
@@ -249,20 +250,14 @@ def update_arrays(pair, u, scalars, tau):
     return _apply_update(pair, u, scalars, tau)
 
 
-def _explicit_scalars(a: SpdOperator, g: SpdOperator, uc: np.ndarray):
-    """``(h_mat, scalars)`` of the typed update and nu: G^{-1} from the
-    cached factor of G (one n-by-n solve, O(n^3)), and the update scalars
-    with G^{-1} applied through it, as the solver applies its maintained
-    inverse."""
-    h_mat = g.inverse_matrix()
-    return h_mat, _scalars(np.matvec(a.entries, uc), g.entries, uc,
-                           lambda v: np.matvec(h_mat, v))
-
-
 def _typed_update(a: SpdOperator, g: SpdOperator, uc: np.ndarray, tau: float):
     """:func:`update_arrays` from the typed inputs, on the stacked pair of
-    G and G^{-1}."""
-    h_mat, scalars = _explicit_scalars(a, g, uc)
+    G and G^{-1}: the inverse from the cached factor of G (one n-by-n solve,
+    O(n^3)), and the update scalars taken through it as the solver takes
+    them through its maintained inverse."""
+    h_mat = g.inverse_matrix()
+    scalars = _scalars(np.matvec(a.entries, uc), g.entries, uc,
+                       lambda v: np.matvec(h_mat, v))
     return update_arrays(np.stack((g.entries, h_mat)), uc, scalars, tau)
 
 
@@ -348,19 +343,23 @@ def _closeness(scalars, g_mat, h_mat, g_cond):
     return np.sqrt(np.maximum(quad, 0.0) / au_u), ok, quad, energy
 
 
+def _disagreement(quad, energy) -> str:
+    """What a failing :func:`_closeness` check reports: H is not the
+    inverse of G."""
+    return f"closeness forms disagree: <w, Hw> = {quad} vs <Hw, GHw> = {energy}"
+
+
 def secant_nu(scalars, g_mat, h_mat, g_cond) -> float:
-    """nu along one direction on raw arrays, in O(n^2): the solver's form,
-    from the direction's update scalars (:func:`_scalars`), the matrix G, its
-    maintained inverse H and an upper bound ``g_cond`` on cond(G).
+    """nu along one direction on raw arrays, in O(n^2), from the direction's
+    update scalars (:func:`_scalars`; nu reads Au, Gu and <Au, u>), the
+    matrix G, its inverse H and an upper bound ``g_cond`` on cond(G).
 
     It is :func:`_closeness` on one direction, and a failing check is an
     ArithmeticError: H is not the inverse of G.
     """
     val, ok, quad, energy = _closeness(scalars, g_mat, h_mat, g_cond)
     if not ok:
-        raise ArithmeticError(
-            f"closeness forms disagree: <w, Hw> = {quad} vs "
-            f"<Hw, GHw> = {energy}")
+        raise ArithmeticError(_disagreement(quad, energy))
     return float(val)
 
 
@@ -368,11 +367,13 @@ def nu(a: SpdOperator, g: SpdOperator, u: PrimalVector) -> float:
     """Closeness of G to A along u: ||(G - A)u||*_G / ||u||_A.
 
     :func:`secant_nu` with H = G^{-1} from the cached factor of G (one
-    n-by-n solve, O(n^3)), update scalars taken through it as the solver
-    takes them, and cond(G) bounded by :func:`_cond_inf`: the solver's
-    value under the solver's check, which raises if that computed inverse
-    fails it.
+    n-by-n solve, O(n^3)), the scalars it reads (Au, Gu and <Au, u>, as
+    :func:`_scalars` computes them), and cond(G) bounded by
+    :func:`_cond_inf`: the solver's value under the solver's check, which
+    raises if that computed inverse fails it.
     """
     uc = _nonzero_direction(a, g, u, "closeness measure")
-    h_mat, scalars = _explicit_scalars(a, g, uc)
+    h_mat = g.inverse_matrix()
+    au = np.matvec(a.entries, uc)
+    scalars = (au, np.matvec(g.entries, uc), np.vecdot(au, uc))
     return secant_nu(scalars, g.entries, h_mat, _cond_inf(g.entries, h_mat))

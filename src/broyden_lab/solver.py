@@ -66,10 +66,26 @@ inverts G_k to 4 n eps cond(G_k), with cond(G_k) bounded by ell / mu,
 ||B||_inf ||B^{-1}||_inf and that spectrum's extremes (see
 :func:`broyden._closeness`, which verify and the typed nu run too).  It runs
 before the update's pairing check, so a step that fails both stops on nu's.
-On a quadratic the spectrum is one ``eigvalsh`` of a scaled G_k (the Hessian
-is the update target), so an instrumented quadratic iteration makes one
-decomposition; the general path takes two pencil spectra, each a ``sygst``
-reduction and an ``eigvalsh``.
+On a quadratic the spectrum is that of a scaled G_k (the Hessian is the
+update target), so an instrumented quadratic iteration has one matrix
+decomposed; the general path takes two pencil spectra, each a ``sygst``
+reduction and an ``eigvalsh``, one row at a time.
+
+The measurement runs a block of rows at a time; the trajectory does not
+wait for it.  A row writes its measurement's inputs: the scaled G_k * d d^T
+(on the general path its pencil spectra, taken at once), and for nu the
+step's scalars and the live (G_k, H_k) pair, held without a copy.  When
+the block is full, and when the run stops, one flush measures it: one
+stacked ``eigvalsh``, one stacked ``nu`` and one ``spectral_barriers``
+call, each returning every row's value bit for bit as a lone call would.
+A row holds 3 n^2 doubles, and a block as many rows as ``_BLOCK_BYTES``
+(256 KiB) holds: 1,213 at n = 3, 12 at n = 30 and one from n = 74 on,
+where a flush makes the lone row's own calls on its own arrays.  The checks
+then run row by row in a lone row's order: its spectrum, its nu, its
+target's spectrum.  A failure anywhere in the loop first measures the rows
+still pending, so the earliest failing row raises, with its own k and
+message, even when later rows of its block ran.  A stacked measurement that
+fails is taken again a row at a time, so the first failing row is named.
 
 Every visited iterate takes the same path and leaves one row.  The row starts
 with each column NaN and is filled in once: g and xi always; lambda and the
@@ -82,8 +98,9 @@ zero step (direction norm at most ZERO_DIRECTION_NORM) records r = 0,
 targets the Hessian at the same iterate and skips the update.  The terminal
 row has no step; only the quadratic path, whose target is fixed, still
 measures its potentials.  Each row's values go to one float64 buffer per
-column, so a trace retains about 13 doubles per iterate and the final
-iterate; G_k, H_k and the per-iterate vectors are not kept.
+column once its block is measured, so a trace retains about 13 doubles per
+iterate and the final iterate; beyond the pending block, G_k, H_k and the
+per-iterate vectors are not kept.
 
 An instrumented general-path iteration on log-sum-exp makes two validated
 Cholesky factorizations: the one pointwise Hessian (the gradient is an
@@ -113,6 +130,7 @@ from .broyden import (
     _EPS,
     ZERO_DIRECTION_NORM,
     _cond_inf,
+    _disagreement,
     _scalars,
     check_tau,
     update_arrays,
@@ -133,8 +151,8 @@ from .potentials import spectral_barriers
 # The loop draws range and potentials from one spectrum per pencil instead
 # of calling these; they stay importable here because perfbench/tracer.py
 # wraps the instrumentation layer under this module's names.  For the same
-# reason the loop calls the raw secant form of nu under the name nu.
-from .broyden import secant_nu as nu
+# reason the loop calls the stacked closeness measure under the name nu.
+from .broyden import _closeness as nu
 from .operators import rel_eigen_range  # noqa: F401
 from .potentials import augmented_barrier, logdet_barrier  # noqa: F401
 from .problems import (
@@ -257,6 +275,8 @@ class SolverConfig:
 _ROW_COLUMNS = ("lambda", "g", "r", "xi", "nu", "v", "psi", "eig_min",
                 "eig_max", "tau", "est_error", "j_eig_min", "j_eig_max")
 _CSV_COLUMNS = ("k",) + _ROW_COLUMNS[:10]
+# The row every iterate starts from.
+_BLANK_ROW = dict.fromkeys(_ROW_COLUMNS, math.nan)
 # Rows that write_columns formats at once (trace.csv and envelopes.csv).
 _CSV_BLOCK = 4096
 
@@ -381,30 +401,214 @@ def _lost_definiteness(k: int, why: str) -> DivergenceError:
     return DivergenceError(k, f"approximation lost definiteness ({why})")
 
 
-def _spectrum(k: int, eigvals, *args) -> tuple[np.ndarray, float, float]:
-    """A relative spectrum of G_k, ascending, with its extremes, as the
-    definiteness check of an instrumented iteration.
+def _definite(lo: float, hi: float, n: int) -> bool:
+    """Whether a relative spectrum of G_k, with smallest and largest
+    eigenvalues ``lo`` and ``hi``, shows G_k positive definite: an
+    instrumented iteration's definiteness check.
 
-    ``eigvals(*args)`` returns the eigenvalues of the n-by-n symmetric
-    matrix the spectrum is taken from.  A symmetric eigensolver resolves
-    them to its backward error, about n eps times the largest, so the
-    smallest must exceed n eps times the largest to show the matrix
-    positive definite; below that it is numerically singular.  That is the
-    relative form of :func:`operators.spd_factor`'s pivot rule, with the
-    eigensolver's resolution in place of ``PIVOT_RTOL``, which would refuse
-    every start at kappa >= 1e14 (G_0 spans [1, kappa] relative to A).  A
-    :class:`DivergenceError` at iteration ``k`` otherwise.
+    A symmetric eigensolver resolves the eigenvalues of an n-by-n matrix to
+    its backward error, about n eps times the largest, so the smallest must
+    exceed n eps times the largest; below that the matrix is numerically
+    singular.  That is the relative form of :func:`operators.spd_factor`'s
+    pivot rule, with the eigensolver's resolution in place of
+    ``PIVOT_RTOL``, which would refuse every start at kappa >= 1e14 (G_0
+    spans [1, kappa] relative to A).
     """
+    return lo > 0.0 and lo > n * _EPS * hi
+
+
+def _indefinite(k: int, lo: float, hi: float) -> DivergenceError:
+    """The error of iteration k, whose spectrum fails :func:`_definite`."""
+    return _lost_definiteness(k, f"relative spectrum ({lo}, {hi}) "
+                              + ("is numerically singular" if lo > 0.0
+                                 else "is not positive"))
+
+
+def _eigvals(k: int, eigvals, *args) -> np.ndarray:
+    """``eigvals(*args)``, where a failed solve is a lost definiteness at
+    iteration k."""
     try:
-        lams = eigvals(*args)
+        return eigvals(*args)
     except (np.linalg.LinAlgError, NotSpdError) as exc:
         raise _lost_definiteness(k, f"eigenvalue solve failed: {exc}") from None
-    lo, hi = float(lams[0]), float(lams[-1])
-    if not (lo > 0.0 and lo > lams.size * _EPS * hi):
-        raise _lost_definiteness(k, f"relative spectrum ({lo}, {hi}) "
-                                 + ("is numerically singular" if lo > 0.0
-                                    else "is not positive"))
-    return lams, lo, hi
+
+
+# Bytes the rows of a run that wait for their measurement may hold.  A row
+# holds 3 n^2 doubles: the scaled G_k * ddt whose eigenvalues are its
+# spectrum, and the (G_k, H_k) pair its nu reads.
+_BLOCK_BYTES = 256 * 1024
+
+
+def _block_rows(n: int) -> int:
+    """Rows per block at dimension n: as many as ``_BLOCK_BYTES`` holds, and
+    at least one."""
+    return max(1, _BLOCK_BYTES // (3 * 8 * n * n))
+
+
+def _rows(items):
+    """The items, arrays of one shape or numbers, stacked on a new leading
+    axis (``np.array`` of the list, which copies them in one call); a lone
+    item as it is, so a stack of one makes the call a lone row makes."""
+    return items[0] if len(items) == 1 else np.array(items)
+
+
+class _Block:
+    """The rows of a run that wait for their measurement, and the column
+    buffers they then go to.
+
+    A row appends its cells (:meth:`row`, the measured ones NaN) and then,
+    as the loop reaches them, the inputs of its measurement: the matrix
+    whose eigenvalues are those of G_k relative to the Hessian, G_k * ddt
+    in a quadratic's eigenbasis (on the general path its pencil spectrum,
+    taken at once); the update scalars and the live (G_k, H_k) pair that
+    its nu reads; and its step target (on the general path, the pencil
+    spectrum against it).  :meth:`flush` measures a full block, or what is
+    pending when the run stops, in one stacked call each.
+    """
+
+    def __init__(self, n: int, ddt, ref_cond: float):
+        self.n, self.ddt, self.ref_cond = n, ddt, ref_cond
+        self.size = _block_rows(n)
+        self.columns = [array("d") for _ in _ROW_COLUMNS]
+        self.rows, self.spectra, self.nus, self.targets = [], [], [], []
+
+    def row(self) -> dict:
+        """A new row, every cell NaN."""
+        row = _BLANK_ROW.copy()
+        self.rows.append(row)
+        return row
+
+    def spectrum(self, k: int, g_mat, hess: SpdOperator) -> None:
+        """Row k's input of the spectrum of G_k relative to the Hessian:
+        G_k * ddt in the eigenbasis, the pencil spectrum elsewhere."""
+        self.spectra.append(
+            g_mat * self.ddt if self.ddt is not None
+            else _eigvals(k, pencil_eigvals, g_mat, hess.factor))
+
+    def closeness(self, scalars, pair) -> None:
+        """The current row's nu inputs: its step's update scalars and the
+        (G_k, H_k) pair, held as they are."""
+        self.nus.append((len(self.rows) - 1, *scalars[:3], pair))
+
+    def target(self, k: int, g_mat, target: SpdOperator | None) -> None:
+        """Row k's step target: the Hessian (``None``), whose spectrum it
+        has, or a segment mean J_k, whose pencil spectrum it takes (on a
+        quadratic the target is the Hessian).  Only a run's terminal row can
+        go without, so the rows with a target come first."""
+        self.targets.append(
+            None if self.ddt is not None
+            else self.spectra[-1] if target is None
+            else _eigvals(k, pencil_eigvals, g_mat, target.factor))
+
+    def flush(self) -> None:
+        """Measure the pending rows and append them to the columns.
+
+        Their spectra (on a quadratic), nu and potentials take one stacked
+        ``eigvalsh``, ``nu`` and ``spectral_barriers`` call each.  The
+        checks then run row by row, in the loop's order, and the first that
+        fails raises as its row would alone.  A stacked measurement that
+        raises is re-run one row at a time, so the first failing row is the
+        one named, with its own error.
+        """
+        m = len(self.rows)
+        try:
+            self._measure(0, m)
+        except Exception:
+            for j in range(m if m > 1 else 0):
+                self._measure(j, j + 1)
+            raise
+        finally:
+            rows = self.rows
+            self.rows, self.spectra, self.nus, self.targets = [], [], [], []
+        for row in rows:
+            for buf, value in zip(self.columns, row.values()):
+                buf.append(value)
+
+    def _measure_lone(self, k: int) -> bool:
+        """Measure a block's one row, row k of a quadratic with a step
+        target, through the lone calls that :meth:`_measure` makes for a
+        block of one, bit for bit, and say whether every check passed.
+
+        The stacked path's bookkeeping costs a lone row 2-3 % of an
+        n = 100 iteration, where a block has one row.  A row this does not
+        take, or whose check fails, goes to :meth:`_measure`, which names
+        the failure.
+        """
+        if self.ddt is None or not self.targets:
+            return False
+        row, lams = self.rows[0], _eigvals(k, np.linalg.eigvalsh,
+                                           self.spectra[0])
+        lo, hi = float(lams[0]), float(lams[-1])
+        if not _definite(lo, hi, self.n):
+            return False
+        if self.nus:
+            _, au, gu, au_u, pair = self.nus[0]
+            val, ok, _, _ = nu((au, gu, au_u), pair[0], pair[1],
+                               self.ref_cond * hi / lo)
+            if not ok:
+                return False
+            row["nu"] = float(val)
+        row["eig_min"], row["eig_max"] = row["j_eig_min"], row["j_eig_max"] = (
+            lo, hi)
+        row["v"], row["psi"] = spectral_barriers(lams)
+        return True
+
+    def _measure(self, a: int, b: int) -> None:
+        """Measure pending rows a..b-1: raise the first failing check in
+        row order (a row's spectrum, its nu, then its target's spectrum),
+        else fill in their measured cells."""
+        m = min(b, len(self.spectra)) - a
+        k0 = len(self.columns[0]) + a
+        if m <= 0 or m == len(self.rows) == 1 and self._measure_lone(k0):
+            return
+        lams = _rows(self.spectra[a:a + m])
+        if self.ddt is not None:
+            lams = _eigvals(k0, np.linalg.eigvalsh, lams)
+        lams = lams.reshape(m, -1)
+        los, his = lams[:, 0].tolist(), lams[:, -1].tolist()
+        rows, fails = self.rows[a:a + m], []
+        # Only the rows before the first failing spectrum go on.
+        for j, row in enumerate(rows):
+            if not _definite(los[j], his[j], self.n):
+                fails.append((j, 0, _indefinite(k0 + j, los[j], his[j])))
+                del rows[j:]
+                break
+            row["eig_min"], row["eig_max"] = los[j], his[j]
+        nus = [nu_in for nu_in in self.nus if a <= nu_in[0] < a + len(rows)]
+        if nus:
+            js, *args = zip(*nus)
+            js = [j - a for j in js]
+            au, gu, au_u, pairs = map(_rows, args)
+            vals, ok, quad, energy = nu(
+                (au, gu, au_u), pairs[..., 0, :, :], pairs[..., 1, :, :],
+                _rows([self.ref_cond * his[j] / los[j] for j in js]))
+            ok = ok.reshape(-1).tolist()
+            if not all(ok):
+                i = ok.index(False)
+                fails.append((js[i], 1, DivergenceError(
+                    k0 + js[i], _disagreement(quad.reshape(-1)[i],
+                                              energy.reshape(-1)[i]))))
+            for j, val in zip(js, vals.reshape(-1).tolist()):
+                rows[j]["nu"] = val
+        # The rows with a target; on a quadratic it is the Hessian, whose
+        # spectrum the row has checked.
+        t = min(len(self.targets) - a, len(rows))
+        if self.ddt is not None:
+            t_lams, t_los, t_his = lams[:t], los, his
+        elif t > 0:
+            t_lams = _rows(self.targets[a:a + t]).reshape(t, -1)
+            t_los, t_his = t_lams[:, 0].tolist(), t_lams[:, -1].tolist()
+            fails += [(j, 2, _indefinite(k0 + j, t_los[j], t_his[j]))
+                      for j in range(t)
+                      if not _definite(t_los[j], t_his[j], self.n)][:1]
+        if fails:
+            raise min(fails, key=lambda fail: fail[:2])[2]
+        if t > 0:
+            v, psi = spectral_barriers(t_lams)
+            for row, v_k, psi_k, lo, hi in zip(rows, v.tolist(), psi.tolist(),
+                                               t_los, t_his):
+                row["v"], row["psi"], row["j_eig_min"], row["j_eig_max"] = (
+                    v_k, psi_k, lo, hi)
 
 
 def _gradient(problem: ProblemInstance, x: PrimalVector, k: int) -> DualVector:
@@ -505,106 +709,105 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
     ref_cond = problem.ell / problem.mu * float(
         _cond_inf(problem.b_ref.entries, b_inv))
 
-    # One buffer per column, and the row every iterate starts from.
-    columns = [array("d") for _ in _ROW_COLUMNS]
-    blank_row = dict.fromkeys(_ROW_COLUMNS, math.nan)
+    # Rows wait in a block for their measurement; a failure anywhere in the
+    # loop first measures what is pending, so an earlier row's comes first.
+    block = _Block(problem.n, basis.ddt if quadratic else None, ref_cond)
     grad = _gradient(problem, x, 0)
     xi = 1.0
-    for k in range(config.max_iter + 1):
-        row = blank_row.copy()
-        gc = grad.coords
-        hg = h_mat @ gc  # H_k g_k: the norm g and, negated, the step
-        row["xi"], row["g"] = xi, math.sqrt(max(float(gc @ hg), 0.0))
-        hess_k = problem.hess(x) if config.instrument else None
-        if hess_k is not None:
-            # The spectrum of G_k relative to the Hessian is the iteration's
-            # one decomposition and its definiteness check.
-            if quadratic:
-                row["lambda"] = measure = basis.norm_dual(gc)
-                lams_g, lo, hi = _spectrum(k, np.linalg.eigvalsh,
-                                           g_mat * basis.ddt)
+    try:
+        for k in range(config.max_iter + 1):
+            row = block.row()
+            gc = grad.coords
+            hg = h_mat @ gc  # H_k g_k: the norm g and, negated, the step
+            row["xi"], row["g"] = xi, math.sqrt(max(float(gc @ hg), 0.0))
+            hess_k = problem.hess(x) if config.instrument else None
+            if hess_k is not None:
+                # The spectrum of G_k relative to the Hessian is the
+                # iteration's one decomposition and its definiteness check.
+                row["lambda"] = measure = (basis.norm_dual(gc) if quadratic
+                                           else norm_dual(hess_k, grad))
+                block.spectrum(k, g_mat, hess_k)
             else:
-                row["lambda"] = measure = norm_dual(hess_k, grad)
-                lams_g, lo, hi = _spectrum(k, pencil_eigvals, g_mat,
-                                           hess_k.factor)
-            row["eig_min"], row["eig_max"] = lo, hi
-        else:
-            # The Euclidean norm of the gradient in the caller's coordinates.
-            gx = basis.dual @ gc if quadratic else gc
-            measure = math.sqrt(float(gx @ gx))
+                # The Euclidean norm of the gradient in the caller's
+                # coordinates.
+                gx = basis.dual @ gc if quadratic else gc
+                measure = math.sqrt(float(gx @ gx))
 
-        converged = measure <= config.grad_tol
-        last = converged or k == config.max_iter
-        # The terminal iterate has no outgoing step; on the quadratic path
-        # the target is still the fixed operator, so the potentials remain
-        # defined.
-        target = None if general else hess_k
-        u = None
-        if not last:
-            step = -hg
-            try:
-                x_next = PrimalVector(x.coords + step)
-            except ValueError:  # the typed iterate admits finite coords only
-                raise DivergenceError(k, "non-finite iterate") from None
-            row["tau"] = schedule.tau_at(k)
-            if math.sqrt(float(step @ step)) <= ZERO_DIRECTION_NORM:
-                # Zero step: the update is skipped and the iterate does not
-                # move; its target is the Hessian at this same iterate.
-                row["r"], row["est_error"] = 0.0, 0.0
-                target = hess_k
-            else:
-                u = step
-                if not quadratic and hess_k is not None:
-                    # J_k is built only to measure the step against it.
-                    target, row["est_error"] = _gated_target(
-                        problem, x, PrimalVector(u), config.quad_order, k)
-                    row["r"] = math.sqrt(max(hess_k.quad_form(u), 0.0))
-                grad_next = _gradient(problem, x_next, k + 1)
-                if quadratic:
-                    # The secant A u_k, exact and O(n) in the eigenbasis,
-                    # where A is also every step's target.
-                    y = problem.spectrum * u
-                else:
-                    # The secant y_k = grad_{k+1} - grad_k = J_k u_k.
-                    y = grad_next.coords - gc
-                    if not _secant_holds(problem, b_inv, u, y):
-                        y = None  # rounding, not curvature: no update, no nu
-                if y is not None:
-                    # One set of update scalars serves r, nu and the update.
-                    scalars = _scalars(y, g_mat, u, partial(np.matvec, h_mat))
-                    if hess_k is not None:
-                        if quadratic:
-                            target, row["est_error"] = hess_k, 0.0
-                            row["r"] = math.sqrt(float(scalars[2]))
-                        try:
-                            row["nu"] = nu(scalars, g_mat, h_mat,
-                                           ref_cond * hi / lo)
-                        except ArithmeticError as exc:
-                            raise DivergenceError(k, str(exc)) from None
-        if hess_k is not None and target is not None:
-            lams, row["j_eig_min"], row["j_eig_max"] = (
-                (lams_g, lo, hi) if target is hess_k
-                else _spectrum(k, pencil_eigvals, g_mat, target.factor))
-            row["v"], row["psi"] = spectral_barriers(lams)
-        for buf, value in zip(columns, row.values()):
-            buf.append(value)
-        if last:
-            break
-        if u is not None:
-            if y is not None:
+            converged = measure <= config.grad_tol
+            last = converged or k == config.max_iter
+            # The terminal iterate has no outgoing step; on the quadratic
+            # path the target is still the fixed operator, so the potentials
+            # remain defined.
+            target = None if general else hess_k
+            u = None
+            if not last:
+                step = -hg
                 try:
-                    pair, _, _ = update_arrays(pair, u, scalars, row["tau"])
-                except ArithmeticError as exc:
-                    raise _lost_definiteness(k, str(exc)) from None
-                g_mat, h_mat = pair
-            x, grad = x_next, grad_next
-            # Distortion accumulates as exp(M * r) per step; a zero
-            # self-concordance constant (every quadratic) pins it to exactly
-            # 1, no drift allowed.  Far outside the local region the product
-            # saturates at +inf.
-            if problem.sc_const > 0.0:
-                xi = (xi * math.exp(min(problem.sc_const * row["r"], 709.0))
-                      if config.instrument else math.nan)
+                    x_next = PrimalVector(x.coords + step)
+                except ValueError:  # a typed iterate has finite coords only
+                    raise DivergenceError(k, "non-finite iterate") from None
+                row["tau"] = schedule.tau_at(k)
+                if math.sqrt(float(step @ step)) <= ZERO_DIRECTION_NORM:
+                    # Zero step: the update is skipped and the iterate does
+                    # not move; its target is the Hessian at this iterate.
+                    row["r"], row["est_error"] = 0.0, 0.0
+                    target = hess_k
+                else:
+                    u = step
+                    if not quadratic and hess_k is not None:
+                        # J_k is built only to measure the step against it.
+                        target, row["est_error"] = _gated_target(
+                            problem, x, PrimalVector(u), config.quad_order, k)
+                        row["r"] = math.sqrt(max(hess_k.quad_form(u), 0.0))
+                    grad_next = _gradient(problem, x_next, k + 1)
+                    if quadratic:
+                        # The secant A u_k, exact and O(n) in the eigenbasis,
+                        # where A is also every step's target.
+                        y = problem.spectrum * u
+                    else:
+                        # The secant y_k = grad_{k+1} - grad_k = J_k u_k.
+                        y = grad_next.coords - gc
+                        if not _secant_holds(problem, b_inv, u, y):
+                            y = None  # noise, not curvature: no update, no nu
+                    if y is not None:
+                        # One set of update scalars serves r, nu and the
+                        # update.
+                        scalars = _scalars(y, g_mat, u,
+                                           partial(np.matvec, h_mat))
+                        if hess_k is not None:
+                            if quadratic:
+                                target, row["est_error"] = hess_k, 0.0
+                                row["r"] = math.sqrt(float(scalars[2]))
+                            block.closeness(scalars, pair)
+            if hess_k is not None and target is not None:
+                block.target(k, g_mat, None if target is hess_k else target)
+            if last or len(block.rows) == block.size:
+                block.flush()
+            if last:
+                break
+            if u is not None:
+                if y is not None:
+                    try:
+                        pair, _, _ = update_arrays(pair, u, scalars,
+                                                   row["tau"])
+                    except ArithmeticError as exc:
+                        raise _lost_definiteness(k, str(exc)) from None
+                    g_mat, h_mat = pair
+                x, grad = x_next, grad_next
+                # Distortion accumulates as exp(M * r) per step; a zero
+                # self-concordance constant (every quadratic) pins it to
+                # exactly 1, no drift allowed.  Far outside the local region
+                # the product saturates at +inf.
+                if problem.sc_const > 0.0:
+                    xi = (xi * math.exp(min(problem.sc_const * row["r"],
+                                            709.0))
+                          if config.instrument else math.nan)
+    except Exception:
+        try:
+            block.flush()
+        except Exception as earlier:
+            raise earlier from None
+        raise
 
     if quadratic:
         # The caller's own x0 plus the change mapped by V, so a run that
@@ -614,7 +817,7 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
     return IterationTrace(
         problem=p, schedule=schedule,
         **{name + "s": np.frombuffer(buf)
-           for name, buf in zip(_ROW_COLUMNS, columns)},
+           for name, buf in zip(_ROW_COLUMNS, block.columns)},
         x_final=x, converged=converged,
     )
 

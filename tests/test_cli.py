@@ -43,10 +43,12 @@ def inject_loop_fault(monkeypatch, fault, n, tau=None):
     ``"nu"`` hands the closeness measure 2 H for H, which its energy-form
     cross-check refuses at k = 0; ``"update"`` negates G after the first
     update, which the spectrum (instrumented) or the next update's pairings
-    (uninstrumented) refuse at k = 1.
+    (uninstrumented) refuse at k = 1.  The loop's nu measures a block of
+    rows at once, stacked on the leading axis, so a vector's dimension is
+    its last axis.
     """
     def hit(u, t):
-        return u.size == n and tau in (None, t)
+        return u.shape[-1] == n and tau in (None, t)
 
     if fault == "nu":
         loop_nu = solver_mod.nu

@@ -416,8 +416,19 @@ def counting(counts, key, fn):
     return wrapped
 
 
+def counting_matrices(counts, key, fn):
+    """``fn``, adding the number of matrices its first argument holds to
+    ``counts[key]``: one, or the leading size of a stack."""
+    def wrapped(a, *args, **kwargs):
+        counts[key] += math.prod(np.shape(a)[:-2])
+        return fn(a, *args, **kwargs)
+    return wrapped
+
+
 def count_decompositions(monkeypatch, counts):
-    """Count eigenvalue solves, Cholesky factorizations and SVDs from here on.
+    """Count the matrices that eigenvalue solves, Cholesky factorizations
+    and SVDs decompose from here on, a stacked call counting each of its
+    matrices.
 
     ``np.linalg.norm(., 2)`` reaches its SVD through the private module, so
     that name is patched too.
@@ -425,26 +436,28 @@ def count_decompositions(monkeypatch, counts):
     for mod, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"),
                       (np.linalg, "eig"), (np.linalg, "eigvals"),
                       (scipy.linalg, "eigh"), (scipy.linalg, "eigvalsh")):
-        monkeypatch.setattr(mod, name, counting(counts, "eig", getattr(mod, name)))
+        monkeypatch.setattr(mod, name, counting_matrices(
+            counts, "eig", getattr(mod, name)))
     for mod, name in ((np.linalg, "cholesky"), (scipy.linalg, "cholesky"),
                       (scipy.linalg, "cho_factor")):
-        monkeypatch.setattr(mod, name,
-                            counting(counts, "cholesky", getattr(mod, name)))
+        monkeypatch.setattr(mod, name, counting_matrices(
+            counts, "cholesky", getattr(mod, name)))
     for mod, name in ((np.linalg, "svd"), (np.linalg._linalg, "svd"),
                       (scipy.linalg, "svd"), (scipy.linalg, "svdvals")):
-        monkeypatch.setattr(mod, name, counting(counts, "svd", getattr(mod, name)))
-    monkeypatch.setattr(operators_mod._lapack, "sygst",
-                        counting(counts, "reduction",
-                                 operators_mod._lapack.sygst))
+        monkeypatch.setattr(mod, name, counting_matrices(
+            counts, "svd", getattr(mod, name)))
+    monkeypatch.setattr(operators_mod._lapack, "sygst", counting_matrices(
+        counts, "reduction", operators_mod._lapack.sygst))
 
 
 class TestDecompositionCount:
     def test_one_eigendecomposition_and_no_cholesky_per_iteration(
             self, monkeypatch):
         # The run takes the eigenbasis of (A, B) once, one eigh; then each
-        # iterate makes one eigvalsh (G_k relative to diag(s), a scaling of
-        # G_k), which is also G_k's definiteness check, and no Cholesky and
-        # no sygst.  A quadratic on the general path runs the same branch.
+        # iterate has one matrix decomposed (G_k relative to diag(s), a
+        # scaling of G_k), in its block's stacked eigvalsh, which is also
+        # G_k's definiteness check, and no Cholesky and no sygst.  A
+        # quadratic on the general path runs the same branch.
         quad = quad_make(np.geomspace(1.0, 100.0, 12), seed=5)
         x0 = PrimalVector(np.random.default_rng(6).standard_normal(12))
         for run in (run_quadratic, run_general):
@@ -576,14 +589,17 @@ class TestRawLoop:
     @pytest.mark.parametrize("general", [False, True])
     def test_loop_nu_is_solver_nu(self, monkeypatch, general):
         # The loop passes nu the approximation and its maintained inverse,
-        # never a factor: H G = I to the rounding of the updates.
+        # never a factor: H G = I to the rounding of the updates.  A call
+        # measures a block of rows, stacked on the leading axis (a lone row
+        # comes unstacked).
         calls = {"nu": 0}
         loop_nu = solver_mod.nu
 
         def nu_checked(scalars, g_mat, h_mat, g_cond):
-            calls["nu"] += 1
-            np.testing.assert_allclose(h_mat @ g_mat, np.eye(len(g_mat)),
-                                       atol=1e-8)
+            calls["nu"] += math.prod(g_mat.shape[:-2])
+            np.testing.assert_allclose(
+                h_mat @ g_mat, np.broadcast_to(np.eye(g_mat.shape[-1]),
+                                               g_mat.shape), atol=1e-8)
             return loop_nu(scalars, g_mat, h_mat, g_cond)
 
         monkeypatch.setattr(solver_mod, "nu", nu_checked)

@@ -21,14 +21,15 @@ def test_prints_the_thread_setting_and_one_row_per_n(capsys):
     assert tool.main(["--n", "8", "--iters", "6", "--repeat", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("BLAS threads: OPENBLAS_NUM_THREADS=")
-    assert lines[3] == ("| n | uninstrumented | instrumented | update "
-                        "| eigvalsh | nu | rest |")
+    assert lines[3] == ("| n | block | uninstrumented | instrumented "
+                        "| update | eigvalsh | nu | rest |")
     cells = lines[5].strip("| ").split(" | ")
-    assert cells[0] == "8" and len(cells) == 7
-    # rest subtracts per-call times from the per-iteration time of six
+    assert len(cells) == 8
+    assert cells[:2] == ["8", str(tool.solver_mod._block_rows(8))]
+    # rest subtracts per-row times from the per-iteration time of six
     # iterations less one, so noise may take it below zero.
-    assert all(float(c.replace(",", "")) >= 0.0 for c in cells[1:6])
-    float(cells[6].replace(",", ""))
+    assert all(float(c.replace(",", "")) >= 0.0 for c in cells[2:7])
+    float(cells[7].replace(",", ""))
     # The timers are taken off again.
     assert not isinstance(np.linalg.eigvalsh, tool._Timed)
     assert not isinstance(tool.solver_mod.update_arrays, tool._Timed)

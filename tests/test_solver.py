@@ -3,10 +3,12 @@
 import dataclasses
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
+import broyden_lab.broyden as broyden_mod
 import broyden_lab.cli as cli_mod
 import broyden_lab.problems as problems_mod
 import broyden_lab.solver as solver_mod
@@ -25,6 +27,7 @@ from broyden_lab import (
     quad_make,
     run_general,
     run_quadratic,
+    spectral_barriers,
     trace_reports,
 )
 
@@ -819,3 +822,140 @@ class TestRowPattern:
             else:
                 self.measured(tr, k, instrument, "nus")
         assert len(skipped) > 50
+
+
+class TestBlocks:
+    """The loop measures its rows a block at a time: one stacked spectrum,
+    nu and potentials call per block.  Every row reads what it would read
+    measured alone, and a failure names the row it would name alone."""
+
+    # n, the quadratic's condition number, and a run length that fills at
+    # least one block and leaves a partial last one; from n = 74 on a block
+    # has one row.
+    CASES = [(3, 1e12, 1300), (8, 1e6, 200), (30, 1e3, 29), (80, 1e3, 6)]
+
+    @pytest.mark.parametrize("general", [False, True])
+    @pytest.mark.parametrize("n, kappa, max_iter", CASES)
+    def test_rows_are_their_lone_measurements_bit_for_bit(
+            self, n, kappa, max_iter, general):
+        q = quad_make(np.geomspace(1.0, kappa, n), seed=n)
+        run = run_general if general else run_quadratic
+        trace, rec = record_run(run, q, PrimalVector(np.ones(n)),
+                                TauSchedule.dfp(),
+                                SolverConfig(max_iter=max_iter, grad_tol=0.0))
+        size = solver_mod._block_rows(n)
+        assert len(trace) == max_iter + 1 and len(trace) > size
+        assert size == 1 or len(trace) % size
+        basis = solver_mod._Eigenbasis.of(q)
+        b = basis.problem.b_ref
+        ref_cond = basis.problem.ell / basis.problem.mu * float(
+            broyden_mod._cond_inf(b.entries, b.inverse_matrix()))
+        nan = math.nan
+        want = {name: np.full(len(trace), nan)
+                for name in ("eig_mins", "eig_maxs", "vs", "psis", "nus")}
+        for k in range(len(trace)):
+            g, h = rec.pair(k)
+            lams = np.linalg.eigvalsh(g * basis.ddt)
+            lo, hi = float(lams[0]), float(lams[-1])
+            want["eig_mins"][k], want["eig_maxs"][k] = lo, hi
+            if not (general and k == trace.k_final):
+                want["vs"][k], want["psis"][k] = spectral_barriers(lams)
+            if k in rec.steps:
+                step = rec.steps[k]
+                scalars = broyden_mod._scalars(step.y, g, step.u,
+                                               partial(np.matvec, h))
+                want["nus"][k] = broyden_mod.secant_nu(scalars, g, h,
+                                                       ref_cond * hi / lo)
+        # The terminal row has no step, so no nu; the general path has no
+        # target there either, so no potentials.
+        assert math.isnan(want["nus"][-1]) and sorted(rec.steps) == list(
+            range(trace.k_final))
+        for name, column in want.items():
+            assert np.array_equal(getattr(trace, name), column,
+                                  equal_nan=True), name
+        assert np.array_equal(trace.j_eig_mins, np.where(
+            np.isnan(want["vs"]), nan, want["eig_mins"]), equal_nan=True)
+
+    @staticmethod
+    def _run(n=8, **cfg):
+        q = quad_make(np.geomspace(1.0, 1e3, n), seed=4)
+        return run_quadratic(q, PrimalVector(np.ones(n)), TauSchedule.bfgs(),
+                             SolverConfig(**{"max_iter": 500, **cfg}))
+
+    def test_definiteness_loss_mid_block_names_its_row(self, monkeypatch):
+        # The first update hands back G_1 less twice its smallest relative
+        # eigenvalue along that eigenvector: indefinite, though positive
+        # along the steps, so the pairings let the loop run on through the
+        # block.  The measurement still stops the run at k = 1, with the
+        # message a lone row gives.
+        loop_update = solver_mod.update_arrays
+        calls = []
+
+        def indefinite_first(pair, u, scalars, tau):
+            pair, phi, det_ratio = loop_update(pair, u, scalars, tau)
+            calls.append(1)
+            if len(calls) == 1:
+                q = quad_make(np.geomspace(1.0, 1e3, 8), seed=4)
+                d = np.sqrt(solver_mod._Eigenbasis.of(q).ddt.diagonal())
+                lams, vecs = np.linalg.eigh(pair[0] * np.outer(d, d))
+                w = vecs[:, 0] / d
+                pair = np.stack((pair[0] - 2.0 * lams[0] * np.outer(w, w),
+                                 pair[1]))
+            return pair, phi, det_ratio
+
+        monkeypatch.setattr(solver_mod, "update_arrays", indefinite_first)
+        with pytest.raises(DivergenceError,
+                           match=r"^iteration 1: approximation lost "
+                                 r"definiteness \(relative spectrum \(-"
+                                 r".* is not positive\)$") as err:
+            self._run()
+        assert err.value.k == 1 and len(calls) > 2
+
+    def test_failed_stacked_solve_names_its_first_failing_row(
+            self, monkeypatch):
+        # The block's stacked eigvalsh fails; its rows are solved again one
+        # at a time, and the first that fails alone, row 2, is named.
+        eigvalsh, stacked, lone = np.linalg.eigvalsh, [], []
+
+        def failing(a, *args, **kwargs):
+            if a.ndim == 3:
+                stacked.append(a)
+            elif stacked:
+                lone.append(a)
+            if a.ndim == 3 or len(lone) == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        with pytest.raises(DivergenceError,
+                           match=r"^iteration 2: approximation lost "
+                                 r"definiteness \(eigenvalue solve failed: "
+                                 r"Eigenvalues did not converge\)$"):
+            self._run()
+        assert len(stacked) == 1 and len(lone) == 3
+
+    @pytest.mark.parametrize("n", [8, 80])
+    @pytest.mark.parametrize("later", [
+        DivergenceError(3, "non-finite gradient (overflow)"),
+        RuntimeWarning("overflow encountered in matvec")])
+    def test_pending_failure_comes_before_a_later_one(self, monkeypatch,
+                                                      later, n):
+        # nu at k = 0 fails its check (it is handed 2 H), and the gradient
+        # raises at k = 3, before the block is measured: the run still
+        # stops on k = 0's failure.  At n = 80 a block has one row, which
+        # is measured, and fails, before the next row starts.
+        loop_nu, loop_gradient = solver_mod.nu, solver_mod._gradient
+
+        def drifted_nu(scalars, g_mat, h_mat, g_cond):
+            return loop_nu(scalars, g_mat, 2.0 * h_mat, g_cond)
+
+        def gradient(problem, x, k):
+            if k == 3:
+                raise later
+            return loop_gradient(problem, x, k)
+
+        monkeypatch.setattr(solver_mod, "nu", drifted_nu)
+        monkeypatch.setattr(solver_mod, "_gradient", gradient)
+        with pytest.raises(DivergenceError,
+                           match="^iteration 0: closeness forms disagree"):
+            self._run(n)

@@ -4,18 +4,21 @@ Runs DFP on a generated quadratic (spectrum geomspace(1, 1e3, n), B = I)
 from x0 = 1 for a fixed number of iterations at ``grad_tol`` 0, instrumented
 and not, and prints one markdown row per n:
 
+- ``block``: the rows the instrumented loop measures together at that n,
+  as many as the solver's byte budget for a block holds;
 - ``uninstrumented`` and ``instrumented``: the time per iteration of the
   whole run, less a one-iteration run's time, so the set-up (the
   eigenbasis, one ``eigh``) is not counted;
 - ``update``: the time of one ``update_arrays`` call inside the
   uninstrumented loop, the O(n^2) rank-two update of G_k and H_k;
-- ``eigvalsh``: the time of one ``np.linalg.eigvalsh`` call inside the
-  instrumented loop, the instrumented iteration's one decomposition;
-- ``nu``: the time of one ``nu`` call inside the instrumented loop, the
-  closeness measure and its check;
-- ``rest``: the step's fixed cost outside those three calls, from an
+- ``eigvalsh``: the time ``np.linalg.eigvalsh`` takes per row inside the
+  instrumented loop, which makes one stacked call per block: the
+  instrumented iteration's one decomposition;
+- ``nu``: the time ``nu`` takes per row inside the instrumented loop, also
+  one stacked call per block: the closeness measure and its check;
+- ``rest``: the step's fixed cost outside those three, from an
   instrumented run with a timer on each: its time per iteration (as above)
-  less one call of each.
+  less one ``update_arrays`` call and the per-row time of the other two.
 
 Each figure is the best of ``--repeat`` runs.  The first line names the BLAS
 thread setting, the environment variables that pin it (run with
@@ -85,15 +88,16 @@ def _run(quad, iters: int, instrument: bool):
     return time.perf_counter() - start, len(trace) - 1
 
 
-def _per_iter(quad, iters: int, instrument: bool, timers=()) -> float:
+def _per_iter(quad, iters: int, instrument: bool,
+              timers=()) -> tuple[float, int]:
     """Time per iteration of one run, less a one-iteration run's time, with
-    ``timers`` installed for the long run."""
+    ``timers`` installed for the long run, and the long run's rows."""
     base, _ = _run(quad, 1, instrument)
     with contextlib.ExitStack() as stack:
         for timer in timers:
             stack.enter_context(timer)
         total, steps = _run(quad, iters, instrument)
-    return (total - base) / max(steps - 1, 1)
+    return (total - base) / max(steps - 1, 1), steps + 1
 
 
 def row(n: int, iters: int, repeat: int) -> tuple[float, ...]:
@@ -102,16 +106,17 @@ def row(n: int, iters: int, repeat: int) -> tuple[float, ...]:
     quad = quad_make(np.geomspace(1.0, 1e3, n), seed=n)
     runs = []
     for _ in range(repeat):
-        plain = _per_iter(quad, iters, False)
-        instrumented = _per_iter(quad, iters, True)
+        plain, _ = _per_iter(quad, iters, False)
+        instrumented, _ = _per_iter(quad, iters, True)
         update = _Timed(solver_mod, "update_arrays")
         _per_iter(quad, iters, False, [update])
         timers = [_Timed(solver_mod, "update_arrays"),
                   _Timed(np.linalg, "eigvalsh"), _Timed(solver_mod, "nu")]
-        timed = _per_iter(quad, iters, True, timers)
-        per_call = [t.seconds / t.calls for t in timers]
+        timed, rows = _per_iter(quad, iters, True, timers)
+        costs = [timers[0].seconds / timers[0].calls,
+                 *(t.seconds / rows for t in timers[1:])]
         runs.append((plain, instrumented, update.seconds / update.calls,
-                     *per_call[1:], timed - sum(per_call)))
+                     *costs[1:], timed - sum(costs)))
     return tuple(1e6 * t for t in np.min(runs, axis=0))
 
 
@@ -126,12 +131,12 @@ def main(argv=None) -> int:
     print(f"DFP, kappa = 1e3, {args.iters} iterations, best of {args.repeat}; "
           "per iteration, in us")
     print()
-    print("| n | uninstrumented | instrumented | update | eigvalsh | nu "
-          "| rest |")
-    print("| --- | --- | --- | --- | --- | --- | --- |")
+    print("| n | block | uninstrumented | instrumented | update | eigvalsh "
+          "| nu | rest |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- |")
     for n in args.n:
         cells = " | ".join(f"{t:,.0f}" for t in row(n, args.iters, args.repeat))
-        print(f"| {n} | {cells} |", flush=True)
+        print(f"| {n} | {solver_mod._block_rows(n)} | {cells} |", flush=True)
     return 0
 
 
