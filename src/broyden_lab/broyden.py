@@ -191,7 +191,11 @@ def _rank_two(pair, au, gu, z, u, core):
     basis[..., 1, :, 1] = u
     out = (basis @ core) @ basis.mT
     out += pair
-    sym = out + out.mT
+    # One contiguous copy of out^T takes the pass's only strided read; the
+    # sum and the halving then run in place.  out^T + out is out + out^T
+    # bit for bit, as IEEE addition commutes.
+    sym = np.ascontiguousarray(out.mT)
+    sym += out
     sym *= 0.5
     return sym
 

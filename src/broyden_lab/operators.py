@@ -121,16 +121,19 @@ def spd_factor(m: np.ndarray):
     two it averages, so it is finite wherever m is (0.5 (m + m^T) overflows
     near the largest double), and a non-finite m is refused as such.  Both
     it and the asymmetry read one contiguous copy of m^T, the rule's one
-    strided pass.
+    strided pass.  The rule holds two temporaries of m's size at a time,
+    the copy and one work array that ends as the symmetrized part, and
+    drops the copy before the factorization.
     """
     mt = m.mT.astype(float, order="C")
     with np.errstate(invalid="ignore", over="ignore"):
-        diff = m - mt
-        asym = np.abs(diff, out=diff).max(axis=(-2, -1))
-        scale = np.abs(m, out=diff).max(axis=(-2, -1))
-        sym = 0.5 * m
+        sym = m - mt
+        asym = np.abs(sym, out=sym).max(axis=(-2, -1))
+        scale = np.abs(m, out=sym).max(axis=(-2, -1))
+        np.multiply(m, 0.5, out=sym)
         mt *= 0.5
         sym += mt
+    del mt
     # A NaN or infinite entry leaves the scale non-finite.
     fault = np.zeros(scale.shape, dtype=int)
     work = sym

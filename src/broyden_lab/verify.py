@@ -14,10 +14,14 @@ and u.  Drawn triples are grouped by n and wait until their raw inputs hold
 ``_STACK_ELEMENTS`` entries between them.  Each group is then assembled as
 one (T, n, n) stack per matrix (a stacked QR with its sign fix, then
 Q diag(eigs) Q^T), G straight into the first half of the (T, 2, n, n)
-(G, H) pair the update reads, and goes through stacked LAPACK calls and the solver's own kernels: the
-update (``broyden._scalars`` and ``broyden._apply_update``) and nu with its
-check (``broyden._closeness``).  Every stacked value is bitwise the value of
-its triple alone, so no result depends on how the draws were grouped.  The
+(G, H) pair the update reads, and goes through stacked LAPACK calls and the
+solver's own kernels: the update (``broyden._scalars`` and
+``broyden._apply_update``) and nu with its check (``broyden._closeness``).
+The tau grid is one more batch axis: a stack is updated once, at the grid's
+column, into a (tau, T, 2, n, n) pair, which takes one SPD check, and each
+suite takes its spectrum, norm or bound of the updated stack in one call.
+Every stacked value is bitwise the value of its triple alone at its tau
+alone, so no result depends on how the draws were grouped.  The
 stack gets every check the typed API makes on one triple: A, G and each
 G_plus, H_plus pass the ``SpdOperator`` acceptance rule, the three update
 pairings are positive and finite, nu passes the solver's check that H
@@ -27,7 +31,7 @@ them, or yields a non-finite value, is the suite's witness with worst value
 whole (alpha, beta) grid as arrays, under the same rule for a non-finite
 value.
 
-Each random suite is one evaluator over a stack, which yields per tau
+Each random suite is one evaluator over a stack, which gives per tau
 whether each value counts, the intermediate values and the value itself.
 :func:`replay` re-draws one triple and runs it through that same evaluator
 as a one-triple stack, so it prints the very value the suite computed, with
@@ -92,7 +96,9 @@ TAU_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 # Entries the raw draws waiting for assembly may hold (Gaussian blocks,
 # spectra, scales and directions) before they are assembled into stacks and
-# evaluated, so memory stays flat in trials and n_max.
+# evaluated.  A stack's update temporaries carry the tau axis, five times
+# its (T, 2, n, n) pair, but they too are bounded by this budget, so memory
+# stays flat in trials and n_max.
 _STACK_ELEMENTS = 1 << 16
 
 SCALAR_GAP_GRID = 100
@@ -213,6 +219,11 @@ class _Update(NamedTuple):
     ok: np.ndarray
 
 
+# The tau grid as a column: an update at it carries a leading (tau,) axis
+# over the stack's (T,) triples.
+_TAU_COLUMN = np.array(TAU_GRID)[:, None]
+
+
 class _Stack:
     """A stack of triples with the factors and update scalars every suite uses.
 
@@ -223,8 +234,7 @@ class _Stack:
     solver reads its maintained inverse, and nu's mask is the solver's
     check that it inverts G.  ``g`` and ``h`` are the halves of ``pair``,
     the (T, 2, n, n) array that :func:`_assemble` built with G in its first
-    half; the stack fills in the second, and the update at every tau reads
-    the pair.
+    half; the stack fills in the second, and the update reads the pair.
     """
 
     def __init__(self, a, pair, u):
@@ -262,80 +272,79 @@ class _Stack:
 
     def rel_spectrum(self, x):
         """Ascending eigenvalues of each X relative to A, and where they are
-        all positive."""
+        all positive; X may carry a leading tau axis over the stack."""
         lams = np.linalg.eigvalsh(self.la_inv @ x @ self.la_inv.mT)
-        return lams, lams[:, 0] > 0.0
+        return lams, lams[..., 0] > 0.0
 
-    def update(self, tau):
-        """The update at one tau, with the factor of G_plus and where both
-        G_plus and its closed-form inverse H_plus pass the SPD rule."""
+    def update(self, tau=_TAU_COLUMN):
+        """The update at ``tau``, with the factor of G_plus and where both
+        G_plus and its closed-form inverse H_plus pass the SPD rule.
+
+        ``tau`` is one value or, by default, the grid's column: then every
+        array carries a leading (tau,) axis, from one kernel call and one
+        SPD check of the whole updated pair, each member bitwise its update
+        at that tau alone.
+        """
         pair, phi, det_ratio = kernel._apply_update(self.pair, self.u,
                                                     self.scalars, tau)
-        g_plus, h_plus = pair[..., 0, :, :], pair[..., 1, :, :]
-        _, lg_plus, fault_g = spd_factor(g_plus)
-        _, _, fault_h = spd_factor(h_plus)
-        return _Update(g_plus, h_plus, phi, det_ratio, lg_plus,
-                       (fault_g == 0) & (fault_h == 0))
+        _, chol, fault = spd_factor(pair)
+        return _Update(pair[..., 0, :, :], pair[..., 1, :, :], phi, det_ratio,
+                       chol[..., 0, :, :], (fault == 0).all(axis=-1))
 
 
 # ---------------------------------------------------------------------------
-# The random suites.  Each evaluator takes a _Stack and yields one row per
-# tau of the grid: a dict of per-triple arrays holding ``ok`` (where the
-# suite's own checks accept the triple), the intermediate values and last
-# the suite's ``value``.  The batched run and the replay of one trial both
-# go through it.
+# The random suites.  Each evaluator takes a _Stack, updates it at the whole
+# tau grid at once and returns its columns: per-triple arrays holding
+# ``ok`` (where the suite's own checks accept the triple), the intermediate
+# values and last the suite's ``value``, each over (tau, T) or, where it
+# does not depend on tau, over (T,).  :func:`_evaluate` cuts them into one
+# row per tau; the batched run and the replay of one trial both go through
+# it.
 
 
 def _inverse_identity(st):
+    up = st.update()
     eye = np.eye(st.u.shape[-1])
-    for tau in TAU_GRID:
-        up = st.update(tau)
-        yield {"ok": up.ok, "phi": up.phi, "det_ratio": up.det_ratio,
-               "value": np.linalg.norm(up.g_plus @ up.h_plus - eye, 2,
-                                       axis=(-2, -1))}
+    return {"ok": up.ok, "phi": up.phi, "det_ratio": up.det_ratio,
+            "value": np.linalg.norm(up.g_plus @ up.h_plus - eye, 2,
+                                    axis=(-2, -1))}
 
 
 def _det_ratio(st):
     solved = kernel._scalars(st.au, st.g, st.u, st.solve_g)
     au_u, gu_u, aha = solved[2], solved[3], solved[5]
-    solved_ok = kernel._positive_pairings(au_u, gu_u, aha)
-    logdet_g = chol_logdet(st.lg)
-    for tau in TAU_GRID:
-        up = st.update(tau)
-        reference = np.exp(logdet_g - chol_logdet(up.lg_plus))
-        closed = kernel._phi_det(tau, au_u, gu_u, aha)[1]
-        yield {"ok": up.ok & solved_ok, "det_ratio": up.det_ratio,
-               "closed_form": closed, "reference": reference,
-               "value": np.maximum(np.abs(up.det_ratio - reference),
-                                   np.abs(closed - reference))
-               / np.abs(reference)}
+    up = st.update()
+    reference = np.exp(chol_logdet(st.lg) - chol_logdet(up.lg_plus))
+    closed = kernel._phi_det(_TAU_COLUMN, au_u, gu_u, aha)[1]
+    return {"ok": up.ok & kernel._positive_pairings(au_u, gu_u, aha),
+            "det_ratio": up.det_ratio, "closed_form": closed,
+            "reference": reference,
+            "value": np.maximum(np.abs(up.det_ratio - reference),
+                                np.abs(closed - reference))
+            / np.abs(reference)}
 
 
 def _eigen_containment(st):
     before, ok = st.rel_spectrum(st.g)
     lo = np.minimum(1.0, before[:, 0])
     hi = np.maximum(1.0, before[:, -1])
-    for tau in TAU_GRID:
-        up = st.update(tau)
-        after, after_ok = st.rel_spectrum(up.g_plus)
-        yield {"ok": ok & up.ok & after_ok, "lo": lo, "hi": hi,
-               "min_rel": after[:, 0], "max_rel": after[:, -1],
-               "value": np.minimum(after[:, 0] - lo, hi - after[:, -1])}
+    up = st.update()
+    after, after_ok = st.rel_spectrum(up.g_plus)
+    return {"ok": ok & up.ok & after_ok, "lo": lo, "hi": hi,
+            "min_rel": after[..., 0], "max_rel": after[..., -1],
+            "value": np.minimum(after[..., 0] - lo, hi - after[..., -1])}
 
 
 def _logdet_progress(st):
     before, ok = st.rel_spectrum(st.g)
     eta = np.maximum(1.0, before[:, -1])
     nu_val, nu_ok = st.closeness()
-    v_before, _ = spectral_barriers(before)
-    for tau in TAU_GRID:
-        up = st.update(tau)
-        after, after_ok = st.rel_spectrum(up.g_plus)
-        decrease = v_before - spectral_barriers(after)[0]
-        bound = progress_lb_v(eta, tau, nu_val)
-        yield {"ok": ok & nu_ok & up.ok & after_ok, "eta": eta, "nu": nu_val,
-               "decrease": decrease, "bound": bound,
-               "value": decrease - bound}
+    up = st.update()
+    after, after_ok = st.rel_spectrum(up.g_plus)
+    decrease = spectral_barriers(before)[0] - spectral_barriers(after)[0]
+    bound = np.array([progress_lb_v(eta, tau, nu_val) for tau in TAU_GRID])
+    return {"ok": ok & nu_ok & up.ok & after_ok, "eta": eta, "nu": nu_val,
+            "decrease": decrease, "bound": bound, "value": decrease - bound}
 
 
 def _augmented_progress(st):
@@ -343,26 +352,24 @@ def _augmented_progress(st):
     xi = np.maximum(1.0, 1.0 / before[:, 0])
     eta = np.maximum(1.0, before[:, -1])
     nu_val, nu_ok = st.closeness()
-    _, psi_before = spectral_barriers(before)
-    for tau in TAU_GRID:
-        up = st.update(tau)
-        after, after_ok = st.rel_spectrum(up.g_plus)
-        decrease = psi_before - spectral_barriers(after)[1]
-        bound = progress_lb_psi(xi, eta, tau, nu_val)
-        yield {"ok": ok & nu_ok & up.ok & after_ok, "xi": xi, "eta": eta,
-               "nu": nu_val, "decrease": decrease, "bound": bound,
-               "value": decrease - bound}
+    up = st.update()
+    after, after_ok = st.rel_spectrum(up.g_plus)
+    decrease = spectral_barriers(before)[1] - spectral_barriers(after)[1]
+    bound = np.array([progress_lb_psi(xi, eta, tau, nu_val)
+                      for tau in TAU_GRID])
+    return {"ok": ok & nu_ok & up.ok & after_ok, "xi": xi, "eta": eta,
+            "nu": nu_val, "decrease": decrease, "bound": bound,
+            "value": decrease - bound}
 
 
 def _metric_change(st):
     before, ok = st.rel_spectrum(st.g)
     xi = 1.0 / before[:, 0]
     nu_val, nu_ok = st.closeness()
-    for tau in TAU_GRID:
-        up = st.update(tau)
-        rhs = metric_change_rhs(st.au, st.g, st.u, up.h_plus, xi)
-        yield {"ok": ok & nu_ok & up.ok, "nu": nu_val, "xi": xi, "rhs": rhs,
-               "value": nu_val * nu_val - rhs}
+    up = st.update()
+    rhs = metric_change_rhs(st.au, st.g, st.u, up.h_plus, xi)
+    return {"ok": ok & nu_ok & up.ok, "nu": nu_val, "xi": xi, "rhs": rhs,
+            "value": nu_val * nu_val - rhs}
 
 
 # Every suite by name, in run order; a suite's seed is the base seed plus
@@ -383,17 +390,18 @@ SUITES = tuple(_SUITES)
 
 def _evaluate(name: str, a, pair, u):
     """The suite's rows on the stack of triples (A, G, u), G in the first
-    half of ``pair`` (see :func:`_assemble`), with ``ok``
-    narrowed to the values that count: accepted by the stack and the row,
-    and finite; and a (T, tau) array of the values, NaN where one does not
-    count."""
+    half of ``pair`` (see :func:`_assemble`): one dict per tau of the grid,
+    its arrays over the stack, with ``ok`` narrowed to the values that
+    count: accepted by the stack and the row, and finite; and a (T, tau)
+    array of the values, NaN where one does not count."""
     with np.errstate(all="ignore"):
         stack = _Stack(a, pair, u)
-        rows = [{**row, "ok": stack.ok & row["ok"] & np.isfinite(row["value"])}
-                for row in _SUITES[name][2](stack)]
-    values = np.stack([np.where(row["ok"], row["value"], np.nan)
-                       for row in rows], axis=1)
-    return rows, values
+        columns = _SUITES[name][2](stack)
+        ok = stack.ok & columns["ok"] & np.isfinite(columns["value"])
+    columns["ok"] = ok
+    rows = [{key: np.broadcast_to(val, ok.shape)[k]
+             for key, val in columns.items()} for k in range(len(TAU_GRID))]
+    return rows, np.where(ok, columns["value"], np.nan).T
 
 
 def _worst(values: np.ndarray, sign: float):

@@ -21,17 +21,24 @@ def test_verify_small_seed0(tmp_path, capsys):
                       "--seed", "0"]) == 0
     assert capsys.readouterr().out == "verify-small-0: exit 0\n"
     work = tmp_path / "verify-small-0"
-    assert sorted(p.name for p in work.iterdir()) == [
-        "exit_code.txt", "stderr.txt", "stdout.txt"]
+    workload = tool.load_workloads(ROOT)["verify-small"]
+    assert sorted(p.name for p in work.iterdir()) == sorted(
+        ["exit_code.txt", "stderr.txt", "stdout.txt"]
+        + [f"replay-{suite}.txt" for suite in workload.suites])
     assert (work / "exit_code.txt").read_text() == "0\n"
     assert (work / "stderr.txt").read_text() == ""
-    workload = tool.load_workloads(ROOT)["verify-small"]
     lines = (work / "stdout.txt").read_text().splitlines()
     results = [line for line in lines if not line.startswith("replay:")]
     assert [line.split()[0] for line in results] == list(workload.suites)
     assert all(line.endswith("PASS") for line in results)
     # The call ran with relative paths: no line names the snapshot's place.
     assert str(tmp_path) not in "\n".join(lines)
+    # Each replay printed its witness's values in full (repr) and its result.
+    for suite in workload.suites:
+        replayed = (work / f"replay-{suite}.txt").read_text().splitlines()
+        assert replayed[0].startswith(suite)
+        assert replayed[-1].split()[0] == suite
+        assert replayed[-1].endswith("PASS")
 
 
 def test_lse_general_seed1_instance_hash(tmp_path, capsys):

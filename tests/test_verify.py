@@ -18,15 +18,22 @@ from broyden_lab import broyden as broyden_mod
 from broyden_lab import verify
 from broyden_lab.broyden import broyd, broyd_det_ratio, nu
 from broyden_lab.cli import cmd_verify, main
-from broyden_lab.operators import PrimalVector, rel_det, rel_eigen_range
+from broyden_lab.operators import (
+    PrimalVector,
+    chol_logdet,
+    rel_det,
+    rel_eigen_range,
+)
 from broyden_lab.potentials import (
     SCALAR_GAP_MIDDLE_CONST,
     augmented_barrier,
     logdet_barrier,
     metric_change_lb,
+    metric_change_rhs,
     progress_lb_psi,
     progress_lb_v,
     scalar_gap,
+    spectral_barriers,
 )
 from broyden_lab.verify import TAU_GRID, CheckResult
 
@@ -321,6 +328,161 @@ def test_stacked_draws_match_typed_draws(seed, dominating):
 
 
 # ---------------------------------------------------------------------------
+# The tau axis == one update per tau
+#
+# The per-tau evaluators below are the loops the tau-stacked evaluators of
+# ``broyden_lab.verify`` replaced: one scalar-tau update, SPD check and
+# spectrum per tau.  The stacked rows must equal theirs bit for bit.
+
+
+def per_tau_inverse_identity(st):
+    eye = np.eye(st.u.shape[-1])
+    for tau in TAU_GRID:
+        up = st.update(tau)
+        yield {"ok": up.ok, "phi": up.phi, "det_ratio": up.det_ratio,
+               "value": np.linalg.norm(up.g_plus @ up.h_plus - eye, 2,
+                                       axis=(-2, -1))}
+
+
+def per_tau_det_ratio(st):
+    solved = broyden_mod._scalars(st.au, st.g, st.u, st.solve_g)
+    au_u, gu_u, aha = solved[2], solved[3], solved[5]
+    solved_ok = broyden_mod._positive_pairings(au_u, gu_u, aha)
+    logdet_g = chol_logdet(st.lg)
+    for tau in TAU_GRID:
+        up = st.update(tau)
+        reference = np.exp(logdet_g - chol_logdet(up.lg_plus))
+        closed = broyden_mod._phi_det(tau, au_u, gu_u, aha)[1]
+        yield {"ok": up.ok & solved_ok, "det_ratio": up.det_ratio,
+               "closed_form": closed, "reference": reference,
+               "value": np.maximum(np.abs(up.det_ratio - reference),
+                                   np.abs(closed - reference))
+               / np.abs(reference)}
+
+
+def per_tau_eigen_containment(st):
+    before, ok = st.rel_spectrum(st.g)
+    lo = np.minimum(1.0, before[:, 0])
+    hi = np.maximum(1.0, before[:, -1])
+    for tau in TAU_GRID:
+        up = st.update(tau)
+        after, after_ok = st.rel_spectrum(up.g_plus)
+        yield {"ok": ok & up.ok & after_ok, "lo": lo, "hi": hi,
+               "min_rel": after[:, 0], "max_rel": after[:, -1],
+               "value": np.minimum(after[:, 0] - lo, hi - after[:, -1])}
+
+
+def per_tau_logdet_progress(st):
+    before, ok = st.rel_spectrum(st.g)
+    eta = np.maximum(1.0, before[:, -1])
+    nu_val, nu_ok = st.closeness()
+    v_before, _ = spectral_barriers(before)
+    for tau in TAU_GRID:
+        up = st.update(tau)
+        after, after_ok = st.rel_spectrum(up.g_plus)
+        decrease = v_before - spectral_barriers(after)[0]
+        bound = progress_lb_v(eta, tau, nu_val)
+        yield {"ok": ok & nu_ok & up.ok & after_ok, "eta": eta, "nu": nu_val,
+               "decrease": decrease, "bound": bound,
+               "value": decrease - bound}
+
+
+def per_tau_augmented_progress(st):
+    before, ok = st.rel_spectrum(st.g)
+    xi = np.maximum(1.0, 1.0 / before[:, 0])
+    eta = np.maximum(1.0, before[:, -1])
+    nu_val, nu_ok = st.closeness()
+    _, psi_before = spectral_barriers(before)
+    for tau in TAU_GRID:
+        up = st.update(tau)
+        after, after_ok = st.rel_spectrum(up.g_plus)
+        decrease = psi_before - spectral_barriers(after)[1]
+        bound = progress_lb_psi(xi, eta, tau, nu_val)
+        yield {"ok": ok & nu_ok & up.ok & after_ok, "xi": xi, "eta": eta,
+               "nu": nu_val, "decrease": decrease, "bound": bound,
+               "value": decrease - bound}
+
+
+def per_tau_metric_change(st):
+    before, ok = st.rel_spectrum(st.g)
+    xi = 1.0 / before[:, 0]
+    nu_val, nu_ok = st.closeness()
+    for tau in TAU_GRID:
+        up = st.update(tau)
+        rhs = metric_change_rhs(st.au, st.g, st.u, up.h_plus, xi)
+        yield {"ok": ok & nu_ok & up.ok, "nu": nu_val, "xi": xi, "rhs": rhs,
+               "value": nu_val * nu_val - rhs}
+
+
+PER_TAU = {
+    "inverse_identity": per_tau_inverse_identity,
+    "det_ratio": per_tau_det_ratio,
+    "eigen_containment": per_tau_eigen_containment,
+    "logdet_progress": per_tau_logdet_progress,
+    "augmented_progress": per_tau_augmented_progress,
+    "metric_change": per_tau_metric_change,
+}
+
+
+def _per_tau_evaluate(name, a, pair, u):
+    """``verify._evaluate`` as it ran with one update per tau."""
+    with np.errstate(all="ignore"):
+        stack = verify._Stack(a, pair, u)
+        rows = [{**row, "ok": stack.ok & row["ok"] & np.isfinite(row["value"])}
+                for row in PER_TAU[name](stack)]
+    values = np.stack([np.where(row["ok"], row["value"], np.nan)
+                       for row in rows], axis=1)
+    return rows, values
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("suite", sorted(REFERENCE))
+def test_tau_axis_is_bitwise_one_update_per_tau(monkeypatch, suite):
+    """Each stack updates once, at the whole tau column, and SPD-checks the
+    updated pair in one call; every row and value is bitwise what one
+    scalar-tau update per tau gives."""
+    calls = []
+    apply_update, factor = broyden_mod._apply_update, verify.spd_factor
+
+    def counted_update(pair, u, scalars, tau):
+        calls.append(("update", np.shape(tau)))
+        return apply_update(pair, u, scalars, tau)
+
+    def counted_factor(m):
+        calls.append(("spd_factor", m.shape))
+        return factor(m)
+
+    dominating = verify._SUITES[suite][3]
+    for n_max in (1, 2, 8, 12):
+        for seed in (0, 5):
+            rng = np.random.default_rng(seed)
+            for _, a, pair, u in verify._stacks(rng, 60, n_max, dominating):
+                monkeypatch.setattr(broyden_mod, "_apply_update",
+                                    counted_update)
+                monkeypatch.setattr(verify, "spd_factor", counted_factor)
+                calls.clear()
+                rows, values = verify._evaluate(suite, a, pair, u)
+                # One update at the tau column; A, G and the updated pair
+                # are factored in one call each.
+                assert [c for c in calls if c[0] == "update"] == [
+                    ("update", (len(TAU_GRID), 1))]
+                assert [c[1] for c in calls if c[0] == "spd_factor"] == [
+                    a.shape, a.shape, (len(TAU_GRID),) + pair.shape]
+                monkeypatch.undo()
+                want_rows, want = _per_tau_evaluate(suite, a, pair, u)
+                assert _same_bits(values, want), (n_max, seed)
+                assert len(rows) == len(want_rows) == len(TAU_GRID)
+                for row, want_row in zip(rows, want_rows):
+                    assert list(row) == list(want_row)
+                    for key, val in want_row.items():
+                        assert _same_bits(row[key], val), (n_max, seed, key)
+
+
+# ---------------------------------------------------------------------------
 # The checks still bite, and a replay reproduces the failing value
 
 
@@ -367,10 +529,13 @@ def test_update_leaving_spd_cone_is_a_witnessed_fail(monkeypatch, capsys,
     original = broyden_mod._apply_update
 
     def corrupt(pair, u, scalars, tau):
+        # The stack updates at the grid's tau column: negate member 0's
+        # G_plus in the tau = 0.5 slice only.
         pair, phi, det_ratio = original(pair, u, scalars, tau)
-        if tau == 0.5 and pair.ndim == 4 and pair.shape[-1] == 3:
+        if pair.ndim == 5 and pair.shape[-1] == 3:
+            k = np.ravel(tau).tolist().index(0.5)
             pair = pair.copy()
-            pair[0, 0] = -pair[0, 0]
+            pair[k, 0, 0] = -pair[k, 0, 0]
         return pair, phi, det_ratio
 
     monkeypatch.setattr(broyden_mod, "_apply_update", corrupt)

@@ -8,6 +8,10 @@ depends on where the snapshot sits.  The directory keeps the inputs, every
 file the call wrote, and the call's ``stdout.txt``, ``stderr.txt`` and
 ``exit_code.txt``.  Wall times are set to a fixed value (``wall=0.000s`` on
 stdout, ``"wall_time_s": 0.0`` in ``summary.json``), so the JSON stays valid.
+Each ``replay: broyden-lab ...`` line the call prints (``verify`` prints one
+per suite) is run too, and its stdout kept as ``replay-<suite>.txt``: the
+replay prints every value of its witness with ``!r``, so the snapshot holds
+verify's values to the last bit, where its result lines hold four digits.
 
 Two snapshots of one tree then agree byte for byte, and comparing two trees
 is ``diff -r OUT_A OUT_B``:
@@ -26,6 +30,7 @@ import argparse
 import importlib.util
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -57,9 +62,28 @@ def mask_wall_times(work: Path) -> None:
                                           summary.read_text()))
 
 
+def run_cli(argv: list[str], work: Path, env: dict):
+    """One ``broyden-lab`` call in a fresh interpreter, run in ``work``."""
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from broyden_lab.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        cwd=work, env=env, capture_output=True, text=True)
+
+
+def replay_calls(stdout: str):
+    """(suite, argv) of each ``replay:`` line of a call's stdout, without
+    the trailing witness comment."""
+    for line in stdout.splitlines():
+        if line.startswith("replay: broyden-lab "):
+            argv = shlex.split(line.removeprefix("replay: broyden-lab ")
+                               .split("#")[0])
+            yield argv[argv.index("--suite") + 1], argv
+
+
 def snapshot(root: Path, workload, seed: int, out: Path) -> int:
-    """Run one workload's call at one seed into ``out/<name>-<seed>``;
-    returns its exit code."""
+    """Run one workload's call at one seed into ``out/<name>-<seed>``,
+    then each replay it prints; returns the call's exit code."""
     work = out / f"{workload.name}-{seed}"
     work.mkdir(parents=True)
     cwd = Path.cwd()
@@ -71,15 +95,14 @@ def snapshot(root: Path, workload, seed: int, out: Path) -> int:
         os.chdir(cwd)
     env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"))
     env.update({var: "1" for var in _BLAS_THREAD_VARS})
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from broyden_lab.cli import main; "
-         "sys.exit(main(sys.argv[1:]))", *argv],
-        cwd=work, env=env, capture_output=True, text=True)
+    proc = run_cli(argv, work, env)
     (work / "stdout.txt").write_text(proc.stdout)
     (work / "stderr.txt").write_text(proc.stderr)
     (work / "exit_code.txt").write_text(f"{proc.returncode}\n")
     mask_wall_times(work)
+    for suite, replay in replay_calls(proc.stdout):
+        (work / f"replay-{suite}.txt").write_text(
+            run_cli(replay, work, env).stdout)
     return proc.returncode
 
 
