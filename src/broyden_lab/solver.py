@@ -72,20 +72,22 @@ decomposed; the general path takes two pencil spectra, each a ``sygst``
 reduction and an ``eigvalsh``, one row at a time.
 
 The measurement runs a block of rows at a time; the trajectory does not
-wait for it.  A row writes its measurement's inputs: the scaled G_k * d d^T
-(on the general path its pencil spectra, taken at once), and for nu the
-step's scalars and the live (G_k, H_k) pair, held without a copy.  When
-the block is full, and when the run stops, one flush measures it: one
-stacked ``eigvalsh``, one stacked ``nu`` and one ``spectral_barriers``
-call, each returning every row's value bit for bit as a lone call would.
-A row holds 3 n^2 doubles, and a block as many rows as ``_BLOCK_BYTES``
-(256 KiB) holds: 1,213 at n = 3, 12 at n = 30 and one from n = 74 on,
-where a flush makes the lone row's own calls on its own arrays.  The checks
-then run row by row in a lone row's order: its spectrum, its nu, its
-target's spectrum.  A failure anywhere in the loop first measures the rows
-still pending, so the earliest failing row raises, with its own k and
-message, even when later rows of its block ran.  A stacked measurement that
-fails is taken again a row at a time, so the first failing row is named.
+wait for it.  A row writes its measurement's inputs into its record: the
+scaled G_k * d d^T (on the general path its pencil spectra, taken at once),
+and for nu the step's scalars and the live (G_k, H_k) pair, held without a
+copy.  A row holds 3 n^2 doubles, and a block as many rows as
+``_BLOCK_BYTES`` (256 KiB) holds: 1,213 at n = 3, 12 at n = 30 and one
+from n = 74 on.  When the block is full, and when the run stops, one flush
+measures it.  A lone row is measured by the one statement of the row
+checks, which makes its own calls on its own arrays and raises its first
+failing check: its spectrum, its nu, its target's spectrum.  A block of
+rows takes one stacked ``eigvalsh``, one stacked ``nu`` and one
+``spectral_barriers`` call, each returning every row's value bit for bit
+as a lone call would; if every row passes, that is all, and otherwise, or
+if a stacked call raises, the block is measured again a row at a time, so
+the first failing row raises with its own k and message.  A failure
+anywhere in the loop first measures the rows still pending, so the earliest
+failing row is named even when later rows of its block ran.
 
 Every visited iterate takes the same path and leaves one row.  The row starts
 with each column NaN and is filled in once: g and xi always; lambda and the
@@ -404,7 +406,8 @@ def _lost_definiteness(k: int, why: str) -> DivergenceError:
 def _definite(lo: float, hi: float, n: int) -> bool:
     """Whether a relative spectrum of G_k, with smallest and largest
     eigenvalues ``lo`` and ``hi``, shows G_k positive definite: an
-    instrumented iteration's definiteness check.
+    instrumented iteration's definiteness check (elementwise over arrays of
+    ``lo`` and ``hi``).
 
     A symmetric eigensolver resolves the eigenvalues of an n-by-n matrix to
     its backward error, about n eps times the largest, so the smallest must
@@ -414,7 +417,7 @@ def _definite(lo: float, hi: float, n: int) -> bool:
     ``PIVOT_RTOL``, which would refuse every start at kappa >= 1e14 (G_0
     spans [1, kappa] relative to A).
     """
-    return lo > 0.0 and lo > n * _EPS * hi
+    return (lo > 0.0) & (lo > n * _EPS * hi)
 
 
 def _indefinite(k: int, lo: float, hi: float) -> DivergenceError:
@@ -445,170 +448,127 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (3 * 8 * n * n))
 
 
-def _rows(items):
-    """The items, arrays of one shape or numbers, stacked on a new leading
-    axis (``np.array`` of the list, which copies them in one call); a lone
-    item as it is, so a stack of one makes the call a lone row makes."""
-    return items[0] if len(items) == 1 else np.array(items)
-
-
 class _Block:
     """The rows of a run that wait for their measurement, and the column
     buffers they then go to.
 
-    A row appends its cells (:meth:`row`, the measured ones NaN) and then,
-    as the loop reaches them, the inputs of its measurement: the matrix
-    whose eigenvalues are those of G_k relative to the Hessian, G_k * ddt
-    in a quadratic's eigenbasis (on the general path its pencil spectrum,
-    taken at once); the update scalars and the live (G_k, H_k) pair that
-    its nu reads; and its step target (on the general path, the pencil
-    spectrum against it).  :meth:`flush` measures a full block, or what is
-    pending when the run stops, in one stacked call each.
+    Each pending row is one record, ``[cells, spectrum, closeness,
+    target]``: its cells (:meth:`row`, the measured ones NaN), then the
+    inputs of its measurement, which the loop writes as it reaches them
+    (``None`` until then).  ``spectrum`` gives G_k relative to the Hessian:
+    G_k * ddt in a quadratic's eigenbasis, elsewhere the pencil spectrum
+    itself.  ``closeness`` holds the update scalars Au, Gu and <Au, u> and
+    the live (G_k, H_k) pair that nu reads.  ``target`` is the step target's
+    pencil spectrum, or ``spectrum`` itself when the target is the Hessian.
+    :meth:`flush` measures the pending rows and drops their inputs.
     """
 
-    def __init__(self, n: int, ddt, ref_cond: float):
-        self.n, self.ddt, self.ref_cond = n, ddt, ref_cond
+    def __init__(self, n: int, quadratic: bool, ref_cond: float):
+        self.n, self.quadratic, self.ref_cond = n, quadratic, ref_cond
         self.size = _block_rows(n)
         self.columns = [array("d") for _ in _ROW_COLUMNS]
-        self.rows, self.spectra, self.nus, self.targets = [], [], [], []
+        self.pending = []
 
-    def row(self) -> dict:
-        """A new row, every cell NaN."""
-        row = _BLANK_ROW.copy()
-        self.rows.append(row)
-        return row
-
-    def spectrum(self, k: int, g_mat, hess: SpdOperator) -> None:
-        """Row k's input of the spectrum of G_k relative to the Hessian:
-        G_k * ddt in the eigenbasis, the pencil spectrum elsewhere."""
-        self.spectra.append(
-            g_mat * self.ddt if self.ddt is not None
-            else _eigvals(k, pencil_eigvals, g_mat, hess.factor))
-
-    def closeness(self, scalars, pair) -> None:
-        """The current row's nu inputs: its step's update scalars and the
-        (G_k, H_k) pair, held as they are."""
-        self.nus.append((len(self.rows) - 1, *scalars[:3], pair))
-
-    def target(self, k: int, g_mat, target: SpdOperator | None) -> None:
-        """Row k's step target: the Hessian (``None``), whose spectrum it
-        has, or a segment mean J_k, whose pencil spectrum it takes (on a
-        quadratic the target is the Hessian).  Only a run's terminal row can
-        go without, so the rows with a target come first."""
-        self.targets.append(
-            None if self.ddt is not None
-            else self.spectra[-1] if target is None
-            else _eigvals(k, pencil_eigvals, g_mat, target.factor))
+    def row(self) -> list:
+        """A new pending record: every cell NaN, no measurement input."""
+        record = [_BLANK_ROW.copy(), None, None, None]
+        self.pending.append(record)
+        return record
 
     def flush(self) -> None:
         """Measure the pending rows and append them to the columns.
 
-        Their spectra (on a quadratic), nu and potentials take one stacked
-        ``eigvalsh``, ``nu`` and ``spectral_barriers`` call each.  The
-        checks then run row by row, in the loop's order, and the first that
-        fails raises as its row would alone.  A stacked measurement that
-        raises is re-run one row at a time, so the first failing row is the
-        one named, with its own error.
+        A block of rows takes :meth:`_measure_block`'s stacked calls.  A
+        lone row, and a block where a row fails or a stacked call raises,
+        is measured a row at a time by :meth:`_measure_row`, so the first
+        failing row raises with its own k and message; if none fails alone,
+        the stacked call's error is raised.
         """
-        m = len(self.rows)
+        records, self.pending = self.pending, []
+        measured = [record for record in records if record[1] is not None]
+        error = None
         try:
-            self._measure(0, m)
-        except Exception:
-            for j in range(m if m > 1 else 0):
-                self._measure(j, j + 1)
-            raise
-        finally:
-            rows = self.rows
-            self.rows, self.spectra, self.nus, self.targets = [], [], [], []
-        for row in rows:
-            for buf, value in zip(self.columns, row.values()):
+            passed = len(measured) > 1 and self._measure_block(measured)
+        except Exception as exc:
+            passed, error = False, exc
+        if not passed:
+            for k, record in enumerate(records, len(self.columns[0])):
+                self._measure_row(k, record)
+            if error is not None:
+                raise error
+        # The inputs go first, so that the column buffers can grow into
+        # their space.
+        for record in records:
+            del record[1:]
+        for record in records:
+            for buf, value in zip(self.columns, record[0].values()):
                 buf.append(value)
 
-    def _measure_lone(self, k: int) -> bool:
-        """Measure a block's one row, row k of a quadratic with a step
-        target, through the lone calls that :meth:`_measure` makes for a
-        block of one, bit for bit, and say whether every check passed.
-
-        The stacked path's bookkeeping costs a lone row 2-3 % of an
-        n = 100 iteration, where a block has one row.  A row this does not
-        take, or whose check fails, goes to :meth:`_measure`, which names
-        the failure.
-        """
-        if self.ddt is None or not self.targets:
-            return False
-        row, lams = self.rows[0], _eigvals(k, np.linalg.eigvalsh,
-                                           self.spectra[0])
+    def _measure_row(self, k: int, record) -> None:
+        """Measure row k through the lone calls and fill in its cells, or
+        raise its first failing check: its spectrum, its nu, then its
+        target's spectrum."""
+        row, spectrum, closeness, target = record
+        if spectrum is None:
+            return
+        lams = (_eigvals(k, np.linalg.eigvalsh, spectrum) if self.quadratic
+                else spectrum)
         lo, hi = float(lams[0]), float(lams[-1])
         if not _definite(lo, hi, self.n):
-            return False
-        if self.nus:
-            _, au, gu, au_u, pair = self.nus[0]
-            val, ok, _, _ = nu((au, gu, au_u), pair[0], pair[1],
-                               self.ref_cond * hi / lo)
+            raise _indefinite(k, lo, hi)
+        row["eig_min"], row["eig_max"] = lo, hi
+        if closeness is not None:
+            *scalars, pair = closeness
+            val, ok, quad, energy = nu(scalars, pair[0], pair[1],
+                                       self.ref_cond * hi / lo)
             if not ok:
-                return False
+                raise DivergenceError(k, _disagreement(quad, energy))
             row["nu"] = float(val)
-        row["eig_min"], row["eig_max"] = row["j_eig_min"], row["j_eig_max"] = (
-            lo, hi)
-        row["v"], row["psi"] = spectral_barriers(lams)
-        return True
+        if target is not None:
+            lams = lams if target is spectrum else target
+            lo, hi = float(lams[0]), float(lams[-1])
+            if not _definite(lo, hi, self.n):
+                raise _indefinite(k, lo, hi)
+            row["j_eig_min"], row["j_eig_max"] = lo, hi
+            row["v"], row["psi"] = spectral_barriers(lams)
 
-    def _measure(self, a: int, b: int) -> None:
-        """Measure pending rows a..b-1: raise the first failing check in
-        row order (a row's spectrum, its nu, then its target's spectrum),
-        else fill in their measured cells."""
-        m = min(b, len(self.spectra)) - a
-        k0 = len(self.columns[0]) + a
-        if m <= 0 or m == len(self.rows) == 1 and self._measure_lone(k0):
-            return
-        lams = _rows(self.spectra[a:a + m])
-        if self.ddt is not None:
-            lams = _eigvals(k0, np.linalg.eigvalsh, lams)
-        lams = lams.reshape(m, -1)
-        los, his = lams[:, 0].tolist(), lams[:, -1].tolist()
-        rows, fails = self.rows[a:a + m], []
-        # Only the rows before the first failing spectrum go on.
-        for j, row in enumerate(rows):
-            if not _definite(los[j], his[j], self.n):
-                fails.append((j, 0, _indefinite(k0 + j, los[j], his[j])))
-                del rows[j:]
-                break
-            row["eig_min"], row["eig_max"] = los[j], his[j]
-        nus = [nu_in for nu_in in self.nus if a <= nu_in[0] < a + len(rows)]
-        if nus:
-            js, *args = zip(*nus)
-            js = [j - a for j in js]
-            au, gu, au_u, pairs = map(_rows, args)
-            vals, ok, quad, energy = nu(
-                (au, gu, au_u), pairs[..., 0, :, :], pairs[..., 1, :, :],
-                _rows([self.ref_cond * his[j] / los[j] for j in js]))
-            ok = ok.reshape(-1).tolist()
-            if not all(ok):
-                i = ok.index(False)
-                fails.append((js[i], 1, DivergenceError(
-                    k0 + js[i], _disagreement(quad.reshape(-1)[i],
-                                              energy.reshape(-1)[i]))))
-            for j, val in zip(js, vals.reshape(-1).tolist()):
+    def _measure_block(self, records) -> bool:
+        """Measure rows, each with a spectrum, in one stacked call each:
+        ``eigvalsh`` (on a quadratic), ``nu`` and ``spectral_barriers``,
+        which return what :meth:`_measure_row` reads bit for bit.  Say
+        whether every row passes its checks; their cells are filled in as
+        the checks pass."""
+        rows, spectra, closeness, targets = zip(*records)
+        lams = np.array(spectra)
+        if self.quadratic:
+            lams = np.linalg.eigvalsh(lams)
+        los, his = lams[:, 0], lams[:, -1]
+        if not _definite(los, his, self.n).all():
+            return False
+        for row, lo, hi in zip(rows, los.tolist(), his.tolist()):
+            row["eig_min"], row["eig_max"] = lo, hi
+        js = [j for j, nu_in in enumerate(closeness) if nu_in is not None]
+        if js:
+            au, gu, au_u, pairs = map(np.array,
+                                      zip(*[closeness[j] for j in js]))
+            vals, ok, _, _ = nu((au, gu, au_u), pairs[:, 0], pairs[:, 1],
+                                (self.ref_cond * his / los)[js])
+            if not ok.all():
+                return False
+            for j, val in zip(js, vals.tolist()):
                 rows[j]["nu"] = val
-        # The rows with a target; on a quadratic it is the Hessian, whose
-        # spectrum the row has checked.
-        t = min(len(self.targets) - a, len(rows))
-        if self.ddt is not None:
-            t_lams, t_los, t_his = lams[:t], los, his
-        elif t > 0:
-            t_lams = _rows(self.targets[a:a + t]).reshape(t, -1)
-            t_los, t_his = t_lams[:, 0].tolist(), t_lams[:, -1].tolist()
-            fails += [(j, 2, _indefinite(k0 + j, t_los[j], t_his[j]))
-                      for j in range(t)
-                      if not _definite(t_los[j], t_his[j], self.n)][:1]
-        if fails:
-            raise min(fails, key=lambda fail: fail[:2])[2]
-        if t > 0:
-            v, psi = spectral_barriers(t_lams)
-            for row, v_k, psi_k, lo, hi in zip(rows, v.tolist(), psi.tolist(),
-                                               t_los, t_his):
-                row["v"], row["psi"], row["j_eig_min"], row["j_eig_max"] = (
-                    v_k, psi_k, lo, hi)
+        # A quadratic's every target is the Hessian; elsewhere a target
+        # holds its eigenvalues.
+        ts = [j for j, target in enumerate(targets) if target is not None]
+        t_lams = (lams[ts] if self.quadratic
+                  else np.array([targets[j] for j in ts]))
+        if not _definite(t_lams[:, 0], t_lams[:, -1], self.n).all():
+            return False
+        for j, *cells in zip(ts, t_lams[:, 0].tolist(), t_lams[:, -1].tolist(),
+                             *(x.tolist() for x in spectral_barriers(t_lams))):
+            row = rows[j]
+            row["j_eig_min"], row["j_eig_max"], row["v"], row["psi"] = cells
+        return True
 
 
 def _gradient(problem: ProblemInstance, x: PrimalVector, k: int) -> DualVector:
@@ -711,12 +671,13 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
 
     # Rows wait in a block for their measurement; a failure anywhere in the
     # loop first measures what is pending, so an earlier row's comes first.
-    block = _Block(problem.n, basis.ddt if quadratic else None, ref_cond)
+    block = _Block(problem.n, quadratic, ref_cond)
     grad = _gradient(problem, x, 0)
     xi = 1.0
     try:
         for k in range(config.max_iter + 1):
-            row = block.row()
+            record = block.row()
+            row = record[0]
             gc = grad.coords
             hg = h_mat @ gc  # H_k g_k: the norm g and, negated, the step
             row["xi"], row["g"] = xi, math.sqrt(max(float(gc @ hg), 0.0))
@@ -726,7 +687,9 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
                 # iteration's one decomposition and its definiteness check.
                 row["lambda"] = measure = (basis.norm_dual(gc) if quadratic
                                            else norm_dual(hess_k, grad))
-                block.spectrum(k, g_mat, hess_k)
+                record[1] = (g_mat * basis.ddt if quadratic
+                             else _eigvals(k, pencil_eigvals, g_mat,
+                                           hess_k.factor))
             else:
                 # The Euclidean norm of the gradient in the caller's
                 # coordinates.
@@ -778,10 +741,12 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
                             if quadratic:
                                 target, row["est_error"] = hess_k, 0.0
                                 row["r"] = math.sqrt(float(scalars[2]))
-                            block.closeness(scalars, pair)
+                            record[2] = (*scalars[:3], pair)
             if hess_k is not None and target is not None:
-                block.target(k, g_mat, None if target is hess_k else target)
-            if last or len(block.rows) == block.size:
+                record[3] = (record[1] if target is hess_k
+                             else _eigvals(k, pencil_eigvals, g_mat,
+                                           target.factor))
+            if last or len(block.pending) == block.size:
                 block.flush()
             if last:
                 break

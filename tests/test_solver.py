@@ -30,6 +30,7 @@ from broyden_lab import (
     spectral_barriers,
     trace_reports,
 )
+from broyden_lab.operators import pencil_eigvals
 
 from helpers import record_run
 
@@ -875,6 +876,140 @@ class TestBlocks:
                                   equal_nan=True), name
         assert np.array_equal(trace.j_eig_mins, np.where(
             np.isnan(want["vs"]), nan, want["eig_mins"]), equal_nan=True)
+
+    # n, m and a run length: at n = 8 two full blocks and a partial third,
+    # past the rounding floor, where most secants are noise and skip their
+    # nu; at n = 80 a block has one row.
+    @pytest.mark.parametrize("n, m, max_iter", [(8, 24, 400), (80, 160, 6)])
+    def test_general_rows_are_their_lone_measurements_bit_for_bit(
+            self, n, m, max_iter):
+        p = lse_make(n, m, mu=0.1, seed=n, gamma=1.0)
+        trace, rec = record_run(run_general, p, PrimalVector(np.full(n, 0.01)),
+                                TauSchedule.dfp(),
+                                SolverConfig(max_iter=max_iter, grad_tol=0.0))
+        size = solver_mod._block_rows(n)
+        assert len(trace) == max_iter + 1
+        assert size == 1 or len(trace) > 2 * size and len(trace) % size
+        b = p.b_ref
+        ref_cond = p.ell / p.mu * float(
+            broyden_mod._cond_inf(b.entries, b.inverse_matrix()))
+        want = {name: np.full(len(trace), math.nan)
+                for name in ("eig_mins", "eig_maxs", "j_eig_mins",
+                             "j_eig_maxs", "vs", "psis", "nus")}
+        for k in range(len(trace)):
+            g, h = rec.pair(k)
+            # A zero step does not move, so x_k is the last iterate whose
+            # gradient the loop evaluated.
+            x = PrimalVector(rec.xs[max(j for j in rec.xs if j <= k)])
+            lams = pencil_eigvals(g, p.hess(x).factor)
+            want["eig_mins"][k], want["eig_maxs"][k] = lams[0], lams[-1]
+            if k in rec.steps:
+                step = rec.steps[k]
+                scalars = broyden_mod._scalars(step.y, g, step.u,
+                                               partial(np.matvec, h))
+                want["nus"][k] = broyden_mod.secant_nu(
+                    scalars, g, h, ref_cond * float(lams[-1]) / lams[0])
+            if k < trace.k_final:
+                # The step target: J_k, or the Hessian on a zero step.
+                t_lams = (pencil_eigvals(g, SpdOperator(rec.targets[k]).factor)
+                          if trace.rs[k] != 0.0 else lams)
+                want["j_eig_mins"][k] = t_lams[0]
+                want["j_eig_maxs"][k] = t_lams[-1]
+                want["vs"][k], want["psis"][k] = spectral_barriers(t_lams)
+        assert sorted(rec.targets) == [k for k in range(trace.k_final)
+                                       if trace.rs[k] != 0.0]
+        assert 0 < len(rec.steps) and (size == 1
+                                       or len(rec.steps) < trace.k_final)
+        for name, column in want.items():
+            assert np.array_equal(getattr(trace, name), column,
+                                  equal_nan=True), name
+
+    @pytest.mark.parametrize("n", [8, 80])
+    @pytest.mark.parametrize("check, message", [
+        ("spectrum", "approximation lost definiteness (relative spectrum "
+                     "(0.0, 0.0) is not positive)"),
+        ("nu", "closeness forms disagree: <w, Hw> = 1.0 vs <Hw, GHw> = 2.0"),
+        ("target", "approximation lost definiteness (relative spectrum "
+                   "(-1.0, 1.0) is not positive)"),
+    ])
+    def test_each_check_names_its_row_on_both_routes(self, monkeypatch, n,
+                                                     check, message):
+        # Row 2 fails one check and rows 0 and 1 pass.  At n = 8 the rows
+        # share a block, whose stacked measurement fails and is taken again
+        # a row at a time; at n = 80 each row is measured alone.  Both name
+        # k = 2 with one message, whose numbers the fault fixes: the second
+        # update hands back G_2 = 0 (spectrum) or H_2 off by 2 (nu, which
+        # then reports its forms as 1 and 2), or row 2's pencil spectrum
+        # against J_2 comes back as (-1, ..., 1) (target, on log-sum-exp).
+        loop_update, loop_nu, loop_pencil = (
+            solver_mod.update_arrays, solver_mod.nu, solver_mod.pencil_eigvals)
+        updates, pencils = [], []
+
+        def update(*args):
+            pair, phi, det_ratio = loop_update(*args)
+            updates.append(pair)
+            if len(updates) == 2 and check != "target":
+                g, h = pair
+                pair = np.stack((0.0 * g, h) if check == "spectrum"
+                                else (g, 2.0 * h))
+            return pair, phi, det_ratio
+
+        def reported_nu(*args):
+            val, ok, quad, energy = loop_nu(*args)
+            return val, ok, np.where(ok, quad, 1.0), np.where(ok, energy, 2.0)
+
+        def pencil(g_mat, a_chol):
+            # Per row: its spectrum, then its target's.
+            pencils.append(a_chol)
+            if check == "target" and len(pencils) == 6:
+                return np.linspace(-1.0, 1.0, len(g_mat))
+            return loop_pencil(g_mat, a_chol)
+
+        monkeypatch.setattr(solver_mod, "update_arrays", update)
+        monkeypatch.setattr(solver_mod, "nu", reported_nu)
+        monkeypatch.setattr(solver_mod, "pencil_eigvals", pencil)
+        with pytest.raises(DivergenceError) as err:
+            if check == "target":
+                run_general(lse_make(n, 2 * n, mu=0.1, seed=n, gamma=1.0),
+                            PrimalVector(np.full(n, 0.01)), TauSchedule.bfgs(),
+                            SolverConfig(max_iter=500))
+            else:
+                self._run(n)
+        assert err.value.k == 2 and str(err.value) == f"iteration 2: {message}"
+
+    # From n = 74 on a block has one row, measured through the lone calls:
+    # no stacked eigvalsh and no stacked nu, on either path.  At n = 30 a
+    # block holds 12 rows, so 30 rows are two full blocks and a partial
+    # third, one stacked eigvalsh and one stacked nu each.
+    @pytest.mark.parametrize("n, general, stacked, nu_rows", [
+        (80, False, [], [()] * 4),
+        (80, True, [], [()] * 4),
+        (30, False, [12, 12, 6], [(12,), (12,), (5,)]),
+    ])
+    def test_block_size_selects_the_calls(self, monkeypatch, n, general,
+                                          stacked, nu_rows):
+        eigvalsh, loop_nu = np.linalg.eigvalsh, solver_mod.nu
+        eig_shapes, au_shapes = [], []
+
+        def recorded_eigvalsh(a, *args, **kwargs):
+            eig_shapes.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        def recorded_nu(scalars, *args):
+            au_shapes.append(scalars[0].shape[:-1])
+            return loop_nu(scalars, *args)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded_eigvalsh)
+        monkeypatch.setattr(solver_mod, "nu", recorded_nu)
+        cfg = {"max_iter": sum(stacked) - 1 if stacked else 4, "grad_tol": 0.0}
+        if general:
+            run_general(lse_make(n, 2 * n, mu=0.1, seed=n, gamma=1.0),
+                        PrimalVector(np.full(n, 0.01)), TauSchedule.bfgs(),
+                        SolverConfig(**cfg))
+        else:
+            self._run(n, **cfg)
+        assert [shape[0] for shape in eig_shapes if len(shape) == 3] == stacked
+        assert au_shapes == nu_rows
 
     @staticmethod
     def _run(n=8, **cfg):
