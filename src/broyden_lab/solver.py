@@ -75,19 +75,22 @@ The measurement runs a block of rows at a time; the trajectory does not
 wait for it.  A row writes its measurement's inputs into its record: the
 scaled G_k * d d^T (on the general path its pencil spectra, taken at once),
 and for nu the step's scalars and the live (G_k, H_k) pair, held without a
-copy.  A row holds 3 n^2 doubles, and a block as many rows as
-``_BLOCK_BYTES`` (256 KiB) holds: 1,213 at n = 3, 12 at n = 30 and one
-from n = 74 on.  When the block is full, and when the run stops, one flush
-measures it.  A lone row is measured by the one statement of the row
-checks, which makes its own calls on its own arrays and raises its first
-failing check: its spectrum, its nu, its target's spectrum.  A block of
-rows takes one stacked ``eigvalsh``, one stacked ``nu`` and one
-``spectral_barriers`` call, each returning every row's value bit for bit
-as a lone call would; if every row passes, that is all, and otherwise, or
-if a stacked call raises, the block is measured again a row at a time, so
-the first failing row raises with its own k and message.  A failure
-anywhere in the loop first measures the rows still pending, so the earliest
-failing row is named even when later rows of its block ran.
+copy.  Rows stack only on a quadratic: there a row holds 3 n^2 doubles, and
+a block as many rows as ``_BLOCK_BYTES`` (256 KiB) holds: 1,213 at n = 3,
+12 at n = 30 and one from n = 74 on.  Any other problem's row is a block
+of its own at every n, its spectra already taken.  When the block is full,
+and when the run stops, one flush measures it.  A lone row is measured by
+the one statement of the row checks, which makes its own calls on its own
+arrays and raises its first failing check: its spectrum, its nu, its
+target's spectrum.  A block of quadratic rows takes one stacked
+``eigvalsh``, one stacked ``nu`` and one ``spectral_barriers`` call, each
+returning every row's value bit for bit as a lone call would; a row with
+a target, always the Hessian, takes its range and potentials from the
+spectrum it has just passed.  If every row passes, that is all, and
+otherwise, or if a stacked call raises, the block is measured again a row
+at a time, so the first failing row raises with its own k and message.  A
+failure anywhere in the loop first measures the rows still pending, so the
+earliest failing row is named even when later rows of its block ran.
 
 Every visited iterate takes the same path and leaves one row.  The row starts
 with each column NaN and is filled in once: g and xi always; lambda and the
@@ -436,9 +439,10 @@ def _eigvals(k: int, eigvals, *args) -> np.ndarray:
         raise _lost_definiteness(k, f"eigenvalue solve failed: {exc}") from None
 
 
-# Bytes the rows of a run that wait for their measurement may hold.  A row
-# holds 3 n^2 doubles: the scaled G_k * ddt whose eigenvalues are its
-# spectrum, and the (G_k, H_k) pair its nu reads.
+# Bytes the quadratic rows of a run that wait for their measurement may
+# hold.  A row holds 3 n^2 doubles: the scaled G_k * ddt whose eigenvalues
+# are its spectrum, and the (G_k, H_k) pair its nu reads.  Other rows do not
+# stack, so they wait one at a time.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -450,7 +454,8 @@ def _block_rows(n: int) -> int:
 
 class _Block:
     """The rows of a run that wait for their measurement, and the column
-    buffers they then go to.
+    buffers they then go to.  Quadratic rows wait ``_block_rows(n)`` at a
+    time; any other row is measured alone.
 
     Each pending row is one record, ``[cells, spectrum, closeness,
     target]``: its cells (:meth:`row`, the measured ones NaN), then the
@@ -465,7 +470,7 @@ class _Block:
 
     def __init__(self, n: int, quadratic: bool, ref_cond: float):
         self.n, self.quadratic, self.ref_cond = n, quadratic, ref_cond
-        self.size = _block_rows(n)
+        self.size = _block_rows(n) if quadratic else 1
         self.columns = [array("d") for _ in _ROW_COLUMNS]
         self.pending = []
 
@@ -478,11 +483,11 @@ class _Block:
     def flush(self) -> None:
         """Measure the pending rows and append them to the columns.
 
-        A block of rows takes :meth:`_measure_block`'s stacked calls.  A
-        lone row, and a block where a row fails or a stacked call raises,
-        is measured a row at a time by :meth:`_measure_row`, so the first
-        failing row raises with its own k and message; if none fails alone,
-        the stacked call's error is raised.
+        A block of quadratic rows takes :meth:`_measure_block`'s stacked
+        calls.  A lone row, and a block where a row fails or a stacked call
+        raises, is measured a row at a time by :meth:`_measure_row`, so the
+        first failing row raises with its own k and message; if none fails
+        alone, the stacked call's error is raised.
         """
         records, self.pending = self.pending, []
         measured = [record for record in records if record[1] is not None]
@@ -533,20 +538,17 @@ class _Block:
             row["v"], row["psi"] = spectral_barriers(lams)
 
     def _measure_block(self, records) -> bool:
-        """Measure rows, each with a spectrum, in one stacked call each:
-        ``eigvalsh`` (on a quadratic), ``nu`` and ``spectral_barriers``,
-        which return what :meth:`_measure_row` reads bit for bit.  Say
-        whether every row passes its checks; their cells are filled in as
-        the checks pass."""
+        """Measure quadratic rows in one stacked call each: ``eigvalsh`` on
+        their G_k * ddt, ``nu`` and ``spectral_barriers``, which return what
+        :meth:`_measure_row` reads bit for bit.  A quadratic's every target
+        is the Hessian, so a row with one takes its range and potentials from
+        the spectrum it has just passed.  Say whether every row passes its
+        checks; their cells are filled in as the checks pass."""
         rows, spectra, closeness, targets = zip(*records)
-        lams = np.array(spectra)
-        if self.quadratic:
-            lams = np.linalg.eigvalsh(lams)
+        lams = np.linalg.eigvalsh(np.array(spectra))
         los, his = lams[:, 0], lams[:, -1]
         if not _definite(los, his, self.n).all():
             return False
-        for row, lo, hi in zip(rows, los.tolist(), his.tolist()):
-            row["eig_min"], row["eig_max"] = lo, hi
         js = [j for j, nu_in in enumerate(closeness) if nu_in is not None]
         if js:
             au, gu, au_u, pairs = map(np.array,
@@ -557,17 +559,12 @@ class _Block:
                 return False
             for j, val in zip(js, vals.tolist()):
                 rows[j]["nu"] = val
-        # A quadratic's every target is the Hessian; elsewhere a target
-        # holds its eigenvalues.
-        ts = [j for j, target in enumerate(targets) if target is not None]
-        t_lams = (lams[ts] if self.quadratic
-                  else np.array([targets[j] for j in ts]))
-        if not _definite(t_lams[:, 0], t_lams[:, -1], self.n).all():
-            return False
-        for j, *cells in zip(ts, t_lams[:, 0].tolist(), t_lams[:, -1].tolist(),
-                             *(x.tolist() for x in spectral_barriers(t_lams))):
-            row = rows[j]
-            row["j_eig_min"], row["j_eig_max"], row["v"], row["psi"] = cells
+        for row, target, *cells in zip(
+                rows, targets, los.tolist(), his.tolist(),
+                *(x.tolist() for x in spectral_barriers(lams))):
+            row["eig_min"], row["eig_max"] = cells[:2]
+            if target is not None:
+                row["j_eig_min"], row["j_eig_max"], row["v"], row["psi"] = cells
         return True
 
 

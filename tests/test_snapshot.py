@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -53,6 +55,19 @@ def test_lse_general_seed1_instance_hash(tmp_path, capsys):
     summary = (work / "out" / "lse" / "summary.json").read_text()
     assert ('"instance_hash": "b5fbb32b5d5ce8b9dba6a149e5247c48988da11518bc5f6'
             'bf45298f7a01a023a"') in summary
+
+
+def test_workload_takes_several_names_and_checks_each(tmp_path, capsys):
+    # "--workload A B" is one flag with two names, as the usage line shows;
+    # an unknown name stops the call before any workload runs.
+    tool = load_snapshot()
+    with pytest.raises(SystemExit) as exit_info:
+        tool.main([str(tmp_path / "out"), "--workload", "verify-small",
+                   "nope"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "unknown workload 'nope'" in captured.err
+    assert captured.out == "" and not (tmp_path / "out").exists()
 
 
 def test_wall_times_masked(tmp_path):

@@ -977,14 +977,16 @@ class TestBlocks:
                 self._run(n)
         assert err.value.k == 2 and str(err.value) == f"iteration 2: {message}"
 
-    # From n = 74 on a block has one row, measured through the lone calls:
-    # no stacked eigvalsh and no stacked nu, on either path.  At n = 30 a
-    # block holds 12 rows, so 30 rows are two full blocks and a partial
-    # third, one stacked eigvalsh and one stacked nu each.
+    # From n = 74 on a quadratic block has one row, and a log-sum-exp block
+    # has one row at every n, measured through the lone calls: no stacked
+    # eigvalsh and no stacked nu.  At n = 30 a quadratic block holds 12
+    # rows, so 30 rows are two full blocks and a partial third, one stacked
+    # eigvalsh and one stacked nu each.
     @pytest.mark.parametrize("n, general, stacked, nu_rows", [
         (80, False, [], [()] * 4),
         (80, True, [], [()] * 4),
         (30, False, [12, 12, 6], [(12,), (12,), (5,)]),
+        (30, True, [], [()] * 4),
     ])
     def test_block_size_selects_the_calls(self, monkeypatch, n, general,
                                           stacked, nu_rows):

@@ -6,9 +6,9 @@ and not, and prints one markdown row per n:
 
 - ``block``: the rows the instrumented loop measures together at that n,
   as many as the solver's byte budget for a block holds;
-- ``uninstrumented`` and ``instrumented``: the time per iteration of the
-  whole run, less a one-iteration run's time, so the set-up (the
-  eigenbasis, one ``eigh``) is not counted;
+- ``uninstrumented`` and ``instrumented``: the time per iteration of one
+  run, from the loop's first gradient call to the run's return, so the
+  set-up before the loop (the eigenbasis, one ``eigh``) is not counted;
 - ``update``: the time of one ``update_arrays`` call inside the
   uninstrumented loop, the O(n^2) rank-two update of G_k and H_k;
 - ``eigvalsh``: the time ``np.linalg.eigvalsh`` takes per row inside the
@@ -19,6 +19,9 @@ and not, and prints one markdown row per n:
 - ``rest``: the step's fixed cost outside those three, from an
   instrumented run with a timer on each: its time per iteration (as above)
   less one ``update_arrays`` call and the per-row time of the other two.
+
+Each figure but ``rest`` is one run's own time, never the difference of
+two runs', so none of them is negative.
 
 Each figure is the best of ``--repeat`` runs.  The first line names the BLAS
 thread setting, the environment variables that pin it (run with
@@ -56,15 +59,18 @@ def thread_setting() -> str:
 
 
 class _Timed:
-    """Wraps ``owner.name`` to add each call's wall time to ``seconds``."""
+    """Wraps ``owner.name`` to add each call's wall time to ``seconds``;
+    ``first`` is when the first call started."""
 
     def __init__(self, owner, name: str):
         self.owner, self.name = owner, name
         self.inner = getattr(owner, name)
-        self.seconds, self.calls = 0.0, 0
+        self.seconds, self.calls, self.first = 0.0, 0, None
 
     def __call__(self, *args, **kwargs):
         start = time.perf_counter()
+        if self.first is None:
+            self.first = start
         try:
             return self.inner(*args, **kwargs)
         finally:
@@ -79,25 +85,20 @@ class _Timed:
         setattr(self.owner, self.name, self.inner)
 
 
-def _run(quad, iters: int, instrument: bool):
-    """Wall time and iteration count of one run."""
-    cfg = SolverConfig(max_iter=iters, grad_tol=0.0, instrument=instrument)
-    start = time.perf_counter()
-    trace = run_quadratic(quad, PrimalVector(np.ones(quad.n)),
-                          TauSchedule.dfp(), cfg)
-    return time.perf_counter() - start, len(trace) - 1
-
-
 def _per_iter(quad, iters: int, instrument: bool,
               timers=()) -> tuple[float, int]:
-    """Time per iteration of one run, less a one-iteration run's time, with
-    ``timers`` installed for the long run, and the long run's rows."""
-    base, _ = _run(quad, 1, instrument)
+    """Time per iteration of one run with ``timers`` installed, from the
+    loop's first gradient call to the run's return, and the run's rows."""
+    cfg = SolverConfig(max_iter=iters, grad_tol=0.0, instrument=instrument)
     with contextlib.ExitStack() as stack:
         for timer in timers:
             stack.enter_context(timer)
-        total, steps = _run(quad, iters, instrument)
-    return (total - base) / max(steps - 1, 1), steps + 1
+        # The eigenbasis and the block are built before the first gradient.
+        loop = stack.enter_context(_Timed(solver_mod, "_gradient"))
+        trace = run_quadratic(quad, PrimalVector(np.ones(quad.n)),
+                              TauSchedule.dfp(), cfg)
+        stop = time.perf_counter()
+    return (stop - loop.first) / max(len(trace) - 1, 1), len(trace)
 
 
 def row(n: int, iters: int, repeat: int) -> tuple[float, ...]:

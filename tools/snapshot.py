@@ -112,10 +112,12 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parents[1],
                         help="checkout whose src/ and perfbench/ to run")
-    parser.add_argument("--workload", action="append", default=None,
-                        help="workload name (repeatable; default: all)")
-    parser.add_argument("--seed", type=int, action="append", default=None,
-                        help="workload seed (repeatable; default: 1)")
+    parser.add_argument("--workload", nargs="+", action="extend",
+                        default=None,
+                        help="workload names (repeatable; default: all)")
+    parser.add_argument("--seed", type=int, nargs="+", action="extend",
+                        default=None,
+                        help="workload seeds (repeatable; default: 1)")
     args = parser.parse_args(argv)
     workloads = load_workloads(args.root)
     names = args.workload or list(workloads)
