@@ -13,6 +13,10 @@ Three subcommands:
     (``verify --suite NAME --trial T``) re-evaluates the witness of that
     value through the suite's own code and prints, per tau, whether the
     value counts (``ok``), every intermediate value and the value.
+    The suites run on forked worker processes, one per usable CPU, and
+    print in suite order, so the output is byte for byte that of a serial
+    run; with one usable CPU (``taskset -c 0``) they run one after another
+    in this process.
 
 ``sweep <grid.json>``
     Run a quadratic grid over (n, condition number, method) and write one
@@ -49,9 +53,9 @@ form does not read is refused by :func:`~broyden_lab.operators.check_keys`.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -309,6 +313,35 @@ def _execute_experiment(exp: _Experiment) -> dict:
     return summary
 
 
+def _fan_out(fn, items: list, workers: int) -> list:
+    """``[fn(item) for item in items]``, computed on up to ``workers``
+    worker processes, or in this process when that is one worker or one
+    item.
+
+    The workers are forked, whatever the platform's default start method:
+    a forked worker starts with this process's modules, so it re-imports
+    nothing, and sees any attribute replaced on them since (a test's
+    monkeypatch, a tracer's wrapper).  ``fn`` and the results pass through
+    pickle.  Every worker has exited when this returns.
+    """
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, items))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return 1 if affinity is None else len(affinity(0))
+
+
 def cmd_run(config_path: str, jobs: int = 1, out: str | None = None) -> int:
     try:
         check_number(jobs, "--jobs", 1, integer=True)
@@ -332,11 +365,7 @@ def cmd_run(config_path: str, jobs: int = 1, out: str | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    if jobs > 1 and len(experiments) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            summaries = list(pool.map(_execute_experiment, experiments))
-    else:
-        summaries = [_execute_experiment(e) for e in experiments]
+    summaries = _fan_out(_execute_experiment, experiments, jobs)
 
     ok = True
     for s in summaries:
@@ -348,6 +377,12 @@ def cmd_run(config_path: str, jobs: int = 1, out: str | None = None) -> int:
             detail = s.get("error") or s.get("first_violation")
             print(f"{s['name']}: FAIL  {detail}")
     return 0 if ok else 1
+
+
+def _run_suite(args: tuple) -> verify_mod.CheckResult:
+    """``verify.run_suite(name, n_max, trials, seed)``, looked up when
+    called, so a worker runs the function its module holds."""
+    return verify_mod.run_suite(*args)
 
 
 def _replay_line(res, n_max: int, trials: int, seed: int) -> str:
@@ -387,7 +422,10 @@ def cmd_verify(n_max: int = 8, trials: int = 1000, seed: int = 0,
         print(res.line())
         return 0 if res.passed else 1
     names = verify_mod.SUITES if suite is None else (suite,)
-    results = [verify_mod.run_suite(name, n_max, trials, seed) for name in names]
+    # Each suite draws from its own seed and shares no state, so workers
+    # may run them in any order; the results come back in SUITES order.
+    results = _fan_out(_run_suite, [(name, n_max, trials, seed)
+                                    for name in names], _usable_cpus())
     for res in results:
         print(res.line())
         print(_replay_line(res, n_max, trials, seed))

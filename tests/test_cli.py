@@ -2,12 +2,19 @@
 
 import copy
 import json
+import multiprocessing
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import broyden_lab.cli as cli_mod
 import broyden_lab.solver as solver_mod
+import broyden_lab.verify as verify_mod
 from broyden_lab.cli import cmd_run, cmd_sweep, cmd_verify, main
 from broyden_lab.problems import instance_from_dict
 from broyden_lab.verify import SUITES, run_all
@@ -372,6 +379,84 @@ class TestVerify:
         assert main(["verify", "--n-max", "3", "--trials", "10", "--seed", "4",
                      "--suite", "metric_change"]) == 0
         assert capsys.readouterr().out.splitlines() == full[10:12]
+
+
+def record_pids(monkeypatch, owner, name: str, path):
+    """Wrap ``owner.name`` to append the calling process's id to ``path``;
+    returns a function giving the set of ids recorded so far."""
+    inner = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        with open(path, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return lambda: {int(pid) for pid in path.read_text().split()}
+
+
+class TestFanOut:
+    """verify's suites run on forked workers, one per usable CPU, and
+    ``run --jobs`` experiments on forked workers; either prints what a
+    serial run prints, byte for byte."""
+
+    @pytest.mark.parametrize("suite", [None, "metric_change"])
+    def test_verify_prints_the_same_bytes_on_any_cpu_count(
+            self, monkeypatch, capsys, tmp_path, suite):
+        pid_file = tmp_path / "pids"
+        pids = record_pids(monkeypatch, verify_mod, "run_suite", pid_file)
+        out, ran_in = {}, {}
+        # Two usable CPUs, one (taskset -c 0), and a platform that cannot
+        # say (no os.sched_getaffinity).
+        for cpus in (2, 1, None):
+            if cpus is None:
+                monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            else:
+                monkeypatch.setattr(os, "sched_getaffinity",
+                                    lambda pid, cpus=cpus: set(range(cpus)))
+            pid_file.unlink(missing_ok=True)
+            assert cmd_verify(n_max=3, trials=10, seed=4, suite=suite) == 0
+            out[cpus], ran_in[cpus] = capsys.readouterr().out, pids()
+            assert multiprocessing.active_children() == []
+        assert out[2] == out[1] == out[None]
+        here = {os.getpid()}
+        assert ran_in[1] == ran_in[None] == here
+        if suite is None:
+            # Forked workers see the wrapper; this process runs no suite.
+            assert ran_in[2] and ran_in[2].isdisjoint(here)
+        else:
+            assert ran_in[2] == here
+
+    def test_run_jobs_forks_workers_that_keep_the_patches(
+            self, monkeypatch, tmp_path):
+        pid_file = tmp_path / "pids"
+        pids = record_pids(monkeypatch, cli_mod, "run_quadratic", pid_file)
+        cfg = write_config(tmp_path, [
+            quad_experiment(tmp_path / "out", name=f"e{i}", seed=i)
+            for i in range(2)])
+        assert cmd_run(cfg, jobs=2) == 0
+        assert multiprocessing.active_children() == []
+        # A forkserver or spawn worker would import the module afresh and
+        # run the unwrapped function.
+        assert pids() and pids().isdisjoint({os.getpid()})
+        pid_file.unlink()
+        assert cmd_run(cfg, jobs=1, out=str(tmp_path / "serial")) == 0
+        assert pids() == {os.getpid()}
+
+    def test_serial_paths_never_import_multiprocessing(self, tmp_path):
+        cfg = write_config(tmp_path, quad_experiment(tmp_path / "out"))
+        code = ("import sys; from broyden_lab.cli import main; "
+                f"codes = main(['run', {cfg!r}]), main(['verify', "
+                "'--suite', 'metric_change', '--trials', '5']); "
+                "sys.exit(max(codes) or 3 * ('multiprocessing' in "
+                "sys.modules or 'concurrent' in sys.modules))")
+        path = os.pathsep.join(filter(None, (
+            str(Path(cli_mod.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSweep:

@@ -26,8 +26,9 @@ def test_prints_the_thread_setting_and_one_row_per_n(capsys):
     cells = lines[5].strip("| ").split(" | ")
     assert len(cells) == 8
     assert cells[:2] == ["8", str(tool.solver_mod._block_rows(8))]
-    # rest subtracts per-row times from the per-iteration time of six
-    # iterations less one, so noise may take it below zero.
+    # Each cell but rest is one run's own time.  rest is the timed run's
+    # per-iteration time less the three timed calls' per-row times in that
+    # run, a difference, so it is only checked to be a number.
     assert all(float(c.replace(",", "")) >= 0.0 for c in cells[2:7])
     float(cells[7].replace(",", ""))
     # The timers are taken off again.
