@@ -7,14 +7,25 @@ prevent category errors such as pairing two primal vectors; storage is an
 ordinary coordinate array in the standard basis.
 
 All values are immutable after construction and every operation is a pure
-function, so everything here is safe to share across threads.
+function, so everything here is safe to share across threads.  A value's
+arrays are read-only, through pickle and copy too.
+
+The SPD acceptance rule is stated once, in :func:`spd_factor`, and every
+:class:`SpdOperator` built from entries goes through it, keeping the rule's
+symmetrized matrix and factor as they are, read-only, without a copy.  Two
+kinds skip the rule because their factor is known: the identity of
+:meth:`SpdOperator.identity`, one shared operator per dimension whose
+entries are its factor, and the diag(s) of a quadratic's eigenbasis, whose
+factor is diag(s^(1/2)) (``SpdOperator._accepted``).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -253,12 +264,6 @@ def pencil_eigvals(g: np.ndarray, a_chol: np.ndarray) -> np.ndarray:
         raise NotSpdError("generalized eigenvalue reduction failed") from exc
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
-
-
 def check_same_dim(a, b) -> None:
     """The dimension rule of every typed function: operands of different
     dimension are a :class:`DimensionMismatch`."""
@@ -266,8 +271,20 @@ def check_same_dim(a, b) -> None:
         raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
+class _Frozen:
+    """Base of the frozen value types, whose arrays are read-only: pickle
+    (which ``run --jobs`` sends experiments through) and ``copy`` restore
+    an array writeable, so restoring a value marks its arrays again."""
+
+    def __setstate__(self, state: dict) -> None:
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        self.__dict__.update(state)
+
+
 @dataclass(frozen=True)
-class _Vector:
+class _Vector(_Frozen):
     coords: np.ndarray
 
     def __post_init__(self):
@@ -334,20 +351,23 @@ class EigenRange:
 
 
 @dataclass(frozen=True)
-class SpdOperator:
+class SpdOperator(_Frozen):
     """Symmetric positive definite operator between the primal and dual spaces.
 
     Construction validates symmetry (relative tolerance ``SYMMETRY_RTOL``) and
     positive definiteness (a Cholesky factorization must succeed with pivots
     above ``PIVOT_RTOL`` times the matrix scale) and caches the triangular
     factor, so solves and log-determinants never form an explicit inverse.
+    The operator keeps the rule's own two results, the symmetrized entries
+    and the factor, marked read-only rather than copied: nothing else holds
+    them.
     """
 
     entries: np.ndarray
     role: Role = Role.PRIMAL_TO_DUAL
     _chol: np.ndarray = field(init=False, repr=False, compare=False)
-    # True only on an identity, from :meth:`identity` or ``_accepted(...,
-    # unit=True)`` (a class attribute, not a field): its solves skip LAPACK.
+    # True only on the shared identity of :meth:`identity` (a class
+    # attribute, not a field): its solves skip LAPACK.
     _unit = False
 
     def __post_init__(self):
@@ -359,25 +379,33 @@ class SpdOperator:
         sym, chol, fault = spd_factor(m)
         if fault:
             raise NotSpdError(SPD_FAULTS[fault])
-        object.__setattr__(self, "entries", _as_readonly(sym))
-        object.__setattr__(self, "_chol", _as_readonly(chol))
+        self._own(sym, chol)
+
+    def _own(self, sym: np.ndarray, chol: np.ndarray) -> None:
+        """Keep ``sym`` and ``chol`` as the entries and factor, read-only."""
+        sym.flags.writeable = chol.flags.writeable = False
+        object.__setattr__(self, "entries", sym)
+        object.__setattr__(self, "_chol", chol)
 
     @classmethod
-    def _accepted(cls, sym: np.ndarray, chol: np.ndarray, role: Role,
-                  unit: bool = False) -> "SpdOperator":
+    def _accepted(cls, sym: np.ndarray, chol: np.ndarray,
+                  role: Role) -> "SpdOperator":
         """The operator of symmetric entries and their lower Cholesky
-        factor, stored as given without the SPD rule: the diag(s) and I of
-        :meth:`QuadraticProblem.eigenbasis`, whose factors are known.  The
-        rule's pivot floor would refuse a diag(s) with kappa >= 1e14, a
-        start the eigenbasis runs.  ``unit`` marks I as :meth:`identity`
-        does."""
+        factor, kept as given, read-only, without the SPD rule: the diag(s)
+        of :meth:`QuadraticProblem.eigenbasis` and the identity, whose
+        factors are known.  The caller hands both arrays over and keeps no
+        other reference to them.  The rule's pivot floor would refuse a
+        diag(s) with kappa >= 1e14, a start the eigenbasis runs."""
         op = object.__new__(cls)
-        object.__setattr__(op, "entries", _as_readonly(sym))
         object.__setattr__(op, "role", role)
-        object.__setattr__(op, "_chol", _as_readonly(chol))
-        if unit:
-            object.__setattr__(op, "_unit", True)
+        op._own(sym, chol)
         return op
+
+    def __reduce_ex__(self, protocol):
+        # An identity unpickles as the shared identity of its dimension.
+        if self._unit:
+            return _identity, (self.dim, self.role)
+        return super().__reduce_ex__(protocol)
 
     @property
     def dim(self) -> int:
@@ -475,12 +503,23 @@ class SpdOperator:
 
     @staticmethod
     def identity(dim: int, role: Role = Role.PRIMAL_TO_DUAL) -> "SpdOperator":
-        """``SpdOperator(np.eye(dim), role)``, marked so its solves make no
-        LAPACK call: a quadratic with B = I, every generated one, then runs
-        without scipy."""
-        op = SpdOperator(np.eye(dim), role)
-        object.__setattr__(op, "_unit", True)
-        return op
+        """``SpdOperator(np.eye(dim), role)`` bitwise, shared: one read-only
+        operator per dimension and role, whose entries are its factor (one
+        ``np.eye(dim)``, built without the SPD rule, since I = I I^T), kept
+        in a small cache.  It is marked so its solves make no LAPACK call:
+        a quadratic with B = I, every generated one, then runs without
+        scipy."""
+        return _identity(operator.index(dim), role)
+
+
+@functools.lru_cache(maxsize=4)
+def _identity(dim: int, role: Role) -> SpdOperator:
+    if dim < 1:
+        raise ValueError("zero-dimensional operators are not supported")
+    eye = np.eye(dim)
+    op = SpdOperator._accepted(eye, eye, role)
+    object.__setattr__(op, "_unit", True)
+    return op
 
 
 def _require_role(op: SpdOperator, role: Role, name: str) -> None:

@@ -45,6 +45,7 @@ from .operators import (
     PrimalVector,
     Role,
     SpdOperator,
+    _Frozen,
     check_array,
     check_keys,
     check_number,
@@ -94,7 +95,7 @@ def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ProblemInstance:
+class ProblemInstance(_Frozen):
     """Base of the two problem families: the one home of the typed oracles.
 
     A family supplies ``n``, ``mu``, ``ell``, ``sc_const`` and ``b_ref``,
@@ -168,8 +169,9 @@ class QuadraticProblem(ProblemInstance):
         x = V y: A = diag(s), B = I and b = V^T b, with this instance's mu
         and ell and s as its spectrum.  That instance is assembled without
         another decomposition, so an s that is not positive (an A too
-        ill-conditioned for float64) is a :class:`NotSpdError`.  Nothing
-        keeps V: the solver takes it once per run.
+        ill-conditioned for float64) is a :class:`NotSpdError`; its B is
+        the shared :meth:`SpdOperator.identity`, so it adds no I of its
+        own.  Nothing keeps V: the solver takes it once per run.
         """
         s, w = np.linalg.eigh(self._reduced())
         if not s[0] > 0.0:
@@ -182,9 +184,7 @@ class QuadraticProblem(ProblemInstance):
                 ("a_op", SpdOperator._accepted(np.diag(s), np.diag(np.sqrt(s)),
                                                Role.PRIMAL_TO_DUAL)),
                 ("b", DualVector(v.T @ self.b.coords)),
-                ("b_ref", SpdOperator._accepted(np.eye(self.n), np.eye(self.n),
-                                                Role.PRIMAL_TO_DUAL,
-                                                unit=True)),
+                ("b_ref", SpdOperator.identity(self.n)),
                 ("mu", self.mu), ("ell", self.ell), ("spectrum", s)):
             object.__setattr__(diagonal, name, value)
         return v, diagonal
@@ -373,8 +373,8 @@ def _lse_mean(p: LogSumExpProblem, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     product plus O(q m n + q n^2) for q points, instead of one O(m n^2)
     Hessian per point.
     """
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    pis = e / e.sum(axis=1, keepdims=True)
+    pis = np.exp(z - z.max(axis=1, keepdims=True))
+    pis /= pis.sum(axis=1, keepdims=True)
     gs = pis @ p.a_mat
     j = ((p.a_mat.T * (w @ pis)) @ p.a_mat - (gs.T * w) @ gs
          + p.mu * p.b_ref.entries)

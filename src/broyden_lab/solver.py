@@ -105,7 +105,12 @@ row has no step; only the quadratic path, whose target is fixed, still
 measures its potentials.  Each row's values go to one float64 buffer per
 column once its block is measured, so a trace retains about 13 doubles per
 iterate and the final iterate; beyond the pending block, G_k, H_k and the
-per-iterate vectors are not kept.
+per-iterate vectors are not kept.  Each n x n matrix of a quadratic run is
+held once: V, B V, d d^T, the eigenbasis's diag(s) and its factor, and the
+(G_k, H_k) pair, seven arrays (its B is the shared identity), and during
+an update the new pair and a pair-sized work array, eleven in all.  B^-1 is
+dropped once H_0 and the condition bound are set; only the general path's
+secant check reads it again.
 
 An instrumented general-path iteration on log-sum-exp makes two validated
 Cholesky factorizations: the one pointwise Hessian (the gradient is an
@@ -665,6 +670,8 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
     # norms of B and B^-1 bound cond(B), exactly for B = I, the eigenbasis's.
     ref_cond = problem.ell / problem.mu * float(
         _cond_inf(problem.b_ref.entries, b_inv))
+    if quadratic:
+        b_inv = None  # only the general path's _secant_holds reads it again
 
     # Rows wait in a block for their measurement; a failure anywhere in the
     # loop first measures what is pending, so an earlier row's comes first.

@@ -207,6 +207,15 @@ def test_eigenbasis_diagonalizes_the_pencil():
     assert (diagonal.mu, diagonal.ell) == (q.mu, q.ell)
 
 
+def test_eigenbasis_reference_is_the_shared_identity():
+    # The instance in the eigenbasis adds no I of its own, whatever B was.
+    for q in (quad_make(np.geomspace(1.0, 10.0, 6), seed=3),
+              _b_not_identity()[0]):
+        b_ref = q.eigenbasis()[1].b_ref
+        assert b_ref is SpdOperator.identity(q.n)
+        assert b_ref.entries is b_ref.factor
+
+
 def test_nonpositive_eigenvalue_is_a_divergence_at_k0(monkeypatch):
     # An A whose smallest eigenvalue relative to B rounds to zero or below
     # has no eigenbasis in float64; the run reports that as iteration 0.

@@ -631,19 +631,20 @@ class TestEigenbasisLambda:
 
 class TestSetUpCost:
     def test_quadratic_spectrum_is_computed_once(self, monkeypatch):
-        # quad_make validates A and B = I and takes the one relative
-        # spectrum that the certificate, the JSON form and the sharpened
-        # factor all read; the content hash then solves nothing.
+        # quad_make validates A and takes the one relative spectrum that
+        # the certificate, the JSON form and the sharpened factor all read;
+        # B = I is the shared identity, never factored.  The content hash
+        # then solves nothing.
         counts = {"eig": 0, "cholesky": 0, "reduction": 0, "svd": 0}
         count_decompositions(monkeypatch, counts)
         quad = quad_make(np.geomspace(1.0, 100.0, 12), seed=5)
-        assert counts == {"eig": 1, "cholesky": 2, "reduction": 0, "svd": 0}
+        assert counts == {"eig": 1, "cholesky": 1, "reduction": 0, "svd": 0}
         problems_mod.instance_hash(quad)
-        assert counts == {"eig": 1, "cholesky": 2, "reduction": 0, "svd": 0}
+        assert counts == {"eig": 1, "cholesky": 1, "reduction": 0, "svd": 0}
         # The eigenbasis a run takes is one eigh more, and nothing else:
         # the instance in it is assembled without factoring.
         quad.eigenbasis()
-        assert counts == {"eig": 2, "cholesky": 2, "reduction": 0, "svd": 0}
+        assert counts == {"eig": 2, "cholesky": 1, "reduction": 0, "svd": 0}
 
     def test_run_builds_its_instance_once(self, monkeypatch, tmp_path):
         # Checking a config builds the instance, and the run uses that one:
@@ -663,7 +664,7 @@ class TestSetUpCost:
 
         monkeypatch.setattr(cli_mod, "run_quadratic", run_quadratic_counted)
         assert cli_mod.cmd_run(str(cfg), out=str(tmp_path / "out")) == 0
-        assert at_start == [{"eig": 1, "cholesky": 2, "reduction": 0,
+        assert at_start == [{"eig": 1, "cholesky": 1, "reduction": 0,
                              "svd": 0}]
 
 

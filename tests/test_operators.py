@@ -1,6 +1,8 @@
 """Operator calculus: pairings, relative traces/determinants, norms, ordering."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -464,6 +466,84 @@ class TestRawHelpers:
                 assert np.array_equal(kept.factor, built.factor)
                 assert not (kept.entries.flags.writeable
                             or kept.factor.flags.writeable)
+
+    def test_construction_keeps_the_rules_arrays_without_a_copy(
+            self, rng, monkeypatch):
+        m, made = random_spd(rng, 5).entries, []
+
+        def recording(m):
+            made.append(spd_factor(m))
+            return made[-1]
+
+        monkeypatch.setattr(operators_mod, "spd_factor", recording)
+        op = SpdOperator(m)
+        (sym, chol, _), = made
+        assert op.entries is sym and op.factor is chol
+        assert not (sym.flags.writeable or chol.flags.writeable)
+
+
+class TestSharedIdentity:
+    """One read-only identity per dimension and role, never factored."""
+
+    @pytest.mark.parametrize("n", [1, 5, 200])
+    def test_one_shared_readonly_eye(self, n, monkeypatch):
+        operators_mod._identity.cache_clear()
+        monkeypatch.setattr(operators_mod, "spd_factor", None)  # not run
+        op = SpdOperator.identity(n)
+        assert op is SpdOperator.identity(n)
+        assert op is SpdOperator.identity(np.int64(n), Role.PRIMAL_TO_DUAL)
+        assert op.entries is op.factor
+        assert not op.entries.flags.writeable
+        assert op.entries.flags.c_contiguous
+        assert op.entries.tobytes() == np.eye(n).tobytes()
+        dual = SpdOperator.identity(n, Role.DUAL_TO_PRIMAL)
+        assert dual is not op and dual.role is Role.DUAL_TO_PRIMAL
+
+    def test_is_the_validated_identity_bitwise(self):
+        for n in (1, 4, 30):
+            built = SpdOperator(np.eye(n))
+            shared = SpdOperator.identity(n)
+            assert shared.entries.tobytes() == built.entries.tobytes()
+            assert shared.factor.tobytes() == built.factor.tobytes()
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_empty_dimension_refused(self, dim):
+        with pytest.raises(ValueError, match="zero-dimensional"):
+            SpdOperator.identity(dim)
+
+
+class TestPickling:
+    """Values stay read-only through pickle, which ``run --jobs`` uses,
+    and through copy."""
+
+    @staticmethod
+    def arrays(value):
+        if isinstance(value, SpdOperator):
+            return [value.entries, value.factor]
+        return [value.coords]
+
+    def test_round_trip_keeps_arrays_readonly(self):
+        values = [SpdOperator(2.0 * np.eye(3)),
+                  SpdOperator(np.diag([1.0, 4.0]), Role.DUAL_TO_PRIMAL),
+                  PrimalVector([1.0, -2.0]), DualVector([0.5])]
+        for value in values:
+            for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(value, protocol=proto))
+                assert type(back) is type(value)
+                for got, ref in zip(self.arrays(back), self.arrays(value)):
+                    assert got.tobytes() == ref.tobytes()
+                    assert not got.flags.writeable
+            for back in (copy.copy(value), copy.deepcopy(value)):
+                assert not any(a.flags.writeable for a in self.arrays(back))
+        op = pickle.loads(pickle.dumps(values[1]))
+        assert op.role is Role.DUAL_TO_PRIMAL
+        assert op.solve_mat(np.ones(2)).tolist() == [1.0, 0.25]
+
+    def test_identity_comes_back_shared(self):
+        op = SpdOperator.identity(4)
+        assert pickle.loads(pickle.dumps(op)) is op
+        dual = SpdOperator.identity(4, Role.DUAL_TO_PRIMAL)
+        assert pickle.loads(pickle.dumps(dual)) is dual
 
 
 class TestVectors:

@@ -274,6 +274,26 @@ class TestQuadraticPath:
         assert len(tr) == 10_001
         assert retained / len(tr) <= 150.0
 
+    def test_quadratic_run_peak_in_nxn_arrays(self):
+        # One instrumented n = 200 run holds V, B V, d d^T, diag(s) and its
+        # factor, and the (G, H) pair, and at the update's peak the new
+        # pair and a pair-sized work array: 11.1 n x n arrays traced (14.1
+        # while the eigenbasis kept its own I and its factor, the operators
+        # copied their arrays and the loop kept B^-1).  The bound leaves
+        # 0.9 of an array of margin.
+        n = 200
+        q = quad_make(np.geomspace(1.0, 1e3, n), seed=n)
+        x0 = PrimalVector(np.ones(n))
+        cfg = SolverConfig(max_iter=20, grad_tol=0.0)
+        tracemalloc.start()
+        try:
+            tr = run_quadratic(q, x0, TauSchedule.bfgs(), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tr) == 21
+        assert peak / (8 * n * n) <= 12.0
+
     @pytest.mark.parametrize("general", [False, True])
     def test_inverse_off_by_1e6_fails_at_a_named_k(self, monkeypatch,
                                                    general):

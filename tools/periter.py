@@ -1,4 +1,4 @@
-"""Per-iteration cost of the quadratic solver loop, in microseconds, by n.
+"""Per-iteration cost of the quadratic solver loop by n, in microseconds.
 
 Runs DFP on a generated quadratic (spectrum geomspace(1, 1e3, n), B = I)
 from x0 = 1 for a fixed number of iterations at ``grad_tol`` 0, instrumented
@@ -18,12 +18,16 @@ and not, and prints one markdown row per n:
   one stacked call per block: the closeness measure and its check;
 - ``rest``: the step's fixed cost outside those three, from an
   instrumented run with a timer on each: its time per iteration (as above)
-  less one ``update_arrays`` call and the per-row time of the other two.
+  less one ``update_arrays`` call and the per-row time of the other two;
+- ``peak``: the ``tracemalloc`` peak of one more instrumented run, its
+  eigenbasis included but not the instance built before it, in n x n
+  float64 arrays.  It is traced in a run of its own, so no time above
+  carries the tracer's overhead.
 
-Each figure but ``rest`` is one run's own time, never the difference of
+Each time but ``rest`` is one run's own time, never the difference of
 two runs', so none of them is negative.
 
-Each figure is the best of ``--repeat`` runs.  The first line names the BLAS
+Each time is the best of ``--repeat`` runs.  The first line names the BLAS
 thread setting, the environment variables that pin it (run with
 ``OPENBLAS_NUM_THREADS=1`` for the single-thread figures).
 
@@ -38,6 +42,7 @@ import contextlib
 import os
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -121,6 +126,18 @@ def row(n: int, iters: int, repeat: int) -> tuple[float, ...]:
     return tuple(1e6 * t for t in np.min(runs, axis=0))
 
 
+def peak_arrays(n: int, iters: int) -> float:
+    """The traced peak of one instrumented run, in n x n arrays."""
+    quad = quad_make(np.geomspace(1.0, 1e3, n), seed=n)
+    tracemalloc.start()
+    try:
+        _per_iter(quad, iters, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * n * n)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, nargs="+",
@@ -133,11 +150,12 @@ def main(argv=None) -> int:
           "per iteration, in us")
     print()
     print("| n | block | uninstrumented | instrumented | update | eigvalsh "
-          "| nu | rest |")
-    print("| --- | --- | --- | --- | --- | --- | --- | --- |")
+          "| nu | rest | peak |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- |")
     for n in args.n:
         cells = " | ".join(f"{t:,.0f}" for t in row(n, args.iters, args.repeat))
-        print(f"| {n} | {solver_mod._block_rows(n)} | {cells} |", flush=True)
+        print(f"| {n} | {solver_mod._block_rows(n)} | {cells} "
+              f"| {peak_arrays(n, args.iters):.1f} |", flush=True)
     return 0
 
 
