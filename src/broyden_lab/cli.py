@@ -32,7 +32,12 @@ included.  Validation completes before any file is written.
 is checked and built once, into an :class:`_Experiment` holding the
 instance, schedule, solver settings and starting point; :func:`_solve` runs
 any of them.  Every experiment of a suite and every cell of a grid is built
-before the first write.
+before the first write.  A run whose rows are measured one at a time (an
+instrumented run on the general path, or of a quadratic from n = 74 on) is
+split W ways, W the usable CPUs divided among the experiments that ``--jobs``
+runs at once: W forked children each replay the trajectory and measure every
+W-th row (:func:`_split_run`), and the merged trace is the one-process trace
+bit for bit.  With one usable CPU (``taskset -c 0``) it runs in this process.
 
 Writing a run's output takes bounded memory, whatever the instance's size
 or the trace's length: ``summary.json``'s ``instance_hash`` digests the
@@ -95,6 +100,9 @@ from .solver import (
     IterationError,
     SolverConfig,
     TauSchedule,
+    _merge,
+    _rows_alone,
+    _share_outcome,
     run_general,
     run_quadratic,
     write_columns,
@@ -250,14 +258,87 @@ def _write_envelopes(path, reports: list[EnvelopeReport], measured) -> None:
     write_columns(path, header, len(measured), columns)
 
 
-def _solve(exp: _Experiment):
+def _split_run(run, exp: _Experiment, shares: int):
+    """``run``'s trace of ``exp``, its rows measured ``shares`` ways (see
+    :func:`~broyden_lab.solver._merge`).
+
+    Each share runs in a child forked from this process, which runs none:
+    an OpenBLAS call made after a fork takes a second work buffer, so a
+    parent that ran a share would hold a buffer's working set more.  A
+    child sends back through a pipe its share's outcome or its
+    :class:`IterationError`, and leaves by ``os._exit``.  A child that ends
+    without one, or on any other exception, makes this call raise.  Every
+    child has been reaped when it returns or raises.
+    """
+    import pickle
+    import signal
+
+    reads, pids = [], []
+    try:
+        for w in range(shares):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pids.append(os.fork())
+                if pids[-1] == 0:
+                    _share_child(run, exp, (w, shares), write)
+            finally:
+                os.close(write)
+        outcomes = []
+        for w, read in enumerate(reads):
+            with open(read, "rb", closefd=False) as f:
+                data = f.read()
+            outcome = pickle.loads(data) if data else "ended without a result"
+            if isinstance(outcome, str):
+                raise RuntimeError(f"measurement share {w} of {shares}: "
+                                   f"{outcome}")
+            outcomes.append(outcome)
+    finally:
+        for read in reads:
+            os.close(read)
+        for pid in pids:
+            # A child whose pipe was read to its end has exited, and the
+            # kill is a no-op; any other is stopped where it is.
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return _merge(exp.problem, exp.schedule, outcomes)
+
+
+def _share_child(run, exp: _Experiment, share: tuple[int, int],
+                 write: int) -> None:
+    """A forked share of :func:`_split_run`: run it, write its outcome, its
+    :class:`IterationError` or the text of any other exception to
+    ``write``, and leave by ``os._exit``, never returning to the caller."""
+    import pickle
+
+    try:
+        try:
+            outcome = _share_outcome(run(exp.problem, exp.x0, exp.schedule,
+                                         exp.config, share=share), share)
+        except IterationError as exc:
+            outcome = exc
+        except Exception as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        # The pipe stays open until os._exit, so the parent's end of file
+        # means this process has ended.
+        with open(write, "wb", closefd=False) as f:
+            f.write(pickle.dumps(outcome))
+    finally:
+        os._exit(0)
+
+
+def _solve(exp: _Experiment, shares: int):
     """Run a built experiment: its result fields, its trace and its envelope
     reports.  A run that diverges or whose quadrature fails has no trace
-    and no reports; its result records the error."""
+    and no reports; its result records the error.  A run whose rows are
+    measured one at a time is split ``shares`` ways (:func:`_split_run`)."""
     started = time.perf_counter()
     try:
         run = run_general if exp.general else run_quadratic
-        trace = run(exp.problem, exp.x0, exp.schedule, exp.config)
+        if shares > 1 and _rows_alone(exp.problem, exp.config):
+            trace = _split_run(run, exp, shares)
+        else:
+            trace = run(exp.problem, exp.x0, exp.schedule, exp.config)
     except IterationError as exc:
         return {
             "wall_time_s": time.perf_counter() - started,
@@ -296,12 +377,13 @@ def _solve(exp: _Experiment):
     }, trace, reports
 
 
-def _execute_experiment(exp: _Experiment) -> dict:
-    """Run one built experiment and write its three output files."""
+def _execute_experiment(exp: _Experiment, shares: int) -> dict:
+    """Run one built experiment, split ``shares`` ways where its rows are
+    measured one at a time, and write its three output files."""
     out_dir = exp.output_dir / exp.name
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_csv, envelopes_csv, summary_json = (out_dir / f for f in _RUN_FILES)
-    result, trace, reports = _solve(exp)
+    result, trace, reports = _solve(exp, shares)
     summary = {"name": exp.name, "seed": exp.seed,
                "instance_hash": instance_hash(exp.problem), **result}
     if trace is not None:
@@ -365,7 +447,13 @@ def cmd_run(config_path: str, jobs: int = 1, out: str | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    summaries = _fan_out(_execute_experiment, experiments, jobs)
+    from functools import partial
+
+    # The parallel experiments share the usable CPUs among their splits.
+    workers = min(jobs, len(experiments))
+    summaries = _fan_out(partial(_execute_experiment,
+                                 shares=max(1, _usable_cpus() // workers)),
+                         experiments, workers)
 
     ok = True
     for s in summaries:
@@ -504,9 +592,9 @@ def cmd_sweep(grid_path: str, out: str | None = None) -> int:
         return 2
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
+    rows, shares = [], _usable_cpus()
     for (n, kappa, method), exp in cells:
-        result, _, _ = _solve(exp)
+        result, _, _ = _solve(exp, shares)
         mu, ell = exp.problem.mu, exp.problem.ell
         moments = env_section6(n, mu, ell, 1, 1.0, method)
         iters = result["iterations"] if result["converged"] else None
@@ -540,7 +628,8 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute an experiment config")
     p_run.add_argument("config", help="experiment JSON (object or array)")
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="max parallel experiments")
+                       help="max parallel experiments; they share the "
+                            "usable CPUs that split each run's rows")
     p_run.add_argument("--out", default=None,
                        help="override the output directory")
 

@@ -91,6 +91,13 @@ otherwise, or if a stacked call raises, the block is measured again a row
 at a time, so the first failing row raises with its own k and message.  A
 failure anywhere in the loop first measures the rows still pending, so the
 earliest failing row is named even when later rows of its block ran.
+A run can also be split into W shares, as the CLI splits one whose rows are
+measured one at a time (``run`` and ``sweep``, one share per usable CPU).
+Share w replays the whole trajectory, which reads no measurement, and owns
+the rows k with k % W == w: only those does it measure, and the others keep
+their measured cells NaN, with no spectrum, quadrature or nu made for them.
+:func:`_merge` takes each row from its owner, so the merged trace is the
+one-process trace bit for bit, and a failure is the one that run raises.
 
 Every visited iterate takes the same path and leaves one row.  The row starts
 with each column NaN and is filled in once: g and xi always; lambda and the
@@ -190,6 +197,10 @@ class IterationError(RuntimeError):
     def __init__(self, k: int, message: str):
         super().__init__(f"iteration {k}: {message}")
         self.k = k
+
+    def __reduce__(self):
+        # Pickled as its class, k and the message after "iteration k: ".
+        return type(self), (self.k, str(self).partition(": ")[2])
 
 
 class DivergenceError(IterationError):
@@ -650,7 +661,8 @@ class _Eigenbasis:
 
 
 def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
-           config: SolverConfig, general: bool) -> IterationTrace:
+           config: SolverConfig, general: bool,
+           share: tuple[int, int] = (0, 1)) -> IterationTrace:
     if x0.dim != p.n:
         raise ValueError(f"x0 has dimension {x0.dim}, expected {p.n}")
     # A quadratic runs in its eigenbasis, taken here once; the loop reads
@@ -676,6 +688,7 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
     # Rows wait in a block for their measurement; a failure anywhere in the
     # loop first measures what is pending, so an earlier row's comes first.
     block = _Block(problem.n, quadratic, ref_cond)
+    w, shares = share
     grad = _gradient(problem, x, 0)
     xi = 1.0
     try:
@@ -686,19 +699,22 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
             hg = h_mat @ gc  # H_k g_k: the norm g and, negated, the step
             row["xi"], row["g"] = xi, math.sqrt(max(float(gc @ hg), 0.0))
             hess_k = problem.hess(x) if config.instrument else None
+            # Only the share that owns row k measures it.
+            measured = hess_k is not None and k % shares == w
             if hess_k is not None:
-                # The spectrum of G_k relative to the Hessian is the
-                # iteration's one decomposition and its definiteness check.
                 row["lambda"] = measure = (basis.norm_dual(gc) if quadratic
                                            else norm_dual(hess_k, grad))
-                record[1] = (g_mat * basis.ddt if quadratic
-                             else _eigvals(k, pencil_eigvals, g_mat,
-                                           hess_k.factor))
             else:
                 # The Euclidean norm of the gradient in the caller's
                 # coordinates.
                 gx = basis.dual @ gc if quadratic else gc
                 measure = math.sqrt(float(gx @ gx))
+            if measured:
+                # The spectrum of G_k relative to the Hessian is the
+                # iteration's one decomposition and its definiteness check.
+                record[1] = (g_mat * basis.ddt if quadratic
+                             else _eigvals(k, pencil_eigvals, g_mat,
+                                           hess_k.factor))
 
             converged = measure <= config.grad_tol
             last = converged or k == config.max_iter
@@ -721,10 +737,11 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
                     target = hess_k
                 else:
                     u = step
-                    if not quadratic and hess_k is not None:
+                    if not quadratic and measured:
                         # J_k is built only to measure the step against it.
                         target, row["est_error"] = _gated_target(
                             problem, x, PrimalVector(u), config.quad_order, k)
+                    if not quadratic and hess_k is not None:
                         row["r"] = math.sqrt(max(hess_k.quad_form(u), 0.0))
                     grad_next = _gradient(problem, x_next, k + 1)
                     if quadratic:
@@ -745,8 +762,9 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
                             if quadratic:
                                 target, row["est_error"] = hess_k, 0.0
                                 row["r"] = math.sqrt(float(scalars[2]))
+                        if measured:
                             record[2] = (*scalars[:3], pair)
-            if hess_k is not None and target is not None:
+            if measured and target is not None:
                 record[3] = (record[1] if target is hess_k
                              else _eigvals(k, pencil_eigvals, g_mat,
                                            target.factor))
@@ -792,16 +810,76 @@ def _drive(p: ProblemInstance, x0: PrimalVector, schedule: TauSchedule,
 
 
 def run_quadratic(p: QuadraticProblem, x0: PrimalVector, sched: TauSchedule,
-                  cfg: SolverConfig) -> IterationTrace:
-    """Minimize a quadratic, updating toward its operator every iteration."""
+                  cfg: SolverConfig, *,
+                  share: tuple[int, int] = (0, 1)) -> IterationTrace:
+    """Minimize a quadratic, updating toward its operator every iteration.
+    ``share`` is private to the CLI's split runs (:func:`_merge`)."""
     if not isinstance(p, QuadraticProblem):
         raise TypeError("run_quadratic needs a QuadraticProblem")
-    return _drive(p, x0, sched, cfg, False)
+    return _drive(p, x0, sched, cfg, False, share)
 
 
 def run_general(p: ProblemInstance, x0: PrimalVector, sched: TauSchedule,
-                cfg: SolverConfig) -> IterationTrace:
-    """Minimize a smooth instance, updating toward each segment-mean Hessian."""
+                cfg: SolverConfig, *,
+                share: tuple[int, int] = (0, 1)) -> IterationTrace:
+    """Minimize a smooth instance, updating toward each segment-mean Hessian.
+    ``share`` is private to the CLI's split runs (:func:`_merge`)."""
     if not isinstance(p, ProblemInstance):
         raise TypeError("run_general needs a ProblemInstance")
-    return _drive(p, x0, sched, cfg, True)
+    return _drive(p, x0, sched, cfg, True, share)
+
+
+def _rows_alone(p: ProblemInstance, config: SolverConfig) -> bool:
+    """Whether an instrumented run of ``p`` measures its rows one at a
+    time: any problem but a quadratic, and a quadratic from n = 74 on."""
+    return config.instrument and (not isinstance(p, QuadraticProblem)
+                                  or _block_rows(p.n) == 1)
+
+
+def _share_outcome(trace: IterationTrace, share: tuple[int, int]) -> tuple:
+    """What share (w, W) of a split run returns: the cells of the rows it
+    owns, k = w, w + W, ... (one array row each, in ``_ROW_COLUMNS``
+    order), the last iterate's coordinates and whether it converged."""
+    w, shares = share
+    cells = np.stack([getattr(trace, name + "s")[w::shares]
+                      for name in _ROW_COLUMNS], axis=1)
+    return cells, trace.x_final.coords, trace.converged
+
+
+def _merge(p: ProblemInstance, schedule: TauSchedule,
+           outcomes: list) -> IterationTrace:
+    """The trace of a one-process run of ``p``, from its shares' outcomes.
+
+    A run split W = ``len(outcomes)`` ways runs once per share w < W: each
+    replays the whole trajectory, which reads no measurement, and measures
+    only the rows k with k % W == w, so row k of the one-process trace is
+    its owner's row k.  ``outcomes[w]`` is share w's :func:`_share_outcome`
+    or :class:`IterationError`.  A share meets every failure of the
+    trajectory, and a failing measurement only in a row it owns.  The
+    one-process run stops at its first failure; no share fails before it,
+    and the owner of its row meets it as that run does.  So the error
+    raised is the one of the smallest k, and on a tie the one of k's owner,
+    which ran every check of row k.
+    """
+    shares = len(outcomes)
+    errors = [(w, out) for w, out in enumerate(outcomes)
+              if isinstance(out, IterationError)]
+    if errors:
+        _, error = min(errors, key=lambda e: (e[1].k, (e[1].k - e[0]) % shares))
+        raise error
+    cells, xs, converged = zip(*outcomes)
+    n_rows = sum(map(len, cells))
+    if (any(len(c) != len(range(w, n_rows, shares))
+            for w, c in enumerate(cells))
+            or len(set(converged)) > 1
+            or not all(np.array_equal(x, xs[0]) for x in xs)):
+        raise RuntimeError(f"the {shares} shares of a split run disagree "
+                           "on its trajectory")
+    columns = np.empty((len(_ROW_COLUMNS), n_rows))
+    for w, c in enumerate(cells):
+        columns[:, w::shares] = c.T
+    return IterationTrace(
+        problem=p, schedule=schedule,
+        **{name + "s": column for name, column in zip(_ROW_COLUMNS, columns)},
+        x_final=PrimalVector(xs[0]), converged=converged[0],
+    )

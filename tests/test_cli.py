@@ -5,8 +5,10 @@ import json
 import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -457,6 +459,197 @@ class TestFanOut:
                               capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0, proc.stderr
+
+
+def record_forks(monkeypatch, fail_at=None):
+    """Wrap ``os.fork`` to keep each child's id, and to raise OSError on
+    call number ``fail_at`` (0 fails every call); returns the list of
+    ids."""
+    fork, forked, calls = os.fork, [], []
+
+    def recorded():
+        calls.append(1)
+        if fail_at is not None and len(calls) >= fail_at:
+            raise OSError("fork refused")
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return forked
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def split_experiments(out_dir, **solver):
+    """An n = 80 quadratic (one row per block) and a log-sum-exp on the
+    general path: each measures its rows one at a time."""
+    spectrum = np.geomspace(1.0, 100.0, 80).tolist()
+    return [
+        quad_experiment(out_dir, name="quad80", instance={
+            "kind": "quadratic", "spectrum": spectrum, "seed": 3},
+            solver={"max_iter": 300, "grad_tol": 1e-10, **solver}),
+        {"name": "lse", "seed": 2, "output_dir": str(out_dir),
+         "instance": {"kind": "log_sum_exp", "n": 8, "m": 16, "mu": 0.1,
+                      "gamma": 1.0, "seed": 5},
+         "method": {"kind": "bfgs"}, "x0": {"random_ball": 0.01},
+         "solver": {"max_iter": 300, "grad_tol": 1e-11, **solver}},
+    ]
+
+
+def run_outputs(out_dir):
+    """Every file under a run's output root, wall times left out."""
+    files = {}
+    for path in sorted(out_dir.rglob("*.*")):
+        if path.name == "summary.json":
+            summary = json.loads(path.read_text())
+            summary.pop("wall_time_s")
+            files[path.relative_to(out_dir)] = summary
+        else:
+            files[path.relative_to(out_dir)] = path.read_bytes()
+    return files
+
+
+class TestSplitRun:
+    """An experiment whose rows are measured one at a time runs on one
+    forked share per usable CPU (shared among ``--jobs``) and writes what
+    a one-process run writes; every child leaves through ``os._exit`` and
+    is reaped, whatever the way out."""
+
+    @staticmethod
+    def cpus(monkeypatch, count):
+        monkeypatch.setattr(cli_mod, "_usable_cpus", lambda: count)
+
+    def test_split_runs_write_the_one_process_bytes(self, monkeypatch,
+                                                    tmp_path):
+        exits = record_pids(monkeypatch, os, "_exit", tmp_path / "exits")
+        forked = record_forks(monkeypatch)
+        outputs = {}
+        for cpus in (1, 2, 3):
+            self.cpus(monkeypatch, cpus)
+            out = tmp_path / f"out{cpus}"
+            assert cmd_run(write_config(tmp_path, split_experiments(out))) == 0
+            outputs[cpus] = run_outputs(out)
+        # Two experiments fork a child per share: two each at two CPUs,
+        # three each at three.
+        assert len(forked) == 2 * 2 + 2 * 3
+        assert exits() == set(forked)
+        assert_reaped(forked)
+        assert len(outputs[1]) == 6
+        assert outputs[2] == outputs[3] == outputs[1]
+
+    @pytest.mark.parametrize("cpus, jobs, shares", [
+        (4, 2, [2, 2]), (3, 2, []), (4, 8, [2, 2])])
+    def test_jobs_share_the_cpus(self, monkeypatch, tmp_path, cpus, jobs,
+                                 shares):
+        # Each of the parallel experiments (at most one per experiment)
+        # splits its run max(1, cpus // experiments) ways.
+        log, split = tmp_path / "shares", cli_mod._split_run
+
+        def recorded(run, exp, count):
+            with open(log, "a") as f:
+                f.write(f"{count}\n")
+            return split(run, exp, count)
+
+        monkeypatch.setattr(cli_mod, "_split_run", recorded)
+        self.cpus(monkeypatch, cpus)
+        cfg = write_config(tmp_path, split_experiments(tmp_path / "out"))
+        assert cmd_run(cfg, jobs=jobs) == 0
+        assert multiprocessing.active_children() == []
+        counts = log.read_text().split() if log.exists() else []
+        assert [int(c) for c in counts] == shares
+
+    def test_sweep_splits_only_one_row_blocks(self, monkeypatch, tmp_path):
+        forked = record_forks(monkeypatch)
+        self.cpus(monkeypatch, 2)
+        grid = {"n": [6, 80], "L_over_mu": [10.0], "method": ["bfgs"],
+                "output_dir": str(tmp_path / "sweep")}
+        assert cmd_sweep(write_config(tmp_path, grid, "grid.json")) == 0
+        assert len(forked) == 2
+        assert_reaped(forked)
+
+    @pytest.mark.parametrize("cpus, solver", [
+        (1, {}), (2, {"instrument": False})])
+    def test_one_cpu_or_no_measurement_never_forks(self, monkeypatch,
+                                                   tmp_path, cpus, solver):
+        record_forks(monkeypatch, fail_at=0)
+        self.cpus(monkeypatch, cpus)
+        exps = split_experiments(tmp_path / "out", **solver)
+        if solver:
+            for exp in exps:
+                exp["envelopes"] = []
+        assert cmd_run(write_config(tmp_path, exps)) == 0
+        # Blocked rows: n = 6 stacks its rows in one block.
+        self.cpus(monkeypatch, 2)
+        cfg = write_config(tmp_path, quad_experiment(tmp_path / "small"),
+                           "small.json")
+        assert cmd_run(cfg) == 0
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_childs_error_is_the_one_process_error(self, monkeypatch,
+                                                     tmp_path, cpus):
+        # G_1 turns indefinite: row 1's owner stops on its spectrum, the
+        # other shares on the update's pairings at the same k.
+        inject_loop_fault(monkeypatch, "update", 80)
+        forked = record_forks(monkeypatch)
+        errors = []
+        for count in (1, cpus):
+            self.cpus(monkeypatch, count)
+            out = tmp_path / f"out{count}"
+            cfg = write_config(tmp_path, split_experiments(out)[:1])
+            assert cmd_run(cfg) == 1
+            errors.append(json.loads(
+                (out / "quad80" / "summary.json").read_text())["error"])
+        assert errors[0]["k"] == 1 and errors[1] == errors[0]
+        assert "relative spectrum" in errors[0]["message"]
+        assert len(forked) == cpus
+        assert_reaped(forked)
+
+    @pytest.mark.parametrize("failure, raised, match", [
+        ("interrupt", KeyboardInterrupt, None),
+        ("fork", OSError, "fork refused"),
+        (ValueError("boom"), RuntimeError,
+         "^measurement share 1 of 2: ValueError: boom$"),
+        (SystemExit(3), RuntimeError,
+         "^measurement share 1 of 2: ended without a result$"),
+        ("exit", RuntimeError,
+         "^measurement share 1 of 2: ended without a result$"),
+    ])
+    def test_every_child_is_reaped_on_the_way_out(
+            self, monkeypatch, tmp_path, failure, raised, match):
+        # Share 1's child fails, dies, or interrupts this process as a
+        # ^C would, or its fork is refused; share 0 runs to its end, or on
+        # an interrupt would take a minute, so it must be stopped.
+        parent, exit_, run = os.getpid(), os._exit, cli_mod.run_quadratic
+
+        def failing(*args, share, **kwargs):
+            if failure == "interrupt":
+                if share[0] == 0:
+                    time.sleep(60)
+                else:
+                    os.kill(parent, signal.SIGINT)
+            elif share[0] == 1:
+                if failure == "exit":
+                    exit_(0)  # dies without writing
+                raise failure
+            return run(*args, share=share, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "run_quadratic", failing)
+        forked = record_forks(monkeypatch,
+                              fail_at=2 if failure == "fork" else None)
+        self.cpus(monkeypatch, 2)
+        cfg = write_config(tmp_path, split_experiments(tmp_path / "out")[:1])
+        started = time.monotonic()
+        with pytest.raises(raised, match=match):
+            cmd_run(cfg)
+        assert time.monotonic() - started < 30.0
+        assert len(forked) == (1 if failure == "fork" else 2)
+        assert_reaped(forked)
 
 
 class TestSweep:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import tracemalloc
 from functools import partial
 
@@ -1116,3 +1117,154 @@ class TestBlocks:
         with pytest.raises(DivergenceError,
                            match="^iteration 0: closeness forms disagree"):
             self._run(n)
+
+
+def _split_in_process(run, shares: int, call=None):
+    """A ``shares``-way split of ``run``, a partial of a solver entry point,
+    each share run in this process in turn (through ``call``, if given) and
+    merged as the CLI merges its forked shares."""
+    outcomes = []
+    for share in ((w, shares) for w in range(shares)):
+        try:
+            trace = (call or run)(share=share)
+            outcomes.append(solver_mod._share_outcome(trace, share))
+        except solver_mod.IterationError as exc:
+            outcomes.append(exc)
+    return solver_mod._merge(run.args[0], run.args[2], outcomes)
+
+
+def _quadratic_share(n, kappa, schedule, max_iter):
+    q = quad_make(np.geomspace(1.0, kappa, n), seed=4)
+    return partial(run_quadratic, q, PrimalVector(np.ones(n)), schedule,
+                   SolverConfig(max_iter=max_iter))
+
+
+class TestShares:
+    """A run split W ways, each share replaying the trajectory and measuring
+    the rows k with k % W == w, merges to the one-process trace bit for
+    bit, and to its error in type, k and message."""
+
+    @pytest.mark.parametrize("error", [
+        DivergenceError(3, "approximation lost definiteness (x: y)"),
+        QuadratureError(0, "quadrature error 1.2e-04 above 1.0e-09 * ||J||")])
+    def test_iteration_errors_survive_pickle(self, error):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(error, protocol))
+            assert type(back) is type(error)
+            assert back.k == error.k and str(back) == str(error)
+
+    @pytest.mark.parametrize("case", [
+        # Blocked rows (n = 3 and 30) and one-row blocks (n = 100), each
+        # schedule, stopped by convergence or by max_iter.
+        (3, 10.0, TauSchedule.bfgs(), 500),
+        (3, 1e3, TauSchedule.dfp(), 40),
+        (30, 10.0, TauSchedule((0.5,)), 500),
+        (30, 1e3, TauSchedule.bfgs(), 25),
+        (100, 10.0, TauSchedule.dfp(), 500),
+        (100, 1e2, TauSchedule((0.5,)), 31),
+        "general",
+    ])
+    def test_merged_shares_are_the_one_process_trace(self, case):
+        if case == "general":
+            run = partial(run_general, lse_make(30, 60, mu=0.1, seed=3,
+                                                gamma=1.0),
+                          PrimalVector(np.full(30, 0.01)), TauSchedule.bfgs(),
+                          SolverConfig(max_iter=500))
+        else:
+            run = _quadratic_share(*case)
+        want = run()
+        # Every max_iter of 500 is a converged run, every other a cut one.
+        assert want.converged == (case == "general" or case[-1] == 500)
+        for shares in (1, 2, 3):
+            got = _split_in_process(run, shares)
+            for name in solver_mod._ROW_COLUMNS:
+                assert np.array_equal(getattr(got, name + "s"),
+                                      getattr(want, name + "s"),
+                                      equal_nan=True), (shares, name)
+            assert np.array_equal(got.x_final.coords, want.x_final.coords)
+            assert got.converged == want.converged
+
+    def test_unowned_rows_are_left_unmeasured(self):
+        run = _quadratic_share(100, 10.0, TauSchedule.bfgs(), 500)
+        want, mine = run(), run(share=(1, 3))
+        for name in ("eig_min", "nu", "v"):
+            column = getattr(mine, name + "s")
+            assert np.isnan(np.delete(column, np.s_[1::3])).all()
+            assert np.array_equal(column[1::3], getattr(want, name + "s")[1::3],
+                                  equal_nan=True)
+        for name in ("lambda", "g", "r", "xi", "tau"):
+            assert np.array_equal(getattr(mine, name + "s"),
+                                  getattr(want, name + "s"), equal_nan=True)
+
+    @pytest.mark.parametrize("schedule", [TauSchedule.bfgs(),
+                                          TauSchedule((0.5,))])
+    def test_quadrature_failure_m_below_n(self, schedule):
+        # ROADMAP item 7's case: with m < n the two rules part at k = 14
+        # (BFGS) or 15 (tau = 0.5); the other shares run past it.
+        p = lse_make(30, 10, mu=1e-2, seed=3)
+        run = partial(run_general, p, PrimalVector(
+            0.1 * np.random.default_rng(1).standard_normal(30)), schedule,
+                      SolverConfig(max_iter=60))
+        error = self._assert_same_error(run, QuadratureError)
+        assert error.k == (14 if schedule.taus == (0.0,) else 15)
+
+    def test_definiteness_failure_names_its_owner(self, monkeypatch):
+        # The first update hands back G_1 = 0.  Row 1's owner stops on its
+        # spectrum, while every other share, which does not measure row 1,
+        # stops at the same k on the update's pairing check: the tie goes
+        # to the owner.
+        loop_update = solver_mod.update_arrays
+        run = _quadratic_share(80, 1e3, TauSchedule.bfgs(), 500)
+
+        def fresh_fault(share=(0, 1)):
+            # A fault of its own for each share's run.
+            calls = []
+
+            def update(pair, *args):
+                pair, phi, det_ratio = loop_update(pair, *args)
+                calls.append(1)
+                if len(calls) == 1:
+                    pair = np.stack((0.0 * pair[0], pair[1]))
+                return pair, phi, det_ratio
+
+            monkeypatch.setattr(solver_mod, "update_arrays", update)
+            return run(share=share)
+
+        with pytest.raises(DivergenceError,
+                           match=r"update pairings must be positive"):
+            fresh_fault((0, 2))
+        error = self._assert_same_error(run, DivergenceError, fresh_fault)
+        assert error.k == 1 and "relative spectrum (0.0, 0.0)" in str(error)
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_non_finite_gradient(self, monkeypatch, general):
+        # The gradient at x_3 overflows, in every share at step 2.
+        loop_gradient = solver_mod._gradient
+
+        def gradient(problem, x, k):
+            if k == 3:
+                raise DivergenceError(k, "non-finite gradient (overflow)")
+            return loop_gradient(problem, x, k)
+
+        monkeypatch.setattr(solver_mod, "_gradient", gradient)
+        if general:
+            run = partial(run_general, lse_make(80, 160, mu=0.1, seed=3,
+                                                gamma=1.0),
+                          PrimalVector(np.full(80, 0.01)), TauSchedule.bfgs(),
+                          SolverConfig(max_iter=500))
+        else:
+            run = _quadratic_share(80, 1e3, TauSchedule.bfgs(), 500)
+        error = self._assert_same_error(run, DivergenceError)
+        assert error.k == 3
+
+    @staticmethod
+    def _assert_same_error(run, kind, call=None):
+        with pytest.raises(kind) as serial:
+            (call or run)()
+        for shares in (1, 2, 3):
+            with pytest.raises(kind) as split:
+                _split_in_process(run, shares, call)
+            assert type(split.value) is type(serial.value)
+            assert split.value.k == serial.value.k
+            assert str(split.value) == str(serial.value)
+        return serial.value

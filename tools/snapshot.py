@@ -20,6 +20,15 @@ is ``diff -r OUT_A OUT_B``:
     python tools/snapshot.py OUT_B
     diff -r OUT_A OUT_B
 
+The calls inherit this process's CPU affinity, so within one tree a
+snapshot pinned to one CPU, where every run and every verify suite stays in
+one process, is the reference for the split ones (a run whose rows are
+measured one at a time forks one share per usable CPU):
+
+    taskset -c 0 python tools/snapshot.py OUT_ONE
+    python tools/snapshot.py OUT_SPLIT
+    diff -r OUT_ONE OUT_SPLIT
+
 Usage: python tools/snapshot.py OUT [--root REPO] [--workload NAME ...]
        [--seed S ...]   (defaults: this checkout, every workload, seed 1)
 """
